@@ -18,11 +18,16 @@ run terminates on the first sweep that makes no update, at which point
 every equation satisfies the discrepancy bound simultaneously, or when
 the loop budget runs out (reported as truncation, not an error).
 
-Baselines share the machinery: the Kaczmarz variant without momentum,
-the full-stack iteration that sums every equation's correction before
-projecting, and the reduced variant that trades the Kronecker solve for
-an explicit separable smoothing of the unpreconditioned step on the
-piecewise-constant basis.
+Every variant runs through one gated block driver: a block is a slice
+of equations, gated together on its residual at ``u_k`` and, when any
+of its equations is out of tolerance, replaced by one projected step
+(block Kaczmarz).  The Kaczmarz variants use blocks of one equation in
+sweep order: with momentum (pnkr), without it (Landweber-Kaczmarz), or
+with the reduced step that trades the Kronecker solve for an explicit
+separable smoothing of the unpreconditioned step on the
+piecewise-constant basis.  The full-stack Landweber iteration is one
+block of all equations whose step sums every correction before
+projecting.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ __all__ = [
     "pnkr_sweep",
     "reduced_pnkr_sweep",
     "landweber_step",
-    "baseline_step",
     "run",
     "write_coefficients",
     "read_coefficients",
@@ -209,9 +213,8 @@ def equation_residual_norm(system: ForwardSystem, u: np.ndarray, data, r: int) -
     data = as_solve_data(data)
     if not 1 <= r <= system.R:
         raise ValueError(f"wavelength index r={r} outside 1..{system.R}")
-    U = np.asarray(u, dtype=float).reshape(system.N, system.L)
-    d = data.y[:, r - 1] - U @ system.Q[:, r - 1]
-    return float(sample_norm(system, d))
+    _, norms = _block_residual(system, np.asarray(u, dtype=float), data, slice(r - 1, r))
+    return float(norms[0])
 
 
 def resolve_omega(config: SolverConfig, system: ForwardSystem) -> float:
@@ -272,12 +275,49 @@ def reduced_equation_update(
     return threshold(u + step)
 
 
-def _check_finite(u_new: np.ndarray, omega: float) -> None:
-    if not np.all(np.isfinite(u_new)):
-        raise RuntimeError(f"iterate became non-finite; the stepsize omega={omega:g} is too large for this system")
+def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData, blk: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Sample-space residuals ``y[:, blk] - U Q[:, blk]`` at ``u`` and their norms."""
+    D = data.y[:, blk] - u.reshape(system.N, system.L) @ system.Q[:, blk]
+    return D, sample_norm(system, D)
 
 
-def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float | None = None, momentum: bool = True) -> int:
+def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, blocks, step) -> int:
+    """Visit each block of equations once; returns the update count.
+
+    A block is a slice of equations.  Its residual ``D`` at ``u_k``
+    gates it: when every equation in the block meets ``tau delta_r`` the
+    block is skipped, otherwise ``step(blk, D)`` returns the new iterate,
+    which is checked and committed.  ``k_R`` advances once at the end.
+    """
+    if state.dp_satisfied is None:
+        state.dp_satisfied = np.zeros(system.R, dtype=bool)
+    updates = 0
+    # an oversized stepsize overflows to inf/nan; the finite check raises, not the FPU
+    with np.errstate(over="ignore", invalid="ignore"):
+        for blk in blocks:
+            D, norms = _block_residual(system, state.u_k, data, blk)
+            satisfied = norms <= config.tau * data.delta_r[blk]
+            state.dp_satisfied[blk] = satisfied
+            if satisfied.all():
+                continue
+            u_new = step(blk, D)
+            if not np.all(np.isfinite(u_new)):
+                raise RuntimeError(f"iterate became non-finite; the stepsize omega={omega:g} is too large for this system")
+            state.u_km1 = state.u_k
+            state.u_k = u_new
+            state.k += 1
+            updates += 1
+    state.k_R += 1
+    return updates
+
+
+def _equation_blocks(state: SolverState, system: ForwardSystem) -> list[slice]:
+    """One-equation blocks in sweep order; block ``slice(r - 1, r)`` holds equation ``r``."""
+    order = state.permutation if state.permutation is not None else np.arange(1, system.R + 1)
+    return [slice(r - 1, r) for r in order]
+
+
+def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float, momentum: bool = True) -> int:
     """One gated sweep over all equations; returns the update count.
 
     The gate tests the residual at ``u_k`` while the step is taken at
@@ -285,64 +325,28 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSy
     ``u_k`` itself, which is the plain Kaczmarz baseline.
     """
     data = as_solve_data(data)
-    if omega is None:
-        omega = resolve_omega(config, system)
-    if state.dp_satisfied is None:
-        state.dp_satisfied = np.zeros(system.R, dtype=bool)
-    order = state.permutation if state.permutation is not None else np.arange(1, system.R + 1)
-    updates = 0
-    # an oversized stepsize overflows to inf/nan; the finite check raises, not the FPU
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in order:
-            U = state.u_k.reshape(system.N, system.L)
-            d = data.y[:, r - 1] - U @ system.Q[:, r - 1]
-            satisfied = float(sample_norm(system, d)) <= config.tau * data.delta_r[r - 1]
-            state.dp_satisfied[r - 1] = satisfied
-            if satisfied:
-                continue
-            z = nesterov_extrapolate(state.u_k, state.u_km1, state.k_R) if momentum else state.u_k
-            u_new = pnkr_equation_update(system, z, data.y[:, r - 1], r, omega)
-            _check_finite(u_new, omega)
-            state.u_km1 = state.u_k
-            state.u_k = u_new
-            state.k += 1
-            updates += 1
-    state.k_R += 1
-    return updates
+
+    def step(blk: slice, D: np.ndarray) -> np.ndarray:
+        z = nesterov_extrapolate(state.u_k, state.u_km1, state.k_R) if momentum else state.u_k
+        return pnkr_equation_update(system, z, data.y[:, blk.start], blk.stop, omega)
+
+    return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
 
 
-def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float | None = None, kernel: SmoothingKernel | None = None) -> int:
+def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float) -> int:
     """One gated sweep of the reduced variant (piecewise-constant basis)."""
     if system.basis.s != 0:
         raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
     data = as_solve_data(data)
-    if omega is None:
-        omega = resolve_omega(config, system)
-    if kernel is None:
-        kernel = config.stencil if config.stencil is not None else triangle_kernel()
-    if state.dp_satisfied is None:
-        state.dp_satisfied = np.zeros(system.R, dtype=bool)
-    order = state.permutation if state.permutation is not None else np.arange(1, system.R + 1)
-    updates = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in order:
-            U = state.u_k.reshape(system.N, system.L)
-            d = data.y[:, r - 1] - U @ system.Q[:, r - 1]
-            satisfied = float(sample_norm(system, d)) <= config.tau * data.delta_r[r - 1]
-            state.dp_satisfied[r - 1] = satisfied
-            if satisfied:
-                continue
-            u_new = reduced_equation_update(system, state.u_k, data.y[:, r - 1], r, omega, kernel)
-            _check_finite(u_new, omega)
-            state.u_km1 = state.u_k
-            state.u_k = u_new
-            state.k += 1
-            updates += 1
-    state.k_R += 1
-    return updates
+    kernel = config.stencil if config.stencil is not None else triangle_kernel()
+
+    def step(blk: slice, D: np.ndarray) -> np.ndarray:
+        return reduced_equation_update(system, state.u_k, data.y[:, blk.start], blk.stop, omega, kernel)
+
+    return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
 
 
-def landweber_step(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float | None = None) -> int:
+def landweber_step(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float) -> int:
     """One full-stack step: every equation's correction summed, then projected.
 
     Gating is per equation for bookkeeping, but the step only happens
@@ -350,39 +354,17 @@ def landweber_step(state: SolverState, config: SolverConfig, data, system: Forwa
     over all of them.
     """
     data = as_solve_data(data)
-    if omega is None:
-        omega = resolve_omega(config, system)
-    with np.errstate(over="ignore", invalid="ignore"):
-        U = state.u_k.reshape(system.N, system.L)
-        D = data.y - U @ system.Q
-        norms = np.atleast_1d(sample_norm(system, D))
-        state.dp_satisfied = norms <= config.tau * data.delta_r
-        if np.all(state.dp_satisfied):
-            state.k_R += 1
-            return 0
+
+    def step(blk: slice, D: np.ndarray) -> np.ndarray:
         A = system.Psi_inv_factor.solve(system.G @ D)
-        u_new = threshold((U + omega * A @ system.Phi_inv_Q.T).reshape(-1))
-    _check_finite(u_new, omega)
-    state.u_km1 = state.u_k
-    state.u_k = u_new
-    state.k += 1
-    state.k_R += 1
-    return 1
+        U = state.u_k.reshape(system.N, system.L)
+        return threshold((U + omega * A @ system.Phi_inv_Q.T).reshape(-1))
 
-
-def baseline_step(state: SolverState, config: SolverConfig, data, system: ForwardSystem, variant: str, omega: float | None = None) -> int:
-    """Dispatch one loop of a baseline method by name."""
-    if variant == "landweber":
-        return landweber_step(state, config, data, system, omega)
-    if variant == "landweber_kaczmarz":
-        return pnkr_sweep(state, config, data, system, omega, momentum=False)
-    raise ValueError(f"unknown baseline variant {variant!r}")
+    return _gated_sweep(state, config, data, system, omega, [slice(0, system.R)], step)
 
 
 def _data_residual(system: ForwardSystem, u: np.ndarray, data: SolveData) -> float:
-    U = u.reshape(system.N, system.L)
-    D = data.y - U @ system.Q
-    norms = np.atleast_1d(sample_norm(system, D))
+    _, norms = _block_residual(system, u, data)
     return float(np.sqrt(np.sum(norms**2)))
 
 
@@ -408,6 +390,9 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
 
     Raises
     ------
+    ValueError
+        If the data do not fit the system, or a channel ``r`` has a
+        non-finite sample or a non-finite or negative ``delta_r``.
     RuntimeError
         If an iterate leaves the finite range or its norm grows by a
         factor 1e6 over the first nonzero iterate, both symptoms of an
@@ -420,6 +405,13 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
         raise ValueError(f"delta_r has shape {data.delta_r.shape}, expected ({system.R},)")
     if config.s != system.basis.s:
         raise ValueError(f"config requests s={config.s} but the system basis has s={system.basis.s}")
+    finite_y = np.isfinite(data.y).all(axis=0)
+    bad = np.flatnonzero(~(finite_y & np.isfinite(data.delta_r) & (data.delta_r >= 0.0)))
+    if bad.size:
+        r = int(bad[0]) + 1
+        if not finite_y[r - 1]:
+            raise ValueError(f"channel r={r} has a non-finite sample")
+        raise ValueError(f"channel r={r} has delta_r={data.delta_r[r - 1]:g}; it must be finite and nonnegative")
     M = system.N * system.L
     if config.initial_guess is not None:
         u0 = np.array(config.initial_guess, dtype=float)

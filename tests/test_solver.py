@@ -1,5 +1,6 @@
 """Solver unit tests: gating, momentum, baselines, termination, files."""
 
+import collections
 import types
 
 import numpy as np
@@ -17,12 +18,12 @@ from pnkr.forward import (
 )
 from pnkr.grid_basis import build_gram_matrices, make_basis, uniform_axis
 from pnkr.mock import add_noise, default_components, evaluate_ground_truth
+import pnkr.solver
 from pnkr.solver import (
     SolveData,
     SolverConfig,
     SolverState,
     as_solve_data,
-    baseline_step,
     equation_residual_norm,
     landweber_step,
     nesterov_extrapolate,
@@ -248,16 +249,6 @@ def test_reduced_sweep_rejects_hat_basis(tiny1, tiny0_problem):
         reduced_pnkr_sweep(state, cfg, data, tiny1, omega=1e-6)
 
 
-def test_baseline_step_rejects_unknown_variant(tiny0, tiny0_problem):
-    _, data = tiny0_problem
-    cfg = SolverConfig(variant="pnkr", s=0)
-    state = SolverState(
-        u_k=np.zeros(tiny0.N * tiny0.L), u_km1=np.zeros(tiny0.N * tiny0.L)
-    )
-    with pytest.raises(ValueError):
-        baseline_step(state, cfg, data, tiny0, "nope")
-
-
 # -- sweep mechanics ----------------------------------------------------------
 
 
@@ -368,6 +359,20 @@ def test_run_ordering_matches_documented_permutation(tiny0, tiny0_problem):
     assert np.array_equal(res.u, state.u_k)
 
 
+def _dense_landweber_step(system, data, u, omega):
+    Psi_dense = system.Psi.toarray()
+    Phi_dense = system.Phi.toarray()
+    G_dense = system.G.toarray()
+    U = u.reshape(system.N, system.L)
+    total = np.zeros_like(U)
+    for r in range(1, system.R + 1):
+        d = data.y[:, r - 1] - U @ system.Q[:, r - 1]
+        left = np.linalg.solve(Psi_dense, G_dense @ d)
+        right = np.linalg.solve(Phi_dense, system.Q[:, r - 1])
+        total += omega * np.outer(left, right)
+    return np.maximum((U + total).reshape(-1), 0.0)
+
+
 def test_landweber_step_sums_all_corrections(tiny0, tiny0_problem):
     _, data = tiny0_problem
     rng = np.random.default_rng(17)
@@ -378,17 +383,7 @@ def test_landweber_step_sums_all_corrections(tiny0, tiny0_problem):
     moved = landweber_step(state, cfg, data, tiny0, omega=omega)
     assert moved == 1
     assert state.k_R == 2
-    Psi_dense = tiny0.Psi.toarray()
-    Phi_dense = tiny0.Phi.toarray()
-    G_dense = tiny0.G.toarray()
-    U = u.reshape(tiny0.N, tiny0.L)
-    total = np.zeros_like(U)
-    for r in range(1, tiny0.R + 1):
-        d = data.y[:, r - 1] - U @ tiny0.Q[:, r - 1]
-        left = np.linalg.solve(Psi_dense, G_dense @ d)
-        right = np.linalg.solve(Phi_dense, tiny0.Q[:, r - 1])
-        total += omega * np.outer(left, right)
-    expected = np.maximum((U + total).reshape(-1), 0.0)
+    expected = _dense_landweber_step(tiny0, data, u, omega)
     scale = np.abs(expected).max()
     np.testing.assert_allclose(state.u_k, expected, rtol=0, atol=1e-10 * scale)
     wide = SolveData(y=data.y, delta_r=np.full(tiny0.R, 1e12))
@@ -396,6 +391,27 @@ def test_landweber_step_sums_all_corrections(tiny0, tiny0_problem):
     assert landweber_step(quiet, cfg, wide, tiny0, omega=omega) == 0
     assert np.array_equal(quiet.u_k, u)
     assert quiet.k_R == 2
+
+
+def test_landweber_mixed_gate_sums_every_correction(tiny0, tiny0_problem):
+    _, data = tiny0_problem
+    rng = np.random.default_rng(19)
+    u = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
+    omega = 1.0 / rho_estimate(tiny0, stacked=True)
+    cfg = SolverConfig(variant="landweber", s=0, tau=1.2)
+    norms = np.array(
+        [equation_residual_norm(tiny0, u, data, r) for r in range(1, tiny0.R + 1)]
+    )
+    # even channels sit inside twice their bound, odd ones outside half of it
+    delta = np.where(np.arange(tiny0.R) % 2 == 0, 2.0, 0.5) * norms / cfg.tau
+    mixed = SolveData(y=data.y, delta_r=delta)
+    state = SolverState(u_k=u.copy(), u_km1=u.copy())
+    assert landweber_step(state, cfg, mixed, tiny0, omega=omega) == 1
+    assert np.array_equal(state.dp_satisfied, norms <= cfg.tau * delta)
+    assert 0 < state.dp_satisfied.sum() < tiny0.R
+    expected = _dense_landweber_step(tiny0, mixed, u, omega)
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(state.u_k, expected, rtol=0, atol=1e-10 * scale)
 
 
 # -- full runs ----------------------------------------------------------------
@@ -550,6 +566,72 @@ def test_run_validation_errors(tiny0, tiny1, tiny0_problem):
         )
     with pytest.raises(ValueError):
         run(cfg, data, tiny0, u_star=u_star[:-1])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("sample", "r=3 has a non-finite sample"),
+        ("delta_inf", "r=3 has delta_r=inf"),
+        ("delta_negative", "r=3 has delta_r=-0.1"),
+    ],
+)
+def test_run_rejects_bad_data_naming_the_channel(
+    tiny0, tiny0_problem, bad, message
+):
+    _, data = tiny0_problem
+    y = data.y.copy()
+    delta = data.delta_r.copy()
+    if bad == "sample":
+        y[1, 2] = np.nan
+    else:
+        delta[2] = np.inf if bad == "delta_inf" else -0.1
+    delta[5] = np.nan
+    cfg = SolverConfig(variant="pnkr", s=0, max_loops=1)
+    with pytest.raises(ValueError, match=message):
+        run(cfg, SolveData(y=y, delta_r=delta), tiny0)
+
+
+@pytest.mark.parametrize(
+    "variant, sweep, step",
+    [
+        ("pnkr", "pnkr_sweep", "pnkr_equation_update"),
+        ("landweber_kaczmarz", "pnkr_sweep", "pnkr_equation_update"),
+        ("reduced_pnkr", "reduced_pnkr_sweep", "reduced_equation_update"),
+        ("landweber", "landweber_step", None),
+    ],
+)
+def test_run_looks_up_sweeps_and_steps_at_call_time(
+    monkeypatch, tiny0, tiny0_problem, variant, sweep, step
+):
+    _, data = tiny0_problem
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in (
+        "pnkr_sweep",
+        "reduced_pnkr_sweep",
+        "landweber_step",
+        "pnkr_equation_update",
+        "reduced_equation_update",
+    ):
+        monkeypatch.setattr(
+            pnkr.solver, name, counting(name, getattr(pnkr.solver, name))
+        )
+    stencil = identity_kernel() if variant == "reduced_pnkr" else None
+    cfg = SolverConfig(variant=variant, s=0, max_loops=3, seed=3, stencil=stencil)
+    res = run(cfg, data, tiny0)
+    assert res.total_updates > 0
+    expected = {sweep: res.loops}
+    if step is not None:
+        expected[step] = res.total_updates
+    assert calls == expected
 
 
 # -- determinism and files ----------------------------------------------------
