@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -157,12 +158,13 @@ class DiscreteBasis:
     theta_grids: tuple[AxisGrid, AxisGrid, AxisGrid]
     beta: np.ndarray
 
-    @property
+    # the grids never change after construction; caching spares the hot loops the products
+    @cached_property
     def N(self) -> int:
         g1, g2 = self.omega_grids
         return g1.n_cells * g2.n_cells
 
-    @property
+    @cached_property
     def L(self) -> int:
         gv, gz, gt = self.theta_grids
         return gv.n_cells * gz.n_cells * gt.n_cells

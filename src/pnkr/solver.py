@@ -28,6 +28,14 @@ separable smoothing of the unpreconditioned step on the
 piecewise-constant basis.  The full-stack Landweber iteration is one
 block of all equations whose step sums every correction before
 projecting.
+
+The pnkr and Landweber-Kaczmarz sweeps update the iterate in place:
+``SolverState.u_k`` and ``SolverState.u_km1`` are two buffers that each
+step reuses.  The momentum point is built in the ``u_km1`` buffer, the
+projected step overwrites it, and the commit swaps the two, so no array
+of the iterate's size is allocated per equation.  A caller that keeps
+the arrays it put into a state must copy them first.  After the finite
+check raises ``RuntimeError`` the contents of both buffers are undefined.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .forward import (
     ForwardSystem,
@@ -76,6 +85,11 @@ ORDERINGS = ("cyclic", "random_permutation")
 
 _PNKU_MAGIC = b"PNKU"
 _PNKU_VERSION = 1
+
+# Entries of the iterate per rank-one BLAS call.  OpenBLAS runs a GEMM of
+# m*n*k <= 4 * 65536 on one thread; a threaded k=1 update costs more in
+# start-up than it saves, so larger iterates are corrected in row blocks.
+_RANK_ONE_BLOCK = 262_143
 
 
 @dataclass(eq=False)
@@ -150,7 +164,14 @@ def as_solve_data(data) -> SolveData:
 
 @dataclass(eq=False)
 class SolverState:
-    """Mutable iteration state threaded through the sweeps."""
+    """Mutable iteration state threaded through the sweeps.
+
+    The pnkr and Landweber-Kaczmarz sweeps write into ``u_k`` and
+    ``u_km1`` in place: each step builds its momentum point in the
+    ``u_km1`` buffer and the commit swaps the two arrays.  Copy the
+    arrays before handing them in if they must survive the sweep.  After
+    a ``RuntimeError`` from the finite check both are undefined.
+    """
 
     u_k: np.ndarray
     u_km1: np.ndarray
@@ -191,17 +212,26 @@ class RunResult:
     omega: float
 
 
-def threshold(u: np.ndarray) -> np.ndarray:
-    """Entrywise projection onto the nonnegative orthant."""
-    return np.maximum(u, 0.0)
+def threshold(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Entrywise projection onto the nonnegative orthant, into ``out`` if given."""
+    return np.maximum(u, 0.0, out=out)
 
 
-def nesterov_extrapolate(u_k: np.ndarray, u_km1: np.ndarray, k_R: int) -> np.ndarray:
-    """Momentum point ``u_k + ((k_R - 1) / (k_R + 2)) (u_k - u_km1)``."""
+def nesterov_extrapolate(u_k: np.ndarray, u_km1: np.ndarray, k_R: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Momentum point ``u_k + ((k_R - 1) / (k_R + 2)) (u_k - u_km1)``.
+
+    Written into ``out`` when given; ``out`` may be ``u_km1`` but must
+    not overlap ``u_k``.
+    """
     if k_R < 1:
         raise ValueError("loop counter k_R must be at least 1")
+    if out is not None and np.may_share_memory(out, u_k):
+        raise ValueError("out must not overlap u_k")
     factor = (k_R - 1.0) / (k_R + 2.0)
-    return u_k + factor * (u_k - u_km1)
+    out = np.subtract(u_k, u_km1, out=out)
+    out *= factor
+    out += u_k
+    return out
 
 
 def equation_residual_norm(system: ForwardSystem, u: np.ndarray, data, r: int) -> float:
@@ -236,21 +266,35 @@ def _sweep_order(config: SolverConfig, R: int, loop: int) -> np.ndarray:
     return rng.permutation(R) + 1
 
 
-def pnkr_equation_update(system: ForwardSystem, z: np.ndarray, y_r: np.ndarray, r: int, omega: float) -> np.ndarray:
+def pnkr_equation_update(system: ForwardSystem, z: np.ndarray, y_r: np.ndarray, r: int, omega: float, out: np.ndarray | None = None) -> np.ndarray:
     """One projected preconditioned step of equation ``r`` taken at ``z``.
 
     The correction ``M^-1 H_r^T N^-1 (w_r - H_r z)`` is the rank-one
     matrix ``(Psi^-1 G d) (Phi^-1 q_r)^T`` with ``d`` the sample-space
-    residual, so the update costs two small solves and one outer
-    product.
+    residual, so the update costs two small solves and one rank-one
+    update of the coefficient matrix.  The result is written into
+    ``out``, a C-contiguous float array of ``N * L`` entries that may be
+    ``z`` itself; without ``out`` a copy of ``z`` is updated.
     """
     if not 1 <= r <= system.R:
         raise ValueError(f"wavelength index r={r} outside 1..{system.R}")
-    Z = z.reshape(system.N, system.L)
-    d = y_r - Z @ system.Q[:, r - 1]
+    N, L = system.N, system.L
+    if out is not None and (out.shape != (N * L,) or out.dtype != np.float64 or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape ({N * L},)")
+    d = y_r - z.reshape(N, L) @ system.Q[:, r - 1]
     a = system.Psi_inv_factor.solve(system.G @ d)
-    out = Z + omega * np.outer(a, system.Phi_inv_Q[:, r - 1])
-    return threshold(out.reshape(-1))
+    p = system.Phi_inv_Q[:, r - 1, None]
+    if out is None:
+        out = np.array(z, dtype=float, order="C").reshape(-1)
+    elif out is not z:
+        np.copyto(out, z.reshape(-1))
+    O = out.reshape(N, L)
+    # O[n, l] += omega a[n] p[l], written in place through the Fortran-ordered view O[rows].T
+    rows = max(1, _RANK_ONE_BLOCK // L)
+    for n0 in range(0, N, rows):
+        blk = slice(n0, n0 + rows)
+        dgemm(omega, p, a[None, blk], beta=1.0, c=O[blk].T, overwrite_c=1)
+    return threshold(out, out=out)
 
 
 def reduced_equation_update(
@@ -301,7 +345,8 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
             if satisfied.all():
                 continue
             u_new = step(blk, D)
-            if not np.all(np.isfinite(u_new)):
+            # steps return projected iterates (never -inf), so one max reduction sees any inf or nan
+            if not np.isfinite(u_new.max()):
                 raise RuntimeError(f"iterate became non-finite; the stepsize omega={omega:g} is too large for this system")
             state.u_km1 = state.u_k
             state.u_k = u_new
@@ -322,13 +367,22 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSy
 
     The gate tests the residual at ``u_k`` while the step is taken at
     the momentum point; with ``momentum=False`` the step is taken at
-    ``u_k`` itself, which is the plain Kaczmarz baseline.
+    ``u_k`` itself, which is the plain Kaczmarz baseline.  Steps run in
+    place (see :class:`SolverState`); a ``u_km1`` that shares memory
+    with ``u_k`` is first replaced by a copy.
     """
     data = as_solve_data(data)
+    if np.may_share_memory(state.u_k, state.u_km1):
+        state.u_km1 = state.u_k.copy()
 
     def step(blk: slice, D: np.ndarray) -> np.ndarray:
-        z = nesterov_extrapolate(state.u_k, state.u_km1, state.k_R) if momentum else state.u_k
-        return pnkr_equation_update(system, z, data.y[:, blk.start], blk.stop, omega)
+        # the momentum point goes into the u_km1 buffer; the commit swaps it in as u_k
+        if momentum:
+            z = nesterov_extrapolate(state.u_k, state.u_km1, state.k_R, out=state.u_km1)
+        else:
+            z = state.u_km1
+            np.copyto(z, state.u_k)
+        return pnkr_equation_update(system, z, data.y[:, blk.start], blk.stop, omega, out=z)
 
     return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
 

@@ -94,6 +94,8 @@ def test_threshold_examples():
     u = np.array([-1.0, 0.0, 2.5, -0.25, 1e-300])
     out = threshold(u)
     assert np.array_equal(out, np.array([0.0, 0.0, 2.5, 0.0, 1e-300]))
+    assert threshold(u, out=u) is u
+    assert np.array_equal(u, out)
 
 
 @settings(max_examples=50, deadline=None)
@@ -124,6 +126,21 @@ def test_nesterov_factor_values():
     assert np.array_equal(same, u_k)
     with pytest.raises(ValueError):
         nesterov_extrapolate(u_k, u_km1, 0)
+
+
+@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
+def test_nesterov_out_may_alias_previous_iterate(fixture_name, request):
+    system = request.getfixturevalue(fixture_name)
+    rng = np.random.default_rng(5)
+    u_k = rng.uniform(0.0, 1.0, system.N * system.L)
+    u_km1 = rng.uniform(0.0, 1.0, system.N * system.L)
+    for k_R in (1, 2, 5):
+        pure = nesterov_extrapolate(u_k, u_km1, k_R)
+        buf = u_km1.copy()
+        assert nesterov_extrapolate(u_k, buf, k_R, out=buf) is buf
+        assert np.array_equal(buf, pure)
+    with pytest.raises(ValueError, match="overlap"):
+        nesterov_extrapolate(u_k, u_km1, 2, out=u_k)
 
 
 @pytest.mark.parametrize(
@@ -203,7 +220,7 @@ def test_resolve_omega(tiny0):
 
 
 @pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
-def test_equation_update_matches_dense_kkt(fixture_name, request):
+def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
     system = request.getfixturevalue(fixture_name)
     rng = np.random.default_rng(3)
     z = rng.uniform(0.0, 1.0, system.N * system.L)
@@ -213,6 +230,16 @@ def test_equation_update_matches_dense_kkt(fixture_name, request):
     M_dense = np.kron(system.Psi.toarray(), system.Phi.toarray())
     for r in (1, system.R // 2, system.R):
         got = pnkr_equation_update(system, z, y_r, r, omega)
+        in_place = z.copy()
+        assert pnkr_equation_update(system, in_place, y_r, r, omega, out=in_place) is in_place
+        assert np.array_equal(in_place, got)
+        with monkeypatch.context() as m:
+            # rank-one correction in row blocks of 3, the last one partial
+            m.setattr(pnkr.solver, "_RANK_ONE_BLOCK", 3 * system.L)
+            assert np.array_equal(pnkr_equation_update(system, z, y_r, r, omega), got)
+            in_place = z.copy()
+            pnkr_equation_update(system, in_place, y_r, r, omega, out=in_place)
+            assert np.array_equal(in_place, got)
         H = dense_equation_matrix(system, r)
         w_r = G_dense @ y_r
         resid = w_r - H @ z
@@ -308,6 +335,58 @@ def test_update_taken_at_momentum_point(tiny0, tiny0_problem):
     assert np.array_equal(state.u_k, expected)
     assert np.array_equal(state.u_km1, u_k)
     assert state.k == 1
+
+
+@pytest.mark.parametrize("momentum", [True, False])
+def test_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, momentum):
+    _, data = tiny0_problem
+    rng = np.random.default_rng(22)
+    u_k = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
+    u_km1 = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
+    r0 = 3
+    delta = np.full(tiny0.R, 1e12)
+    delta[r0 - 1] = 0.0
+    gated = SolveData(y=data.y, delta_r=delta)
+    cfg = SolverConfig(variant="pnkr", s=0, tau=1.2)
+    omega = 1.0 / rho_estimate(tiny0)
+    a, b = u_k.copy(), u_km1.copy()
+    state = SolverState(u_k=a, u_km1=b, k_R=3)
+    assert pnkr_sweep(state, cfg, gated, tiny0, omega=omega, momentum=momentum) == 1
+    assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
+    assert np.array_equal(state.u_km1, u_k)
+    z = nesterov_extrapolate(u_k, u_km1, 3) if momentum else u_k
+    assert np.array_equal(state.u_k, pnkr_equation_update(tiny0, z, data.y[:, r0 - 1], r0, omega))
+
+
+def test_sweep_on_shared_state_buffers_matches_distinct_ones(tiny0, tiny0_problem):
+    _, data = tiny0_problem
+    cfg = SolverConfig(variant="pnkr", s=0)
+    omega = 1.0 / rho_estimate(tiny0)
+    u = np.random.default_rng(23).uniform(0.0, 1.0, tiny0.N * tiny0.L)
+    shared = SolverState(u_k=u.copy(), u_km1=None, k_R=4)
+    shared.u_km1 = shared.u_k
+    distinct = SolverState(u_k=u.copy(), u_km1=u.copy(), k_R=4)
+    pnkr_sweep(shared, cfg, data, tiny0, omega=omega)
+    pnkr_sweep(distinct, cfg, data, tiny0, omega=omega)
+    assert np.array_equal(shared.u_k, distinct.u_k)
+    assert np.array_equal(shared.u_km1, distinct.u_km1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gated_sweep_rejects_non_finite_step(tiny0, tiny0_problem, bad):
+    _, data = tiny0_problem
+    eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
+    M = tiny0.N * tiny0.L
+    state = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M))
+
+    def step(blk, D):
+        u_new = np.ones(M)
+        u_new[M // 2] = bad
+        return u_new
+
+    cfg = SolverConfig(variant="pnkr", s=0)
+    with pytest.raises(RuntimeError, match="omega"):
+        pnkr.solver._gated_sweep(state, cfg, eager, tiny0, 0.5, [slice(0, 1)], step)
 
 
 def test_counter_advances_once_per_sweep(tiny0, tiny0_problem):
