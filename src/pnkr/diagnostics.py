@@ -165,10 +165,10 @@ def light_integrals(template: TemplateGrid) -> np.ndarray:
     return np.trapezoid(S_obs, x=lam, axis=0)
 
 
-def _light_kernel(basis: DiscreteBasis, template: TemplateGrid, quad_points: int) -> np.ndarray:
+def _light_kernel(basis: DiscreteBasis, template: TemplateGrid) -> np.ndarray:
     """(z, t) basis-pair weights of the luminosity density; (nz, nt)."""
-    a_z = _overlap_weights(basis.theta_grids[1], basis.s, template.z_nodes, quad_points)
-    a_t = _overlap_weights(basis.theta_grids[2], basis.s, template.t_nodes, quad_points)
+    a_z = _overlap_weights(basis.theta_grids[1], basis.s, template.z_nodes)
+    a_t = _overlap_weights(basis.theta_grids[2], basis.s, template.t_nodes)
     return np.einsum("bi,ck,ik->bc", a_z, a_t, light_integrals(template), optimize=True)
 
 
@@ -194,7 +194,6 @@ def light_weighted_losvd(
     basis: DiscreteBasis,
     template: TemplateGrid,
     x,
-    quad_points: int = 50,
 ) -> LOSVDSample:
     """Luminosity-weighted velocity distribution at a spatial position.
 
@@ -204,7 +203,7 @@ def light_weighted_losvd(
     position with no light returns a masked, all-zero sample.
     """
     W = _coefficient_array(u, basis)
-    A_L = _light_kernel(basis, template, quad_points)
+    A_L = _light_kernel(basis, template)
     wpos = _position_weights(basis, x)
     values = np.einsum("ij,ijabc,bc->a", wpos, W, A_L, optimize=True)
     return _normalized_sample(x, basis.theta_grids[0].centers, values)
@@ -358,7 +357,6 @@ def moment_maps(
     template: TemplateGrid,
     order: int = 5,
     floor: float = 1e-6,
-    quad_points: int = 50,
 ) -> MomentMaps:
     """Mean-population and Gauss-Hermite kinematic maps of a coefficient field."""
     if order not in (5, 6):
@@ -367,7 +365,7 @@ def moment_maps(
     marg = marginals(u, basis)
     mask = density_mask(marg, floor)
     mu_z, mu_t = mean_maps(marg, floor)
-    A_L = _light_kernel(basis, template, quad_points)
+    A_L = _light_kernel(basis, template)
     lw = np.einsum("ijabc,bc->ija", W, A_L, optimize=True)
     v_sites = basis.theta_grids[0].centers
     c1 = basis.omega_grids[0].centers
@@ -454,7 +452,6 @@ def losvd_recovery_error(
     basis: DiscreteBasis,
     template: TemplateGrid,
     positions=None,
-    quad_points: int = 50,
 ) -> float:
     """Mean over sample positions of the median absolute LOSVD error.
 
@@ -467,13 +464,13 @@ def losvd_recovery_error(
         positions = default_losvd_positions(basis)
     errors = []
     for x in positions:
-        truth = light_weighted_losvd(u_true, basis, template, x, quad_points)
+        truth = light_weighted_losvd(u_true, basis, template, x)
         if truth.masked:
             continue
         peak = float(truth.p.max())
         if peak <= 0.0:
             continue
-        rec = light_weighted_losvd(u_rec, basis, template, x, quad_points)
+        rec = light_weighted_losvd(u_rec, basis, template, x)
         errors.append(float(np.median(np.abs(rec.p - truth.p))) / peak)
     if not errors:
         raise ValueError("no sample position carries light in the reference field")

@@ -174,7 +174,6 @@ def build_forward_system(
     basis: DiscreteBasis,
     table: KernelIntegralTable | np.ndarray,
     grams: GramMatrices | None = None,
-    quad_points: int = 50,
 ) -> ForwardSystem:
     """Assemble Gram factorizations and kernel columns into a system.
 
@@ -184,9 +183,8 @@ def build_forward_system(
     table : KernelIntegralTable or ndarray
         Kernel integrals, shape ``(L, R)``.
     grams : GramMatrices, optional
-        Previously assembled Gram matrices; assembled here if omitted.
-    quad_points : int
-        Quadrature resolution for the Gram assembly when it happens here.
+        Previously assembled Gram matrices; assembled here if omitted,
+        exactly (see :func:`assemble_gram`).
     """
     Q = table.Q if isinstance(table, KernelIntegralTable) else np.asarray(table, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != basis.L:
@@ -194,7 +192,7 @@ def build_forward_system(
     if not np.all(np.isfinite(Q)):
         raise ValueError("kernel table contains non-finite entries")
     if grams is None:
-        grams = build_gram_matrices(basis, quad_points)
+        grams = build_gram_matrices(basis)
     Psi_f = LinearFactor(grams.Psi)
     Phi_f = LinearFactor(grams.Phi)
     G_f = LinearFactor(grams.G)

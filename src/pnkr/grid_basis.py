@@ -10,9 +10,9 @@ one everywhere and interpolates nodal values at the midpoints.
 
 A :class:`DiscreteBasis` carries the grids of both domains together with
 the smoothness order ``s`` and the gradient-penalty weights ``beta``.
-Gram matrices are assembled axis by axis with a composite trapezoid rule
-applied piecewise between the kinks of the integrands, then combined as
-Kronecker products.
+Gram matrices are assembled axis by axis with a Gauss-Legendre rule
+applied piecewise between the kinks of the integrands, which is exact for
+these piecewise polynomials, then combined as Kronecker products.
 """
 
 from __future__ import annotations
@@ -253,28 +253,33 @@ def _axis_pieces(grid: AxisGrid, s: int) -> Iterator[tuple]:
     yield bp[n], bp[n + 1], [(n - 1, 1.0, 1.0)]
 
 
-def _trapezoid_weights(a: float, b: float, q: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.linspace(a, b, q)
-    w = np.full(q, (b - a) / (q - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return x, w
+# Gauss-Legendre nodes and weights on [-1, 1].  Three points are exact through
+# degree 5: every Gram, overlap and first-moment integrand is at most quadratic
+# on a piece, and the smooth Doppler factor of a velocity panel converges to
+# rounding (an 8-point rule agrees to 1e-13).  Nodes are interior to each
+# piece, so basis evaluation there never meets a breakpoint.
+_GAUSS_RULE = np.polynomial.legendre.leggauss(3)
 
 
-def _axis_factors(grid: AxisGrid, s: int, quad_points: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _gauss_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of :data:`_GAUSS_RULE` mapped to ``[a, b]``."""
+    x, w = _GAUSS_RULE
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), half * w
+
+
+def _axis_factors(grid: AxisGrid, s: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """1D mass and gradient Gram factors of one axis.
 
-    The mass factor uses a ``quad_points``-point composite trapezoid rule
-    on every smooth piece.  Basis derivatives are constant per piece, so
-    the gradient factor is exact regardless of ``quad_points``.
+    Both are exact: the mass integrand is quadratic on every smooth piece,
+    which the Gauss rule integrates exactly, and basis derivatives are
+    constant per piece.
     """
-    if quad_points < 2:
-        raise ValueError("quad_points must be at least 2")
     n = grid.n_cells
     A = np.zeros((n, n))
     B = np.zeros((n, n))
     for a, b, active in _axis_pieces(grid, s):
-        xq, wq = _trapezoid_weights(a, b, quad_points)
+        xq, wq = _gauss_rule(a, b)
         frac = (xq - a) / (b - a)
         vals = np.array([va + (vb - va) * frac for (_, va, vb) in active])
         ders = np.array([(vb - va) / (b - a) for (_, va, vb) in active])
@@ -313,36 +318,6 @@ def eval_axis_basis(grid: AxisGrid, s: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_axis_basis_on_panel(
-    grid: AxisGrid, s: int, x: np.ndarray, panel_mid: float
-) -> np.ndarray:
-    """Basis values on a quadrature panel that lies inside one smooth piece.
-
-    Point evaluation at a breakpoint is ambiguous for the discontinuous
-    ``s = 0`` family; quadrature panels therefore resolve ownership by the
-    panel midpoint and evaluate the piece's own polynomial at the panel
-    points, endpoints included.
-    """
-    xarr = np.asarray(x, dtype=float)
-    n = grid.n_cells
-    out = np.zeros((xarr.size, n))
-    if s == 0:
-        i = int(np.clip(np.searchsorted(grid.nodes, panel_mid, side="right") - 1, 0, n - 1))
-        out[:, i] = 1.0
-        return out
-    bp = _breakpoints(grid, 1)
-    j = int(np.clip(np.searchsorted(bp, panel_mid, side="right") - 1, 0, n))
-    if j == 0:
-        out[:, 0] = 1.0
-    elif j == n:
-        out[:, n - 1] = 1.0
-    else:
-        rise = (xarr - bp[j]) / (bp[j + 1] - bp[j])
-        out[:, j] = rise
-        out[:, j - 1] = 1.0 - rise
-    return out
-
-
 def axis_weights(grid: AxisGrid, s: int) -> np.ndarray:
     """Exact integrals of the axis basis functions."""
     n = grid.n_cells
@@ -357,15 +332,11 @@ def axis_first_moments(grid: AxisGrid, s: int) -> np.ndarray:
     """Exact integrals of ``x * basis_i(x)`` along one axis."""
     n = grid.n_cells
     m = np.zeros(n)
-    # 2-point Gauss is exact for the quadratic integrand x * linear
-    gp = 0.5 / np.sqrt(3.0)
     for a, b, active in _axis_pieces(grid, s):
-        h = b - a
-        xg = np.array([a + h * (0.5 - gp), a + h * (0.5 + gp)])
-        frac = (xg - a) / h
+        xq, wq = _gauss_rule(a, b)
+        frac = (xq - a) / (b - a)
         for i, va, vb in active:
-            vals = va + (vb - va) * frac
-            m[i] += 0.5 * h * np.sum(xg * vals)
+            m[i] += np.sum(wq * xq * (va + (vb - va) * frac))
     return m
 
 
@@ -396,7 +367,6 @@ def assemble_gram(
     basis: DiscreteBasis,
     domain: str = "omega",
     inner_product: str = "L2",
-    quad_points: int = 50,
 ) -> sp.csc_matrix:
     """Gram matrix of one factor basis.
 
@@ -411,9 +381,9 @@ def assemble_gram(
         ``s = 0`` the two coincide: cellwise constants carry no broken
         gradient, so the weights never contribute and the result stays
         exactly diagonal.
-    quad_points : int
-        Trapezoid points per smooth piece and axis.  Entries converge at
-        second order in ``1 / quad_points``.
+
+    Every entry is exact up to rounding: the axis factors integrate
+    piecewise quadratics with a Gauss rule on each piece.
     """
     if domain == "omega":
         grids = basis.omega_grids
@@ -425,7 +395,7 @@ def assemble_gram(
         raise ValueError("domain must be 'omega' or 'theta'")
     if inner_product not in ("L2", "Hs_beta"):
         raise ValueError("inner_product must be 'L2' or 'Hs_beta'")
-    factors = [_axis_factors(g, basis.s, quad_points) for g in grids]
+    factors = [_axis_factors(g, basis.s) for g in grids]
     A = [f[0] for f in factors]
     out = _kron_chain(A)
     if inner_product == "Hs_beta" and basis.s == 1:
@@ -466,15 +436,15 @@ class GramMatrices:
         return self.G
 
 
-def build_gram_matrices(basis: DiscreteBasis, quad_points: int = 50) -> GramMatrices:
+def build_gram_matrices(basis: DiscreteBasis) -> GramMatrices:
     """Assemble ``Psi``, ``Phi``, and ``G`` for a basis."""
-    G = assemble_gram(basis, "omega", "L2", quad_points)
+    G = assemble_gram(basis, "omega", "L2")
     if basis.s == 0:
         Psi = G.copy()
-        Phi = assemble_gram(basis, "theta", "L2", quad_points)
+        Phi = assemble_gram(basis, "theta", "L2")
     else:
-        Psi = assemble_gram(basis, "omega", "Hs_beta", quad_points)
-        Phi = assemble_gram(basis, "theta", "Hs_beta", quad_points)
+        Psi = assemble_gram(basis, "omega", "Hs_beta")
+        Phi = assemble_gram(basis, "theta", "Hs_beta")
     c_N = float(np.mean(G.diagonal()))
     return GramMatrices(Psi=Psi, Phi=Phi, G=G, c_N=c_N)
 

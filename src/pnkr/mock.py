@@ -372,30 +372,39 @@ def write_datacube(cube: DataCube, path) -> None:
         np.array([cube.seed], dtype="<u8").tofile(fh)
 
 
+def _read_exact(fh, dtype: str, count: int) -> np.ndarray:
+    arr = np.fromfile(fh, dtype=dtype, count=count)
+    if arr.size != count:
+        raise ValueError("datacube file truncated")
+    return arr
+
+
 def read_datacube(path) -> DataCube:
-    """Read a PNKD file back into a :class:`DataCube`."""
+    """Read a PNKD file back into a :class:`DataCube`.
+
+    Raises ``ValueError`` for a wrong magic or version, and for a file
+    that ends before the last field (the seed) is complete.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _PNKD_MAGIC:
             raise ValueError(f"not a datacube file: bad magic {magic!r}")
-        version, Nx1, Nx2, R = np.fromfile(fh, dtype="<u4", count=4)
+        version, Nx1, Nx2, R = (int(x) for x in _read_exact(fh, "<u4", 4))
         if version != _PNKD_VERSION:
             raise ValueError(f"unsupported datacube version {version}")
-        x1_nodes = np.fromfile(fh, dtype="<f8", count=int(Nx1))
-        x2_nodes = np.fromfile(fh, dtype="<f8", count=int(Nx2))
-        lambda_obs = np.fromfile(fh, dtype="<f8", count=int(R))
-        n1, n2 = int(Nx1) - 1, int(Nx2) - 1
-        payload = np.fromfile(fh, dtype="<f8", count=int(R) * n1 * n2)
-        if payload.size != int(R) * n1 * n2:
-            raise ValueError("datacube file truncated")
-        delta_r = np.fromfile(fh, dtype="<f8", count=int(R))
-        seed_arr = np.fromfile(fh, dtype="<u8", count=1)
-    samples = payload.reshape(int(R), n2, n1).transpose(0, 2, 1).reshape(int(R), n1 * n2).T
+        x1_nodes = _read_exact(fh, "<f8", Nx1)
+        x2_nodes = _read_exact(fh, "<f8", Nx2)
+        lambda_obs = _read_exact(fh, "<f8", R)
+        n1, n2 = Nx1 - 1, Nx2 - 1
+        payload = _read_exact(fh, "<f8", R * n1 * n2)
+        delta_r = _read_exact(fh, "<f8", R)
+        seed = int(_read_exact(fh, "<u8", 1)[0])
+    samples = payload.reshape(R, n2, n1).transpose(0, 2, 1).reshape(R, n1 * n2).T
     return DataCube(
         x1_nodes=x1_nodes,
         x2_nodes=x2_nodes,
         lambda_obs=lambda_obs,
         samples=np.ascontiguousarray(samples),
         delta_r=delta_r,
-        seed=int(seed_arr[0]) if seed_arr.size else 0,
+        seed=seed,
     )

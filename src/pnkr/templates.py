@@ -12,7 +12,7 @@ with linear interpolation in ``ln lambda`` and bilinear interpolation in
 computed axis by axis: the ``(z, t)`` directions collapse onto the table
 nodes exactly once per basis function, and the velocity quadrature is
 split at every point where the rest-frame lookup crosses a lattice node,
-so each trapezoid panel integrates a smooth function.
+so each Gauss panel integrates a smooth function.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .grid_basis import (
     AxisGrid,
     DiscreteBasis,
     _breakpoints,
-    _trapezoid_weights,
-    eval_axis_basis_on_panel,
+    _gauss_rule,
+    eval_axis_basis,
 )
 
 __all__ = [
@@ -249,13 +249,12 @@ class KernelIntegralTable:
         return self.Q.shape[1]
 
 
-def _overlap_weights(
-    grid: AxisGrid, s: int, nodes: np.ndarray, quad_points: int
-) -> np.ndarray:
+def _overlap_weights(grid: AxisGrid, s: int, nodes: np.ndarray) -> np.ndarray:
     """Integrals of basis functions against the table interpolation hats.
 
     Shape ``(n_cells, len(nodes))``.  Quadrature panels are split at every
-    kink of either family, so the trapezoid rule sees smooth integrands.
+    kink of either family, so each integrand is a quadratic on its panel
+    and the Gauss rule integrates it exactly.
     """
     span = grid.hi - grid.lo
     if nodes[0] > grid.lo + 1e-9 * span or nodes[-1] < grid.hi - 1e-9 * span:
@@ -267,8 +266,8 @@ def _overlap_weights(
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a <= 1e-14 * span:
             continue
-        xq, wq = _trapezoid_weights(a, b, quad_points)
-        phi = eval_axis_basis_on_panel(grid, s, xq, 0.5 * (a + b))
+        xq, wq = _gauss_rule(a, b)
+        phi = eval_axis_basis(grid, s, xq)
         tent = _interp_hats(nodes, xq)
         out += np.einsum("qi,qb,q->ib", phi, tent, wq, optimize=True)
     return out
@@ -295,9 +294,7 @@ def _v_segments(template: TemplateGrid, grid: AxisGrid, s: int) -> np.ndarray:
     return np.asarray(keep)
 
 
-def kernel_theta_integrals(
-    template: TemplateGrid, basis: DiscreteBasis, quad_points: int = 50
-) -> KernelIntegralTable:
+def kernel_theta_integrals(template: TemplateGrid, basis: DiscreteBasis) -> KernelIntegralTable:
     """Integrate the kernel against every population-kinematic basis function.
 
     Returns the table ``Q`` of shape ``(L, R)`` with
@@ -312,8 +309,8 @@ def kernel_theta_integrals(
     """
     gv, gz, gt = basis.theta_grids
     s = basis.s
-    a_z = _overlap_weights(gz, s, template.z_nodes, quad_points)
-    a_t = _overlap_weights(gt, s, template.t_nodes, quad_points)
+    a_z = _overlap_weights(gz, s, template.z_nodes)
+    a_t = _overlap_weights(gt, s, template.t_nodes)
     Sbar = np.einsum("jbc,ib,kc->ikj", template.S, a_z, a_t, optimize=True)
     nz_c, nt_c, R_ext = Sbar.shape
     R = template.R
@@ -321,8 +318,8 @@ def kernel_theta_integrals(
     acc = np.zeros((nv, nz_c, nt_c, R))
     cuts = _v_segments(template, gv, s)
     for a, b in zip(cuts[:-1], cuts[1:]):
-        xq, wq = _trapezoid_weights(a, b, quad_points)
-        phi = eval_axis_basis_on_panel(gv, s, xq, 0.5 * (a + b))
+        xq, wq = _gauss_rule(a, b)
+        phi = eval_axis_basis(gv, s, xq)
         cfrac = template.obs_start - np.log1p(xq / C_LIGHT) / template.dln
         f = int(np.floor(cfrac[len(cfrac) // 2]))
         if f < 0 or f + R > R_ext - 1:

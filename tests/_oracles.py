@@ -2,8 +2,36 @@
 
 import numpy as np
 
-from pnkr.grid_basis import _breakpoints, eval_axis_basis_on_panel
+from pnkr.grid_basis import _breakpoints
 from pnkr.templates import C_LIGHT, _interp_hats, _v_segments
+
+
+def eval_axis_basis_on_panel(grid, s, x, panel_mid):
+    """Basis values on a quadrature panel that lies inside one smooth piece.
+
+    Point evaluation at a breakpoint is ambiguous for the discontinuous
+    ``s = 0`` family; the endpoint-sampling trapezoid oracles below
+    therefore resolve ownership by the panel midpoint and evaluate the
+    piece's own polynomial at the panel points, endpoints included.
+    """
+    xarr = np.asarray(x, dtype=float)
+    n = grid.n_cells
+    out = np.zeros((xarr.size, n))
+    if s == 0:
+        i = int(np.clip(np.searchsorted(grid.nodes, panel_mid, side="right") - 1, 0, n - 1))
+        out[:, i] = 1.0
+        return out
+    bp = _breakpoints(grid, 1)
+    j = int(np.clip(np.searchsorted(bp, panel_mid, side="right") - 1, 0, n))
+    if j == 0:
+        out[:, 0] = 1.0
+    elif j == n:
+        out[:, n - 1] = 1.0
+    else:
+        rise = (xarr - bp[j]) / (bp[j + 1] - bp[j])
+        out[:, j] = rise
+        out[:, j - 1] = 1.0 - rise
+    return out
 
 
 def kernel_on_grid(template, vq, zq, tq, lam_r):

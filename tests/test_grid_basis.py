@@ -193,35 +193,69 @@ def test_hat_factor_matches_closed_form():
     # interior entries of the 1D hat mass factor: 2h/3 diagonal, h/6 off
     g = uniform_axis(0.0, 1.0, 11)
     h = 0.1
-    A, B = _axis_factors(g, 1, 500)
+    A, B = _axis_factors(g, 1)
     Ad = A.toarray()
     for i in range(2, 8):
-        assert abs(Ad[i, i] - 2 * h / 3) <= 1e-4
-        assert abs(Ad[i, i + 1] - h / 6) <= 1e-4
-    # gradient factor is exact at any point count
+        assert abs(Ad[i, i] - 2 * h / 3) <= 1e-14
+        assert abs(Ad[i, i + 1] - h / 6) <= 1e-14
     Bd = B.toarray()
     np.testing.assert_allclose(np.diag(Bd)[1:-1], 2 / h, rtol=1e-12)
     np.testing.assert_allclose(np.diag(Bd, 1), -1 / h, rtol=1e-12)
     np.testing.assert_allclose(Bd[0, 0], 1 / h, rtol=1e-12)
 
 
-def test_gram_quadrature_convergence():
-    basis = small_basis(1)
-    coarse = assemble_gram(basis, "theta", "L2", quad_points=50).toarray()
-    finer = assemble_gram(basis, "theta", "L2", quad_points=100).toarray()
-    finest = assemble_gram(basis, "theta", "L2", quad_points=200).toarray()
-    e1 = np.abs(coarse - finest).max()
-    e2 = np.abs(finer - finest).max()
-    # trapezoid converges at second order per smooth piece
-    assert e1 / e2 > 3.0
+def hat_factors_closed_form(grid):
+    """Dense 1D hat mass and gradient factors, piece by piece in closed form.
+
+    On a strip between the domain edge and the outermost midpoint the end
+    hat is the constant 1; between midpoints ``g`` apart the two linear
+    hats give ``g/3`` on the diagonal and ``g/6`` off it.
+    """
+    c = grid.centers
+    n = grid.n_cells
+    A = np.zeros((n, n))
+    B = np.zeros((n, n))
+    A[0, 0] += c[0] - grid.lo
+    A[n - 1, n - 1] += grid.hi - c[-1]
+    for j, g in enumerate(np.diff(c), start=1):
+        A[j - 1, j - 1] += g / 3
+        A[j, j] += g / 3
+        A[j - 1, j] = A[j, j - 1] = g / 6
+        B[j - 1, j - 1] += 1 / g
+        B[j, j] += 1 / g
+        B[j - 1, j] = B[j, j - 1] = -1 / g
+    return A, B
 
 
-def test_gram_doubling_invariant():
-    basis = small_basis(1, beta=0.3)
-    for domain in ("omega", "theta"):
-        a = assemble_gram(basis, domain, "Hs_beta", quad_points=1000).toarray()
-        b = assemble_gram(basis, domain, "Hs_beta", quad_points=2000).toarray()
-        assert np.abs(a - b).max() / np.abs(a).max() < 1e-6
+def test_gram_matches_closed_form_on_geometric_axis():
+    # non-uniform midpoint spacing, both boundary strips, and the
+    # beta-weighted gradient terms of the Hs_beta Gram
+    g = geometric_axis(0.015, 14.25, 6)
+    A, B = _axis_factors(g, 1)
+    A_ref, B_ref = hat_factors_closed_form(g)
+    np.testing.assert_allclose(A.toarray(), A_ref, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(B.toarray(), B_ref, rtol=1e-14, atol=0)
+
+    beta = (0.0, 0.0, 0.4, 0.7, 1.3)
+    basis = make_basis(
+        1,
+        small_basis(1).omega_grids,
+        (uniform_axis(-1000.0, 1000.0, 4), uniform_axis(-2.66, 0.36, 3), g),
+        beta,
+    )
+    (Av, Bv), (Az, Bz), (At, Bt) = (hat_factors_closed_form(ax) for ax in basis.theta_grids)
+
+    def kron3(a, b, c):
+        return np.kron(np.kron(a, b), c)
+
+    expected = (
+        kron3(Av, Az, At)
+        + beta[2] * kron3(Bv, Az, At)
+        + beta[3] * kron3(Av, Bz, At)
+        + beta[4] * kron3(Av, Az, Bt)
+    )
+    Phi = assemble_gram(basis, "theta", "Hs_beta").toarray()
+    np.testing.assert_allclose(Phi, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
 
 
 def test_beta_zero_matches_l2():
@@ -248,8 +282,8 @@ def test_gram_positive_definite(s, beta):
 def test_gram_kronecker_ordering():
     # theta flat index runs v-major, then z, then t
     basis = small_basis(1)
-    Phi = assemble_gram(basis, "theta", "L2", quad_points=200).toarray()
-    factors = [_axis_factors(g, 1, 200)[0].toarray() for g in basis.theta_grids]
+    Phi = assemble_gram(basis, "theta", "L2").toarray()
+    factors = [_axis_factors(g, 1)[0].toarray() for g in basis.theta_grids]
     nv, nz, nt = (g.n_cells for g in basis.theta_grids)
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -245,7 +245,8 @@ def test_row_space_image_lies_in_reachable_span(s):
     np.testing.assert_allclose(D @ coef, img.T, rtol=0, atol=1e-8 * np.abs(img).max())
 
 
-def test_datacube_round_trip(tmp_path):
+def written_cube(tmp_path):
+    """A random tiny datacube (R = 5, seed 123) and the path it was written to."""
     basis = tiny_basis(0)
     rng = np.random.default_rng(8)
     n1 = basis.grids[0].n_cells
@@ -261,6 +262,11 @@ def test_datacube_round_trip(tmp_path):
     )
     path = tmp_path / "cube.pnkd"
     write_datacube(cube, path)
+    return cube, path
+
+
+def test_datacube_round_trip(tmp_path):
+    cube, path = written_cube(tmp_path)
     back = read_datacube(path)
     np.testing.assert_array_equal(back.samples, cube.samples)
     np.testing.assert_array_equal(back.x1_nodes, cube.x1_nodes)
@@ -270,6 +276,20 @@ def test_datacube_round_trip(tmp_path):
     assert back.seed == 123
     write_datacube(back, tmp_path / "again.pnkd")
     assert (tmp_path / "again.pnkd").read_bytes() == path.read_bytes()
+
+
+# bytes cut from the end of the file, whose tail is the sample payload,
+# then the 5 x 8-byte delta_r block, then the 8-byte seed
+TRUNCATIONS = {"in-seed": 4, "whole-seed": 8, "in-delta_r": 28, "whole-delta_r": 48, "in-payload": 60}
+
+
+@pytest.mark.parametrize("cut", TRUNCATIONS.values(), ids=TRUNCATIONS.keys())
+def test_datacube_rejects_truncated_file(tmp_path, cut):
+    _, path = written_cube(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-cut])
+    with pytest.raises(ValueError, match="datacube file truncated"):
+        read_datacube(path)
 
 
 def test_datacube_bad_magic(tmp_path):
