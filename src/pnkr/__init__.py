@@ -1,137 +1,35 @@
 """Projected Nesterov-Kaczmarz reconstruction of stellar population-kinematic
-distribution functions from IFU datacubes."""
+distribution functions from IFU datacubes.
+
+The top level exports the names of the README's library example plus the
+template reader and the command-line entry point; everything else is
+imported from its own module (``pnkr.forward``, ``pnkr.solver``, ...).
+"""
 
 __version__ = "0.1.0"
 
-from .grid_basis import (
-    AxisGrid,
-    DiscreteBasis,
-    GramMatrices,
-    GridSpec,
-    assemble_gram,
-    build_basis,
-    build_gram_matrices,
-    coefficients_to_function,
-    explicit_axis,
-    geometric_axis,
-    make_basis,
-    parse_grid_spec,
-    read_grid_spec,
-    uniform_axis,
-    write_grid_spec,
-)
-from .templates import (
-    TemplateGrid,
-    build_template_grid,
-    kernel_eval,
-    kernel_theta_integrals,
-    read_template_grid,
-    write_template_grid,
-)
-from .forward import (
-    ForwardSystem,
-    apply_H_all,
-    apply_Hr,
-    apply_Hr_T,
-    apply_M,
-    build_forward_system,
-    rho_estimate,
-    sample_norm,
-    solve_M,
-    synthesize_datacube,
-)
-from .mock import (
-    ComponentSpec,
-    add_noise,
-    default_components,
-    evaluate_ground_truth,
-    project_row_space,
-    project_row_space_factored,
-    read_datacube,
-    row_space_image,
-    write_datacube,
-)
-from .solver import (
-    RunResult,
-    SolveData,
-    SolverConfig,
-    read_coefficients,
-    read_history,
-    run,
-    write_coefficients,
-    write_history,
-)
-from .diagnostics import (
-    MomentMaps,
-    gauss_hermite_fit,
-    h5_feature_regions,
-    h5_sign_match,
-    light_weighted_losvd,
-    marginals,
-    moment_maps,
-)
-from .presets import preset_basis, preset_grid_spec, preset_template
+from .templates import kernel_theta_integrals, read_template_grid
+from .forward import build_forward_system, synthesize_datacube
+from .mock import add_noise, default_components, evaluate_ground_truth
+from .solver import SolveData, SolverConfig, run
+from .diagnostics import moment_maps
+from .presets import preset_basis, preset_template
 from .cli import main
 
 __all__ = [
     "__version__",
-    "AxisGrid",
-    "DiscreteBasis",
-    "GramMatrices",
-    "GridSpec",
-    "assemble_gram",
-    "build_basis",
-    "build_gram_matrices",
-    "coefficients_to_function",
-    "explicit_axis",
-    "geometric_axis",
-    "make_basis",
-    "parse_grid_spec",
-    "read_grid_spec",
-    "uniform_axis",
-    "write_grid_spec",
-    "TemplateGrid",
-    "build_template_grid",
-    "kernel_eval",
     "kernel_theta_integrals",
     "read_template_grid",
-    "write_template_grid",
-    "ForwardSystem",
-    "apply_H_all",
-    "apply_Hr",
-    "apply_Hr_T",
-    "apply_M",
     "build_forward_system",
-    "rho_estimate",
-    "sample_norm",
-    "solve_M",
     "synthesize_datacube",
-    "ComponentSpec",
     "add_noise",
     "default_components",
     "evaluate_ground_truth",
-    "project_row_space",
-    "project_row_space_factored",
-    "read_datacube",
-    "row_space_image",
-    "write_datacube",
-    "RunResult",
     "SolveData",
     "SolverConfig",
-    "read_coefficients",
-    "read_history",
     "run",
-    "write_coefficients",
-    "write_history",
-    "MomentMaps",
-    "gauss_hermite_fit",
-    "h5_feature_regions",
-    "h5_sign_match",
-    "light_weighted_losvd",
-    "marginals",
     "moment_maps",
     "preset_basis",
-    "preset_grid_spec",
     "preset_template",
     "main",
 ]

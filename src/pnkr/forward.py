@@ -18,8 +18,8 @@ the per-equation update direction is the rank-one matrix
 
     M^-1 H_r^T N^-1 d = (Psi^-1 G d) (Phi^-1 q_r)^T
 
-for a sample-space residual ``d``.  ``Phi^-1 q_r`` is iterate
-independent and precomputed once per system.
+for a sample-space residual ``d``; no solve with ``G`` is ever needed.
+``Phi^-1 q_r`` is iterate independent and precomputed once per system.
 """
 
 from __future__ import annotations
@@ -46,12 +46,7 @@ __all__ = [
     "apply_M",
     "solve_M",
     "sample_norm",
-    "moment_norm",
-    "moments_from_samples",
-    "samples_from_moments",
     "rho_estimate",
-    "dense_equation_matrix",
-    "dense_stacked_operator",
     "identity_kernel",
     "triangle_kernel",
     "make_smoothing_kernel",
@@ -127,8 +122,6 @@ class ForwardSystem:
         against every observed wavelength channel.
     Psi_inv_factor, Phi_inv_factor : LinearFactor
         Factorizations of the reconstruction-space Gram factors.
-    G_inv_factor : LinearFactor
-        Factorization of ``G`` for data-space norms and conversions.
     c_N : float
         Mean diagonal of ``G`` (the common cell volume for ``s = 0`` on
         uniform spatial grids).
@@ -144,7 +137,6 @@ class ForwardSystem:
     Q: np.ndarray
     Psi_inv_factor: LinearFactor
     Phi_inv_factor: LinearFactor
-    G_inv_factor: LinearFactor
     c_N: float
     Phi_inv_Q: np.ndarray = field(repr=False)
     q_Phi_q: np.ndarray = field(repr=False)
@@ -195,7 +187,6 @@ def build_forward_system(
         grams = build_gram_matrices(basis)
     Psi_f = LinearFactor(grams.Psi)
     Phi_f = LinearFactor(grams.Phi)
-    G_f = LinearFactor(grams.G)
     Phi_inv_Q = Phi_f.solve(Q)
     q_Phi_q = np.einsum("lr,lr->r", Q, Phi_inv_Q)
     return ForwardSystem(
@@ -204,7 +195,6 @@ def build_forward_system(
         Q=Q,
         Psi_inv_factor=Psi_f,
         Phi_inv_factor=Phi_f,
-        G_inv_factor=G_f,
         c_N=grams.c_N,
         Phi_inv_Q=Phi_inv_Q,
         q_Phi_q=q_Phi_q,
@@ -292,31 +282,6 @@ def sample_norm(system: ForwardSystem, d: np.ndarray) -> float | np.ndarray:
     return np.sqrt(q)
 
 
-def moment_norm(system: ForwardSystem, w: np.ndarray) -> float | np.ndarray:
-    """Noise-metric norm of moment vectors: ``sqrt(w^T G^-1 w)``."""
-    w = np.asarray(w, dtype=float)
-    if w.shape[0] != system.N:
-        raise ValueError(f"moment vector has leading dimension {w.shape[0]}, expected {system.N}")
-    q = np.einsum("n...,n...->...", w, system.G_inv_factor.solve(w))
-    return np.sqrt(q)
-
-
-def moments_from_samples(system: ForwardSystem, samples: np.ndarray) -> np.ndarray:
-    """Moment vectors ``w = G y`` of per-site samples (vector or cube)."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] != system.N:
-        raise ValueError(f"sample array has leading dimension {samples.shape[0]}, expected {system.N}")
-    return system.G @ samples
-
-
-def samples_from_moments(system: ForwardSystem, w: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`moments_from_samples`."""
-    w = np.asarray(w, dtype=float)
-    if w.shape[0] != system.N:
-        raise ValueError(f"moment array has leading dimension {w.shape[0]}, expected {system.N}")
-    return system.G_inv_factor.solve(w)
-
-
 def _power_lambda(apply_B, inner, n: int, iters: int, tol: float, seed: int) -> float:
     # power iteration for an operator self-adjoint and nonnegative in the
     # metric behind `inner`; returns its largest eigenvalue estimate
@@ -379,17 +344,6 @@ def rho_estimate(
         seed + 1,
     )
     return lam_psi * lam_phi
-
-
-def dense_equation_matrix(system: ForwardSystem, r: int) -> np.ndarray:
-    """Materialize ``H_r = G (x) q_r^T`` as a dense ``(N, N L)`` array."""
-    r = _check_r(system, r)
-    return np.kron(system.G.toarray(), system.Q[:, r - 1][None, :])
-
-
-def dense_stacked_operator(system: ForwardSystem) -> np.ndarray:
-    """Stack every ``H_r`` into one dense ``(N R, N L)`` array."""
-    return np.vstack([dense_equation_matrix(system, r) for r in range(1, system.R + 1)])
 
 
 # -- separable smoothing stencil ---------------------------------------------

@@ -17,7 +17,6 @@ these piecewise polynomials, then combined as Kronecker products.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -44,10 +43,7 @@ __all__ = [
     "coefficients_to_function",
     "AxisSpec",
     "GridSpec",
-    "parse_grid_spec",
-    "read_grid_spec",
     "format_grid_spec",
-    "write_grid_spec",
     "build_basis",
 ]
 
@@ -478,12 +474,12 @@ def coefficients_to_function(
     return float(out[0]) if single else out
 
 
-# -- plain-text grid specification files -------------------------------------
+# -- grid specifications -----------------------------------------------------
 
 
 @dataclass(eq=False)
 class AxisSpec:
-    """One axis block of a grid-specification file."""
+    """One axis of a grid specification: a spacing rule and its parameters."""
 
     name: str
     spacing: str
@@ -508,7 +504,11 @@ class AxisSpec:
 
 @dataclass(eq=False)
 class GridSpec:
-    """Parsed grid-specification file: five axes plus the wavelength window."""
+    """Five axis specifications plus the observed wavelength window.
+
+    Built in code (see :mod:`pnkr.presets`); :func:`format_grid_spec`
+    renders one as text for run manifests.
+    """
 
     axes: dict[str, AxisSpec] = field(default_factory=dict)
     lambda_min: float | None = None
@@ -519,75 +519,8 @@ class GridSpec:
         return {name: self.axes[name].to_grid() for name in AXIS_NAMES}
 
 
-def parse_grid_spec(text: str) -> GridSpec:
-    """Parse the plain-text ``key = value`` grid-specification format.
-
-    Blocks start with an ``axis = <name>`` line; ``#`` begins a comment.
-    Every one of ``x1, x2, v, z, t`` must be described.  The optional
-    ``lambda_min``, ``lambda_max``, ``lambda_count`` keys describe the
-    observed wavelength window.
-    """
-    spec = GridSpec()
-    current: AxisSpec | None = None
-
-    def finish(ax: AxisSpec | None) -> None:
-        if ax is None:
-            return
-        if ax.name in spec.axes:
-            raise ValueError(f"duplicate axis {ax.name!r}")
-        ax.to_grid()  # validate eagerly
-        spec.axes[ax.name] = ax
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        key = key.lower()
-        if key == "axis":
-            finish(current)
-            name = val.lower()
-            if name not in AXIS_NAMES:
-                raise ValueError(f"line {lineno}: unknown axis {val!r}")
-            current = AxisSpec(name=name, spacing="uniform")
-        elif key in ("min", "max", "count", "spacing", "values"):
-            if current is None:
-                raise ValueError(f"line {lineno}: {key!r} outside an axis block")
-            if key == "min":
-                current.min = float(val)
-            elif key == "max":
-                current.max = float(val)
-            elif key == "count":
-                current.count = int(val)
-            elif key == "spacing":
-                current.spacing = val.lower()
-            else:
-                parts = [p for p in re.split(r"[,\s]+", val) if p]
-                current.values = np.array([float(p) for p in parts])
-        elif key == "lambda_min":
-            spec.lambda_min = float(val)
-        elif key == "lambda_max":
-            spec.lambda_max = float(val)
-        elif key == "lambda_count":
-            spec.lambda_count = int(val)
-        else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-    finish(current)
-    missing = [name for name in AXIS_NAMES if name not in spec.axes]
-    if missing:
-        raise ValueError(f"grid spec is missing axes: {', '.join(missing)}")
-    return spec
-
-
-def read_grid_spec(path) -> GridSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_grid_spec(fh.read())
-
-
 def format_grid_spec(spec: GridSpec) -> str:
-    """Serialize a :class:`GridSpec` back to the plain-text format."""
+    """Render a :class:`GridSpec` as ``key = value`` text, one block per axis."""
     lines: list[str] = []
     for name in AXIS_NAMES:
         ax = spec.axes[name]
@@ -610,11 +543,6 @@ def format_grid_spec(spec: GridSpec) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def write_grid_spec(spec: GridSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_grid_spec(spec))
-
-
 def build_basis(spec: GridSpec, s: int, beta: float | Sequence[float] = 0.0) -> DiscreteBasis:
     """Build the :class:`DiscreteBasis` described by a grid specification."""
     grids = spec.axis_grids()
@@ -624,3 +552,18 @@ def build_basis(spec: GridSpec, s: int, beta: float | Sequence[float] = 0.0) -> 
         (grids["v"], grids["z"], grids["t"]),
         beta,
     )
+
+
+# -- binary file helpers -----------------------------------------------------
+
+
+def _read_exact(fh, dtype: str, count: int, kind: str) -> np.ndarray:
+    """Read exactly ``count`` items of ``dtype`` from a binary ``kind`` file.
+
+    Shared by the datacube, coefficient and template readers so that a
+    file cut anywhere, header included, fails with one error naming it.
+    """
+    arr = np.fromfile(fh, dtype=dtype, count=count)
+    if arr.size != count:
+        raise ValueError(f"{kind} file truncated")
+    return arr

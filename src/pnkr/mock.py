@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ForwardSystem, dense_stacked_operator, sample_norm
-from .grid_basis import DiscreteBasis, axis_weights
+from .forward import ForwardSystem, sample_norm
+from .grid_basis import DiscreteBasis, _read_exact, axis_weights
 
 __all__ = [
     "ComponentSpec",
@@ -29,7 +29,6 @@ __all__ = [
     "ground_truth_parts",
     "evaluate_ground_truth",
     "add_noise",
-    "project_row_space",
     "project_row_space_factored",
     "row_space_image",
     "write_datacube",
@@ -258,27 +257,6 @@ def add_noise(system: ForwardSystem, y_clean: np.ndarray, level: float, seed: in
     )
 
 
-def project_row_space(u: np.ndarray, system: ForwardSystem, size_cap: int = 20000) -> np.ndarray:
-    """Project onto the row space of the stacked operator, densely.
-
-    Materializes ``[H_1; ...; H_R]`` and projects through its singular
-    vectors with threshold ``1e-10 * sigma_max``.  Refuses instances
-    with ``N * L`` above ``size_cap``; use
-    :func:`project_row_space_factored` beyond that.
-    """
-    u = np.asarray(u, dtype=float)
-    M = system.N * system.L
-    if u.shape != (M,):
-        raise ValueError(f"coefficient vector has shape {u.shape}, expected ({M},)")
-    if M > size_cap:
-        raise ValueError(f"dense row-space projection refused: N*L = {M} exceeds cap {size_cap}")
-    A = dense_stacked_operator(system)
-    _, svals, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-    V = Vt[:rank].T
-    return V @ (V.T @ u)
-
-
 def project_row_space_factored(u: np.ndarray, system: ForwardSystem) -> np.ndarray:
     """Row-space projection through the Kronecker structure.
 
@@ -286,7 +264,8 @@ def project_row_space_factored(u: np.ndarray, system: ForwardSystem) -> np.ndarr
     ``G`` nonsingular the row space is all of the spatial factor tensored
     with ``span{q_r}``, so the projector is ``I (x) P_Q`` with ``P_Q``
     built from the singular vectors of the small ``(L, R)`` table.
-    Matches the dense path wherever both are feasible.
+    Equals the projection through the singular vectors of the dense
+    stacked operator ``[H_1; ...; H_R]`` without ever forming it.
     """
     u = np.asarray(u, dtype=float)
     M = system.N * system.L
@@ -317,8 +296,9 @@ def row_space_image(u: np.ndarray, system: ForwardSystem) -> np.ndarray:
     if u.shape != (M,):
         raise ValueError(f"coefficient vector has shape {u.shape}, expected ({M},)")
     U = u.reshape(system.N, system.L)
-    moments = system.G @ (system.G_inv_factor.solve(system.G @ (U @ system.Q)))
-    acc = system.Psi_inv_factor.solve(moments @ system.Phi_inv_Q.T)
+    # N^-1 H_r u = U q_r because the noise Gram is G, so the sum over r
+    # factors as Psi^-1 (G (U Q)) (Phi^-1 Q)^T with no solve with G
+    acc = system.Psi_inv_factor.solve((system.G @ (U @ system.Q)) @ system.Phi_inv_Q.T)
     return acc.reshape(-1)
 
 
@@ -372,13 +352,6 @@ def write_datacube(cube: DataCube, path) -> None:
         np.array([cube.seed], dtype="<u8").tofile(fh)
 
 
-def _read_exact(fh, dtype: str, count: int) -> np.ndarray:
-    arr = np.fromfile(fh, dtype=dtype, count=count)
-    if arr.size != count:
-        raise ValueError("datacube file truncated")
-    return arr
-
-
 def read_datacube(path) -> DataCube:
     """Read a PNKD file back into a :class:`DataCube`.
 
@@ -389,16 +362,16 @@ def read_datacube(path) -> DataCube:
         magic = fh.read(4)
         if magic != _PNKD_MAGIC:
             raise ValueError(f"not a datacube file: bad magic {magic!r}")
-        version, Nx1, Nx2, R = (int(x) for x in _read_exact(fh, "<u4", 4))
+        version, Nx1, Nx2, R = (int(x) for x in _read_exact(fh, "<u4", 4, "datacube"))
         if version != _PNKD_VERSION:
             raise ValueError(f"unsupported datacube version {version}")
-        x1_nodes = _read_exact(fh, "<f8", Nx1)
-        x2_nodes = _read_exact(fh, "<f8", Nx2)
-        lambda_obs = _read_exact(fh, "<f8", R)
+        x1_nodes = _read_exact(fh, "<f8", Nx1, "datacube")
+        x2_nodes = _read_exact(fh, "<f8", Nx2, "datacube")
+        lambda_obs = _read_exact(fh, "<f8", R, "datacube")
         n1, n2 = Nx1 - 1, Nx2 - 1
-        payload = _read_exact(fh, "<f8", R * n1 * n2)
-        delta_r = _read_exact(fh, "<f8", R)
-        seed = int(_read_exact(fh, "<u8", 1)[0])
+        payload = _read_exact(fh, "<f8", R * n1 * n2, "datacube")
+        delta_r = _read_exact(fh, "<f8", R, "datacube")
+        seed = int(_read_exact(fh, "<u8", 1, "datacube")[0])
     samples = payload.reshape(R, n2, n1).transpose(0, 2, 1).reshape(R, n1 * n2).T
     return DataCube(
         x1_nodes=x1_nodes,

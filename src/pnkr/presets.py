@@ -34,7 +34,7 @@ def _check_name(name: str) -> str:
 
 
 def preset_grid_spec(name: str) -> GridSpec:
-    """The full grid specification of a preset, ready to write or build."""
+    """The full grid specification of a preset, ready to format or build."""
     _check_name(name)
     n_spatial = _SPATIAL[name]
     n_v, n_z, n_t = _THETA[name]

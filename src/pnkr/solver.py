@@ -55,6 +55,7 @@ from .forward import (
     sample_norm,
     triangle_kernel,
 )
+from .grid_basis import _read_exact
 
 __all__ = [
     "VARIANTS",
@@ -566,13 +567,11 @@ def read_coefficients(path) -> CoefficientSet:
         magic = fh.read(4)
         if magic != _PNKU_MAGIC:
             raise ValueError(f"not a coefficient file: bad magic {magic!r}")
-        version, N, L, s = np.fromfile(fh, dtype="<u4", count=4)
+        version, N, L, s = (int(x) for x in _read_exact(fh, "<u4", 4, "coefficient"))
         if version != _PNKU_VERSION:
             raise ValueError(f"unsupported coefficient file version {version}")
-        u = np.fromfile(fh, dtype="<f8", count=int(N) * int(L))
-    if u.size != int(N) * int(L):
-        raise ValueError("coefficient file truncated")
-    return CoefficientSet(u=u, N=int(N), L=int(L), s=int(s))
+        u = _read_exact(fh, "<f8", N * L, "coefficient")
+    return CoefficientSet(u=u, N=N, L=L, s=s)
 
 
 def write_history(history, path) -> None:

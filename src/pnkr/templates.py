@@ -26,6 +26,7 @@ from .grid_basis import (
     DiscreteBasis,
     _breakpoints,
     _gauss_rule,
+    _read_exact,
     eval_axis_basis,
 )
 
@@ -368,19 +369,16 @@ def read_template_grid(path) -> TemplateGrid:
         magic = fh.read(4)
         if magic != _PNKT_MAGIC:
             raise ValueError(f"not a PNKT file: bad magic {magic!r}")
-        header = np.frombuffer(fh.read(6 * 4), dtype="<u4")
+        header = _read_exact(fh, "<u4", 6, "template")
         version, r_ext, nz, nt, r_obs, obs_start = (int(x) for x in header)
         if version != _PNKT_VERSION:
             raise ValueError(f"unsupported PNKT version {version}")
-        dln = float(np.frombuffer(fh.read(8), dtype="<f8")[0])
-        obs_range = np.frombuffer(fh.read(16), dtype="<f8")
-        lam_ext = np.frombuffer(fh.read(8 * r_ext), dtype="<f8").copy()
-        z_nodes = np.frombuffer(fh.read(8 * nz), dtype="<f8").copy()
-        t_nodes = np.frombuffer(fh.read(8 * nt), dtype="<f8").copy()
-        payload = fh.read(8 * r_ext * nz * nt)
-        if len(payload) != 8 * r_ext * nz * nt:
-            raise ValueError("truncated PNKT payload")
-        S = np.frombuffer(payload, dtype="<f8").reshape(r_ext, nz, nt).copy()
+        dln = float(_read_exact(fh, "<f8", 1, "template")[0])
+        obs_range = _read_exact(fh, "<f8", 2, "template")
+        lam_ext = _read_exact(fh, "<f8", r_ext, "template")
+        z_nodes = _read_exact(fh, "<f8", nz, "template")
+        t_nodes = _read_exact(fh, "<f8", nt, "template")
+        S = _read_exact(fh, "<f8", r_ext * nz * nt, "template").reshape(r_ext, nz, nt)
     return TemplateGrid(
         lambda_nodes=AxisGrid(nodes=lam_ext, uniform=False),
         z_nodes=z_nodes,

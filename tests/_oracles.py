@@ -1,6 +1,7 @@
 """Brute-force reference computations shared by the test modules."""
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from pnkr.grid_basis import _breakpoints
 from pnkr.templates import C_LIGHT, _interp_hats, _v_segments
@@ -133,3 +134,55 @@ def _hat_integrals(nodes, lo, hi):
         # Simpson is exact for the linear hats
         out += (b - a) * (H[0] + 4.0 * H[1] + H[2]) / 6.0
     return out
+
+
+# -- dense operators -----------------------------------------------------------
+
+
+def dense_Hr(system, r):
+    """``H_r = G (x) q_r^T`` as a dense ``(N, N L)`` array; ``r`` is 1-based."""
+    return np.kron(system.G.toarray(), system.Q[:, r - 1][None, :])
+
+
+def dense_M(system):
+    """Reconstruction-space Gram ``M = Psi (x) Phi`` as a dense array."""
+    return np.kron(system.Psi.toarray(), system.Phi.toarray())
+
+
+def dense_stacked_operator(system):
+    """Every ``H_r`` stacked into one dense ``(N R, N L)`` array."""
+    return np.vstack([dense_Hr(system, r) for r in range(1, system.R + 1)])
+
+
+def project_row_space(u, system, size_cap=20000):
+    """Project onto the row space of the dense stacked operator.
+
+    Projects through its singular vectors with threshold
+    ``1e-10 * sigma_max``; refuses instances with ``N * L`` above
+    ``size_cap``, where the dense SVD stops being affordable.
+    """
+    M = system.N * system.L
+    if M > size_cap:
+        raise ValueError(f"dense row-space projection refused: N*L = {M} exceeds cap {size_cap}")
+    _, svals, Vt = np.linalg.svd(dense_stacked_operator(system), full_matrices=True)
+    rank = int(np.sum(svals > 1e-10 * svals[0]))
+    V = Vt[:rank].T
+    return V @ (V.T @ u)
+
+
+# -- data-space conversions ----------------------------------------------------
+
+
+def moments_from_samples(system, samples):
+    """Moment vectors ``w = G y`` of per-site samples (vector or cube)."""
+    return system.G @ samples
+
+
+def samples_from_moments(system, w):
+    """Inverse of :func:`moments_from_samples`: solves ``G y = w``."""
+    return splu(system.G).solve(np.ascontiguousarray(w, dtype=float))
+
+
+def moment_norm(system, w):
+    """Noise-metric norm of moment vectors: ``sqrt(w^T G^-1 w)``."""
+    return np.sqrt(np.einsum("n...,n...->...", w, samples_from_moments(system, w)))

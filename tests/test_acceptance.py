@@ -50,6 +50,8 @@ from pnkr.solver import (
 )
 from pnkr.templates import C_LIGHT, build_template_grid, kernel_eval, kernel_theta_integrals
 
+from _oracles import dense_Hr, dense_M
+
 
 def _verdict(num: int, ok: bool, detail: str) -> str:
     line = f"criterion {num:2d}: {'PASS' if ok else 'FAIL'}  {detail}"
@@ -144,29 +146,6 @@ def test_criterion_01_channel_adjointness():
 # -- 2: dense-oracle equivalence ---------------------------------------------
 
 
-def _dense_Hr(system, r):
-    Gd = system.G.toarray()
-    H = np.zeros((system.N, system.N * system.L))
-    for j in range(system.N):
-        for n in range(system.N):
-            for l in range(system.L):
-                H[j, n * system.L + l] = Gd[j, n] * system.Q[l, r - 1]
-    return H
-
-
-def _dense_M(system):
-    Psid = system.Psi.toarray()
-    Phid = system.Phi.toarray()
-    N, L = system.N, system.L
-    M = np.zeros((N * L, N * L))
-    for n in range(N):
-        for l in range(L):
-            for n2 in range(N):
-                for l2 in range(L):
-                    M[n * L + l, n2 * L + l2] = Psid[n, n2] * Phid[l, l2]
-    return M
-
-
 def test_criterion_02_dense_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
@@ -181,9 +160,9 @@ def test_criterion_02_dense_oracle_equivalence():
         rng = np.random.default_rng(10 + s)
         Q = rng.standard_normal((basis.L, 5))
         system = build_forward_system(basis, Q, grams=build_gram_matrices(basis))
-        Md = _dense_M(system)
+        Md = dense_M(system)
         for r in (1, 3, system.R):
-            Hd = _dense_Hr(system, r)
+            Hd = dense_Hr(system, r)
             for _ in range(3):
                 u = rng.standard_normal(system.N * system.L)
                 w = rng.standard_normal(system.N)

@@ -8,7 +8,7 @@ import pytest
 
 from pnkr.cli import main, manifest_run_key, read_manifest
 from pnkr.diagnostics import read_losvd, read_maps
-from pnkr.grid_basis import format_grid_spec, parse_grid_spec
+from pnkr.grid_basis import format_grid_spec
 from pnkr.presets import PRESET_NAMES, preset_basis, preset_grid_spec, preset_template
 from pnkr.solver import read_coefficients, read_history
 
@@ -27,15 +27,23 @@ def test_preset_dimension_contract():
         assert (basis1.N, basis1.L) == (N, L)
 
 
-def test_preset_grid_spec_round_trips_through_text():
+def test_preset_grid_spec_text_lists_every_axis():
+    # the manifest's grid record: one block per axis with the node count
+    # the preset's basis was built from, then the wavelength window
+    channels = {"paper_scale": 687, "desk_scale": 96, "tiny": 8}
     for name in PRESET_NAMES:
-        spec = preset_grid_spec(name)
-        again = parse_grid_spec(format_grid_spec(spec))
-        for axis in ("x1", "x2", "v", "z", "t"):
-            np.testing.assert_allclose(
-                again.axes[axis].to_grid().nodes, spec.axes[axis].to_grid().nodes
-            )
-        assert again.lambda_count == spec.lambda_count
+        blocks = format_grid_spec(preset_grid_spec(name)).split("\n\n")
+        assert len(blocks) == 6
+        basis = preset_basis(name, 0)
+        for block, axis, grid in zip(blocks, ("x1", "x2", "v", "z", "t"), basis.grids):
+            lines = block.splitlines()
+            assert lines[0] == f"axis = {axis}"
+            assert f"count = {grid.n_cells + 1}" in lines
+        assert blocks[5].splitlines() == [
+            "lambda_min = 480",
+            "lambda_max = 570",
+            f"lambda_count = {channels[name]}",
+        ]
 
 
 def test_preset_template_covers_basis_domains():

@@ -14,21 +14,18 @@ from pnkr.forward import (
     apply_M,
     apply_Zs,
     build_forward_system,
-    dense_equation_matrix,
-    dense_stacked_operator,
     identity_kernel,
     make_smoothing_kernel,
-    moment_norm,
-    moments_from_samples,
     rho_estimate,
     sample_norm,
-    samples_from_moments,
     solve_M,
     synthesize_datacube,
     triangle_kernel,
 )
 from pnkr.grid_basis import build_gram_matrices, make_basis, uniform_axis
 from pnkr.templates import build_template_grid, kernel_theta_integrals
+
+from _oracles import dense_Hr, dense_M, moment_norm, moments_from_samples, samples_from_moments
 
 
 def small_basis(s):
@@ -49,28 +46,26 @@ def small_system(s, R=5, seed=0):
     return build_forward_system(basis, Q, grams=grams), grams
 
 
-def dense_Hr_elementwise(system, r):
+@pytest.mark.parametrize("s", [0, 1])
+def test_dense_oracles_match_elementwise_loops(s):
+    # the Kronecker forms in _oracles, written out entry by entry
+    system, _ = small_system(s)
     N, L = system.N, system.L
-    Gd = system.G.toarray()
-    H = np.zeros((N, N * L))
-    for j in range(N):
-        for n in range(N):
-            for l in range(L):
-                H[j, n * L + l] = Gd[j, n] * system.Q[l, r - 1]
-    return H
-
-
-def dense_M_elementwise(system):
-    N, L = system.N, system.L
-    Psid = system.Psi.toarray()
-    Phid = system.Phi.toarray()
+    Gd, Psid, Phid = system.G.toarray(), system.Psi.toarray(), system.Phi.toarray()
+    for r in (1, 3, system.R):
+        H = np.zeros((N, N * L))
+        for j in range(N):
+            for n in range(N):
+                for l in range(L):
+                    H[j, n * L + l] = Gd[j, n] * system.Q[l, r - 1]
+        np.testing.assert_array_equal(dense_Hr(system, r), H)
     M = np.zeros((N * L, N * L))
     for n in range(N):
         for l in range(L):
-            for np_ in range(N):
-                for lp in range(L):
-                    M[n * L + l, np_ * L + lp] = Psid[n, np_] * Phid[l, lp]
-    return M
+            for n2 in range(N):
+                for l2 in range(L):
+                    M[n * L + l, n2 * L + l2] = Psid[n, n2] * Phid[l, l2]
+    np.testing.assert_array_equal(dense_M(system), M)
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -78,8 +73,7 @@ def test_apply_Hr_matches_elementwise_dense(s):
     system, _ = small_system(s)
     rng = np.random.default_rng(1)
     for r in (1, 3, system.R):
-        H = dense_Hr_elementwise(system, r)
-        np.testing.assert_allclose(dense_equation_matrix(system, r), H, rtol=0, atol=1e-14)
+        H = dense_Hr(system, r)
         for _ in range(5):
             u = rng.standard_normal(system.N * system.L)
             got = apply_Hr(system, u, r)
@@ -92,7 +86,7 @@ def test_apply_Hr_T_matches_dense_transpose(s):
     system, _ = small_system(s)
     rng = np.random.default_rng(2)
     for r in (2, system.R):
-        H = dense_Hr_elementwise(system, r)
+        H = dense_Hr(system, r)
         for _ in range(5):
             w = rng.standard_normal(system.N)
             got = apply_Hr_T(system, w, r)
@@ -117,7 +111,7 @@ def test_adjointness_random(s):
 @pytest.mark.parametrize("s", [0, 1])
 def test_apply_M_and_solve_M_match_elementwise_dense(s):
     system, _ = small_system(s)
-    Md = dense_M_elementwise(system)
+    Md = dense_M(system)
     rng = np.random.default_rng(4)
     for _ in range(5):
         u = rng.standard_normal(system.N * system.L)
@@ -197,13 +191,13 @@ def test_sample_and_moment_norms_agree(s):
 @pytest.mark.parametrize("s", [0, 1])
 def test_rho_estimate_matches_dense_eigenvalues(s):
     system, _ = small_system(s)
-    Md = dense_M_elementwise(system)
+    Md = dense_M(system)
     Ninv = np.linalg.inv(system.G.toarray())
     Minv = np.linalg.inv(Md)
     per_eq = []
     normal = np.zeros_like(Md)
     for r in range(1, system.R + 1):
-        H = dense_Hr_elementwise(system, r)
+        H = dense_Hr(system, r)
         HtNH = H.T @ Ninv @ H
         per_eq.append(np.max(np.linalg.eigvals(Minv @ HtNH).real))
         normal += HtNH

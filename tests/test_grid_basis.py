@@ -4,6 +4,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from pnkr.grid_basis import (
+    AxisSpec,
+    GridSpec,
     assemble_gram,
     axis_first_moments,
     axis_weights,
@@ -14,10 +16,8 @@ from pnkr.grid_basis import (
     eval_axis_basis,
     explicit_axis,
     flat_index,
-    format_grid_spec,
     geometric_axis,
     make_basis,
-    parse_grid_spec,
     split_index,
     uniform_axis,
 )
@@ -352,73 +352,40 @@ def test_integral_weights_match_quadrature():
     assert w_theta.sum() == pytest.approx(vol_theta, rel=1e-12)
 
 
-# -- grid specification files ------------------------------------------------
+# -- grid specifications ----------------------------------------------------
 
 
-SPEC_TEXT = """
-# sample grid
-axis = x1
-min = -1.0
-max = 1.0
-count = 4
-spacing = uniform
-
-axis = x2
-min = -1.0
-max = 1.0
-count = 4
-
-axis = v
-min = -1000.0
-max = 1000.0
-count = 5
-
-axis = z
-spacing = explicit
-values = -2.66, -1.5, 0.36
-
-axis = t
-spacing = geometric
-min = 0.015
-max = 14.25
-count = 3
-
-lambda_min = 480.0
-lambda_max = 570.0
-lambda_count = 8
-"""
-
-
-def test_grid_spec_round_trip():
-    spec = parse_grid_spec(SPEC_TEXT)
-    text = format_grid_spec(spec)
-    spec2 = parse_grid_spec(text)
-    for name in ("x1", "x2", "v", "z", "t"):
-        np.testing.assert_allclose(
-            spec.axes[name].to_grid().nodes, spec2.axes[name].to_grid().nodes
-        )
-    assert spec2.lambda_min == 480.0
-    assert spec2.lambda_max == 570.0
-    assert spec2.lambda_count == 8
-    assert format_grid_spec(spec2) == text
+def small_spec():
+    axes = {
+        "x1": AxisSpec(name="x1", spacing="uniform", min=-1.0, max=1.0, count=4),
+        "x2": AxisSpec(name="x2", spacing="uniform", min=-1.0, max=1.0, count=4),
+        "v": AxisSpec(name="v", spacing="uniform", min=-1000.0, max=1000.0, count=5),
+        "z": AxisSpec(name="z", spacing="explicit", values=np.array([-2.66, -1.5, 0.36])),
+        "t": AxisSpec(name="t", spacing="geometric", min=0.015, max=14.25, count=3),
+    }
+    return GridSpec(axes=axes, lambda_min=480.0, lambda_max=570.0, lambda_count=8)
 
 
 def test_grid_spec_build_basis():
-    spec = parse_grid_spec(SPEC_TEXT)
-    basis = build_basis(spec, 1, 0.01)
+    basis = build_basis(small_spec(), 1, 0.01)
     assert basis.N == 9
     assert basis.L == 4 * 2 * 2
     np.testing.assert_allclose(basis.beta, 0.01)
+    np.testing.assert_allclose(basis.theta_grids[1].nodes, [-2.66, -1.5, 0.36])
+    np.testing.assert_allclose(basis.theta_grids[2].nodes, np.geomspace(0.015, 14.25, 3))
 
 
 def test_grid_spec_errors():
-    with pytest.raises(ValueError, match="missing axes"):
-        parse_grid_spec("axis = x1\nmin = 0\nmax = 1\ncount = 3\n")
-    with pytest.raises(ValueError, match="unknown axis"):
-        parse_grid_spec(SPEC_TEXT + "\naxis = q\nmin = 0\nmax = 1\ncount = 2\n")
-    with pytest.raises(ValueError, match="unknown key"):
-        parse_grid_spec(SPEC_TEXT + "\nwhatever = 3\n")
-    with pytest.raises(ValueError):
-        parse_grid_spec(SPEC_TEXT.replace("count = 5", "count = 1"))
-    with pytest.raises(ValueError, match="outside an axis block"):
-        parse_grid_spec("min = 0\n" + SPEC_TEXT)
+    with pytest.raises(ValueError, match="count must be at least 2"):
+        AxisSpec(name="v", spacing="uniform", min=0.0, max=1.0, count=1).to_grid()
+    with pytest.raises(ValueError, match="count must be at least 2"):
+        AxisSpec(name="t", spacing="geometric", min=0.5, max=1.0, count=1).to_grid()
+    for missing in ("min", "max", "count"):
+        fields = {"min": 0.0, "max": 1.0, "count": 3}
+        del fields[missing]
+        with pytest.raises(ValueError, match="need min, max, and count"):
+            AxisSpec(name="x1", spacing="uniform", **fields).to_grid()
+    with pytest.raises(ValueError, match="unknown spacing 'cubic'"):
+        AxisSpec(name="x1", spacing="cubic", min=0.0, max=1.0, count=3).to_grid()
+    with pytest.raises(ValueError, match="explicit spacing needs values"):
+        AxisSpec(name="z", spacing="explicit").to_grid()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pnkr.forward import build_forward_system, dense_stacked_operator, sample_norm, synthesize_datacube
+from pnkr.forward import build_forward_system, sample_norm, synthesize_datacube
 from pnkr.grid_basis import axis_weights, build_gram_matrices, make_basis, uniform_axis
 from pnkr.mock import (
     ComponentSpec,
@@ -12,12 +12,13 @@ from pnkr.mock import (
     default_components,
     evaluate_ground_truth,
     ground_truth_parts,
-    project_row_space,
     project_row_space_factored,
     read_datacube,
     row_space_image,
     write_datacube,
 )
+
+from _oracles import dense_M, dense_stacked_operator, project_row_space
 
 
 def desk_like_basis(s=0):
@@ -219,7 +220,7 @@ def test_row_space_image_matches_dense_normal_operator(s):
     A = dense_stacked_operator(system)
     N, L, R = system.N, system.L, system.R
     G = system.G.toarray()
-    Md = np.kron(system.Psi.toarray(), system.Phi.toarray())
+    Md = dense_M(system)
     acc = np.zeros((N * L, N * L))
     for r in range(R):
         Hr = A[r * N : (r + 1) * N]

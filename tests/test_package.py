@@ -1,0 +1,42 @@
+"""Package boundary: exported names resolve and match the README example."""
+
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pnkr
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = Path(pnkr.__file__).resolve().parent
+TEST_MODULES = {path.stem for path in Path(__file__).parent.glob("*.py")} | {"tests"}
+
+
+def test_every_exported_name_resolves():
+    modules = [pnkr] + [
+        importlib.import_module(f"pnkr.{info.name}") for info in pkgutil.iter_modules(pnkr.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", []):
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists missing name {name!r}"
+
+
+def test_top_level_exports_cover_the_readme_example():
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"## Library\s+```python\n(.*?)```", readme, re.S).group(1)
+    used = set(re.findall(r"\bpnkr\.(\w+)", example))
+    assert used, "README library example names no pnkr attribute"
+    assert used | {"read_template_grid"} <= set(pnkr.__all__)
+
+
+def test_package_never_imports_test_code():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert not TEST_MODULES & set(roots), f"{path.name} imports test code: {roots}"

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from pnkr.forward import (
     build_forward_system,
-    dense_equation_matrix,
     identity_kernel,
     sample_norm,
     synthesize_datacube,
@@ -42,6 +41,7 @@ from pnkr.solver import (
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 from pnkr.forward import rho_estimate
 
+from _oracles import dense_Hr, dense_M
 
 OMEGA_GRIDS = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
 THETA_GRIDS = (
@@ -227,7 +227,7 @@ def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
     y_r = rng.uniform(0.0, 1e-3, system.N)
     omega = 0.37 / rho_estimate(system)
     G_dense = system.G.toarray()
-    M_dense = np.kron(system.Psi.toarray(), system.Phi.toarray())
+    M_dense = dense_M(system)
     for r in (1, system.R // 2, system.R):
         got = pnkr_equation_update(system, z, y_r, r, omega)
         in_place = z.copy()
@@ -240,7 +240,7 @@ def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
             in_place = z.copy()
             pnkr_equation_update(system, in_place, y_r, r, omega, out=in_place)
             assert np.array_equal(in_place, got)
-        H = dense_equation_matrix(system, r)
+        H = dense_Hr(system, r)
         w_r = G_dense @ y_r
         resid = w_r - H @ z
         step = omega * np.linalg.solve(M_dense, H.T @ np.linalg.solve(G_dense, resid))
@@ -776,6 +776,20 @@ def test_coefficient_file_roundtrip(tiny0, tmp_path):
     short.write_bytes(raw[:-16])
     with pytest.raises(ValueError):
         read_coefficients(short)
+
+
+# bytes kept of a PNKU file: 4-byte magic, then version, N, L, s as 4-byte
+# words, then the payload
+PNKU_CUTS = {"in-version": 6, "before-L": 12, "in-s": 18}
+
+
+@pytest.mark.parametrize("keep", PNKU_CUTS.values(), ids=PNKU_CUTS.keys())
+def test_coefficient_file_rejects_truncated_header(tiny0, tmp_path, keep):
+    path = tmp_path / "coeffs.pnku"
+    write_coefficients(np.zeros(tiny0.N * tiny0.L), tiny0.N, tiny0.L, 0, path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="coefficient file truncated"):
+        read_coefficients(path)
 
 
 @pytest.mark.parametrize("s,beta,sweeps", [(0, 0.0, 20), (1, 1.0, 20)])

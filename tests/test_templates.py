@@ -266,3 +266,18 @@ def test_pnkt_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError, match="magic"):
         read_template_grid(path)
+
+
+# bytes kept of a PNKT file: 4-byte magic, six 4-byte header words, dln,
+# the two-value observed range, then lam_ext (8 bytes per node)
+PNKT_CUTS = {"in-header": 10, "before-dln": 28, "in-obs-range": 40, "in-lam_ext": 76}
+
+
+@pytest.mark.parametrize("keep", PNKT_CUTS.values(), ids=PNKT_CUTS.keys())
+def test_pnkt_rejects_truncated_file(tmp_path, keep):
+    tg, _, _ = tiny_template()
+    path = tmp_path / "templates.pnkt"
+    write_template_grid(tg, path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="template file truncated"):
+        read_template_grid(path)
