@@ -32,9 +32,8 @@ from .diagnostics import (
     moment_maps,
 )
 from .forward import build_forward_system, synthesize_datacube
-from .grid_basis import format_grid_spec
 from .mock import DataCube, add_noise, default_components, evaluate_ground_truth, read_datacube, write_datacube
-from .presets import PRESET_NAMES, preset_basis, preset_grid_spec, preset_template
+from .presets import PRESET_NAMES, preset_axes, preset_basis, preset_template, preset_window
 from .solver import (
     SolverConfig,
     as_solve_data,
@@ -129,24 +128,24 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _config_summary(args, keys) -> dict:
+    """The chosen options plus the preset's grid: each axis's nodes and the wavelength window."""
     summary = {key: getattr(args, key) for key in keys}
-    summary["grid"] = format_grid_spec(preset_grid_spec(args.preset))
+    grid = {axis: g.nodes.tolist() for axis, g in preset_axes(args.preset).items()}
+    grid["lambda_min"], grid["lambda_max"], grid["lambda_count"] = preset_window(args.preset)
+    summary["grid"] = grid
     return summary
 
 
-def _load_pipeline(args, template_path: str):
-    """Template, basis, kernel table, and forward system for one preset."""
-    template = read_template_grid(_require_file(template_path, "template"))
-    grid = preset_grid_spec(args.preset)
-    if template.R != grid.lambda_count:
+def _load_basis(args, s: int):
+    """The template file, checked against the preset's channel count, and the basis."""
+    template = read_template_grid(_require_file(args.templates, "template"))
+    count = preset_window(args.preset)[2]
+    if template.R != count:
         raise CLIError(
             f"template has {template.R} wavelength channels, preset "
-            f"{args.preset!r} expects {grid.lambda_count}"
+            f"{args.preset!r} expects {count}"
         )
-    basis = preset_basis(args.preset, args.s, getattr(args, "beta", 0.0))
-    table = kernel_theta_integrals(template, basis)
-    system = build_forward_system(basis, table)
-    return template, basis, system
+    return template, preset_basis(args.preset, s, getattr(args, "beta", 0.0))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -171,7 +170,8 @@ def cmd_gen_templates(args) -> int:
 
 
 def cmd_gen_mock(args) -> int:
-    template, basis, system = _load_pipeline(args, args.templates)
+    template, basis = _load_basis(args, args.s)
+    system = build_forward_system(basis, kernel_theta_integrals(template, basis))
     u_true = evaluate_ground_truth(default_components(), basis)
     y_clean = synthesize_datacube(system, u_true)
     noisy = add_noise(system, y_clean, args.noise, args.seed)
@@ -217,7 +217,8 @@ def _check_cube(cube: DataCube, basis, template, preset: str) -> None:
 
 def cmd_solve(args) -> int:
     _require_file(args.cube, "datacube")
-    template, basis, system = _load_pipeline(args, args.templates)
+    template, basis = _load_basis(args, args.s)
+    system = build_forward_system(basis, kernel_theta_integrals(template, basis))
     cube = read_datacube(args.cube)
     _check_cube(cube, basis, template, args.preset)
     config = _solver_config(args)
@@ -278,8 +279,7 @@ def _parse_position(text: str) -> tuple[float, float]:
 
 def cmd_maps(args) -> int:
     coeffs = read_coefficients(_require_file(args.coefficients, "coefficient"))
-    args.s = coeffs.s
-    template, basis, _ = _load_pipeline(args, args.templates)
+    template, basis = _load_basis(args, coeffs.s)
     if (coeffs.N, coeffs.L) != (basis.N, basis.L):
         raise CLIError(
             f"coefficient file ({coeffs.N} x {coeffs.L}) does not match "
@@ -309,7 +309,8 @@ def cmd_maps(args) -> int:
 def cmd_robustness(args) -> int:
     if args.n < 1:
         raise CLIError("--n must be at least 1")
-    template, basis, system = _load_pipeline(args, args.templates)
+    template, basis = _load_basis(args, args.s)
+    system = build_forward_system(basis, kernel_theta_integrals(template, basis))
     u_true = evaluate_ground_truth(default_components(), basis)
     y_clean = synthesize_datacube(system, u_true)
     os.makedirs(args.out, exist_ok=True)

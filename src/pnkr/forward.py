@@ -32,7 +32,6 @@ from scipy.ndimage import convolve1d
 from scipy.sparse.linalg import splu
 
 from .grid_basis import DiscreteBasis, GramMatrices, build_gram_matrices
-from .templates import KernelIntegralTable
 
 __all__ = [
     "LinearFactor",
@@ -164,7 +163,7 @@ class ForwardSystem:
 
 def build_forward_system(
     basis: DiscreteBasis,
-    table: KernelIntegralTable | np.ndarray,
+    Q: np.ndarray,
     grams: GramMatrices | None = None,
 ) -> ForwardSystem:
     """Assemble Gram factorizations and kernel columns into a system.
@@ -172,13 +171,14 @@ def build_forward_system(
     Parameters
     ----------
     basis : DiscreteBasis
-    table : KernelIntegralTable or ndarray
-        Kernel integrals, shape ``(L, R)``.
+    Q : ndarray
+        Kernel integrals, shape ``(L, R)``, as returned by
+        :func:`~pnkr.templates.kernel_theta_integrals`.
     grams : GramMatrices, optional
         Previously assembled Gram matrices; assembled here if omitted,
         exactly (see :func:`assemble_gram`).
     """
-    Q = table.Q if isinstance(table, KernelIntegralTable) else np.asarray(table, dtype=float)
+    Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != basis.L:
         raise ValueError(f"kernel table has shape {Q.shape}, expected ({basis.L}, R)")
     if not np.all(np.isfinite(Q)):

@@ -17,7 +17,7 @@ these piecewise polynomials, then combined as Kronecker products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -41,13 +41,7 @@ __all__ = [
     "axis_first_moments",
     "basis_integral_weights",
     "coefficients_to_function",
-    "AxisSpec",
-    "GridSpec",
-    "format_grid_spec",
-    "build_basis",
 ]
-
-AXIS_NAMES = ("x1", "x2", "v", "z", "t")
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,7 +410,7 @@ class GramMatrices:
         product.
     G : csc_matrix, (N, N)
         Plain L2 Gram of the spatial basis; this is also the data-space
-        Gram matrix (``Nmat`` is an alias).
+        Gram matrix.
     c_N : float
         Mean diagonal of ``G``.  On uniform spatial grids with ``s = 0``
         it is the common cell volume and ``G == c_N * I`` exactly.
@@ -426,10 +420,6 @@ class GramMatrices:
     Phi: sp.csc_matrix
     G: sp.csc_matrix
     c_N: float
-
-    @property
-    def Nmat(self) -> sp.csc_matrix:
-        return self.G
 
 
 def build_gram_matrices(basis: DiscreteBasis) -> GramMatrices:
@@ -472,86 +462,6 @@ def coefficients_to_function(
     mats = [eval_axis_basis(g, basis.s, pts[:, k]) for k, g in enumerate(basis.grids)]
     out = np.einsum("abcde,pa,pb,pc,pd,pe->p", u5, *mats, optimize=True)
     return float(out[0]) if single else out
-
-
-# -- grid specifications -----------------------------------------------------
-
-
-@dataclass(eq=False)
-class AxisSpec:
-    """One axis of a grid specification: a spacing rule and its parameters."""
-
-    name: str
-    spacing: str
-    min: float | None = None
-    max: float | None = None
-    count: int | None = None
-    values: np.ndarray | None = None
-
-    def to_grid(self) -> AxisGrid:
-        if self.spacing == "explicit":
-            if self.values is None:
-                raise ValueError(f"axis {self.name}: explicit spacing needs values")
-            return explicit_axis(self.values)
-        if self.min is None or self.max is None or self.count is None:
-            raise ValueError(f"axis {self.name}: need min, max, and count")
-        if self.spacing == "uniform":
-            return uniform_axis(self.min, self.max, self.count)
-        if self.spacing == "geometric":
-            return geometric_axis(self.min, self.max, self.count)
-        raise ValueError(f"axis {self.name}: unknown spacing {self.spacing!r}")
-
-
-@dataclass(eq=False)
-class GridSpec:
-    """Five axis specifications plus the observed wavelength window.
-
-    Built in code (see :mod:`pnkr.presets`); :func:`format_grid_spec`
-    renders one as text for run manifests.
-    """
-
-    axes: dict[str, AxisSpec] = field(default_factory=dict)
-    lambda_min: float | None = None
-    lambda_max: float | None = None
-    lambda_count: int | None = None
-
-    def axis_grids(self) -> dict[str, AxisGrid]:
-        return {name: self.axes[name].to_grid() for name in AXIS_NAMES}
-
-
-def format_grid_spec(spec: GridSpec) -> str:
-    """Render a :class:`GridSpec` as ``key = value`` text, one block per axis."""
-    lines: list[str] = []
-    for name in AXIS_NAMES:
-        ax = spec.axes[name]
-        lines.append(f"axis = {ax.name}")
-        lines.append(f"spacing = {ax.spacing}")
-        if ax.spacing == "explicit":
-            vals = ", ".join(format(v, ".17g") for v in ax.values)
-            lines.append(f"values = {vals}")
-        else:
-            lines.append(f"min = {ax.min:.17g}")
-            lines.append(f"max = {ax.max:.17g}")
-            lines.append(f"count = {ax.count:d}")
-        lines.append("")
-    if spec.lambda_min is not None:
-        lines.append(f"lambda_min = {spec.lambda_min:.17g}")
-    if spec.lambda_max is not None:
-        lines.append(f"lambda_max = {spec.lambda_max:.17g}")
-    if spec.lambda_count is not None:
-        lines.append(f"lambda_count = {spec.lambda_count:d}")
-    return "\n".join(lines).rstrip() + "\n"
-
-
-def build_basis(spec: GridSpec, s: int, beta: float | Sequence[float] = 0.0) -> DiscreteBasis:
-    """Build the :class:`DiscreteBasis` described by a grid specification."""
-    grids = spec.axis_grids()
-    return make_basis(
-        s,
-        (grids["x1"], grids["x2"]),
-        (grids["v"], grids["z"], grids["t"]),
-        beta,
-    )
 
 
 # -- binary file helpers -----------------------------------------------------

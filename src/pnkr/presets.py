@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_basis import AxisSpec, DiscreteBasis, GridSpec, make_basis
+from .grid_basis import AxisGrid, DiscreteBasis, geometric_axis, make_basis, uniform_axis
 from .templates import TemplateGrid, build_template_grid
 
 PRESET_NAMES = ("paper_scale", "desk_scale", "tiny")
@@ -20,6 +20,9 @@ PRESET_NAMES = ("paper_scale", "desk_scale", "tiny")
 _TEMPLATE_Z_RANGE = (-2.7, 0.4)
 _TEMPLATE_T_RANGE = (0.01, 14.3)
 _TEMPLATE_V_MAX = 1100.0
+
+# observed wavelength window [nm], shared by every preset
+_LAMBDA_RANGE = (480.0, 570.0)
 
 _SPATIAL = {"paper_scale": 26, "desk_scale": 13, "tiny": 4}
 _THETA = {"paper_scale": (27, 7, 19), "desk_scale": (15, 5, 9), "tiny": (5, 3, 3)}
@@ -33,41 +36,37 @@ def _check_name(name: str) -> str:
     return name
 
 
-def preset_grid_spec(name: str) -> GridSpec:
-    """The full grid specification of a preset, ready to format or build."""
+def preset_axes(name: str) -> dict[str, AxisGrid]:
+    """The five axis grids of a preset, keyed ``x1, x2, v, z, t`` in basis order."""
     _check_name(name)
     n_spatial = _SPATIAL[name]
     n_v, n_z, n_t = _THETA[name]
-    t_spacing = "uniform" if name == "tiny" else "geometric"
-    axes = {
-        "x1": AxisSpec(name="x1", spacing="uniform", min=-1.0, max=1.0, count=n_spatial),
-        "x2": AxisSpec(name="x2", spacing="uniform", min=-1.0, max=1.0, count=n_spatial),
-        "v": AxisSpec(name="v", spacing="uniform", min=-1000.0, max=1000.0, count=n_v),
-        "z": AxisSpec(name="z", spacing="uniform", min=-2.66, max=0.36, count=n_z),
-        "t": AxisSpec(name="t", spacing=t_spacing, min=0.015, max=14.25, count=n_t),
+    t_axis = uniform_axis if name == "tiny" else geometric_axis
+    return {
+        "x1": uniform_axis(-1.0, 1.0, n_spatial),
+        "x2": uniform_axis(-1.0, 1.0, n_spatial),
+        "v": uniform_axis(-1000.0, 1000.0, n_v),
+        "z": uniform_axis(-2.66, 0.36, n_z),
+        "t": t_axis(0.015, 14.25, n_t),
     }
-    return GridSpec(axes=axes, lambda_min=480.0, lambda_max=570.0, lambda_count=_CHANNELS[name])
+
+
+def preset_window(name: str) -> tuple[float, float, int]:
+    """The observed wavelength window ``(lambda_min, lambda_max, count)`` of a preset."""
+    return (*_LAMBDA_RANGE, _CHANNELS[_check_name(name)])
 
 
 def preset_basis(name: str, s: int, beta: float = 0.0) -> DiscreteBasis:
     """The discretization of a preset at smoothness ``s``."""
-    grids = preset_grid_spec(name).axis_grids()
-    return make_basis(
-        s,
-        (grids["x1"], grids["x2"]),
-        (grids["v"], grids["z"], grids["t"]),
-        beta=beta,
-    )
+    x1, x2, v, z, t = preset_axes(name).values()
+    return make_basis(s, (x1, x2), (v, z, t), beta=beta)
 
 
 def preset_template(name: str) -> TemplateGrid:
     """The tabulated template library sized for a preset."""
-    spec = preset_grid_spec(_check_name(name))
-    n_z, n_t = _TEMPLATE_NODES[name]
+    n_z, n_t = _TEMPLATE_NODES[_check_name(name)]
     return build_template_grid(
-        spec.lambda_min,
-        spec.lambda_max,
-        spec.lambda_count,
+        *preset_window(name),
         _TEMPLATE_V_MAX,
         np.linspace(*_TEMPLATE_Z_RANGE, n_z),
         np.geomspace(*_TEMPLATE_T_RANGE, n_t) if name == "paper_scale" else np.linspace(*_TEMPLATE_T_RANGE, n_t),

@@ -33,7 +33,6 @@ from .grid_basis import (
 __all__ = [
     "C_LIGHT",
     "TemplateGrid",
-    "KernelIntegralTable",
     "synth_continuum",
     "synth_ssp",
     "build_template_grid",
@@ -235,21 +234,6 @@ def kernel_eval(
     return ((1.0 - w) * spec[f] + w * spec[f + 1]) / factor
 
 
-@dataclass(frozen=True, eq=False)
-class KernelIntegralTable:
-    """Kernel integrals ``Q[l, r]`` of the basis against the observed channels."""
-
-    Q: np.ndarray
-
-    @property
-    def L(self) -> int:
-        return self.Q.shape[0]
-
-    @property
-    def R(self) -> int:
-        return self.Q.shape[1]
-
-
 def _overlap_weights(grid: AxisGrid, s: int, nodes: np.ndarray) -> np.ndarray:
     """Integrals of basis functions against the table interpolation hats.
 
@@ -295,7 +279,7 @@ def _v_segments(template: TemplateGrid, grid: AxisGrid, s: int) -> np.ndarray:
     return np.asarray(keep)
 
 
-def kernel_theta_integrals(template: TemplateGrid, basis: DiscreteBasis) -> KernelIntegralTable:
+def kernel_theta_integrals(template: TemplateGrid, basis: DiscreteBasis) -> np.ndarray:
     """Integrate the kernel against every population-kinematic basis function.
 
     Returns the table ``Q`` of shape ``(L, R)`` with
@@ -333,7 +317,7 @@ def kernel_theta_integrals(template: TemplateGrid, basis: DiscreteBasis) -> Kern
         S1 = Sbar[:, :, f + 1 : f + 1 + R]
         for i in np.nonzero((A0 != 0.0) | (A1 != 0.0))[0]:
             acc[i] += A0[i] * S0 + A1[i] * S1
-    return KernelIntegralTable(Q=acc.reshape(basis.L, R))
+    return acc.reshape(basis.L, R)
 
 
 # -- binary template files ---------------------------------------------------

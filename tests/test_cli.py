@@ -8,8 +8,15 @@ import pytest
 
 from pnkr.cli import main, manifest_run_key, read_manifest
 from pnkr.diagnostics import read_losvd, read_maps
-from pnkr.grid_basis import format_grid_spec
-from pnkr.presets import PRESET_NAMES, preset_basis, preset_grid_spec, preset_template
+from pnkr.presets import (
+    _SPATIAL,
+    _THETA,
+    PRESET_NAMES,
+    preset_axes,
+    preset_basis,
+    preset_template,
+    preset_window,
+)
 from pnkr.solver import read_coefficients, read_history
 
 
@@ -22,28 +29,33 @@ def test_preset_dimension_contract():
     for name, (N, L, R) in expected.items():
         basis = preset_basis(name, 0)
         assert (basis.N, basis.L) == (N, L)
-        assert preset_grid_spec(name).lambda_count == R
+        assert preset_window(name) == (480.0, 570.0, R)
         basis1 = preset_basis(name, 1, beta=0.1)
         assert (basis1.N, basis1.L) == (N, L)
 
 
-def test_preset_grid_spec_text_lists_every_axis():
-    # the manifest's grid record: one block per axis with the node count
-    # the preset's basis was built from, then the wavelength window
-    channels = {"paper_scale": 687, "desk_scale": 96, "tiny": 8}
+def test_preset_axes_spacing_and_ranges():
+    # x1/x2/v/z uniform; t geometric except on tiny; counts from the preset tables
     for name in PRESET_NAMES:
-        blocks = format_grid_spec(preset_grid_spec(name)).split("\n\n")
-        assert len(blocks) == 6
-        basis = preset_basis(name, 0)
-        for block, axis, grid in zip(blocks, ("x1", "x2", "v", "z", "t"), basis.grids):
-            lines = block.splitlines()
-            assert lines[0] == f"axis = {axis}"
-            assert f"count = {grid.n_cells + 1}" in lines
-        assert blocks[5].splitlines() == [
-            "lambda_min = 480",
-            "lambda_max = 570",
-            f"lambda_count = {channels[name]}",
-        ]
+        n_spatial = _SPATIAL[name]
+        n_v, n_z, n_t = _THETA[name]
+        geometric_t = name != "tiny"
+        t_nodes = (np.geomspace if geometric_t else np.linspace)(0.015, 14.25, n_t)
+        expected = {
+            "x1": (np.linspace(-1.0, 1.0, n_spatial), True),
+            "x2": (np.linspace(-1.0, 1.0, n_spatial), True),
+            "v": (np.linspace(-1000.0, 1000.0, n_v), True),
+            "z": (np.linspace(-2.66, 0.36, n_z), True),
+            "t": (t_nodes, not geometric_t),
+        }
+        axes = preset_axes(name)
+        assert list(axes) == ["x1", "x2", "v", "z", "t"]
+        for axis, (nodes, uniform) in expected.items():
+            np.testing.assert_array_equal(axes[axis].nodes, nodes)
+            assert axes[axis].uniform is uniform
+        basis = preset_basis(name, 1)
+        for grid, axis in zip(basis.grids, expected):
+            np.testing.assert_array_equal(grid.nodes, axes[axis].nodes)
 
 
 def test_preset_template_covers_basis_domains():
@@ -110,6 +122,28 @@ def test_maps_subcommand(pipeline_dir, monkeypatch):
     sample = read_losvd(pipeline_dir / "maps" / "losvd_2.txt")
     assert sample.x == (-0.3, 0.4)
     assert (pipeline_dir / "maps" / "manifest.json").is_file()
+
+
+def test_solve_manifest_records_the_grid(pipeline_dir):
+    grid = read_manifest(pipeline_dir / "run" / "manifest.json")["config"]["grid"]
+    basis = preset_basis("tiny", 0)
+    for axis, g in zip(("x1", "x2", "v", "z", "t"), basis.grids):
+        np.testing.assert_array_equal(np.array(grid[axis]), g.nodes)
+    assert (grid["lambda_min"], grid["lambda_max"], grid["lambda_count"]) == (480.0, 570.0, 8)
+
+
+def test_maps_builds_no_forward_system(pipeline_dir, monkeypatch):
+    # maps reads only the template and the basis; a kernel table or system would be thrown away
+    def refuse(*args, **kwargs):
+        raise RuntimeError("maps built a forward system")
+
+    monkeypatch.setattr("pnkr.cli.build_forward_system", refuse)
+    monkeypatch.setattr("pnkr.cli.kernel_theta_integrals", refuse)
+    monkeypatch.chdir(pipeline_dir)
+    assert main([
+        "maps", "--preset", "tiny", "--templates", "tpl.pnkt",
+        "--coefficients", "run/coefficients.pnku", "--out", "maps_no_system",
+    ]) == 0
 
 
 def test_maps_bad_position(pipeline_dir, monkeypatch, capsys):

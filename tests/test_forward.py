@@ -162,9 +162,9 @@ def test_linearity_and_zero(s):
 def test_nonnegative_cube_from_kernel_table(s):
     basis = small_basis(s)
     template = build_template_grid(480.0, 570.0, 16, 1100.0, np.linspace(-2.6, 0.3, 5), np.linspace(0.5, 14.0, 6))
-    table = kernel_theta_integrals(template, basis)
-    assert np.all(table.Q >= 0.0)
-    system = build_forward_system(basis, table, grams=build_gram_matrices(basis))
+    Q = kernel_theta_integrals(template, basis)
+    assert np.all(Q >= 0.0)
+    system = build_forward_system(basis, Q, grams=build_gram_matrices(basis))
     rng = np.random.default_rng(8)
     u = rng.random(basis.N * basis.L)
     assert np.all(synthesize_datacube(system, u) >= 0.0)

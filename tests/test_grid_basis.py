@@ -4,13 +4,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from pnkr.grid_basis import (
-    AxisSpec,
-    GridSpec,
     assemble_gram,
     axis_first_moments,
     axis_weights,
     basis_integral_weights,
-    build_basis,
     build_gram_matrices,
     coefficients_to_function,
     eval_axis_basis,
@@ -43,6 +40,8 @@ def small_basis(s, beta=0.0):
 def test_axis_validation():
     with pytest.raises(ValueError):
         uniform_axis(0.0, 1.0, 1)
+    with pytest.raises(ValueError, match="count must be at least 2"):
+        geometric_axis(0.5, 1.0, 1)
     with pytest.raises(ValueError):
         uniform_axis(1.0, 0.0, 5)
     with pytest.raises(ValueError):
@@ -304,7 +303,6 @@ def test_gram_matrices_c_N():
     )
     grams = build_gram_matrices(basis)
     assert grams.c_N == pytest.approx(0.0064, rel=1e-13)
-    assert grams.Nmat is grams.G
 
 
 # -- evaluation of expansions ------------------------------------------------
@@ -350,42 +348,3 @@ def test_integral_weights_match_quadrature():
     vol_theta = np.prod([g.hi - g.lo for g in basis.theta_grids])
     assert w_omega.sum() == pytest.approx(vol_omega, rel=1e-12)
     assert w_theta.sum() == pytest.approx(vol_theta, rel=1e-12)
-
-
-# -- grid specifications ----------------------------------------------------
-
-
-def small_spec():
-    axes = {
-        "x1": AxisSpec(name="x1", spacing="uniform", min=-1.0, max=1.0, count=4),
-        "x2": AxisSpec(name="x2", spacing="uniform", min=-1.0, max=1.0, count=4),
-        "v": AxisSpec(name="v", spacing="uniform", min=-1000.0, max=1000.0, count=5),
-        "z": AxisSpec(name="z", spacing="explicit", values=np.array([-2.66, -1.5, 0.36])),
-        "t": AxisSpec(name="t", spacing="geometric", min=0.015, max=14.25, count=3),
-    }
-    return GridSpec(axes=axes, lambda_min=480.0, lambda_max=570.0, lambda_count=8)
-
-
-def test_grid_spec_build_basis():
-    basis = build_basis(small_spec(), 1, 0.01)
-    assert basis.N == 9
-    assert basis.L == 4 * 2 * 2
-    np.testing.assert_allclose(basis.beta, 0.01)
-    np.testing.assert_allclose(basis.theta_grids[1].nodes, [-2.66, -1.5, 0.36])
-    np.testing.assert_allclose(basis.theta_grids[2].nodes, np.geomspace(0.015, 14.25, 3))
-
-
-def test_grid_spec_errors():
-    with pytest.raises(ValueError, match="count must be at least 2"):
-        AxisSpec(name="v", spacing="uniform", min=0.0, max=1.0, count=1).to_grid()
-    with pytest.raises(ValueError, match="count must be at least 2"):
-        AxisSpec(name="t", spacing="geometric", min=0.5, max=1.0, count=1).to_grid()
-    for missing in ("min", "max", "count"):
-        fields = {"min": 0.0, "max": 1.0, "count": 3}
-        del fields[missing]
-        with pytest.raises(ValueError, match="need min, max, and count"):
-            AxisSpec(name="x1", spacing="uniform", **fields).to_grid()
-    with pytest.raises(ValueError, match="unknown spacing 'cubic'"):
-        AxisSpec(name="x1", spacing="cubic", min=0.0, max=1.0, count=3).to_grid()
-    with pytest.raises(ValueError, match="explicit spacing needs values"):
-        AxisSpec(name="z", spacing="explicit").to_grid()

@@ -171,7 +171,7 @@ def test_theta_integrals_match_dense_oracle(s):
     tmpl, zg, tg_ax = tiny_template()
     vg = uniform_axis(-1000.0, 1000.0, 5)
     basis = make_basis(s, (uniform_axis(-1, 1, 4), uniform_axis(-1, 1, 4)), (vg, zg, tg_ax))
-    Q = kernel_theta_integrals(tmpl, basis).Q
+    Q = kernel_theta_integrals(tmpl, basis)
     assert Q.shape == (basis.L, tmpl.R)
     rng = np.random.default_rng(5)
     for _ in range(6):
@@ -188,7 +188,7 @@ def test_theta_integrals_partition_of_unity(s):
     tmpl, zg, tg_ax = tiny_template()
     vg = uniform_axis(-1000.0, 1000.0, 5)
     basis = make_basis(s, (uniform_axis(-1, 1, 4), uniform_axis(-1, 1, 4)), (vg, zg, tg_ax))
-    Q = kernel_theta_integrals(tmpl, basis).Q
+    Q = kernel_theta_integrals(tmpl, basis)
     rng = np.random.default_rng(17)
     for r in rng.choice(tmpl.R, size=5, replace=False):
         ref = theta_full_integral(tmpl, basis, int(r), points=3000)
@@ -199,7 +199,7 @@ def test_theta_integrals_s0_is_cell_average_times_volume():
     tmpl, zg, tg_ax = tiny_template()
     vg = uniform_axis(-1000.0, 1000.0, 5)
     basis = make_basis(0, (uniform_axis(-1, 1, 4), uniform_axis(-1, 1, 4)), (vg, zg, tg_ax))
-    Q = kernel_theta_integrals(tmpl, basis).Q
+    Q = kernel_theta_integrals(tmpl, basis)
     # cell (1, 0, 1), channel 2: compare against a flat cube average
     nzc, ntc = zg.n_cells, tg_ax.n_cells
     l = (1 * nzc + 0) * ntc + 1
@@ -221,7 +221,7 @@ def test_theta_integrals_geometric_age_axis():
     tmpl = build_template_grid(480.0, 570.0, 12, 800.0, zg.nodes, tg_ax.nodes)
     vg = uniform_axis(-800.0, 800.0, 4)
     basis = make_basis(1, (uniform_axis(-1, 1, 3), uniform_axis(-1, 1, 3)), (vg, zg, tg_ax))
-    Q = kernel_theta_integrals(tmpl, basis).Q
+    Q = kernel_theta_integrals(tmpl, basis)
     l, r = 7, 5
     ref = theta_integral_dense(tmpl, basis, l, r, points=400)
     assert Q[l, r] == pytest.approx(ref, rel=2e-5)
@@ -233,9 +233,9 @@ def test_theta_integrals_converged_against_eight_point_rule(s, monkeypatch):
     # default rule must already agree with a much higher-order one
     tmpl = preset_template("tiny")
     basis = preset_basis("tiny", s)
-    Q = kernel_theta_integrals(tmpl, basis).Q
+    Q = kernel_theta_integrals(tmpl, basis)
     monkeypatch.setattr(pnkr.grid_basis, "_GAUSS_RULE", np.polynomial.legendre.leggauss(8))
-    Q8 = kernel_theta_integrals(tmpl, basis).Q
+    Q8 = kernel_theta_integrals(tmpl, basis)
     assert np.abs(Q - Q8).max() <= 1e-13 * np.abs(Q8).max()
 
 
