@@ -68,12 +68,24 @@ def _file_digest(path: str) -> str:
     return digest.hexdigest()
 
 
+def _blas(module) -> str:
+    """Name and version of the BLAS a numpy or scipy build links."""
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
 def _versions() -> dict:
+    """Package versions plus the BLAS builds, thread setting and machine the run used."""
     return {
         "pnkr": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "numpy_blas": _blas(np),
+        "scipy_blas": _blas(scipy),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
     }
 
 

@@ -19,12 +19,14 @@ the per-equation update direction is the rank-one matrix
     M^-1 H_r^T N^-1 d = (Psi^-1 G d) (Phi^-1 q_r)^T
 
 for a sample-space residual ``d``; no solve with ``G`` is ever needed.
-``Phi^-1 q_r`` is iterate independent and precomputed once per system.
+``Phi^-1 q_r`` is iterate independent and computed once per system, on
+first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,7 +81,6 @@ class LinearFactor:
         d = A.diagonal()
         if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
             raise ValueError("matrix to factor must have a positive diagonal")
-        self.matrix = A
         self.n = A.shape[0]
         off = (A - sp.diags(d)).tocsr()
         off.eliminate_zeros()
@@ -111,6 +112,10 @@ class LinearFactor:
 class ForwardSystem:
     """Assembled forward operator for one discretization and template table.
 
+    The factorizations and ``Phi^-1 Q`` are computed on first use and then
+    kept, so a caller that only synthesizes data (``G`` and ``Q``) factors
+    nothing.
+
     Attributes
     ----------
     basis : DiscreteBasis
@@ -119,14 +124,16 @@ class ForwardSystem:
     Q : ndarray, (L, R)
         Kernel integrals of every population-kinematic basis function
         against every observed wavelength channel.
-    Psi_inv_factor, Phi_inv_factor : LinearFactor
-        Factorizations of the reconstruction-space Gram factors.
+    Psi, Phi : csc_matrix
+        Reconstruction-space Gram factors, ``M = Psi (x) Phi``.
     c_N : float
         Mean diagonal of ``G`` (the common cell volume for ``s = 0`` on
         uniform spatial grids).
+    Psi_inv_factor, Phi_inv_factor : LinearFactor
+        Factorizations of ``Psi`` and ``Phi``.
     Phi_inv_Q : ndarray, (L, R)
-        Precomputed ``Phi^-1 Q``; column ``r`` is the iterate-independent
-        factor of equation ``r``'s update direction.
+        ``Phi^-1 Q``; column ``r`` is the iterate-independent factor of
+        equation ``r``'s update direction.
     q_Phi_q : ndarray, (R,)
         Quadratic forms ``q_r^T Phi^-1 q_r``.
     """
@@ -134,11 +141,9 @@ class ForwardSystem:
     basis: DiscreteBasis
     G: sp.csc_matrix
     Q: np.ndarray
-    Psi_inv_factor: LinearFactor
-    Phi_inv_factor: LinearFactor
+    Psi: sp.csc_matrix
+    Phi: sp.csc_matrix
     c_N: float
-    Phi_inv_Q: np.ndarray = field(repr=False)
-    q_Phi_q: np.ndarray = field(repr=False)
 
     @property
     def N(self) -> int:
@@ -152,13 +157,21 @@ class ForwardSystem:
     def R(self) -> int:
         return self.Q.shape[1]
 
-    @property
-    def Psi(self) -> sp.csc_matrix:
-        return self.Psi_inv_factor.matrix
+    @cached_property
+    def Psi_inv_factor(self) -> LinearFactor:
+        return LinearFactor(self.Psi)
 
-    @property
-    def Phi(self) -> sp.csc_matrix:
-        return self.Phi_inv_factor.matrix
+    @cached_property
+    def Phi_inv_factor(self) -> LinearFactor:
+        return LinearFactor(self.Phi)
+
+    @cached_property
+    def Phi_inv_Q(self) -> np.ndarray:
+        return self.Phi_inv_factor.solve(self.Q)
+
+    @cached_property
+    def q_Phi_q(self) -> np.ndarray:
+        return np.einsum("lr,lr->r", self.Q, self.Phi_inv_Q)
 
 
 def build_forward_system(
@@ -166,7 +179,7 @@ def build_forward_system(
     Q: np.ndarray,
     grams: GramMatrices | None = None,
 ) -> ForwardSystem:
-    """Assemble Gram factorizations and kernel columns into a system.
+    """Assemble Gram matrices and kernel columns into a system.
 
     Parameters
     ----------
@@ -185,20 +198,7 @@ def build_forward_system(
         raise ValueError("kernel table contains non-finite entries")
     if grams is None:
         grams = build_gram_matrices(basis)
-    Psi_f = LinearFactor(grams.Psi)
-    Phi_f = LinearFactor(grams.Phi)
-    Phi_inv_Q = Phi_f.solve(Q)
-    q_Phi_q = np.einsum("lr,lr->r", Q, Phi_inv_Q)
-    return ForwardSystem(
-        basis=basis,
-        G=grams.G,
-        Q=Q,
-        Psi_inv_factor=Psi_f,
-        Phi_inv_factor=Phi_f,
-        c_N=grams.c_N,
-        Phi_inv_Q=Phi_inv_Q,
-        q_Phi_q=q_Phi_q,
-    )
+    return ForwardSystem(basis=basis, G=grams.G, Q=Q, Psi=grams.Psi, Phi=grams.Phi, c_N=grams.c_N)
 
 
 def _as_coefficients(system: ForwardSystem, u: np.ndarray) -> np.ndarray:

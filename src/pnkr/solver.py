@@ -29,13 +29,14 @@ piecewise-constant basis.  The full-stack Landweber iteration is one
 block of all equations whose step sums every correction before
 projecting.
 
-The pnkr and Landweber-Kaczmarz sweeps update the iterate in place:
-``SolverState.u_k`` and ``SolverState.u_km1`` are two buffers that each
-step reuses.  The momentum point is built in the ``u_km1`` buffer, the
-projected step overwrites it, and the commit swaps the two, so no array
-of the iterate's size is allocated per equation.  A caller that keeps
-the arrays it put into a state must copy them first.  After the finite
-check raises ``RuntimeError`` the contents of both buffers are undefined.
+The pnkr, Landweber-Kaczmarz and Landweber steps update the iterate in
+place: ``SolverState.u_k`` and ``SolverState.u_km1`` are two buffers that
+each step reuses.  The momentum point (or the Landweber correction) is
+built in the ``u_km1`` buffer, the projected step overwrites it, and the
+commit swaps the two, so no array of the iterate's size is allocated per
+step.  A caller that keeps the arrays it put into a state must copy them
+first.  After the finite check raises ``RuntimeError`` the contents of
+both buffers are undefined.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from scipy.linalg.blas import dgemm
 
 from .forward import (
     ForwardSystem,
+    LinearFactor,
     SmoothingKernel,
     apply_H_all,
     apply_Zs,
@@ -87,10 +89,16 @@ ORDERINGS = ("cyclic", "random_permutation")
 _PNKU_MAGIC = b"PNKU"
 _PNKU_VERSION = 1
 
-# Entries of the iterate per rank-one BLAS call.  OpenBLAS runs a GEMM of
-# m*n*k <= 4 * 65536 on one thread; a threaded k=1 update costs more in
-# start-up than it saves, so larger iterates are corrected in row blocks.
-_RANK_ONE_BLOCK = 262_143
+# Largest m*n*k of one BLAS call in the solve loop.  OpenBLAS runs a GEMM
+# of m*n*k <= 4 * 65536 on one thread.  numpy and scipy each load their own
+# OpenBLAS, each with its own worker pool, and threaded calls from the two
+# pools, interleaved, stall: in a desk Landweber run on 2 vCPUs at 2 BLAS
+# threads the 144x448x96 residual product took 0.35 ms at the median but
+# 7.9 ms at the 90th percentile (0.57 ms on one thread).  So the loop's
+# multi-column products and solves run in pieces under this cutoff (see
+# _sized_matmul and _sized_solve), and the rank-one step corrects the
+# iterate in row blocks of at most this many entries (k=1).
+_SINGLE_THREAD_MNK = 262_143
 
 
 @dataclass(eq=False)
@@ -167,8 +175,8 @@ def as_solve_data(data) -> SolveData:
 class SolverState:
     """Mutable iteration state threaded through the sweeps.
 
-    The pnkr and Landweber-Kaczmarz sweeps write into ``u_k`` and
-    ``u_km1`` in place: each step builds its momentum point in the
+    The pnkr, Landweber-Kaczmarz and Landweber steps write into ``u_k``
+    and ``u_km1`` in place: each step builds its new iterate in the
     ``u_km1`` buffer and the commit swaps the two arrays.  Copy the
     arrays before handing them in if they must survive the sweep.  After
     a ``RuntimeError`` from the finite check both are undefined.
@@ -291,7 +299,7 @@ def pnkr_equation_update(system: ForwardSystem, z: np.ndarray, y_r: np.ndarray, 
         np.copyto(out, z.reshape(-1))
     O = out.reshape(N, L)
     # O[n, l] += omega a[n] p[l], written in place through the Fortran-ordered view O[rows].T
-    rows = max(1, _RANK_ONE_BLOCK // L)
+    rows = max(1, _SINGLE_THREAD_MNK // L)
     for n0 in range(0, N, rows):
         blk = slice(n0, n0 + rows)
         dgemm(omega, p, a[None, blk], beta=1.0, c=O[blk].T, overwrite_c=1)
@@ -320,9 +328,44 @@ def reduced_equation_update(
     return threshold(u + step)
 
 
+def _sized_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``A @ B`` in row blocks of ``A`` that OpenBLAS runs on one thread each.
+
+    A product whose single row already exceeds ``_SINGLE_THREAD_MNK``
+    stays one call: at that size the threaded GEMM pays off.  The result
+    goes into ``out`` when given.
+    """
+    rows = _SINGLE_THREAD_MNK // (B.shape[0] * B.shape[1])
+    if rows == 0 or rows >= A.shape[0]:
+        return np.matmul(A, B, out=out)
+    if out is None:
+        out = np.empty((A.shape[0], B.shape[1]))
+    for i in range(0, A.shape[0], rows):
+        np.matmul(A[i : i + rows], B, out=out[i : i + rows])
+    return out
+
+
+def _sized_solve(factor: LinearFactor, B: np.ndarray) -> np.ndarray:
+    """``factor.solve(B)`` in column chunks that OpenBLAS runs on one thread each.
+
+    SuperLU's triangular solves issue GEMMs of up to ``n`` rows times a
+    supernode's width times the chunk's columns; the chunk width allows
+    supernodes up to 64 wide.  On the tiny and desk factors the result
+    equals per-column solves bitwise; a larger factor's chunks may round
+    differently from one call.
+    """
+    cols = max(1, _SINGLE_THREAD_MNK // (64 * factor.n))
+    return np.hstack([factor.solve(B[:, j : j + cols]) for j in range(0, B.shape[1], cols)])
+
+
 def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData, blk: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Sample-space residuals ``y[:, blk] - U Q[:, blk]`` at ``u`` and their norms."""
-    D = data.y[:, blk] - u.reshape(system.N, system.L) @ system.Q[:, blk]
+    """Sample-space residuals ``y[:, blk] - U Q[:, blk]`` at ``u`` and their norms.
+
+    A one-equation block is a plain GEMV; wider blocks go through
+    :func:`_sized_matmul`.
+    """
+    U, Q = u.reshape(system.N, system.L), system.Q[:, blk]
+    D = data.y[:, blk] - (U @ Q if Q.shape[1] == 1 else _sized_matmul(U, Q))
     return D, sample_norm(system, D)
 
 
@@ -406,14 +449,20 @@ def landweber_step(state: SolverState, config: SolverConfig, data, system: Forwa
 
     Gating is per equation for bookkeeping, but the step only happens
     while at least one equation is out of tolerance, and then it sums
-    over all of them.
+    over all of them.  The step runs in place like the pnkr sweep: the
+    correction is written into the ``u_km1`` buffer, which is then
+    projected and swapped in as ``u_k``.
     """
     data = as_solve_data(data)
+    if np.may_share_memory(state.u_k, state.u_km1):
+        state.u_km1 = state.u_k.copy()
 
     def step(blk: slice, D: np.ndarray) -> np.ndarray:
-        A = system.Psi_inv_factor.solve(system.G @ D)
-        U = state.u_k.reshape(system.N, system.L)
-        return threshold((U + omega * A @ system.Phi_inv_Q.T).reshape(-1))
+        A = omega * _sized_solve(system.Psi_inv_factor, system.G @ D)
+        out = state.u_km1
+        _sized_matmul(A, system.Phi_inv_Q.T, out=out.reshape(system.N, system.L))
+        out += state.u_k
+        return threshold(out, out=out)
 
     return _gated_sweep(state, config, data, system, omega, [slice(0, system.R)], step)
 

@@ -2,9 +2,11 @@
 
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from pnkr.cli import main, manifest_run_key, read_manifest
 from pnkr.diagnostics import read_losvd, read_maps
@@ -132,6 +134,16 @@ def test_solve_manifest_records_the_grid(pipeline_dir):
     assert (grid["lambda_min"], grid["lambda_max"], grid["lambda_count"]) == (480.0, 570.0, 8)
 
 
+def test_solve_manifest_records_the_blas(pipeline_dir):
+    versions = read_manifest(pipeline_dir / "run" / "manifest.json")["versions"]
+    for key, module in (("numpy_blas", np), ("scipy_blas", scipy)):
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert versions[key] == f"{blas['name']} {blas['version']}"
+    assert versions["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS", "default")
+    assert versions["cpu_count"] == os.cpu_count()
+    assert versions["machine"] == platform.machine()
+
+
 def test_maps_builds_no_forward_system(pipeline_dir, monkeypatch):
     # maps reads only the template and the basis; a kernel table or system would be thrown away
     def refuse(*args, **kwargs):
@@ -144,6 +156,28 @@ def test_maps_builds_no_forward_system(pipeline_dir, monkeypatch):
         "maps", "--preset", "tiny", "--templates", "tpl.pnkt",
         "--coefficients", "run/coefficients.pnku", "--out", "maps_no_system",
     ]) == 0
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_gen_mock_factors_nothing(pipeline_dir, tmp_path, monkeypatch, s):
+    # the cube needs only G and Q; the Gram factorizations are left for the solver
+    args = [
+        "gen-mock", "--preset", "tiny", "--templates", str(pipeline_dir / "tpl.pnkt"),
+        "--s", str(s), "--noise", "0.01", "--seed", "3",
+    ]
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "--out", "plain.pnkd", "--truth", "plain.pnku"]) == 0
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("gen-mock factored a Gram matrix")
+
+    monkeypatch.setattr("pnkr.forward.splu", refuse)
+    monkeypatch.setattr("pnkr.forward.LinearFactor", refuse)
+    assert main([*args, "--out", "cube.pnkd", "--truth", "truth.pnku"]) == 0
+    assert (tmp_path / "cube.pnkd").read_bytes() == (tmp_path / "plain.pnkd").read_bytes()
+    assert (tmp_path / "truth.pnku").read_bytes() == (tmp_path / "plain.pnku").read_bytes()
+    if s == 0:
+        assert (tmp_path / "cube.pnkd").read_bytes() == (pipeline_dir / "cube.pnkd").read_bytes()
 
 
 def test_maps_bad_position(pipeline_dir, monkeypatch, capsys):

@@ -235,7 +235,7 @@ def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
         assert np.array_equal(in_place, got)
         with monkeypatch.context() as m:
             # rank-one correction in row blocks of 3, the last one partial
-            m.setattr(pnkr.solver, "_RANK_ONE_BLOCK", 3 * system.L)
+            m.setattr(pnkr.solver, "_SINGLE_THREAD_MNK", 3 * system.L)
             assert np.array_equal(pnkr_equation_update(system, z, y_r, r, omega), got)
             in_place = z.copy()
             pnkr_equation_update(system, in_place, y_r, r, omega, out=in_place)
@@ -470,6 +470,59 @@ def test_landweber_step_sums_all_corrections(tiny0, tiny0_problem):
     assert landweber_step(quiet, cfg, wide, tiny0, omega=omega) == 0
     assert np.array_equal(quiet.u_k, u)
     assert quiet.k_R == 2
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_landweber_step_updates_the_state_buffers_in_place(tiny0, tiny0_problem, shared):
+    _, data = tiny0_problem
+    rng = np.random.default_rng(21)
+    u = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
+    omega = 1.0 / rho_estimate(tiny0, stacked=True)
+    cfg = SolverConfig(variant="landweber", s=0)
+    a, b = u.copy(), rng.uniform(0.0, 1.0, u.size)
+    state = SolverState(u_k=a, u_km1=a if shared else b)
+    assert landweber_step(state, cfg, data, tiny0, omega=omega) == 1
+    if not shared:
+        assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
+    assert np.array_equal(state.u_km1, u)
+    U = u.reshape(tiny0.N, tiny0.L)
+    A = tiny0.Psi_inv_factor.solve(tiny0.G @ (data.y - U @ tiny0.Q))
+    assert np.array_equal(state.u_k, threshold((U + omega * A @ tiny0.Phi_inv_Q.T).reshape(-1)))
+
+
+@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
+def test_sized_matmul_matches_one_call(fixture_name, request, monkeypatch):
+    system = request.getfixturevalue(fixture_name)
+    rng = np.random.default_rng(24)
+    U = rng.uniform(0.0, 1.0, (system.N, system.L))
+    A = rng.standard_normal((system.N, system.R))
+    products = ((U, system.Q), (A, system.Phi_inv_Q.T))
+    # a row over the cutoff keeps the one threaded call
+    monkeypatch.setattr(pnkr.solver, "_SINGLE_THREAD_MNK", system.L * system.R - 1)
+    for X, B in products:
+        assert np.array_equal(pnkr.solver._sized_matmul(X, B), X @ B)
+    # blocks of 2 rows, the last one partial
+    monkeypatch.setattr(pnkr.solver, "_SINGLE_THREAD_MNK", 2 * system.L * system.R + 1)
+    for X, B in products:
+        expected = X @ B
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(pnkr.solver._sized_matmul(X, B), expected, rtol=0, atol=1e-14 * scale)
+        out = np.empty_like(expected)
+        assert pnkr.solver._sized_matmul(X, B, out=out) is out
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
+def test_sized_solve_equals_per_column_solves(fixture_name, request, monkeypatch):
+    system = request.getfixturevalue(fixture_name)
+    B = system.G @ np.random.default_rng(25).standard_normal((system.N, system.R))
+    factor = system.Psi_inv_factor
+    per_column = np.column_stack([factor.solve(B[:, j]) for j in range(system.R)])
+    assert np.array_equal(pnkr.solver._sized_solve(factor, B), per_column)
+    # chunks of 3 columns, the last one partial
+    monkeypatch.setattr(pnkr.solver, "_SINGLE_THREAD_MNK", 3 * 64 * system.N)
+    assert system.R % 3
+    assert np.array_equal(pnkr.solver._sized_solve(factor, B), per_column)
 
 
 def test_landweber_mixed_gate_sums_every_correction(tiny0, tiny0_problem):
