@@ -405,7 +405,7 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--beta", type=float, default=0.0,
                         help="gradient-penalty weight (s=1 only)")
     parser.add_argument("--omega", type=_omega, default=None,
-                        help="stepsize; 'auto' (default) uses the spectral estimate")
+                        help="stepsize; 'auto' (default) is 1/rho for the exact operator norm rho")
     parser.add_argument("--tau", type=float, default=1.2,
                         help="discrepancy-principle safety factor")
     parser.add_argument("--max-loops", type=int, default=100,
@@ -507,7 +507,9 @@ def _apply_config_file(parser, argv):
     subparser = sub_actions.choices[probe.command]
     actions = {a.dest: a for a in subparser._actions}
     defaults = {}
-    for lineno, raw in enumerate(open(path), start=1):
+    with open(path) as fh:
+        lines = fh.readlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

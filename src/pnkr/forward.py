@@ -56,11 +56,10 @@ __all__ = [
 
 
 class LinearFactor:
-    """Solve-ready factorization of a symmetric positive definite matrix.
+    """Solve-ready sparse LU factorization of a symmetric positive definite matrix.
 
-    Diagonal matrices keep only their reciprocal diagonal; everything
-    else goes through a sparse LU factorization whose triangular factors
-    are stored once and reused.  Explicit inverses are never formed.
+    The triangular factors are stored once and reused; explicit inverses
+    are never formed.
 
     Parameters
     ----------
@@ -82,29 +81,16 @@ class LinearFactor:
         if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
             raise ValueError("matrix to factor must have a positive diagonal")
         self.n = A.shape[0]
-        off = (A - sp.diags(d)).tocsr()
-        off.eliminate_zeros()
-        if off.nnz == 0:
-            self._recip = 1.0 / d
-            self._lu = None
-        else:
-            self._recip = None
-            try:
-                self._lu = splu(A)
-            except RuntimeError as exc:
-                raise ValueError(f"matrix factorization failed: {exc}") from exc
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self._recip is not None
+        try:
+            self._lu = splu(A)
+        except RuntimeError as exc:
+            raise ValueError(f"matrix factorization failed: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for one vector or a stack of columns."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError(f"right-hand side has leading dimension {b.shape[0]}, expected {self.n}")
-        if self._recip is not None:
-            return b * (self._recip if b.ndim == 1 else self._recip[:, None])
         return self._lu.solve(np.ascontiguousarray(b))
 
 
@@ -282,68 +268,24 @@ def sample_norm(system: ForwardSystem, d: np.ndarray) -> float | np.ndarray:
     return np.sqrt(q)
 
 
-def _power_lambda(apply_B, inner, n: int, iters: int, tol: float, seed: int) -> float:
-    # power iteration for an operator self-adjoint and nonnegative in the
-    # metric behind `inner`; returns its largest eigenvalue estimate
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(iters):
-        y = apply_B(x)
-        num = inner(x, y)
-        den = inner(x, x)
-        lam_new = num / den
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        x = y / ny
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
-def rho_estimate(
-    system: ForwardSystem,
-    stacked: bool = False,
-    iters: int = 200,
-    tol: float = 1e-12,
-    seed: int = 0,
-) -> float:
-    """Estimate the largest preconditioned operator eigenvalue.
+def rho_estimate(system: ForwardSystem, stacked: bool = False) -> float:
+    """Largest eigenvalue of the preconditioned operator, in closed form.
 
     With ``stacked=False`` (the per-equation case that bounds Kaczmarz
     stepsizes) the operator ``M^-1 H_r^T N^-1 H_r`` factors as
-    ``(Psi^-1 G) (x) (Phi^-1 q_r q_r^T)``, so its largest eigenvalue is
-    ``lambda_max(Psi^-1 G) * max_r q_r^T Phi^-1 q_r`` with only the
-    spatial factor needing power iteration.  With ``stacked=True`` the
-    full normal operator ``M^-1 sum_r H_r^T N^-1 H_r`` is
-    ``(Psi^-1 G) (x) (Phi^-1 Q Q^T)`` and the second factor is power
-    iterated as well.  Stable stepsizes are ``omega < 2 / rho``.
+    ``(Psi^-1 G) (x) (Phi^-1 q_r q_r^T)``; with ``stacked=True`` the full
+    normal operator ``M^-1 sum_r H_r^T N^-1 H_r`` is
+    ``(Psi^-1 G) (x) (Phi^-1 Q Q^T)``.  ``Psi`` is ``G`` plus
+    beta-weighted gradient terms, which are positive semidefinite and
+    vanish on constants, and constants lie in the spatial span, so
+    ``lambda_max(Psi^-1 G) = 1`` exactly.  What remains is
+    ``max_r q_r^T Phi^-1 q_r`` per equation, and ``lambda_max(Q^T Phi^-1 Q)``,
+    a dense symmetric ``R x R`` eigenproblem, for the stack.  Stable
+    stepsizes are ``omega < 2 / rho``.
     """
-    G = system.G
-    lam_psi = _power_lambda(
-        lambda x: system.Psi_inv_factor.solve(G @ x),
-        lambda a, b: float(a @ (G @ b)),
-        system.N,
-        iters,
-        tol,
-        seed,
-    )
     if not stacked:
-        return lam_psi * float(np.max(system.q_Phi_q))
-    Q = system.Q
-    Phi = system.Phi
-    lam_phi = _power_lambda(
-        lambda x: system.Phi_inv_factor.solve(Q @ (Q.T @ x)),
-        lambda a, b: float(a @ (Phi @ b)),
-        system.L,
-        iters,
-        tol,
-        seed + 1,
-    )
-    return lam_psi * lam_phi
+        return float(np.max(system.q_Phi_q))
+    return float(np.linalg.eigvalsh(system.Q.T @ system.Phi_inv_Q)[-1])
 
 
 # -- separable smoothing stencil ---------------------------------------------

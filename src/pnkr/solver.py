@@ -106,9 +106,9 @@ class SolverConfig:
     """Everything a run needs beyond the assembled system and data.
 
     ``omega is None`` selects the automatic stepsize ``1 / rho`` with
-    ``rho`` the power-iteration estimate of the largest preconditioned
-    operator eigenvalue (per equation for sweep methods, full stack for
-    the summed iteration).  ``stencil is None`` gives the reduced
+    ``rho`` the largest preconditioned operator eigenvalue, computed
+    exactly (per equation for sweep methods, full stack for the summed
+    iteration).  ``stencil is None`` gives the reduced
     variant its default triangle smoothing; the identity stencil makes
     it coincide with the plain Kaczmarz update up to a constant.
     """
@@ -260,8 +260,8 @@ def resolve_omega(config: SolverConfig, system: ForwardSystem) -> float:
     """The stepsize a run will actually use.
 
     An explicit ``config.omega`` wins; otherwise the reciprocal of the
-    estimated preconditioned operator norm, which keeps every variant
-    inside its stability window on any grid scale.
+    exact preconditioned operator norm, which keeps every variant inside
+    its stability window on any grid scale.
     """
     if config.omega is not None:
         return float(config.omega)
@@ -495,8 +495,9 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
     Raises
     ------
     ValueError
-        If the data do not fit the system, or a channel ``r`` has a
-        non-finite sample or a non-finite or negative ``delta_r``.
+        If the data do not fit the system, a channel ``r`` has a
+        non-finite sample or a non-finite or negative ``delta_r``, or the
+        initial guess has a non-finite or negative entry.
     RuntimeError
         If an iterate leaves the finite range or its norm grows by a
         factor 1e6 over the first nonzero iterate, both symptoms of an
@@ -521,11 +522,14 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
         u0 = np.array(config.initial_guess, dtype=float)
         if u0.shape != (M,):
             raise ValueError(f"initial guess has shape {u0.shape}, expected ({M},)")
+        bad = np.flatnonzero(~(np.isfinite(u0) & (u0 >= 0.0)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"initial guess entry {i} is {u0[i]:g}; it must be finite and nonnegative")
     else:
         u0 = np.zeros(M)
     omega = resolve_omega(config, system)
     state = SolverState(u_k=u0, u_km1=u0.copy())
-    state.dp_satisfied = np.zeros(system.R, dtype=bool)
     if u_star is not None:
         u_star = np.asarray(u_star, dtype=float)
         if u_star.shape != (M,):

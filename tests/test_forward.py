@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from pnkr.forward import (
     triangle_kernel,
 )
 from pnkr.grid_basis import build_gram_matrices, make_basis, uniform_axis
+from pnkr.presets import preset_basis, preset_template
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 
 from _oracles import dense_Hr, dense_M, moment_norm, moments_from_samples, samples_from_moments
@@ -206,6 +208,30 @@ def test_rho_estimate_matches_dense_eigenvalues(s):
     np.testing.assert_allclose(rho_estimate(system, stacked=True), want_stacked, rtol=1e-6)
 
 
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("beta", [0.01, 1.0])
+def test_spatial_factor_has_unit_largest_eigenvalue(s, beta):
+    # Psi is G plus PSD gradient terms that vanish on constants, which the spatial span holds
+    grams = build_gram_matrices(preset_basis("tiny", s, beta=beta))
+    lam = scipy.linalg.eigh(grams.G.toarray(), grams.Psi.toarray(), eigvals_only=True)
+    assert abs(lam[-1] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_rho_estimate_is_closed_form(s):
+    basis = preset_basis("tiny", s, beta=1.0)
+    system = build_forward_system(basis, kernel_theta_integrals(preset_template("tiny"), basis))
+    assert rho_estimate(system) == np.max(system.q_Phi_q)
+    Md = dense_M(system)
+    Gd = system.G.toarray()
+    normal = np.zeros_like(Md)
+    for r in range(1, system.R + 1):
+        H = dense_Hr(system, r)
+        normal += H.T @ np.linalg.solve(Gd, H)
+    want = scipy.linalg.eigh(normal, Md, eigvals_only=True)[-1]
+    np.testing.assert_allclose(rho_estimate(system, stacked=True), want, rtol=1e-10)
+
+
 def test_input_validation():
     system, _ = small_system(0)
     M = system.N * system.L
@@ -224,11 +250,9 @@ def test_input_validation():
 def test_linear_factor_paths():
     d = np.array([2.0, 0.5, 4.0])
     f = LinearFactor(sp.diags(d).tocsc())
-    assert f.is_diagonal
     np.testing.assert_allclose(f.solve(np.ones(3)), 1.0 / d, rtol=0, atol=0)
     A = sp.diags([[-1.0, -1.0], [4.0, 4.0, 4.0], [-1.0, -1.0]], [-1, 0, 1]).tocsc()
     f = LinearFactor(A)
-    assert not f.is_diagonal
     rng = np.random.default_rng(10)
     b = rng.standard_normal(3)
     np.testing.assert_allclose(f.solve(b), np.linalg.solve(A.toarray(), b), rtol=1e-12)

@@ -725,6 +725,28 @@ def test_run_rejects_bad_data_naming_the_channel(
 
 
 @pytest.mark.parametrize(
+    "bad, tau, message",
+    [
+        ("nan", 1.2, "initial guess entry 4 is nan"),
+        # every gate holds at the guess, so a run would return it unprojected
+        ("negative", 1e9, "initial guess entry 0 is -1"),
+    ],
+)
+def test_run_rejects_bad_initial_guess_naming_the_entry(
+    tiny0, tiny0_problem, bad, tau, message
+):
+    _, data = tiny0_problem
+    if bad == "nan":
+        u0 = np.zeros(tiny0.N * tiny0.L)
+        u0[[4, 9]] = np.nan
+    else:
+        u0 = np.full(tiny0.N * tiny0.L, -1.0)
+    cfg = SolverConfig(variant="pnkr", s=0, tau=tau, max_loops=1, initial_guess=u0)
+    with pytest.raises(ValueError, match=message):
+        run(cfg, data, tiny0)
+
+
+@pytest.mark.parametrize(
     "variant, sweep, step",
     [
         ("pnkr", "pnkr_sweep", "pnkr_equation_update"),
