@@ -19,8 +19,9 @@ the per-equation update direction is the rank-one matrix
     M^-1 H_r^T N^-1 d = (Psi^-1 G d) (Phi^-1 q_r)^T
 
 for a sample-space residual ``d``; no solve with ``G`` is ever needed.
-``Phi^-1 q_r`` is iterate independent and computed once per system, on
-first use.
+Both factors are fixed products, ``Psi^-1 G`` (dense ``N x N``) and
+``Phi^-1 Q`` (``L x R``), each computed once per system by one sparse LU
+solve, on first use; the sweeps then take only dense products.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ import scipy.sparse as sp
 from scipy.ndimage import convolve1d
 from scipy.sparse.linalg import splu
 
-from .grid_basis import DiscreteBasis, GramMatrices, build_gram_matrices
+from .grid_basis import DiscreteBasis, build_gram_matrices
 
 __all__ = [
-    "LinearFactor",
     "ForwardSystem",
     "SmoothingKernel",
     "build_forward_system",
@@ -48,6 +48,7 @@ __all__ = [
     "solve_M",
     "sample_norm",
     "rho_estimate",
+    "reduced_rho",
     "identity_kernel",
     "triangle_kernel",
     "make_smoothing_kernel",
@@ -55,51 +56,12 @@ __all__ = [
 ]
 
 
-class LinearFactor:
-    """Solve-ready sparse LU factorization of a symmetric positive definite matrix.
-
-    The triangular factors are stored once and reused; explicit inverses
-    are never formed.
-
-    Parameters
-    ----------
-    A : sparse matrix
-        Symmetric positive definite matrix to factor.
-
-    Raises
-    ------
-    ValueError
-        If the matrix is not square, has a non-positive diagonal entry,
-        or the factorization detects singularity.
-    """
-
-    def __init__(self, A: sp.spmatrix) -> None:
-        A = sp.csc_matrix(A)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("matrix to factor must be square")
-        d = A.diagonal()
-        if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-            raise ValueError("matrix to factor must have a positive diagonal")
-        self.n = A.shape[0]
-        try:
-            self._lu = splu(A)
-        except RuntimeError as exc:
-            raise ValueError(f"matrix factorization failed: {exc}") from exc
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` for one vector or a stack of columns."""
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise ValueError(f"right-hand side has leading dimension {b.shape[0]}, expected {self.n}")
-        return self._lu.solve(np.ascontiguousarray(b))
-
-
 @dataclass(frozen=True, eq=False)
 class ForwardSystem:
     """Assembled forward operator for one discretization and template table.
 
-    The factorizations and ``Phi^-1 Q`` are computed on first use and then
-    kept, so a caller that only synthesizes data (``G`` and ``Q``) factors
+    ``Psi^-1 G`` and ``Phi^-1 Q`` are computed on first use and then kept,
+    so a caller that only synthesizes data (``G`` and ``Q``) factors
     nothing.
 
     Attributes
@@ -115,8 +77,9 @@ class ForwardSystem:
     c_N : float
         Mean diagonal of ``G`` (the common cell volume for ``s = 0`` on
         uniform spatial grids).
-    Psi_inv_factor, Phi_inv_factor : LinearFactor
-        Factorizations of ``Psi`` and ``Phi``.
+    Psi_inv_G : ndarray, (N, N)
+        ``Psi^-1 G``, the spatial factor of every equation's update
+        direction; the identity for ``s = 0``.
     Phi_inv_Q : ndarray, (L, R)
         ``Phi^-1 Q``; column ``r`` is the iterate-independent factor of
         equation ``r``'s update direction.
@@ -144,28 +107,20 @@ class ForwardSystem:
         return self.Q.shape[1]
 
     @cached_property
-    def Psi_inv_factor(self) -> LinearFactor:
-        return LinearFactor(self.Psi)
-
-    @cached_property
-    def Phi_inv_factor(self) -> LinearFactor:
-        return LinearFactor(self.Phi)
+    def Psi_inv_G(self) -> np.ndarray:
+        return splu(self.Psi).solve(self.G.toarray())
 
     @cached_property
     def Phi_inv_Q(self) -> np.ndarray:
-        return self.Phi_inv_factor.solve(self.Q)
+        return splu(self.Phi).solve(self.Q)
 
     @cached_property
     def q_Phi_q(self) -> np.ndarray:
         return np.einsum("lr,lr->r", self.Q, self.Phi_inv_Q)
 
 
-def build_forward_system(
-    basis: DiscreteBasis,
-    Q: np.ndarray,
-    grams: GramMatrices | None = None,
-) -> ForwardSystem:
-    """Assemble Gram matrices and kernel columns into a system.
+def build_forward_system(basis: DiscreteBasis, Q: np.ndarray) -> ForwardSystem:
+    """Assemble the basis's Gram matrices and kernel columns into a system.
 
     Parameters
     ----------
@@ -173,17 +128,13 @@ def build_forward_system(
     Q : ndarray
         Kernel integrals, shape ``(L, R)``, as returned by
         :func:`~pnkr.templates.kernel_theta_integrals`.
-    grams : GramMatrices, optional
-        Previously assembled Gram matrices; assembled here if omitted,
-        exactly (see :func:`assemble_gram`).
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != basis.L:
         raise ValueError(f"kernel table has shape {Q.shape}, expected ({basis.L}, R)")
     if not np.all(np.isfinite(Q)):
         raise ValueError("kernel table contains non-finite entries")
-    if grams is None:
-        grams = build_gram_matrices(basis)
+    grams = build_gram_matrices(basis)
     return ForwardSystem(basis=basis, G=grams.G, Q=Q, Psi=grams.Psi, Phi=grams.Phi, c_N=grams.c_N)
 
 
@@ -244,14 +195,14 @@ def apply_M(system: ForwardSystem, u: np.ndarray) -> np.ndarray:
 
 
 def solve_M(system: ForwardSystem, zvec: np.ndarray) -> np.ndarray:
-    """Apply ``M^-1 = Psi^-1 (x) Phi^-1`` through the stored factors.
+    """Apply ``M^-1 = Psi^-1 (x) Phi^-1``.
 
     Solves ``Psi X Phi = Z`` with ``Z = reshape(zvec, (N, L))`` by one
-    factored solve per Kronecker factor; never forms ``M``.
+    sparse LU solve per Kronecker factor; never forms ``M``.
     """
     Z = _as_coefficients(system, zvec).reshape(system.N, system.L)
-    X = system.Psi_inv_factor.solve(Z)
-    X = system.Phi_inv_factor.solve(X.T).T
+    X = splu(system.Psi).solve(Z)
+    X = splu(system.Phi).solve(X.T).T
     return np.ascontiguousarray(X).reshape(-1)
 
 
@@ -339,6 +290,24 @@ def triangle_kernel() -> SmoothingKernel:
     return make_smoothing_kernel([0.25, 0.5, 0.25])
 
 
+def _convolve_axes(arr: np.ndarray, kernel: SmoothingKernel, axes: range) -> np.ndarray:
+    """Convolve the leading axes of ``arr``, one per entry of ``axes``, with those taps.
+
+    Replicate-edge boundary handling; axis ``axes[i]`` of the lattice is
+    axis ``i`` of ``arr``.
+    """
+    for i, ax in enumerate(axes):
+        tap = kernel.taps[ax]
+        if tap.size > arr.shape[i]:
+            raise ValueError(f"tap vector of length {tap.size} is wider than axis {ax} (size {arr.shape[i]})")
+        if tap.size == 1:
+            if tap[0] != 1.0:
+                arr = arr * tap[0]
+            continue
+        arr = convolve1d(arr, tap, axis=i, mode="nearest")
+    return arr
+
+
 def apply_Zs(u: np.ndarray, basis: DiscreteBasis, kernel: SmoothingKernel) -> np.ndarray:
     """Convolve the coefficient lattice with the separable stencil.
 
@@ -347,16 +316,26 @@ def apply_Zs(u: np.ndarray, basis: DiscreteBasis, kernel: SmoothingKernel) -> np
     result is flattened back.  Linear in ``u``.
     """
     u = np.asarray(u, dtype=float)
-    shape5 = basis.shape5
     if u.shape != (basis.N * basis.L,):
         raise ValueError(f"coefficient vector has shape {u.shape}, expected ({basis.N * basis.L},)")
-    arr = u.reshape(shape5)
-    for ax, tap in enumerate(kernel.taps):
-        if tap.size > shape5[ax]:
-            raise ValueError(f"tap vector of length {tap.size} is wider than axis {ax} (size {shape5[ax]})")
-        if tap.size == 1:
-            if tap[0] != 1.0:
-                arr = arr * tap[0]
-            continue
-        arr = convolve1d(arr, tap, axis=ax, mode="nearest")
+    arr = _convolve_axes(u.reshape(basis.shape5), kernel, range(5))
     return np.ascontiguousarray(arr).reshape(-1)
+
+
+def reduced_rho(system: ForwardSystem, kernel: SmoothingKernel) -> float:
+    """Largest eigenvalue of the reduced per-equation operator, in closed form.
+
+    The reduced step of equation ``r`` applies
+    ``c_N^-1 Z_s H_r^T H_r = c_N^-1 (Z_x G^2) (x) (Z_Theta q_r q_r^T)`` with
+    ``Z_x`` and ``Z_Theta`` the stencil's spatial and ``(v, z, t)`` parts.
+    The rank-one factor has the single nonzero eigenvalue
+    ``q_r^T Z_Theta q_r``.  On the piecewise-constant basis ``G`` is
+    diagonal and the stencil's rows sum to 1, so ``Z_x G^2`` has spectral
+    radius ``(max_n G_nn)^2`` when the spatial cells are equal and at
+    most that otherwise.  The result is
+    ``(max_n G_nn)^2 / c_N * max_r q_r^T Z_Theta q_r``.
+    """
+    basis = system.basis
+    ZQ = _convolve_axes(system.Q.reshape(*basis.shape5[2:], system.R), kernel, range(2, 5))
+    g = float(system.G.diagonal().max())
+    return g * g / system.c_N * float(np.max(np.einsum("lr,lr->r", system.Q, ZQ.reshape(system.L, system.R))))

@@ -297,8 +297,8 @@ def row_space_image(u: np.ndarray, system: ForwardSystem) -> np.ndarray:
         raise ValueError(f"coefficient vector has shape {u.shape}, expected ({M},)")
     U = u.reshape(system.N, system.L)
     # N^-1 H_r u = U q_r because the noise Gram is G, so the sum over r
-    # factors as Psi^-1 (G (U Q)) (Phi^-1 Q)^T with no solve with G
-    acc = system.Psi_inv_factor.solve((system.G @ (U @ system.Q)) @ system.Phi_inv_Q.T)
+    # factors as (Psi^-1 G) (U Q) (Phi^-1 Q)^T with no solve with G
+    acc = (system.Psi_inv_G @ (U @ system.Q)) @ system.Phi_inv_Q.T
     return acc.reshape(-1)
 
 

@@ -49,10 +49,10 @@ from scipy.linalg.blas import dgemm
 
 from .forward import (
     ForwardSystem,
-    LinearFactor,
     SmoothingKernel,
     apply_H_all,
     apply_Zs,
+    reduced_rho,
     rho_estimate,
     sample_norm,
     triangle_kernel,
@@ -94,9 +94,10 @@ _PNKU_VERSION = 1
 # OpenBLAS, each with its own worker pool, and threaded calls from the two
 # pools, interleaved, stall: in a desk Landweber run on 2 vCPUs at 2 BLAS
 # threads the 144x448x96 residual product took 0.35 ms at the median but
-# 7.9 ms at the 90th percentile (0.57 ms on one thread).  So the loop's
-# multi-column products and solves run in pieces under this cutoff (see
-# _sized_matmul and _sized_solve), and the rank-one step corrects the
+# 7.9 ms at the 90th percentile (0.57 ms on one thread).  The loop runs no
+# sparse solve (the system stores Psi^-1 G and Phi^-1 Q), but its
+# multi-column numpy products still run in row blocks under this cutoff
+# (see _sized_matmul), and the rank-one step, scipy's dgemm, corrects the
 # iterate in row blocks of at most this many entries (k=1).
 _SINGLE_THREAD_MNK = 262_143
 
@@ -106,11 +107,12 @@ class SolverConfig:
     """Everything a run needs beyond the assembled system and data.
 
     ``omega is None`` selects the automatic stepsize ``1 / rho`` with
-    ``rho`` the largest preconditioned operator eigenvalue, computed
+    ``rho`` the largest eigenvalue of the step's operator, computed
     exactly (per equation for sweep methods, full stack for the summed
-    iteration).  ``stencil is None`` gives the reduced
-    variant its default triangle smoothing; the identity stencil makes
-    it coincide with the plain Kaczmarz update up to a constant.
+    iteration, the smoothed unpreconditioned operator for the reduced
+    variant).  ``stencil is None`` gives the reduced variant its default
+    triangle smoothing; the identity stencil makes it coincide with the
+    plain Kaczmarz update up to a constant.
     """
 
     variant: str = "pnkr"
@@ -260,12 +262,19 @@ def resolve_omega(config: SolverConfig, system: ForwardSystem) -> float:
     """The stepsize a run will actually use.
 
     An explicit ``config.omega`` wins; otherwise the reciprocal of the
-    exact preconditioned operator norm, which keeps every variant inside
-    its stability window on any grid scale.
+    largest eigenvalue of the variant's step operator, which keeps every
+    variant inside its stability window on any grid scale.
     """
     if config.omega is not None:
         return float(config.omega)
+    if config.variant == "reduced_pnkr":
+        return 1.0 / reduced_rho(system, _reduced_stencil(config))
     return 1.0 / rho_estimate(system, stacked=config.variant == "landweber")
+
+
+def _reduced_stencil(config: SolverConfig) -> SmoothingKernel:
+    """The reduced variant's stencil: the configured one, else the triangle."""
+    return config.stencil if config.stencil is not None else triangle_kernel()
 
 
 def _sweep_order(config: SolverConfig, R: int, loop: int) -> np.ndarray:
@@ -280,10 +289,10 @@ def pnkr_equation_update(system: ForwardSystem, z: np.ndarray, y_r: np.ndarray, 
 
     The correction ``M^-1 H_r^T N^-1 (w_r - H_r z)`` is the rank-one
     matrix ``(Psi^-1 G d) (Phi^-1 q_r)^T`` with ``d`` the sample-space
-    residual, so the update costs two small solves and one rank-one
-    update of the coefficient matrix.  The result is written into
-    ``out``, a C-contiguous float array of ``N * L`` entries that may be
-    ``z`` itself; without ``out`` a copy of ``z`` is updated.
+    residual, so the update costs one product with the stored ``Psi^-1 G``
+    and one rank-one update of the coefficient matrix.  The result is
+    written into ``out``, a C-contiguous float array of ``N * L`` entries
+    that may be ``z`` itself; without ``out`` a copy of ``z`` is updated.
     """
     if not 1 <= r <= system.R:
         raise ValueError(f"wavelength index r={r} outside 1..{system.R}")
@@ -291,7 +300,7 @@ def pnkr_equation_update(system: ForwardSystem, z: np.ndarray, y_r: np.ndarray, 
     if out is not None and (out.shape != (N * L,) or out.dtype != np.float64 or not out.flags.c_contiguous):
         raise ValueError(f"out must be a C-contiguous float64 array of shape ({N * L},)")
     d = y_r - z.reshape(N, L) @ system.Q[:, r - 1]
-    a = system.Psi_inv_factor.solve(system.G @ d)
+    a = system.Psi_inv_G @ d
     p = system.Phi_inv_Q[:, r - 1, None]
     if out is None:
         out = np.array(z, dtype=float, order="C").reshape(-1)
@@ -343,19 +352,6 @@ def _sized_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -
     for i in range(0, A.shape[0], rows):
         np.matmul(A[i : i + rows], B, out=out[i : i + rows])
     return out
-
-
-def _sized_solve(factor: LinearFactor, B: np.ndarray) -> np.ndarray:
-    """``factor.solve(B)`` in column chunks that OpenBLAS runs on one thread each.
-
-    SuperLU's triangular solves issue GEMMs of up to ``n`` rows times a
-    supernode's width times the chunk's columns; the chunk width allows
-    supernodes up to 64 wide.  On the tiny and desk factors the result
-    equals per-column solves bitwise; a larger factor's chunks may round
-    differently from one call.
-    """
-    cols = max(1, _SINGLE_THREAD_MNK // (64 * factor.n))
-    return np.hstack([factor.solve(B[:, j : j + cols]) for j in range(0, B.shape[1], cols)])
 
 
 def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData, blk: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -436,7 +432,7 @@ def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data, system: F
     if system.basis.s != 0:
         raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
     data = as_solve_data(data)
-    kernel = config.stencil if config.stencil is not None else triangle_kernel()
+    kernel = _reduced_stencil(config)
 
     def step(blk: slice, D: np.ndarray) -> np.ndarray:
         return reduced_equation_update(system, state.u_k, data.y[:, blk.start], blk.stop, omega, kernel)
@@ -458,7 +454,7 @@ def landweber_step(state: SolverState, config: SolverConfig, data, system: Forwa
         state.u_km1 = state.u_k.copy()
 
     def step(blk: slice, D: np.ndarray) -> np.ndarray:
-        A = omega * _sized_solve(system.Psi_inv_factor, system.G @ D)
+        A = omega * _sized_matmul(system.Psi_inv_G, D)
         out = state.u_km1
         _sized_matmul(A, system.Phi_inv_Q.T, out=out.reshape(system.N, system.L))
         out += state.u_k

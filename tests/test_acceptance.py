@@ -30,7 +30,7 @@ from pnkr.forward import (
     solve_M,
     synthesize_datacube,
 )
-from pnkr.grid_basis import build_gram_matrices, make_basis, uniform_axis
+from pnkr.grid_basis import make_basis, uniform_axis
 from pnkr.mock import (
     add_noise,
     default_components,
@@ -159,7 +159,7 @@ def test_criterion_02_dense_oracle_equivalence():
         assert basis.N <= 9 and basis.L <= 12
         rng = np.random.default_rng(10 + s)
         Q = rng.standard_normal((basis.L, 5))
-        system = build_forward_system(basis, Q, grams=build_gram_matrices(basis))
+        system = build_forward_system(basis, Q)
         Md = dense_M(system)
         for r in (1, 3, system.R):
             Hd = dense_Hr(system, r)

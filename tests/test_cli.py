@@ -172,7 +172,6 @@ def test_gen_mock_factors_nothing(pipeline_dir, tmp_path, monkeypatch, s):
         raise RuntimeError("gen-mock factored a Gram matrix")
 
     monkeypatch.setattr("pnkr.forward.splu", refuse)
-    monkeypatch.setattr("pnkr.forward.LinearFactor", refuse)
     assert main([*args, "--out", "cube.pnkd", "--truth", "truth.pnku"]) == 0
     assert (tmp_path / "cube.pnkd").read_bytes() == (tmp_path / "plain.pnkd").read_bytes()
     assert (tmp_path / "truth.pnku").read_bytes() == (tmp_path / "plain.pnku").read_bytes()

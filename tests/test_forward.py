@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnkr.forward import (
-    LinearFactor,
     apply_H_all,
     apply_Hr,
     apply_Hr_T,
@@ -17,13 +15,14 @@ from pnkr.forward import (
     build_forward_system,
     identity_kernel,
     make_smoothing_kernel,
+    reduced_rho,
     rho_estimate,
     sample_norm,
     solve_M,
     synthesize_datacube,
     triangle_kernel,
 )
-from pnkr.grid_basis import build_gram_matrices, make_basis, uniform_axis
+from pnkr.grid_basis import build_gram_matrices, geometric_axis, make_basis, uniform_axis
 from pnkr.presets import preset_basis, preset_template
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 
@@ -45,7 +44,7 @@ def small_system(s, R=5, seed=0):
     grams = build_gram_matrices(basis)
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((basis.L, R))
-    return build_forward_system(basis, Q, grams=grams), grams
+    return build_forward_system(basis, Q), grams
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -166,7 +165,7 @@ def test_nonnegative_cube_from_kernel_table(s):
     template = build_template_grid(480.0, 570.0, 16, 1100.0, np.linspace(-2.6, 0.3, 5), np.linspace(0.5, 14.0, 6))
     Q = kernel_theta_integrals(template, basis)
     assert np.all(Q >= 0.0)
-    system = build_forward_system(basis, Q, grams=build_gram_matrices(basis))
+    system = build_forward_system(basis, Q)
     rng = np.random.default_rng(8)
     u = rng.random(basis.N * basis.L)
     assert np.all(synthesize_datacube(system, u) >= 0.0)
@@ -247,19 +246,15 @@ def test_input_validation():
         build_forward_system(system.basis, np.zeros((3, 4)))
 
 
-def test_linear_factor_paths():
-    d = np.array([2.0, 0.5, 4.0])
-    f = LinearFactor(sp.diags(d).tocsc())
-    np.testing.assert_allclose(f.solve(np.ones(3)), 1.0 / d, rtol=0, atol=0)
-    A = sp.diags([[-1.0, -1.0], [4.0, 4.0, 4.0], [-1.0, -1.0]], [-1, 0, 1]).tocsc()
-    f = LinearFactor(A)
-    rng = np.random.default_rng(10)
-    b = rng.standard_normal(3)
-    np.testing.assert_allclose(f.solve(b), np.linalg.solve(A.toarray(), b), rtol=1e-12)
-    with pytest.raises(ValueError):
-        LinearFactor(sp.diags([0.0, 1.0]).tocsc())
-    with pytest.raises(ValueError):
-        LinearFactor(sp.csc_matrix((2, 3)))
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("beta", [0.01, 1.0])
+def test_psi_inv_G_matches_dense_solve(s, beta):
+    basis = preset_basis("tiny", s, beta=beta)
+    system = build_forward_system(basis, kernel_theta_integrals(preset_template("tiny"), basis))
+    want = np.linalg.solve(system.Psi.toarray(), system.G.toarray())
+    np.testing.assert_allclose(system.Psi_inv_G, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    if s == 0:
+        assert np.array_equal(system.Psi_inv_G, np.eye(system.N))
 
 
 # -- smoothing stencil -------------------------------------------------------
@@ -322,6 +317,29 @@ def test_apply_Zs_width_error():
     basis = make_basis(0, omega, theta)
     with pytest.raises(ValueError):
         apply_Zs(np.zeros(basis.N * basis.L), basis, triangle_kernel())
+
+
+@pytest.mark.parametrize("kernel", [triangle_kernel(), identity_kernel()], ids=["triangle", "identity"])
+def test_reduced_rho_matches_dense_spectral_radius(kernel):
+    # every theta axis has at least the triangle's 3 cells; t is geometric
+    omega = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 5))
+    theta = (uniform_axis(-1000.0, 1000.0, 5), uniform_axis(-2.0, 0.0, 4), geometric_axis(1.0, 13.0, 4))
+    basis = make_basis(0, omega, theta)
+    rng = np.random.default_rng(14)
+    system = build_forward_system(basis, rng.random((basis.L, 4)))
+    NL = basis.N * basis.L
+    Gd = system.G.toarray()
+    radii = []
+    for r in range(1, system.R + 1):
+        # the reduced step's operator c_N^-1 Z_s H_r^T H_r, column by column
+        T = np.empty((NL, NL))
+        for i in range(NL):
+            U = np.zeros((basis.N, basis.L))
+            U.flat[i] = 1.0
+            raw = np.outer(Gd @ (Gd @ (U @ system.Q[:, r - 1])), system.Q[:, r - 1]).reshape(-1)
+            T[:, i] = apply_Zs(raw, basis, kernel) / system.c_N
+        radii.append(np.abs(np.linalg.eigvals(T)).max())
+    np.testing.assert_allclose(reduced_rho(system, kernel), max(radii), rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pnkr.forward import build_forward_system, sample_norm, synthesize_datacube
-from pnkr.grid_basis import axis_weights, build_gram_matrices, make_basis, uniform_axis
+from pnkr.grid_basis import axis_weights, make_basis, uniform_axis
 from pnkr.mock import (
     ComponentSpec,
     DataCube,
@@ -45,7 +45,7 @@ def tiny_system(s=0, R=6, seed=0):
     basis = tiny_basis(s)
     rng = np.random.default_rng(seed)
     Q = np.abs(rng.standard_normal((basis.L, R))) + 0.1
-    return build_forward_system(basis, Q, grams=build_gram_matrices(basis))
+    return build_forward_system(basis, Q)
 
 
 def test_default_fractions():
@@ -149,7 +149,7 @@ def test_noise_level_realized():
     rng = np.random.default_rng(4)
     R = 96
     Q = np.abs(rng.standard_normal((basis.L, R))) + 0.1
-    system = build_forward_system(basis, Q, grams=build_gram_matrices(basis))
+    system = build_forward_system(basis, Q)
     y = rng.random((system.N, R)) + 0.2
     y_norm = float(np.sqrt(np.sum(np.atleast_1d(sample_norm(system, y)) ** 2)))
     ratios = []

@@ -40,3 +40,21 @@ def test_package_never_imports_test_code():
             else:
                 continue
             assert not TEST_MODULES & set(roots), f"{path.name} imports test code: {roots}"
+
+
+def test_benchmark_trace_patches_resolve():
+    # the benchmark tracer looks up every patched (module, attribute) by name
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    patches = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "PATCHES" for t in node.targets)
+    )
+    pinned = [
+        (entry.elts[0].value, entry.elts[1].value)
+        for entry in patches.elts
+        if isinstance(entry.elts[0], ast.Constant) and entry.elts[0].value.startswith("pnkr.")
+    ]
+    assert pinned
+    for module, attr in pinned:
+        assert hasattr(importlib.import_module(module), attr), f"perfbench traces missing {module}.{attr}"

@@ -12,10 +12,12 @@ from hypothesis.extra import numpy as hnp
 from pnkr.forward import (
     build_forward_system,
     identity_kernel,
+    reduced_rho,
     sample_norm,
     synthesize_datacube,
+    triangle_kernel,
 )
-from pnkr.grid_basis import build_gram_matrices, make_basis, uniform_axis
+from pnkr.grid_basis import make_basis, uniform_axis
 from pnkr.mock import add_noise, default_components, evaluate_ground_truth
 import pnkr.solver
 from pnkr.solver import (
@@ -61,7 +63,7 @@ def tiny_template():
 def _tiny_system(s, template, beta=0.0):
     basis = make_basis(s, OMEGA_GRIDS, THETA_GRIDS, beta=beta)
     table = kernel_theta_integrals(template, basis)
-    return build_forward_system(basis, table, grams=build_gram_matrices(basis))
+    return build_forward_system(basis, table)
 
 
 @pytest.fixture(scope="module")
@@ -486,8 +488,8 @@ def test_landweber_step_updates_the_state_buffers_in_place(tiny0, tiny0_problem,
         assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
     assert np.array_equal(state.u_km1, u)
     U = u.reshape(tiny0.N, tiny0.L)
-    A = tiny0.Psi_inv_factor.solve(tiny0.G @ (data.y - U @ tiny0.Q))
-    assert np.array_equal(state.u_k, threshold((U + omega * A @ tiny0.Phi_inv_Q.T).reshape(-1)))
+    A = omega * (tiny0.Psi_inv_G @ (data.y - U @ tiny0.Q))
+    assert np.array_equal(state.u_k, threshold((U + A @ tiny0.Phi_inv_Q.T).reshape(-1)))
 
 
 @pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
@@ -510,19 +512,6 @@ def test_sized_matmul_matches_one_call(fixture_name, request, monkeypatch):
         out = np.empty_like(expected)
         assert pnkr.solver._sized_matmul(X, B, out=out) is out
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * scale)
-
-
-@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
-def test_sized_solve_equals_per_column_solves(fixture_name, request, monkeypatch):
-    system = request.getfixturevalue(fixture_name)
-    B = system.G @ np.random.default_rng(25).standard_normal((system.N, system.R))
-    factor = system.Psi_inv_factor
-    per_column = np.column_stack([factor.solve(B[:, j]) for j in range(system.R)])
-    assert np.array_equal(pnkr.solver._sized_solve(factor, B), per_column)
-    # chunks of 3 columns, the last one partial
-    monkeypatch.setattr(pnkr.solver, "_SINGLE_THREAD_MNK", 3 * 64 * system.N)
-    assert system.R % 3
-    assert np.array_equal(pnkr.solver._sized_solve(factor, B), per_column)
 
 
 def test_landweber_mixed_gate_sums_every_correction(tiny0, tiny0_problem):
@@ -635,11 +624,25 @@ def test_reduced_identity_trajectory_matches_plain_kaczmarz(tiny0, tiny0_problem
     np.testing.assert_allclose(reduced.u, plain.u, rtol=0, atol=1e-10 * scale)
 
 
+def test_reduced_default_stepsize_leaves_the_zero_iterate(tiny_template):
+    # at 1/rho of the preconditioned operator every reduced step overshot
+    # and the projection returned the iterate to exactly zero; the default
+    # triangle stencil needs 3 cells on every axis, which tiny's z axis lacks
+    theta = (THETA_GRIDS[0], uniform_axis(-2.0, 0.0, 4), uniform_axis(1.0, 13.0, 4))
+    basis = make_basis(0, OMEGA_GRIDS, theta)
+    system = build_forward_system(basis, kernel_theta_integrals(tiny_template, basis))
+    y = synthesize_datacube(system, evaluate_ground_truth(default_components(), basis))
+    noisy = add_noise(system, y, 0.01, seed=7)
+    data = SolveData(y=noisy.y_noisy, delta_r=noisy.delta_r)
+    res = run(SolverConfig(variant="reduced_pnkr", s=0, max_loops=10, seed=0), data, system)
+    assert res.omega == 1.0 / reduced_rho(system, triangle_kernel())
+    at_zero = float(np.linalg.norm(sample_norm(system, data.y)))
+    assert res.total_updates > 0
+    assert res.history[-1].data_residual < at_zero
+
+
 def test_single_channel_contraction_is_exact(tiny0):
-    grams = build_gram_matrices(tiny0.basis)
-    sys1 = build_forward_system(
-        tiny0.basis, np.ascontiguousarray(tiny0.Q[:, :1]), grams=grams
-    )
+    sys1 = build_forward_system(tiny0.basis, np.ascontiguousarray(tiny0.Q[:, :1]))
     rng = np.random.default_rng(5)
     u_true = rng.uniform(0.0, 1.0, sys1.N * sys1.L)
     y = _consistent_columns(sys1, u_true)
