@@ -31,12 +31,22 @@ projecting.
 
 The pnkr, Landweber-Kaczmarz and Landweber steps update the iterate in
 place: ``SolverState.u_k`` and ``SolverState.u_km1`` are two buffers that
-each step reuses.  The momentum point (or the Landweber correction) is
-built in the ``u_km1`` buffer, the projected step overwrites it, and the
-commit swaps the two, so no array of the iterate's size is allocated per
-step.  A caller that keeps the arrays it put into a state must copy them
-first.  After the finite check raises ``RuntimeError`` the contents of
-both buffers are undefined.
+each step reuses.  The new iterate is built in the ``u_km1`` buffer and
+the commit swaps the two, so no array of the iterate's size is allocated
+per step.  A caller that keeps the arrays it put into a state must copy
+them first.  After the finite check raises ``RuntimeError`` the contents
+of both buffers are undefined.
+
+A Kaczmarz step is memory-bound on large grids, so it runs in two phases
+over row blocks of the coefficient matrix small enough to stay in L2
+(``_STEP_BLOCK_ENTRIES``).  Phase 1 forms each block's momentum point
+(or, without momentum, its copy of ``u_k``) in the ``u_km1`` buffer.
+Between the phases one whole-array matrix-vector product gives the
+residual ``d`` and the coefficient ``Psi^-1 G d`` of the correction.
+Phase 2 applies each block's rank-one correction, projects it and takes
+its maximum while the block is still in cache.  Every step reports the
+maximum of its projected iterate, and the sweep driver's finite check
+reads that instead of making a pass of its own.
 """
 
 from __future__ import annotations
@@ -68,7 +78,6 @@ __all__ = [
     "RunResult",
     "threshold",
     "nesterov_extrapolate",
-    "equation_residual_norm",
     "resolve_omega",
     "as_solve_data",
     "pnkr_equation_update",
@@ -97,9 +106,15 @@ _PNKU_VERSION = 1
 # 7.9 ms at the 90th percentile (0.57 ms on one thread).  The loop runs no
 # sparse solve (the system stores Psi^-1 G and Phi^-1 Q), but its
 # multi-column numpy products still run in row blocks under this cutoff
-# (see _sized_matmul), and the rank-one step, scipy's dgemm, corrects the
-# iterate in row blocks of at most this many entries (k=1).
+# (see _sized_matmul).
 _SINGLE_THREAD_MNK = 262_143
+
+# Entries of one row block of the iterate in the two-phase Kaczmarz step:
+# 768 KiB of float64, which stays in a 1-4 MiB L2 next to the other
+# operands.  A paper-scale iterate (625 x 2808) runs in blocks of 35 rows;
+# a desk-scale one (144 x 448) is one block.  It is below
+# _SINGLE_THREAD_MNK, so the rank-one dgemm of a block runs on one thread.
+_STEP_BLOCK_ENTRIES = 98_304
 
 
 @dataclass(eq=False)
@@ -179,9 +194,12 @@ class SolverState:
 
     The pnkr, Landweber-Kaczmarz and Landweber steps write into ``u_k``
     and ``u_km1`` in place: each step builds its new iterate in the
-    ``u_km1`` buffer and the commit swaps the two arrays.  Copy the
-    arrays before handing them in if they must survive the sweep.  After
-    a ``RuntimeError`` from the finite check both are undefined.
+    ``u_km1`` buffer and the commit swaps the two arrays.  A Kaczmarz
+    step does so in two phases over row blocks: the first overwrites
+    each block of ``u_km1`` with the momentum point (or a copy of
+    ``u_k``), the second corrects and projects it.  Copy the arrays
+    before handing them in if they must survive the sweep.  After a
+    ``RuntimeError`` from the finite check both are undefined.
     """
 
     u_k: np.ndarray
@@ -245,19 +263,6 @@ def nesterov_extrapolate(u_k: np.ndarray, u_km1: np.ndarray, k_R: int, out: np.n
     return out
 
 
-def equation_residual_norm(system: ForwardSystem, u: np.ndarray, data, r: int) -> float:
-    """Data-space residual norm of one equation at ``u``.
-
-    Computed on sample vectors, where the noise-metric quadratic form of
-    the moment residual reduces to the plain data-space norm.
-    """
-    data = as_solve_data(data)
-    if not 1 <= r <= system.R:
-        raise ValueError(f"wavelength index r={r} outside 1..{system.R}")
-    _, norms = _block_residual(system, np.asarray(u, dtype=float), data, slice(r - 1, r))
-    return float(norms[0])
-
-
 def resolve_omega(config: SolverConfig, system: ForwardSystem) -> float:
     """The stepsize a run will actually use.
 
@@ -284,35 +289,63 @@ def _sweep_order(config: SolverConfig, R: int, loop: int) -> np.ndarray:
     return rng.permutation(R) + 1
 
 
-def pnkr_equation_update(system: ForwardSystem, z: np.ndarray, y_r: np.ndarray, r: int, omega: float, out: np.ndarray | None = None) -> np.ndarray:
-    """One projected preconditioned step of equation ``r`` taken at ``z``.
+def _row_blocks(N: int, L: int) -> list[slice]:
+    """Row blocks of an ``N x L`` iterate of at most ``_STEP_BLOCK_ENTRIES`` entries each.
 
-    The correction ``M^-1 H_r^T N^-1 (w_r - H_r z)`` is the rank-one
-    matrix ``(Psi^-1 G d) (Phi^-1 q_r)^T`` with ``d`` the sample-space
-    residual, so the update costs one product with the stored ``Psi^-1 G``
-    and one rank-one update of the coefficient matrix.  The result is
-    written into ``out``, a C-contiguous float array of ``N * L`` entries
-    that may be ``z`` itself; without ``out`` a copy of ``z`` is updated.
+    A row longer than the budget is a block of its own.
+    """
+    rows = max(1, _STEP_BLOCK_ENTRIES // L)
+    return [slice(n0, min(n0 + rows, N)) for n0 in range(0, N, rows)]
+
+
+def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, y_r: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None) -> tuple[np.ndarray, float]:
+    """One projected preconditioned step of equation ``r``; returns ``(iterate, peak)``.
+
+    The step is taken at ``z = u``, or, given the loop counter ``k_R``,
+    at the momentum point of ``u`` and the previous iterate, which
+    ``out`` must then hold.  The correction ``M^-1 H_r^T N^-1 (w_r - H_r z)``
+    is the rank-one matrix ``(Psi^-1 G d) (Phi^-1 q_r)^T`` with ``d`` the
+    sample-space residual, so it costs one product with the stored
+    ``Psi^-1 G`` and one rank-one update of the coefficient matrix.
+
+    Two phases run over the row blocks of :func:`_row_blocks`: the first
+    writes each block of ``z`` into ``out``; after one matrix-vector
+    product over the whole of ``z`` gives ``d`` (a blocked one would
+    round differently with the block height), the second corrects,
+    projects and takes the maximum of each block.  ``peak`` is thus the
+    maximum of the new iterate, NaN if it holds a NaN.
+
+    ``out`` is a C-contiguous float64 array of ``N * L`` entries.
+    Without ``k_R`` it may be ``u`` itself, or omitted for a fresh
+    array; with ``k_R`` it must not overlap ``u``.
     """
     if not 1 <= r <= system.R:
         raise ValueError(f"wavelength index r={r} outside 1..{system.R}")
     N, L = system.N, system.L
-    if out is not None and (out.shape != (N * L,) or out.dtype != np.float64 or not out.flags.c_contiguous):
+    if out is None:
+        if k_R is not None:
+            raise ValueError("a momentum step needs the previous iterate in out")
+        out = np.empty(N * L)
+    elif out.shape != (N * L,) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape ({N * L},)")
-    d = y_r - z.reshape(N, L) @ system.Q[:, r - 1]
+    U, O = np.asarray(u, dtype=float).reshape(N, L), out.reshape(N, L)
+    blocks = _row_blocks(N, L)
+    for blk in blocks:
+        if k_R is not None:
+            nesterov_extrapolate(U[blk], O[blk], k_R, out=O[blk])
+        elif out is not u:
+            np.copyto(O[blk], U[blk])
+    d = y_r - O @ system.Q[:, r - 1]
     a = system.Psi_inv_G @ d
     p = system.Phi_inv_Q[:, r - 1, None]
-    if out is None:
-        out = np.array(z, dtype=float, order="C").reshape(-1)
-    elif out is not z:
-        np.copyto(out, z.reshape(-1))
-    O = out.reshape(N, L)
-    # O[n, l] += omega a[n] p[l], written in place through the Fortran-ordered view O[rows].T
-    rows = max(1, _SINGLE_THREAD_MNK // L)
-    for n0 in range(0, N, rows):
-        blk = slice(n0, n0 + rows)
-        dgemm(omega, p, a[None, blk], beta=1.0, c=O[blk].T, overwrite_c=1)
-    return threshold(out, out=out)
+    peaks = np.empty(len(blocks))
+    for i, blk in enumerate(blocks):
+        B = O[blk]
+        # B[n, l] += omega a[n] p[l], written in place through the Fortran-ordered view B.T
+        dgemm(omega, p, a[None, blk], beta=1.0, c=B.T, overwrite_c=1)
+        threshold(B, out=B)
+        peaks[i] = B.max()
+    return out, float(peaks.max())
 
 
 def reduced_equation_update(
@@ -370,8 +403,9 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
 
     A block is a slice of equations.  Its residual ``D`` at ``u_k``
     gates it: when every equation in the block meets ``tau delta_r`` the
-    block is skipped, otherwise ``step(blk, D)`` returns the new iterate,
-    which is checked and committed.  ``k_R`` advances once at the end.
+    block is skipped, otherwise ``step(blk, D)`` returns the new iterate
+    and its maximum; a non-finite maximum raises, else the iterate is
+    committed.  ``k_R`` advances once at the end.
     """
     if state.dp_satisfied is None:
         state.dp_satisfied = np.zeros(system.R, dtype=bool)
@@ -384,9 +418,9 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
             state.dp_satisfied[blk] = satisfied
             if satisfied.all():
                 continue
-            u_new = step(blk, D)
-            # steps return projected iterates (never -inf), so one max reduction sees any inf or nan
-            if not np.isfinite(u_new.max()):
+            u_new, peak = step(blk, D)
+            # steps project their iterates (never -inf) and report the max, which sees any inf or nan
+            if not np.isfinite(peak):
                 raise RuntimeError(f"iterate became non-finite; the stepsize omega={omega:g} is too large for this system")
             state.u_km1 = state.u_k
             state.u_k = u_new
@@ -415,14 +449,10 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSy
     if np.may_share_memory(state.u_k, state.u_km1):
         state.u_km1 = state.u_k.copy()
 
-    def step(blk: slice, D: np.ndarray) -> np.ndarray:
-        # the momentum point goes into the u_km1 buffer; the commit swaps it in as u_k
-        if momentum:
-            z = nesterov_extrapolate(state.u_k, state.u_km1, state.k_R, out=state.u_km1)
-        else:
-            z = state.u_km1
-            np.copyto(z, state.u_k)
-        return pnkr_equation_update(system, z, data.y[:, blk.start], blk.stop, omega, out=z)
+    def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
+        # the step is built in the u_km1 buffer; the commit swaps it in as u_k
+        k_R = state.k_R if momentum else None
+        return pnkr_equation_update(system, state.u_k, data.y[:, blk.start], blk.stop, omega, out=state.u_km1, k_R=k_R)
 
     return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
 
@@ -434,8 +464,9 @@ def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data, system: F
     data = as_solve_data(data)
     kernel = _reduced_stencil(config)
 
-    def step(blk: slice, D: np.ndarray) -> np.ndarray:
-        return reduced_equation_update(system, state.u_k, data.y[:, blk.start], blk.stop, omega, kernel)
+    def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
+        u_new = reduced_equation_update(system, state.u_k, data.y[:, blk.start], blk.stop, omega, kernel)
+        return u_new, u_new.max()
 
     return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
 
@@ -453,12 +484,13 @@ def landweber_step(state: SolverState, config: SolverConfig, data, system: Forwa
     if np.may_share_memory(state.u_k, state.u_km1):
         state.u_km1 = state.u_k.copy()
 
-    def step(blk: slice, D: np.ndarray) -> np.ndarray:
+    def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
         A = omega * _sized_matmul(system.Psi_inv_G, D)
         out = state.u_km1
         _sized_matmul(A, system.Phi_inv_Q.T, out=out.reshape(system.N, system.L))
         out += state.u_k
-        return threshold(out, out=out)
+        threshold(out, out=out)
+        return out, out.max()
 
     return _gated_sweep(state, config, data, system, omega, [slice(0, system.R)], step)
 

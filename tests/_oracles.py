@@ -3,7 +3,9 @@
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from pnkr.forward import sample_norm
 from pnkr.grid_basis import _breakpoints
+from pnkr.solver import as_solve_data
 from pnkr.templates import C_LIGHT, _interp_hats, _v_segments
 
 
@@ -147,6 +149,21 @@ def dense_Hr(system, r):
 def dense_M(system):
     """Reconstruction-space Gram ``M = Psi (x) Phi`` as a dense array."""
     return np.kron(system.Psi.toarray(), system.Phi.toarray())
+
+
+def equation_residual_norm(system, u, data, r):
+    """Data-space residual norm of equation ``r`` (1-based) at ``u``.
+
+    Computed on sample vectors, where the noise-metric quadratic form of
+    the moment residual reduces to the plain data-space norm; the same
+    products as the solver's one-equation gate.
+    """
+    data = as_solve_data(data)
+    if not 1 <= r <= system.R:
+        raise ValueError(f"wavelength index r={r} outside 1..{system.R}")
+    U = np.asarray(u, dtype=float).reshape(system.N, system.L)
+    D = data.y[:, r - 1 : r] - U @ system.Q[:, r - 1 : r]
+    return float(sample_norm(system, D)[0])
 
 
 def dense_stacked_operator(system):

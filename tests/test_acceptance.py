@@ -42,7 +42,6 @@ from pnkr.presets import preset_basis, preset_template
 from pnkr.solver import (
     SolveData,
     SolverConfig,
-    equation_residual_norm,
     nesterov_extrapolate,
     pnkr_equation_update,
     reduced_equation_update,
@@ -50,7 +49,7 @@ from pnkr.solver import (
 )
 from pnkr.templates import C_LIGHT, build_template_grid, kernel_eval, kernel_theta_integrals
 
-from _oracles import dense_Hr, dense_M
+from _oracles import dense_Hr, dense_M, equation_residual_norm
 
 
 def _verdict(num: int, ok: bool, detail: str) -> str:
@@ -274,7 +273,7 @@ def test_criterion_06_reduced_identity_consistency():
     for k_R in (1, 2, 3):
         for r in range(1, system.R + 1):
             z = nesterov_extrapolate(u_k, u_km1, k_R)
-            plain = pnkr_equation_update(system, z, y[:, r - 1], r, omega)
+            plain, _ = pnkr_equation_update(system, z, y[:, r - 1], r, omega)
             reduced = reduced_equation_update(
                 system, z, y[:, r - 1], r, omega / c_M, identity_kernel()
             )

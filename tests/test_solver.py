@@ -25,7 +25,6 @@ from pnkr.solver import (
     SolverConfig,
     SolverState,
     as_solve_data,
-    equation_residual_norm,
     landweber_step,
     nesterov_extrapolate,
     pnkr_equation_update,
@@ -43,7 +42,7 @@ from pnkr.solver import (
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 from pnkr.forward import rho_estimate
 
-from _oracles import dense_Hr, dense_M
+from _oracles import dense_Hr, dense_M, equation_residual_norm
 
 OMEGA_GRIDS = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
 THETA_GRIDS = (
@@ -231,14 +230,15 @@ def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
     G_dense = system.G.toarray()
     M_dense = dense_M(system)
     for r in (1, system.R // 2, system.R):
-        got = pnkr_equation_update(system, z, y_r, r, omega)
+        got, peak = pnkr_equation_update(system, z, y_r, r, omega)
+        assert peak == got.max()
         in_place = z.copy()
-        assert pnkr_equation_update(system, in_place, y_r, r, omega, out=in_place) is in_place
+        assert pnkr_equation_update(system, in_place, y_r, r, omega, out=in_place)[0] is in_place
         assert np.array_equal(in_place, got)
         with monkeypatch.context() as m:
-            # rank-one correction in row blocks of 3, the last one partial
-            m.setattr(pnkr.solver, "_SINGLE_THREAD_MNK", 3 * system.L)
-            assert np.array_equal(pnkr_equation_update(system, z, y_r, r, omega), got)
+            # both phases in row blocks of 2, the last one partial
+            m.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", 2 * system.L)
+            assert np.array_equal(pnkr_equation_update(system, z, y_r, r, omega)[0], got)
             in_place = z.copy()
             pnkr_equation_update(system, in_place, y_r, r, omega, out=in_place)
             assert np.array_equal(in_place, got)
@@ -253,6 +253,54 @@ def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
         pnkr_equation_update(system, z, y_r, 0, omega)
 
 
+def test_row_blocks_cover_every_row_once_within_budget():
+    budget = pnkr.solver._STEP_BLOCK_ENTRIES
+    assert pnkr.solver._row_blocks(144, 448) == [slice(0, 144)]
+    blocks = pnkr.solver._row_blocks(625, 2808)
+    assert len(blocks) > 1
+    assert all(0 < (b.stop - b.start) * 2808 <= budget for b in blocks)
+    assert [n for b in blocks for n in range(b.start, b.stop)] == list(range(625))
+    # a row longer than the budget is a block of its own
+    assert pnkr.solver._row_blocks(3, budget + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
+@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
+@pytest.mark.parametrize("rows", [2, 3])
+def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request, monkeypatch):
+    system = request.getfixturevalue(fixture_name)
+    M = system.N * system.L
+    rng = np.random.default_rng(31)
+    u_k = rng.uniform(0.0, 1.0, M)
+    u_km1 = rng.uniform(0.0, 1.0, M)
+    y_r = rng.uniform(0.0, 1e-3, system.N)
+    omega = 0.9 / rho_estimate(system)
+    for r in (1, system.R):
+        # reference: the unblocked composition, momentum point then a one-block step
+        monkeypatch.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", M)
+        plain = {None: pnkr_equation_update(system, u_k, y_r, r, omega)}
+        for k_R in (1, 2, 5):
+            z = nesterov_extrapolate(u_k, u_km1, k_R)
+            plain[k_R] = pnkr_equation_update(system, z, y_r, r, omega, out=z)
+        monkeypatch.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", rows * system.L)
+        assert len(pnkr.solver._row_blocks(system.N, system.L)) > 1
+        for k_R in (1, 2, 5):
+            buf = u_km1.copy()
+            got, peak = pnkr_equation_update(system, u_k, y_r, r, omega, out=buf, k_R=k_R)
+            assert got is buf
+            assert np.array_equal(got, plain[k_R][0]) and peak == plain[k_R][1]
+        fresh, peak = pnkr_equation_update(system, u_k, y_r, r, omega)
+        assert np.array_equal(fresh, plain[None][0]) and peak == plain[None][1]
+        in_place = u_k.copy()
+        for u, buf in ((in_place, in_place), (u_k, u_km1.copy())):
+            got, peak = pnkr_equation_update(system, u, y_r, r, omega, out=buf)
+            assert got is buf
+            assert np.array_equal(got, plain[None][0]) and peak == plain[None][1]
+    with pytest.raises(ValueError, match="previous iterate"):
+        pnkr_equation_update(system, u_k, y_r, 1, omega, k_R=2)
+    with pytest.raises(ValueError, match="overlap"):
+        pnkr_equation_update(system, u_k, y_r, 1, omega, out=u_k, k_R=2)
+
+
 def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
     _, data = tiny0_problem
     rng = np.random.default_rng(9)
@@ -260,7 +308,7 @@ def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
     omega = 1.0 / rho_estimate(tiny0)
     c_M = tiny0.c_N * tiny0.Phi.diagonal()[0]
     for r in range(1, tiny0.R + 1):
-        plain = pnkr_equation_update(tiny0, z, data.y[:, r - 1], r, omega)
+        plain, _ = pnkr_equation_update(tiny0, z, data.y[:, r - 1], r, omega)
         reduced = reduced_equation_update(
             tiny0, z, data.y[:, r - 1], r, omega / c_M, identity_kernel()
         )
@@ -333,7 +381,7 @@ def test_update_taken_at_momentum_point(tiny0, tiny0_problem):
     updates = pnkr_sweep(state, cfg, gated, tiny0, omega=omega)
     assert updates == 1
     z = nesterov_extrapolate(u_k, u_km1, 3)
-    expected = pnkr_equation_update(tiny0, z, data.y[:, r0 - 1], r0, omega)
+    expected, _ = pnkr_equation_update(tiny0, z, data.y[:, r0 - 1], r0, omega)
     assert np.array_equal(state.u_k, expected)
     assert np.array_equal(state.u_km1, u_k)
     assert state.k == 1
@@ -357,7 +405,7 @@ def test_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, momentum
     assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
     assert np.array_equal(state.u_km1, u_k)
     z = nesterov_extrapolate(u_k, u_km1, 3) if momentum else u_k
-    assert np.array_equal(state.u_k, pnkr_equation_update(tiny0, z, data.y[:, r0 - 1], r0, omega))
+    assert np.array_equal(state.u_k, pnkr_equation_update(tiny0, z, data.y[:, r0 - 1], r0, omega)[0])
 
 
 def test_sweep_on_shared_state_buffers_matches_distinct_ones(tiny0, tiny0_problem):
@@ -384,11 +432,39 @@ def test_gated_sweep_rejects_non_finite_step(tiny0, tiny0_problem, bad):
     def step(blk, D):
         u_new = np.ones(M)
         u_new[M // 2] = bad
-        return u_new
+        return u_new, u_new.max()
 
     cfg = SolverConfig(variant="pnkr", s=0)
     with pytest.raises(RuntimeError, match="omega"):
         pnkr.solver._gated_sweep(state, cfg, eager, tiny0, 0.5, [slice(0, 1)], step)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("momentum", [True, False])
+def test_sweep_rejects_non_finite_last_row_block(tiny0, tiny0_problem, monkeypatch, bad, momentum):
+    _, data = tiny0_problem
+    eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
+    M = tiny0.N * tiny0.L
+    monkeypatch.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", 2 * tiny0.L)
+    n_blocks = len(pnkr.solver._row_blocks(tiny0.N, tiny0.L))
+    real_dgemm, calls = pnkr.solver.dgemm, []
+
+    def poisoned(*args, c, **kwargs):
+        # the correction of the last row block leaves one bad entry, the iterate's last
+        out = real_dgemm(*args, c=c, **kwargs)
+        calls.append(c.shape)
+        if len(calls) == n_blocks:
+            c[-1, -1] = bad
+        return out
+
+    monkeypatch.setattr(pnkr.solver, "dgemm", poisoned)
+    rng = np.random.default_rng(32)
+    state = SolverState(u_k=rng.uniform(0.0, 1.0, M), u_km1=rng.uniform(0.0, 1.0, M), k_R=2)
+    cfg = SolverConfig(variant="pnkr", s=0)
+    with pytest.raises(RuntimeError, match="omega"):
+        pnkr_sweep(state, cfg, eager, tiny0, omega=1.0 / rho_estimate(tiny0), momentum=momentum)
+    assert len(calls) == n_blocks > 1
+    assert calls[-1] == (tiny0.L, 1)
 
 
 def test_counter_advances_once_per_sweep(tiny0, tiny0_problem):
@@ -777,6 +853,7 @@ def test_run_looks_up_sweeps_and_steps_at_call_time(
         "landweber_step",
         "pnkr_equation_update",
         "reduced_equation_update",
+        "nesterov_extrapolate",
     ):
         monkeypatch.setattr(
             pnkr.solver, name, counting(name, getattr(pnkr.solver, name))
@@ -785,6 +862,9 @@ def test_run_looks_up_sweeps_and_steps_at_call_time(
     cfg = SolverConfig(variant=variant, s=0, max_loops=3, seed=3, stencil=stencil)
     res = run(cfg, data, tiny0)
     assert res.total_updates > 0
+    # the momentum phase runs one call per row block, so at least one per update
+    momentum_calls = calls.pop("nesterov_extrapolate", 0)
+    assert momentum_calls >= res.total_updates if variant == "pnkr" else momentum_calls == 0
     expected = {sweep: res.loops}
     if step is not None:
         expected[step] = res.total_updates
