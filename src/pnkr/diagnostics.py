@@ -512,14 +512,33 @@ def export_maps(maps: MomentMaps, losvd_samples, out_dir) -> list[str]:
     return written
 
 
+def _numeric_rows(fh, kind: str, width: int, first_line: int, sep: str | None = None) -> np.ndarray:
+    """The remaining nonblank lines of ``fh`` as a ``(rows, width)`` float array.
+
+    A row with another field count, or an empty body, fails with an
+    error naming the ``kind`` of table and the 1-based line number
+    (``first_line`` is the number of the next line of ``fh``).
+    """
+    rows = []
+    for number, line in enumerate(fh, start=first_line):
+        if not line.strip():
+            continue
+        cells = line.strip().split(sep)
+        if len(cells) != width:
+            raise ValueError(f"{kind} line {number}: expected {width} fields, found {len(cells)}")
+        rows.append([float(cell) for cell in cells])
+    if not rows:
+        raise ValueError(f"{kind} is empty")
+    return np.array(rows)
+
+
 def read_maps(path) -> MomentMaps:
     """Read a maps table written by :func:`export_maps`."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != _MAPS_COLUMNS:
             raise ValueError("not a moment-map table")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(cell) for cell in row] for row in rows])
+        data = _numeric_rows(fh, "moment-map table", len(_MAPS_COLUMNS), 2, ",")
     x1 = np.unique(data[:, 0])
     x2 = np.unique(data[:, 1])
     n1, n2 = len(x1), len(x2)
@@ -546,5 +565,5 @@ def read_losvd(path) -> LOSVDSample:
         columns = fh.readline().split()
         if columns != ["v", "p"]:
             raise ValueError("not an exported velocity-distribution table")
-        body = np.array([[float(cell) for cell in line.split()] for line in fh if line.strip()])
+        body = _numeric_rows(fh, "velocity-distribution table", 2, 3)
     return LOSVDSample(x=x, v=body[:, 0], p=body[:, 1], masked=masked)

@@ -20,8 +20,12 @@ the per-equation update direction is the rank-one matrix
 
 for a sample-space residual ``d``; no solve with ``G`` is ever needed.
 Both factors are fixed products, ``Psi^-1 G`` (dense ``N x N``) and
-``Phi^-1 Q`` (``L x R``), each computed once per system by one sparse LU
-solve, on first use; the sweeps then take only dense products.
+``Phi^-1 Q`` (``L x R``), each computed once per system on first use by
+fast diagonalization: ``Psi`` and ``Phi`` are sums of Kronecker products
+of 1D axis factors, so one small generalized eigenproblem per axis
+diagonalizes them, and applying an inverse takes one batched matrix
+product per axis.  Neither is ever assembled; the sweeps take only dense
+products.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.ndimage import convolve1d
-from scipy.sparse.linalg import splu
 
-from .grid_basis import DiscreteBasis, build_gram_matrices
+from .grid_basis import DiscreteBasis, build_gram_matrices, gram_eigenbasis
 
 __all__ = [
     "ForwardSystem",
@@ -44,8 +47,6 @@ __all__ = [
     "apply_Hr_T",
     "apply_H_all",
     "synthesize_datacube",
-    "apply_M",
-    "solve_M",
     "sample_norm",
     "rho_estimate",
     "reduced_rho",
@@ -60,9 +61,11 @@ __all__ = [
 class ForwardSystem:
     """Assembled forward operator for one discretization and template table.
 
-    ``Psi^-1 G`` and ``Phi^-1 Q`` are computed on first use and then kept,
-    so a caller that only synthesizes data (``G`` and ``Q``) factors
-    nothing.
+    The reconstruction-space Gram is ``M = Psi (x) Phi``; neither factor
+    is stored.  ``Psi^-1 G`` and ``Phi^-1 Q`` are computed on first use
+    from the per-axis eigenbases of :func:`~pnkr.grid_basis.gram_eigenbasis`
+    and then kept, so a caller that only synthesizes data (``G`` and
+    ``Q``) diagonalizes nothing.
 
     Attributes
     ----------
@@ -72,14 +75,13 @@ class ForwardSystem:
     Q : ndarray, (L, R)
         Kernel integrals of every population-kinematic basis function
         against every observed wavelength channel.
-    Psi, Phi : csc_matrix
-        Reconstruction-space Gram factors, ``M = Psi (x) Phi``.
     c_N : float
         Mean diagonal of ``G`` (the common cell volume for ``s = 0`` on
         uniform spatial grids).
     Psi_inv_G : ndarray, (N, N)
         ``Psi^-1 G``, the spatial factor of every equation's update
-        direction; the identity for ``s = 0``.
+        direction; exactly the identity for ``s = 0`` or zero spatial
+        ``beta``.
     Phi_inv_Q : ndarray, (L, R)
         ``Phi^-1 Q``; column ``r`` is the iterate-independent factor of
         equation ``r``'s update direction.
@@ -90,8 +92,6 @@ class ForwardSystem:
     basis: DiscreteBasis
     G: sp.csc_matrix
     Q: np.ndarray
-    Psi: sp.csc_matrix
-    Phi: sp.csc_matrix
     c_N: float
 
     @property
@@ -108,11 +108,15 @@ class ForwardSystem:
 
     @cached_property
     def Psi_inv_G(self) -> np.ndarray:
-        return splu(self.Psi).solve(self.G.toarray())
+        # Psi^-1 = V (I + E)^-1 V^T and V V^T G = I, so Psi^-1 G = I - V E (I + E)^-1 V^T G,
+        # which is exactly I when E is zero throughout (s = 0, or zero spatial beta)
+        V, E = gram_eigenbasis(self.basis.omega_grids, self.basis.beta[:2], self.basis.s)
+        return np.eye(self.N, order="F") - _eigen_apply(V, E / (1.0 + E), self.G.toarray())
 
     @cached_property
     def Phi_inv_Q(self) -> np.ndarray:
-        return splu(self.Phi).solve(self.Q)
+        V, E = gram_eigenbasis(self.basis.theta_grids, self.basis.beta[2:], self.basis.s)
+        return _eigen_apply(V, 1.0 / (1.0 + E), self.Q)
 
     @cached_property
     def q_Phi_q(self) -> np.ndarray:
@@ -120,7 +124,7 @@ class ForwardSystem:
 
 
 def build_forward_system(basis: DiscreteBasis, Q: np.ndarray) -> ForwardSystem:
-    """Assemble the basis's Gram matrices and kernel columns into a system.
+    """Assemble the basis's spatial Gram matrix and kernel columns into a system.
 
     Parameters
     ----------
@@ -135,7 +139,28 @@ def build_forward_system(basis: DiscreteBasis, Q: np.ndarray) -> ForwardSystem:
     if not np.all(np.isfinite(Q)):
         raise ValueError("kernel table contains non-finite entries")
     grams = build_gram_matrices(basis)
-    return ForwardSystem(basis=basis, G=grams.G, Q=Q, Psi=grams.Psi, Phi=grams.Phi, c_N=grams.c_N)
+    return ForwardSystem(basis=basis, G=grams.G, Q=Q, c_N=grams.c_N)
+
+
+def _eigen_apply(V: list[np.ndarray], scale: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``V diag(scale) V^T X`` for ``V = V_1 (x) ... (x) V_k``, never forming ``V``.
+
+    The rows of ``X`` run over the lattice axis-major; each factor acts
+    on its axis by one matrix product batched over the axes before it,
+    so at most two ``X``-sized intermediates are alive at once.  The
+    result is Fortran-ordered: the solver reads single columns of it,
+    and its matrix-vector products run faster in that layout.
+    """
+    transposed = [v.T for v in V]
+    for mats in (transposed, V):
+        pre = 1
+        for v in mats:
+            X = np.matmul(v, X.reshape(pre, v.shape[0], -1))
+            pre *= v.shape[0]
+        X = X.reshape(pre, -1)
+        if mats is transposed:
+            X *= scale[:, None]
+    return np.asfortranarray(X)
 
 
 def _as_coefficients(system: ForwardSystem, u: np.ndarray) -> np.ndarray:
@@ -188,24 +213,6 @@ def synthesize_datacube(system: ForwardSystem, u: np.ndarray) -> np.ndarray:
     return U @ system.Q
 
 
-def apply_M(system: ForwardSystem, u: np.ndarray) -> np.ndarray:
-    """Reconstruction-space Gram product ``vec(Psi U Phi)``."""
-    U = _as_coefficients(system, u).reshape(system.N, system.L)
-    return np.asarray((system.Psi @ (system.Phi @ U.T).T)).reshape(-1)
-
-
-def solve_M(system: ForwardSystem, zvec: np.ndarray) -> np.ndarray:
-    """Apply ``M^-1 = Psi^-1 (x) Phi^-1``.
-
-    Solves ``Psi X Phi = Z`` with ``Z = reshape(zvec, (N, L))`` by one
-    sparse LU solve per Kronecker factor; never forms ``M``.
-    """
-    Z = _as_coefficients(system, zvec).reshape(system.N, system.L)
-    X = splu(system.Psi).solve(Z)
-    X = splu(system.Phi).solve(X.T).T
-    return np.ascontiguousarray(X).reshape(-1)
-
-
 def sample_norm(system: ForwardSystem, d: np.ndarray) -> float | np.ndarray:
     """L2(Omega) norm of data-space sample vectors: ``sqrt(d^T G d)``.
 
@@ -226,9 +233,10 @@ def rho_estimate(system: ForwardSystem, stacked: bool = False) -> float:
     stepsizes) the operator ``M^-1 H_r^T N^-1 H_r`` factors as
     ``(Psi^-1 G) (x) (Phi^-1 q_r q_r^T)``; with ``stacked=True`` the full
     normal operator ``M^-1 sum_r H_r^T N^-1 H_r`` is
-    ``(Psi^-1 G) (x) (Phi^-1 Q Q^T)``.  ``Psi`` is ``G`` plus
-    beta-weighted gradient terms, which are positive semidefinite and
-    vanish on constants, and constants lie in the spatial span, so
+    ``(Psi^-1 G) (x) (Phi^-1 Q Q^T)``.  In the spatial eigenbasis of
+    :func:`~pnkr.grid_basis.gram_eigenbasis`, ``Psi^-1 G = V (I + E)^-1 V^-1``
+    has the eigenvalues ``1 / (1 + E)``; ``E >= 0``, and ``E = 0`` on
+    constants, which lie in the spatial span, so
     ``lambda_max(Psi^-1 G) = 1`` exactly.  What remains is
     ``max_r q_r^T Phi^-1 q_r`` per equation, and ``lambda_max(Q^T Phi^-1 Q)``,
     a dense symmetric ``R x R`` eigenproblem, for the stack.  Stable

@@ -1,4 +1,4 @@
-"""Axis grids, tensor-product bases, and Gram matrix assembly.
+"""Axis grids, tensor-product bases, and their Gram factors.
 
 The reconstruction space is spanned by products ``psi_n(x1, x2) *
 phi_l(v, z, t)``.  Both factors use the same per-axis construction:
@@ -10,9 +10,12 @@ one everywhere and interpolates nodal values at the midpoints.
 
 A :class:`DiscreteBasis` carries the grids of both domains together with
 the smoothness order ``s`` and the gradient-penalty weights ``beta``.
-Gram matrices are assembled axis by axis with a Gauss-Legendre rule
-applied piecewise between the kinks of the integrands, which is exact for
-these piecewise polynomials, then combined as Kronecker products.
+Each axis has a mass and a gradient Gram factor, integrated with a
+Gauss-Legendre rule applied piecewise between the kinks of the
+integrands, which is exact for these piecewise polynomials.  The spatial
+L2 Gram ``G`` is the Kronecker product of the spatial mass factors.  The
+beta-weighted reconstruction-space factors ``Psi`` and ``Phi`` are never
+assembled: :func:`gram_eigenbasis` diagonalizes them axis by axis.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 __all__ = [
@@ -32,8 +36,8 @@ __all__ = [
     "DiscreteBasis",
     "make_basis",
     "GramMatrices",
-    "assemble_gram",
     "build_gram_matrices",
+    "gram_eigenbasis",
     "split_index",
     "flat_index",
     "eval_axis_basis",
@@ -258,8 +262,8 @@ def _gauss_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
-def _axis_factors(grid: AxisGrid, s: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """1D mass and gradient Gram factors of one axis.
+def _axis_factors(grid: AxisGrid, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense 1D mass and gradient Gram factors ``(A, B)`` of one axis.
 
     Both are exact: the mass integrand is quadratic on every smooth piece,
     which the Gauss rule integrates exactly, and basis derivatives are
@@ -276,7 +280,7 @@ def _axis_factors(grid: AxisGrid, s: int) -> tuple[sp.csr_matrix, sp.csr_matrix]
         idx = [i for (i, _, _) in active]
         A[np.ix_(idx, idx)] += (vals * wq) @ vals.T
         B[np.ix_(idx, idx)] += np.outer(ders, ders) * (b - a)
-    return sp.csr_matrix(A), sp.csr_matrix(B)
+    return A, B
 
 
 def eval_axis_basis(grid: AxisGrid, s: int, x: np.ndarray) -> np.ndarray:
@@ -343,96 +347,60 @@ def basis_integral_weights(basis: DiscreteBasis) -> tuple[np.ndarray, np.ndarray
     return w_omega, w_theta
 
 
-# -- Gram assembly -----------------------------------------------------------
-
-
-def _kron_chain(mats: Sequence[sp.spmatrix]) -> sp.spmatrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return out
-
-
-def assemble_gram(
-    basis: DiscreteBasis,
-    domain: str = "omega",
-    inner_product: str = "L2",
-) -> sp.csc_matrix:
-    """Gram matrix of one factor basis.
-
-    Parameters
-    ----------
-    basis : DiscreteBasis
-    domain : {"omega", "theta"}
-        Which factor to assemble: the spatial basis (N x N) or the
-        population-kinematic basis (L x L).
-    inner_product : {"L2", "Hs_beta"}
-        Plain L2, or L2 plus the beta-weighted gradient terms.  For
-        ``s = 0`` the two coincide: cellwise constants carry no broken
-        gradient, so the weights never contribute and the result stays
-        exactly diagonal.
-
-    Every entry is exact up to rounding: the axis factors integrate
-    piecewise quadratics with a Gauss rule on each piece.
-    """
-    if domain == "omega":
-        grids = basis.omega_grids
-        betas = basis.beta[:2]
-    elif domain == "theta":
-        grids = basis.theta_grids
-        betas = basis.beta[2:]
-    else:
-        raise ValueError("domain must be 'omega' or 'theta'")
-    if inner_product not in ("L2", "Hs_beta"):
-        raise ValueError("inner_product must be 'L2' or 'Hs_beta'")
-    factors = [_axis_factors(g, basis.s) for g in grids]
-    A = [f[0] for f in factors]
-    out = _kron_chain(A)
-    if inner_product == "Hs_beta" and basis.s == 1:
-        B = [f[1] for f in factors]
-        for k in range(len(grids)):
-            if betas[k] == 0.0:
-                continue
-            out = out + betas[k] * _kron_chain([B[k] if i == k else A[i] for i in range(len(grids))])
-    return out.tocsc()
+# -- Gram matrices -----------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class GramMatrices:
-    """The three Gram matrices of one discretization.
+    """The spatial L2 Gram matrix of one discretization.
 
     Attributes
     ----------
-    Psi : csc_matrix, (N, N)
-        Spatial factor of the reconstruction-space inner product.
-    Phi : csc_matrix, (L, L)
-        Population-kinematic factor of the reconstruction-space inner
-        product.
     G : csc_matrix, (N, N)
-        Plain L2 Gram of the spatial basis; this is also the data-space
-        Gram matrix.
+        Plain L2 Gram of the spatial basis, ``A_x1 (x) A_x2``; this is
+        also the data-space Gram matrix.
     c_N : float
         Mean diagonal of ``G``.  On uniform spatial grids with ``s = 0``
         it is the common cell volume and ``G == c_N * I`` exactly.
     """
 
-    Psi: sp.csc_matrix
-    Phi: sp.csc_matrix
     G: sp.csc_matrix
     c_N: float
 
 
 def build_gram_matrices(basis: DiscreteBasis) -> GramMatrices:
-    """Assemble ``Psi``, ``Phi``, and ``G`` for a basis."""
-    G = assemble_gram(basis, "omega", "L2")
-    if basis.s == 0:
-        Psi = G.copy()
-        Phi = assemble_gram(basis, "theta", "L2")
-    else:
-        Psi = assemble_gram(basis, "omega", "Hs_beta")
-        Phi = assemble_gram(basis, "theta", "Hs_beta")
-    c_N = float(np.mean(G.diagonal()))
-    return GramMatrices(Psi=Psi, Phi=Phi, G=G, c_N=c_N)
+    """Assemble the spatial L2 Gram ``G`` of a basis from its axis mass factors."""
+    A1, A2 = (_axis_factors(g, basis.s)[0] for g in basis.omega_grids)
+    G = sp.kron(A1, A2, format="csc")
+    return GramMatrices(G=G, c_N=float(np.mean(G.diagonal())))
+
+
+def gram_eigenbasis(
+    grids: Sequence[AxisGrid], beta: Sequence[float], s: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Fast diagonalization of one factor of the reconstruction-space Gram.
+
+    The factor over ``grids`` (``Psi`` over the spatial axes, ``Phi`` over
+    ``(v, z, t)``) is ``A_1 (x) ... (x) A_k`` plus, for each axis ``j``,
+    ``beta_j`` times the same product with ``A_j`` replaced by ``B_j``.
+    Per axis, ``eigh(B_j, A_j)`` gives ``V_j`` with ``V_j^T A_j V_j = I``
+    and ``V_j^T B_j V_j = diag(lambda_j)``, so with
+    ``V = V_1 (x) ... (x) V_k`` the factor is ``V^-T (I + E) V^-1`` and
+    its inverse ``V (I + E)^-1 V^T``, where
+    ``E = beta_1 lambda_1 (+) ... (+) beta_k lambda_k`` is flat in the
+    same axis-major order (Lynch, Rice & Thomas 1964).  ``E >= 0`` since
+    every ``B_j`` is positive semidefinite, and ``E`` is zero on constants,
+    whose gradient vanishes; for ``s = 0`` every ``B_j`` is zero and so is ``E``.
+
+    Returns ``([V_1, ..., V_k], E)``.
+    """
+    V, E = [], np.zeros(())
+    for g, b in zip(grids, beta):
+        A, B = _axis_factors(g, s)
+        lam, vecs = scipy.linalg.eigh(B, A)
+        V.append(vecs)
+        E = np.add.outer(E, b * lam)
+    return V, E.reshape(-1)
 
 
 def coefficients_to_function(

@@ -678,8 +678,10 @@ def read_history(path) -> list[HistoryRow]:
         header = fh.readline().split()
         if header[:3] != ["loop", "updates", "data_residual"]:
             raise ValueError("not a history table")
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             parts = line.split()
+            if len(parts) < 5:
+                raise ValueError(f"history table line {number}: expected 5 fields, found {len(parts)}")
             rows.append(
                 HistoryRow(
                     loop=int(parts[0]),

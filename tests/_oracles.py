@@ -4,7 +4,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from pnkr.forward import sample_norm
-from pnkr.grid_basis import _breakpoints
+from pnkr.grid_basis import _axis_factors, _breakpoints
 from pnkr.solver import as_solve_data
 from pnkr.templates import C_LIGHT, _interp_hats, _v_segments
 
@@ -146,9 +146,27 @@ def dense_Hr(system, r):
     return np.kron(system.G.toarray(), system.Q[:, r - 1][None, :])
 
 
+def dense_Psi(basis):
+    """Spatial factor ``Psi = A1 (x) A2 + beta1 B1 (x) A2 + beta2 A1 (x) B2``, term by term."""
+    (A1, B1), (A2, B2) = (_axis_factors(g, basis.s) for g in basis.omega_grids)
+    b = basis.beta
+    return np.kron(A1, A2) + b[0] * np.kron(B1, A2) + b[1] * np.kron(A1, B2)
+
+
+def dense_Phi(basis):
+    """``(v, z, t)`` factor ``Phi``: the mass product plus one beta-weighted gradient term per axis."""
+    (Av, Bv), (Az, Bz), (At, Bt) = (_axis_factors(g, basis.s) for g in basis.theta_grids)
+    b = basis.beta
+
+    def kron3(x, y, z):
+        return np.kron(np.kron(x, y), z)
+
+    return kron3(Av, Az, At) + b[2] * kron3(Bv, Az, At) + b[3] * kron3(Av, Bz, At) + b[4] * kron3(Av, Az, Bt)
+
+
 def dense_M(system):
     """Reconstruction-space Gram ``M = Psi (x) Phi`` as a dense array."""
-    return np.kron(system.Psi.toarray(), system.Phi.toarray())
+    return np.kron(dense_Psi(system.basis), dense_Phi(system.basis))
 
 
 def equation_residual_norm(system, u, data, r):

@@ -160,7 +160,7 @@ def test_maps_builds_no_forward_system(pipeline_dir, monkeypatch):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_gen_mock_factors_nothing(pipeline_dir, tmp_path, monkeypatch, s):
-    # the cube needs only G and Q; the Gram factorizations are left for the solver
+    # the cube needs only G and Q; Psi^-1 G and Phi^-1 Q are left for the solver
     args = [
         "gen-mock", "--preset", "tiny", "--templates", str(pipeline_dir / "tpl.pnkt"),
         "--s", str(s), "--noise", "0.01", "--seed", "3",
@@ -169,9 +169,9 @@ def test_gen_mock_factors_nothing(pipeline_dir, tmp_path, monkeypatch, s):
     assert main([*args, "--out", "plain.pnkd", "--truth", "plain.pnku"]) == 0
 
     def refuse(*args, **kwargs):
-        raise RuntimeError("gen-mock factored a Gram matrix")
+        raise RuntimeError("gen-mock diagonalized a Gram factor")
 
-    monkeypatch.setattr("pnkr.forward.splu", refuse)
+    monkeypatch.setattr("pnkr.forward.gram_eigenbasis", refuse)
     assert main([*args, "--out", "cube.pnkd", "--truth", "truth.pnku"]) == 0
     assert (tmp_path / "cube.pnkd").read_bytes() == (tmp_path / "plain.pnkd").read_bytes()
     assert (tmp_path / "truth.pnku").read_bytes() == (tmp_path / "plain.pnku").read_bytes()

@@ -553,6 +553,48 @@ def test_read_maps_rejects_incomplete_grid(desk_maps, tmp_path):
         read_maps(tmp_path / "short.csv")
 
 
+def cut_table(lines, head, rows, fields, sep):
+    """The first ``head + rows`` lines, then the next row cut after ``fields`` fields."""
+    cut = lines[: head + rows]
+    if fields:
+        cut.append(sep.join(lines[head + rows].split(sep)[:fields]))
+    return "\n".join(cut) + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows, fields, match",
+    [
+        (0, 0, "moment-map table is empty"),
+        (3, 4, "moment-map table line 5: expected 10 fields, found 4"),
+        (0, 9, "moment-map table line 2: expected 10 fields, found 9"),
+    ],
+    ids=["header_only", "short_row", "short_first_row"],
+)
+def test_read_maps_names_a_cut_table(desk_maps, tmp_path, rows, fields, match):
+    table = export_maps(desk_maps, [], tmp_path)[0]
+    path = tmp_path / "cut.csv"
+    path.write_text(cut_table(open(table).read().splitlines(), 1, rows, fields, ","))
+    with pytest.raises(ValueError, match=match):
+        read_maps(path)
+
+
+@pytest.mark.parametrize(
+    "rows, fields, match",
+    [
+        (0, 0, "velocity-distribution table is empty"),
+        (2, 1, "velocity-distribution table line 5: expected 2 fields, found 1"),
+    ],
+    ids=["header_only", "short_row"],
+)
+def test_read_losvd_names_a_cut_table(desk_maps, desk_truth, desk_basis, desk_template, tmp_path, rows, fields, match):
+    sample = light_weighted_losvd(desk_truth, desk_basis, desk_template, (0.25, 0.3))
+    table = export_maps(desk_maps, [sample], tmp_path)[1]
+    path = tmp_path / "cut.txt"
+    path.write_text(cut_table(open(table).read().splitlines(), 2, rows, fields, " "))
+    with pytest.raises(ValueError, match=match):
+        read_losvd(path)
+
+
 def test_read_losvd_rejects_foreign_file(tmp_path):
     path = tmp_path / "other.txt"
     path.write_text("v p\n0 1\n")

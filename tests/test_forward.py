@@ -10,7 +10,6 @@ from pnkr.forward import (
     apply_H_all,
     apply_Hr,
     apply_Hr_T,
-    apply_M,
     apply_Zs,
     build_forward_system,
     identity_kernel,
@@ -18,15 +17,22 @@ from pnkr.forward import (
     reduced_rho,
     rho_estimate,
     sample_norm,
-    solve_M,
     synthesize_datacube,
     triangle_kernel,
 )
-from pnkr.grid_basis import build_gram_matrices, geometric_axis, make_basis, uniform_axis
+from pnkr.grid_basis import geometric_axis, gram_eigenbasis, make_basis, uniform_axis
 from pnkr.presets import preset_basis, preset_template
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 
-from _oracles import dense_Hr, dense_M, moment_norm, moments_from_samples, samples_from_moments
+from _oracles import (
+    dense_Hr,
+    dense_M,
+    dense_Phi,
+    dense_Psi,
+    moment_norm,
+    moments_from_samples,
+    samples_from_moments,
+)
 
 
 def small_basis(s):
@@ -41,18 +47,22 @@ def small_basis(s):
 
 def small_system(s, R=5, seed=0):
     basis = small_basis(s)
-    grams = build_gram_matrices(basis)
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((basis.L, R))
-    return build_forward_system(basis, Q), grams
+    return build_forward_system(basis, Q)
+
+
+def solver_inverse(system):
+    """``M^-1 (G (x) Q)`` as the solver applies it: ``(Psi^-1 G) (x) (Phi^-1 Q)``."""
+    return np.kron(system.Psi_inv_G, system.Phi_inv_Q)
 
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_dense_oracles_match_elementwise_loops(s):
     # the Kronecker forms in _oracles, written out entry by entry
-    system, _ = small_system(s)
+    system = small_system(s)
     N, L = system.N, system.L
-    Gd, Psid, Phid = system.G.toarray(), system.Psi.toarray(), system.Phi.toarray()
+    Gd, Psid, Phid = system.G.toarray(), dense_Psi(system.basis), dense_Phi(system.basis)
     for r in (1, 3, system.R):
         H = np.zeros((N, N * L))
         for j in range(N):
@@ -71,7 +81,7 @@ def test_dense_oracles_match_elementwise_loops(s):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_apply_Hr_matches_elementwise_dense(s):
-    system, _ = small_system(s)
+    system = small_system(s)
     rng = np.random.default_rng(1)
     for r in (1, 3, system.R):
         H = dense_Hr(system, r)
@@ -84,7 +94,7 @@ def test_apply_Hr_matches_elementwise_dense(s):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_apply_Hr_T_matches_dense_transpose(s):
-    system, _ = small_system(s)
+    system = small_system(s)
     rng = np.random.default_rng(2)
     for r in (2, system.R):
         H = dense_Hr(system, r)
@@ -97,7 +107,7 @@ def test_apply_Hr_T_matches_dense_transpose(s):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_adjointness_random(s):
-    system, _ = small_system(s)
+    system = small_system(s)
     rng = np.random.default_rng(3)
     M = system.N * system.L
     for _ in range(100):
@@ -111,40 +121,40 @@ def test_adjointness_random(s):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_apply_M_and_solve_M_match_elementwise_dense(s):
-    system, _ = small_system(s)
+    # M applied by the elementwise dense oracle; M^-1 only as the solver
+    # applies it, to G (x) Q, through the stored per-axis products
+    system = small_system(s)
     Md = dense_M(system)
     rng = np.random.default_rng(4)
     for _ in range(5):
         u = rng.standard_normal(system.N * system.L)
         want = Md @ u
-        np.testing.assert_allclose(apply_M(system, u), want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
-        z = rng.standard_normal(system.N * system.L)
-        want = np.linalg.solve(Md, z)
-        np.testing.assert_allclose(solve_M(system, z), want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+        got = (dense_Psi(system.basis) @ u.reshape(system.N, system.L) @ dense_Phi(system.basis)).reshape(-1)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+    want = np.linalg.solve(Md, np.kron(system.G.toarray(), system.Q))
+    np.testing.assert_allclose(solver_inverse(system), want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_solve_M_roundtrip(s):
-    system, _ = small_system(s)
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal(system.N * system.L)
-    np.testing.assert_allclose(solve_M(system, apply_M(system, u)), u, rtol=1e-8, atol=1e-10)
+    system = small_system(s)
+    GQ = np.kron(system.G.toarray(), system.Q)
+    np.testing.assert_allclose(dense_M(system) @ solver_inverse(system), GQ, rtol=1e-8, atol=1e-10)
 
 
 def test_solve_M_s0_is_entrywise_division():
-    system, grams = small_system(0)
-    c_Psi = grams.Psi.diagonal()[0]
-    c_Phi = grams.Phi.diagonal()[0]
-    np.testing.assert_allclose(grams.Psi.diagonal(), c_Psi, rtol=1e-12)
-    np.testing.assert_allclose(grams.Phi.diagonal(), c_Phi, rtol=1e-12)
-    rng = np.random.default_rng(6)
-    z = rng.standard_normal(system.N * system.L)
-    np.testing.assert_allclose(solve_M(system, z), z / (c_Psi * c_Phi), rtol=1e-12)
+    system = small_system(0)
+    c_Psi = dense_Psi(system.basis)[0, 0]
+    c_Phi = dense_Phi(system.basis)[0, 0]
+    np.testing.assert_allclose(np.diag(dense_Psi(system.basis)), c_Psi, rtol=1e-12)
+    np.testing.assert_allclose(np.diag(dense_Phi(system.basis)), c_Phi, rtol=1e-12)
+    GQ = np.kron(system.G.toarray(), system.Q)
+    np.testing.assert_allclose(solver_inverse(system), GQ / (c_Psi * c_Phi), rtol=1e-12)
 
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_linearity_and_zero(s):
-    system, _ = small_system(s)
+    system = small_system(s)
     M = system.N * system.L
     assert np.all(apply_Hr(system, np.zeros(M), 1) == 0.0)
     assert np.all(synthesize_datacube(system, np.zeros(M)) == 0.0)
@@ -174,7 +184,7 @@ def test_nonnegative_cube_from_kernel_table(s):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_sample_and_moment_norms_agree(s):
-    system, _ = small_system(s)
+    system = small_system(s)
     rng = np.random.default_rng(9)
     d = rng.standard_normal(system.N)
     w = moments_from_samples(system, d)
@@ -191,7 +201,7 @@ def test_sample_and_moment_norms_agree(s):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_rho_estimate_matches_dense_eigenvalues(s):
-    system, _ = small_system(s)
+    system = small_system(s)
     Md = dense_M(system)
     Ninv = np.linalg.inv(system.G.toarray())
     Minv = np.linalg.inv(Md)
@@ -211,9 +221,14 @@ def test_rho_estimate_matches_dense_eigenvalues(s):
 @pytest.mark.parametrize("beta", [0.01, 1.0])
 def test_spatial_factor_has_unit_largest_eigenvalue(s, beta):
     # Psi is G plus PSD gradient terms that vanish on constants, which the spatial span holds
-    grams = build_gram_matrices(preset_basis("tiny", s, beta=beta))
-    lam = scipy.linalg.eigh(grams.G.toarray(), grams.Psi.toarray(), eigvals_only=True)
+    basis = preset_basis("tiny", s, beta=beta)
+    system = build_forward_system(basis, kernel_theta_integrals(preset_template("tiny"), basis))
+    lam = scipy.linalg.eigh(system.G.toarray(), dense_Psi(basis), eigvals_only=True)
     assert abs(lam[-1] - 1.0) <= 1e-12
+    # per axis: the eigenvalues of Psi^-1 G are 1 / (1 + E)
+    E = gram_eigenbasis(basis.omega_grids, basis.beta[:2], s)[1]
+    assert abs(np.max(1.0 / (1.0 + E)) - 1.0) <= 1e-12
+    assert abs(np.linalg.eigvals(system.Psi_inv_G).real.max() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -232,7 +247,7 @@ def test_rho_estimate_is_closed_form(s):
 
 
 def test_input_validation():
-    system, _ = small_system(0)
+    system = small_system(0)
     M = system.N * system.L
     with pytest.raises(ValueError):
         apply_Hr(system, np.zeros(M + 1), 1)
@@ -247,14 +262,24 @@ def test_input_validation():
 
 
 @pytest.mark.parametrize("s", [0, 1])
-@pytest.mark.parametrize("beta", [0.01, 1.0])
+@pytest.mark.parametrize("beta", [0.0, 0.01, 1.0])
 def test_psi_inv_G_matches_dense_solve(s, beta):
     basis = preset_basis("tiny", s, beta=beta)
     system = build_forward_system(basis, kernel_theta_integrals(preset_template("tiny"), basis))
-    want = np.linalg.solve(system.Psi.toarray(), system.G.toarray())
+    want = np.linalg.solve(dense_Psi(basis), system.G.toarray())
     np.testing.assert_allclose(system.Psi_inv_G, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    if s == 0:
+    if s == 0 or beta == 0.0:
         assert np.array_equal(system.Psi_inv_G, np.eye(system.N))
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("beta", [0.01, 1.0])
+def test_phi_inv_Q_matches_dense_solve(s, beta):
+    basis = preset_basis("tiny", s, beta=beta)
+    system = build_forward_system(basis, kernel_theta_integrals(preset_template("tiny"), basis))
+    want = np.linalg.solve(dense_Phi(basis), system.Q)
+    np.testing.assert_allclose(system.Phi_inv_Q, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert system.Phi_inv_Q.flags.f_contiguous and system.Psi_inv_G.flags.f_contiguous
 
 
 # -- smoothing stencil -------------------------------------------------------

@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from pnkr.forward import build_forward_system
 from pnkr.grid_basis import (
-    assemble_gram,
     axis_first_moments,
     axis_weights,
     basis_integral_weights,
@@ -14,11 +14,14 @@ from pnkr.grid_basis import (
     explicit_axis,
     flat_index,
     geometric_axis,
+    gram_eigenbasis,
     make_basis,
     split_index,
     uniform_axis,
 )
 from pnkr.grid_basis import _axis_factors
+
+from _oracles import dense_Phi, dense_Psi
 
 
 def small_basis(s, beta=0.0):
@@ -172,32 +175,48 @@ def test_s0_gram_is_scaled_identity_on_square():
             geometric_axis(0.015, 14.25, 3),
         ),
     )
-    G = assemble_gram(basis, "omega", "L2")
+    G = build_gram_matrices(basis).G
     assert G.shape == (625, 625)
     off_diag = G - sp.diags(G.diagonal())
     assert off_diag.nnz == 0
     np.testing.assert_allclose(G.diagonal(), 0.0064, rtol=1e-13)
 
 
+def factor_of(basis, domain):
+    """``(grids, beta, dense Gram factor)`` of the spatial or the (v, z, t) domain."""
+    if domain == "omega":
+        return basis.omega_grids, basis.beta[:2], dense_Psi(basis)
+    return basis.theta_grids, basis.beta[2:], dense_Phi(basis)
+
+
+def kron_all(mats):
+    out = np.ones((1, 1))
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
 @pytest.mark.parametrize("domain", ["omega", "theta"])
 def test_s0_grams_always_diagonal(domain):
+    # cellwise constants carry no broken gradient, so beta never contributes
     basis = small_basis(0, beta=0.7)
-    for ip in ("L2", "Hs_beta"):
-        M = assemble_gram(basis, domain, ip)
-        assert (M - sp.diags(M.diagonal())).nnz == 0
-        assert np.all(M.diagonal() > 0)
+    grids, beta, M = factor_of(basis, domain)
+    assert np.count_nonzero(M - np.diag(np.diag(M))) == 0
+    assert np.all(np.diag(M) > 0)
+    V, E = gram_eigenbasis(grids, beta, 0)
+    assert np.all(E == 0.0)
+    Vd = kron_all(V)
+    np.testing.assert_allclose(Vd @ Vd.T, np.diag(1.0 / np.diag(M)), rtol=1e-12, atol=0)
 
 
 def test_hat_factor_matches_closed_form():
     # interior entries of the 1D hat mass factor: 2h/3 diagonal, h/6 off
     g = uniform_axis(0.0, 1.0, 11)
     h = 0.1
-    A, B = _axis_factors(g, 1)
-    Ad = A.toarray()
+    Ad, Bd = _axis_factors(g, 1)
     for i in range(2, 8):
         assert abs(Ad[i, i] - 2 * h / 3) <= 1e-14
         assert abs(Ad[i, i + 1] - h / 6) <= 1e-14
-    Bd = B.toarray()
     np.testing.assert_allclose(np.diag(Bd)[1:-1], 2 / h, rtol=1e-12)
     np.testing.assert_allclose(np.diag(Bd, 1), -1 / h, rtol=1e-12)
     np.testing.assert_allclose(Bd[0, 0], 1 / h, rtol=1e-12)
@@ -227,13 +246,13 @@ def hat_factors_closed_form(grid):
 
 
 def test_gram_matches_closed_form_on_geometric_axis():
-    # non-uniform midpoint spacing, both boundary strips, and the
-    # beta-weighted gradient terms of the Hs_beta Gram
+    # non-uniform midpoint spacing, both boundary strips, and distinct
+    # beta-weighted gradient terms per axis
     g = geometric_axis(0.015, 14.25, 6)
     A, B = _axis_factors(g, 1)
     A_ref, B_ref = hat_factors_closed_form(g)
-    np.testing.assert_allclose(A.toarray(), A_ref, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(B.toarray(), B_ref, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(A, A_ref, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(B, B_ref, rtol=1e-14, atol=0)
 
     beta = (0.0, 0.0, 0.4, 0.7, 1.3)
     basis = make_basis(
@@ -253,36 +272,48 @@ def test_gram_matches_closed_form_on_geometric_axis():
         + beta[3] * kron3(Av, Bz, At)
         + beta[4] * kron3(Av, Az, Bt)
     )
-    Phi = assemble_gram(basis, "theta", "Hs_beta").toarray()
-    np.testing.assert_allclose(Phi, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+    np.testing.assert_allclose(dense_Phi(basis), expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+    Q = np.random.default_rng(5).standard_normal((basis.L, 7))
+    want = np.linalg.solve(expected, Q)
+    got = build_forward_system(basis, Q).Phi_inv_Q
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_beta_zero_matches_l2():
     basis = small_basis(1, beta=0.0)
+    Q = np.random.default_rng(6).standard_normal((basis.L, 7))
+    system = build_forward_system(basis, Q)
     for domain in ("omega", "theta"):
-        a = assemble_gram(basis, domain, "Hs_beta").toarray()
-        b = assemble_gram(basis, domain, "L2").toarray()
-        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+        grids, beta, M = factor_of(basis, domain)
+        l2 = kron_all([_axis_factors(g, 1)[0] for g in grids])
+        assert np.abs(M - l2).max() <= 1e-10 * np.abs(l2).max()
+        assert np.all(gram_eigenbasis(grids, beta, 1)[1] == 0.0)
+    assert np.array_equal(system.Psi_inv_G, np.eye(basis.N))
+    want = np.linalg.solve(kron_all([_axis_factors(g, 1)[0] for g in basis.theta_grids]), Q)
+    assert np.abs(system.Phi_inv_Q - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("s,beta", [(0, 0.0), (0, 0.5), (1, 0.0), (1, 0.02), (1, 1.0)])
 def test_gram_positive_definite(s, beta):
     basis = small_basis(s, beta)
-    grams = build_gram_matrices(basis)
     rng = np.random.default_rng(42)
-    for mat, dim in ((grams.Psi, basis.N), (grams.Phi, basis.L), (grams.G, basis.N)):
-        dense = mat.toarray()
+    for dense in (dense_Psi(basis), dense_Phi(basis), build_gram_matrices(basis).G.toarray()):
         np.testing.assert_allclose(dense, dense.T, atol=1e-13 * np.abs(dense).max())
         for _ in range(100):
-            u = rng.standard_normal(dim)
-            assert u @ (mat @ u) > 0.0
+            u = rng.standard_normal(len(dense))
+            assert u @ (dense @ u) > 0.0
+    # the per-axis eigenbases give Psi^-1 and Phi^-1 the positive eigenvalues 1 / (1 + E)
+    for domain in ("omega", "theta"):
+        grids, beta, _ = factor_of(basis, domain)
+        assert np.all(1.0 + gram_eigenbasis(grids, beta, s)[1] > 0.0)
 
 
 def test_gram_kronecker_ordering():
-    # theta flat index runs v-major, then z, then t
+    # theta flat index runs v-major, then z, then t; at beta = 0 the
+    # inverse factor is the Kronecker product of the axis mass inverses
     basis = small_basis(1)
-    Phi = assemble_gram(basis, "theta", "L2").toarray()
-    factors = [_axis_factors(g, 1)[0].toarray() for g in basis.theta_grids]
+    Phi_inv = build_forward_system(basis, np.eye(basis.L)).Phi_inv_Q
+    factors = [np.linalg.inv(_axis_factors(g, 1)[0]) for g in basis.theta_grids]
     nv, nz, nt = (g.n_cells for g in basis.theta_grids)
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -292,7 +323,7 @@ def test_gram_kronecker_ordering():
         l1 = (iv * nz + iz) * nt + it
         l2 = (jv * nz + jz) * nt + jt
         expected = factors[0][iv, jv] * factors[1][iz, jz] * factors[2][it, jt]
-        assert Phi[l1, l2] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert Phi_inv[l1, l2] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_gram_matrices_c_N():

@@ -42,6 +42,19 @@ def test_package_never_imports_test_code():
             assert not TEST_MODULES & set(roots), f"{path.name} imports test code: {roots}"
 
 
+def test_package_never_imports_sparse_solvers():
+    # the Gram inverses are per-axis eigenbases; no module may fall back to a sparse solve
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert "scipy.sparse.linalg" not in names, f"{path.name} imports scipy.sparse.linalg"
+
+
 def test_benchmark_trace_patches_resolve():
     # the benchmark tracer looks up every patched (module, attribute) by name
     tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())

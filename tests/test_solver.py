@@ -42,7 +42,7 @@ from pnkr.solver import (
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 from pnkr.forward import rho_estimate
 
-from _oracles import dense_Hr, dense_M, equation_residual_norm
+from _oracles import dense_Hr, dense_M, dense_Phi, dense_Psi, equation_residual_norm
 
 OMEGA_GRIDS = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
 THETA_GRIDS = (
@@ -306,7 +306,7 @@ def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
     rng = np.random.default_rng(9)
     z = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
     omega = 1.0 / rho_estimate(tiny0)
-    c_M = tiny0.c_N * tiny0.Phi.diagonal()[0]
+    c_M = tiny0.c_N * dense_Phi(tiny0.basis)[0, 0]
     for r in range(1, tiny0.R + 1):
         plain, _ = pnkr_equation_update(tiny0, z, data.y[:, r - 1], r, omega)
         reduced = reduced_equation_update(
@@ -517,8 +517,8 @@ def test_run_ordering_matches_documented_permutation(tiny0, tiny0_problem):
 
 
 def _dense_landweber_step(system, data, u, omega):
-    Psi_dense = system.Psi.toarray()
-    Phi_dense = system.Phi.toarray()
+    Psi_dense = dense_Psi(system.basis)
+    Phi_dense = dense_Phi(system.basis)
     G_dense = system.G.toarray()
     U = u.reshape(system.N, system.L)
     total = np.zeros_like(U)
@@ -673,7 +673,7 @@ def test_divergence_raises_naming_stepsize(tiny0, tiny0_problem):
 def test_reduced_identity_trajectory_matches_plain_kaczmarz(tiny0, tiny0_problem):
     _, data = tiny0_problem
     omega = 1.0 / rho_estimate(tiny0)
-    c_M = tiny0.c_N * tiny0.Phi.diagonal()[0]
+    c_M = tiny0.c_N * dense_Phi(tiny0.basis)[0, 0]
     plain = run(
         SolverConfig(
             variant="landweber_kaczmarz", s=0, omega=omega, max_loops=50, seed=5
@@ -913,6 +913,19 @@ def test_history_roundtrip(tiny0, tiny0_problem, tmp_path):
     bogus.write_text("alpha beta\n1 2\n")
     with pytest.raises(ValueError):
         read_history(bogus)
+
+
+@pytest.mark.parametrize("fields", [1, 2, 4])
+def test_read_history_names_a_cut_row(tiny0, tiny0_problem, tmp_path, fields):
+    u_star, data = tiny0_problem
+    res = run(SolverConfig(variant="pnkr", s=0, max_loops=3, seed=3), data, tiny0, u_star=u_star)
+    path = tmp_path / "history.txt"
+    write_history(res.history, path)
+    lines = path.read_text().splitlines()
+    # cut inside the third line, the second row
+    path.write_text("\n".join(lines[:2] + [" ".join(lines[2].split()[:fields])]) + "\n")
+    with pytest.raises(ValueError, match=f"history table line 3: expected 5 fields, found {fields}"):
+        read_history(path)
 
 
 def test_coefficient_file_roundtrip(tiny0, tmp_path):
