@@ -138,8 +138,8 @@ def build_forward_system(basis: DiscreteBasis, Q: np.ndarray) -> ForwardSystem:
         raise ValueError(f"kernel table has shape {Q.shape}, expected ({basis.L}, R)")
     if not np.all(np.isfinite(Q)):
         raise ValueError("kernel table contains non-finite entries")
-    grams = build_gram_matrices(basis)
-    return ForwardSystem(basis=basis, G=grams.G, Q=Q, c_N=grams.c_N)
+    G = build_gram_matrices(basis)
+    return ForwardSystem(basis=basis, G=G, Q=Q, c_N=float(np.mean(G.diagonal())))
 
 
 def _eigen_apply(V: list[np.ndarray], scale: np.ndarray, X: np.ndarray) -> np.ndarray:

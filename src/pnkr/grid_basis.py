@@ -10,19 +10,22 @@ one everywhere and interpolates nodal values at the midpoints.
 
 A :class:`DiscreteBasis` carries the grids of both domains together with
 the smoothness order ``s`` and the gradient-penalty weights ``beta``.
-Each axis has a mass and a gradient Gram factor, integrated with a
-Gauss-Legendre rule applied piecewise between the kinks of the
-integrands, which is exact for these piecewise polynomials.  The spatial
-L2 Gram ``G`` is the Kronecker product of the spatial mass factors.  The
-beta-weighted reconstruction-space factors ``Psi`` and ``Phi`` are never
-assembled: :func:`gram_eigenbasis` diagonalizes them axis by axis.
+Every per-axis integral (mass factor, weights, first moments, and the
+template overlaps and kernel table built on top of them) runs through
+one panel rule: a Gauss-Legendre rule applied on each piece between the
+basis breakpoints and any extra kinks of the integrand, which is exact
+for these piecewise polynomials.  The gradient factor has a closed form.
+The spatial L2 Gram ``G`` is the Kronecker product of the spatial mass
+factors.  The beta-weighted reconstruction-space factors ``Psi`` and
+``Phi`` are never assembled: :func:`gram_eigenbasis` diagonalizes them
+axis by axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -35,7 +38,6 @@ __all__ = [
     "explicit_axis",
     "DiscreteBasis",
     "make_basis",
-    "GramMatrices",
     "build_gram_matrices",
     "gram_eigenbasis",
     "split_index",
@@ -56,12 +58,9 @@ class AxisGrid:
     ----------
     nodes : ndarray
         Strictly increasing cell boundaries, length ``n_cells + 1``.
-    uniform : bool
-        True when all cell widths agree to relative precision 1e-12.
     """
 
     nodes: np.ndarray
-    uniform: bool
 
     @property
     def n_cells(self) -> int:
@@ -84,12 +83,6 @@ class AxisGrid:
         """Cell midpoints; these are the sample sites of both bases."""
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
-    @property
-    def spacing(self) -> float:
-        if not self.uniform:
-            raise ValueError("spacing is defined only for uniform axes")
-        return (self.hi - self.lo) / self.n_cells
-
 
 def _validated_nodes(nodes: Sequence[float]) -> np.ndarray:
     arr = np.asarray(nodes, dtype=float)
@@ -108,7 +101,7 @@ def uniform_axis(lo: float, hi: float, count: int) -> AxisGrid:
         raise ValueError("count must be at least 2")
     if not hi > lo:
         raise ValueError("need hi > lo")
-    return AxisGrid(nodes=np.linspace(lo, hi, count), uniform=True)
+    return AxisGrid(nodes=np.linspace(lo, hi, count))
 
 
 def geometric_axis(lo: float, hi: float, count: int) -> AxisGrid:
@@ -119,15 +112,12 @@ def geometric_axis(lo: float, hi: float, count: int) -> AxisGrid:
         raise ValueError("geometric spacing needs lo > 0")
     if not hi > lo:
         raise ValueError("need hi > lo")
-    return AxisGrid(nodes=np.geomspace(lo, hi, count), uniform=False)
+    return AxisGrid(nodes=np.geomspace(lo, hi, count))
 
 
 def explicit_axis(values: Sequence[float]) -> AxisGrid:
     """Axis from explicitly listed nodes."""
-    arr = _validated_nodes(values)
-    w = np.diff(arr)
-    uniform = bool(np.all(np.abs(w - w[0]) <= 1e-12 * np.abs(w[0])))
-    return AxisGrid(nodes=arr, uniform=uniform)
+    return AxisGrid(nodes=_validated_nodes(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,60 +217,51 @@ def _breakpoints(grid: AxisGrid, s: int) -> np.ndarray:
     return np.concatenate(([grid.lo], grid.centers, [grid.hi]))
 
 
-def _axis_pieces(grid: AxisGrid, s: int) -> Iterator[tuple]:
-    """Smooth pieces of the axis basis.
-
-    Yields ``(a, b, active)`` where ``active`` is a list of
-    ``(index, value_at_a, value_at_b)`` for every basis function that is
-    nonzero on ``[a, b]``.  All basis functions are linear on a piece, so
-    the two endpoint values determine them completely.
-    """
-    n = grid.n_cells
-    if s == 0:
-        for i in range(n):
-            yield grid.nodes[i], grid.nodes[i + 1], [(i, 1.0, 1.0)]
-        return
-    bp = _breakpoints(grid, 1)
-    yield bp[0], bp[1], [(0, 1.0, 1.0)]
-    for j in range(1, n):
-        yield bp[j], bp[j + 1], [(j - 1, 1.0, 0.0), (j, 0.0, 1.0)]
-    yield bp[n], bp[n + 1], [(n - 1, 1.0, 1.0)]
-
-
 # Gauss-Legendre nodes and weights on [-1, 1].  Three points are exact through
 # degree 5: every Gram, overlap and first-moment integrand is at most quadratic
-# on a piece, and the smooth Doppler factor of a velocity panel converges to
+# on a panel, and the smooth Doppler factor of a velocity panel converges to
 # rounding (an 8-point rule agrees to 1e-13).  Nodes are interior to each
-# piece, so basis evaluation there never meets a breakpoint.
+# panel, so basis evaluation there never meets a breakpoint.
 _GAUSS_RULE = np.polynomial.legendre.leggauss(3)
 
 
-def _gauss_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of :data:`_GAUSS_RULE` mapped to ``[a, b]``."""
+def _axis_panels(grid: AxisGrid, s: int, cuts=()) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on the smooth pieces of an axis integrand.
+
+    The panels run between the basis breakpoints and the extra ``cuts``
+    (the kinks of whatever multiplies the basis), clipped to the axis; a
+    point within 1e-12 of the axis length of its predecessor is dropped,
+    and the last panel always ends at the axis end.
+    Returns ``(x, w)``, both of shape ``(panels, points)``.
+    """
+    pts = np.unique(np.clip(np.concatenate((_breakpoints(grid, s), cuts)), grid.lo, grid.hi))
+    pts = pts[np.diff(pts, prepend=-np.inf) > 1e-12 * (grid.hi - grid.lo)]
+    pts[-1] = grid.hi
     x, w = _GAUSS_RULE
-    half = 0.5 * (b - a)
+    a = pts[:-1, None]
+    half = 0.5 * (pts[1:, None] - a)
     return a + half * (x + 1.0), half * w
 
 
 def _axis_factors(grid: AxisGrid, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense 1D mass and gradient Gram factors ``(A, B)`` of one axis.
 
-    Both are exact: the mass integrand is quadratic on every smooth piece,
-    which the Gauss rule integrates exactly, and basis derivatives are
-    constant per piece.
+    Both are exact.  The mass integrand is quadratic on every panel; ``A``
+    is averaged with its transpose so that it is symmetric bit for bit,
+    as ``eigh`` reads one triangle only.  The hats are linear between
+    neighbouring midpoints and flat on the end strips, so ``B`` is
+    ``D^T diag(1 / diff(centers)) D`` with ``D`` the first difference;
+    for ``s = 0`` the derivatives vanish and ``B`` is zero.
     """
+    x, w = (a.ravel() for a in _axis_panels(grid, s))
+    phi = eval_axis_basis(grid, s, x)
+    A = (phi * w[:, None]).T @ phi
+    A = 0.5 * (A + A.T)
     n = grid.n_cells
-    A = np.zeros((n, n))
-    B = np.zeros((n, n))
-    for a, b, active in _axis_pieces(grid, s):
-        xq, wq = _gauss_rule(a, b)
-        frac = (xq - a) / (b - a)
-        vals = np.array([va + (vb - va) * frac for (_, va, vb) in active])
-        ders = np.array([(vb - va) / (b - a) for (_, va, vb) in active])
-        idx = [i for (i, _, _) in active]
-        A[np.ix_(idx, idx)] += (vals * wq) @ vals.T
-        B[np.ix_(idx, idx)] += np.outer(ders, ders) * (b - a)
-    return A, B
+    if s == 0:
+        return A, np.zeros((n, n))
+    D = np.diff(np.eye(n), axis=0)
+    return A, D.T @ (D / np.diff(grid.centers)[:, None])
 
 
 def eval_axis_basis(grid: AxisGrid, s: int, x: np.ndarray) -> np.ndarray:
@@ -314,24 +295,14 @@ def eval_axis_basis(grid: AxisGrid, s: int, x: np.ndarray) -> np.ndarray:
 
 def axis_weights(grid: AxisGrid, s: int) -> np.ndarray:
     """Exact integrals of the axis basis functions."""
-    n = grid.n_cells
-    w = np.zeros(n)
-    for a, b, active in _axis_pieces(grid, s):
-        for i, va, vb in active:
-            w[i] += 0.5 * (va + vb) * (b - a)
-    return w
+    x, w = (a.ravel() for a in _axis_panels(grid, s))
+    return eval_axis_basis(grid, s, x).T @ w
 
 
 def axis_first_moments(grid: AxisGrid, s: int) -> np.ndarray:
     """Exact integrals of ``x * basis_i(x)`` along one axis."""
-    n = grid.n_cells
-    m = np.zeros(n)
-    for a, b, active in _axis_pieces(grid, s):
-        xq, wq = _gauss_rule(a, b)
-        frac = (xq - a) / (b - a)
-        for i, va, vb in active:
-            m[i] += np.sum(wq * xq * (va + (vb - va) * frac))
-    return m
+    x, w = (a.ravel() for a in _axis_panels(grid, s))
+    return eval_axis_basis(grid, s, x).T @ (w * x)
 
 
 def basis_integral_weights(basis: DiscreteBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -350,29 +321,14 @@ def basis_integral_weights(basis: DiscreteBasis) -> tuple[np.ndarray, np.ndarray
 # -- Gram matrices -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrices:
-    """The spatial L2 Gram matrix of one discretization.
+def build_gram_matrices(basis: DiscreteBasis) -> sp.csc_matrix:
+    """The spatial L2 Gram ``G = A_x1 (x) A_x2`` of a basis from its axis mass factors.
 
-    Attributes
-    ----------
-    G : csc_matrix, (N, N)
-        Plain L2 Gram of the spatial basis, ``A_x1 (x) A_x2``; this is
-        also the data-space Gram matrix.
-    c_N : float
-        Mean diagonal of ``G``.  On uniform spatial grids with ``s = 0``
-        it is the common cell volume and ``G == c_N * I`` exactly.
+    ``G`` is also the data-space Gram matrix.  On uniform spatial grids
+    with ``s = 0`` it is the common cell volume times the identity.
     """
-
-    G: sp.csc_matrix
-    c_N: float
-
-
-def build_gram_matrices(basis: DiscreteBasis) -> GramMatrices:
-    """Assemble the spatial L2 Gram ``G`` of a basis from its axis mass factors."""
     A1, A2 = (_axis_factors(g, basis.s)[0] for g in basis.omega_grids)
-    G = sp.kron(A1, A2, format="csc")
-    return GramMatrices(G=G, c_N=float(np.mean(G.diagonal())))
+    return sp.kron(A1, A2, format="csc")
 
 
 def gram_eigenbasis(

@@ -523,9 +523,10 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
     Raises
     ------
     ValueError
-        If the data do not fit the system, a channel ``r`` has a
-        non-finite sample or a non-finite or negative ``delta_r``, or the
-        initial guess has a non-finite or negative entry.
+        If the data do not fit the system, the config's ``s`` or ``beta``
+        differs from the system basis's, a channel ``r`` has a non-finite
+        sample or a non-finite or negative ``delta_r``, or the initial
+        guess has a non-finite or negative entry.
     RuntimeError
         If an iterate leaves the finite range or its norm grows by a
         factor 1e6 over the first nonzero iterate, both symptoms of an
@@ -538,6 +539,8 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
         raise ValueError(f"delta_r has shape {data.delta_r.shape}, expected ({system.R},)")
     if config.s != system.basis.s:
         raise ValueError(f"config requests s={config.s} but the system basis has s={system.basis.s}")
+    if np.any(system.basis.beta != config.beta):
+        raise ValueError(f"config requests beta={config.beta:g} but the system basis has beta={system.basis.beta.tolist()}")
     finite_y = np.isfinite(data.y).all(axis=0)
     bad = np.flatnonzero(~(finite_y & np.isfinite(data.delta_r) & (data.delta_r >= 0.0)))
     if bad.size:

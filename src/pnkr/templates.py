@@ -9,10 +9,11 @@ keeps the rest-frame lookup inside the table.  The observation kernel is
 
 with linear interpolation in ``ln lambda`` and bilinear interpolation in
 ``(z, t)``.  Kernel integrals against the population-kinematic basis are
-computed axis by axis: the ``(z, t)`` directions collapse onto the table
-nodes exactly once per basis function, and the velocity quadrature is
-split at every point where the rest-frame lookup crosses a lattice node,
-so each Gauss panel integrates a smooth function.
+computed axis by axis with the basis's panel rule: the ``(z, t)``
+directions collapse onto the table nodes exactly once per basis function,
+on panels cut at the table nodes, and the velocity panels are cut at
+every point where the rest-frame lookup crosses a lattice node, so each
+Gauss panel integrates a smooth function.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 from .grid_basis import (
     AxisGrid,
     DiscreteBasis,
-    _breakpoints,
-    _gauss_rule,
+    _axis_panels,
     _read_exact,
     eval_axis_basis,
 )
@@ -178,7 +178,7 @@ def build_template_grid(
     lam_ext = lambda_min * np.exp(idx * dln)
     S = synth_ssp(lam_ext[:, None, None], z_nodes[None, :, None], t_nodes[None, None, :])
     return TemplateGrid(
-        lambda_nodes=AxisGrid(nodes=lam_ext, uniform=False),
+        lambda_nodes=AxisGrid(nodes=lam_ext),
         z_nodes=z_nodes,
         t_nodes=t_nodes,
         S=S,
@@ -237,46 +237,15 @@ def kernel_eval(
 def _overlap_weights(grid: AxisGrid, s: int, nodes: np.ndarray) -> np.ndarray:
     """Integrals of basis functions against the table interpolation hats.
 
-    Shape ``(n_cells, len(nodes))``.  Quadrature panels are split at every
-    kink of either family, so each integrand is a quadratic on its panel
-    and the Gauss rule integrates it exactly.
+    Shape ``(n_cells, len(nodes))``.  The panels are cut at every kink of
+    either family, so each integrand is a quadratic on its panel and the
+    Gauss rule integrates it exactly.
     """
     span = grid.hi - grid.lo
     if nodes[0] > grid.lo + 1e-9 * span or nodes[-1] < grid.hi - 1e-9 * span:
         raise ValueError("template table does not cover the basis axis range")
-    cuts = np.union1d(_breakpoints(grid, s), nodes)
-    cuts = cuts[(cuts >= grid.lo - 1e-12 * span) & (cuts <= grid.hi + 1e-12 * span)]
-    cuts = np.unique(np.clip(cuts, grid.lo, grid.hi))
-    out = np.zeros((grid.n_cells, len(nodes)))
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= 1e-14 * span:
-            continue
-        xq, wq = _gauss_rule(a, b)
-        phi = eval_axis_basis(grid, s, xq)
-        tent = _interp_hats(nodes, xq)
-        out += np.einsum("qi,qb,q->ib", phi, tent, wq, optimize=True)
-    return out
-
-
-def _v_segments(template: TemplateGrid, grid: AxisGrid, s: int) -> np.ndarray:
-    """Velocity quadrature cuts: basis kinks plus lattice crossings.
-
-    Between consecutive cuts the rest-frame lookup of every observed
-    channel stays within one lattice interval, so the integrand is smooth.
-    """
-    dln = template.dln
-    lo_arg = np.log1p(grid.lo / C_LIGHT) / dln
-    hi_arg = np.log1p(grid.hi / C_LIGHT) / dln
-    kmin = int(np.ceil(lo_arg + 1e-9))
-    kmax = int(np.floor(hi_arg - 1e-9))
-    crossings = C_LIGHT * np.expm1(np.arange(kmin, kmax + 1) * dln)
-    cuts = np.union1d(_breakpoints(grid, s), crossings)
-    span = grid.hi - grid.lo
-    keep = [cuts[0]]
-    for c in cuts[1:]:
-        if c - keep[-1] > 1e-12 * span:
-            keep.append(c)
-    return np.asarray(keep)
+    x, w = (a.ravel() for a in _axis_panels(grid, s, nodes))
+    return (eval_axis_basis(grid, s, x) * w[:, None]).T @ _interp_hats(nodes, x)
 
 
 def kernel_theta_integrals(template: TemplateGrid, basis: DiscreteBasis) -> np.ndarray:
@@ -301,11 +270,13 @@ def kernel_theta_integrals(template: TemplateGrid, basis: DiscreteBasis) -> np.n
     R = template.R
     nv = gv.n_cells
     acc = np.zeros((nv, nz_c, nt_c, R))
-    cuts = _v_segments(template, gv, s)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        xq, wq = _gauss_rule(a, b)
+    # the rest-frame lookup of every channel crosses a lattice node where
+    # ln(1 + v/c) is a whole multiple of dln
+    dln = template.dln
+    k = np.arange(np.ceil(np.log1p(gv.lo / C_LIGHT) / dln), np.floor(np.log1p(gv.hi / C_LIGHT) / dln) + 1)
+    for xq, wq in zip(*_axis_panels(gv, s, C_LIGHT * np.expm1(k * dln))):
         phi = eval_axis_basis(gv, s, xq)
-        cfrac = template.obs_start - np.log1p(xq / C_LIGHT) / template.dln
+        cfrac = template.obs_start - np.log1p(xq / C_LIGHT) / dln
         f = int(np.floor(cfrac[len(cfrac) // 2]))
         if f < 0 or f + R > R_ext - 1:
             raise RuntimeError("extended lattice does not cover the velocity axis")
@@ -364,7 +335,7 @@ def read_template_grid(path) -> TemplateGrid:
         t_nodes = _read_exact(fh, "<f8", nt, "template")
         S = _read_exact(fh, "<f8", r_ext * nz * nt, "template").reshape(r_ext, nz, nt)
     return TemplateGrid(
-        lambda_nodes=AxisGrid(nodes=lam_ext, uniform=False),
+        lambda_nodes=AxisGrid(nodes=lam_ext),
         z_nodes=z_nodes,
         t_nodes=t_nodes,
         S=S,

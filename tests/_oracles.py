@@ -6,7 +6,7 @@ from scipy.sparse.linalg import splu
 from pnkr.forward import sample_norm
 from pnkr.grid_basis import _axis_factors, _breakpoints
 from pnkr.solver import as_solve_data
-from pnkr.templates import C_LIGHT, _interp_hats, _v_segments
+from pnkr.templates import C_LIGHT, _interp_hats
 
 
 def eval_axis_basis_on_panel(grid, s, x, panel_mid):
@@ -35,6 +35,21 @@ def eval_axis_basis_on_panel(grid, s, x, panel_mid):
         out[:, j] = rise
         out[:, j - 1] = 1.0 - rise
     return out
+
+
+def velocity_cuts(template, gv, s):
+    """Velocity panel ends: the basis kinks and every lattice crossing.
+
+    The lookup ``lambda_r / (1 + v/c)`` of every observed channel meets a
+    lattice node where ``ln(1 + v/c)`` is a whole multiple of ``dln``.
+    Independent of the package's panel rule: every crossing of the
+    extended lattice is listed, and those outside the axis are dropped;
+    a near-empty trapezoid panel contributes nothing, so none are merged.
+    """
+    reach = template.R_ext
+    crossings = C_LIGHT * np.expm1(np.arange(-reach, reach + 1) * template.dln)
+    inside = crossings[(crossings > gv.lo) & (crossings < gv.hi)]
+    return np.unique(np.concatenate([_breakpoints(gv, s), inside]))
 
 
 def kernel_on_grid(template, vq, zq, tq, lam_r):
@@ -77,7 +92,7 @@ def theta_integral_dense(template, basis, l, r, points=400):
             pts.append(np.linspace(a, b, per))
         return pts
 
-    vcuts = _v_segments(template, gv, s)
+    vcuts = velocity_cuts(template, gv, s)
     zcuts = np.unique(np.concatenate([_breakpoints(gz, s), template.z_nodes]))
     zcuts = zcuts[(zcuts >= gz.lo) & (zcuts <= gz.hi)]
     tcuts = np.unique(np.concatenate([_breakpoints(gt, s), template.t_nodes]))
@@ -111,7 +126,7 @@ def theta_full_integral(template, basis, r, points=2000):
     zw = _hat_integrals(template.z_nodes, gz.lo, gz.hi)
     tw = _hat_integrals(template.t_nodes, gt.lo, gt.hi)
     Sbar = np.einsum("jbc,b,c->j", template.S, zw, tw, optimize=True)
-    vcuts = _v_segments(template, gv, basis.s)
+    vcuts = velocity_cuts(template, gv, basis.s)
     lext = template.lambda_nodes.nodes
     total = 0.0
     for a, b in zip(vcuts[:-1], vcuts[1:]):

@@ -44,17 +44,16 @@ def test_preset_axes_spacing_and_ranges():
         geometric_t = name != "tiny"
         t_nodes = (np.geomspace if geometric_t else np.linspace)(0.015, 14.25, n_t)
         expected = {
-            "x1": (np.linspace(-1.0, 1.0, n_spatial), True),
-            "x2": (np.linspace(-1.0, 1.0, n_spatial), True),
-            "v": (np.linspace(-1000.0, 1000.0, n_v), True),
-            "z": (np.linspace(-2.66, 0.36, n_z), True),
-            "t": (t_nodes, not geometric_t),
+            "x1": np.linspace(-1.0, 1.0, n_spatial),
+            "x2": np.linspace(-1.0, 1.0, n_spatial),
+            "v": np.linspace(-1000.0, 1000.0, n_v),
+            "z": np.linspace(-2.66, 0.36, n_z),
+            "t": t_nodes,
         }
         axes = preset_axes(name)
         assert list(axes) == ["x1", "x2", "v", "z", "t"]
-        for axis, (nodes, uniform) in expected.items():
+        for axis, nodes in expected.items():
             np.testing.assert_array_equal(axes[axis].nodes, nodes)
-            assert axes[axis].uniform is uniform
         basis = preset_basis(name, 1)
         for grid, axis in zip(basis.grids, expected):
             np.testing.assert_array_equal(grid.nodes, axes[axis].nodes)

@@ -19,7 +19,8 @@ from pnkr.grid_basis import (
     split_index,
     uniform_axis,
 )
-from pnkr.grid_basis import _axis_factors
+from pnkr.grid_basis import _axis_factors, _axis_panels, _breakpoints
+from pnkr.presets import PRESET_NAMES, preset_axes, preset_basis
 
 from _oracles import dense_Phi, dense_Psi
 
@@ -58,17 +59,14 @@ def test_axis_validation():
 def test_axis_geometry():
     g = uniform_axis(-1.0, 1.0, 26)
     assert g.n_cells == 25
-    assert g.uniform
-    assert g.spacing == pytest.approx(0.08)
     assert np.allclose(g.centers, g.nodes[:-1] + 0.04)
 
     t = geometric_axis(0.015, 14.25, 19)
     ratios = t.nodes[1:] / t.nodes[:-1]
     assert np.allclose(ratios, ratios[0])
-    assert not t.uniform
 
     e = explicit_axis([0.0, 1.0, 2.0, 3.0])
-    assert e.uniform
+    np.testing.assert_array_equal(e.nodes, [0.0, 1.0, 2.0, 3.0])
 
 
 # -- index maps --------------------------------------------------------------
@@ -162,6 +160,44 @@ def test_uniform_axis_weights_are_constant():
         np.testing.assert_allclose(axis_weights(g, s), 0.08, rtol=1e-13)
 
 
+@pytest.mark.parametrize("s", [0, 1])
+def test_axis_panels_tile_the_pieces_between_breakpoints_and_cuts(s):
+    g = geometric_axis(0.015, 14.25, 7)
+    # one cut below the axis, two inside (one listed twice), one above
+    x, w = _axis_panels(g, s, [-1.0, 0.7, 3.3, 3.3, 20.0])
+    ends = np.union1d(_breakpoints(g, s), [0.7, 3.3])
+    assert x.shape == w.shape == (len(ends) - 1, 3)
+    # every panel lies inside one piece, and its weights add up to that piece
+    piece = np.searchsorted(ends, x)
+    assert np.all(piece == np.arange(1, len(ends))[:, None])
+    np.testing.assert_allclose(w.sum(axis=1), np.diff(ends), rtol=1e-14)
+    assert w.sum() == pytest.approx(g.hi - g.lo, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_axis_panels_ignore_a_cut_next_to_a_breakpoint(s):
+    g = uniform_axis(-1.0, 1.0, 6)
+    bp = _breakpoints(g, s)[2]
+    panels = len(_axis_panels(g, s)[0])
+    for cut in (bp - 1e-13 * 2.0, bp + 1e-13 * 2.0, g.hi - 1e-13 * 2.0):
+        x, w = _axis_panels(g, s, [cut])
+        assert len(x) == panels
+        assert w.sum() == pytest.approx(g.hi - g.lo, rel=1e-14, abs=0.0)
+    assert len(_axis_panels(g, s, [bp + 1e-11 * 2.0])[0]) == panels + 1
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("s", [0, 1])
+def test_mass_factors_and_G_are_exactly_symmetric(name, s):
+    # eigh(B, A) reads one triangle of A, and G = A_x1 (x) A_x2 must agree with it
+    for grid in preset_axes(name).values():
+        A, B = _axis_factors(grid, s)
+        assert np.array_equal(A, A.T)
+        assert np.array_equal(B, B.T)
+    G = build_gram_matrices(preset_basis(name, s))
+    assert (G != G.T).nnz == 0
+
+
 # -- Gram assembly -----------------------------------------------------------
 
 
@@ -175,7 +211,7 @@ def test_s0_gram_is_scaled_identity_on_square():
             geometric_axis(0.015, 14.25, 3),
         ),
     )
-    G = build_gram_matrices(basis).G
+    G = build_gram_matrices(basis)
     assert G.shape == (625, 625)
     off_diag = G - sp.diags(G.diagonal())
     assert off_diag.nnz == 0
@@ -297,7 +333,7 @@ def test_beta_zero_matches_l2():
 def test_gram_positive_definite(s, beta):
     basis = small_basis(s, beta)
     rng = np.random.default_rng(42)
-    for dense in (dense_Psi(basis), dense_Phi(basis), build_gram_matrices(basis).G.toarray()):
+    for dense in (dense_Psi(basis), dense_Phi(basis), build_gram_matrices(basis).toarray()):
         np.testing.assert_allclose(dense, dense.T, atol=1e-13 * np.abs(dense).max())
         for _ in range(100):
             u = rng.standard_normal(len(dense))
@@ -332,8 +368,8 @@ def test_gram_matrices_c_N():
         (uniform_axis(-1.0, 1.0, 26), uniform_axis(-1.0, 1.0, 26)),
         small_basis(0).theta_grids,
     )
-    grams = build_gram_matrices(basis)
-    assert grams.c_N == pytest.approx(0.0064, rel=1e-13)
+    system = build_forward_system(basis, np.zeros((basis.L, 1)))
+    assert system.c_N == pytest.approx(0.0064, rel=1e-13)
 
 
 # -- evaluation of expansions ------------------------------------------------

@@ -780,6 +780,18 @@ def test_run_validation_errors(tiny0, tiny1, tiny0_problem):
 
 
 @pytest.mark.parametrize(
+    "config_beta, basis_beta",
+    [(0.01, 0.3), (0.0, 0.3), (0.3, [0.3, 0.3, 0.3, 0.3, 0.5])],
+)
+def test_run_rejects_a_beta_the_basis_does_not_carry(tiny_template, tiny0_problem, config_beta, basis_beta):
+    _, data = tiny0_problem
+    system = _tiny_system(1, tiny_template, beta=basis_beta)
+    cfg = SolverConfig(variant="pnkr", s=1, beta=config_beta, max_loops=1)
+    with pytest.raises(ValueError, match=rf"beta={config_beta:g} but the system basis has beta=\[0\.3, 0\.3, 0\.3, 0\.3, 0\.[35]\]"):
+        run(cfg, data, system)
+
+
+@pytest.mark.parametrize(
     "bad, message",
     [
         ("sample", "r=3 has a non-finite sample"),
