@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_SKIP = {"config", "func", "command"}
+_CONFIG_SKIP = {"config", "func", "command", "help"}
 
 
 def _apply_config_file(parser, argv):
@@ -521,12 +521,6 @@ def _apply_config_file(parser, argv):
         if dest in _CONFIG_SKIP or dest not in actions:
             raise CLIError(f"{path}:{lineno}: unknown option {key.strip()!r}")
         action = actions[dest]
-        if action.nargs == 0:
-            lowered = value.lower()
-            if lowered not in ("true", "false"):
-                raise CLIError(f"{path}:{lineno}: {key.strip()!r} expects true or false")
-            defaults[dest] = lowered == "true"
-            continue
         try:
             converted = action.type(value) if action.type else value
         except (ValueError, argparse.ArgumentTypeError) as exc:

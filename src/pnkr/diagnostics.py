@@ -44,9 +44,7 @@ __all__ = [
     "mean_maps",
     "light_integrals",
     "light_weighted_losvd",
-    "mass_weighted_losvd",
     "normalized_hermite",
-    "gauss_hermite_series",
     "gauss_hermite_fit",
     "moment_maps",
     "default_losvd_positions",
@@ -209,16 +207,6 @@ def light_weighted_losvd(
     return _normalized_sample(x, basis.theta_grids[0].centers, values)
 
 
-def mass_weighted_losvd(u: np.ndarray, basis: DiscreteBasis, x) -> LOSVDSample:
-    """Mass-weighted velocity distribution at a spatial position."""
-    W = _coefficient_array(u, basis)
-    wz = axis_weights(basis.theta_grids[1], basis.s)
-    wt = axis_weights(basis.theta_grids[2], basis.s)
-    wpos = _position_weights(basis, x)
-    values = np.einsum("ij,ijabc,b,c->a", wpos, W, wz, wt, optimize=True)
-    return _normalized_sample(x, basis.theta_grids[0].centers, values)
-
-
 # -- Gauss-Hermite fits -------------------------------------------------------
 
 
@@ -227,15 +215,6 @@ def normalized_hermite(k: int, w: np.ndarray) -> np.ndarray:
     coef = np.zeros(k + 1)
     coef[k] = 1.0
     return _hermite.hermval(np.asarray(w, dtype=float), coef) / math.sqrt(2.0**k * math.factorial(k))
-
-
-def gauss_hermite_series(v: np.ndarray, gamma: float, mu: float, sigma: float, h: np.ndarray) -> np.ndarray:
-    """Evaluate the expansion; ``h`` collects the coefficients from order 3 up."""
-    w = (np.asarray(v, dtype=float) - mu) / sigma
-    series = np.ones_like(w)
-    for k, hk in enumerate(np.asarray(h, dtype=float), start=3):
-        series = series + hk * normalized_hermite(k, w)
-    return gamma * np.exp(-0.5 * w**2) * series
 
 
 @dataclass(frozen=True, eq=False)

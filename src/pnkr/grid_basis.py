@@ -40,13 +40,10 @@ __all__ = [
     "make_basis",
     "build_gram_matrices",
     "gram_eigenbasis",
-    "split_index",
-    "flat_index",
     "eval_axis_basis",
     "axis_weights",
     "axis_first_moments",
     "basis_integral_weights",
-    "coefficients_to_function",
 ]
 
 
@@ -84,14 +81,15 @@ class AxisGrid:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
 
-def _validated_nodes(nodes: Sequence[float]) -> np.ndarray:
+def _validated_nodes(nodes: Sequence[float], name: str = "axis") -> np.ndarray:
+    """``nodes`` as a float array; a ``ValueError`` naming ``name`` unless finite and strictly increasing."""
     arr = np.asarray(nodes, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("an axis needs at least two nodes")
+        raise ValueError(f"{name} needs at least two nodes")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("axis nodes must be finite")
+        raise ValueError(f"{name} nodes must be finite")
     if not np.all(np.diff(arr) > 0):
-        raise ValueError("axis nodes must be strictly increasing")
+        raise ValueError(f"{name} nodes must be strictly increasing")
     return arr
 
 
@@ -186,28 +184,6 @@ def make_basis(
     return DiscreteBasis(s=int(s), omega_grids=og, theta_grids=tg, beta=b)
 
 
-def split_index(m: int | np.ndarray, L: int) -> tuple:
-    """Map the 1-based flat index ``m`` to the 1-based pair ``(n, l)``.
-
-    The flat layout is spatial-major: ``m = (n - 1) * L + l``.
-    """
-    marr = np.asarray(m)
-    n = (marr - 1) // L + 1
-    l = (marr - 1) % L + 1
-    if marr.ndim == 0:
-        return int(n), int(l)
-    return n, l
-
-
-def flat_index(n: int | np.ndarray, l: int | np.ndarray, L: int) -> int | np.ndarray:
-    """Inverse of :func:`split_index`; all indices 1-based."""
-    narr = np.asarray(n)
-    out = (narr - 1) * L + np.asarray(l)
-    if narr.ndim == 0 and np.ndim(l) == 0:
-        return int(out)
-    return out
-
-
 # -- per-axis machinery ------------------------------------------------------
 
 
@@ -229,14 +205,17 @@ def _axis_panels(grid: AxisGrid, s: int, cuts=()) -> tuple[np.ndarray, np.ndarra
     """Gauss nodes and weights on the smooth pieces of an axis integrand.
 
     The panels run between the basis breakpoints and the extra ``cuts``
-    (the kinks of whatever multiplies the basis), clipped to the axis; a
-    point within 1e-12 of the axis length of its predecessor is dropped,
-    and the last panel always ends at the axis end.
+    (the kinks of whatever multiplies the basis), clipped to the axis.
+    A cut within 1e-12 of the axis length of a breakpoint or of the cut
+    before it is dropped, so every breakpoint, the axis ends included,
+    is a panel end.
     Returns ``(x, w)``, both of shape ``(panels, points)``.
     """
-    pts = np.unique(np.clip(np.concatenate((_breakpoints(grid, s), cuts)), grid.lo, grid.hi))
-    pts = pts[np.diff(pts, prepend=-np.inf) > 1e-12 * (grid.hi - grid.lo)]
-    pts[-1] = grid.hi
+    bp = _breakpoints(grid, s)
+    tol = 1e-12 * (grid.hi - grid.lo)
+    cuts = np.unique(np.clip(cuts, grid.lo, grid.hi))
+    cuts = cuts[np.abs(cuts[:, None] - bp).min(axis=1) > tol]
+    pts = np.union1d(bp, cuts[np.diff(cuts, prepend=-np.inf) > tol])
     x, w = _GAUSS_RULE
     a = pts[:-1, None]
     half = 0.5 * (pts[1:, None] - a)
@@ -357,35 +336,6 @@ def gram_eigenbasis(
         V.append(vecs)
         E = np.add.outer(E, b * lam)
     return V, E.reshape(-1)
-
-
-def coefficients_to_function(
-    u: np.ndarray, basis: DiscreteBasis, points: np.ndarray
-) -> float | np.ndarray:
-    """Evaluate the expansion with coefficients ``u`` at physical points.
-
-    Parameters
-    ----------
-    u : ndarray
-        Flat coefficient vector of length ``N * L``.
-    points : array-like
-        A single point ``(x1, x2, v, z, t)`` or an array of shape
-        ``(P, 5)``.
-
-    Returns
-    -------
-    float or ndarray
-        Function value per point; zero outside the domain box.
-    """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != 5:
-        raise ValueError("points must have 5 columns (x1, x2, v, z, t)")
-    u5 = np.asarray(u, dtype=float).reshape(basis.shape5)
-    mats = [eval_axis_basis(g, basis.s, pts[:, k]) for k, g in enumerate(basis.grids)]
-    out = np.einsum("abcde,pa,pb,pc,pd,pe->p", u5, *mats, optimize=True)
-    return float(out[0]) if single else out
 
 
 # -- binary file helpers -----------------------------------------------------

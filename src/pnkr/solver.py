@@ -98,22 +98,13 @@ ORDERINGS = ("cyclic", "random_permutation")
 _PNKU_MAGIC = b"PNKU"
 _PNKU_VERSION = 1
 
-# Largest m*n*k of one BLAS call in the solve loop.  OpenBLAS runs a GEMM
-# of m*n*k <= 4 * 65536 on one thread.  numpy and scipy each load their own
-# OpenBLAS, each with its own worker pool, and threaded calls from the two
-# pools, interleaved, stall: in a desk Landweber run on 2 vCPUs at 2 BLAS
-# threads the 144x448x96 residual product took 0.35 ms at the median but
-# 7.9 ms at the 90th percentile (0.57 ms on one thread).  The loop runs no
-# sparse solve (the system stores Psi^-1 G and Phi^-1 Q), but its
-# multi-column numpy products still run in row blocks under this cutoff
-# (see _sized_matmul).
-_SINGLE_THREAD_MNK = 262_143
-
 # Entries of one row block of the iterate in the two-phase Kaczmarz step:
 # 768 KiB of float64, which stays in a 1-4 MiB L2 next to the other
 # operands.  A paper-scale iterate (625 x 2808) runs in blocks of 35 rows;
-# a desk-scale one (144 x 448) is one block.  It is below
-# _SINGLE_THREAD_MNK, so the rank-one dgemm of a block runs on one thread.
+# a desk-scale one (144 x 448) is one block.  OpenBLAS runs a GEMM of
+# m*n*k <= 4 * 65536 on one thread, and the rank-one (k = 1) dgemm of a
+# block stays under that: a threaded k = 1 update over the whole paper
+# iterate made a sweep three times slower.
 _STEP_BLOCK_ENTRIES = 98_304
 
 
@@ -370,31 +361,9 @@ def reduced_equation_update(
     return threshold(u + step)
 
 
-def _sized_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``A @ B`` in row blocks of ``A`` that OpenBLAS runs on one thread each.
-
-    A product whose single row already exceeds ``_SINGLE_THREAD_MNK``
-    stays one call: at that size the threaded GEMM pays off.  The result
-    goes into ``out`` when given.
-    """
-    rows = _SINGLE_THREAD_MNK // (B.shape[0] * B.shape[1])
-    if rows == 0 or rows >= A.shape[0]:
-        return np.matmul(A, B, out=out)
-    if out is None:
-        out = np.empty((A.shape[0], B.shape[1]))
-    for i in range(0, A.shape[0], rows):
-        np.matmul(A[i : i + rows], B, out=out[i : i + rows])
-    return out
-
-
 def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData, blk: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Sample-space residuals ``y[:, blk] - U Q[:, blk]`` at ``u`` and their norms.
-
-    A one-equation block is a plain GEMV; wider blocks go through
-    :func:`_sized_matmul`.
-    """
-    U, Q = u.reshape(system.N, system.L), system.Q[:, blk]
-    D = data.y[:, blk] - (U @ Q if Q.shape[1] == 1 else _sized_matmul(U, Q))
+    """Sample-space residuals ``y[:, blk] - U Q[:, blk]`` at ``u`` and their norms."""
+    D = data.y[:, blk] - u.reshape(system.N, system.L) @ system.Q[:, blk]
     return D, sample_norm(system, D)
 
 
@@ -485,9 +454,9 @@ def landweber_step(state: SolverState, config: SolverConfig, data, system: Forwa
         state.u_km1 = state.u_k.copy()
 
     def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
-        A = omega * _sized_matmul(system.Psi_inv_G, D)
+        A = omega * (system.Psi_inv_G @ D)
         out = state.u_km1
-        _sized_matmul(A, system.Phi_inv_Q.T, out=out.reshape(system.N, system.L))
+        np.matmul(A, system.Phi_inv_Q.T, out=out.reshape(system.N, system.L))
         out += state.u_k
         threshold(out, out=out)
         return out, out.max()

@@ -27,6 +27,7 @@ from .grid_basis import (
     DiscreteBasis,
     _axis_panels,
     _read_exact,
+    _validated_nodes,
     eval_axis_basis,
 )
 
@@ -319,7 +320,13 @@ def write_template_grid(template: TemplateGrid, path) -> None:
 
 
 def read_template_grid(path) -> TemplateGrid:
-    """Read a PNKT template file written by :func:`write_template_grid`."""
+    """Read a PNKT template file written by :func:`write_template_grid`.
+
+    Raises ``ValueError`` when the file is truncated and, naming the
+    field, when its lambda, z or t nodes are not finite and strictly
+    increasing, ``dln`` is not positive and finite, or the observed
+    channels overrun the extended lattice.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _PNKT_MAGIC:
@@ -334,6 +341,12 @@ def read_template_grid(path) -> TemplateGrid:
         z_nodes = _read_exact(fh, "<f8", nz, "template")
         t_nodes = _read_exact(fh, "<f8", nt, "template")
         S = _read_exact(fh, "<f8", r_ext * nz * nt, "template").reshape(r_ext, nz, nt)
+    if not (np.isfinite(dln) and dln > 0.0):
+        raise ValueError(f"template file dln={dln:g} must be positive and finite")
+    if obs_start + r_obs > r_ext:
+        raise ValueError(f"template file obs_start={obs_start} plus R={r_obs} exceeds R_ext={r_ext}")
+    for name, nodes in (("lambda", lam_ext), ("z", z_nodes), ("t", t_nodes)):
+        _validated_nodes(nodes, f"template file {name}")
     return TemplateGrid(
         lambda_nodes=AxisGrid(nodes=lam_ext),
         z_nodes=z_nodes,

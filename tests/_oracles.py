@@ -3,8 +3,9 @@
 import numpy as np
 from scipy.sparse.linalg import splu
 
+from pnkr.diagnostics import _coefficient_array, _normalized_sample, _position_weights, normalized_hermite
 from pnkr.forward import sample_norm
-from pnkr.grid_basis import _axis_factors, _breakpoints
+from pnkr.grid_basis import _axis_factors, _breakpoints, axis_weights, eval_axis_basis
 from pnkr.solver import as_solve_data
 from pnkr.templates import C_LIGHT, _interp_hats
 
@@ -236,3 +237,42 @@ def samples_from_moments(system, w):
 def moment_norm(system, w):
     """Noise-metric norm of moment vectors: ``sqrt(w^T G^-1 w)``."""
     return np.sqrt(np.einsum("n...,n...->...", w, samples_from_moments(system, w)))
+
+
+# -- expansions and velocity distributions ---------------------------------------
+
+
+def coefficients_to_function(u, basis, points):
+    """Evaluate the expansion with coefficients ``u`` at physical points.
+
+    ``points`` is one point ``(x1, x2, v, z, t)`` or an array of shape
+    ``(P, 5)``; returns the value per point, zero outside the domain box.
+    """
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if pts.shape[1] != 5:
+        raise ValueError("points must have 5 columns (x1, x2, v, z, t)")
+    u5 = np.asarray(u, dtype=float).reshape(basis.shape5)
+    mats = [eval_axis_basis(g, basis.s, pts[:, k]) for k, g in enumerate(basis.grids)]
+    out = np.einsum("abcde,pa,pb,pc,pd,pe->p", u5, *mats, optimize=True)
+    return float(out[0]) if single else out
+
+
+def mass_weighted_losvd(u, basis, x):
+    """Mass-weighted velocity distribution at a spatial position."""
+    W = _coefficient_array(u, basis)
+    wz = axis_weights(basis.theta_grids[1], basis.s)
+    wt = axis_weights(basis.theta_grids[2], basis.s)
+    wpos = _position_weights(basis, x)
+    values = np.einsum("ij,ijabc,b,c->a", wpos, W, wz, wt, optimize=True)
+    return _normalized_sample(x, basis.theta_grids[0].centers, values)
+
+
+def gauss_hermite_series(v, gamma, mu, sigma, h):
+    """Evaluate a Gauss-Hermite expansion; ``h`` collects the coefficients from order 3 up."""
+    w = (np.asarray(v, dtype=float) - mu) / sigma
+    series = np.ones_like(w)
+    for k, hk in enumerate(np.asarray(h, dtype=float), start=3):
+        series = series + hk * normalized_hermite(k, w)
+    return gamma * np.exp(-0.5 * w**2) * series

@@ -230,15 +230,18 @@ def test_config_file_defaults_and_flag_override(pipeline_dir, monkeypatch):
     assert manifest["seeds"]["ordering_seed"] == 9
 
 
-def test_config_file_unknown_key(pipeline_dir, monkeypatch, capsys):
+@pytest.mark.parametrize("line", ["loops = 7", "help = true"], ids=["loops", "help"])
+def test_config_file_unknown_key(pipeline_dir, monkeypatch, capsys, line):
+    # help is a flag without a value, which a config file cannot set
     monkeypatch.chdir(pipeline_dir)
-    (pipeline_dir / "bad.cfg").write_text("loops = 7\n")
+    (pipeline_dir / "bad.cfg").write_text(line + "\n")
     rc = main([
         "solve", "--preset", "tiny", "--templates", "tpl.pnkt",
         "--cube", "cube.pnkd", "--config", "bad.cfg", "--out", "x",
     ])
     assert rc == 1
-    assert "loops" in capsys.readouterr().err
+    assert f"unknown option {line.split()[0]!r}" in capsys.readouterr().err
+    assert not (pipeline_dir / "x").exists()
 
 
 def test_identical_invocations_reproduce_bitwise(pipeline_dir, tmp_path, monkeypatch):

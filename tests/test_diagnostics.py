@@ -14,14 +14,12 @@ from pnkr.diagnostics import (
     density_mask,
     export_maps,
     gauss_hermite_fit,
-    gauss_hermite_series,
     h5_feature_regions,
     h5_sign_match,
     light_integrals,
     light_weighted_losvd,
     losvd_recovery_error,
     marginals,
-    mass_weighted_losvd,
     mean_maps,
     moment_maps,
     normalized_hermite,
@@ -31,6 +29,8 @@ from pnkr.diagnostics import (
 from pnkr.grid_basis import axis_weights, geometric_axis, make_basis, uniform_axis
 from pnkr.mock import ComponentSpec, default_components, evaluate_ground_truth
 from pnkr.templates import build_template_grid
+
+from _oracles import gauss_hermite_series, mass_weighted_losvd
 
 OMEGA_GRIDS = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
 THETA_GRIDS = (

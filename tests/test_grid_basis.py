@@ -9,20 +9,17 @@ from pnkr.grid_basis import (
     axis_weights,
     basis_integral_weights,
     build_gram_matrices,
-    coefficients_to_function,
     eval_axis_basis,
     explicit_axis,
-    flat_index,
     geometric_axis,
     gram_eigenbasis,
     make_basis,
-    split_index,
     uniform_axis,
 )
-from pnkr.grid_basis import _axis_factors, _axis_panels, _breakpoints
+from pnkr.grid_basis import _GAUSS_RULE, _axis_factors, _axis_panels, _breakpoints
 from pnkr.presets import PRESET_NAMES, preset_axes, preset_basis
 
-from _oracles import dense_Phi, dense_Psi
+from _oracles import coefficients_to_function, dense_Phi, dense_Psi
 
 
 def small_basis(s, beta=0.0):
@@ -67,25 +64,6 @@ def test_axis_geometry():
 
     e = explicit_axis([0.0, 1.0, 2.0, 3.0])
     np.testing.assert_array_equal(e.nodes, [0.0, 1.0, 2.0, 3.0])
-
-
-# -- index maps --------------------------------------------------------------
-
-
-def test_index_maps_examples():
-    assert split_index(1, 10) == (1, 1)
-    assert split_index(10, 10) == (1, 10)
-    assert split_index(11, 10) == (2, 1)
-    assert flat_index(2, 1, 10) == 11
-
-
-@pytest.mark.parametrize("N,L", [(7, 13), (50, 200), (1, 5), (100, 100)])
-def test_index_maps_bijective(N, L):
-    m = np.arange(1, N * L + 1)
-    n, l = split_index(m, L)
-    assert n.min() == 1 and n.max() == N
-    assert l.min() == 1 and l.max() == L
-    np.testing.assert_array_equal(flat_index(n, l, L), m)
 
 
 # -- axis basis evaluation ---------------------------------------------------
@@ -177,13 +155,19 @@ def test_axis_panels_tile_the_pieces_between_breakpoints_and_cuts(s):
 @pytest.mark.parametrize("s", [0, 1])
 def test_axis_panels_ignore_a_cut_next_to_a_breakpoint(s):
     g = uniform_axis(-1.0, 1.0, 6)
-    bp = _breakpoints(g, s)[2]
-    panels = len(_axis_panels(g, s)[0])
+    ends = _breakpoints(g, s)
+    xg, wg = _GAUSS_RULE
+    half = 0.5 * np.diff(ends)[:, None]
+    bp = ends[2]
     for cut in (bp - 1e-13 * 2.0, bp + 1e-13 * 2.0, g.hi - 1e-13 * 2.0):
+        # the breakpoint wins over the cut, so every panel runs between two breakpoints
         x, w = _axis_panels(g, s, [cut])
-        assert len(x) == panels
-        assert w.sum() == pytest.approx(g.hi - g.lo, rel=1e-14, abs=0.0)
-    assert len(_axis_panels(g, s, [bp + 1e-11 * 2.0])[0]) == panels + 1
+        assert np.array_equal(x, ends[:-1, None] + half * (xg + 1.0))
+        assert np.array_equal(w, half * wg)
+        if s == 0:
+            cells = eval_axis_basis(g, 0, x.ravel()).T @ w.ravel()
+            np.testing.assert_allclose(cells, g.widths, rtol=0, atol=1e-15)
+    assert len(_axis_panels(g, s, [bp + 1e-11 * 2.0])[0]) == len(ends)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

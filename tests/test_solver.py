@@ -568,26 +568,21 @@ def test_landweber_step_updates_the_state_buffers_in_place(tiny0, tiny0_problem,
     assert np.array_equal(state.u_k, threshold((U + A @ tiny0.Phi_inv_Q.T).reshape(-1)))
 
 
-@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
-def test_sized_matmul_matches_one_call(fixture_name, request, monkeypatch):
-    system = request.getfixturevalue(fixture_name)
+def test_desk_landweber_step_is_one_product_per_side():
+    # on desk the residual and the correction are each one numpy product over all rows
+    from pnkr.presets import preset_basis, preset_template
+
+    basis = preset_basis("desk_scale", 0)
+    system = build_forward_system(basis, kernel_theta_integrals(preset_template("desk_scale"), basis))
     rng = np.random.default_rng(24)
-    U = rng.uniform(0.0, 1.0, (system.N, system.L))
-    A = rng.standard_normal((system.N, system.R))
-    products = ((U, system.Q), (A, system.Phi_inv_Q.T))
-    # a row over the cutoff keeps the one threaded call
-    monkeypatch.setattr(pnkr.solver, "_SINGLE_THREAD_MNK", system.L * system.R - 1)
-    for X, B in products:
-        assert np.array_equal(pnkr.solver._sized_matmul(X, B), X @ B)
-    # blocks of 2 rows, the last one partial
-    monkeypatch.setattr(pnkr.solver, "_SINGLE_THREAD_MNK", 2 * system.L * system.R + 1)
-    for X, B in products:
-        expected = X @ B
-        scale = np.abs(expected).max()
-        np.testing.assert_allclose(pnkr.solver._sized_matmul(X, B), expected, rtol=0, atol=1e-14 * scale)
-        out = np.empty_like(expected)
-        assert pnkr.solver._sized_matmul(X, B, out=out) is out
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * scale)
+    u = rng.uniform(0.0, 1.0, system.N * system.L)
+    data = SolveData(y=rng.uniform(0.0, 1.0, (system.N, system.R)), delta_r=np.zeros(system.R))
+    omega = 1.0 / rho_estimate(system, stacked=True)
+    state = SolverState(u_k=u.copy(), u_km1=u.copy())
+    assert landweber_step(state, SolverConfig(variant="landweber", s=0), data, system, omega=omega) == 1
+    U = u.reshape(system.N, system.L)
+    A = omega * (system.Psi_inv_G @ (data.y - U @ system.Q))
+    assert np.array_equal(state.u_k, threshold((U + A @ system.Phi_inv_Q.T).reshape(-1)))
 
 
 def test_landweber_mixed_gate_sums_every_correction(tiny0, tiny0_problem):

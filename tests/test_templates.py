@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pnkr.grid_basis
-from pnkr.grid_basis import geometric_axis, make_basis, uniform_axis
+from pnkr.grid_basis import AxisGrid, geometric_axis, make_basis, uniform_axis
 from pnkr.presets import preset_basis, preset_template
 from pnkr.templates import (
     C_LIGHT,
@@ -265,6 +267,27 @@ def test_pnkt_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.pnkt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError, match="magic"):
+        read_template_grid(path)
+
+
+# one invalid field per case, and the start of the error that must name it
+PNKT_BAD_FIELDS = {
+    "lambda": (lambda tg: dataclasses.replace(tg, lambda_nodes=AxisGrid(tg.lambda_nodes.nodes[::-1])), "template file lambda nodes"),
+    "z": (lambda tg: dataclasses.replace(tg, z_nodes=tg.z_nodes[[1, 0, *range(2, tg.z_nodes.size)]]), "template file z nodes"),
+    "t": (lambda tg: dataclasses.replace(tg, t_nodes=np.where(tg.t_nodes > 5.0, np.nan, tg.t_nodes)), "template file t nodes"),
+    "dln-zero": (lambda tg: dataclasses.replace(tg, dln=0.0), "template file dln"),
+    "dln-nan": (lambda tg: dataclasses.replace(tg, dln=np.nan), "template file dln"),
+    "obs_start": (lambda tg: dataclasses.replace(tg, obs_start=tg.R_ext - tg.R + 1), "template file obs_start"),
+}
+
+
+@pytest.mark.parametrize("corrupt,message", PNKT_BAD_FIELDS.values(), ids=PNKT_BAD_FIELDS.keys())
+def test_pnkt_rejects_invalid_contents_naming_the_field(tmp_path, corrupt, message):
+    # read unchecked, two swapped z nodes of the tiny preset give a finite Q 1.2% off
+    tg, _, _ = tiny_template()
+    path = tmp_path / "templates.pnkt"
+    write_template_grid(corrupt(tg), path)
+    with pytest.raises(ValueError, match=message):
         read_template_grid(path)
 
 
