@@ -107,22 +107,6 @@ def write_manifest(path, command, config, seeds, inputs, outputs, result=None) -
         fh.write("\n")
 
 
-def read_manifest(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def manifest_run_key(manifest: dict) -> dict:
-    """The portion of a manifest that determines the run's outputs."""
-    return {
-        "command": manifest.get("command"),
-        "config": manifest.get("config"),
-        "seeds": manifest.get("seeds"),
-        "versions": manifest.get("versions"),
-        "inputs": manifest.get("inputs"),
-    }
-
-
 def _solver_config(args) -> SolverConfig:
     try:
         return SolverConfig(

@@ -298,36 +298,27 @@ def triangle_kernel() -> SmoothingKernel:
     return make_smoothing_kernel([0.25, 0.5, 0.25])
 
 
-def _convolve_axes(arr: np.ndarray, kernel: SmoothingKernel, axes: range) -> np.ndarray:
-    """Convolve the leading axes of ``arr``, one per entry of ``axes``, with those taps.
+_AXIS_NAMES = ("x1", "x2", "v", "z", "t")
 
-    Replicate-edge boundary handling; axis ``axes[i]`` of the lattice is
-    axis ``i`` of ``arr``.
+
+def apply_Zs(arr: np.ndarray, kernel: SmoothingKernel, axes: range) -> np.ndarray:
+    """Convolve the leading axes of ``arr`` with the stencil's taps for lattice ``axes``.
+
+    Axis ``i`` of ``arr`` is lattice axis ``axes[i]`` (0..4 for
+    ``x1, x2, v, z, t``); trailing axes are batch axes.  Replicate-edge
+    boundary handling; linear in ``arr``.
     """
     for i, ax in enumerate(axes):
         tap = kernel.taps[ax]
         if tap.size > arr.shape[i]:
-            raise ValueError(f"tap vector of length {tap.size} is wider than axis {ax} (size {arr.shape[i]})")
+            cells = f"the {_AXIS_NAMES[ax]} axis ({arr.shape[i]} cells)"
+            raise ValueError(f"smoothing stencil of width {tap.size} is wider than {cells}; identity_kernel() or a narrower stencil would run")
         if tap.size == 1:
             if tap[0] != 1.0:
                 arr = arr * tap[0]
             continue
         arr = convolve1d(arr, tap, axis=i, mode="nearest")
     return arr
-
-
-def apply_Zs(u: np.ndarray, basis: DiscreteBasis, kernel: SmoothingKernel) -> np.ndarray:
-    """Convolve the coefficient lattice with the separable stencil.
-
-    The vector is reshaped to the 5D lattice, each axis is convolved
-    with its tap vector under replicate-edge boundary handling, and the
-    result is flattened back.  Linear in ``u``.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (basis.N * basis.L,):
-        raise ValueError(f"coefficient vector has shape {u.shape}, expected ({basis.N * basis.L},)")
-    arr = _convolve_axes(u.reshape(basis.shape5), kernel, range(5))
-    return np.ascontiguousarray(arr).reshape(-1)
 
 
 def reduced_rho(system: ForwardSystem, kernel: SmoothingKernel) -> float:
@@ -344,6 +335,6 @@ def reduced_rho(system: ForwardSystem, kernel: SmoothingKernel) -> float:
     ``(max_n G_nn)^2 / c_N * max_r q_r^T Z_Theta q_r``.
     """
     basis = system.basis
-    ZQ = _convolve_axes(system.Q.reshape(*basis.shape5[2:], system.R), kernel, range(2, 5))
+    ZQ = apply_Zs(system.Q.reshape(*basis.shape5[2:], system.R), kernel, range(2, 5))
     g = float(system.G.diagonal().max())
     return g * g / system.c_N * float(np.max(np.einsum("lr,lr->r", system.Q, ZQ.reshape(system.L, system.R))))

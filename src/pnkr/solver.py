@@ -29,22 +29,22 @@ piecewise-constant basis.  The full-stack Landweber iteration is one
 block of all equations whose step sums every correction before
 projecting.
 
-The pnkr, Landweber-Kaczmarz and Landweber steps update the iterate in
-place: ``SolverState.u_k`` and ``SolverState.u_km1`` are two buffers that
-each step reuses.  The new iterate is built in the ``u_km1`` buffer and
-the commit swaps the two, so no array of the iterate's size is allocated
-per step.  A caller that keeps the arrays it put into a state must copy
-them first.  After the finite check raises ``RuntimeError`` the contents
-of both buffers are undefined.
+Every variant steps in place: ``SolverState.u_k`` and ``u_km1`` are two
+buffers that each step reuses.  The new iterate is built in the ``u_km1``
+buffer and the commit swaps the two, so no array of the iterate's size
+is allocated per step.  A caller that keeps the arrays it put into a
+state must copy them first.  After the finite check raises
+``RuntimeError`` the contents of both buffers are undefined.
 
 A Kaczmarz step is memory-bound on large grids, so it runs in two phases
 over row blocks of the coefficient matrix small enough to stay in L2
 (``_STEP_BLOCK_ENTRIES``).  Phase 1 forms each block's momentum point
 (or, without momentum, its copy of ``u_k``) in the ``u_km1`` buffer.
 Between the phases one whole-array matrix-vector product gives the
-residual ``d`` and the coefficient ``Psi^-1 G d`` of the correction.
-Phase 2 applies each block's rank-one correction, projects it and takes
-its maximum while the block is still in cache.  Every step reports the
+residual ``d`` and the spatial factor of the correction (``Psi^-1 G d``,
+or ``Z_x G G d`` for the reduced step).  Phase 2, shared by both steps,
+applies each block's rank-one correction, projects it and takes its
+maximum while the block is still in cache.  Every step reports the
 maximum of its projected iterate, and the sweep driver's finite check
 reads that instead of making a pass of its own.
 """
@@ -183,14 +183,14 @@ def as_solve_data(data) -> SolveData:
 class SolverState:
     """Mutable iteration state threaded through the sweeps.
 
-    The pnkr, Landweber-Kaczmarz and Landweber steps write into ``u_k``
-    and ``u_km1`` in place: each step builds its new iterate in the
-    ``u_km1`` buffer and the commit swaps the two arrays.  A Kaczmarz
-    step does so in two phases over row blocks: the first overwrites
-    each block of ``u_km1`` with the momentum point (or a copy of
-    ``u_k``), the second corrects and projects it.  Copy the arrays
-    before handing them in if they must survive the sweep.  After a
-    ``RuntimeError`` from the finite check both are undefined.
+    Every variant's step writes into ``u_k`` and ``u_km1`` in place:
+    each step builds its new iterate in the ``u_km1`` buffer and the
+    commit swaps the two arrays.  A Kaczmarz step does so in two phases
+    over row blocks: the first overwrites each block of ``u_km1`` with
+    the momentum point (or a copy of ``u_k``), the second corrects and
+    projects it.  Copy the arrays before handing them in if they must
+    survive the sweep.  After a ``RuntimeError`` from the finite check
+    both are undefined.
     """
 
     u_k: np.ndarray
@@ -289,6 +289,35 @@ def _row_blocks(N: int, L: int) -> list[slice]:
     return [slice(n0, min(n0 + rows, N)) for n0 in range(0, N, rows)]
 
 
+def _step_views(system: ForwardSystem, u: np.ndarray, r: int, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A step's checked ``out`` (fresh when omitted) and the ``N x L`` views of ``u`` and ``out``."""
+    if not 1 <= r <= system.R:
+        raise ValueError(f"wavelength index r={r} outside 1..{system.R}")
+    N, L = system.N, system.L
+    if out is None:
+        out = np.empty(N * L)
+    elif out.shape != (N * L,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape ({N * L},)")
+    return out, np.asarray(u, dtype=float).reshape(N, L), out.reshape(N, L)
+
+
+def _rank_one_step(O: np.ndarray, alpha: float, a: np.ndarray, p: np.ndarray, blocks: list[slice]) -> float:
+    """Phase 2 of every Kaczmarz step: ``O += alpha a p^T`` with ``p`` an ``(L, 1)`` column.
+
+    Each row block is corrected, projected and reduced to its maximum
+    while it is still in cache; returns the maximum of the new iterate,
+    NaN if it holds a NaN.
+    """
+    peaks = np.empty(len(blocks))
+    for i, blk in enumerate(blocks):
+        B = O[blk]
+        # B[n, l] += alpha a[n] p[l], written in place through the Fortran-ordered view B.T
+        dgemm(alpha, p, a[None, blk], beta=1.0, c=B.T, overwrite_c=1)
+        threshold(B, out=B)
+        peaks[i] = B.max()
+    return float(peaks.max())
+
+
 def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, y_r: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None) -> tuple[np.ndarray, float]:
     """One projected preconditioned step of equation ``r``; returns ``(iterate, peak)``.
 
@@ -302,25 +331,18 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, y_r: np.ndarray, 
     Two phases run over the row blocks of :func:`_row_blocks`: the first
     writes each block of ``z`` into ``out``; after one matrix-vector
     product over the whole of ``z`` gives ``d`` (a blocked one would
-    round differently with the block height), the second corrects,
-    projects and takes the maximum of each block.  ``peak`` is thus the
-    maximum of the new iterate, NaN if it holds a NaN.
+    round differently with the block height), :func:`_rank_one_step`
+    corrects, projects and takes the maximum of each block.  ``peak`` is
+    thus the maximum of the new iterate, NaN if it holds a NaN.
 
     ``out`` is a C-contiguous float64 array of ``N * L`` entries.
     Without ``k_R`` it may be ``u`` itself, or omitted for a fresh
     array; with ``k_R`` it must not overlap ``u``.
     """
-    if not 1 <= r <= system.R:
-        raise ValueError(f"wavelength index r={r} outside 1..{system.R}")
-    N, L = system.N, system.L
-    if out is None:
-        if k_R is not None:
-            raise ValueError("a momentum step needs the previous iterate in out")
-        out = np.empty(N * L)
-    elif out.shape != (N * L,) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape ({N * L},)")
-    U, O = np.asarray(u, dtype=float).reshape(N, L), out.reshape(N, L)
-    blocks = _row_blocks(N, L)
+    if out is None and k_R is not None:
+        raise ValueError("a momentum step needs the previous iterate in out")
+    out, U, O = _step_views(system, u, r, out)
+    blocks = _row_blocks(system.N, system.L)
     for blk in blocks:
         if k_R is not None:
             nesterov_extrapolate(U[blk], O[blk], k_R, out=O[blk])
@@ -328,37 +350,26 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, y_r: np.ndarray, 
             np.copyto(O[blk], U[blk])
     d = y_r - O @ system.Q[:, r - 1]
     a = system.Psi_inv_G @ d
-    p = system.Phi_inv_Q[:, r - 1, None]
-    peaks = np.empty(len(blocks))
-    for i, blk in enumerate(blocks):
-        B = O[blk]
-        # B[n, l] += omega a[n] p[l], written in place through the Fortran-ordered view B.T
-        dgemm(omega, p, a[None, blk], beta=1.0, c=B.T, overwrite_c=1)
-        threshold(B, out=B)
-        peaks[i] = B.max()
-    return out, float(peaks.max())
+    return out, _rank_one_step(O, omega, a, system.Phi_inv_Q[:, r - 1, None], blocks)
 
 
-def reduced_equation_update(
-    system: ForwardSystem,
-    u: np.ndarray,
-    y_r: np.ndarray,
-    r: int,
-    omega: float,
-    kernel: SmoothingKernel,
-) -> np.ndarray:
-    """One reduced step: smoothed unpreconditioned correction at ``u``.
+def reduced_equation_update(system: ForwardSystem, u: np.ndarray, y_r: np.ndarray, r: int, omega: float, kernel: SmoothingKernel, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """One reduced step at ``u``; returns ``(iterate, peak)`` like :func:`pnkr_equation_update`.
 
     Applies ``omega c_N^-1 Z_s(H_r^T (w_r - H_r u))`` and projects; the
     separable stencil stands in for the Kronecker solve on the
-    piecewise-constant basis.
+    piecewise-constant basis.  It keeps the correction rank-one,
+    ``(Z_x G G d) (Z_Theta q_r)^T``, so the step copies ``u`` into ``out``
+    (which may be ``u``) and runs :func:`_rank_one_step` on those factors.
     """
-    U = u.reshape(system.N, system.L)
+    out, U, O = _step_views(system, u, r, out)
     d = y_r - U @ system.Q[:, r - 1]
-    w_resid = system.G @ d
-    raw = np.outer(system.G @ w_resid, system.Q[:, r - 1]).reshape(-1)
-    step = (omega / system.c_N) * apply_Zs(raw, system.basis, kernel)
-    return threshold(u + step)
+    x_shape, theta_shape = system.basis.shape5[:2], system.basis.shape5[2:]
+    a = apply_Zs((system.G @ (system.G @ d)).reshape(x_shape), kernel, range(2)).reshape(-1)
+    p = apply_Zs(system.Q[:, r - 1].reshape(theta_shape), kernel, range(2, 5)).reshape(-1, 1)
+    if out is not u:
+        np.copyto(O, U)
+    return out, _rank_one_step(O, omega / system.c_N, a, p, _row_blocks(system.N, system.L))
 
 
 def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData, blk: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -374,8 +385,12 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
     gates it: when every equation in the block meets ``tau delta_r`` the
     block is skipped, otherwise ``step(blk, D)`` returns the new iterate
     and its maximum; a non-finite maximum raises, else the iterate is
-    committed.  ``k_R`` advances once at the end.
+    committed.  ``k_R`` advances once at the end.  Steps build their
+    iterate in ``u_km1`` (see :class:`SolverState`), which is first
+    replaced by a copy if it shares memory with ``u_k``.
     """
+    if np.may_share_memory(state.u_k, state.u_km1):
+        state.u_km1 = state.u_k.copy()
     if state.dp_satisfied is None:
         state.dp_satisfied = np.zeros(system.R, dtype=bool)
     updates = 0
@@ -411,15 +426,11 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSy
     The gate tests the residual at ``u_k`` while the step is taken at
     the momentum point; with ``momentum=False`` the step is taken at
     ``u_k`` itself, which is the plain Kaczmarz baseline.  Steps run in
-    place (see :class:`SolverState`); a ``u_km1`` that shares memory
-    with ``u_k`` is first replaced by a copy.
+    place (see :class:`SolverState`).
     """
     data = as_solve_data(data)
-    if np.may_share_memory(state.u_k, state.u_km1):
-        state.u_km1 = state.u_k.copy()
 
     def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
-        # the step is built in the u_km1 buffer; the commit swaps it in as u_k
         k_R = state.k_R if momentum else None
         return pnkr_equation_update(system, state.u_k, data.y[:, blk.start], blk.stop, omega, out=state.u_km1, k_R=k_R)
 
@@ -427,15 +438,14 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSy
 
 
 def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float) -> int:
-    """One gated sweep of the reduced variant (piecewise-constant basis)."""
+    """One gated sweep of the reduced variant (piecewise-constant basis); steps run in place."""
     if system.basis.s != 0:
         raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
     data = as_solve_data(data)
     kernel = _reduced_stencil(config)
 
     def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
-        u_new = reduced_equation_update(system, state.u_k, data.y[:, blk.start], blk.stop, omega, kernel)
-        return u_new, u_new.max()
+        return reduced_equation_update(system, state.u_k, data.y[:, blk.start], blk.stop, omega, kernel, out=state.u_km1)
 
     return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
 
@@ -450,8 +460,6 @@ def landweber_step(state: SolverState, config: SolverConfig, data, system: Forwa
     projected and swapped in as ``u_k``.
     """
     data = as_solve_data(data)
-    if np.may_share_memory(state.u_k, state.u_km1):
-        state.u_km1 = state.u_k.copy()
 
     def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
         A = omega * (system.Psi_inv_G @ D)

@@ -1,5 +1,7 @@
 """Brute-force reference computations shared by the test modules."""
 
+import json
+
 import numpy as np
 from scipy.sparse.linalg import splu
 
@@ -221,6 +223,54 @@ def project_row_space(u, system, size_cap=20000):
     return V @ (V.T @ u)
 
 
+# -- row-space references of criterion 3 ---------------------------------------
+
+
+def project_row_space_factored(u, system):
+    """Row-space projection through the Kronecker structure.
+
+    Every stacked row is a row of ``G`` tensored with some ``q_r``; with
+    ``G`` nonsingular the row space is all of the spatial factor tensored
+    with ``span{q_r}``, so the projector is ``I (x) P_Q`` with ``P_Q``
+    built from the singular vectors of the small ``(L, R)`` table.
+    Equals the projection through the singular vectors of the dense
+    stacked operator ``[H_1; ...; H_R]`` without ever forming it.
+    """
+    u = np.asarray(u, dtype=float)
+    M = system.N * system.L
+    if u.shape != (M,):
+        raise ValueError(f"coefficient vector has shape {u.shape}, expected ({M},)")
+    W, svals, _ = np.linalg.svd(system.Q, full_matrices=False)
+    rank = int(np.sum(svals > 1e-10 * svals[0]))
+    W = W[:, :rank]
+    U = u.reshape(system.N, system.L)
+    return ((U @ W) @ W.T).reshape(-1)
+
+
+def row_space_image(u, system):
+    """Map ``u`` into the subspace the data determines.
+
+    Applies the preconditioned normal operator
+    ``M^-1 sum_r H_r^T N^-1 H_r`` once.  Its range, ``M^-1 range(H^T)``,
+    is the M-orthogonal complement of the stacked null space and exactly
+    the span of the iteration's step directions, so solver runs started
+    from zero converge to the returned vector when fed its synthesized
+    data.  The image is filtered rather than projected: components of
+    ``u`` along the operator's eigenvectors are weighted by their
+    eigenvalues; in practice the smoothing leaves the image of the
+    mock's nonnegative truths entrywise nonnegative as well.
+    """
+    u = np.asarray(u, dtype=float)
+    M = system.N * system.L
+    if u.shape != (M,):
+        raise ValueError(f"coefficient vector has shape {u.shape}, expected ({M},)")
+    U = u.reshape(system.N, system.L)
+    # N^-1 H_r u = U q_r because the noise Gram is G, so the sum over r
+    # factors as (Psi^-1 G) (U Q) (Phi^-1 Q)^T with no solve with G
+    acc = (system.Psi_inv_G @ (U @ system.Q)) @ system.Phi_inv_Q.T
+    return acc.reshape(-1)
+
+
 # -- data-space conversions ----------------------------------------------------
 
 
@@ -276,3 +326,22 @@ def gauss_hermite_series(v, gamma, mu, sigma, h):
     for k, hk in enumerate(np.asarray(h, dtype=float), start=3):
         series = series + hk * normalized_hermite(k, w)
     return gamma * np.exp(-0.5 * w**2) * series
+
+
+# -- manifests -----------------------------------------------------------------
+
+
+def read_manifest(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def manifest_run_key(manifest):
+    """The portion of a manifest that determines the run's outputs."""
+    return {
+        "command": manifest.get("command"),
+        "config": manifest.get("config"),
+        "seeds": manifest.get("seeds"),
+        "versions": manifest.get("versions"),
+        "inputs": manifest.get("inputs"),
+    }

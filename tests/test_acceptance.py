@@ -29,13 +29,7 @@ from pnkr.forward import (
     synthesize_datacube,
 )
 from pnkr.grid_basis import make_basis, uniform_axis
-from pnkr.mock import (
-    add_noise,
-    default_components,
-    evaluate_ground_truth,
-    project_row_space_factored,
-    row_space_image,
-)
+from pnkr.mock import add_noise, default_components, evaluate_ground_truth
 from pnkr.presets import preset_basis, preset_template
 from pnkr.solver import (
     SolveData,
@@ -47,7 +41,15 @@ from pnkr.solver import (
 )
 from pnkr.templates import C_LIGHT, build_template_grid, kernel_eval, kernel_theta_integrals
 
-from _oracles import dense_Hr, dense_M, dense_Phi, dense_Psi, equation_residual_norm
+from _oracles import (
+    dense_Hr,
+    dense_M,
+    dense_Phi,
+    dense_Psi,
+    equation_residual_norm,
+    project_row_space_factored,
+    row_space_image,
+)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> str:
@@ -275,7 +277,7 @@ def test_criterion_06_reduced_identity_consistency():
         for r in range(1, system.R + 1):
             z = nesterov_extrapolate(u_k, u_km1, k_R)
             plain, _ = pnkr_equation_update(system, z, y[:, r - 1], r, omega)
-            reduced = reduced_equation_update(
+            reduced, _ = reduced_equation_update(
                 system, z, y[:, r - 1], r, omega / c_M, identity_kernel()
             )
             scale = max(np.abs(plain).max(), 1e-30)

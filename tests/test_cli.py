@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from pnkr.cli import main, manifest_run_key, read_manifest
+from pnkr.cli import main
 from pnkr.diagnostics import read_losvd, read_maps
 from pnkr.presets import (
     _SPATIAL,
@@ -20,6 +20,8 @@ from pnkr.presets import (
     preset_window,
 )
 from pnkr.solver import read_coefficients, read_history
+
+from _oracles import manifest_run_key, read_manifest
 
 
 def test_preset_dimension_contract():

@@ -311,17 +311,17 @@ def test_smoothing_kernel_validation():
 def test_apply_Zs_identity_and_constant():
     basis = zs_basis()
     rng = np.random.default_rng(11)
-    u = rng.standard_normal(basis.N * basis.L)
-    np.testing.assert_array_equal(apply_Zs(u, basis, identity_kernel()), u)
-    const = np.full(basis.N * basis.L, 3.25)
-    np.testing.assert_allclose(apply_Zs(const, basis, triangle_kernel()), const, rtol=0, atol=1e-13)
+    u = rng.standard_normal(basis.shape5)
+    np.testing.assert_array_equal(apply_Zs(u, identity_kernel(), range(5)), u)
+    const = np.full(basis.shape5, 3.25)
+    np.testing.assert_allclose(apply_Zs(const, triangle_kernel(), range(5)), const, rtol=0, atol=1e-13)
 
 
 def test_apply_Zs_impulse_pattern():
     basis = zs_basis()
     u5 = np.zeros(basis.shape5)
     u5[1, 1, 2, 1, 1] = 1.0
-    out = apply_Zs(u5.reshape(-1), basis, triangle_kernel()).reshape(basis.shape5)
+    out = apply_Zs(u5, triangle_kernel(), range(5))
     tap = np.array([0.25, 0.5, 0.25])
     want = np.einsum("a,b,c,d,e->abcde", *([tap] * 5))
     np.testing.assert_allclose(out[0:3, 0:3, 1:4, 0:3, 0:3], want, rtol=0, atol=1e-15)
@@ -331,8 +331,8 @@ def test_apply_Zs_impulse_pattern():
 def test_apply_Zs_preserves_sum_with_triangle():
     basis = zs_basis()
     rng = np.random.default_rng(12)
-    u = rng.random(basis.N * basis.L)
-    out = apply_Zs(u, basis, triangle_kernel())
+    u = rng.random(basis.shape5)
+    out = apply_Zs(u, triangle_kernel(), range(5))
     np.testing.assert_allclose(out.sum(), u.sum(), rtol=1e-10)
 
 
@@ -340,8 +340,8 @@ def test_apply_Zs_width_error():
     omega = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
     theta = (uniform_axis(-1000.0, 1000.0, 4), uniform_axis(-2.0, 0.0, 3), uniform_axis(1.0, 13.0, 3))
     basis = make_basis(0, omega, theta)
-    with pytest.raises(ValueError):
-        apply_Zs(np.zeros(basis.N * basis.L), basis, triangle_kernel())
+    with pytest.raises(ValueError, match=r"wider than the z axis \(2 cells\); identity_kernel\(\)"):
+        apply_Zs(np.zeros(basis.shape5), triangle_kernel(), range(5))
 
 
 @pytest.mark.parametrize("kernel", [triangle_kernel(), identity_kernel()], ids=["triangle", "identity"])
@@ -362,7 +362,7 @@ def test_reduced_rho_matches_dense_spectral_radius(kernel):
             U = np.zeros((basis.N, basis.L))
             U.flat[i] = 1.0
             raw = np.outer(Gd @ (Gd @ (U @ system.Q[:, r - 1])), system.Q[:, r - 1]).reshape(-1)
-            T[:, i] = apply_Zs(raw, basis, kernel) / system.c_N
+            T[:, i] = apply_Zs(raw.reshape(basis.shape5), kernel, range(5)).reshape(-1) / system.c_N
         radii.append(np.abs(np.linalg.eigvals(T)).max())
     np.testing.assert_allclose(reduced_rho(system, kernel), max(radii), rtol=1e-12)
 
@@ -376,9 +376,9 @@ def test_reduced_rho_matches_dense_spectral_radius(kernel):
 def test_apply_Zs_is_linear(a, b, seed):
     basis = zs_basis()
     rng = np.random.default_rng(seed)
-    u1 = rng.standard_normal(basis.N * basis.L)
-    u2 = rng.standard_normal(basis.N * basis.L)
+    u1 = rng.standard_normal(basis.shape5)
+    u2 = rng.standard_normal(basis.shape5)
     kernel = triangle_kernel()
-    lhs = apply_Zs(a * u1 + b * u2, basis, kernel)
-    rhs = a * apply_Zs(u1, basis, kernel) + b * apply_Zs(u2, basis, kernel)
+    lhs = apply_Zs(a * u1 + b * u2, kernel, range(5))
+    rhs = a * apply_Zs(u1, kernel, range(5)) + b * apply_Zs(u2, kernel, range(5))
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10 * max(1.0, np.abs(rhs).max()))

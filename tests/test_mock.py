@@ -12,13 +12,17 @@ from pnkr.mock import (
     default_components,
     evaluate_ground_truth,
     ground_truth_parts,
-    project_row_space_factored,
     read_datacube,
-    row_space_image,
     write_datacube,
 )
 
-from _oracles import dense_M, dense_stacked_operator, project_row_space
+from _oracles import (
+    dense_M,
+    dense_stacked_operator,
+    project_row_space,
+    project_row_space_factored,
+    row_space_image,
+)
 
 
 def desk_like_basis(s=0):

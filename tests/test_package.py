@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -55,19 +56,15 @@ def test_package_never_imports_sparse_solvers():
             assert "scipy.sparse.linalg" not in names, f"{path.name} imports scipy.sparse.linalg"
 
 
-def test_benchmark_trace_patches_resolve():
-    # the benchmark tracer looks up every patched (module, attribute) by name
-    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
-    patches = next(
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "PATCHES" for t in node.targets)
-    )
-    pinned = [
-        (entry.elts[0].value, entry.elts[1].value)
-        for entry in patches.elts
-        if isinstance(entry.elts[0], ast.Constant) and entry.elts[0].value.startswith("pnkr.")
-    ]
-    assert pinned
-    for module, attr in pinned:
-        assert hasattr(importlib.import_module(module), attr), f"perfbench traces missing {module}.{attr}"
+def test_benchmark_trace_patches_resolve(monkeypatch):
+    # the benchmark tracer patches every (module, attribute) of PATCHES by name; a
+    # renamed or deleted name would break only a traced benchmark run
+    bench = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.PATCHES
+    for module_name, attr, _, _ in workloads.PATCHES:
+        module = workloads if module_name == workloads.__name__ else importlib.import_module(module_name)
+        assert getattr(module, attr, None) is not None, f"perfbench traces missing {module_name}.{attr}"

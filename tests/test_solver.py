@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pnkr.forward import (
+    apply_Zs,
     build_forward_system,
     identity_kernel,
     reduced_rho,
@@ -42,7 +43,7 @@ from pnkr.solver import (
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 from pnkr.forward import rho_estimate
 
-from _oracles import dense_Hr, dense_M, dense_Phi, dense_Psi, equation_residual_norm
+from _oracles import dense_Hr, dense_M, dense_Phi, dense_Psi, equation_residual_norm, row_space_image
 
 OMEGA_GRIDS = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
 THETA_GRIDS = (
@@ -309,11 +310,57 @@ def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
     c_M = tiny0.c_N * dense_Phi(tiny0.basis)[0, 0]
     for r in range(1, tiny0.R + 1):
         plain, _ = pnkr_equation_update(tiny0, z, data.y[:, r - 1], r, omega)
-        reduced = reduced_equation_update(
+        reduced, _ = reduced_equation_update(
             tiny0, z, data.y[:, r - 1], r, omega / c_M, identity_kernel()
         )
         scale = np.abs(plain).max()
         np.testing.assert_allclose(reduced, plain, rtol=0, atol=1e-10 * scale)
+
+
+def test_desk_reduced_step_is_the_smoothed_outer_product_in_place():
+    # the separable stencil keeps the correction rank-one, (Z_x G G d)(Z_Theta q_r)^T;
+    # the oracle smooths the whole N x L outer product over all five axes
+    from pnkr.presets import preset_basis, preset_template
+
+    basis = preset_basis("desk_scale", 0)
+    system = build_forward_system(basis, kernel_theta_integrals(preset_template("desk_scale"), basis))
+    kernel = triangle_kernel()
+    u_true = evaluate_ground_truth(default_components(), basis)
+    y = add_noise(system, synthesize_datacube(system, u_true), 0.01, seed=0).y_noisy
+    rng = np.random.default_rng(26)
+    u = u_true * rng.uniform(0.0, 2.0, u_true.size)
+    U, G = u.reshape(system.N, system.L), system.G
+    omega = 1.0 / reduced_rho(system, kernel)
+    clipped = 0
+    for r in range(1, system.R + 1):
+        d = y[:, r - 1] - U @ system.Q[:, r - 1]
+        raw = np.outer(G @ (G @ d), system.Q[:, r - 1]).reshape(basis.shape5)
+        unprojected = u + (omega / system.c_N) * apply_Zs(raw, kernel, range(5)).reshape(-1)
+        want = threshold(unprojected)
+        clipped += int(np.sum(unprojected < 0.0))
+        out = np.empty_like(u)
+        got, peak = reduced_equation_update(system, u, y[:, r - 1], r, omega, kernel, out=out)
+        assert got is out and peak == got.max()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        in_place = u.copy()
+        again, peak_again = reduced_equation_update(system, in_place, y[:, r - 1], r, omega, kernel, out=in_place)
+        assert again is in_place and np.array_equal(again, got) and peak_again == peak
+    assert clipped > 0
+
+
+def test_reduced_run_names_the_axis_too_narrow_for_its_stencil():
+    # tiny's z axis has 2 cells, fewer than the default triangle stencil's 3 taps
+    from pnkr.presets import preset_basis, preset_template
+
+    basis = preset_basis("tiny", 0)
+    system = build_forward_system(basis, kernel_theta_integrals(preset_template("tiny"), basis))
+    y = synthesize_datacube(system, evaluate_ground_truth(default_components(), basis))
+    noisy = add_noise(system, y, 0.01, seed=7)
+    data = SolveData(y=noisy.y_noisy, delta_r=noisy.delta_r)
+    with pytest.raises(ValueError, match=r"width 3 is wider than the z axis \(2 cells\); identity_kernel\(\)"):
+        run(SolverConfig(variant="reduced_pnkr", s=0), data, system)
+    res = run(SolverConfig(variant="reduced_pnkr", s=0, max_loops=5, stencil=identity_kernel()), data, system)
+    assert res.total_updates > 0
 
 
 def test_reduced_sweep_rejects_hat_basis(tiny1, tiny0_problem):
@@ -406,6 +453,27 @@ def test_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, momentum
     assert np.array_equal(state.u_km1, u_k)
     z = nesterov_extrapolate(u_k, u_km1, 3) if momentum else u_k
     assert np.array_equal(state.u_k, pnkr_equation_update(tiny0, z, data.y[:, r0 - 1], r0, omega)[0])
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_reduced_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, shared):
+    _, data = tiny0_problem
+    rng = np.random.default_rng(27)
+    u = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
+    r0 = 3
+    delta = np.full(tiny0.R, 1e12)
+    delta[r0 - 1] = 0.0
+    gated = SolveData(y=data.y, delta_r=delta)
+    kernel = identity_kernel()
+    cfg = SolverConfig(variant="reduced_pnkr", s=0, stencil=kernel)
+    omega = 1.0 / reduced_rho(tiny0, kernel)
+    a, b = u.copy(), rng.uniform(0.0, 1.0, u.size)
+    state = SolverState(u_k=a, u_km1=a if shared else b)
+    assert reduced_pnkr_sweep(state, cfg, gated, tiny0, omega=omega) == 1
+    if not shared:
+        assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
+    assert np.array_equal(state.u_km1, u)
+    assert np.array_equal(state.u_k, reduced_equation_update(tiny0, u, data.y[:, r0 - 1], r0, omega, kernel)[0])
 
 
 def test_sweep_on_shared_state_buffers_matches_distinct_ones(tiny0, tiny0_problem):
@@ -975,7 +1043,6 @@ def test_desk_scale_recovery_of_reachable_reference(s, beta, sweeps):
     # the iteration from zero converges to the data-determined image of
     # the truth; guards the observed desk-scale rate (about 6% after one
     # sweep, below 1% by sweep 20 with the automatic stepsize)
-    from pnkr.mock import row_space_image
     from pnkr.presets import preset_basis, preset_template
 
     template = preset_template("desk_scale")
