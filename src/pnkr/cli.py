@@ -35,6 +35,8 @@ from .forward import build_forward_system, synthesize_datacube
 from .mock import DataCube, add_noise, default_components, evaluate_ground_truth, read_datacube, write_datacube
 from .presets import PRESET_NAMES, preset_axes, preset_basis, preset_template, preset_window
 from .solver import (
+    ORDERINGS,
+    VARIANTS,
     SolverConfig,
     as_solve_data,
     read_coefficients,
@@ -382,7 +384,7 @@ def _omega(text: str):
 
 def _add_solver_flags(parser) -> None:
     parser.add_argument("--variant", default="pnkr",
-                        choices=["pnkr", "reduced_pnkr", "landweber_kaczmarz", "landweber"],
+                        choices=VARIANTS,
                         help="iteration to run")
     parser.add_argument("--s", type=int, default=1, choices=[0, 1],
                         help="basis smoothness order")
@@ -395,7 +397,7 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--max-loops", type=int, default=100,
                         help="sweep budget before truncation")
     parser.add_argument("--ordering", default="random_permutation",
-                        choices=["random_permutation", "cyclic"],
+                        choices=ORDERINGS,
                         help="equation visit order within a sweep")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the sweep ordering (and noise in batch mode)")

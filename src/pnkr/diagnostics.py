@@ -430,19 +430,16 @@ def losvd_recovery_error(
     u_true: np.ndarray,
     basis: DiscreteBasis,
     template: TemplateGrid,
-    positions=None,
 ) -> float:
-    """Mean over sample positions of the median absolute LOSVD error.
+    """Mean over the nine :func:`default_losvd_positions` of the median absolute LOSVD error.
 
     Per position, the median over the velocity grid of the absolute
     difference between the recovered and true light-weighted
     distributions, relative to the true distribution's peak; positions
     where the truth has no light are skipped.
     """
-    if positions is None:
-        positions = default_losvd_positions(basis)
     errors = []
-    for x in positions:
+    for x in default_losvd_positions(basis):
         truth = light_weighted_losvd(u_true, basis, template, x)
         if truth.masked:
             continue

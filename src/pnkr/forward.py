@@ -252,40 +252,30 @@ def rho_estimate(system: ForwardSystem, stacked: bool = False) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SmoothingKernel:
-    """Separable 5D convolution stencil, one tap vector per axis.
+    """Separable 5D convolution stencil: one tap vector shared by all five axes.
 
-    Each tap vector must have odd length, nonnegative entries, mirror
-    symmetry, and unit sum to 1e-12; those conditions make the stencil a
-    local averaging that fixes constants under replicate-edge handling.
+    The taps must have odd length, nonnegative entries, mirror symmetry,
+    and unit sum to 1e-12; those conditions make the stencil a local
+    averaging that fixes constants under replicate-edge handling.
     """
 
-    taps: tuple
+    taps: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.taps) != 5:
-            raise ValueError("a smoothing kernel needs one tap vector per axis (5)")
-        for t in self.taps:
-            if t.ndim != 1 or t.size % 2 == 0:
-                raise ValueError("each tap vector must be 1D with odd length")
-            if not np.all(np.isfinite(t)) or np.any(t < 0.0):
-                raise ValueError("tap entries must be finite and nonnegative")
-            if not np.allclose(t, t[::-1], rtol=0.0, atol=1e-12):
-                raise ValueError("tap vectors must be symmetric")
-            if abs(float(t.sum()) - 1.0) > 1e-12:
-                raise ValueError("tap vectors must sum to 1")
+        t = self.taps
+        if t.ndim != 1 or t.size % 2 == 0:
+            raise ValueError("the tap vector must be 1D with odd length")
+        if not np.all(np.isfinite(t)) or np.any(t < 0.0):
+            raise ValueError("tap entries must be finite and nonnegative")
+        if not np.allclose(t, t[::-1], rtol=0.0, atol=1e-12):
+            raise ValueError("the tap vector must be symmetric")
+        if abs(float(t.sum()) - 1.0) > 1e-12:
+            raise ValueError("the taps must sum to 1")
 
 
 def make_smoothing_kernel(taps) -> SmoothingKernel:
-    """Build a kernel from one shared tap vector or five per-axis ones."""
-    first = np.asarray(taps[0], dtype=float) if len(taps) > 0 else None
-    if first is not None and first.ndim == 0:
-        shared = np.asarray(taps, dtype=float)
-        per_axis = [shared.copy() for _ in range(5)]
-    else:
-        if len(taps) != 5:
-            raise ValueError("expected one tap vector or a sequence of five")
-        per_axis = [np.asarray(t, dtype=float) for t in taps]
-    return SmoothingKernel(taps=tuple(per_axis))
+    """Build a kernel from the tap vector shared by every axis."""
+    return SmoothingKernel(taps=np.array(taps, dtype=float))
 
 
 def identity_kernel() -> SmoothingKernel:
@@ -302,14 +292,15 @@ _AXIS_NAMES = ("x1", "x2", "v", "z", "t")
 
 
 def apply_Zs(arr: np.ndarray, kernel: SmoothingKernel, axes: range) -> np.ndarray:
-    """Convolve the leading axes of ``arr`` with the stencil's taps for lattice ``axes``.
+    """Convolve the leading axes of ``arr`` with the stencil's taps.
 
     Axis ``i`` of ``arr`` is lattice axis ``axes[i]`` (0..4 for
-    ``x1, x2, v, z, t``); trailing axes are batch axes.  Replicate-edge
-    boundary handling; linear in ``arr``.
+    ``x1, x2, v, z, t``), which names it in the width error; trailing
+    axes are batch axes.  Replicate-edge boundary handling; linear in
+    ``arr``.
     """
+    tap = kernel.taps
     for i, ax in enumerate(axes):
-        tap = kernel.taps[ax]
         if tap.size > arr.shape[i]:
             cells = f"the {_AXIS_NAMES[ax]} axis ({arr.shape[i]} cells)"
             raise ValueError(f"smoothing stencil of width {tap.size} is wider than {cells}; identity_kernel() or a narrower stencil would run")

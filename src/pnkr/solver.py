@@ -36,17 +36,15 @@ is allocated per step.  A caller that keeps the arrays it put into a
 state must copy them first.  After the finite check raises
 ``RuntimeError`` the contents of both buffers are undefined.
 
-A Kaczmarz step is memory-bound on large grids, so it runs in two phases
-over row blocks of the coefficient matrix small enough to stay in L2
-(``_STEP_BLOCK_ENTRIES``).  Phase 1 forms each block's momentum point
-(or, without momentum, its copy of ``u_k``) in the ``u_km1`` buffer.
-Between the phases one whole-array matrix-vector product gives the
-residual ``d`` and the spatial factor of the correction (``Psi^-1 G d``,
-or ``Z_x G G d`` for the reduced step).  Phase 2, shared by both steps,
-applies each block's rank-one correction, projects it and takes its
-maximum while the block is still in cache.  Every step reports the
-maximum of its projected iterate, and the sweep driver's finite check
-reads that instead of making a pass of its own.
+A residual is affine in the iterate, so at the momentum point it is
+``D + c (D - D')``, with ``D`` and ``D'`` the residuals at ``u_k`` and
+``u_{k-1}`` and ``c`` the momentum factor (0 in the first sweep).  The
+sweep hands each step the residual at its step point; no step computes
+one.  A Kaczmarz step is memory-bound on large grids, so it makes one
+pass over row blocks of the iterate small enough to stay in L2
+(``_STEP_BLOCK_ENTRIES``), forming each block's step point in the
+``u_km1`` buffer, correcting, projecting and reducing it to its maximum
+while it is in cache; the sweep's finite check reads that maximum.
 """
 
 from __future__ import annotations
@@ -98,7 +96,7 @@ ORDERINGS = ("cyclic", "random_permutation")
 _PNKU_MAGIC = b"PNKU"
 _PNKU_VERSION = 1
 
-# Entries of one row block of the iterate in the two-phase Kaczmarz step:
+# Entries of one row block of the iterate in the Kaczmarz step:
 # 768 KiB of float64, which stays in a 1-4 MiB L2 next to the other
 # operands.  A paper-scale iterate (625 x 2808) runs in blocks of 35 rows;
 # a desk-scale one (144 x 448) is one block.  OpenBLAS runs a GEMM of
@@ -185,17 +183,16 @@ class SolverState:
 
     Every variant's step writes into ``u_k`` and ``u_km1`` in place:
     each step builds its new iterate in the ``u_km1`` buffer and the
-    commit swaps the two arrays.  A Kaczmarz step does so in two phases
-    over row blocks: the first overwrites each block of ``u_km1`` with
-    the momentum point (or a copy of ``u_k``), the second corrects and
-    projects it.  Copy the arrays before handing them in if they must
-    survive the sweep.  After a ``RuntimeError`` from the finite check
-    both are undefined.
+    commit swaps the two arrays.  A momentum step first reads ``u_km1``
+    for the residual ``D'``; every Kaczmarz step then overwrites each row
+    block of ``u_km1`` with its step point (the momentum point or a copy
+    of ``u_k``) and corrects and projects it.  Copy the arrays before
+    handing them in if they must survive the sweep.  After a
+    ``RuntimeError`` from the finite check both are undefined.
     """
 
     u_k: np.ndarray
     u_km1: np.ndarray
-    k: int = 0
     k_R: int = 1
     permutation: np.ndarray | None = None
     dp_satisfied: np.ndarray | None = None
@@ -290,7 +287,7 @@ def _row_blocks(N: int, L: int) -> list[slice]:
 
 
 def _step_views(system: ForwardSystem, u: np.ndarray, r: int, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A step's checked ``out`` (fresh when omitted) and the ``N x L`` views of ``u`` and ``out``."""
+    """A step's checked ``out`` (fresh when omitted) and the ``N x L`` views of ``u`` and ``out`` (one object if ``out is u``)."""
     if not 1 <= r <= system.R:
         raise ValueError(f"wavelength index r={r} outside 1..{system.R}")
     N, L = system.N, system.L
@@ -298,19 +295,26 @@ def _step_views(system: ForwardSystem, u: np.ndarray, r: int, out: np.ndarray | 
         out = np.empty(N * L)
     elif out.shape != (N * L,) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape ({N * L},)")
-    return out, np.asarray(u, dtype=float).reshape(N, L), out.reshape(N, L)
+    O = out.reshape(N, L)
+    return out, O if out is u else np.asarray(u, dtype=float).reshape(N, L), O
 
 
-def _rank_one_step(O: np.ndarray, alpha: float, a: np.ndarray, p: np.ndarray, blocks: list[slice]) -> float:
-    """Phase 2 of every Kaczmarz step: ``O += alpha a p^T`` with ``p`` an ``(L, 1)`` column.
+def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, a: np.ndarray, p: np.ndarray) -> float:
+    """Every Kaczmarz step: ``O = max(Z + alpha a p^T, 0)`` with ``p`` an ``(L, 1)`` column.
 
-    Each row block is corrected, projected and reduced to its maximum
-    while it is still in cache; returns the maximum of the new iterate,
-    NaN if it holds a NaN.
+    ``Z`` is ``U``, or given ``k_R`` the momentum point of ``U`` and the
+    previous iterate in ``O``.  Each row block of ``Z`` is formed in
+    ``O``, corrected, projected and reduced to its maximum while it is in
+    cache; returns the maximum of the new iterate, NaN if it holds a NaN.
     """
+    blocks = _row_blocks(*O.shape)
     peaks = np.empty(len(blocks))
     for i, blk in enumerate(blocks):
         B = O[blk]
+        if k_R is not None:
+            nesterov_extrapolate(U[blk], B, k_R, out=B)
+        elif U is not O:
+            np.copyto(B, U[blk])
         # B[n, l] += alpha a[n] p[l], written in place through the Fortran-ordered view B.T
         dgemm(alpha, p, a[None, blk], beta=1.0, c=B.T, overwrite_c=1)
         threshold(B, out=B)
@@ -318,22 +322,17 @@ def _rank_one_step(O: np.ndarray, alpha: float, a: np.ndarray, p: np.ndarray, bl
     return float(peaks.max())
 
 
-def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, y_r: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None) -> tuple[np.ndarray, float]:
+def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None) -> tuple[np.ndarray, float]:
     """One projected preconditioned step of equation ``r``; returns ``(iterate, peak)``.
 
     The step is taken at ``z = u``, or, given the loop counter ``k_R``,
     at the momentum point of ``u`` and the previous iterate, which
-    ``out`` must then hold.  The correction ``M^-1 H_r^T N^-1 (w_r - H_r z)``
-    is the rank-one matrix ``(Psi^-1 G d) (Phi^-1 q_r)^T`` with ``d`` the
-    sample-space residual, so it costs one product with the stored
-    ``Psi^-1 G`` and one rank-one update of the coefficient matrix.
-
-    Two phases run over the row blocks of :func:`_row_blocks`: the first
-    writes each block of ``z`` into ``out``; after one matrix-vector
-    product over the whole of ``z`` gives ``d`` (a blocked one would
-    round differently with the block height), :func:`_rank_one_step`
-    corrects, projects and takes the maximum of each block.  ``peak`` is
-    thus the maximum of the new iterate, NaN if it holds a NaN.
+    ``out`` must then hold; ``d`` is the sample-space residual
+    ``y_r - Z q_r`` at ``z``.  The correction
+    ``M^-1 H_r^T N^-1 (w_r - H_r z)`` is the rank-one matrix
+    ``(Psi^-1 G d) (Phi^-1 q_r)^T``: one product with the stored
+    ``Psi^-1 G``, then one pass of :func:`_rank_one_step`, whose
+    ``peak`` is the maximum of the new iterate, NaN if it holds a NaN.
 
     ``out`` is a C-contiguous float64 array of ``N * L`` entries.
     Without ``k_R`` it may be ``u`` itself, or omitted for a fresh
@@ -342,34 +341,24 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, y_r: np.ndarray, 
     if out is None and k_R is not None:
         raise ValueError("a momentum step needs the previous iterate in out")
     out, U, O = _step_views(system, u, r, out)
-    blocks = _row_blocks(system.N, system.L)
-    for blk in blocks:
-        if k_R is not None:
-            nesterov_extrapolate(U[blk], O[blk], k_R, out=O[blk])
-        elif out is not u:
-            np.copyto(O[blk], U[blk])
-    d = y_r - O @ system.Q[:, r - 1]
     a = system.Psi_inv_G @ d
-    return out, _rank_one_step(O, omega, a, system.Phi_inv_Q[:, r - 1, None], blocks)
+    return out, _rank_one_step(U, O, k_R, omega, a, system.Phi_inv_Q[:, r - 1, None])
 
 
-def reduced_equation_update(system: ForwardSystem, u: np.ndarray, y_r: np.ndarray, r: int, omega: float, kernel: SmoothingKernel, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """One reduced step at ``u``; returns ``(iterate, peak)`` like :func:`pnkr_equation_update`.
+def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, kernel: SmoothingKernel, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """One reduced step at ``u`` with residual ``d = y_r - U q_r``; returns ``(iterate, peak)`` like :func:`pnkr_equation_update`.
 
     Applies ``omega c_N^-1 Z_s(H_r^T (w_r - H_r u))`` and projects; the
     separable stencil stands in for the Kronecker solve on the
     piecewise-constant basis.  It keeps the correction rank-one,
-    ``(Z_x G G d) (Z_Theta q_r)^T``, so the step copies ``u`` into ``out``
-    (which may be ``u``) and runs :func:`_rank_one_step` on those factors.
+    ``(Z_x G G d) (Z_Theta q_r)^T``, which :func:`_rank_one_step`
+    applies into ``out`` (which may be ``u``).
     """
     out, U, O = _step_views(system, u, r, out)
-    d = y_r - U @ system.Q[:, r - 1]
     x_shape, theta_shape = system.basis.shape5[:2], system.basis.shape5[2:]
     a = apply_Zs((system.G @ (system.G @ d)).reshape(x_shape), kernel, range(2)).reshape(-1)
     p = apply_Zs(system.Q[:, r - 1].reshape(theta_shape), kernel, range(2, 5)).reshape(-1, 1)
-    if out is not u:
-        np.copyto(O, U)
-    return out, _rank_one_step(O, omega / system.c_N, a, p, _row_blocks(system.N, system.L))
+    return out, _rank_one_step(U, O, None, omega / system.c_N, a, p)
 
 
 def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData, blk: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -383,9 +372,9 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
 
     A block is a slice of equations.  Its residual ``D`` at ``u_k``
     gates it: when every equation in the block meets ``tau delta_r`` the
-    block is skipped, otherwise ``step(blk, D)`` returns the new iterate
-    and its maximum; a non-finite maximum raises, else the iterate is
-    committed.  ``k_R`` advances once at the end.  Steps build their
+    block is skipped, otherwise ``step(blk, D)`` takes its residual from
+    ``D`` and returns the new iterate and its maximum; a non-finite
+    maximum raises, else the iterate is committed.  ``k_R`` advances once at the end.  Steps build their
     iterate in ``u_km1`` (see :class:`SolverState`), which is first
     replaced by a copy if it shares memory with ``u_k``.
     """
@@ -408,7 +397,6 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
                 raise RuntimeError(f"iterate became non-finite; the stepsize omega={omega:g} is too large for this system")
             state.u_km1 = state.u_k
             state.u_k = u_new
-            state.k += 1
             updates += 1
     state.k_R += 1
     return updates
@@ -423,16 +411,21 @@ def _equation_blocks(state: SolverState, system: ForwardSystem) -> list[slice]:
 def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float, momentum: bool = True) -> int:
     """One gated sweep over all equations; returns the update count.
 
-    The gate tests the residual at ``u_k`` while the step is taken at
-    the momentum point; with ``momentum=False`` the step is taken at
-    ``u_k`` itself, which is the plain Kaczmarz baseline.  Steps run in
+    The gate tests the residual ``D`` at ``u_k``; the step is taken at
+    the momentum point with residual ``D + c (D - D')``, which at
+    ``k_R == 1`` is the plain step with ``D``.  With ``momentum=False``
+    every step is the plain one, the Kaczmarz baseline.  Steps run in
     place (see :class:`SolverState`).
     """
     data = as_solve_data(data)
 
     def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
-        k_R = state.k_R if momentum else None
-        return pnkr_equation_update(system, state.u_k, data.y[:, blk.start], blk.stop, omega, out=state.u_km1, k_R=k_R)
+        d, k_R = D[:, 0], None
+        if momentum and state.k_R > 1:
+            k_R = state.k_R
+            d_prev = data.y[:, blk.start] - state.u_km1.reshape(system.N, system.L) @ system.Q[:, blk.start]
+            d = nesterov_extrapolate(d, d_prev, k_R, out=d_prev)
+        return pnkr_equation_update(system, state.u_k, d, blk.stop, omega, out=state.u_km1, k_R=k_R)
 
     return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
 
@@ -445,7 +438,7 @@ def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data, system: F
     kernel = _reduced_stencil(config)
 
     def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
-        return reduced_equation_update(system, state.u_k, data.y[:, blk.start], blk.stop, omega, kernel, out=state.u_km1)
+        return reduced_equation_update(system, state.u_k, D[:, 0], blk.stop, omega, kernel, out=state.u_km1)
 
     return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
 

@@ -276,9 +276,10 @@ def test_criterion_06_reduced_identity_consistency():
     for k_R in (1, 2, 3):
         for r in range(1, system.R + 1):
             z = nesterov_extrapolate(u_k, u_km1, k_R)
-            plain, _ = pnkr_equation_update(system, z, y[:, r - 1], r, omega)
+            d = y[:, r - 1] - z.reshape(system.N, system.L) @ system.Q[:, r - 1]
+            plain, _ = pnkr_equation_update(system, z, d, r, omega)
             reduced, _ = reduced_equation_update(
-                system, z, y[:, r - 1], r, omega / c_M, identity_kernel()
+                system, z, d, r, omega / c_M, identity_kernel()
             )
             scale = max(np.abs(plain).max(), 1e-30)
             worst = max(worst, np.abs(reduced - plain).max() / scale)

@@ -305,7 +305,10 @@ def test_smoothing_kernel_validation():
     with pytest.raises(ValueError):
         make_smoothing_kernel([0.3, 0.3, 0.3])
     with pytest.raises(ValueError):
+        make_smoothing_kernel([np.inf])
+    with pytest.raises(ValueError):
         make_smoothing_kernel([[1.0], [1.0]])
+    assert make_smoothing_kernel([0.25, 0.5, 0.25]).taps.shape == (3,)
 
 
 def test_apply_Zs_identity_and_constant():

@@ -84,6 +84,11 @@ def tiny0_problem(tiny0):
     return u_star, SolveData(y=noisy.y_noisy, delta_r=noisy.delta_r)
 
 
+def _residual(system, y_r, u, r):
+    """Sample-space residual ``y_r - U q_r`` of equation ``r`` at ``u``, the ``d`` a step is handed."""
+    return y_r - u.reshape(system.N, system.L) @ system.Q[:, r - 1]
+
+
 def _consistent_columns(system, u):
     U = u.reshape(system.N, system.L)
     return np.column_stack([U @ system.Q[:, j] for j in range(system.R)])
@@ -231,17 +236,18 @@ def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
     G_dense = system.G.toarray()
     M_dense = dense_M(system)
     for r in (1, system.R // 2, system.R):
-        got, peak = pnkr_equation_update(system, z, y_r, r, omega)
+        d = _residual(system, y_r, z, r)
+        got, peak = pnkr_equation_update(system, z, d, r, omega)
         assert peak == got.max()
         in_place = z.copy()
-        assert pnkr_equation_update(system, in_place, y_r, r, omega, out=in_place)[0] is in_place
+        assert pnkr_equation_update(system, in_place, d, r, omega, out=in_place)[0] is in_place
         assert np.array_equal(in_place, got)
         with monkeypatch.context() as m:
-            # both phases in row blocks of 2, the last one partial
+            # the step in row blocks of 2, the last one partial
             m.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", 2 * system.L)
-            assert np.array_equal(pnkr_equation_update(system, z, y_r, r, omega)[0], got)
+            assert np.array_equal(pnkr_equation_update(system, z, d, r, omega)[0], got)
             in_place = z.copy()
-            pnkr_equation_update(system, in_place, y_r, r, omega, out=in_place)
+            pnkr_equation_update(system, in_place, d, r, omega, out=in_place)
             assert np.array_equal(in_place, got)
         H = dense_Hr(system, r)
         w_r = G_dense @ y_r
@@ -276,24 +282,28 @@ def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request, mon
     y_r = rng.uniform(0.0, 1e-3, system.N)
     omega = 0.9 / rho_estimate(system)
     for r in (1, system.R):
-        # reference: the unblocked composition, momentum point then a one-block step
+        # reference: the unblocked composition, momentum point then a one-block step,
+        # each given the residual at its step point
         monkeypatch.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", M)
-        plain = {None: pnkr_equation_update(system, u_k, y_r, r, omega)}
+        z = {None: u_k}
         for k_R in (1, 2, 5):
-            z = nesterov_extrapolate(u_k, u_km1, k_R)
-            plain[k_R] = pnkr_equation_update(system, z, y_r, r, omega, out=z)
+            z[k_R] = nesterov_extrapolate(u_k, u_km1, k_R)
+        d = {k: _residual(system, y_r, v, r) for k, v in z.items()}
+        plain = {None: pnkr_equation_update(system, u_k, d[None], r, omega)}
+        for k_R in (1, 2, 5):
+            plain[k_R] = pnkr_equation_update(system, z[k_R], d[k_R], r, omega, out=z[k_R])
         monkeypatch.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", rows * system.L)
         assert len(pnkr.solver._row_blocks(system.N, system.L)) > 1
         for k_R in (1, 2, 5):
             buf = u_km1.copy()
-            got, peak = pnkr_equation_update(system, u_k, y_r, r, omega, out=buf, k_R=k_R)
+            got, peak = pnkr_equation_update(system, u_k, d[k_R], r, omega, out=buf, k_R=k_R)
             assert got is buf
             assert np.array_equal(got, plain[k_R][0]) and peak == plain[k_R][1]
-        fresh, peak = pnkr_equation_update(system, u_k, y_r, r, omega)
+        fresh, peak = pnkr_equation_update(system, u_k, d[None], r, omega)
         assert np.array_equal(fresh, plain[None][0]) and peak == plain[None][1]
         in_place = u_k.copy()
         for u, buf in ((in_place, in_place), (u_k, u_km1.copy())):
-            got, peak = pnkr_equation_update(system, u, y_r, r, omega, out=buf)
+            got, peak = pnkr_equation_update(system, u, d[None], r, omega, out=buf)
             assert got is buf
             assert np.array_equal(got, plain[None][0]) and peak == plain[None][1]
     with pytest.raises(ValueError, match="previous iterate"):
@@ -309,10 +319,9 @@ def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
     omega = 1.0 / rho_estimate(tiny0)
     c_M = tiny0.c_N * dense_Phi(tiny0.basis)[0, 0]
     for r in range(1, tiny0.R + 1):
-        plain, _ = pnkr_equation_update(tiny0, z, data.y[:, r - 1], r, omega)
-        reduced, _ = reduced_equation_update(
-            tiny0, z, data.y[:, r - 1], r, omega / c_M, identity_kernel()
-        )
+        d = _residual(tiny0, data.y[:, r - 1], z, r)
+        plain, _ = pnkr_equation_update(tiny0, z, d, r, omega)
+        reduced, _ = reduced_equation_update(tiny0, z, d, r, omega / c_M, identity_kernel())
         scale = np.abs(plain).max()
         np.testing.assert_allclose(reduced, plain, rtol=0, atol=1e-10 * scale)
 
@@ -339,11 +348,11 @@ def test_desk_reduced_step_is_the_smoothed_outer_product_in_place():
         want = threshold(unprojected)
         clipped += int(np.sum(unprojected < 0.0))
         out = np.empty_like(u)
-        got, peak = reduced_equation_update(system, u, y[:, r - 1], r, omega, kernel, out=out)
+        got, peak = reduced_equation_update(system, u, d, r, omega, kernel, out=out)
         assert got is out and peak == got.max()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         in_place = u.copy()
-        again, peak_again = reduced_equation_update(system, in_place, y[:, r - 1], r, omega, kernel, out=in_place)
+        again, peak_again = reduced_equation_update(system, in_place, d, r, omega, kernel, out=in_place)
         assert again is in_place and np.array_equal(again, got) and peak_again == peak
     assert clipped > 0
 
@@ -383,9 +392,7 @@ def test_gate_skips_satisfied_equations(tiny0, tiny0_problem):
     state = SolverState(
         u_k=np.zeros(tiny0.N * tiny0.L), u_km1=np.zeros(tiny0.N * tiny0.L)
     )
-    updates = pnkr_sweep(state, cfg, wide, tiny0, omega=1e-6)
-    assert updates == 0
-    assert state.k == 0
+    assert pnkr_sweep(state, cfg, wide, tiny0, omega=1e-6) == 0
     assert state.k_R == 2
     assert state.dp_satisfied.all()
     res = run(cfg, wide, tiny0)
@@ -425,13 +432,17 @@ def test_update_taken_at_momentum_point(tiny0, tiny0_problem):
     cfg = SolverConfig(variant="pnkr", s=0, tau=1.2)
     omega = 1.0 / rho_estimate(tiny0)
     state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=3)
-    updates = pnkr_sweep(state, cfg, gated, tiny0, omega=omega)
-    assert updates == 1
-    z = nesterov_extrapolate(u_k, u_km1, 3)
-    expected, _ = pnkr_equation_update(tiny0, z, data.y[:, r0 - 1], r0, omega)
-    assert np.array_equal(state.u_k, expected)
+    assert pnkr_sweep(state, cfg, gated, tiny0, omega=omega) == 1
     assert np.array_equal(state.u_km1, u_k)
-    assert state.k == 1
+    # the step is handed the residual at the momentum point, D + c (D - D')
+    y_r = data.y[:, r0 - 1]
+    d = nesterov_extrapolate(_residual(tiny0, y_r, u_k, r0), _residual(tiny0, y_r, u_km1, r0), 3)
+    expected, _ = pnkr_equation_update(tiny0, u_k, d, r0, omega, out=u_km1.copy(), k_R=3)
+    assert np.array_equal(state.u_k, expected)
+    # which is the step at z with the residual formed there, up to rounding
+    z = nesterov_extrapolate(u_k, u_km1, 3)
+    at_z, _ = pnkr_equation_update(tiny0, z, _residual(tiny0, y_r, z, r0), r0, omega)
+    assert np.abs(state.u_k - at_z).max() <= 1e-13 * np.abs(at_z).max()
 
 
 @pytest.mark.parametrize("momentum", [True, False])
@@ -451,8 +462,14 @@ def test_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, momentum
     assert pnkr_sweep(state, cfg, gated, tiny0, omega=omega, momentum=momentum) == 1
     assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
     assert np.array_equal(state.u_km1, u_k)
-    z = nesterov_extrapolate(u_k, u_km1, 3) if momentum else u_k
-    assert np.array_equal(state.u_k, pnkr_equation_update(tiny0, z, data.y[:, r0 - 1], r0, omega)[0])
+    y_r = data.y[:, r0 - 1]
+    D = _residual(tiny0, y_r, u_k, r0)
+    if momentum:
+        d = nesterov_extrapolate(D, _residual(tiny0, y_r, u_km1, r0), 3)
+        expected, _ = pnkr_equation_update(tiny0, u_k, d, r0, omega, out=u_km1.copy(), k_R=3)
+    else:
+        expected, _ = pnkr_equation_update(tiny0, u_k, D, r0, omega)
+    assert np.array_equal(state.u_k, expected)
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -473,7 +490,8 @@ def test_reduced_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, 
     if not shared:
         assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
     assert np.array_equal(state.u_km1, u)
-    assert np.array_equal(state.u_k, reduced_equation_update(tiny0, u, data.y[:, r0 - 1], r0, omega, kernel)[0])
+    d = _residual(tiny0, data.y[:, r0 - 1], u, r0)
+    assert np.array_equal(state.u_k, reduced_equation_update(tiny0, u, d, r0, omega, kernel)[0])
 
 
 def test_sweep_on_shared_state_buffers_matches_distinct_ones(tiny0, tiny0_problem):
@@ -488,6 +506,39 @@ def test_sweep_on_shared_state_buffers_matches_distinct_ones(tiny0, tiny0_proble
     pnkr_sweep(distinct, cfg, data, tiny0, omega=omega)
     assert np.array_equal(shared.u_k, distinct.u_k)
     assert np.array_equal(shared.u_km1, distinct.u_km1)
+
+
+@pytest.mark.parametrize("k_R", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["pnkr", "landweber_kaczmarz", "reduced_pnkr"])
+def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_problem, variant, k_R):
+    # every equation is active; the oracle forms each residual itself: D at u_k
+    # and, for a momentum step past k_R = 1, D' at the previous iterate
+    _, data = tiny0_problem
+    eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
+    kernel = identity_kernel()
+    cfg = SolverConfig(variant=variant, s=0, stencil=kernel)
+    omega = resolve_omega(cfg, tiny0)
+    rng = np.random.default_rng(33)
+    u_k, u_km1 = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L), rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
+    order = rng.permutation(tiny0.R) + 1
+    state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=k_R, permutation=order)
+    if variant == "reduced_pnkr":
+        assert reduced_pnkr_sweep(state, cfg, eager, tiny0, omega=omega) == tiny0.R
+    else:
+        assert pnkr_sweep(state, cfg, eager, tiny0, omega=omega, momentum=variant == "pnkr") == tiny0.R
+
+    for r in order:
+        D = _residual(tiny0, data.y[:, r - 1], u_k, r)
+        if variant == "pnkr" and k_R > 1:
+            d = nesterov_extrapolate(D, _residual(tiny0, data.y[:, r - 1], u_km1, r), k_R)
+            u_new, _ = pnkr_equation_update(tiny0, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R)
+        elif variant != "reduced_pnkr":
+            u_new, _ = pnkr_equation_update(tiny0, u_k, D, r, omega)
+        else:
+            u_new, _ = reduced_equation_update(tiny0, u_k, D, r, omega, kernel)
+        u_k, u_km1 = u_new, u_k
+    assert np.array_equal(state.u_k, u_k)
+    assert np.array_equal(state.u_km1, u_km1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -543,11 +594,8 @@ def test_counter_advances_once_per_sweep(tiny0, tiny0_problem):
     state = SolverState(
         u_k=np.zeros(tiny0.N * tiny0.L), u_km1=np.zeros(tiny0.N * tiny0.L)
     )
-    for _ in range(2):
-        updates = pnkr_sweep(state, cfg, eager, tiny0, omega=omega)
-        assert updates == tiny0.R
+    assert [pnkr_sweep(state, cfg, eager, tiny0, omega=omega) for _ in range(2)] == [tiny0.R] * 2
     assert state.k_R == 3
-    assert state.k == 2 * tiny0.R
 
 
 def test_plain_kaczmarz_is_momentum_with_unit_counter(tiny0, tiny0_problem):
@@ -937,9 +985,13 @@ def test_run_looks_up_sweeps_and_steps_at_call_time(
     cfg = SolverConfig(variant=variant, s=0, max_loops=3, seed=3, stencil=stencil)
     res = run(cfg, data, tiny0)
     assert res.total_updates > 0
-    # the momentum phase runs one call per row block, so at least one per update
+    # a momentum update past the first sweep extrapolates its residual once and
+    # each row block of its step point once; the first sweep's factor is 0
     momentum_calls = calls.pop("nesterov_extrapolate", 0)
-    assert momentum_calls >= res.total_updates if variant == "pnkr" else momentum_calls == 0
+    later_updates = res.total_updates - res.history[0].updates
+    per_update = 1 + len(pnkr.solver._row_blocks(tiny0.N, tiny0.L))
+    assert later_updates > 0
+    assert momentum_calls == (per_update * later_updates if variant == "pnkr" else 0)
     expected = {sweep: res.loops}
     if step is not None:
         expected[step] = res.total_updates
