@@ -12,6 +12,16 @@ astronomy convention
 with H_k the physicists' Hermite polynomial divided by sqrt(2^k k!).
 Conventions differ between codes; coefficient values are only comparable
 within this one.
+
+The expansion is fitted to many distributions at once: one vectorized,
+projected Levenberg-Marquardt iteration with the analytic Jacobian fits
+the Gaussian envelope of every row, and a batched linear solve then
+gives the higher coefficients.  Each row carries its own damping and
+stops on its own rule (a step or a cost reduction below the module's
+tolerances, or the step cap, which leaves it unconverged), so a row's
+result is the same bitwise whatever else is in the batch; a map of any
+size costs a few dozen array operations, not one optimizer call per
+site.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import hermite as _hermite
 from scipy.ndimage import label as _connected_label
-from scipy.optimize import least_squares
 
 from .grid_basis import (
     DiscreteBasis,
@@ -180,11 +189,27 @@ def _position_weights(basis: DiscreteBasis, x) -> np.ndarray:
     return w
 
 
+def _normalize_rows(v_sites: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each velocity row of ``values`` over its trapezoid integral, and which rows carry light.
+
+    A row whose integral is not positive and finite comes back all zero.
+    """
+    integral = np.trapezoid(values, v_sites, axis=-1)
+    light = np.isfinite(integral) & (integral > 0.0)
+    p = np.zeros_like(values)
+    np.divide(values, integral[..., None], out=p, where=light[..., None])
+    return p, light
+
+
 def _normalized_sample(x, v_sites: np.ndarray, values: np.ndarray) -> LOSVDSample:
-    integral = float(np.trapezoid(values, v_sites))
-    if not np.isfinite(integral) or integral <= 0.0:
-        return LOSVDSample(x=tuple(x), v=v_sites, p=np.zeros_like(values), masked=True)
-    return LOSVDSample(x=tuple(x), v=v_sites, p=values / integral, masked=False)
+    p, light = _normalize_rows(v_sites, values)
+    return LOSVDSample(x=tuple(x), v=v_sites, p=p, masked=not light)
+
+
+def _site_losvds(W: np.ndarray, basis: DiscreteBasis, template: TemplateGrid):
+    """Normalized light-weighted LOSVD at every spatial site; ``(n1, n2, n_v)`` and light flags."""
+    lw = np.einsum("ijabc,bc->ija", W, _light_kernel(basis, template), optimize=True)
+    return _normalize_rows(basis.theta_grids[0].centers, lw)
 
 
 def light_weighted_losvd(
@@ -241,16 +266,163 @@ def _failed_fit(order: int) -> GaussHermiteFit:
     )
 
 
-def gauss_hermite_fit(losvd, order: int = 4) -> GaussHermiteFit:
-    """Two-stage fit of the expansion to a sampled velocity distribution.
+# Stopping rule of the envelope fit, per row: an accepted step that lowers the
+# cost by at most _FTOL of it, or a step shorter than _XTOL relative to the
+# scaled parameters, ends the row converged; _MAX_STEPS steps end it unconverged.
+_FTOL = 1e-14
+_XTOL = 1e-12
+_MAX_STEPS = 200
 
-    A nonlinear least-squares pass fits the Gaussian envelope
-    ``(gamma, mu, sigma)`` from moment-based starting values; the higher
-    coefficients then come from a linear solve at the fixed envelope.
-    At the envelope optimum the residual is orthogonal to the low-order
-    expansion directions, so the two stages together approximate the
-    full projection.  Failure to converge is reported through the
-    ``converged`` flag, never an exception.
+
+def _envelope(x: np.ndarray, vs: np.ndarray, y: np.ndarray):
+    """``w``, ``exp(-w^2/2)``, residual and cost of the scaled envelopes ``x`` (3, m) on rows ``y``."""
+    w = (vs - x[1][:, None]) / x[2][:, None]
+    e = np.exp(-0.5 * w * w)
+    r = x[0][:, None] * e - y
+    return w, e, r, 0.5 * (r * r).sum(axis=-1)
+
+
+def _solve_spd3(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve each system ``M[:, :, k] x = b[:, k]`` by 3x3 Cholesky; NaN where ``M`` is not definite."""
+    l00 = np.sqrt(M[0, 0])
+    l10 = M[1, 0] / l00
+    l20 = M[2, 0] / l00
+    l11 = np.sqrt(M[1, 1] - l10 * l10)
+    l21 = (M[2, 1] - l20 * l10) / l11
+    l22 = np.sqrt(M[2, 2] - l20 * l20 - l21 * l21)
+    z0 = b[0] / l00
+    z1 = (b[1] - l10 * z0) / l11
+    z2 = (b[2] - l20 * z0 - l21 * z1) / l22
+    x2 = z2 / l22
+    x1 = (z1 - l21 * x2) / l11
+    x0 = (z0 - l10 * x1 - l20 * x2) / l00
+    definite = (l00 > 0.0) & (l11 > 0.0) & (l22 > 0.0)
+    return np.where(definite, np.stack((x0, x1, x2)), np.nan)
+
+
+def _fit_envelopes(vs, y, x, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Fit ``x[0] exp(-w^2/2)``, ``w = (vs - x[1]) / x[2]``, to every row of ``y`` at once.
+
+    A projected Levenberg-Marquardt iteration with the analytic Jacobian:
+    ``x`` (3, m) holds the starting values and ``lo``/``hi`` their bounds.
+    Components at a bound whose gradient points outward stay there; the
+    others take the damped Gauss-Newton step, clipped to the box.  Each
+    row keeps its own damping and stops on its own rule, so its result
+    does not depend on the other rows.  Returns the fitted ``x`` and the
+    converged flags; a row whose damped normal matrix is not positive
+    definite, or that meets a non-finite value, fails alone.
+    """
+    x = x.copy()
+    w, e, r, cost = _envelope(x, vs, y)
+    lam = np.full(len(cost), 1e-3)
+    converged = np.zeros(len(cost), dtype=bool)
+    live = np.isfinite(cost)
+    diag = np.arange(3)
+    for _ in range(_MAX_STEPS):
+        act = np.flatnonzero(live)
+        if act.size == 0:
+            break
+        xa, wa, ea, lo_a, hi_a = x[:, act], w[act], e[act], lo[:, act], hi[:, act]
+        dmu = xa[0][:, None] * ea * wa / xa[2][:, None]
+        J = np.stack((ea, dmu, dmu * wa))
+        A = (J[:, None] * J[None, :]).sum(axis=-1)
+        g = (J * r[act]).sum(axis=-1)
+        held = ((xa <= lo_a) & (g > 0.0)) | ((xa >= hi_a) & (g < 0.0))
+        M = np.where(held[:, None] | held[None, :], 0.0, A)
+        M[diag, diag] = np.where(held, 1.0, A[diag, diag] * (1.0 + lam[act]))
+        step = _solve_spd3(M, np.where(held, 0.0, -g))
+        xt = np.clip(xa + step, lo_a, hi_a)
+        wt, et, rt, cost_t = _envelope(xt, vs[act], y[act])
+        gain = cost[act] - cost_t
+        better = gain > 0.0
+        moved = act[better]
+        x[:, moved] = xt[:, better]
+        w[moved], e[moved], r[moved], cost[moved] = wt[better], et[better], rt[better], cost_t[better]
+        lam[act] = np.where(better, lam[act] / 3.0, lam[act] * 4.0)
+        failed = ~np.all(np.isfinite(step), axis=0)
+        small = np.sqrt((step * step).sum(axis=0)) <= _XTOL * (np.sqrt((xa * xa).sum(axis=0)) + _XTOL)
+        flat = better & (gain <= _FTOL * cost[act])
+        done = failed | small | flat
+        converged[act] = done & ~failed
+        live[act[done]] = False
+    return x, converged
+
+
+def _gauss_hermite_rows(v: np.ndarray, P: np.ndarray, order: int):
+    """Two-stage fit of the expansion to every row of ``P`` (m, n_v) on the velocity grid ``v``.
+
+    Returns ``gamma``, ``mu``, ``sigma`` (m,), ``h`` (m, order - 2) and the
+    converged flags; every parameter of a row that did not converge is NaN.
+    """
+    m = P.shape[0]
+    gamma, mu, sigma = np.full(m, np.nan), np.full(m, np.nan), np.full(m, np.nan)
+    h = np.full((m, order - 2), np.nan)
+    converged = np.zeros(m, dtype=bool)
+    span = float(v[-1] - v[0])
+    if np.allclose(v, -v[::-1], rtol=0.0, atol=1e-9 * span):
+        v = 0.5 * (v - v[::-1])
+    with np.errstate(all="ignore"):
+        flipped = np.trapezoid(v * P, v, axis=-1) < 0.0
+        # everything from here on sees only the canonical orientation
+        V = np.where(flipped[:, None], -v[::-1], v)
+        P = np.where(flipped[:, None], P[:, ::-1], P)
+        norm = np.trapezoid(P, V, axis=-1)
+        rows = np.flatnonzero(np.all(np.isfinite(P), axis=-1) & np.any(P > 0.0, axis=-1) & (norm > 0.0))
+        if rows.size == 0:
+            return gamma, mu, sigma, h, converged
+        V, P, norm = V[rows], P[rows], norm[rows]
+        mu0 = np.trapezoid(V * P, V, axis=-1) / norm
+        var0 = np.trapezoid((V - mu0[:, None]) ** 2 * P, V, axis=-1) / norm
+        sigma_lo, sigma_hi = 1e-6 * span, 0.5 * span
+        sigma0 = np.clip(np.sqrt(np.maximum(var0, 0.0)), 2.0 * sigma_lo, 0.99 * sigma_hi)
+        gamma0 = norm / (sigma0 * math.sqrt(2.0 * math.pi))
+        mu0 = np.clip(mu0, V[:, 0] + 1e-9 * span, V[:, -1] - 1e-9 * span)
+        # fit in units of the starting amplitude and of the grid span
+        ones = np.ones(rows.size)
+        x, ok = _fit_envelopes(
+            V / span,
+            P / gamma0[:, None],
+            np.stack((ones, mu0 / span, sigma0 / span)),
+            np.stack((0.0 * ones, V[:, 0] / span, sigma_lo / span * ones)),
+            np.stack((np.inf * ones, V[:, -1] / span, sigma_hi / span * ones)),
+        )
+    rows, V, P = rows[ok], V[ok], P[ok]
+    g_fit, mu_fit, sigma_fit = gamma0[ok] * x[0, ok], span * x[1, ok], span * x[2, ok]
+    w = (V - mu_fit[:, None]) / sigma_fit[:, None]
+    envelope = g_fit[:, None] * np.exp(-0.5 * w * w)
+    columns = np.stack([envelope * normalized_hermite(k, w) for k in range(3, order + 1)], axis=-1)
+    h_fit = (np.linalg.pinv(columns, rtol=None) @ (P - envelope)[..., None])[..., 0]
+    parity = np.array([(-1.0) ** k for k in range(3, order + 1)])
+    back = flipped[rows]
+    gamma[rows] = g_fit
+    mu[rows] = np.where(back, -mu_fit, mu_fit)
+    sigma[rows] = sigma_fit
+    h[rows] = np.where(back[:, None], h_fit * parity, h_fit)
+    converged[rows] = True
+    return gamma, mu, sigma, h, converged
+
+
+def gauss_hermite_fit(losvd, order: int = 4) -> GaussHermiteFit:
+    """Two-stage fit of the expansion to one sampled velocity distribution.
+
+    The one-row case of the batched fit that :func:`moment_maps` runs over
+    all its sites, so a site's map values equal this fit of its LOSVD
+    bitwise.  First the Gaussian envelope ``gamma exp(-w^2/2)`` is fitted
+    by a projected Levenberg-Marquardt iteration with the analytic
+    Jacobian, from moment-based starting values, within ``gamma >= 0``,
+    ``v[0] <= mu <= v[-1]`` and ``1e-6 <= sigma / span <= 0.5``.  It stops
+    once an accepted step lowers the cost by at most 1e-14 of it or a step
+    falls below 1e-12 of the scaled parameters; 200 steps without either
+    end it unconverged.  The higher coefficients then come from a linear
+    least-squares solve at the fitted envelope.  At the envelope optimum
+    the residual is orthogonal to the low-order expansion directions, so
+    the two stages together approximate the full projection.
+
+    A masked or non-finite sample, one without a positive entry or a
+    positive integral, and a fit that does not converge all give
+    ``converged=False`` with NaN parameters, never an exception; a
+    velocity grid that is not finite and strictly increasing, or whose
+    length differs from ``p``'s, raises ``ValueError``.
 
     The fit always runs in the orientation whose moment mean is
     nonnegative and maps the parameters back afterwards, so mirroring
@@ -263,48 +435,19 @@ def gauss_hermite_fit(losvd, order: int = 4) -> GaussHermiteFit:
         raise ValueError("expansion order must be 4, 5, or 6")
     v = np.asarray(losvd.v, dtype=float)
     p = np.asarray(losvd.p, dtype=float)
-    if getattr(losvd, "masked", False) or not np.all(np.isfinite(p)) or not np.any(p > 0.0):
+    if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)) or not np.all(np.diff(v) > 0.0):
+        raise ValueError("velocity grid v must be finite and strictly increasing, with at least two points")
+    if p.shape != v.shape:
+        raise ValueError(f"velocity grid v has {v.size} points but p has {p.size}")
+    if getattr(losvd, "masked", False):
         return _failed_fit(order)
-    span = float(v[-1] - v[0])
-    if np.allclose(v, -v[::-1], rtol=0.0, atol=1e-9 * span):
-        v = 0.5 * (v - v[::-1])
-    flipped = float(np.trapezoid(v * p, v)) < 0.0
-    if flipped:
-        v = -v[::-1]
-        p = p[::-1]
-    # everything from here on sees only the canonical orientation
-    norm = float(np.trapezoid(p, v))
-    mu0 = float(np.trapezoid(v * p, v)) / norm
-    var0 = float(np.trapezoid((v - mu0) ** 2 * p, v)) / norm
-    sigma_lo = 1e-6 * span
-    sigma_hi = 0.5 * span
-    sigma0 = float(np.clip(np.sqrt(max(var0, 0.0)), 2.0 * sigma_lo, 0.99 * sigma_hi))
-    gamma0 = norm / (sigma0 * math.sqrt(2.0 * math.pi))
-    mu0 = float(np.clip(mu0, v[0] + 1e-9 * span, v[-1] - 1e-9 * span))
-
-    def envelope_residual(params):
-        gamma, mu, sigma = params
-        w = (v - mu) / sigma
-        return gamma * np.exp(-0.5 * w**2) - p
-
-    result = least_squares(
-        envelope_residual,
-        x0=[gamma0, mu0, sigma0],
-        bounds=([0.0, v[0], sigma_lo], [np.inf, v[-1], sigma_hi]),
-        xtol=1e-8,
-        max_nfev=200,
+    gamma, mu, sigma, h, converged = _gauss_hermite_rows(v, p[None, :], order)
+    if not converged[0]:
+        return _failed_fit(order)
+    return GaussHermiteFit(
+        gamma=float(gamma[0]), mu=float(mu[0]), sigma=float(sigma[0]),
+        h=h[0], order=order, converged=True,
     )
-    if not result.success or not np.all(np.isfinite(result.x)):
-        return _failed_fit(order)
-    gamma, mu, sigma = (float(val) for val in result.x)
-    w = (v - mu) / sigma
-    envelope = gamma * np.exp(-0.5 * w**2)
-    columns = np.column_stack([envelope * normalized_hermite(k, w) for k in range(3, order + 1)])
-    h, *_ = np.linalg.lstsq(columns, p - envelope, rcond=None)
-    if flipped:
-        mu = -mu
-        h = h * np.array([(-1.0) ** k for k in range(3, order + 1)])
-    return GaussHermiteFit(gamma=gamma, mu=mu, sigma=sigma, h=h, order=order, converged=True)
 
 
 # -- kinematic maps -----------------------------------------------------------
@@ -337,50 +480,36 @@ def moment_maps(
     order: int = 5,
     floor: float = 1e-6,
 ) -> MomentMaps:
-    """Mean-population and Gauss-Hermite kinematic maps of a coefficient field."""
+    """Mean-population and Gauss-Hermite kinematic maps of a coefficient field.
+
+    Every site above the density floor whose light-weighted LOSVD carries
+    light is fitted in one batched call of the fit behind
+    :func:`gauss_hermite_fit`; each site's values equal that function's
+    fit of the site's normalized LOSVD bitwise, whatever the other sites
+    hold.  Sites without light or whose fit did not converge leave the
+    mask.
+    """
     if order not in (5, 6):
         raise ValueError("map fitting needs expansion order 5 or 6 for the h5 column")
     W = _coefficient_array(u, basis)
     marg = marginals(u, basis)
-    mask = density_mask(marg, floor)
     mu_z, mu_t = mean_maps(marg, floor)
-    A_L = _light_kernel(basis, template)
-    lw = np.einsum("ijabc,bc->ija", W, A_L, optimize=True)
-    v_sites = basis.theta_grids[0].centers
-    c1 = basis.omega_grids[0].centers
-    c2 = basis.omega_grids[1].centers
-    shape = marg.p_x.shape
-    mu_v = np.full(shape, np.nan)
-    sigma_v = np.full(shape, np.nan)
-    h3 = np.full(shape, np.nan)
-    h4 = np.full(shape, np.nan)
-    h5 = np.full(shape, np.nan)
-    mask = mask.copy()
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            if not mask[i, j]:
-                continue
-            sample = _normalized_sample((c1[i], c2[j]), v_sites, lw[i, j])
-            if sample.masked:
-                mask[i, j] = False
-                continue
-            fit = gauss_hermite_fit(sample, order=order)
-            if not fit.converged:
-                mask[i, j] = False
-                continue
-            mu_v[i, j] = fit.mu
-            sigma_v[i, j] = fit.sigma
-            h3[i, j] = fit.coefficient(3)
-            h4[i, j] = fit.coefficient(4)
-            h5[i, j] = fit.coefficient(5)
-    blank = ~mask
-    mu_z = mu_z.copy()
-    mu_t = mu_t.copy()
-    mu_z[blank] = np.nan
-    mu_t[blank] = np.nan
+    P, light = _site_losvds(W, basis, template)
+    sites = density_mask(marg, floor) & light
+    _, mu, sigma, h, converged = _gauss_hermite_rows(basis.theta_grids[0].centers, P[sites], order)
+    mask = np.zeros_like(sites)
+    mask[sites] = converged
+
+    def site_map(values):
+        grid = np.full(sites.shape, np.nan)
+        grid[sites] = values
+        return grid
+
     return MomentMaps(
-        x1=c1, x2=c2, mu_t=mu_t, mu_z=mu_z, mu_v=mu_v,
-        sigma_v=sigma_v, h3=h3, h4=h4, h5=h5, mask=mask,
+        x1=basis.omega_grids[0].centers, x2=basis.omega_grids[1].centers,
+        mu_t=np.where(mask, mu_t, np.nan), mu_z=np.where(mask, mu_z, np.nan),
+        mu_v=site_map(mu), sigma_v=site_map(sigma),
+        h3=site_map(h[:, 0]), h4=site_map(h[:, 1]), h5=site_map(h[:, 2]), mask=mask,
     )
 
 

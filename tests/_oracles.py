@@ -2,10 +2,20 @@
 
 import json
 
+import math
+
 import numpy as np
+from scipy.optimize import least_squares
 from scipy.sparse.linalg import splu
 
-from pnkr.diagnostics import _coefficient_array, _normalized_sample, _position_weights, normalized_hermite
+from pnkr.diagnostics import (
+    GaussHermiteFit,
+    _coefficient_array,
+    _failed_fit,
+    _normalized_sample,
+    _position_weights,
+    normalized_hermite,
+)
 from pnkr.forward import sample_norm
 from pnkr.grid_basis import _axis_factors, _breakpoints, axis_weights, eval_axis_basis
 from pnkr.solver import as_solve_data
@@ -327,6 +337,65 @@ def gauss_hermite_series(v, gamma, mu, sigma, h):
         series = series + hk * normalized_hermite(k, w)
     return gamma * np.exp(-0.5 * w**2) * series
 
+
+
+def envelope_cost(v, p, gamma, mu, sigma):
+    """Half the squared residual of the Gaussian envelope ``gamma exp(-w^2/2)`` against ``p``."""
+    w = (np.asarray(v, dtype=float) - mu) / sigma
+    r = gamma * np.exp(-0.5 * w**2) - np.asarray(p, dtype=float)
+    return 0.5 * float(r @ r)
+
+
+def least_squares_gauss_hermite_fit(losvd, order=4):
+    """Per-sample reference for ``gauss_hermite_fit``: the envelope by ``scipy.optimize.least_squares``.
+
+    The same bounds, moment-based start and canonical orientation as the
+    package fit, with a finite-difference Jacobian and scipy's default
+    stopping rule (``ftol=1e-8``, ``xtol=1e-8``, at most 200 evaluations).
+    """
+    v = np.asarray(losvd.v, dtype=float)
+    p = np.asarray(losvd.p, dtype=float)
+    if getattr(losvd, "masked", False) or not np.all(np.isfinite(p)) or not np.any(p > 0.0):
+        return _failed_fit(order)
+    span = float(v[-1] - v[0])
+    if np.allclose(v, -v[::-1], rtol=0.0, atol=1e-9 * span):
+        v = 0.5 * (v - v[::-1])
+    flipped = float(np.trapezoid(v * p, v)) < 0.0
+    if flipped:
+        v = -v[::-1]
+        p = p[::-1]
+    norm = float(np.trapezoid(p, v))
+    mu0 = float(np.trapezoid(v * p, v)) / norm
+    var0 = float(np.trapezoid((v - mu0) ** 2 * p, v)) / norm
+    sigma_lo = 1e-6 * span
+    sigma_hi = 0.5 * span
+    sigma0 = float(np.clip(np.sqrt(max(var0, 0.0)), 2.0 * sigma_lo, 0.99 * sigma_hi))
+    gamma0 = norm / (sigma0 * math.sqrt(2.0 * math.pi))
+    mu0 = float(np.clip(mu0, v[0] + 1e-9 * span, v[-1] - 1e-9 * span))
+
+    def envelope_residual(params):
+        gamma, mu, sigma = params
+        w = (v - mu) / sigma
+        return gamma * np.exp(-0.5 * w**2) - p
+
+    result = least_squares(
+        envelope_residual,
+        x0=[gamma0, mu0, sigma0],
+        bounds=([0.0, v[0], sigma_lo], [np.inf, v[-1], sigma_hi]),
+        xtol=1e-8,
+        max_nfev=200,
+    )
+    if not result.success or not np.all(np.isfinite(result.x)):
+        return _failed_fit(order)
+    gamma, mu, sigma = (float(val) for val in result.x)
+    w = (v - mu) / sigma
+    envelope = gamma * np.exp(-0.5 * w**2)
+    columns = np.column_stack([envelope * normalized_hermite(k, w) for k in range(3, order + 1)])
+    h, *_ = np.linalg.lstsq(columns, p - envelope, rcond=None)
+    if flipped:
+        mu = -mu
+        h = h * np.array([(-1.0) ** k for k in range(3, order + 1)])
+    return GaussHermiteFit(gamma=gamma, mu=mu, sigma=sigma, h=h, order=order, converged=True)
 
 # -- manifests -----------------------------------------------------------------
 

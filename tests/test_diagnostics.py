@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnkr import diagnostics
 from pnkr.diagnostics import (
     LOSVDSample,
     MomentMaps,
+    _coefficient_array,
+    _gauss_hermite_rows,
+    _site_losvds,
     default_losvd_positions,
     density_mask,
     export_maps,
@@ -26,11 +30,18 @@ from pnkr.diagnostics import (
     read_losvd,
     read_maps,
 )
+from pnkr.forward import build_forward_system, synthesize_datacube
 from pnkr.grid_basis import axis_weights, geometric_axis, make_basis, uniform_axis
-from pnkr.mock import ComponentSpec, default_components, evaluate_ground_truth
-from pnkr.templates import build_template_grid
+from pnkr.mock import ComponentSpec, add_noise, default_components, evaluate_ground_truth
+from pnkr.solver import SolveData, SolverConfig, run
+from pnkr.templates import build_template_grid, kernel_theta_integrals
 
-from _oracles import gauss_hermite_series, mass_weighted_losvd
+from _oracles import (
+    envelope_cost,
+    gauss_hermite_series,
+    least_squares_gauss_hermite_fit,
+    mass_weighted_losvd,
+)
 
 OMEGA_GRIDS = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
 THETA_GRIDS = (
@@ -81,6 +92,37 @@ def desk_truth(desk_basis):
 @pytest.fixture(scope="module")
 def desk_maps(desk_truth, desk_basis, desk_template):
     return moment_maps(desk_truth, desk_basis, desk_template, order=5)
+
+
+@pytest.fixture(scope="module")
+def desk_run_u(desk_truth, desk_basis, desk_template):
+    system = build_forward_system(desk_basis, kernel_theta_integrals(desk_template, desk_basis))
+    noisy = add_noise(system, synthesize_datacube(system, desk_truth), 0.01, seed=0)
+    data = SolveData(y=noisy.y_noisy, delta_r=noisy.delta_r)
+    return run(SolverConfig(variant="pnkr", s=0, max_loops=20, seed=0), data, system).u
+
+
+def _random_mixtures(count=20, seed=42):
+    """Sums of one to three random Gaussians on ``GH_GRID``."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        p = np.zeros_like(GH_GRID)
+        for _ in range(int(rng.integers(1, 4))):
+            amp = rng.uniform(0.2, 1.0)
+            center = rng.uniform(-400.0, 400.0)
+            width = rng.uniform(60.0, 250.0)
+            p += amp * np.exp(-0.5 * ((GH_GRID - center) / width) ** 2)
+        rows.append(p)
+    return np.array(rows)
+
+
+def _site_samples(u, basis, template):
+    """The normalized LOSVD of every site that ``moment_maps`` fits, with its site index."""
+    P, light = _site_losvds(_coefficient_array(u, basis), basis, template)
+    v = basis.theta_grids[0].centers
+    fitted = density_mask(marginals(u, basis)) & light
+    return [((i, j), LOSVDSample(x=(0.0, 0.0), v=v, p=P[i, j])) for i, j in zip(*np.nonzero(fitted))]
 
 
 def _random_coefficients(basis, seed=0):
@@ -319,15 +361,8 @@ def test_reversed_gaussian_fit():
 
 
 def test_mirror_parity_of_fits():
-    rng = np.random.default_rng(42)
     v = GH_GRID
-    for _ in range(20):
-        p = np.zeros_like(v)
-        for _ in range(int(rng.integers(1, 4))):
-            amp = rng.uniform(0.2, 1.0)
-            center = rng.uniform(-400.0, 400.0)
-            width = rng.uniform(60.0, 250.0)
-            p += amp * np.exp(-0.5 * ((v - center) / width) ** 2)
+    for p in _random_mixtures():
         fit = gauss_hermite_fit(LOSVDSample(x=(0.0, 0.0), v=v, p=p), order=5)
         mirror = gauss_hermite_fit(
             LOSVDSample(x=(0.0, 0.0), v=v, p=p[::-1].copy()), order=5
@@ -381,6 +416,86 @@ def test_coefficient_accessor_validation():
         fit.coefficient(5)
 
 
+def test_fit_without_positive_integral_fails_cleanly():
+    p = np.exp(-0.5 * (GH_GRID / 100.0) ** 2) - 0.2
+    assert np.any(p > 0.0) and np.trapezoid(p, GH_GRID) <= 0.0
+    fit = gauss_hermite_fit(LOSVDSample(x=(0.0, 0.0), v=GH_GRID, p=p), order=5)
+    assert not fit.converged
+    assert np.isnan(fit.mu) and np.isnan(fit.sigma) and np.all(np.isnan(fit.h))
+
+
+def test_fit_rejects_decreasing_velocity_grid():
+    p = np.exp(-0.5 * (GH_GRID / 100.0) ** 2)
+    sample = LOSVDSample(x=(0.0, 0.0), v=GH_GRID[::-1].copy(), p=p)
+    with pytest.raises(ValueError, match="v must be finite and strictly increasing"):
+        gauss_hermite_fit(sample, order=5)
+
+
+def test_fit_rejects_non_finite_velocity_grid():
+    v = GH_GRID.copy()
+    v[4] = np.nan
+    sample = LOSVDSample(x=(0.0, 0.0), v=v, p=np.exp(-0.5 * (GH_GRID / 100.0) ** 2))
+    with pytest.raises(ValueError, match="v must be finite and strictly increasing"):
+        gauss_hermite_fit(sample, order=5)
+
+
+def test_fit_rejects_velocity_grid_of_another_length():
+    v = uniform_axis(-1000.0, 1000.0, 28).centers
+    sample = LOSVDSample(x=(0.0, 0.0), v=v[:-1], p=np.exp(-0.5 * (v / 100.0) ** 2))
+    with pytest.raises(ValueError, match="v has 26 points but p has 27"):
+        gauss_hermite_fit(sample, order=5)
+
+
+def test_fit_at_its_step_cap_reports_no_convergence(monkeypatch):
+    monkeypatch.setattr(diagnostics, "_MAX_STEPS", 1)
+    p = np.exp(-0.5 * ((GH_GRID - 150.0) / 120.0) ** 2) + 0.6 * np.exp(
+        -0.5 * ((GH_GRID + 200.0) / 90.0) ** 2
+    )
+    fit = gauss_hermite_fit(LOSVDSample(x=(0.0, 0.0), v=GH_GRID, p=p), order=5)
+    assert not fit.converged
+    assert np.isnan(fit.mu) and np.all(np.isnan(fit.h))
+
+
+def _assert_fit_reaches_oracle_cost(sample, order=5):
+    fit = gauss_hermite_fit(sample, order=order)
+    oracle = least_squares_gauss_hermite_fit(sample, order=order)
+    assert fit.converged == oracle.converged
+    if oracle.converged:
+        cost = envelope_cost(sample.v, sample.p, fit.gamma, fit.mu, fit.sigma)
+        bound = envelope_cost(sample.v, sample.p, oracle.gamma, oracle.mu, oracle.sigma)
+        # an exact Gaussian fits to rounding: costs under one ulp of p per point are all equal
+        rounding = 0.5 * sample.p.size * (np.finfo(float).eps * np.abs(sample.p).max()) ** 2
+        assert cost <= max(bound * (1.0 + 1e-12), rounding)
+
+
+def test_random_mixture_fits_reach_the_least_squares_cost():
+    for p in _random_mixtures():
+        _assert_fit_reaches_oracle_cost(LOSVDSample(x=(0.0, 0.0), v=GH_GRID, p=p))
+
+
+@pytest.mark.parametrize("field", ["desk_truth", "desk_run_u"])
+def test_map_site_fits_reach_the_least_squares_cost(field, request, desk_basis, desk_template):
+    samples = _site_samples(request.getfixturevalue(field), desk_basis, desk_template)
+    assert len(samples) > 100
+    for _, sample in samples:
+        _assert_fit_reaches_oracle_cost(sample)
+
+
+def test_failed_rows_leave_the_rest_of_the_batch_unchanged():
+    rows = _random_mixtures()
+    nan_row, zero_row = np.full((1, GH_GRID.size), np.nan), np.zeros((1, GH_GRID.size))
+    bad = np.vstack([rows[:7], nan_row, rows[7:14], zero_row, rows[14:]])
+    keep = np.r_[0:7, 8:15, 16:22]
+    clean = _gauss_hermite_rows(GH_GRID, rows, 5)
+    mixed = _gauss_hermite_rows(GH_GRID, bad, 5)
+    assert clean[4].all()
+    assert not mixed[4][7] and not mixed[4][15]
+    for got, want in zip(mixed, clean):
+        np.testing.assert_array_equal(got[keep], want)
+    for values in mixed[:4]:
+        assert np.all(np.isnan(values[[7, 15]]))
+
+
 # -- maps ---------------------------------------------------------------------
 
 
@@ -401,6 +516,15 @@ def test_moment_maps_truth_structure(desk_maps, desk_basis):
     assert np.all((maps.mu_z >= gz.lo) & (maps.mu_z <= gz.hi))
     assert np.all((maps.mu_t >= gt.lo) & (maps.mu_t <= gt.hi))
     assert np.all(np.abs(maps.mu_v) <= 1000.0)
+
+
+def test_moment_maps_sites_equal_one_site_fits_bitwise(desk_maps, desk_truth, desk_basis, desk_template):
+    samples = _site_samples(desk_truth, desk_basis, desk_template)
+    assert len(samples) == desk_maps.mask.size
+    for (i, j), sample in samples:
+        fit = gauss_hermite_fit(sample, order=5)
+        got = [getattr(desk_maps, name)[i, j] for name in ("mu_v", "sigma_v", "h3", "h4", "h5")]
+        np.testing.assert_array_equal(got, [fit.mu, fit.sigma, *fit.h])
 
 
 def test_moment_maps_truth_has_two_h5_regions(desk_maps):

@@ -3,8 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pnkr
@@ -54,6 +57,15 @@ def test_package_never_imports_sparse_solvers():
             else:
                 continue
             assert "scipy.sparse.linalg" not in names, f"{path.name} imports scipy.sparse.linalg"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # every CLI start pays for what `import pnkr` loads; no module needs scipy.optimize
+    path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, pnkr; assert 'scipy.optimize' not in sys.modules, 'import pnkr loads scipy.optimize'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_benchmark_trace_patches_resolve(monkeypatch):
