@@ -225,10 +225,18 @@ def light_weighted_losvd(
     conditioned on ``x``, and normalized on the velocity site grid.  A
     position with no light returns a masked, all-zero sample.
     """
-    W = _coefficient_array(u, basis)
-    A_L = _light_kernel(basis, template)
+    return _losvd_at(_coefficient_array(u, basis), basis, _light_kernel(basis, template), x)
+
+
+def _losvd_at(W: np.ndarray, basis: DiscreteBasis, A_L: np.ndarray, x) -> LOSVDSample:
+    """:func:`light_weighted_losvd` of the coefficient array ``W`` with light kernel ``A_L``.
+
+    The position weights are nonzero at no more than four sites, and
+    only those sites are contracted.
+    """
     wpos = _position_weights(basis, x)
-    values = np.einsum("ij,ijabc,bc->a", wpos, W, A_L, optimize=True)
+    sites = np.nonzero(wpos)
+    values = np.einsum("s,sabc,bc->a", wpos[sites], W[sites], A_L, optimize=True)
     return _normalized_sample(x, basis.theta_grids[0].centers, values)
 
 
@@ -567,15 +575,17 @@ def losvd_recovery_error(
     distributions, relative to the true distribution's peak; positions
     where the truth has no light are skipped.
     """
+    W_rec, W_true = _coefficient_array(u_rec, basis), _coefficient_array(u_true, basis)
+    A_L = _light_kernel(basis, template)
     errors = []
     for x in default_losvd_positions(basis):
-        truth = light_weighted_losvd(u_true, basis, template, x)
+        truth = _losvd_at(W_true, basis, A_L, x)
         if truth.masked:
             continue
         peak = float(truth.p.max())
         if peak <= 0.0:
             continue
-        rec = light_weighted_losvd(u_rec, basis, template, x)
+        rec = _losvd_at(W_rec, basis, A_L, x)
         errors.append(float(np.median(np.abs(rec.p - truth.p))) / peak)
     if not errors:
         raise ValueError("no sample position carries light in the reference field")

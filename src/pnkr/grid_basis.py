@@ -39,6 +39,7 @@ __all__ = [
     "DiscreteBasis",
     "make_basis",
     "build_gram_matrices",
+    "spatial_mass_factors",
     "gram_eigenbasis",
     "eval_axis_basis",
     "axis_weights",
@@ -306,8 +307,13 @@ def build_gram_matrices(basis: DiscreteBasis) -> sp.csc_matrix:
     ``G`` is also the data-space Gram matrix.  On uniform spatial grids
     with ``s = 0`` it is the common cell volume times the identity.
     """
+    return sp.kron(*spatial_mass_factors(basis), format="csc")
+
+
+def spatial_mass_factors(basis: DiscreteBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The dense axis mass factors ``(A_x1, A_x2)`` whose Kronecker product is ``G``."""
     A1, A2 = (_axis_factors(g, basis.s)[0] for g in basis.omega_grids)
-    return sp.kron(A1, A2, format="csc")
+    return A1, A2
 
 
 def gram_eigenbasis(

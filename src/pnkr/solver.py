@@ -42,9 +42,13 @@ A residual is affine in the iterate, so at the momentum point it is
 sweep hands each step the residual at its step point; no step computes
 one.  A Kaczmarz step is memory-bound on large grids, so it makes one
 pass over row blocks of the iterate small enough to stay in L2
-(``_STEP_BLOCK_ENTRIES``), forming each block's step point in the
-``u_km1`` buffer, correcting, projecting and reducing it to its maximum
-while it is in cache; the sweep's finite check reads that maximum.
+(``_STEP_BLOCK_ENTRIES``), building each block of the new iterate in the
+``u_km1`` buffer, projecting it and reducing it to its maximum while it
+is in cache; the sweep's finite check reads that maximum.  A momentum
+step never forms its momentum point: per block, one ``dgemm`` turns
+``u_{k-1}`` into ``-c u_{k-1}`` plus the rank-one correction and
+``daxpy`` adds ``(1 + c) u_k``, two BLAS calls in place of three
+elementwise passes and the ``dgemm``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import daxpy, dgemm
 
 from .forward import (
     ForwardSystem,
@@ -104,6 +108,16 @@ _PNKU_VERSION = 1
 # block stays under that: a threaded k = 1 update over the whole paper
 # iterate made a sweep three times slower.
 _STEP_BLOCK_ENTRIES = 98_304
+# Entries of one daxpy in a momentum step.  OpenBLAS runs an axpy of at
+# most 10,000 entries on one thread; a threaded whole-block daxpy from
+# scipy's OpenBLAS next to numpy's threaded products stalled at 10-11 ms.
+_AXPY_ENTRIES = 10_000
+# Byte alignment of the two iterate buffers run() steps in.  The heap
+# places a fresh array at any 16-byte offset, which changed from one
+# process to the next, and a desk-scale step on buffers off a cache line
+# took about 11% (momentum) and 8% (c = 0) longer; page-aligned buffers
+# give every process the same layout.
+_BUFFER_ALIGN = 4096
 
 
 @dataclass(eq=False)
@@ -185,8 +199,9 @@ class SolverState:
     each step builds its new iterate in the ``u_km1`` buffer and the
     commit swaps the two arrays.  A momentum step first reads ``u_km1``
     for the residual ``D'``; every Kaczmarz step then overwrites each row
-    block of ``u_km1`` with its step point (the momentum point or a copy
-    of ``u_k``) and corrects and projects it.  Copy the arrays before
+    block of ``u_km1`` with its new iterate: a copy of ``u_k`` corrected,
+    or for a momentum step ``u_km1`` itself scaled, corrected and added
+    to a multiple of ``u_k``, then projected.  Copy the arrays before
     handing them in if they must survive the sweep.  After a
     ``RuntimeError`` from the finite check both are undefined.
     """
@@ -229,9 +244,26 @@ class RunResult:
     omega: float
 
 
+def _aligned_copy(u: np.ndarray | float, shape: tuple[int, ...]) -> np.ndarray:
+    """``u`` broadcast into a new float64 array whose data starts on a ``_BUFFER_ALIGN``-byte boundary."""
+    n = int(np.prod(shape))
+    raw = np.empty(n + _BUFFER_ALIGN // 8)
+    start = (-raw.ctypes.data % _BUFFER_ALIGN) // 8
+    out = raw[start : start + n].reshape(shape)
+    out[...] = u
+    return out
+
+
 def threshold(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Entrywise projection onto the nonnegative orthant, into ``out`` if given."""
     return np.maximum(u, 0.0, out=out)
+
+
+def _momentum_factor(k_R: int) -> float:
+    """The momentum factor ``c = (k_R - 1) / (k_R + 2)`` of loop ``k_R``."""
+    if k_R < 1:
+        raise ValueError("loop counter k_R must be at least 1")
+    return (k_R - 1.0) / (k_R + 2.0)
 
 
 def nesterov_extrapolate(u_k: np.ndarray, u_km1: np.ndarray, k_R: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -240,11 +272,9 @@ def nesterov_extrapolate(u_k: np.ndarray, u_km1: np.ndarray, k_R: int, out: np.n
     Written into ``out`` when given; ``out`` may be ``u_km1`` but must
     not overlap ``u_k``.
     """
-    if k_R < 1:
-        raise ValueError("loop counter k_R must be at least 1")
+    factor = _momentum_factor(k_R)
     if out is not None and np.may_share_memory(out, u_k):
         raise ValueError("out must not overlap u_k")
-    factor = (k_R - 1.0) / (k_R + 2.0)
     out = np.subtract(u_k, u_km1, out=out)
     out *= factor
     out += u_k
@@ -302,21 +332,34 @@ def _step_views(system: ForwardSystem, u: np.ndarray, r: int, out: np.ndarray | 
 def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, a: np.ndarray, p: np.ndarray) -> float:
     """Every Kaczmarz step: ``O = max(Z + alpha a p^T, 0)`` with ``p`` an ``(L, 1)`` column.
 
-    ``Z`` is ``U``, or given ``k_R`` the momentum point of ``U`` and the
-    previous iterate in ``O``.  Each row block of ``Z`` is formed in
-    ``O``, corrected, projected and reduced to its maximum while it is in
-    cache; returns the maximum of the new iterate, NaN if it holds a NaN.
+    ``Z`` is ``U``, or given ``k_R`` the momentum point
+    ``(1 + c) U - c O`` of ``U`` and the previous iterate in ``O``.  Each
+    row block is finished while it is in cache: with ``c = 0`` it is
+    copied from ``U`` (unless ``O is U``) and corrected by one k=1
+    ``dgemm``; with ``c > 0`` one ``dgemm`` scales the previous iterate
+    by ``-c`` and adds the correction, and ``daxpy`` calls of at most
+    ``_AXPY_ENTRIES`` entries add ``(1 + c) U``, so ``Z`` is never formed.
+    Then the block is projected and reduced to its maximum.  Returns the
+    maximum of the new iterate, NaN if it holds a NaN.
     """
+    c = 0.0 if k_R is None else _momentum_factor(k_R)
+    L = O.shape[1]
+    if c:
+        # flat views for daxpy, which addresses each chunk by its offset
+        u_flat, o_flat = np.ascontiguousarray(U).reshape(-1), O.reshape(-1)
     blocks = _row_blocks(*O.shape)
     peaks = np.empty(len(blocks))
     for i, blk in enumerate(blocks):
         B = O[blk]
-        if k_R is not None:
-            nesterov_extrapolate(U[blk], B, k_R, out=B)
-        elif U is not O:
+        if not c and U is not O:
             np.copyto(B, U[blk])
-        # B[n, l] += alpha a[n] p[l], written in place through the Fortran-ordered view B.T
-        dgemm(alpha, p, a[None, blk], beta=1.0, c=B.T, overwrite_c=1)
+        # B[n, l] = alpha a[n] p[l] + beta B[n, l], beta = 1 on the copy of U or -c on the
+        # previous iterate, in place through the Fortran-ordered view B.T
+        dgemm(alpha, p, a[None, blk], beta=-c if c else 1.0, c=B.T, overwrite_c=1)
+        if c:
+            end = blk.stop * L
+            for off in range(blk.start * L, end, _AXPY_ENTRIES):
+                daxpy(u_flat, o_flat, n=min(_AXPY_ENTRIES, end - off), a=1.0 + c, offx=off, offy=off)
         threshold(B, out=B)
         peaks[i] = B.max()
     return float(peaks.max())
@@ -333,13 +376,19 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r:
     ``(Psi^-1 G d) (Phi^-1 q_r)^T``: one product with the stored
     ``Psi^-1 G``, then one pass of :func:`_rank_one_step`, whose
     ``peak`` is the maximum of the new iterate, NaN if it holds a NaN.
+    A momentum step combines ``u``, the previous iterate and the
+    correction in one pass, so its iterate differs from the step at
+    ``nesterov_extrapolate(u, out, k_R)`` by rounding.
 
     ``out`` is a C-contiguous float64 array of ``N * L`` entries.
     Without ``k_R`` it may be ``u`` itself, or omitted for a fresh
     array; with ``k_R`` it must not overlap ``u``.
     """
-    if out is None and k_R is not None:
-        raise ValueError("a momentum step needs the previous iterate in out")
+    if k_R is not None:
+        if out is None:
+            raise ValueError("a momentum step needs the previous iterate in out")
+        if np.may_share_memory(out, u):
+            raise ValueError("out must not overlap u, the iterate it extrapolates from")
     out, U, O = _step_views(system, u, r, out)
     a = system.Psi_inv_G @ d
     return out, _rank_one_step(U, O, k_R, omega, a, system.Phi_inv_Q[:, r - 1, None])
@@ -367,27 +416,32 @@ def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData, blk: 
     return D, sample_norm(system, D)
 
 
-def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, blocks, step) -> int:
+def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, blocks, step, residual=None) -> int:
     """Visit each block of equations once; returns the update count.
 
     A block is a slice of equations.  Its residual ``D`` at ``u_k``
     gates it: when every equation in the block meets ``tau delta_r`` the
     block is skipped, otherwise ``step(blk, D)`` takes its residual from
     ``D`` and returns the new iterate and its maximum; a non-finite
-    maximum raises, else the iterate is committed.  ``k_R`` advances once at the end.  Steps build their
-    iterate in ``u_km1`` (see :class:`SolverState`), which is first
-    replaced by a copy if it shares memory with ``u_k``.
+    maximum raises, else the iterate is committed.  ``k_R`` advances
+    once at the end.  ``residual``, when given, is ``(D, norms)`` of the
+    first block at ``u_k``, which the gate then does not recompute.
+    Steps build their iterate in ``u_km1`` (see :class:`SolverState`),
+    which is first replaced by an aligned copy if it shares memory with
+    ``u_k``.
     """
     if np.may_share_memory(state.u_k, state.u_km1):
-        state.u_km1 = state.u_k.copy()
+        state.u_km1 = _aligned_copy(state.u_k, state.u_k.shape)
     if state.dp_satisfied is None:
         state.dp_satisfied = np.zeros(system.R, dtype=bool)
+    limit = config.tau * data.delta_r
     updates = 0
     # an oversized stepsize overflows to inf/nan; the finite check raises, not the FPU
     with np.errstate(over="ignore", invalid="ignore"):
         for blk in blocks:
-            D, norms = _block_residual(system, state.u_k, data, blk)
-            satisfied = norms <= config.tau * data.delta_r[blk]
+            D, norms = residual or _block_residual(system, state.u_k, data, blk)
+            residual = None
+            satisfied = norms <= limit[blk]
             state.dp_satisfied[blk] = satisfied
             if satisfied.all():
                 continue
@@ -443,14 +497,16 @@ def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data, system: F
     return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
 
 
-def landweber_step(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float) -> int:
+def landweber_step(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float, residual=None) -> int:
     """One full-stack step: every equation's correction summed, then projected.
 
     Gating is per equation for bookkeeping, but the step only happens
     while at least one equation is out of tolerance, and then it sums
     over all of them.  The step runs in place like the pnkr sweep: the
     correction is written into the ``u_km1`` buffer, which is then
-    projected and swapped in as ``u_k``.
+    projected and swapped in as ``u_k``.  ``residual`` may hand in
+    ``(D, norms)`` of all equations at ``u_k``, as :func:`run` does from
+    the previous loop's history row.
     """
     data = as_solve_data(data)
 
@@ -462,12 +518,7 @@ def landweber_step(state: SolverState, config: SolverConfig, data, system: Forwa
         threshold(out, out=out)
         return out, out.max()
 
-    return _gated_sweep(state, config, data, system, omega, [slice(0, system.R)], step)
-
-
-def _data_residual(system: ForwardSystem, u: np.ndarray, data: SolveData) -> float:
-    _, norms = _block_residual(system, u, data)
-    return float(np.sqrt(np.sum(norms**2)))
+    return _gated_sweep(state, config, data, system, omega, [slice(0, system.R)], step, residual)
 
 
 def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | None = None) -> RunResult:
@@ -520,7 +571,7 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
         raise ValueError(f"channel r={r} has delta_r={data.delta_r[r - 1]:g}; it must be finite and nonnegative")
     M = system.N * system.L
     if config.initial_guess is not None:
-        u0 = np.array(config.initial_guess, dtype=float)
+        u0 = np.asarray(config.initial_guess, dtype=float)
         if u0.shape != (M,):
             raise ValueError(f"initial guess has shape {u0.shape}, expected ({M},)")
         bad = np.flatnonzero(~(np.isfinite(u0) & (u0 >= 0.0)))
@@ -528,18 +579,19 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
             i = int(bad[0])
             raise ValueError(f"initial guess entry {i} is {u0[i]:g}; it must be finite and nonnegative")
     else:
-        u0 = np.zeros(M)
+        u0 = 0.0  # the zero iterate
     omega = resolve_omega(config, system)
-    state = SolverState(u_k=u0, u_km1=u0.copy())
+    state = SolverState(u_k=_aligned_copy(u0, (M,)), u_km1=_aligned_copy(u0, (M,)))
     if u_star is not None:
         u_star = np.asarray(u_star, dtype=float)
         if u_star.shape != (M,):
             raise ValueError(f"reference coefficients have shape {u_star.shape}, expected ({M},)")
         star_norm = float(np.linalg.norm(u_star))
-    ref_norm = float(np.linalg.norm(u0)) or None
+    ref_norm = float(np.linalg.norm(state.u_k)) or None
     converged = False
     total_updates = 0
     loops = 0
+    residual = None
     with np.errstate(over="ignore", invalid="ignore"):
         for loop in range(1, config.max_loops + 1):
             t0 = time.perf_counter()
@@ -551,7 +603,7 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
             elif config.variant == "reduced_pnkr":
                 updates = reduced_pnkr_sweep(state, config, data, system, omega)
             else:
-                updates = landweber_step(state, config, data, system, omega)
+                updates = landweber_step(state, config, data, system, omega, residual=residual)
             seconds = time.perf_counter() - t0
             loops = loop
             total_updates += updates
@@ -562,11 +614,13 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
             else:
                 res = np.nan
                 error = np.nan
+            # the residual at u_k of every equation; Landweber's next gate reuses it
+            residual = _block_residual(system, state.u_k, data)
             state.history.append(
                 HistoryRow(
                     loop=loop,
                     updates=updates,
-                    data_residual=_data_residual(system, state.u_k, data),
+                    data_residual=float(np.sqrt(np.sum(residual[1] ** 2))),
                     res=res,
                     error=error,
                     seconds=seconds,

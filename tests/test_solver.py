@@ -282,16 +282,17 @@ def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request, mon
     y_r = rng.uniform(0.0, 1e-3, system.N)
     omega = 0.9 / rho_estimate(system)
     for r in (1, system.R):
-        # reference: the unblocked composition, momentum point then a one-block step,
-        # each given the residual at its step point
+        # reference: one-block steps, each given the residual at its step point; at
+        # k_R = 1 the momentum factor is 0, and the step is the plain one at u_k
         monkeypatch.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", M)
         z = {None: u_k}
         for k_R in (1, 2, 5):
             z[k_R] = nesterov_extrapolate(u_k, u_km1, k_R)
         d = {k: _residual(system, y_r, v, r) for k, v in z.items()}
         plain = {None: pnkr_equation_update(system, u_k, d[None], r, omega)}
-        for k_R in (1, 2, 5):
-            plain[k_R] = pnkr_equation_update(system, z[k_R], d[k_R], r, omega, out=z[k_R])
+        plain[1] = pnkr_equation_update(system, z[1], d[1], r, omega, out=z[1])
+        for k_R in (2, 5):
+            plain[k_R] = pnkr_equation_update(system, u_k, d[k_R], r, omega, out=u_km1.copy(), k_R=k_R)
         monkeypatch.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", rows * system.L)
         assert len(pnkr.solver._row_blocks(system.N, system.L)) > 1
         for k_R in (1, 2, 5):
@@ -310,6 +311,64 @@ def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request, mon
         pnkr_equation_update(system, u_k, y_r, 1, omega, k_R=2)
     with pytest.raises(ValueError, match="overlap"):
         pnkr_equation_update(system, u_k, y_r, 1, omega, out=u_k, k_R=2)
+
+
+@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
+def test_momentum_step_is_the_projected_step_at_the_momentum_point(fixture_name, request):
+    # the step never forms z = u_k + c (u_k - u_km1): one dgemm scales u_km1 by -c and
+    # adds w = omega a p^T, then a daxpy adds (1 + c) u_k.  To first order each side is
+    # within 4 eps ((1 + 2c)|u_k| + c|u_km1| + |w|) of the exact value, entrywise, and
+    # the projection is 1-Lipschitz, so the two differ by at most twice that
+    system = request.getfixturevalue(fixture_name)
+    M = system.N * system.L
+    rng = np.random.default_rng(34)
+    u_k, u_km1 = rng.uniform(0.0, 1.0, M), rng.uniform(0.0, 1.0, M)
+    y_r = rng.uniform(0.0, 1e-3, system.N)
+    omega = 0.9 / rho_estimate(system)
+    eps = np.finfo(float).eps
+    for r in (1, system.R // 2, system.R):
+        for k_R in (2, 3, 7):
+            c = (k_R - 1.0) / (k_R + 2.0)
+            z = nesterov_extrapolate(u_k, u_km1, k_R)
+            d = _residual(system, y_r, z, r)
+            w = omega * np.outer(system.Psi_inv_G @ d, system.Phi_inv_Q[:, r - 1]).reshape(-1)
+            unprojected = z + w
+            want = threshold(unprojected)
+            got, peak = pnkr_equation_update(system, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R)
+            bound = 8.0 * eps * ((1.0 + 2.0 * c) * np.abs(u_k) + c * np.abs(u_km1) + np.abs(w))
+            assert np.all(np.abs(got - want) <= bound)
+            assert peak == got.max()
+            assert 0 < np.sum(unprojected < 0.0) < M
+
+
+@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
+def test_momentum_step_in_small_axpy_chunks_matches_one_chunk_bitwise(fixture_name, request, monkeypatch):
+    system = request.getfixturevalue(fixture_name)
+    M = system.N * system.L
+    assert pnkr.solver._row_blocks(system.N, system.L) == [slice(0, system.N)]
+    rng = np.random.default_rng(35)
+    u_k, u_km1 = rng.uniform(0.0, 1.0, M), rng.uniform(0.0, 1.0, M)
+    d = rng.uniform(-1e-3, 1e-3, system.N)
+    omega = 0.9 / rho_estimate(system)
+    real_daxpy, sizes = pnkr.solver.daxpy, []
+
+    def counting(*args, n, **kwargs):
+        sizes.append(n)
+        return real_daxpy(*args, n=n, **kwargs)
+
+    monkeypatch.setattr(pnkr.solver, "daxpy", counting)
+    for k_R in (2, 5):
+        monkeypatch.setattr(pnkr.solver, "_AXPY_ENTRIES", M)
+        want, want_peak = pnkr_equation_update(system, u_k, d, 1, omega, out=u_km1.copy(), k_R=k_R)
+        assert sizes == [M]
+        # chunks far below one block, and chunks that straddle row ends
+        for chunk in (7, system.L + 1):
+            sizes.clear()
+            monkeypatch.setattr(pnkr.solver, "_AXPY_ENTRIES", chunk)
+            got, peak = pnkr_equation_update(system, u_k, d, 1, omega, out=u_km1.copy(), k_R=k_R)
+            assert sum(sizes) == M and max(sizes) == chunk and len(sizes) == -(-M // chunk)
+            assert np.array_equal(got, want) and peak == want_peak
+        sizes.clear()
 
 
 def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
@@ -508,6 +567,16 @@ def test_sweep_on_shared_state_buffers_matches_distinct_ones(tiny0, tiny0_proble
     assert np.array_equal(shared.u_km1, distinct.u_km1)
 
 
+@pytest.mark.parametrize("variant", ["pnkr", "landweber"])
+def test_run_steps_in_page_aligned_buffers_and_leaves_the_guess(tiny0, tiny0_problem, variant):
+    _, data = tiny0_problem
+    guess = np.full(tiny0.N * tiny0.L, 0.5)
+    res = run(SolverConfig(variant=variant, s=0, max_loops=3, initial_guess=guess), data, tiny0)
+    assert res.total_updates > 0
+    assert res.u.ctypes.data % pnkr.solver._BUFFER_ALIGN == 0
+    assert np.all(guess == 0.5)
+
+
 @pytest.mark.parametrize("k_R", [1, 2, 3])
 @pytest.mark.parametrize("variant", ["pnkr", "landweber_kaczmarz", "reduced_pnkr"])
 def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_problem, variant, k_R):
@@ -682,6 +751,31 @@ def test_landweber_step_updates_the_state_buffers_in_place(tiny0, tiny0_problem,
     U = u.reshape(tiny0.N, tiny0.L)
     A = omega * (tiny0.Psi_inv_G @ (data.y - U @ tiny0.Q))
     assert np.array_equal(state.u_k, threshold((U + A @ tiny0.Phi_inv_Q.T).reshape(-1)))
+
+
+def test_landweber_run_reuses_each_loop_residual_for_the_next_gate(monkeypatch, tiny0, tiny0_problem):
+    _, data = tiny0_problem
+    cfg = SolverConfig(variant="landweber", s=0, max_loops=5)
+    omega = resolve_omega(cfg, tiny0)
+    M = tiny0.N * tiny0.L
+    # reference: steps whose gates form their own residuals
+    state = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M))
+    residuals = []
+    for _ in range(cfg.max_loops):
+        assert landweber_step(state, cfg, data, tiny0, omega) == 1
+        residuals.append(float(np.linalg.norm(sample_norm(tiny0, data.y - synthesize_datacube(tiny0, state.u_k)))))
+    real, calls = pnkr.solver._block_residual, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pnkr.solver, "_block_residual", counting)
+    res = run(cfg, data, tiny0)
+    # the first gate, then one residual per loop, for its history row and the next gate
+    assert res.loops == cfg.max_loops and len(calls) == res.loops + 1
+    assert np.array_equal(res.u, state.u_k)
+    np.testing.assert_allclose([row.data_residual for row in res.history], residuals, rtol=1e-14)
 
 
 def test_desk_landweber_step_is_one_product_per_side():
@@ -985,13 +1079,12 @@ def test_run_looks_up_sweeps_and_steps_at_call_time(
     cfg = SolverConfig(variant=variant, s=0, max_loops=3, seed=3, stencil=stencil)
     res = run(cfg, data, tiny0)
     assert res.total_updates > 0
-    # a momentum update past the first sweep extrapolates its residual once and
-    # each row block of its step point once; the first sweep's factor is 0
+    # a momentum update past the first sweep extrapolates its residual once; its
+    # step never forms the momentum point, and the first sweep's factor is 0
     momentum_calls = calls.pop("nesterov_extrapolate", 0)
     later_updates = res.total_updates - res.history[0].updates
-    per_update = 1 + len(pnkr.solver._row_blocks(tiny0.N, tiny0.L))
     assert later_updates > 0
-    assert momentum_calls == (per_update * later_updates if variant == "pnkr" else 0)
+    assert momentum_calls == (later_updates if variant == "pnkr" else 0)
     expected = {sweep: res.loops}
     if step is not None:
         expected[step] = res.total_updates
