@@ -311,7 +311,6 @@ def cmd_robustness(args) -> int:
     system = build_forward_system(basis, kernel_theta_integrals(template, basis))
     u_true = evaluate_ground_truth(default_components(), basis)
     y_clean = synthesize_datacube(system, u_true)
-    os.makedirs(args.out, exist_ok=True)
     stats = []
     run_dirs = []
     for index in range(args.n):

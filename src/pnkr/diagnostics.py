@@ -499,6 +499,8 @@ def moment_maps(
     """
     if order not in (5, 6):
         raise ValueError("map fitting needs expansion order 5 or 6 for the h5 column")
+    if not 0.0 <= floor < 1.0:
+        raise ValueError(f"the density floor must be finite and in [0, 1), got floor={floor}")
     W = _coefficient_array(u, basis)
     marg = marginals(u, basis)
     mu_z, mu_t = mean_maps(marg, floor)

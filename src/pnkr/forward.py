@@ -41,7 +41,7 @@ from .grid_basis import DiscreteBasis, build_gram_matrices, gram_eigenbasis, spa
 
 __all__ = [
     "ForwardSystem",
-    "SmoothingKernel",
+    "SMOOTHING_TAPS",
     "build_forward_system",
     "apply_Hr",
     "apply_Hr_T",
@@ -50,9 +50,6 @@ __all__ = [
     "sample_norm",
     "rho_estimate",
     "reduced_rho",
-    "identity_kernel",
-    "triangle_kernel",
-    "make_smoothing_kernel",
     "apply_Zs",
 ]
 
@@ -275,70 +272,25 @@ def rho_estimate(system: ForwardSystem, stacked: bool = False) -> float:
 
 # -- separable smoothing stencil ---------------------------------------------
 
+# The reduced variant's stencil: these taps along every axis.  Symmetric,
+# nonnegative and summing to 1, they make a local averaging that fixes
+# constants under replicate edges, on axes of any length.
+SMOOTHING_TAPS = (0.25, 0.5, 0.25)
 
-@dataclass(frozen=True, eq=False)
-class SmoothingKernel:
-    """Separable 5D convolution stencil: one tap vector shared by all five axes.
 
-    The taps must have odd length, nonnegative entries, mirror symmetry,
-    and unit sum to 1e-12; those conditions make the stencil a local
-    averaging that fixes constants under replicate-edge handling.
+def apply_Zs(arr: np.ndarray, taps, n_axes: int) -> np.ndarray:
+    """Convolve the leading ``n_axes`` axes of ``arr`` with ``taps``.
+
+    Trailing axes are batch axes.  Edges replicate (an axis of 1 or 2
+    cells included), so every row of the stencil sums to the taps' sum;
+    linear in ``arr``.
     """
-
-    taps: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = self.taps
-        if t.ndim != 1 or t.size % 2 == 0:
-            raise ValueError("the tap vector must be 1D with odd length")
-        if not np.all(np.isfinite(t)) or np.any(t < 0.0):
-            raise ValueError("tap entries must be finite and nonnegative")
-        if not np.allclose(t, t[::-1], rtol=0.0, atol=1e-12):
-            raise ValueError("the tap vector must be symmetric")
-        if abs(float(t.sum()) - 1.0) > 1e-12:
-            raise ValueError("the taps must sum to 1")
-
-
-def make_smoothing_kernel(taps) -> SmoothingKernel:
-    """Build a kernel from the tap vector shared by every axis."""
-    return SmoothingKernel(taps=np.array(taps, dtype=float))
-
-
-def identity_kernel() -> SmoothingKernel:
-    """Stencil with a single unit tap per axis; leaves inputs unchanged."""
-    return make_smoothing_kernel([1.0])
-
-
-def triangle_kernel() -> SmoothingKernel:
-    """Default smoothing stencil: [1/4, 1/2, 1/4] along every axis."""
-    return make_smoothing_kernel([0.25, 0.5, 0.25])
-
-
-_AXIS_NAMES = ("x1", "x2", "v", "z", "t")
-
-
-def apply_Zs(arr: np.ndarray, kernel: SmoothingKernel, axes: range) -> np.ndarray:
-    """Convolve the leading axes of ``arr`` with the stencil's taps.
-
-    Axis ``i`` of ``arr`` is lattice axis ``axes[i]`` (0..4 for
-    ``x1, x2, v, z, t``), which names it in the width error; trailing
-    axes are batch axes.  Replicate-edge boundary handling; linear in
-    ``arr``.
-    """
-    tap = kernel.taps
-    for i, ax in enumerate(axes):
-        if tap.size > arr.shape[i]:
-            cells = f"the {_AXIS_NAMES[ax]} axis ({arr.shape[i]} cells)"
-            raise ValueError(f"smoothing stencil of width {tap.size} is wider than {cells}; identity_kernel() or a narrower stencil would run")
-        if tap.size == 1:
-            if tap[0] != 1.0:
-                arr = arr * tap[0]
-            continue
-        arr = convolve1d(arr, tap, axis=i, mode="nearest")
+    for i in range(n_axes):
+        arr = convolve1d(arr, taps, axis=i, mode="nearest")
     return arr
 
 
-def reduced_rho(system: ForwardSystem, kernel: SmoothingKernel) -> float:
+def reduced_rho(system: ForwardSystem, taps=SMOOTHING_TAPS) -> float:
     """Largest eigenvalue of the reduced per-equation operator, in closed form.
 
     The reduced step of equation ``r`` applies
@@ -352,6 +304,6 @@ def reduced_rho(system: ForwardSystem, kernel: SmoothingKernel) -> float:
     ``(max_n G_nn)^2 / c_N * max_r q_r^T Z_Theta q_r``.
     """
     basis = system.basis
-    ZQ = apply_Zs(system.Q.reshape(*basis.shape5[2:], system.R), kernel, range(2, 5))
+    ZQ = apply_Zs(system.Q.reshape(*basis.shape5[2:], system.R), taps, 3)
     g = float(system.G.diagonal().max())
     return g * g / system.c_N * float(np.max(np.einsum("lr,lr->r", system.Q, ZQ.reshape(system.L, system.R))))

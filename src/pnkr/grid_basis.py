@@ -180,8 +180,8 @@ def make_basis(
         b = np.full(5, float(b))
     if b.shape != (5,):
         raise ValueError("beta must be a scalar or a length-5 sequence")
-    if np.any(b < 0):
-        raise ValueError("beta weights must be nonnegative")
+    if not np.all((b >= 0.0) & (b < np.inf)):
+        raise ValueError(f"beta weights must be finite and nonnegative, got beta={beta}")
     return DiscreteBasis(s=int(s), omega_grids=og, theta_grids=tg, beta=b)
 
 

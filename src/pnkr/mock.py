@@ -235,8 +235,8 @@ def add_noise(system: ForwardSystem, y_clean: np.ndarray, level: float, seed: in
     y_clean = np.asarray(y_clean, dtype=float)
     if y_clean.ndim != 2 or y_clean.shape[0] != system.N:
         raise ValueError(f"datacube has shape {y_clean.shape}, expected ({system.N}, R)")
-    if level < 0.0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0.0 <= level < np.inf:
+        raise ValueError(f"noise level must be finite and nonnegative, got noise={level}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     sigma = level * np.abs(y_clean)

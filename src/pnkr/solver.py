@@ -60,14 +60,13 @@ import numpy as np
 from scipy.linalg.blas import daxpy, dgemm
 
 from .forward import (
+    SMOOTHING_TAPS,
     ForwardSystem,
-    SmoothingKernel,
     apply_H_all,
     apply_Zs,
     reduced_rho,
     rho_estimate,
     sample_norm,
-    triangle_kernel,
 )
 from .grid_basis import _read_exact
 
@@ -128,9 +127,8 @@ class SolverConfig:
     ``rho`` the largest eigenvalue of the step's operator, computed
     exactly (per equation for sweep methods, full stack for the summed
     iteration, the smoothed unpreconditioned operator for the reduced
-    variant).  ``stencil is None`` gives the reduced variant its default
-    triangle smoothing; the identity stencil makes it coincide with the
-    plain Kaczmarz update up to a constant.
+    variant, whose stencil is :data:`~pnkr.forward.SMOOTHING_TAPS` on
+    every axis).
     """
 
     variant: str = "pnkr"
@@ -142,15 +140,14 @@ class SolverConfig:
     ordering: str = "random_permutation"
     seed: int = 0
     initial_guess: np.ndarray | None = None
-    stencil: SmoothingKernel | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.s not in (0, 1):
             raise ValueError("s must be 0 or 1")
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and nonnegative, got beta={self.beta}")
         if self.omega is not None and not self.omega > 0.0:
             raise ValueError("omega must be positive")
         if not self.tau > 1.0:
@@ -291,13 +288,8 @@ def resolve_omega(config: SolverConfig, system: ForwardSystem) -> float:
     if config.omega is not None:
         return float(config.omega)
     if config.variant == "reduced_pnkr":
-        return 1.0 / reduced_rho(system, _reduced_stencil(config))
+        return 1.0 / reduced_rho(system)
     return 1.0 / rho_estimate(system, stacked=config.variant == "landweber")
-
-
-def _reduced_stencil(config: SolverConfig) -> SmoothingKernel:
-    """The reduced variant's stencil: the configured one, else the triangle."""
-    return config.stencil if config.stencil is not None else triangle_kernel()
 
 
 def _sweep_order(config: SolverConfig, R: int, loop: int) -> np.ndarray:
@@ -394,19 +386,19 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r:
     return out, _rank_one_step(U, O, k_R, omega, a, system.Phi_inv_Q[:, r - 1, None])
 
 
-def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, kernel: SmoothingKernel, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, taps=SMOOTHING_TAPS, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """One reduced step at ``u`` with residual ``d = y_r - U q_r``; returns ``(iterate, peak)`` like :func:`pnkr_equation_update`.
 
     Applies ``omega c_N^-1 Z_s(H_r^T (w_r - H_r u))`` and projects; the
-    separable stencil stands in for the Kronecker solve on the
-    piecewise-constant basis.  It keeps the correction rank-one,
-    ``(Z_x G G d) (Z_Theta q_r)^T``, which :func:`_rank_one_step`
-    applies into ``out`` (which may be ``u``).
+    separable stencil ``Z_s``, ``taps`` along every axis, stands in for
+    the Kronecker solve on the piecewise-constant basis.  It keeps the
+    correction rank-one, ``(Z_x G G d) (Z_Theta q_r)^T``, which
+    :func:`_rank_one_step` applies into ``out`` (which may be ``u``).
     """
     out, U, O = _step_views(system, u, r, out)
     x_shape, theta_shape = system.basis.shape5[:2], system.basis.shape5[2:]
-    a = apply_Zs((system.G @ (system.G @ d)).reshape(x_shape), kernel, range(2)).reshape(-1)
-    p = apply_Zs(system.Q[:, r - 1].reshape(theta_shape), kernel, range(2, 5)).reshape(-1, 1)
+    a = apply_Zs((system.G @ (system.G @ d)).reshape(x_shape), taps, 2).reshape(-1)
+    p = apply_Zs(system.Q[:, r - 1].reshape(theta_shape), taps, 3).reshape(-1, 1)
     return out, _rank_one_step(U, O, None, omega / system.c_N, a, p)
 
 
@@ -489,10 +481,9 @@ def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data, system: F
     if system.basis.s != 0:
         raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
     data = as_solve_data(data)
-    kernel = _reduced_stencil(config)
 
     def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
-        return reduced_equation_update(system, state.u_k, D[:, 0], blk.stop, omega, kernel, out=state.u_km1)
+        return reduced_equation_update(system, state.u_k, D[:, 0], blk.stop, omega, out=state.u_km1)
 
     return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
 

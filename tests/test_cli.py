@@ -19,7 +19,7 @@ from pnkr.presets import (
     preset_template,
     preset_window,
 )
-from pnkr.solver import read_coefficients, read_history
+from pnkr.solver import VARIANTS, read_coefficients, read_history
 
 from _oracles import manifest_run_key, read_manifest
 
@@ -217,6 +217,44 @@ def test_dimension_mismatch_rejected(pipeline_dir, monkeypatch, capsys):
     ])
     assert rc == 1
     assert "desk_scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solve_runs_every_variant_on_tiny(pipeline_dir, monkeypatch, variant):
+    # tiny's z and t axes have 2 cells, narrower than the reduced variant's 3-tap stencil
+    monkeypatch.chdir(pipeline_dir)
+    assert main([
+        "solve", "--preset", "tiny", "--templates", "tpl.pnkt", "--cube", "cube.pnkd",
+        "--s", "0", "--max-loops", "5", "--variant", variant, "--out", f"variant_{variant}",
+    ]) == 0
+    assert read_manifest(pipeline_dir / f"variant_{variant}" / "manifest.json")["result"]["total_updates"] > 0
+
+
+_MAPS = ["maps", "--coefficients", "run/coefficients.pnku"]
+_BAD_OPTIONS = [
+    *[(option, args, value) for value in ("nan", "inf", "-inf") for option, args in (
+        ("beta", ["solve", "--cube", "cube.pnkd", "--s", "1"]),
+        ("noise", ["gen-mock", "--s", "0"]),
+        ("noise", ["robustness", "--n", "1", "--s", "0"]),
+        ("floor", _MAPS),
+    )],
+    ("floor", _MAPS, "1"),
+    ("floor", _MAPS, "-0.1"),
+]
+
+
+@pytest.mark.parametrize(
+    "option, args, value", [pytest.param(*case, id=f"{case[1][0]}-{case[2]}") for case in _BAD_OPTIONS]
+)
+def test_bad_option_value_is_rejected_by_name(pipeline_dir, monkeypatch, capsys, option, args, value):
+    # nothing is written: the option is checked before any output
+    monkeypatch.chdir(pipeline_dir)
+    out = f"bad_{args[0]}_{value}"
+    rc = main([*args, "--preset", "tiny", "--templates", "tpl.pnkt", f"--{option}={value}", "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{option}={float(value)}" in err and "finite" in err
+    assert not (pipeline_dir / out).exists()
 
 
 def test_config_file_defaults_and_flag_override(pipeline_dir, monkeypatch):

@@ -7,18 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnkr.forward import (
+    SMOOTHING_TAPS,
     apply_H_all,
     apply_Hr,
     apply_Hr_T,
     apply_Zs,
     build_forward_system,
-    identity_kernel,
-    make_smoothing_kernel,
     reduced_rho,
     rho_estimate,
     sample_norm,
     synthesize_datacube,
-    triangle_kernel,
 )
 import pnkr.forward
 from pnkr.grid_basis import explicit_axis, geometric_axis, gram_eigenbasis, make_basis, uniform_axis
@@ -320,36 +318,21 @@ def zs_basis():
     return make_basis(0, omega, theta)
 
 
-def test_smoothing_kernel_validation():
-    with pytest.raises(ValueError):
-        make_smoothing_kernel([0.5, 0.5])
-    with pytest.raises(ValueError):
-        make_smoothing_kernel([-0.5, 2.0, -0.5])
-    with pytest.raises(ValueError):
-        make_smoothing_kernel([0.2, 0.5, 0.3])
-    with pytest.raises(ValueError):
-        make_smoothing_kernel([0.3, 0.3, 0.3])
-    with pytest.raises(ValueError):
-        make_smoothing_kernel([np.inf])
-    with pytest.raises(ValueError):
-        make_smoothing_kernel([[1.0], [1.0]])
-    assert make_smoothing_kernel([0.25, 0.5, 0.25]).taps.shape == (3,)
-
-
 def test_apply_Zs_identity_and_constant():
-    basis = zs_basis()
+    # replicate edges fix constants on axes of any length, the 1- and 2-cell ones too
     rng = np.random.default_rng(11)
-    u = rng.standard_normal(basis.shape5)
-    np.testing.assert_array_equal(apply_Zs(u, identity_kernel(), range(5)), u)
-    const = np.full(basis.shape5, 3.25)
-    np.testing.assert_allclose(apply_Zs(const, triangle_kernel(), range(5)), const, rtol=0, atol=1e-13)
+    for shape in (zs_basis().shape5, (2, 1, 3, 2, 1)):
+        u = rng.standard_normal(shape)
+        np.testing.assert_array_equal(apply_Zs(u, np.ones(1), 5), u)
+        const = np.full(shape, 3.25)
+        np.testing.assert_allclose(apply_Zs(const, SMOOTHING_TAPS, 5), const, rtol=0, atol=1e-13)
 
 
 def test_apply_Zs_impulse_pattern():
     basis = zs_basis()
     u5 = np.zeros(basis.shape5)
     u5[1, 1, 2, 1, 1] = 1.0
-    out = apply_Zs(u5, triangle_kernel(), range(5))
+    out = apply_Zs(u5, SMOOTHING_TAPS, 5)
     tap = np.array([0.25, 0.5, 0.25])
     want = np.einsum("a,b,c,d,e->abcde", *([tap] * 5))
     np.testing.assert_allclose(out[0:3, 0:3, 1:4, 0:3, 0:3], want, rtol=0, atol=1e-15)
@@ -360,39 +343,38 @@ def test_apply_Zs_preserves_sum_with_triangle():
     basis = zs_basis()
     rng = np.random.default_rng(12)
     u = rng.random(basis.shape5)
-    out = apply_Zs(u, triangle_kernel(), range(5))
+    out = apply_Zs(u, SMOOTHING_TAPS, 5)
     np.testing.assert_allclose(out.sum(), u.sum(), rtol=1e-10)
 
 
-def test_apply_Zs_width_error():
-    omega = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
-    theta = (uniform_axis(-1000.0, 1000.0, 4), uniform_axis(-2.0, 0.0, 3), uniform_axis(1.0, 13.0, 3))
-    basis = make_basis(0, omega, theta)
-    with pytest.raises(ValueError, match=r"wider than the z axis \(2 cells\); identity_kernel\(\)"):
-        apply_Zs(np.zeros(basis.shape5), triangle_kernel(), range(5))
-
-
-@pytest.mark.parametrize("kernel", [triangle_kernel(), identity_kernel()], ids=["triangle", "identity"])
-def test_reduced_rho_matches_dense_spectral_radius(kernel):
-    # every theta axis has at least the triangle's 3 cells; t is geometric
-    omega = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 5))
-    theta = (uniform_axis(-1000.0, 1000.0, 5), uniform_axis(-2.0, 0.0, 4), geometric_axis(1.0, 13.0, 4))
-    basis = make_basis(0, omega, theta)
-    rng = np.random.default_rng(14)
-    system = build_forward_system(basis, rng.random((basis.L, 4)))
-    NL = basis.N * basis.L
-    Gd = system.G.toarray()
-    radii = []
-    for r in range(1, system.R + 1):
-        # the reduced step's operator c_N^-1 Z_s H_r^T H_r, column by column
-        T = np.empty((NL, NL))
-        for i in range(NL):
-            U = np.zeros((basis.N, basis.L))
-            U.flat[i] = 1.0
-            raw = np.outer(Gd @ (Gd @ (U @ system.Q[:, r - 1])), system.Q[:, r - 1]).reshape(-1)
-            T[:, i] = apply_Zs(raw.reshape(basis.shape5), kernel, range(5)).reshape(-1) / system.c_N
-        radii.append(np.abs(np.linalg.eigvals(T)).max())
-    np.testing.assert_allclose(reduced_rho(system, kernel), max(radii), rtol=1e-12)
+@pytest.mark.parametrize("taps", [SMOOTHING_TAPS, np.ones(1)], ids=["triangle", "identity"])
+def test_reduced_rho_matches_dense_spectral_radius(taps):
+    # t is geometric; the second basis has axes of 1 and 2 cells, narrower than the triangle
+    wide = (
+        (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 5)),
+        (uniform_axis(-1000.0, 1000.0, 5), uniform_axis(-2.0, 0.0, 4), geometric_axis(1.0, 13.0, 4)),
+    )
+    narrow = (
+        (uniform_axis(-1.0, 1.0, 3), uniform_axis(-1.0, 1.0, 2)),
+        (uniform_axis(-1000.0, 1000.0, 4), uniform_axis(-2.0, 0.0, 3), geometric_axis(1.0, 13.0, 2)),
+    )
+    for omega, theta in (wide, narrow):
+        basis = make_basis(0, omega, theta)
+        rng = np.random.default_rng(14)
+        system = build_forward_system(basis, rng.random((basis.L, 4)))
+        NL = basis.N * basis.L
+        Gd = system.G.toarray()
+        radii = []
+        for r in range(1, system.R + 1):
+            # the reduced step's operator c_N^-1 Z_s H_r^T H_r, column by column
+            T = np.empty((NL, NL))
+            for i in range(NL):
+                U = np.zeros((basis.N, basis.L))
+                U.flat[i] = 1.0
+                raw = np.outer(Gd @ (Gd @ (U @ system.Q[:, r - 1])), system.Q[:, r - 1]).reshape(-1)
+                T[:, i] = apply_Zs(raw.reshape(basis.shape5), taps, 5).reshape(-1) / system.c_N
+            radii.append(np.abs(np.linalg.eigvals(T)).max())
+        np.testing.assert_allclose(reduced_rho(system, taps), max(radii), rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -406,7 +388,6 @@ def test_apply_Zs_is_linear(a, b, seed):
     rng = np.random.default_rng(seed)
     u1 = rng.standard_normal(basis.shape5)
     u2 = rng.standard_normal(basis.shape5)
-    kernel = triangle_kernel()
-    lhs = apply_Zs(a * u1 + b * u2, kernel, range(5))
-    rhs = a * apply_Zs(u1, kernel, range(5)) + b * apply_Zs(u2, kernel, range(5))
+    lhs = apply_Zs(a * u1 + b * u2, SMOOTHING_TAPS, 5)
+    rhs = a * apply_Zs(u1, SMOOTHING_TAPS, 5) + b * apply_Zs(u2, SMOOTHING_TAPS, 5)
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10 * max(1.0, np.abs(rhs).max()))

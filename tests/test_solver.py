@@ -1,6 +1,7 @@
 """Solver unit tests: gating, momentum, baselines, termination, files."""
 
 import collections
+import functools
 import types
 
 import numpy as np
@@ -10,13 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pnkr.forward import (
+    SMOOTHING_TAPS,
     apply_Zs,
     build_forward_system,
-    identity_kernel,
     reduced_rho,
     sample_norm,
     synthesize_datacube,
-    triangle_kernel,
 )
 from pnkr.grid_basis import make_basis, uniform_axis
 from pnkr.mock import add_noise, default_components, evaluate_ground_truth
@@ -164,6 +164,8 @@ def test_nesterov_out_may_alias_previous_iterate(fixture_name, request):
         dict(ordering="shuffled"),
         dict(seed=-1),
         dict(variant="reduced_pnkr", s=1),
+        dict(beta=np.nan),
+        dict(beta=np.inf),
     ],
 )
 def test_config_validation(kwargs):
@@ -380,7 +382,7 @@ def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
     for r in range(1, tiny0.R + 1):
         d = _residual(tiny0, data.y[:, r - 1], z, r)
         plain, _ = pnkr_equation_update(tiny0, z, d, r, omega)
-        reduced, _ = reduced_equation_update(tiny0, z, d, r, omega / c_M, identity_kernel())
+        reduced, _ = reduced_equation_update(tiny0, z, d, r, omega / c_M, np.ones(1))
         scale = np.abs(plain).max()
         np.testing.assert_allclose(reduced, plain, rtol=0, atol=1e-10 * scale)
 
@@ -392,32 +394,31 @@ def test_desk_reduced_step_is_the_smoothed_outer_product_in_place():
 
     basis = preset_basis("desk_scale", 0)
     system = build_forward_system(basis, kernel_theta_integrals(preset_template("desk_scale"), basis))
-    kernel = triangle_kernel()
     u_true = evaluate_ground_truth(default_components(), basis)
     y = add_noise(system, synthesize_datacube(system, u_true), 0.01, seed=0).y_noisy
     rng = np.random.default_rng(26)
     u = u_true * rng.uniform(0.0, 2.0, u_true.size)
     U, G = u.reshape(system.N, system.L), system.G
-    omega = 1.0 / reduced_rho(system, kernel)
+    omega = 1.0 / reduced_rho(system)
     clipped = 0
     for r in range(1, system.R + 1):
         d = y[:, r - 1] - U @ system.Q[:, r - 1]
         raw = np.outer(G @ (G @ d), system.Q[:, r - 1]).reshape(basis.shape5)
-        unprojected = u + (omega / system.c_N) * apply_Zs(raw, kernel, range(5)).reshape(-1)
+        unprojected = u + (omega / system.c_N) * apply_Zs(raw, SMOOTHING_TAPS, 5).reshape(-1)
         want = threshold(unprojected)
         clipped += int(np.sum(unprojected < 0.0))
         out = np.empty_like(u)
-        got, peak = reduced_equation_update(system, u, d, r, omega, kernel, out=out)
+        got, peak = reduced_equation_update(system, u, d, r, omega, out=out)
         assert got is out and peak == got.max()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         in_place = u.copy()
-        again, peak_again = reduced_equation_update(system, in_place, d, r, omega, kernel, out=in_place)
+        again, peak_again = reduced_equation_update(system, in_place, d, r, omega, out=in_place)
         assert again is in_place and np.array_equal(again, got) and peak_again == peak
     assert clipped > 0
 
 
-def test_reduced_run_names_the_axis_too_narrow_for_its_stencil():
-    # tiny's z axis has 2 cells, fewer than the default triangle stencil's 3 taps
+def test_reduced_run_on_tiny_makes_progress():
+    # tiny's z and t axes have 2 cells, fewer than the stencil's 3 taps; replicate edges smooth them
     from pnkr.presets import preset_basis, preset_template
 
     basis = preset_basis("tiny", 0)
@@ -425,10 +426,11 @@ def test_reduced_run_names_the_axis_too_narrow_for_its_stencil():
     y = synthesize_datacube(system, evaluate_ground_truth(default_components(), basis))
     noisy = add_noise(system, y, 0.01, seed=7)
     data = SolveData(y=noisy.y_noisy, delta_r=noisy.delta_r)
-    with pytest.raises(ValueError, match=r"width 3 is wider than the z axis \(2 cells\); identity_kernel\(\)"):
-        run(SolverConfig(variant="reduced_pnkr", s=0), data, system)
-    res = run(SolverConfig(variant="reduced_pnkr", s=0, max_loops=5, stencil=identity_kernel()), data, system)
+    res = run(SolverConfig(variant="reduced_pnkr", s=0, max_loops=5), data, system)
     assert res.total_updates > 0
+    residuals = [row.data_residual for row in res.history]
+    assert residuals[0] < float(np.linalg.norm(sample_norm(system, data.y)))
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
 
 def test_reduced_sweep_rejects_hat_basis(tiny1, tiny0_problem):
@@ -540,9 +542,8 @@ def test_reduced_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, 
     delta = np.full(tiny0.R, 1e12)
     delta[r0 - 1] = 0.0
     gated = SolveData(y=data.y, delta_r=delta)
-    kernel = identity_kernel()
-    cfg = SolverConfig(variant="reduced_pnkr", s=0, stencil=kernel)
-    omega = 1.0 / reduced_rho(tiny0, kernel)
+    cfg = SolverConfig(variant="reduced_pnkr", s=0)
+    omega = 1.0 / reduced_rho(tiny0)
     a, b = u.copy(), rng.uniform(0.0, 1.0, u.size)
     state = SolverState(u_k=a, u_km1=a if shared else b)
     assert reduced_pnkr_sweep(state, cfg, gated, tiny0, omega=omega) == 1
@@ -550,7 +551,7 @@ def test_reduced_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, 
         assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
     assert np.array_equal(state.u_km1, u)
     d = _residual(tiny0, data.y[:, r0 - 1], u, r0)
-    assert np.array_equal(state.u_k, reduced_equation_update(tiny0, u, d, r0, omega, kernel)[0])
+    assert np.array_equal(state.u_k, reduced_equation_update(tiny0, u, d, r0, omega)[0])
 
 
 def test_sweep_on_shared_state_buffers_matches_distinct_ones(tiny0, tiny0_problem):
@@ -584,8 +585,7 @@ def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_probl
     # and, for a momentum step past k_R = 1, D' at the previous iterate
     _, data = tiny0_problem
     eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
-    kernel = identity_kernel()
-    cfg = SolverConfig(variant=variant, s=0, stencil=kernel)
+    cfg = SolverConfig(variant=variant, s=0)
     omega = resolve_omega(cfg, tiny0)
     rng = np.random.default_rng(33)
     u_k, u_km1 = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L), rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
@@ -604,7 +604,7 @@ def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_probl
         elif variant != "reduced_pnkr":
             u_new, _ = pnkr_equation_update(tiny0, u_k, D, r, omega)
         else:
-            u_new, _ = reduced_equation_update(tiny0, u_k, D, r, omega, kernel)
+            u_new, _ = reduced_equation_update(tiny0, u_k, D, r, omega)
         u_k, u_km1 = u_new, u_k
     assert np.array_equal(state.u_k, u_k)
     assert np.array_equal(state.u_km1, u_km1)
@@ -875,8 +875,11 @@ def test_divergence_raises_naming_stepsize(tiny0, tiny0_problem):
             run(cfg, data, tiny0)
 
 
-def test_reduced_identity_trajectory_matches_plain_kaczmarz(tiny0, tiny0_problem):
+def test_reduced_identity_trajectory_matches_plain_kaczmarz(monkeypatch, tiny0, tiny0_problem):
+    # with the identity taps np.ones(1) every reduced step is the plain one up to the constant c_M
     _, data = tiny0_problem
+    identity_step = functools.partial(pnkr.solver.reduced_equation_update, taps=np.ones(1))
+    monkeypatch.setattr(pnkr.solver, "reduced_equation_update", identity_step)
     omega = 1.0 / rho_estimate(tiny0)
     c_M = tiny0.c_N * dense_Phi(tiny0.basis)[0, 0]
     plain = run(
@@ -893,7 +896,6 @@ def test_reduced_identity_trajectory_matches_plain_kaczmarz(tiny0, tiny0_problem
             omega=omega / c_M,
             max_loops=50,
             seed=5,
-            stencil=identity_kernel(),
         ),
         data,
         tiny0,
@@ -907,8 +909,7 @@ def test_reduced_identity_trajectory_matches_plain_kaczmarz(tiny0, tiny0_problem
 
 def test_reduced_default_stepsize_leaves_the_zero_iterate(tiny_template):
     # at 1/rho of the preconditioned operator every reduced step overshot
-    # and the projection returned the iterate to exactly zero; the default
-    # triangle stencil needs 3 cells on every axis, which tiny's z axis lacks
+    # and the projection returned the iterate to exactly zero
     theta = (THETA_GRIDS[0], uniform_axis(-2.0, 0.0, 4), uniform_axis(1.0, 13.0, 4))
     basis = make_basis(0, OMEGA_GRIDS, theta)
     system = build_forward_system(basis, kernel_theta_integrals(tiny_template, basis))
@@ -916,7 +917,7 @@ def test_reduced_default_stepsize_leaves_the_zero_iterate(tiny_template):
     noisy = add_noise(system, y, 0.01, seed=7)
     data = SolveData(y=noisy.y_noisy, delta_r=noisy.delta_r)
     res = run(SolverConfig(variant="reduced_pnkr", s=0, max_loops=10, seed=0), data, system)
-    assert res.omega == 1.0 / reduced_rho(system, triangle_kernel())
+    assert res.omega == 1.0 / reduced_rho(system)
     at_zero = float(np.linalg.norm(sample_norm(system, data.y)))
     assert res.total_updates > 0
     assert res.history[-1].data_residual < at_zero
@@ -1075,8 +1076,7 @@ def test_run_looks_up_sweeps_and_steps_at_call_time(
         monkeypatch.setattr(
             pnkr.solver, name, counting(name, getattr(pnkr.solver, name))
         )
-    stencil = identity_kernel() if variant == "reduced_pnkr" else None
-    cfg = SolverConfig(variant=variant, s=0, max_loops=3, seed=3, stencil=stencil)
+    cfg = SolverConfig(variant=variant, s=0, max_loops=3, seed=3)
     res = run(cfg, data, tiny0)
     assert res.total_updates > 0
     # a momentum update past the first sweep extrapolates its residual once; its
