@@ -14,7 +14,6 @@ from .mock import add_noise, default_components, evaluate_ground_truth
 from .solver import SolveData, SolverConfig, run
 from .diagnostics import moment_maps
 from .presets import preset_basis, preset_template
-from .cli import main
 
 __all__ = [
     "__version__",
@@ -33,3 +32,10 @@ __all__ = [
     "preset_template",
     "main",
 ]
+
+
+def __getattr__(name):  # main loads on first use, so `python -m pnkr.cli` finds no pnkr.cli imported
+    if name != "main":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .cli import main
+    return main

@@ -285,7 +285,7 @@ def cmd_maps(args) -> int:
         )
     maps = moment_maps(coeffs.u, basis, template, order=args.order, floor=args.floor)
     positions = [_parse_position(text) for text in args.losvd] or default_losvd_positions(basis)
-    samples = [light_weighted_losvd(coeffs.u, basis, template, x) for x in positions]
+    samples = light_weighted_losvd(coeffs.u, basis, template, positions)
     written = export_maps(maps, samples, args.out)
     write_manifest(
         os.path.join(args.out, MANIFEST_NAME),

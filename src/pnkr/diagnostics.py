@@ -217,15 +217,19 @@ def light_weighted_losvd(
     basis: DiscreteBasis,
     template: TemplateGrid,
     x,
-) -> LOSVDSample:
+) -> LOSVDSample | list[LOSVDSample]:
     """Luminosity-weighted velocity distribution at a spatial position.
 
     The coefficient field is weighted by each population's integrated
     light over the observed window, marginalized over (z, t),
     conditioned on ``x``, and normalized on the velocity site grid.  A
-    position with no light returns a masked, all-zero sample.
+    position with no light returns a masked, all-zero sample.  Positions
+    ``[(x1, x2), ...]`` give a list of samples from one light kernel.
     """
-    return _losvd_at(_coefficient_array(u, basis), basis, _light_kernel(basis, template), x)
+    W, A_L = _coefficient_array(u, basis), _light_kernel(basis, template)
+    if np.ndim(x) == 2:
+        return [_losvd_at(W, basis, A_L, p) for p in x]
+    return _losvd_at(W, basis, A_L, x)
 
 
 def _losvd_at(W: np.ndarray, basis: DiscreteBasis, A_L: np.ndarray, x) -> LOSVDSample:

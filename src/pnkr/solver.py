@@ -43,8 +43,8 @@ sweep hands each step the residual at its step point; no step computes
 one.  A Kaczmarz step is memory-bound on large grids, so it makes one
 pass over row blocks of the iterate small enough to stay in L2
 (``_STEP_BLOCK_ENTRIES``), building each block of the new iterate in the
-``u_km1`` buffer, projecting it and reducing it to its maximum while it
-is in cache; the sweep's finite check reads that maximum.  A momentum
+``u_km1`` buffer and projecting it while it is in cache.  No step checks
+for inf or NaN: the next gate's product reads every entry.  A momentum
 step never forms its momentum point: per block, one ``dgemm`` turns
 ``u_{k-1}`` into ``-c u_{k-1}`` plus the rank-one correction and
 ``daxpy`` adds ``(1 + c) u_k``, two BLAS calls in place of three
@@ -53,6 +53,7 @@ elementwise passes and the ``dgemm``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -199,8 +200,9 @@ class SolverState:
     block of ``u_km1`` with its new iterate: a copy of ``u_k`` corrected,
     or for a momentum step ``u_km1`` itself scaled, corrected and added
     to a multiple of ``u_k``, then projected.  Copy the arrays before
-    handing them in if they must survive the sweep.  After a
-    ``RuntimeError`` from the finite check both are undefined.
+    handing them in if they must survive the sweep.  The finite check
+    follows the commit, at the next gate; after its ``RuntimeError``
+    both are undefined.
     """
 
     u_k: np.ndarray
@@ -321,7 +323,7 @@ def _step_views(system: ForwardSystem, u: np.ndarray, r: int, out: np.ndarray | 
     return out, O if out is u else np.asarray(u, dtype=float).reshape(N, L), O
 
 
-def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, a: np.ndarray, p: np.ndarray) -> float:
+def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, a: np.ndarray, p: np.ndarray) -> None:
     """Every Kaczmarz step: ``O = max(Z + alpha a p^T, 0)`` with ``p`` an ``(L, 1)`` column.
 
     ``Z`` is ``U``, or given ``k_R`` the momentum point
@@ -331,17 +333,15 @@ def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, 
     ``dgemm``; with ``c > 0`` one ``dgemm`` scales the previous iterate
     by ``-c`` and adds the correction, and ``daxpy`` calls of at most
     ``_AXPY_ENTRIES`` entries add ``(1 + c) U``, so ``Z`` is never formed.
-    Then the block is projected and reduced to its maximum.  Returns the
-    maximum of the new iterate, NaN if it holds a NaN.
+    Then the block is projected.  No pass checks the result: the next
+    gate reads every entry (see :func:`_gated_sweep`).
     """
     c = 0.0 if k_R is None else _momentum_factor(k_R)
     L = O.shape[1]
     if c:
         # flat views for daxpy, which addresses each chunk by its offset
         u_flat, o_flat = np.ascontiguousarray(U).reshape(-1), O.reshape(-1)
-    blocks = _row_blocks(*O.shape)
-    peaks = np.empty(len(blocks))
-    for i, blk in enumerate(blocks):
+    for blk in _row_blocks(*O.shape):
         B = O[blk]
         if not c and U is not O:
             np.copyto(B, U[blk])
@@ -353,12 +353,10 @@ def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, 
             for off in range(blk.start * L, end, _AXPY_ENTRIES):
                 daxpy(u_flat, o_flat, n=min(_AXPY_ENTRIES, end - off), a=1.0 + c, offx=off, offy=off)
         threshold(B, out=B)
-        peaks[i] = B.max()
-    return float(peaks.max())
 
 
-def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None) -> tuple[np.ndarray, float]:
-    """One projected preconditioned step of equation ``r``; returns ``(iterate, peak)``.
+def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None) -> np.ndarray:
+    """One projected preconditioned step of equation ``r``; returns the new iterate.
 
     The step is taken at ``z = u``, or, given the loop counter ``k_R``,
     at the momentum point of ``u`` and the previous iterate, which
@@ -366,10 +364,10 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r:
     ``y_r - Z q_r`` at ``z``.  The correction
     ``M^-1 H_r^T N^-1 (w_r - H_r z)`` is the rank-one matrix
     ``(Psi^-1 G d) (Phi^-1 q_r)^T``: one product with the stored
-    ``Psi^-1 G``, then one pass of :func:`_rank_one_step`, whose
-    ``peak`` is the maximum of the new iterate, NaN if it holds a NaN.
-    A momentum step combines ``u``, the previous iterate and the
-    correction in one pass, so its iterate differs from the step at
+    ``Psi^-1 G``, then one pass of :func:`_rank_one_step`; the sweep's
+    next gate, not the step, checks the iterate for inf and NaN.  A
+    momentum step combines ``u``, the previous iterate and the correction
+    in one pass, so it differs from the step at
     ``nesterov_extrapolate(u, out, k_R)`` by rounding.
 
     ``out`` is a C-contiguous float64 array of ``N * L`` entries.
@@ -383,11 +381,12 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r:
             raise ValueError("out must not overlap u, the iterate it extrapolates from")
     out, U, O = _step_views(system, u, r, out)
     a = system.Psi_inv_G @ d
-    return out, _rank_one_step(U, O, k_R, omega, a, system.Phi_inv_Q[:, r - 1, None])
+    _rank_one_step(U, O, k_R, omega, a, system.Phi_inv_Q[:, r - 1, None])
+    return out
 
 
-def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, taps=SMOOTHING_TAPS, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """One reduced step at ``u`` with residual ``d = y_r - U q_r``; returns ``(iterate, peak)`` like :func:`pnkr_equation_update`.
+def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, taps=SMOOTHING_TAPS, out: np.ndarray | None = None) -> np.ndarray:
+    """One reduced step at ``u`` with residual ``d = y_r - U q_r``; returns the new iterate like :func:`pnkr_equation_update`.
 
     Applies ``omega c_N^-1 Z_s(H_r^T (w_r - H_r u))`` and projects; the
     separable stencil ``Z_s``, ``taps`` along every axis, stands in for
@@ -399,7 +398,8 @@ def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray,
     x_shape, theta_shape = system.basis.shape5[:2], system.basis.shape5[2:]
     a = apply_Zs((system.G @ (system.G @ d)).reshape(x_shape), taps, 2).reshape(-1)
     p = apply_Zs(system.Q[:, r - 1].reshape(theta_shape), taps, 3).reshape(-1, 1)
-    return out, _rank_one_step(U, O, None, omega / system.c_N, a, p)
+    _rank_one_step(U, O, None, omega / system.c_N, a, p)
+    return out
 
 
 def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData, blk: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -414,36 +414,43 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
     A block is a slice of equations.  Its residual ``D`` at ``u_k``
     gates it: when every equation in the block meets ``tau delta_r`` the
     block is skipped, otherwise ``step(blk, D)`` takes its residual from
-    ``D`` and returns the new iterate and its maximum; a non-finite
-    maximum raises, else the iterate is committed.  ``k_R`` advances
-    once at the end.  ``residual``, when given, is ``(D, norms)`` of the
-    first block at ``u_k``, which the gate then does not recompute.
-    Steps build their iterate in ``u_km1`` (see :class:`SolverState`),
-    which is first replaced by an aligned copy if it shares memory with
-    ``u_k``.
+    ``D`` and returns the new iterate, which is committed; ``k_R``
+    advances once at the end.  A non-finite norm raises: any inf or NaN
+    in ``u_k`` reaches ``D`` (``inf * 0`` is NaN), so the gates are the
+    finite check, and one maximum checks an update after the last gate.
+    ``residual``, when given, is ``(D, norms)`` of the first block at
+    ``u_k``.  Steps build their iterate in ``u_km1`` (see :class:`SolverState`),
+    first replaced by an aligned copy if it shares memory with ``u_k``.
     """
     if np.may_share_memory(state.u_k, state.u_km1):
         state.u_km1 = _aligned_copy(state.u_k, state.u_k.shape)
     if state.dp_satisfied is None:
         state.dp_satisfied = np.zeros(system.R, dtype=bool)
     limit = config.tau * data.delta_r
+    limits, (A1, A2), shape = limit.tolist(), system.G_axes, (system.N, system.L)
+    error = f"iterate became non-finite; the stepsize omega={omega:g} is too large for this system"
     updates = 0
     # an oversized stepsize overflows to inf/nan; the finite check raises, not the FPU
     with np.errstate(over="ignore", invalid="ignore"):
         for blk in blocks:
-            D, norms = residual or _block_residual(system, state.u_k, data, blk)
-            residual = None
-            satisfied = norms <= limit[blk]
-            state.dp_satisfied[blk] = satisfied
-            if satisfied.all():
-                continue
-            u_new, peak = step(blk, D)
-            # steps project their iterates (never -inf) and report the max, which sees any inf or nan
-            if not np.isfinite(peak):
-                raise RuntimeError(f"iterate became non-finite; the stepsize omega={omega:g} is too large for this system")
-            state.u_km1 = state.u_k
-            state.u_k = u_new
-            updates += 1
+            if residual is None and blk.stop - blk.start == 1:
+                # one equation: sample_norm's one-column branch, without its wrappers
+                D = data.y[:, blk] - state.u_k.reshape(shape) @ system.Q[:, blk]
+                X = D.reshape(len(A1), len(A2))
+                norm = float(np.sqrt(np.vdot(X, A1 @ X @ A2)))
+                satisfied = state.dp_satisfied[blk.start] = norm <= limits[blk.start]
+            else:
+                D, norms = residual or _block_residual(system, state.u_k, data, blk)
+                residual = None
+                state.dp_satisfied[blk] = norms <= limit[blk]
+                satisfied, norm = state.dp_satisfied[blk].all(), norms.max()
+            if not math.isfinite(norm):
+                raise RuntimeError(error)
+            if not satisfied:
+                state.u_k, state.u_km1 = step(blk, D), state.u_k
+                updates += 1
+        if updates and not satisfied and not np.isfinite(state.u_k.max()):  # no gate read the last update
+            raise RuntimeError(error)
     state.k_R += 1
     return updates
 
@@ -465,7 +472,7 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSy
     """
     data = as_solve_data(data)
 
-    def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
+    def step(blk: slice, D: np.ndarray) -> np.ndarray:
         d, k_R = D[:, 0], None
         if momentum and state.k_R > 1:
             k_R = state.k_R
@@ -482,7 +489,7 @@ def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data, system: F
         raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
     data = as_solve_data(data)
 
-    def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
+    def step(blk: slice, D: np.ndarray) -> np.ndarray:
         return reduced_equation_update(system, state.u_k, D[:, 0], blk.stop, omega, out=state.u_km1)
 
     return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
@@ -501,13 +508,12 @@ def landweber_step(state: SolverState, config: SolverConfig, data, system: Forwa
     """
     data = as_solve_data(data)
 
-    def step(blk: slice, D: np.ndarray) -> tuple[np.ndarray, float]:
+    def step(blk: slice, D: np.ndarray) -> np.ndarray:
         A = omega * (system.Psi_inv_G @ D)
         out = state.u_km1
         np.matmul(A, system.Phi_inv_Q.T, out=out.reshape(system.N, system.L))
         out += state.u_k
-        threshold(out, out=out)
-        return out, out.max()
+        return threshold(out, out=out)
 
     return _gated_sweep(state, config, data, system, omega, [slice(0, system.R)], step, residual)
 

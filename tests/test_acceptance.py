@@ -276,8 +276,8 @@ def test_criterion_06_reduced_identity_consistency():
         for r in range(1, system.R + 1):
             z = nesterov_extrapolate(u_k, u_km1, k_R)
             d = y[:, r - 1] - z.reshape(system.N, system.L) @ system.Q[:, r - 1]
-            plain, _ = pnkr_equation_update(system, z, d, r, omega)
-            reduced, _ = reduced_equation_update(
+            plain = pnkr_equation_update(system, z, d, r, omega)
+            reduced = reduced_equation_update(
                 system, z, d, r, omega / c_M, np.ones(1)
             )
             scale = max(np.abs(plain).max(), 1e-30)

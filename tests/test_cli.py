@@ -127,6 +127,32 @@ def test_maps_subcommand(pipeline_dir, monkeypatch):
     assert (pipeline_dir / "maps" / "manifest.json").is_file()
 
 
+def test_maps_samples_every_position_from_one_light_kernel(pipeline_dir, monkeypatch):
+    import pnkr.cli
+    import pnkr.diagnostics
+
+    calls = []
+    real_losvd, real_kernel = pnkr.cli.light_weighted_losvd, pnkr.diagnostics._light_kernel
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pnkr.cli, "light_weighted_losvd", counting("losvd", real_losvd))
+    monkeypatch.setattr(pnkr.diagnostics, "_light_kernel", counting("kernel", real_kernel))
+    monkeypatch.chdir(pipeline_dir)
+    assert main([
+        "maps", "--preset", "tiny", "--templates", "tpl.pnkt",
+        "--coefficients", "run/coefficients.pnku", "--out", "maps_once",
+    ]) == 0
+    # one kernel for the moment maps, then one call and one kernel for all nine positions
+    assert calls == ["kernel", "losvd", "kernel"]
+    assert len([p for p in os.listdir("maps_once") if p.startswith("losvd_")]) == 9
+
+
 def test_solve_manifest_records_the_grid(pipeline_dir):
     grid = read_manifest(pipeline_dir / "run" / "manifest.json")["config"]["grid"]
     basis = preset_basis("tiny", 0)

@@ -243,6 +243,16 @@ def test_losvd_normalization_and_positivity(tiny_basis, tiny_template):
             assert np.all(sample.p >= 0.0)
 
 
+def test_losvd_at_many_positions_is_each_position_bitwise(desk_truth, desk_basis, desk_template):
+    positions = default_losvd_positions(desk_basis) + [(0.25, 0.3)]
+    samples = light_weighted_losvd(desk_truth, desk_basis, desk_template, positions)
+    assert len(samples) == len(positions)
+    for x, sample in zip(positions, samples):
+        one = light_weighted_losvd(desk_truth, desk_basis, desk_template, x)
+        assert sample.x == one.x == x and sample.masked == one.masked
+        assert np.array_equal(sample.v, one.v) and np.array_equal(sample.p, one.p)
+
+
 def test_losvd_outside_domain_raises(tiny_basis, tiny_template):
     u = _random_coefficients(tiny_basis)
     with pytest.raises(ValueError, match="outside"):

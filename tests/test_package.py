@@ -68,6 +68,16 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_python_m_runs_the_cli_quietly():
+    # `python -m pnkr` and `python -m pnkr.cli` both print the usage and nothing on stderr
+    path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    for module in ("pnkr", "pnkr.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", (module, proc.stderr)
+        assert proc.stdout.startswith("usage: pnkr")
+
+
 def test_benchmark_trace_patches_resolve(monkeypatch):
     # the benchmark tracer patches every (module, attribute) of PATCHES by name; a
     # renamed or deleted name would break only a traced benchmark run

@@ -239,15 +239,14 @@ def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
     M_dense = dense_M(system)
     for r in (1, system.R // 2, system.R):
         d = _residual(system, y_r, z, r)
-        got, peak = pnkr_equation_update(system, z, d, r, omega)
-        assert peak == got.max()
+        got = pnkr_equation_update(system, z, d, r, omega)
         in_place = z.copy()
-        assert pnkr_equation_update(system, in_place, d, r, omega, out=in_place)[0] is in_place
+        assert pnkr_equation_update(system, in_place, d, r, omega, out=in_place) is in_place
         assert np.array_equal(in_place, got)
         with monkeypatch.context() as m:
             # the step in row blocks of 2, the last one partial
             m.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", 2 * system.L)
-            assert np.array_equal(pnkr_equation_update(system, z, d, r, omega)[0], got)
+            assert np.array_equal(pnkr_equation_update(system, z, d, r, omega), got)
             in_place = z.copy()
             pnkr_equation_update(system, in_place, d, r, omega, out=in_place)
             assert np.array_equal(in_place, got)
@@ -299,16 +298,16 @@ def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request, mon
         assert len(pnkr.solver._row_blocks(system.N, system.L)) > 1
         for k_R in (1, 2, 5):
             buf = u_km1.copy()
-            got, peak = pnkr_equation_update(system, u_k, d[k_R], r, omega, out=buf, k_R=k_R)
+            got = pnkr_equation_update(system, u_k, d[k_R], r, omega, out=buf, k_R=k_R)
             assert got is buf
-            assert np.array_equal(got, plain[k_R][0]) and peak == plain[k_R][1]
-        fresh, peak = pnkr_equation_update(system, u_k, d[None], r, omega)
-        assert np.array_equal(fresh, plain[None][0]) and peak == plain[None][1]
+            assert np.array_equal(got, plain[k_R])
+        fresh = pnkr_equation_update(system, u_k, d[None], r, omega)
+        assert np.array_equal(fresh, plain[None])
         in_place = u_k.copy()
         for u, buf in ((in_place, in_place), (u_k, u_km1.copy())):
-            got, peak = pnkr_equation_update(system, u, d[None], r, omega, out=buf)
+            got = pnkr_equation_update(system, u, d[None], r, omega, out=buf)
             assert got is buf
-            assert np.array_equal(got, plain[None][0]) and peak == plain[None][1]
+            assert np.array_equal(got, plain[None])
     with pytest.raises(ValueError, match="previous iterate"):
         pnkr_equation_update(system, u_k, y_r, 1, omega, k_R=2)
     with pytest.raises(ValueError, match="overlap"):
@@ -336,10 +335,9 @@ def test_momentum_step_is_the_projected_step_at_the_momentum_point(fixture_name,
             w = omega * np.outer(system.Psi_inv_G @ d, system.Phi_inv_Q[:, r - 1]).reshape(-1)
             unprojected = z + w
             want = threshold(unprojected)
-            got, peak = pnkr_equation_update(system, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R)
+            got = pnkr_equation_update(system, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R)
             bound = 8.0 * eps * ((1.0 + 2.0 * c) * np.abs(u_k) + c * np.abs(u_km1) + np.abs(w))
             assert np.all(np.abs(got - want) <= bound)
-            assert peak == got.max()
             assert 0 < np.sum(unprojected < 0.0) < M
 
 
@@ -361,15 +359,15 @@ def test_momentum_step_in_small_axpy_chunks_matches_one_chunk_bitwise(fixture_na
     monkeypatch.setattr(pnkr.solver, "daxpy", counting)
     for k_R in (2, 5):
         monkeypatch.setattr(pnkr.solver, "_AXPY_ENTRIES", M)
-        want, want_peak = pnkr_equation_update(system, u_k, d, 1, omega, out=u_km1.copy(), k_R=k_R)
+        want = pnkr_equation_update(system, u_k, d, 1, omega, out=u_km1.copy(), k_R=k_R)
         assert sizes == [M]
         # chunks far below one block, and chunks that straddle row ends
         for chunk in (7, system.L + 1):
             sizes.clear()
             monkeypatch.setattr(pnkr.solver, "_AXPY_ENTRIES", chunk)
-            got, peak = pnkr_equation_update(system, u_k, d, 1, omega, out=u_km1.copy(), k_R=k_R)
+            got = pnkr_equation_update(system, u_k, d, 1, omega, out=u_km1.copy(), k_R=k_R)
             assert sum(sizes) == M and max(sizes) == chunk and len(sizes) == -(-M // chunk)
-            assert np.array_equal(got, want) and peak == want_peak
+            assert np.array_equal(got, want)
         sizes.clear()
 
 
@@ -381,8 +379,8 @@ def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
     c_M = tiny0.c_N * dense_Phi(tiny0.basis)[0, 0]
     for r in range(1, tiny0.R + 1):
         d = _residual(tiny0, data.y[:, r - 1], z, r)
-        plain, _ = pnkr_equation_update(tiny0, z, d, r, omega)
-        reduced, _ = reduced_equation_update(tiny0, z, d, r, omega / c_M, np.ones(1))
+        plain = pnkr_equation_update(tiny0, z, d, r, omega)
+        reduced = reduced_equation_update(tiny0, z, d, r, omega / c_M, np.ones(1))
         scale = np.abs(plain).max()
         np.testing.assert_allclose(reduced, plain, rtol=0, atol=1e-10 * scale)
 
@@ -408,12 +406,12 @@ def test_desk_reduced_step_is_the_smoothed_outer_product_in_place():
         want = threshold(unprojected)
         clipped += int(np.sum(unprojected < 0.0))
         out = np.empty_like(u)
-        got, peak = reduced_equation_update(system, u, d, r, omega, out=out)
-        assert got is out and peak == got.max()
+        got = reduced_equation_update(system, u, d, r, omega, out=out)
+        assert got is out
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         in_place = u.copy()
-        again, peak_again = reduced_equation_update(system, in_place, d, r, omega, out=in_place)
-        assert again is in_place and np.array_equal(again, got) and peak_again == peak
+        again = reduced_equation_update(system, in_place, d, r, omega, out=in_place)
+        assert again is in_place and np.array_equal(again, got)
     assert clipped > 0
 
 
@@ -498,11 +496,11 @@ def test_update_taken_at_momentum_point(tiny0, tiny0_problem):
     # the step is handed the residual at the momentum point, D + c (D - D')
     y_r = data.y[:, r0 - 1]
     d = nesterov_extrapolate(_residual(tiny0, y_r, u_k, r0), _residual(tiny0, y_r, u_km1, r0), 3)
-    expected, _ = pnkr_equation_update(tiny0, u_k, d, r0, omega, out=u_km1.copy(), k_R=3)
+    expected = pnkr_equation_update(tiny0, u_k, d, r0, omega, out=u_km1.copy(), k_R=3)
     assert np.array_equal(state.u_k, expected)
     # which is the step at z with the residual formed there, up to rounding
     z = nesterov_extrapolate(u_k, u_km1, 3)
-    at_z, _ = pnkr_equation_update(tiny0, z, _residual(tiny0, y_r, z, r0), r0, omega)
+    at_z = pnkr_equation_update(tiny0, z, _residual(tiny0, y_r, z, r0), r0, omega)
     assert np.abs(state.u_k - at_z).max() <= 1e-13 * np.abs(at_z).max()
 
 
@@ -527,9 +525,9 @@ def test_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, momentum
     D = _residual(tiny0, y_r, u_k, r0)
     if momentum:
         d = nesterov_extrapolate(D, _residual(tiny0, y_r, u_km1, r0), 3)
-        expected, _ = pnkr_equation_update(tiny0, u_k, d, r0, omega, out=u_km1.copy(), k_R=3)
+        expected = pnkr_equation_update(tiny0, u_k, d, r0, omega, out=u_km1.copy(), k_R=3)
     else:
-        expected, _ = pnkr_equation_update(tiny0, u_k, D, r0, omega)
+        expected = pnkr_equation_update(tiny0, u_k, D, r0, omega)
     assert np.array_equal(state.u_k, expected)
 
 
@@ -551,7 +549,7 @@ def test_reduced_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, 
         assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
     assert np.array_equal(state.u_km1, u)
     d = _residual(tiny0, data.y[:, r0 - 1], u, r0)
-    assert np.array_equal(state.u_k, reduced_equation_update(tiny0, u, d, r0, omega)[0])
+    assert np.array_equal(state.u_k, reduced_equation_update(tiny0, u, d, r0, omega))
 
 
 def test_sweep_on_shared_state_buffers_matches_distinct_ones(tiny0, tiny0_problem):
@@ -600,11 +598,11 @@ def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_probl
         D = _residual(tiny0, data.y[:, r - 1], u_k, r)
         if variant == "pnkr" and k_R > 1:
             d = nesterov_extrapolate(D, _residual(tiny0, data.y[:, r - 1], u_km1, r), k_R)
-            u_new, _ = pnkr_equation_update(tiny0, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R)
+            u_new = pnkr_equation_update(tiny0, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R)
         elif variant != "reduced_pnkr":
-            u_new, _ = pnkr_equation_update(tiny0, u_k, D, r, omega)
+            u_new = pnkr_equation_update(tiny0, u_k, D, r, omega)
         else:
-            u_new, _ = reduced_equation_update(tiny0, u_k, D, r, omega)
+            u_new = reduced_equation_update(tiny0, u_k, D, r, omega)
         u_k, u_km1 = u_new, u_k
     assert np.array_equal(state.u_k, u_k)
     assert np.array_equal(state.u_km1, u_km1)
@@ -620,7 +618,7 @@ def test_gated_sweep_rejects_non_finite_step(tiny0, tiny0_problem, bad):
     def step(blk, D):
         u_new = np.ones(M)
         u_new[M // 2] = bad
-        return u_new, u_new.max()
+        return u_new
 
     cfg = SolverConfig(variant="pnkr", s=0)
     with pytest.raises(RuntimeError, match="omega"):
@@ -653,6 +651,136 @@ def test_sweep_rejects_non_finite_last_row_block(tiny0, tiny0_problem, monkeypat
         pnkr_sweep(state, cfg, eager, tiny0, omega=1.0 / rho_estimate(tiny0), momentum=momentum)
     assert len(calls) == n_blocks > 1
     assert calls[-1] == (tiny0.L, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("variant", ["pnkr", "landweber"])
+def test_sweep_rejects_non_finite_last_update(tiny0, tiny0_problem, monkeypatch, bad, variant):
+    # no gate follows a sweep's last update, so the sweep checks it itself
+    _, data = tiny0_problem
+    eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
+    M = tiny0.N * tiny0.L
+    name = "pnkr_equation_update" if variant == "pnkr" else "threshold"
+    real, calls = getattr(pnkr.solver, name), []
+
+    def poisoned(*args, **kwargs):
+        got = real(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == (tiny0.R if variant == "pnkr" else 1):
+            got[-1] = bad
+        return got
+
+    monkeypatch.setattr(pnkr.solver, name, poisoned)
+    rng = np.random.default_rng(36)
+    state = SolverState(u_k=rng.uniform(0.0, 1.0, M), u_km1=rng.uniform(0.0, 1.0, M), k_R=2)
+    cfg = SolverConfig(variant=variant, s=0)
+    with pytest.raises(RuntimeError, match="omega"):
+        if variant == "pnkr":
+            pnkr_sweep(state, cfg, eager, tiny0, omega=1.0 / rho_estimate(tiny0))
+        else:
+            landweber_step(state, cfg, eager, tiny0, omega=1.0 / rho_estimate(tiny0, stacked=True))
+    assert len(calls) == (tiny0.R if variant == "pnkr" else 1)
+
+
+def test_gate_sees_inf_where_the_channel_has_no_weight(tiny0, tiny0_problem, monkeypatch):
+    # an inf in column l of the iterate enters the gate of channel r as inf * q_r[l] = inf * 0,
+    # which is NaN; the next gate raises before a second step
+    _, data = tiny0_problem
+    eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
+    r1, r2, l0 = 2, 5, 7
+    Q = tiny0.Q.copy()
+    Q[l0, r2 - 1] = 0.0
+    system = build_forward_system(tiny0.basis, Q)
+    real, calls = pnkr.solver.pnkr_equation_update, []
+
+    def poisoned(*args, **kwargs):
+        got = real(*args, **kwargs)
+        calls.append(1)
+        got.reshape(system.N, system.L)[3, l0] = np.inf
+        return got
+
+    monkeypatch.setattr(pnkr.solver, "pnkr_equation_update", poisoned)
+    M = system.N * system.L
+    order = np.array([r1, r2] + [r for r in range(1, system.R + 1) if r not in (r1, r2)])
+    state = SolverState(u_k=np.full(M, 0.5), u_km1=np.full(M, 0.5), permutation=order)
+    with pytest.raises(RuntimeError, match="omega"):
+        pnkr_sweep(state, SolverConfig(variant="pnkr", s=0), eager, system, omega=1.0 / rho_estimate(system))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_landweber_step_rejects_a_non_finite_residual(tiny0, tiny0_problem, bad):
+    _, data = tiny0_problem
+    rng = np.random.default_rng(37)
+    u, prev = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L), rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
+    D, _ = pnkr.solver._block_residual(tiny0, u, data)
+    D[4, 3] = bad
+    state = SolverState(u_k=u.copy(), u_km1=prev.copy())
+    cfg = SolverConfig(variant="landweber", s=0)
+    with np.errstate(invalid="ignore"):
+        residual = (D, sample_norm(tiny0, D))
+    with pytest.raises(RuntimeError, match="omega"):
+        landweber_step(state, cfg, data, tiny0, 1.0 / rho_estimate(tiny0, stacked=True), residual=residual)
+    # the gate raised: no step wrote its iterate into the u_km1 buffer
+    assert np.array_equal(state.u_k, u) and np.array_equal(state.u_km1, prev)
+
+
+def _desk_system(s):
+    from pnkr.presets import preset_basis, preset_template
+
+    basis = preset_basis("desk_scale", s, beta=1.0)
+    return build_forward_system(basis, kernel_theta_integrals(preset_template("desk_scale"), basis))
+
+
+@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1", "desk"])
+def test_one_equation_gate_norm_is_sample_norm_bitwise(fixture_name, request):
+    # with tau = 2 the limit 2 (n / 2) is the reference norm n exactly, so the gate passes
+    # every channel at n and fails every channel one ulp below it only if its norm is n
+    system = _desk_system(1) if fixture_name == "desk" else request.getfixturevalue(fixture_name)
+    rng = np.random.default_rng(38)
+    u = rng.uniform(0.0, 1.0, system.N * system.L)
+    y = rng.uniform(-1.0, 1.0, (system.N, system.R))
+    # each residual as the gate forms it, one product per channel
+    U = u.reshape(system.N, system.L)
+    norms = np.array([sample_norm(system, y[:, [r]] - U @ system.Q[:, [r]])[0] for r in range(system.R)])
+    cfg = SolverConfig(variant="pnkr", s=system.basis.s, beta=0.0, tau=2.0)
+    blocks = [slice(r, r + 1) for r in range(system.R)]
+
+    def step(blk, D):
+        # a step that leaves the iterate as it is
+        return state.u_k
+
+    for limit, updates in ((norms, 0), (np.nextafter(norms, 0.0), system.R)):
+        state = SolverState(u_k=u.copy(), u_km1=u.copy())
+        data = SolveData(y=y, delta_r=limit / 2.0)
+        assert pnkr.solver._gated_sweep(state, cfg, data, system, 1.0, blocks, step) == updates
+        assert np.array_equal(state.dp_satisfied, np.full(system.R, updates == 0))
+
+
+@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
+def test_sweep_gates_match_a_block_residual_reference(fixture_name, request):
+    system = request.getfixturevalue(fixture_name)
+    N, L, R = system.N, system.L, system.R
+    rng = np.random.default_rng(39)
+    u_k, u_km1 = rng.uniform(0.0, 1.0, N * L), rng.uniform(0.0, 1.0, N * L)
+    y = synthesize_datacube(system, rng.uniform(0.0, 1.0, N * L))
+    _, norms = pnkr.solver._block_residual(system, u_k, SolveData(y=y, delta_r=np.zeros(R)))
+    # bounds about the residuals at u_k: some channels pass, some step
+    data = SolveData(y=y, delta_r=norms * rng.uniform(0.5, 1.5, R) / 1.2)
+    cfg = SolverConfig(variant="pnkr", s=system.basis.s, beta=0.3 * system.basis.s, tau=1.2)
+    omega, k_R, order = 1.0 / rho_estimate(system), 3, rng.permutation(R) + 1
+    state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=k_R, permutation=order)
+    updates = pnkr_sweep(state, cfg, data, system, omega)
+    want = np.zeros(R, dtype=bool)
+    for r in order:
+        D, norm = pnkr.solver._block_residual(system, u_k, data, slice(r - 1, r))
+        want[r - 1] = norm[0] <= cfg.tau * data.delta_r[r - 1]
+        if not want[r - 1]:
+            d = nesterov_extrapolate(D[:, 0], y[:, r - 1] - u_km1.reshape(N, L) @ system.Q[:, r - 1], k_R)
+            u_k, u_km1 = pnkr_equation_update(system, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R), u_k
+    assert 0 < updates == R - want.sum() < R
+    assert np.array_equal(state.dp_satisfied, want)
+    assert np.array_equal(state.u_k, u_k)
 
 
 def test_counter_advances_once_per_sweep(tiny0, tiny0_problem):
