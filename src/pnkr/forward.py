@@ -10,7 +10,8 @@ shape ``(N, L)`` position-major (``U[n, l] = u[n * L + l]`` with 0-based
 ``n``, ``l``; the population-kinematic index ``l`` is fastest).  That
 layout is the single source of truth for every reshape in the package:
 under it the reconstruction-space Gram factors as ``M = Psi (x) Phi`` and
-every operator here reduces to small matrix products with ``U``.
+every operator here reduces to small matrix products with ``U``; ``G``
+is kept only as its axis factors, ``G = A_x1 (x) A_x2`` (:func:`apply_G`).
 
 The data-space (noise) Gram is ``G`` itself, so residual norms in the
 ``N``-induced metric collapse to plain sample-space quadratic forms and
@@ -34,15 +35,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.ndimage import convolve1d
 
-from .grid_basis import DiscreteBasis, build_gram_matrices, gram_eigenbasis, spatial_mass_factors
+from .grid_basis import DiscreteBasis, build_gram_matrices, gram_eigenbasis
 
 __all__ = [
     "ForwardSystem",
     "SMOOTHING_TAPS",
     "build_forward_system",
+    "apply_G",
     "apply_Hr",
     "apply_Hr_T",
     "apply_H_all",
@@ -67,8 +68,8 @@ class ForwardSystem:
     Attributes
     ----------
     basis : DiscreteBasis
-    G : csc_matrix, (N, N)
-        Spatial L2 Gram; doubles as the data-space Gram.
+    G_axes : tuple of ndarray
+        Axis mass factors ``(A_x1, A_x2)`` of the spatial L2 Gram ``G = A_x1 (x) A_x2``, also the data-space Gram.
     Q : ndarray, (L, R)
         Kernel integrals of every population-kinematic basis function
         against every observed wavelength channel.
@@ -84,12 +85,10 @@ class ForwardSystem:
         equation ``r``'s update direction.
     q_Phi_q : ndarray, (R,)
         Quadratic forms ``q_r^T Phi^-1 q_r``.
-    G_axes : tuple of ndarray
-        The axis mass factors ``(A_x1, A_x2)``, with ``G = A_x1 (x) A_x2``.
     """
 
     basis: DiscreteBasis
-    G: sp.csc_matrix
+    G_axes: tuple[np.ndarray, np.ndarray]
     Q: np.ndarray
     c_N: float
 
@@ -110,7 +109,7 @@ class ForwardSystem:
         # Psi^-1 = V (I + E)^-1 V^T and V V^T G = I, so Psi^-1 G = I - V E (I + E)^-1 V^T G,
         # which is exactly I when E is zero throughout (s = 0, or zero spatial beta)
         V, E = gram_eigenbasis(self.basis.omega_grids, self.basis.beta[:2], self.basis.s)
-        return np.eye(self.N, order="F") - _eigen_apply(V, E / (1.0 + E), self.G.toarray())
+        return np.eye(self.N, order="F") - _eigen_apply(V, E / (1.0 + E), np.kron(*self.G_axes))
 
     @cached_property
     def Phi_inv_Q(self) -> np.ndarray:
@@ -121,13 +120,9 @@ class ForwardSystem:
     def q_Phi_q(self) -> np.ndarray:
         return np.einsum("lr,lr->r", self.Q, self.Phi_inv_Q)
 
-    @cached_property
-    def G_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return spatial_mass_factors(self.basis)
-
 
 def build_forward_system(basis: DiscreteBasis, Q: np.ndarray) -> ForwardSystem:
-    """Assemble the basis's spatial Gram matrix and kernel columns into a system.
+    """Assemble the basis's spatial Gram factors and kernel columns into a system.
 
     Parameters
     ----------
@@ -141,13 +136,13 @@ def build_forward_system(basis: DiscreteBasis, Q: np.ndarray) -> ForwardSystem:
         raise ValueError(f"kernel table has shape {Q.shape}, expected ({basis.L}, R)")
     if not np.all(np.isfinite(Q)):
         raise ValueError("kernel table contains non-finite entries")
-    G = build_gram_matrices(basis)
-    return ForwardSystem(basis=basis, G=G, Q=Q, c_N=float(np.mean(G.diagonal())))
+    A1, A2 = build_gram_matrices(basis)
+    return ForwardSystem(basis=basis, G_axes=(A1, A2), Q=Q, c_N=float(np.mean(np.kron(np.diag(A1), np.diag(A2)))))
 
 
 # Entries of one column chunk in sample_norm: 256 KiB of float64, so its
-# temporaries stay in cache (two whole paper-scale (N, R) temporaries took
-# 3.8 ms against 1.8 ms for a sparse product with G).
+# temporaries stay in cache (on paper scale two whole (N, R) temporaries
+# took 3.8 ms; the chunks take 1.4-1.6 ms, 2-vCPU Xeon, 2 BLAS threads).
 _NORM_CHUNK_ENTRIES = 32_768
 
 
@@ -180,10 +175,22 @@ def _as_coefficients(system: ForwardSystem, u: np.ndarray) -> np.ndarray:
 
 
 def _check_r(system: ForwardSystem, r: int) -> int:
-    r = int(r)
-    if not 1 <= r <= system.R:
-        raise ValueError(f"wavelength index r={r} outside 1..{system.R}")
-    return r
+    if not (float(r).is_integer() and 1 <= r <= system.R):
+        raise ValueError(f"wavelength index r={r} is not an integer in 1..{system.R}")
+    return int(r)
+
+
+def apply_G(system: ForwardSystem, d: np.ndarray) -> np.ndarray:
+    """``G d`` for a sample vector ``d`` of shape ``(N,)``, or for each column of an ``(N, C)`` array.
+
+    A column reshaped to the ``n1 x n2`` site grid, ``X``, maps to ``A_x1 X A_x2`` (``A_x2`` is symmetric).
+    """
+    A1, A2 = system.G_axes
+    d = np.asarray(d, dtype=float)
+    if d.ndim == 1:
+        return (A1 @ d.reshape(len(A1), len(A2)) @ A2).reshape(-1)
+    X = d.reshape(len(A1), len(A2), -1)
+    return np.matmul(A2, (A1 @ X.reshape(len(A1), -1)).reshape(X.shape)).reshape(d.shape)
 
 
 def apply_Hr(system: ForwardSystem, u: np.ndarray, r: int) -> np.ndarray:
@@ -193,7 +200,7 @@ def apply_Hr(system: ForwardSystem, u: np.ndarray, r: int) -> np.ndarray:
     """
     r = _check_r(system, r)
     U = _as_coefficients(system, u).reshape(system.N, system.L)
-    return system.G @ (U @ system.Q[:, r - 1])
+    return apply_G(system, U @ system.Q[:, r - 1])
 
 
 def apply_Hr_T(system: ForwardSystem, w: np.ndarray, r: int) -> np.ndarray:
@@ -202,13 +209,13 @@ def apply_Hr_T(system: ForwardSystem, w: np.ndarray, r: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (system.N,):
         raise ValueError(f"moment vector has shape {w.shape}, expected ({system.N},)")
-    return np.outer(system.G @ w, system.Q[:, r - 1]).reshape(-1)
+    return np.outer(apply_G(system, w), system.Q[:, r - 1]).reshape(-1)
 
 
 def apply_H_all(system: ForwardSystem, u: np.ndarray) -> np.ndarray:
     """All R moment vectors at once, as columns of an ``(N, R)`` array."""
     U = _as_coefficients(system, u).reshape(system.N, system.L)
-    return system.G @ (U @ system.Q)
+    return apply_G(system, U @ system.Q)
 
 
 def synthesize_datacube(system: ForwardSystem, u: np.ndarray) -> np.ndarray:
@@ -226,26 +233,22 @@ def sample_norm(system: ForwardSystem, d: np.ndarray) -> float | np.ndarray:
     """L2(Omega) norm of data-space sample vectors: ``sqrt(d^T G d)``.
 
     A 2D input is treated as one sample vector per column and returns
-    one norm per column.  ``G = A_x1 (x) A_x2``, so a column reshaped to
-    the ``n1 x n2`` site grid, ``X``, has ``d^T G d = vdot(X, A_x1 X A_x2)``:
-    two small dense products, not a sparse product with ``G``.  Columns
+    one norm per column, ``vdot(d, apply_G(system, d))`` each.  Columns
     go in chunks of at most ``_NORM_CHUNK_ENTRIES`` entries, which keeps
     the temporaries in cache.
     """
     d = np.asarray(d, dtype=float)
-    if d.shape[0] != system.N:
-        raise ValueError(f"sample vector has leading dimension {d.shape[0]}, expected {system.N}")
-    A1, A2 = system.G_axes
-    X = d.reshape(len(A1), len(A2), -1)
-    if X.shape[2] == 1:
-        # one column, a gate's residual: two plain matrix products
-        return np.sqrt(np.vdot(X, A1 @ X[:, :, 0] @ A2)).reshape(d.shape[1:])[()]
-    q = np.empty(X.shape[2])
+    if d.shape[:1] != (system.N,):
+        raise ValueError(f"sample vector has shape {d.shape}, expected leading dimension {system.N}")
+    D = d.reshape(system.N, -1)
+    if D.shape[1] == 1:
+        # one column, a gate's residual
+        return np.sqrt(np.vdot(D, apply_G(system, D[:, 0]))).reshape(d.shape[1:])[()]
+    q = np.empty(D.shape[1])
     step = max(1, _NORM_CHUNK_ENTRIES // system.N)
-    for c0 in range(0, X.shape[2], step):
-        Xc = np.ascontiguousarray(X[:, :, c0 : c0 + step])
-        GX = np.matmul(A2, (A1 @ Xc.reshape(len(A1), -1)).reshape(Xc.shape))
-        q[c0 : c0 + step] = np.einsum("ijr,ijr->r", Xc, GX)
+    for c0 in range(0, D.shape[1], step):
+        Dc = np.ascontiguousarray(D[:, c0 : c0 + step])
+        q[c0 : c0 + step] = np.einsum("nr,nr->r", Dc, apply_G(system, Dc))
     return np.sqrt(q).reshape(d.shape[1:])[()]
 
 
@@ -300,10 +303,10 @@ def reduced_rho(system: ForwardSystem, taps=SMOOTHING_TAPS) -> float:
     ``q_r^T Z_Theta q_r``.  On the piecewise-constant basis ``G`` is
     diagonal and the stencil's rows sum to 1, so ``Z_x G^2`` has spectral
     radius ``(max_n G_nn)^2`` when the spatial cells are equal and at
-    most that otherwise.  The result is
-    ``(max_n G_nn)^2 / c_N * max_r q_r^T Z_Theta q_r``.
+    most that otherwise, and ``max_n G_nn`` is the product of the axis factors'
+    largest diagonals.  The result is ``(max_n G_nn)^2 / c_N * max_r q_r^T Z_Theta q_r``.
     """
     basis = system.basis
     ZQ = apply_Zs(system.Q.reshape(*basis.shape5[2:], system.R), taps, 3)
-    g = float(system.G.diagonal().max())
+    g = float(np.diag(system.G_axes[0]).max() * np.diag(system.G_axes[1]).max())
     return g * g / system.c_N * float(np.max(np.einsum("lr,lr->r", system.Q, ZQ.reshape(system.L, system.R))))

@@ -16,9 +16,9 @@ one panel rule: a Gauss-Legendre rule applied on each piece between the
 basis breakpoints and any extra kinks of the integrand, which is exact
 for these piecewise polynomials.  The gradient factor has a closed form.
 The spatial L2 Gram ``G`` is the Kronecker product of the spatial mass
-factors.  The beta-weighted reconstruction-space factors ``Psi`` and
-``Phi`` are never assembled: :func:`gram_eigenbasis` diagonalizes them
-axis by axis.
+factors, and only those two factors are kept.  The beta-weighted
+reconstruction-space factors ``Psi`` and ``Phi`` are never assembled:
+:func:`gram_eigenbasis` diagonalizes them axis by axis.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 __all__ = [
     "AxisGrid",
@@ -39,7 +38,6 @@ __all__ = [
     "DiscreteBasis",
     "make_basis",
     "build_gram_matrices",
-    "spatial_mass_factors",
     "gram_eigenbasis",
     "eval_axis_basis",
     "axis_weights",
@@ -301,19 +299,15 @@ def basis_integral_weights(basis: DiscreteBasis) -> tuple[np.ndarray, np.ndarray
 # -- Gram matrices -----------------------------------------------------------
 
 
-def build_gram_matrices(basis: DiscreteBasis) -> sp.csc_matrix:
-    """The spatial L2 Gram ``G = A_x1 (x) A_x2`` of a basis from its axis mass factors.
+def build_gram_matrices(basis: DiscreteBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The dense axis mass factors ``(A_x1, A_x2)`` of the spatial L2 Gram ``G = A_x1 (x) A_x2``.
 
-    ``G`` is also the data-space Gram matrix.  On uniform spatial grids
-    with ``s = 0`` it is the common cell volume times the identity.
+    ``G`` is also the data-space Gram matrix; :func:`~pnkr.forward.apply_G`
+    applies it factor by factor.  On uniform spatial grids with ``s = 0``
+    both factors are diagonal and ``G`` is the common cell volume times
+    the identity.
     """
-    return sp.kron(*spatial_mass_factors(basis), format="csc")
-
-
-def spatial_mass_factors(basis: DiscreteBasis) -> tuple[np.ndarray, np.ndarray]:
-    """The dense axis mass factors ``(A_x1, A_x2)`` whose Kronecker product is ``G``."""
-    A1, A2 = (_axis_factors(g, basis.s)[0] for g in basis.omega_grids)
-    return A1, A2
+    return tuple(_axis_factors(g, basis.s)[0] for g in basis.omega_grids)
 
 
 def gram_eigenbasis(

@@ -63,6 +63,7 @@ from scipy.linalg.blas import daxpy, dgemm
 from .forward import (
     SMOOTHING_TAPS,
     ForwardSystem,
+    apply_G,
     apply_H_all,
     apply_Zs,
     reduced_rho,
@@ -149,10 +150,10 @@ class SolverConfig:
             raise ValueError("s must be 0 or 1")
         if not 0.0 <= self.beta < np.inf:
             raise ValueError(f"beta must be finite and nonnegative, got beta={self.beta}")
-        if self.omega is not None and not self.omega > 0.0:
-            raise ValueError("omega must be positive")
-        if not self.tau > 1.0:
-            raise ValueError("tau must exceed 1")
+        if self.omega is not None and not 0.0 < self.omega < np.inf:
+            raise ValueError(f"omega must be finite and positive, got omega={self.omega}")
+        if not 1.0 < self.tau < np.inf:
+            raise ValueError(f"tau must be finite and exceed 1, got tau={self.tau}")
         if self.max_loops < 1:
             raise ValueError("max_loops must be at least 1")
         if self.ordering not in ORDERINGS:
@@ -396,7 +397,7 @@ def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray,
     """
     out, U, O = _step_views(system, u, r, out)
     x_shape, theta_shape = system.basis.shape5[:2], system.basis.shape5[2:]
-    a = apply_Zs((system.G @ (system.G @ d)).reshape(x_shape), taps, 2).reshape(-1)
+    a = apply_Zs(apply_G(system, apply_G(system, d)).reshape(x_shape), taps, 2).reshape(-1)
     p = apply_Zs(system.Q[:, r - 1].reshape(theta_shape), taps, 3).reshape(-1, 1)
     _rank_one_step(U, O, None, omega / system.c_N, a, p)
     return out

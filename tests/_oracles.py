@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.sparse.linalg import splu
 
 from pnkr.diagnostics import (
     GaussHermiteFit,
@@ -169,9 +168,14 @@ def _hat_integrals(nodes, lo, hi):
 # -- dense operators -----------------------------------------------------------
 
 
+def dense_G(system):
+    """Spatial L2 Gram ``G = A_x1 (x) A_x2`` as a dense ``(N, N)`` array."""
+    return np.kron(*system.G_axes)
+
+
 def dense_Hr(system, r):
     """``H_r = G (x) q_r^T`` as a dense ``(N, N L)`` array; ``r`` is 1-based."""
-    return np.kron(system.G.toarray(), system.Q[:, r - 1][None, :])
+    return np.kron(dense_G(system), system.Q[:, r - 1][None, :])
 
 
 def dense_Psi(basis):
@@ -286,12 +290,12 @@ def row_space_image(u, system):
 
 def moments_from_samples(system, samples):
     """Moment vectors ``w = G y`` of per-site samples (vector or cube)."""
-    return system.G @ samples
+    return dense_G(system) @ samples
 
 
 def samples_from_moments(system, w):
     """Inverse of :func:`moments_from_samples`: solves ``G y = w``."""
-    return splu(system.G).solve(np.ascontiguousarray(w, dtype=float))
+    return np.linalg.solve(dense_G(system), np.asarray(w, dtype=float))
 
 
 def moment_norm(system, w):

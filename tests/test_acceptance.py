@@ -41,6 +41,7 @@ from pnkr.solver import (
 from pnkr.templates import C_LIGHT, build_template_grid, kernel_eval, kernel_theta_integrals
 
 from _oracles import (
+    dense_G,
     dense_Hr,
     dense_M,
     dense_Phi,
@@ -174,7 +175,7 @@ def test_criterion_02_dense_oracle_equivalence():
                 d = rng.standard_normal(system.N)
                 a = np.outer(system.Psi_inv_G @ d, system.Phi_inv_Q[:, r - 1]).reshape(-1)
                 worst = max(worst, deviation(a, np.linalg.solve(Md, Hd.T @ d)))
-        Gd = system.G.toarray()
+        Gd = dense_G(system)
         worst = max(worst, deviation(system.Psi_inv_G, np.linalg.solve(dense_Psi(basis), Gd)))
         worst = max(worst, deviation(system.Phi_inv_Q, np.linalg.solve(dense_Phi(basis), Q)))
     elapsed = time.perf_counter() - t0

@@ -266,11 +266,18 @@ _BAD_OPTIONS = [
     )],
     ("floor", _MAPS, "1"),
     ("floor", _MAPS, "-0.1"),
+    *[(option, ["solve", "--cube", "cube.pnkd", "--s", "0"], value)
+      for value in ("nan", "inf", "-inf") for option in ("tau", "omega")],
 ]
 
 
+def _bad_option_id(option, args, value):
+    # beta, tau and omega all belong to solve, so the tau and omega cases carry the option's name
+    return f"{option if option in ('tau', 'omega') else args[0]}-{value}"
+
+
 @pytest.mark.parametrize(
-    "option, args, value", [pytest.param(*case, id=f"{case[1][0]}-{case[2]}") for case in _BAD_OPTIONS]
+    "option, args, value", [pytest.param(*case, id=_bad_option_id(*case)) for case in _BAD_OPTIONS]
 )
 def test_bad_option_value_is_rejected_by_name(pipeline_dir, monkeypatch, capsys, option, args, value):
     # nothing is written: the option is checked before any output

@@ -19,11 +19,12 @@ from pnkr.forward import (
     synthesize_datacube,
 )
 import pnkr.forward
-from pnkr.grid_basis import explicit_axis, geometric_axis, gram_eigenbasis, make_basis, uniform_axis
+from pnkr.grid_basis import _axis_factors, explicit_axis, geometric_axis, gram_eigenbasis, make_basis, uniform_axis
 from pnkr.presets import preset_basis, preset_template
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 
 from _oracles import (
+    dense_G,
     dense_Hr,
     dense_M,
     dense_Phi,
@@ -61,7 +62,7 @@ def test_dense_oracles_match_elementwise_loops(s):
     # the Kronecker forms in _oracles, written out entry by entry
     system = small_system(s)
     N, L = system.N, system.L
-    Gd, Psid, Phid = system.G.toarray(), dense_Psi(system.basis), dense_Phi(system.basis)
+    Gd, Psid, Phid = dense_G(system), dense_Psi(system.basis), dense_Phi(system.basis)
     for r in (1, 3, system.R):
         H = np.zeros((N, N * L))
         for j in range(N):
@@ -130,14 +131,14 @@ def test_apply_M_and_solve_M_match_elementwise_dense(s):
         want = Md @ u
         got = (dense_Psi(system.basis) @ u.reshape(system.N, system.L) @ dense_Phi(system.basis)).reshape(-1)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
-    want = np.linalg.solve(Md, np.kron(system.G.toarray(), system.Q))
+    want = np.linalg.solve(Md, np.kron(dense_G(system), system.Q))
     np.testing.assert_allclose(solver_inverse(system), want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_solve_M_roundtrip(s):
     system = small_system(s)
-    GQ = np.kron(system.G.toarray(), system.Q)
+    GQ = np.kron(dense_G(system), system.Q)
     np.testing.assert_allclose(dense_M(system) @ solver_inverse(system), GQ, rtol=1e-8, atol=1e-10)
 
 
@@ -147,7 +148,7 @@ def test_solve_M_s0_is_entrywise_division():
     c_Phi = dense_Phi(system.basis)[0, 0]
     np.testing.assert_allclose(np.diag(dense_Psi(system.basis)), c_Psi, rtol=1e-12)
     np.testing.assert_allclose(np.diag(dense_Phi(system.basis)), c_Phi, rtol=1e-12)
-    GQ = np.kron(system.G.toarray(), system.Q)
+    GQ = np.kron(dense_G(system), system.Q)
     np.testing.assert_allclose(solver_inverse(system), GQ / (c_Psi * c_Phi), rtol=1e-12)
 
 
@@ -208,8 +209,8 @@ def test_sample_norm_is_the_quadratic_form_of_the_assembled_gram(s, chunk, monke
     system = build_forward_system(basis, np.random.default_rng(1).standard_normal((basis.L, 3)))
     if chunk is not None:
         monkeypatch.setattr(pnkr.forward, "_NORM_CHUNK_ENTRIES", chunk)
-    G = system.G.toarray()
-    assert np.array_equal(np.kron(*system.G_axes), G)
+    G = np.kron(*(_axis_factors(g, s)[0] for g in basis.omega_grids))
+    assert np.array_equal(dense_G(system), G)
     rng = np.random.default_rng(10)
     d = rng.standard_normal(system.N)
     got = sample_norm(system, d)
@@ -226,7 +227,7 @@ def test_sample_norm_is_the_quadratic_form_of_the_assembled_gram(s, chunk, monke
 def test_rho_estimate_matches_dense_eigenvalues(s):
     system = small_system(s)
     Md = dense_M(system)
-    Ninv = np.linalg.inv(system.G.toarray())
+    Ninv = np.linalg.inv(dense_G(system))
     Minv = np.linalg.inv(Md)
     per_eq = []
     normal = np.zeros_like(Md)
@@ -246,7 +247,7 @@ def test_spatial_factor_has_unit_largest_eigenvalue(s, beta):
     # Psi is G plus PSD gradient terms that vanish on constants, which the spatial span holds
     basis = preset_basis("tiny", s, beta=beta)
     system = build_forward_system(basis, kernel_theta_integrals(preset_template("tiny"), basis))
-    lam = scipy.linalg.eigh(system.G.toarray(), dense_Psi(basis), eigvals_only=True)
+    lam = scipy.linalg.eigh(dense_G(system), dense_Psi(basis), eigvals_only=True)
     assert abs(lam[-1] - 1.0) <= 1e-12
     # per axis: the eigenvalues of Psi^-1 G are 1 / (1 + E)
     E = gram_eigenbasis(basis.omega_grids, basis.beta[:2], s)[1]
@@ -260,7 +261,7 @@ def test_rho_estimate_is_closed_form(s):
     system = build_forward_system(basis, kernel_theta_integrals(preset_template("tiny"), basis))
     assert rho_estimate(system) == np.max(system.q_Phi_q)
     Md = dense_M(system)
-    Gd = system.G.toarray()
+    Gd = dense_G(system)
     normal = np.zeros_like(Md)
     for r in range(1, system.R + 1):
         H = dense_Hr(system, r)
@@ -278,6 +279,11 @@ def test_input_validation():
         apply_Hr(system, np.zeros(M), 0)
     with pytest.raises(ValueError):
         apply_Hr(system, np.zeros(M), system.R + 1)
+    for r in (1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"r={r}"):
+            apply_Hr(system, np.zeros(M), r)
+    with pytest.raises(ValueError, match="leading dimension"):
+        sample_norm(system, np.float64(1.0))
     with pytest.raises(ValueError):
         apply_Hr_T(system, np.zeros(system.N + 2), 1)
     with pytest.raises(ValueError):
@@ -289,7 +295,7 @@ def test_input_validation():
 def test_psi_inv_G_matches_dense_solve(s, beta):
     basis = preset_basis("tiny", s, beta=beta)
     system = build_forward_system(basis, kernel_theta_integrals(preset_template("tiny"), basis))
-    want = np.linalg.solve(dense_Psi(basis), system.G.toarray())
+    want = np.linalg.solve(dense_Psi(basis), dense_G(system))
     np.testing.assert_allclose(system.Psi_inv_G, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     if s == 0 or beta == 0.0:
         assert np.array_equal(system.Psi_inv_G, np.eye(system.N))
@@ -363,7 +369,7 @@ def test_reduced_rho_matches_dense_spectral_radius(taps):
         rng = np.random.default_rng(14)
         system = build_forward_system(basis, rng.random((basis.L, 4)))
         NL = basis.N * basis.L
-        Gd = system.G.toarray()
+        Gd = dense_G(system)
         radii = []
         for r in range(1, system.R + 1):
             # the reduced step's operator c_N^-1 Z_s H_r^T H_r, column by column

@@ -17,6 +17,7 @@ from pnkr.mock import (
 )
 
 from _oracles import (
+    dense_G,
     dense_M,
     dense_stacked_operator,
     project_row_space,
@@ -223,7 +224,7 @@ def test_row_space_image_matches_dense_normal_operator(s):
     system = tiny_system(s)
     A = dense_stacked_operator(system)
     N, L, R = system.N, system.L, system.R
-    G = system.G.toarray()
+    G = dense_G(system)
     Md = dense_M(system)
     acc = np.zeros((N * L, N * L))
     for r in range(R):

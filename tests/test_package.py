@@ -60,10 +60,15 @@ def test_package_never_imports_sparse_solvers():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # every CLI start pays for what `import pnkr` loads; no module needs scipy.optimize
+    # every CLI start pays for what `import pnkr` loads; no module needs scipy.optimize,
+    # and the spatial Gram is kept as its dense axis factors, so none needs scipy.sparse
     path = os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, pnkr; assert 'scipy.optimize' not in sys.modules, 'import pnkr loads scipy.optimize'"
+    code = (
+        "import sys, pnkr\n"
+        "for name in ('scipy.optimize', 'scipy.sparse'):\n"
+        "    assert name not in sys.modules, f'import pnkr loads {name}'"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -43,7 +43,7 @@ from pnkr.solver import (
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 from pnkr.forward import rho_estimate
 
-from _oracles import dense_Hr, dense_M, dense_Phi, dense_Psi, equation_residual_norm, row_space_image
+from _oracles import dense_G, dense_Hr, dense_M, dense_Phi, dense_Psi, equation_residual_norm, row_space_image
 
 OMEGA_GRIDS = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
 THETA_GRIDS = (
@@ -166,11 +166,18 @@ def test_nesterov_out_may_alias_previous_iterate(fixture_name, request):
         dict(variant="reduced_pnkr", s=1),
         dict(beta=np.nan),
         dict(beta=np.inf),
+        *[dict(tau=value) for value in (np.nan, np.inf, -np.inf)],
+        *[dict(omega=value) for value in (np.nan, np.inf, -np.inf)],
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         SolverConfig(**kwargs)
+    for name in ("tau", "omega"):
+        value = kwargs.get(name)
+        if value is not None and not np.isfinite(value):
+            # every gate limit would be inf (or nan): the message names the option and its value
+            assert f"{name}={value}" in str(err.value) and "finite" in str(err.value)
 
 
 def test_config_reduced_needs_s0():
@@ -199,7 +206,7 @@ def test_equation_residual_norm_against_dense(tiny0, tiny0_problem):
     _, data = tiny0_problem
     rng = np.random.default_rng(12)
     u = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
-    G_dense = tiny0.G.toarray()
+    G_dense = dense_G(tiny0)
     for r in (1, 4, tiny0.R):
         got = equation_residual_norm(tiny0, u, data, r)
         d = data.y[:, r - 1] - u.reshape(tiny0.N, tiny0.L) @ tiny0.Q[:, r - 1]
@@ -235,7 +242,7 @@ def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
     z = rng.uniform(0.0, 1.0, system.N * system.L)
     y_r = rng.uniform(0.0, 1e-3, system.N)
     omega = 0.37 / rho_estimate(system)
-    G_dense = system.G.toarray()
+    G_dense = dense_G(system)
     M_dense = dense_M(system)
     for r in (1, system.R // 2, system.R):
         d = _residual(system, y_r, z, r)
@@ -396,7 +403,7 @@ def test_desk_reduced_step_is_the_smoothed_outer_product_in_place():
     y = add_noise(system, synthesize_datacube(system, u_true), 0.01, seed=0).y_noisy
     rng = np.random.default_rng(26)
     u = u_true * rng.uniform(0.0, 2.0, u_true.size)
-    U, G = u.reshape(system.N, system.L), system.G
+    U, G = u.reshape(system.N, system.L), dense_G(system)
     omega = 1.0 / reduced_rho(system)
     clipped = 0
     for r in range(1, system.R + 1):
@@ -832,7 +839,7 @@ def test_run_ordering_matches_documented_permutation(tiny0, tiny0_problem):
 def _dense_landweber_step(system, data, u, omega):
     Psi_dense = dense_Psi(system.basis)
     Phi_dense = dense_Phi(system.basis)
-    G_dense = system.G.toarray()
+    G_dense = dense_G(system)
     U = u.reshape(system.N, system.L)
     total = np.zeros_like(U)
     for r in range(1, system.R + 1):
