@@ -224,10 +224,11 @@ def light_weighted_losvd(
     light over the observed window, marginalized over (z, t),
     conditioned on ``x``, and normalized on the velocity site grid.  A
     position with no light returns a masked, all-zero sample.  Positions
-    ``[(x1, x2), ...]`` give a list of samples from one light kernel.
+    ``[(x1, x2), ...]`` give a list of samples from one light kernel, and
+    an empty list gives ``[]``.
     """
     W, A_L = _coefficient_array(u, basis), _light_kernel(basis, template)
-    if np.ndim(x) == 2:
+    if np.ndim(x) == 2 or len(x) == 0:
         return [_losvd_at(W, basis, A_L, p) for p in x]
     return _losvd_at(W, basis, A_L, x)
 
@@ -581,18 +582,14 @@ def losvd_recovery_error(
     distributions, relative to the true distribution's peak; positions
     where the truth has no light are skipped.
     """
-    W_rec, W_true = _coefficient_array(u_rec, basis), _coefficient_array(u_true, basis)
-    A_L = _light_kernel(basis, template)
-    errors = []
-    for x in default_losvd_positions(basis):
-        truth = _losvd_at(W_true, basis, A_L, x)
-        if truth.masked:
-            continue
-        peak = float(truth.p.max())
-        if peak <= 0.0:
-            continue
-        rec = _losvd_at(W_rec, basis, A_L, x)
-        errors.append(float(np.median(np.abs(rec.p - truth.p))) / peak)
+    positions = default_losvd_positions(basis)
+    truths = light_weighted_losvd(u_true, basis, template, positions)
+    recs = light_weighted_losvd(u_rec, basis, template, positions)
+    errors = [
+        float(np.median(np.abs(rec.p - truth.p))) / float(truth.p.max())
+        for truth, rec in zip(truths, recs)
+        if not truth.masked and truth.p.max() > 0.0
+    ]
     if not errors:
         raise ValueError("no sample position carries light in the reference field")
     return float(np.mean(errors))

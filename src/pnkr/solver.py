@@ -1,9 +1,12 @@
 """Iterative reconstruction by gated, accelerated Kaczmarz sweeps.
 
-One sweep visits every wavelength equation in a configured order.  An
-equation whose data-space residual at the current iterate already sits
-below ``tau`` times its noise level is skipped; an active equation takes
-the momentum point
+One sweep visits every wavelength equation once, in the order keyed by
+``(seed, k_R)``: ``1..R`` for cyclic ordering, otherwise the permutation
+drawn from ``SeedSequence([seed, k_R])``.  A sweep reads nothing but the
+configuration and :class:`SolverState`, the two iterates and the loop
+counter ``k_R``.  An equation whose data-space residual at the current
+iterate already sits below ``tau`` times its noise level is skipped; an
+active equation takes the momentum point
 
     z_k = u_k + ((k_R - 1) / (k_R + 2)) (u_k - u_{k-1}),
 
@@ -54,8 +57,9 @@ elementwise passes and the ``dgemm``.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy, dgemm
@@ -63,6 +67,7 @@ from scipy.linalg.blas import daxpy, dgemm
 from .forward import (
     SMOOTHING_TAPS,
     ForwardSystem,
+    _check_r,
     apply_G,
     apply_H_all,
     apply_Zs,
@@ -154,12 +159,12 @@ class SolverConfig:
             raise ValueError(f"omega must be finite and positive, got omega={self.omega}")
         if not 1.0 < self.tau < np.inf:
             raise ValueError(f"tau must be finite and exceed 1, got tau={self.tau}")
-        if self.max_loops < 1:
-            raise ValueError("max_loops must be at least 1")
+        if not (isinstance(self.max_loops, numbers.Integral) and self.max_loops >= 1):
+            raise ValueError(f"max_loops must be an integer of at least 1, got max_loops={self.max_loops}")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"unknown ordering {self.ordering!r}; expected one of {ORDERINGS}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got seed={self.seed}")
         if self.variant == "reduced_pnkr" and self.s != 0:
             raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
 
@@ -190,9 +195,12 @@ def as_solve_data(data) -> SolveData:
     return SolveData(y=np.asarray(y, dtype=float), delta_r=np.asarray(delta_r, dtype=float))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SolverState:
-    """Mutable iteration state threaded through the sweeps.
+    """What one sweep reads besides the configuration: two iterates and the loop counter.
+
+    ``k_R`` drives the momentum factor and, with ``config.seed``, keys
+    the sweep order; each sweep advances it by one.
 
     Every variant's step writes into ``u_k`` and ``u_km1`` in place:
     each step builds its new iterate in the ``u_km1`` buffer and the
@@ -209,9 +217,6 @@ class SolverState:
     u_k: np.ndarray
     u_km1: np.ndarray
     k_R: int = 1
-    permutation: np.ndarray | None = None
-    dp_satisfied: np.ndarray | None = None
-    history: list = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +238,11 @@ class HistoryRow:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Final iterate plus the full convergence record."""
+    """Final iterate plus the full convergence record.
+
+    ``loops``, ``total_updates`` and ``converged`` restate the history:
+    its length, its summed updates, and whether its last row made none.
+    """
 
     u: np.ndarray
     history: list
@@ -295,10 +304,11 @@ def resolve_omega(config: SolverConfig, system: ForwardSystem) -> float:
     return 1.0 / rho_estimate(system, stacked=config.variant == "landweber")
 
 
-def _sweep_order(config: SolverConfig, R: int, loop: int) -> np.ndarray:
+def _sweep_order(config: SolverConfig, R: int, k_R: int) -> np.ndarray:
+    """Equations ``1..R`` in the order of loop ``k_R``: as numbered, or permuted by ``SeedSequence([seed, k_R])``."""
     if config.ordering == "cyclic":
         return np.arange(1, R + 1)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, loop])))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, k_R])))
     return rng.permutation(R) + 1
 
 
@@ -311,10 +321,8 @@ def _row_blocks(N: int, L: int) -> list[slice]:
     return [slice(n0, min(n0 + rows, N)) for n0 in range(0, N, rows)]
 
 
-def _step_views(system: ForwardSystem, u: np.ndarray, r: int, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _step_views(system: ForwardSystem, u: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A step's checked ``out`` (fresh when omitted) and the ``N x L`` views of ``u`` and ``out`` (one object if ``out is u``)."""
-    if not 1 <= r <= system.R:
-        raise ValueError(f"wavelength index r={r} outside 1..{system.R}")
     N, L = system.N, system.L
     if out is None:
         out = np.empty(N * L)
@@ -380,7 +388,8 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r:
             raise ValueError("a momentum step needs the previous iterate in out")
         if np.may_share_memory(out, u):
             raise ValueError("out must not overlap u, the iterate it extrapolates from")
-    out, U, O = _step_views(system, u, r, out)
+    r = _check_r(system, r)
+    out, U, O = _step_views(system, u, out)
     a = system.Psi_inv_G @ d
     _rank_one_step(U, O, k_R, omega, a, system.Phi_inv_Q[:, r - 1, None])
     return out
@@ -395,7 +404,8 @@ def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray,
     correction rank-one, ``(Z_x G G d) (Z_Theta q_r)^T``, which
     :func:`_rank_one_step` applies into ``out`` (which may be ``u``).
     """
-    out, U, O = _step_views(system, u, r, out)
+    r = _check_r(system, r)
+    out, U, O = _step_views(system, u, out)
     x_shape, theta_shape = system.basis.shape5[:2], system.basis.shape5[2:]
     a = apply_Zs(apply_G(system, apply_G(system, d)).reshape(x_shape), taps, 2).reshape(-1)
     p = apply_Zs(system.Q[:, r - 1].reshape(theta_shape), taps, 3).reshape(-1, 1)
@@ -425,8 +435,6 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
     """
     if np.may_share_memory(state.u_k, state.u_km1):
         state.u_km1 = _aligned_copy(state.u_k, state.u_k.shape)
-    if state.dp_satisfied is None:
-        state.dp_satisfied = np.zeros(system.R, dtype=bool)
     limit = config.tau * data.delta_r
     limits, (A1, A2), shape = limit.tolist(), system.G_axes, (system.N, system.L)
     error = f"iterate became non-finite; the stepsize omega={omega:g} is too large for this system"
@@ -439,12 +447,11 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
                 D = data.y[:, blk] - state.u_k.reshape(shape) @ system.Q[:, blk]
                 X = D.reshape(len(A1), len(A2))
                 norm = float(np.sqrt(np.vdot(X, A1 @ X @ A2)))
-                satisfied = state.dp_satisfied[blk.start] = norm <= limits[blk.start]
+                satisfied = norm <= limits[blk.start]
             else:
                 D, norms = residual or _block_residual(system, state.u_k, data, blk)
                 residual = None
-                state.dp_satisfied[blk] = norms <= limit[blk]
-                satisfied, norm = state.dp_satisfied[blk].all(), norms.max()
+                satisfied, norm = (norms <= limit[blk]).all(), norms.max()
             if not math.isfinite(norm):
                 raise RuntimeError(error)
             if not satisfied:
@@ -456,14 +463,8 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
     return updates
 
 
-def _equation_blocks(state: SolverState, system: ForwardSystem) -> list[slice]:
-    """One-equation blocks in sweep order; block ``slice(r - 1, r)`` holds equation ``r``."""
-    order = state.permutation if state.permutation is not None else np.arange(1, system.R + 1)
-    return [slice(r - 1, r) for r in order]
-
-
-def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float, momentum: bool = True) -> int:
-    """One gated sweep over all equations; returns the update count.
+def pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, momentum: bool = True) -> int:
+    """One gated sweep over all equations in the order of loop ``k_R``; returns the update count.
 
     The gate tests the residual ``D`` at ``u_k``; the step is taken at
     the momentum point with residual ``D + c (D - D')``, which at
@@ -471,7 +472,6 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSy
     every step is the plain one, the Kaczmarz baseline.  Steps run in
     place (see :class:`SolverState`).
     """
-    data = as_solve_data(data)
 
     def step(blk: slice, D: np.ndarray) -> np.ndarray:
         d, k_R = D[:, 0], None
@@ -481,33 +481,33 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSy
             d = nesterov_extrapolate(d, d_prev, k_R, out=d_prev)
         return pnkr_equation_update(system, state.u_k, d, blk.stop, omega, out=state.u_km1, k_R=k_R)
 
-    return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
+    blocks = [slice(r - 1, r) for r in _sweep_order(config, system.R, state.k_R)]  # equation r in block r - 1
+    return _gated_sweep(state, config, data, system, omega, blocks, step)
 
 
-def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float) -> int:
-    """One gated sweep of the reduced variant (piecewise-constant basis); steps run in place."""
+def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float) -> int:
+    """One gated sweep of the reduced variant (piecewise-constant basis) in the order of loop ``k_R``; steps run in place."""
     if system.basis.s != 0:
         raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
-    data = as_solve_data(data)
 
     def step(blk: slice, D: np.ndarray) -> np.ndarray:
         return reduced_equation_update(system, state.u_k, D[:, 0], blk.stop, omega, out=state.u_km1)
 
-    return _gated_sweep(state, config, data, system, omega, _equation_blocks(state, system), step)
+    blocks = [slice(r - 1, r) for r in _sweep_order(config, system.R, state.k_R)]  # equation r in block r - 1
+    return _gated_sweep(state, config, data, system, omega, blocks, step)
 
 
-def landweber_step(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float, residual=None) -> int:
+def landweber_step(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, residual=None) -> int:
     """One full-stack step: every equation's correction summed, then projected.
 
-    Gating is per equation for bookkeeping, but the step only happens
-    while at least one equation is out of tolerance, and then it sums
-    over all of them.  The step runs in place like the pnkr sweep: the
-    correction is written into the ``u_km1`` buffer, which is then
-    projected and swapped in as ``u_k``.  ``residual`` may hand in
+    Every equation is gated, and the step happens while at least one of
+    them is out of tolerance; then it sums over all of them.  The step
+    runs in place like the pnkr sweep: the correction is written into
+    the ``u_km1`` buffer, which is then projected and swapped in as
+    ``u_k``.  ``residual`` may hand in
     ``(D, norms)`` of all equations at ``u_k``, as :func:`run` does from
     the previous loop's history row.
     """
-    data = as_solve_data(data)
 
     def step(blk: slice, D: np.ndarray) -> np.ndarray:
         A = omega * (system.Psi_inv_G @ D)
@@ -586,14 +586,10 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
             raise ValueError(f"reference coefficients have shape {u_star.shape}, expected ({M},)")
         star_norm = float(np.linalg.norm(u_star))
     ref_norm = float(np.linalg.norm(state.u_k)) or None
-    converged = False
-    total_updates = 0
-    loops = 0
-    residual = None
+    history, residual = [], None
     with np.errstate(over="ignore", invalid="ignore"):
         for loop in range(1, config.max_loops + 1):
             t0 = time.perf_counter()
-            state.permutation = _sweep_order(config, system.R, loop)
             if config.variant == "pnkr":
                 updates = pnkr_sweep(state, config, data, system, omega, momentum=True)
             elif config.variant == "landweber_kaczmarz":
@@ -603,8 +599,6 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
             else:
                 updates = landweber_step(state, config, data, system, omega, residual=residual)
             seconds = time.perf_counter() - t0
-            loops = loop
-            total_updates += updates
             if u_star is not None:
                 diff = u_star - state.u_k
                 res = float(np.linalg.norm(apply_H_all(system, diff)))
@@ -614,7 +608,7 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
                 error = np.nan
             # the residual at u_k of every equation; Landweber's next gate reuses it
             residual = _block_residual(system, state.u_k, data)
-            state.history.append(
+            history.append(
                 HistoryRow(
                     loop=loop,
                     updates=updates,
@@ -630,15 +624,15 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
             elif u_norm > 1e6 * ref_norm:
                 raise RuntimeError(f"iterate norm grew by more than 1e6; the stepsize omega={omega:g} is too large")
             if updates == 0:
-                converged = True
                 break
+    converged = history[-1].updates == 0
     return RunResult(
         u=state.u_k,
-        history=state.history,
+        history=history,
         converged=converged,
         truncated=not converged,
-        loops=loops,
-        total_updates=total_updates,
+        loops=len(history),
+        total_updates=sum(row.updates for row in history),
         omega=omega,
     )
 

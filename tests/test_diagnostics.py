@@ -251,6 +251,7 @@ def test_losvd_at_many_positions_is_each_position_bitwise(desk_truth, desk_basis
         one = light_weighted_losvd(desk_truth, desk_basis, desk_template, x)
         assert sample.x == one.x == x and sample.masked == one.masked
         assert np.array_equal(sample.v, one.v) and np.array_equal(sample.p, one.p)
+    assert light_weighted_losvd(desk_truth, desk_basis, desk_template, []) == []
 
 
 def test_losvd_outside_domain_raises(tiny_basis, tiny_template):

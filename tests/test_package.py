@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import re
@@ -83,15 +84,33 @@ def test_python_m_runs_the_cli_quietly():
         assert proc.stdout.startswith("usage: pnkr")
 
 
-def test_benchmark_trace_patches_resolve(monkeypatch):
-    # the benchmark tracer patches every (module, attribute) of PATCHES by name; a
-    # renamed or deleted name would break only a traced benchmark run
+def _benchmark_workloads(monkeypatch):
     bench = ROOT / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_trace_patches_resolve(monkeypatch):
+    # the benchmark tracer patches every (module, attribute) of PATCHES by name; a
+    # renamed or deleted name would break only a traced benchmark run
+    workloads = _benchmark_workloads(monkeypatch)
     assert workloads.PATCHES
     for module_name, attr, _, _ in workloads.PATCHES:
         module = workloads if module_name == workloads.__name__ else importlib.import_module(module_name)
         assert getattr(module, attr, None) is not None, f"perfbench traces missing {module_name}.{attr}"
+
+
+def test_benchmark_sweep_hook_reads_the_system_argument(monkeypatch):
+    # the sweep counts hook reads args[3] of each sweep it traces as the system; a
+    # reordered signature would break only a traced benchmark run
+    workloads = _benchmark_workloads(monkeypatch)
+    hooked = [(module_name, attr) for module_name, attr, _, hook in workloads.PATCHES if hook is workloads._sweep_counts]
+    assert hooked
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for module_name, attr in hooked:
+        params = list(inspect.signature(getattr(importlib.import_module(module_name), attr)).parameters.values())
+        assert [p.kind in positional for p in params[:4]] == [True] * 4, f"{module_name}.{attr}"
+        assert params[3].name == "system", f"{module_name}.{attr} takes {params[3].name!r} fourth"

@@ -89,6 +89,11 @@ def _residual(system, y_r, u, r):
     return y_r - u.reshape(system.N, system.L) @ system.Q[:, r - 1]
 
 
+def _documented_order(seed, k_R, R):
+    """Equations ``1..R`` in the random order of loop ``k_R``, keyed by ``SeedSequence([seed, k_R])``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, k_R]))).permutation(R) + 1
+
+
 def _consistent_columns(system, u):
     U = u.reshape(system.N, system.L)
     return np.column_stack([U @ system.Q[:, j] for j in range(system.R)])
@@ -168,6 +173,8 @@ def test_nesterov_out_may_alias_previous_iterate(fixture_name, request):
         dict(beta=np.inf),
         *[dict(tau=value) for value in (np.nan, np.inf, -np.inf)],
         *[dict(omega=value) for value in (np.nan, np.inf, -np.inf)],
+        *[dict(max_loops=value) for value in (2.5, np.nan, np.inf)],
+        *[dict(seed=value) for value in (0.5, np.nan, np.inf)],
     ],
 )
 def test_config_validation(kwargs):
@@ -178,6 +185,11 @@ def test_config_validation(kwargs):
         if value is not None and not np.isfinite(value):
             # every gate limit would be inf (or nan): the message names the option and its value
             assert f"{name}={value}" in str(err.value) and "finite" in str(err.value)
+    for name in ("max_loops", "seed"):
+        value = kwargs.get(name)
+        if value is not None and not float(value).is_integer():
+            # run() could not count its loops or key its sweep order: the message names the value
+            assert f"{name}={value}" in str(err.value) and "integer" in str(err.value)
 
 
 def test_config_reduced_needs_s0():
@@ -264,8 +276,10 @@ def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
         expected = np.maximum(z + step, 0.0)
         scale = np.abs(expected).max()
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * max(scale, 1e-30))
-    with pytest.raises(ValueError):
-        pnkr_equation_update(system, z, y_r, 0, omega)
+    for bad in (0, system.R + 1, 1.5, np.nan, np.inf):
+        for update in (pnkr_equation_update, reduced_equation_update):
+            with pytest.raises(ValueError, match=f"r={bad} is not an integer"):
+                update(system, z, y_r, bad, omega)
 
 
 def test_row_blocks_cover_every_row_once_within_budget():
@@ -460,7 +474,7 @@ def test_gate_skips_satisfied_equations(tiny0, tiny0_problem):
     )
     assert pnkr_sweep(state, cfg, wide, tiny0, omega=1e-6) == 0
     assert state.k_R == 2
-    assert state.dp_satisfied.all()
+    assert not state.u_k.any()
     res = run(cfg, wide, tiny0)
     assert res.converged and not res.truncated
     assert res.loops == 1
@@ -594,14 +608,13 @@ def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_probl
     omega = resolve_omega(cfg, tiny0)
     rng = np.random.default_rng(33)
     u_k, u_km1 = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L), rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
-    order = rng.permutation(tiny0.R) + 1
-    state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=k_R, permutation=order)
+    state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=k_R)
     if variant == "reduced_pnkr":
         assert reduced_pnkr_sweep(state, cfg, eager, tiny0, omega=omega) == tiny0.R
     else:
         assert pnkr_sweep(state, cfg, eager, tiny0, omega=omega, momentum=variant == "pnkr") == tiny0.R
 
-    for r in order:
+    for r in _documented_order(cfg.seed, k_R, tiny0.R):
         D = _residual(tiny0, data.y[:, r - 1], u_k, r)
         if variant == "pnkr" and k_R > 1:
             d = nesterov_extrapolate(D, _residual(tiny0, data.y[:, r - 1], u_km1, r), k_R)
@@ -694,7 +707,7 @@ def test_gate_sees_inf_where_the_channel_has_no_weight(tiny0, tiny0_problem, mon
     # which is NaN; the next gate raises before a second step
     _, data = tiny0_problem
     eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
-    r1, r2, l0 = 2, 5, 7
+    r1, r2, l0 = 1, 2, 7
     Q = tiny0.Q.copy()
     Q[l0, r2 - 1] = 0.0
     system = build_forward_system(tiny0.basis, Q)
@@ -708,10 +721,10 @@ def test_gate_sees_inf_where_the_channel_has_no_weight(tiny0, tiny0_problem, mon
 
     monkeypatch.setattr(pnkr.solver, "pnkr_equation_update", poisoned)
     M = system.N * system.L
-    order = np.array([r1, r2] + [r for r in range(1, system.R + 1) if r not in (r1, r2)])
-    state = SolverState(u_k=np.full(M, 0.5), u_km1=np.full(M, 0.5), permutation=order)
+    state = SolverState(u_k=np.full(M, 0.5), u_km1=np.full(M, 0.5))
+    cfg = SolverConfig(variant="pnkr", s=0, ordering="cyclic")  # r1 steps, then r2 gates
     with pytest.raises(RuntimeError, match="omega"):
-        pnkr_sweep(state, SolverConfig(variant="pnkr", s=0), eager, system, omega=1.0 / rho_estimate(system))
+        pnkr_sweep(state, cfg, eager, system, omega=1.0 / rho_estimate(system))
     assert len(calls) == 1
 
 
@@ -761,7 +774,6 @@ def test_one_equation_gate_norm_is_sample_norm_bitwise(fixture_name, request):
         state = SolverState(u_k=u.copy(), u_km1=u.copy())
         data = SolveData(y=y, delta_r=limit / 2.0)
         assert pnkr.solver._gated_sweep(state, cfg, data, system, 1.0, blocks, step) == updates
-        assert np.array_equal(state.dp_satisfied, np.full(system.R, updates == 0))
 
 
 @pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
@@ -775,18 +787,17 @@ def test_sweep_gates_match_a_block_residual_reference(fixture_name, request):
     # bounds about the residuals at u_k: some channels pass, some step
     data = SolveData(y=y, delta_r=norms * rng.uniform(0.5, 1.5, R) / 1.2)
     cfg = SolverConfig(variant="pnkr", s=system.basis.s, beta=0.3 * system.basis.s, tau=1.2)
-    omega, k_R, order = 1.0 / rho_estimate(system), 3, rng.permutation(R) + 1
-    state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=k_R, permutation=order)
+    omega, k_R = 1.0 / rho_estimate(system), 3
+    state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=k_R)
     updates = pnkr_sweep(state, cfg, data, system, omega)
     want = np.zeros(R, dtype=bool)
-    for r in order:
+    for r in _documented_order(cfg.seed, k_R, R):
         D, norm = pnkr.solver._block_residual(system, u_k, data, slice(r - 1, r))
         want[r - 1] = norm[0] <= cfg.tau * data.delta_r[r - 1]
         if not want[r - 1]:
             d = nesterov_extrapolate(D[:, 0], y[:, r - 1] - u_km1.reshape(N, L) @ system.Q[:, r - 1], k_R)
             u_k, u_km1 = pnkr_equation_update(system, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R), u_k
     assert 0 < updates == R - want.sum() < R
-    assert np.array_equal(state.dp_satisfied, want)
     assert np.array_equal(state.u_k, u_k)
 
 
@@ -804,16 +815,13 @@ def test_counter_advances_once_per_sweep(tiny0, tiny0_problem):
 
 def test_plain_kaczmarz_is_momentum_with_unit_counter(tiny0, tiny0_problem):
     _, data = tiny0_problem
-    cfg = SolverConfig(variant="pnkr", s=0, seed=4)
+    # cyclic order: pinning k_R would otherwise pin the random order too
+    cfg = SolverConfig(variant="pnkr", s=0, ordering="cyclic")
     omega = 1.0 / rho_estimate(tiny0)
     M = tiny0.N * tiny0.L
     plain = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M))
     pinned = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M))
-    for loop in (1, 2, 3):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([4, loop])))
-        perm = rng.permutation(tiny0.R) + 1
-        plain.permutation = perm
-        pinned.permutation = perm
+    for _ in range(3):
         pnkr_sweep(plain, cfg, data, tiny0, omega=omega, momentum=False)
         pinned.k_R = 1
         pnkr_sweep(pinned, cfg, data, tiny0, omega=omega, momentum=True)
@@ -821,19 +829,46 @@ def test_plain_kaczmarz_is_momentum_with_unit_counter(tiny0, tiny0_problem):
 
 
 def test_run_ordering_matches_documented_permutation(tiny0, tiny0_problem):
+    # every equation steps, so the run is the chain of plain steps in the documented orders
     _, data = tiny0_problem
+    eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
     omega = 1.0 / rho_estimate(tiny0)
     cfg = SolverConfig(
         variant="landweber_kaczmarz", s=0, omega=omega, max_loops=3, seed=11
     )
-    res = run(cfg, data, tiny0)
-    M = tiny0.N * tiny0.L
-    state = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M))
+    res = run(cfg, eager, tiny0)
+    assert res.total_updates == 3 * tiny0.R
+    u = np.zeros(tiny0.N * tiny0.L)
     for loop in (1, 2, 3):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, loop])))
-        state.permutation = rng.permutation(tiny0.R) + 1
-        pnkr_sweep(state, cfg, data, tiny0, omega=omega, momentum=False)
-    assert np.array_equal(res.u, state.u_k)
+        for r in _documented_order(11, loop, tiny0.R):
+            u = pnkr_equation_update(tiny0, u, _residual(tiny0, eager.y[:, r - 1], u, r), r, omega)
+    assert np.array_equal(res.u, u)
+
+
+@pytest.mark.parametrize("ordering", ["cyclic", "random_permutation"])
+@pytest.mark.parametrize("variant", pnkr.solver.VARIANTS)
+def test_run_is_a_loop_of_sweeps_on_a_fresh_state(tiny0, tiny0_problem, variant, ordering):
+    # a sweep reads only the two iterates, k_R and the configuration, so the public
+    # sweeps on SolverState(u0, u0) give run()'s iterate and update counts bitwise
+    u_star, data = tiny0_problem
+    guess = np.random.default_rng(40).uniform(0.0, 0.5, tiny0.N * tiny0.L)
+    cfg = SolverConfig(variant=variant, s=0, max_loops=6, ordering=ordering, seed=5, initial_guess=guess)
+    res = run(cfg, data, tiny0, u_star=u_star)
+    sweep = {
+        "pnkr": pnkr_sweep,
+        "landweber_kaczmarz": functools.partial(pnkr_sweep, momentum=False),
+        "reduced_pnkr": reduced_pnkr_sweep,
+        "landweber": landweber_step,
+    }[variant]
+    omega = resolve_omega(cfg, tiny0)
+    u0 = guess.copy()
+    state = SolverState(u0, u0)
+    updates = [sweep(state, cfg, data, tiny0, omega) for _ in range(res.loops)]
+    assert updates == [row.updates for row in res.history] and sum(updates) > 0
+    assert res.loops == len(res.history) == state.k_R - 1
+    assert res.total_updates == sum(updates)
+    assert res.converged == (updates[-1] == 0) != res.truncated
+    assert np.array_equal(state.u_k, res.u)
 
 
 def _dense_landweber_step(system, data, u, omega):
@@ -943,9 +978,8 @@ def test_landweber_mixed_gate_sums_every_correction(tiny0, tiny0_problem):
     delta = np.where(np.arange(tiny0.R) % 2 == 0, 2.0, 0.5) * norms / cfg.tau
     mixed = SolveData(y=data.y, delta_r=delta)
     state = SolverState(u_k=u.copy(), u_km1=u.copy())
+    assert 0 < (norms <= cfg.tau * delta).sum() < tiny0.R
     assert landweber_step(state, cfg, mixed, tiny0, omega=omega) == 1
-    assert np.array_equal(state.dp_satisfied, norms <= cfg.tau * delta)
-    assert 0 < state.dp_satisfied.sum() < tiny0.R
     expected = _dense_landweber_step(tiny0, mixed, u, omega)
     scale = np.abs(expected).max()
     np.testing.assert_allclose(state.u_k, expected, rtol=0, atol=1e-10 * scale)
