@@ -110,24 +110,19 @@ def write_manifest(path, command, config, seeds, inputs, outputs, result=None) -
 
 
 def _solver_config(args) -> SolverConfig:
-    try:
-        return SolverConfig(
-            variant=args.variant,
-            s=args.s,
-            beta=args.beta,
-            omega=args.omega,
-            tau=args.tau,
-            max_loops=args.max_loops,
-            ordering=args.ordering,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    """A :class:`SolverConfig` of the parsed solver options; it checks each value."""
+    names = [field.name for field in dataclasses.fields(SolverConfig) if hasattr(args, field.name)]
+    return SolverConfig(**{name: getattr(args, name) for name in names})
 
 
-def _config_summary(args, keys) -> dict:
-    """The chosen options plus the preset's grid: each axis's nodes and the wavelength window."""
-    summary = {key: getattr(args, key) for key in keys}
+# Parsed names that are not options of the run: a config file cannot set them,
+# and a manifest records the config file's values as the options they set.
+_CONFIG_SKIP = {"config", "func", "command", "help"}
+
+
+def _config_summary(args) -> dict:
+    """Every parsed option plus the preset's grid: each axis's nodes and the wavelength window."""
+    summary = {key: value for key, value in vars(args).items() if key not in _CONFIG_SKIP}
     grid = {axis: g.nodes.tolist() for axis, g in preset_axes(args.preset).items()}
     grid["lambda_min"], grid["lambda_max"], grid["lambda_count"] = preset_window(args.preset)
     summary["grid"] = grid
@@ -146,20 +141,52 @@ def _load_basis(args, s: int):
     return template, preset_basis(args.preset, s, getattr(args, "beta", 0.0))
 
 
+def _mock(args):
+    """Template, basis, forward system, ground truth and noise-free cube of a mock run."""
+    template, basis = _load_basis(args, args.s)
+    system = build_forward_system(basis, kernel_theta_integrals(template, basis))
+    u_true = evaluate_ground_truth(default_components(), basis)
+    return template, basis, system, u_true, synthesize_datacube(system, u_true)
+
+
+def _write_run(run_dir, result, basis, command, args, seeds, inputs, **extra) -> str:
+    """Write a solve's coefficients, history and manifest to ``run_dir``.
+
+    The manifest's ``result`` holds the solve's outcome plus ``extra``.
+    Returns the coefficient path.
+    """
+    os.makedirs(run_dir, exist_ok=True)
+    coeff_path = os.path.join(run_dir, COEFFICIENTS_NAME)
+    history_path = os.path.join(run_dir, HISTORY_NAME)
+    write_coefficients(result.u, basis.N, basis.L, basis.s, coeff_path)
+    write_history(result.history, history_path)
+    write_manifest(
+        os.path.join(run_dir, MANIFEST_NAME),
+        command,
+        _config_summary(args),
+        seeds,
+        inputs,
+        [coeff_path, history_path],
+        {
+            "converged": result.converged,
+            "loops": result.loops,
+            "total_updates": result.total_updates,
+            "omega": result.omega,
+            "data_residual": result.history[-1].data_residual if result.history else None,
+            **extra,
+        },
+    )
+    return coeff_path
+
+
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_gen_templates(args) -> int:
     template = preset_template(args.preset)
     write_template_grid(template, args.out)
-    write_manifest(
-        args.out + ".manifest.json",
-        "gen-templates",
-        _config_summary(args, ["preset", "out"]),
-        {},
-        [],
-        [args.out],
-    )
+    manifest = args.out + ".manifest.json"
+    write_manifest(manifest, "gen-templates", _config_summary(args), {}, [], [args.out])
     print(
         f"gen-templates: wrote {args.out} "
         f"({template.R} channels, {len(template.z_nodes)}x{len(template.t_nodes)} nodes)"
@@ -168,10 +195,7 @@ def cmd_gen_templates(args) -> int:
 
 
 def cmd_gen_mock(args) -> int:
-    template, basis = _load_basis(args, args.s)
-    system = build_forward_system(basis, kernel_theta_integrals(template, basis))
-    u_true = evaluate_ground_truth(default_components(), basis)
-    y_clean = synthesize_datacube(system, u_true)
+    template, basis, system, u_true, y_clean = _mock(args)
     noisy = add_noise(system, y_clean, args.noise, args.seed)
     cube = DataCube(
         x1_nodes=basis.omega_grids[0].nodes,
@@ -187,7 +211,7 @@ def cmd_gen_mock(args) -> int:
     write_manifest(
         args.out + ".manifest.json",
         "gen-mock",
-        _config_summary(args, ["preset", "templates", "s", "noise", "out", "truth"]),
+        _config_summary(args),
         {"noise_seed": args.seed},
         [args.templates],
         [args.out, truth_path],
@@ -232,30 +256,8 @@ def cmd_solve(args) -> int:
         u_star = ref.u
         inputs.append(args.truth)
     result = run(config, as_solve_data(cube), system, u_star)
-    os.makedirs(args.out, exist_ok=True)
-    coeff_path = os.path.join(args.out, COEFFICIENTS_NAME)
-    history_path = os.path.join(args.out, HISTORY_NAME)
-    write_coefficients(result.u, basis.N, basis.L, basis.s, coeff_path)
-    write_history(result.history, history_path)
-    write_manifest(
-        os.path.join(args.out, MANIFEST_NAME),
-        "solve",
-        _config_summary(
-            args,
-            ["preset", "templates", "cube", "truth", "out", "variant", "s", "beta",
-             "omega", "tau", "max_loops", "ordering"],
-        ),
-        {"ordering_seed": args.seed, "noise_seed": cube.seed},
-        inputs,
-        [coeff_path, history_path],
-        result={
-            "converged": result.converged,
-            "loops": result.loops,
-            "total_updates": result.total_updates,
-            "omega": result.omega,
-            "data_residual": result.history[-1].data_residual if result.history else None,
-        },
-    )
+    seeds = {"ordering_seed": args.seed, "noise_seed": cube.seed}
+    coeff_path = _write_run(args.out, result, basis, "solve", args, seeds, inputs)
     status = "converged" if result.converged else "stopped at the loop budget"
     print(
         f"solve: {status} after {result.loops} loops "
@@ -290,9 +292,7 @@ def cmd_maps(args) -> int:
     write_manifest(
         os.path.join(args.out, MANIFEST_NAME),
         "maps",
-        _config_summary(
-            args, ["preset", "templates", "coefficients", "out", "order", "floor", "losvd"]
-        ),
+        _config_summary(args),
         {},
         [args.templates, args.coefficients],
         written,
@@ -305,45 +305,22 @@ def cmd_maps(args) -> int:
 
 
 def cmd_robustness(args) -> int:
+    """``gen-mock`` then ``solve`` per seed, plus each run's LOSVD recovery error."""
     if args.n < 1:
         raise CLIError("--n must be at least 1")
-    template, basis = _load_basis(args, args.s)
-    system = build_forward_system(basis, kernel_theta_integrals(template, basis))
-    u_true = evaluate_ground_truth(default_components(), basis)
-    y_clean = synthesize_datacube(system, u_true)
+    config = _solver_config(args)
+    template, basis, system, u_true, y_clean = _mock(args)
+    seeds = range(args.seed, args.seed + args.n)
     stats = []
-    run_dirs = []
-    for index in range(args.n):
-        seed = args.seed + index
+    for seed in seeds:
         noisy = add_noise(system, y_clean, args.noise, seed)
-        config = dataclasses.replace(_solver_config(args), seed=seed)
-        result = run(config, as_solve_data(noisy), system)
+        result = run(dataclasses.replace(config, seed=seed), as_solve_data(noisy), system)
         error = losvd_recovery_error(result.u, u_true, basis, template)
-        run_dir = os.path.join(args.out, f"seed_{seed:05d}")
-        os.makedirs(run_dir, exist_ok=True)
-        coeff_path = os.path.join(run_dir, COEFFICIENTS_NAME)
-        history_path = os.path.join(run_dir, HISTORY_NAME)
-        write_coefficients(result.u, basis.N, basis.L, basis.s, coeff_path)
-        write_history(result.history, history_path)
-        write_manifest(
-            os.path.join(run_dir, MANIFEST_NAME),
-            "robustness-run",
-            _config_summary(
-                args,
-                ["preset", "templates", "noise", "variant", "s", "beta", "omega",
-                 "tau", "max_loops", "ordering"],
-            ),
-            {"noise_seed": seed, "ordering_seed": seed},
-            [args.templates],
-            [coeff_path, history_path],
-            result={
-                "converged": result.converged,
-                "loops": result.loops,
-                "losvd_error": error,
-            },
+        _write_run(
+            os.path.join(args.out, f"seed_{seed:05d}"), result, basis, "robustness-run", args,
+            {"noise_seed": seed, "ordering_seed": seed}, [args.templates], losvd_error=error,
         )
         stats.append(error)
-        run_dirs.append(run_dir)
     median = float(np.median(stats))
     mean = float(np.mean(stats))
     summary_path = os.path.join(args.out, SUMMARY_NAME)
@@ -353,16 +330,12 @@ def cmd_robustness(args) -> int:
     write_manifest(
         os.path.join(args.out, MANIFEST_NAME),
         "robustness",
-        _config_summary(
-            args,
-            ["preset", "templates", "noise", "n", "variant", "s", "beta", "omega",
-             "tau", "max_loops", "ordering", "out"],
-        ),
-        {"base_seed": args.seed, "seeds": [args.seed + i for i in range(args.n)]},
+        _config_summary(args),
+        {"base_seed": args.seed, "seeds": list(seeds)},
         [args.templates],
         [summary_path],
-        result={"median_losvd_error": median, "mean_losvd_error": mean,
-                "per_seed": dict(zip((str(args.seed + i) for i in range(args.n)), stats))},
+        {"median_losvd_error": median, "mean_losvd_error": mean,
+         "per_seed": dict(zip(map(str, seeds), stats))},
     )
     print(f"robustness: n={args.n} median={median:.6g} mean={mean:.6g}; wrote {summary_path}")
     return 0
@@ -477,9 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_SKIP = {"config", "func", "command", "help"}
-
-
 def _apply_config_file(parser, argv):
     """Pre-parse ``--config`` and install its values as subcommand defaults."""
     probe = parser.parse_args(argv)
@@ -527,10 +497,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (CLIError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

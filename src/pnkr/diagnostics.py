@@ -180,6 +180,8 @@ def _light_kernel(basis: DiscreteBasis, template: TemplateGrid) -> np.ndarray:
 
 
 def _position_weights(basis: DiscreteBasis, x) -> np.ndarray:
+    if np.shape(x) != (2,):
+        raise ValueError(f"position {x!r} must be two numbers (x1, x2)")
     x1, x2 = float(x[0]), float(x[1])
     e1 = eval_axis_basis(basis.omega_grids[0], basis.s, x1)[0]
     e2 = eval_axis_basis(basis.omega_grids[1], basis.s, x2)[0]

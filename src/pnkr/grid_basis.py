@@ -92,24 +92,25 @@ def _validated_nodes(nodes: Sequence[float], name: str = "axis") -> np.ndarray:
     return arr
 
 
-def uniform_axis(lo: float, hi: float, count: int) -> AxisGrid:
-    """Axis with ``count`` equally spaced nodes from ``lo`` to ``hi``."""
+def _check_window(lo: float, hi: float, count: int) -> None:
     if count < 2:
         raise ValueError("count must be at least 2")
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    return AxisGrid(nodes=np.linspace(lo, hi, count))
+    if not 0.0 < float(hi) - float(lo) < np.inf:
+        raise ValueError(f"need lo < hi with a finite span, got lo={lo}, hi={hi}")
+
+
+def uniform_axis(lo: float, hi: float, count: int) -> AxisGrid:
+    """Axis with ``count`` equally spaced nodes from ``lo`` to ``hi``."""
+    _check_window(lo, hi, count)
+    return AxisGrid(nodes=_validated_nodes(np.linspace(lo, hi, count)))
 
 
 def geometric_axis(lo: float, hi: float, count: int) -> AxisGrid:
     """Axis with ``count`` nodes in geometric progression; requires lo > 0."""
-    if count < 2:
-        raise ValueError("count must be at least 2")
+    _check_window(lo, hi, count)
     if lo <= 0:
         raise ValueError("geometric spacing needs lo > 0")
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    return AxisGrid(nodes=np.geomspace(lo, hi, count))
+    return AxisGrid(nodes=_validated_nodes(np.geomspace(lo, hi, count)))
 
 
 def explicit_axis(values: Sequence[float]) -> AxisGrid:

@@ -292,6 +292,8 @@ def write_datacube(cube: DataCube, path) -> None:
         raise ValueError(f"sample block has shape {cube.samples.shape}, expected ({n1 * n2}, {R})")
     if cube.delta_r.shape != (R,):
         raise ValueError(f"delta_r has shape {cube.delta_r.shape}, expected ({R},)")
+    if not 0 <= cube.seed < 2**64:
+        raise ValueError(f"seed={cube.seed} must lie in [0, 2**64) to fit the datacube seed field")
     # payload order: channel, then second spatial index, then first
     payload = cube.samples.T.reshape(R, n1, n2).transpose(0, 2, 1)
     with open(path, "wb") as fh:

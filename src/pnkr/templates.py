@@ -159,16 +159,11 @@ def build_template_grid(
     """
     if count < 2:
         raise ValueError("need at least two wavelength channels")
-    if not (0 < lambda_min < lambda_max):
-        raise ValueError("need 0 < lambda_min < lambda_max")
+    if not 0 < lambda_min < lambda_max < np.inf:
+        raise ValueError("need 0 < lambda_min < lambda_max < inf")
     if not 0 <= v_max < C_LIGHT:
         raise ValueError("v_max must lie in [0, c)")
-    z_nodes = np.asarray(z_nodes, dtype=float)
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    if z_nodes.size < 2 or t_nodes.size < 2:
-        raise ValueError("need at least two nodes per population axis")
-    if np.any(np.diff(z_nodes) <= 0) or np.any(np.diff(t_nodes) <= 0):
-        raise ValueError("population nodes must be strictly increasing")
+    z_nodes, t_nodes = _validated_nodes(z_nodes, "z"), _validated_nodes(t_nodes, "t")
     dln = np.log(lambda_max / lambda_min) / (count - 1)
     if v_max > 0:
         j_lo = int(np.ceil(np.log1p(v_max / C_LIGHT) / dln - 1e-12))
@@ -176,7 +171,7 @@ def build_template_grid(
     else:
         j_lo = j_hi = 0
     idx = np.arange(-j_lo, count + j_hi)
-    lam_ext = lambda_min * np.exp(idx * dln)
+    lam_ext = _validated_nodes(lambda_min * np.exp(idx * dln), "lambda")
     S = synth_ssp(lam_ext[:, None, None], z_nodes[None, :, None], t_nodes[None, None, :])
     return TemplateGrid(
         lambda_nodes=AxisGrid(nodes=lam_ext),

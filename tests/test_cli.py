@@ -1,5 +1,6 @@
 """End-to-end command-line tests on the tiny problem size."""
 
+import argparse
 import json
 import os
 import platform
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from pnkr.cli import main
+from pnkr.cli import build_parser, main
 from pnkr.diagnostics import read_losvd, read_maps
 from pnkr.presets import (
     _SPATIAL,
@@ -75,6 +76,17 @@ def test_unknown_preset_rejected():
         preset_basis("huge", 0)
 
 
+def _options(command):
+    """Every option the subcommand's parser defines, bar help and the config file."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help", "config"}
+
+
+def _assert_config_records_every_option(manifest_path, command):
+    config = read_manifest(manifest_path)["config"]
+    assert set(config) == _options(command) | {"grid"}, command
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """Template, mock cube, and one solve on the tiny preset."""
@@ -109,8 +121,13 @@ def test_pipeline_outputs(pipeline_dir):
     assert manifest["seeds"]["noise_seed"] == 3
     assert "numpy" in manifest["versions"]
     assert len(manifest["inputs"]) == 3 and len(manifest["outputs"]) == 2
-    for stage in ("tpl.pnkt.manifest.json", "cube.pnkd.manifest.json"):
-        assert (pipeline_dir / stage).is_file()
+    for command, stage in (
+        ("gen-templates", "tpl.pnkt.manifest.json"),
+        ("gen-mock", "cube.pnkd.manifest.json"),
+        ("solve", "run/manifest.json"),
+    ):
+        _assert_config_records_every_option(pipeline_dir / stage, command)
+    assert read_manifest(pipeline_dir / "cube.pnkd.manifest.json")["config"]["seed"] == 3
 
 
 def test_maps_subcommand(pipeline_dir, monkeypatch):
@@ -124,7 +141,7 @@ def test_maps_subcommand(pipeline_dir, monkeypatch):
     assert maps.mask.shape == (3, 3)
     sample = read_losvd(pipeline_dir / "maps" / "losvd_2.txt")
     assert sample.x == (-0.3, 0.4)
-    assert (pipeline_dir / "maps" / "manifest.json").is_file()
+    _assert_config_records_every_option(pipeline_dir / "maps" / "manifest.json", "maps")
 
 
 def test_maps_samples_every_position_from_one_light_kernel(pipeline_dir, monkeypatch):
@@ -217,6 +234,20 @@ def test_maps_bad_position(pipeline_dir, monkeypatch, capsys):
     assert "--losvd" in capsys.readouterr().err
 
 
+def test_oversized_noise_seed_is_rejected_by_name(pipeline_dir, monkeypatch, capsys):
+    # the datacube stores its seed as an unsigned 64-bit integer; nothing is written
+    monkeypatch.chdir(pipeline_dir)
+    rc = main([
+        "gen-mock", "--preset", "tiny", "--templates", "tpl.pnkt", "--s", "0",
+        "--seed", str(2**64), "--out", "big_seed.pnkd", "--truth", "big_seed.pnku",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"seed={2**64}" in err and err.count("\n") == 1
+    assert not (pipeline_dir / "big_seed.pnkd").exists()
+    assert not (pipeline_dir / "big_seed.pnku").exists()
+
+
 def test_missing_cube_names_path(pipeline_dir, monkeypatch, capsys):
     monkeypatch.chdir(pipeline_dir)
     rc = main([
@@ -290,6 +321,18 @@ def test_bad_option_value_is_rejected_by_name(pipeline_dir, monkeypatch, capsys,
     assert not (pipeline_dir / out).exists()
 
 
+def test_robustness_checks_solver_options_before_the_system(pipeline_dir, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("robustness built a forward system")
+
+    monkeypatch.setattr("pnkr.cli.build_forward_system", refuse)
+    monkeypatch.chdir(pipeline_dir)
+    rc = main(["robustness", "--preset", "tiny", "--templates", "tpl.pnkt", "--n", "1", "--tau=inf", "--out", "bad_rob"])
+    assert rc == 1
+    assert "tau=inf" in capsys.readouterr().err
+    assert not (pipeline_dir / "bad_rob").exists()
+
+
 def test_config_file_defaults_and_flag_override(pipeline_dir, monkeypatch):
     monkeypatch.chdir(pipeline_dir)
     (pipeline_dir / "run.cfg").write_text("max-loops = 7\nseed = 5\n")
@@ -340,7 +383,7 @@ def test_identical_invocations_reproduce_bitwise(pipeline_dir, tmp_path, monkeyp
     assert key_a == key_b
 
 
-def test_robustness_batch(pipeline_dir, monkeypatch):
+def test_robustness_batch(pipeline_dir, tmp_path, monkeypatch):
     monkeypatch.chdir(pipeline_dir)
     assert main([
         "robustness", "--preset", "tiny", "--templates", "tpl.pnkt",
@@ -349,9 +392,26 @@ def test_robustness_batch(pipeline_dir, monkeypatch):
     ]) == 0
     seeds = []
     for index in range(3):
-        manifest = read_manifest(pipeline_dir / "rob" / f"seed_{11 + index:05d}" / "manifest.json")
+        seed = 11 + index
+        run_dir = pipeline_dir / "rob" / f"seed_{seed:05d}"
+        manifest = read_manifest(run_dir / "manifest.json")
         seeds.append(manifest["seeds"]["noise_seed"])
         assert manifest["result"]["losvd_error"] >= 0.0
+        _assert_config_records_every_option(run_dir / "manifest.json", "robustness")
+        # each seed's run is gen-mock then solve at that seed, byte for byte
+        cube, solved = tmp_path / f"cube_{seed}.pnkd", tmp_path / f"solve_{seed}"
+        assert main([
+            "gen-mock", "--preset", "tiny", "--templates", "tpl.pnkt", "--s", "0",
+            "--seed", str(seed), "--out", str(cube), "--truth", str(tmp_path / f"truth_{seed}.pnku"),
+        ]) == 0
+        assert main([
+            "solve", "--preset", "tiny", "--templates", "tpl.pnkt", "--cube", str(cube),
+            "--s", "0", "--max-loops", "30", "--seed", str(seed), "--out", str(solved),
+        ]) == 0
+        for name in ("coefficients.pnku", "history.csv"):
+            assert (run_dir / name).read_bytes() == (solved / name).read_bytes(), (seed, name)
+        solve_result = read_manifest(solved / "manifest.json")["result"]
+        assert manifest["result"] == {**solve_result, "losvd_error": manifest["result"]["losvd_error"]}
     assert sorted(seeds) == [11, 12, 13]
     lines = (pipeline_dir / "rob" / "robustness.csv").read_text().splitlines()
     assert lines[0] == "n,median_losvd_error,mean_losvd_error"
@@ -360,3 +420,4 @@ def test_robustness_batch(pipeline_dir, monkeypatch):
     assert int(n) == 3 and float(median) > 0.0 and float(mean) > 0.0
     batch = read_manifest(pipeline_dir / "rob" / "manifest.json")
     assert batch["seeds"]["seeds"] == [11, 12, 13]
+    _assert_config_records_every_option(pipeline_dir / "rob" / "manifest.json", "robustness")

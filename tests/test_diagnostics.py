@@ -1,6 +1,7 @@
 """Diagnostics tests: marginals, velocity distributions, fits, maps, export."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,13 @@ def test_losvd_outside_domain_raises(tiny_basis, tiny_template):
     u = _random_coefficients(tiny_basis)
     with pytest.raises(ValueError, match="outside"):
         light_weighted_losvd(u, tiny_basis, tiny_template, (5.0, 0.0))
+
+
+@pytest.mark.parametrize("position", [(0.1, 0.2, 0.3), (0.1,)], ids=["three", "one"])
+def test_losvd_position_of_wrong_length_raises(tiny_basis, tiny_template, position):
+    u = _random_coefficients(tiny_basis)
+    with pytest.raises(ValueError, match=re.escape(f"position {position!r}")):
+        light_weighted_losvd(u, tiny_basis, tiny_template, position)
 
 
 def test_losvd_zero_field_is_masked(tiny_basis, tiny_template):

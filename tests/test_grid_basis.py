@@ -50,6 +50,16 @@ def test_axis_validation():
         explicit_axis([0.0, 1.0, 0.5])
     with pytest.raises(ValueError):
         explicit_axis([0.0, np.nan, 1.0])
+    # a non-finite window would give nodes [nan, inf, inf] and [1, inf, inf]
+    with pytest.raises(ValueError, match="finite"):
+        uniform_axis(0.0, np.inf, 3)
+    with pytest.raises(ValueError, match="finite"):
+        geometric_axis(1.0, np.inf, 3)
+    with pytest.raises(ValueError, match="finite"):
+        uniform_axis(np.nan, 1.0, 3)
+    # so would a finite window whose span overflows
+    with pytest.raises(ValueError, match="finite"):
+        uniform_axis(-1e308, 1e308, 3)
 
 
 def test_axis_geometry():

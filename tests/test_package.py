@@ -114,3 +114,24 @@ def test_benchmark_sweep_hook_reads_the_system_argument(monkeypatch):
         params = list(inspect.signature(getattr(importlib.import_module(module_name), attr)).parameters.values())
         assert [p.kind in positional for p in params[:4]] == [True] * 4, f"{module_name}.{attr}"
         assert params[3].name == "system", f"{module_name}.{attr} takes {params[3].name!r} fourth"
+
+
+def test_benchmark_manifest_hook_reads_inputs_and_outputs(monkeypatch):
+    # the manifest counts hook reads args[4] and args[5] of each write_manifest call as the
+    # inputs and outputs; a keyword call or a reordered signature would break only a traced
+    # benchmark run
+    workloads = _benchmark_workloads(monkeypatch)
+    hooked = [(module_name, attr) for module_name, attr, _, hook in workloads.PATCHES if hook is workloads._digest_bytes]
+    assert hooked == [("pnkr.cli", "write_manifest")]
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    [definition] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "write_manifest"]
+    positional = [arg.arg for arg in definition.args.posonlyargs + definition.args.args]
+    assert positional[4:6] == ["inputs", "outputs"]
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "write_manifest"
+    ]
+    assert calls
+    for call in calls:
+        plain = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
+        assert len(plain) == len(call.args) >= 6, f"cli.py:{call.lineno} passes inputs or outputs by keyword"

@@ -104,6 +104,13 @@ def test_build_template_grid_validation():
         build_template_grid(480.0, 570.0, 10, -5.0, z, t)
     with pytest.raises(ValueError):
         build_template_grid(480.0, 570.0, 10, 100.0, z[::-1], t)
+    # non-finite nodes or window would give a table the template reader refuses
+    with pytest.raises(ValueError, match="z nodes must be finite"):
+        build_template_grid(480.0, 570.0, 10, 100.0, np.r_[z[:-1], np.nan], t)
+    with pytest.raises(ValueError, match="t nodes must be finite"):
+        build_template_grid(480.0, 570.0, 10, 100.0, z, np.r_[np.nan, t[1:]])
+    with pytest.raises(ValueError, match="lambda_max < inf"):
+        build_template_grid(480.0, np.inf, 10, 100.0, z, t)
 
 
 # -- kernel evaluation -------------------------------------------------------
