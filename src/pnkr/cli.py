@@ -38,7 +38,6 @@ from .solver import (
     ORDERINGS,
     VARIANTS,
     SolverConfig,
-    as_solve_data,
     read_coefficients,
     run,
     write_coefficients,
@@ -166,7 +165,7 @@ def _write_run(run_dir, result, basis, command, args, seeds, inputs, **extra) ->
         _config_summary(args),
         seeds,
         inputs,
-        [coeff_path, history_path],
+        [coeff_path, history_path, f"{history_path}.timing"],
         {
             "converged": result.converged,
             "loops": result.loops,
@@ -255,7 +254,7 @@ def cmd_solve(args) -> int:
             )
         u_star = ref.u
         inputs.append(args.truth)
-    result = run(config, as_solve_data(cube), system, u_star)
+    result = run(config, cube, system, u_star)
     seeds = {"ordering_seed": args.seed, "noise_seed": cube.seed}
     coeff_path = _write_run(args.out, result, basis, "solve", args, seeds, inputs)
     status = "converged" if result.converged else "stopped at the loop budget"
@@ -314,7 +313,7 @@ def cmd_robustness(args) -> int:
     stats = []
     for seed in seeds:
         noisy = add_noise(system, y_clean, args.noise, seed)
-        result = run(dataclasses.replace(config, seed=seed), as_solve_data(noisy), system)
+        result = run(dataclasses.replace(config, seed=seed), noisy, system)
         error = losvd_recovery_error(result.u, u_true, basis, template)
         _write_run(
             os.path.join(args.out, f"seed_{seed:05d}"), result, basis, "robustness-run", args,

@@ -36,6 +36,7 @@ from scipy.ndimage import label as _connected_label
 
 from .grid_basis import (
     DiscreteBasis,
+    _numeric_rows,
     axis_first_moments,
     axis_weights,
     basis_integral_weights,
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 MAPS_TABLE_NAME = "moment_maps.csv"
+# columns of the maps table; after the site coordinates each is the MomentMaps field of that name
 _MAPS_COLUMNS = ("x1", "x2", "mu_t", "mu_z", "mu_v", "sigma_v", "h3", "h4", "h5", "mask")
 
 
@@ -610,46 +612,18 @@ def export_maps(maps: MomentMaps, losvd_samples, out_dir) -> list[str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, MAPS_TABLE_NAME)
-    grids = (maps.mu_t, maps.mu_z, maps.mu_v, maps.sigma_v, maps.h3, maps.h4, maps.h5)
-    with open(table_path, "w") as fh:
-        fh.write(",".join(_MAPS_COLUMNS) + "\n")
-        for i in range(len(maps.x1)):
-            for j in range(len(maps.x2)):
-                values = [maps.x1[i], maps.x2[j]] + [grid[i, j] for grid in grids]
-                fh.write(",".join(f"{value:.17g}" for value in values))
-                fh.write(f",{int(maps.mask[i, j])}\n")
+    x1, x2 = np.meshgrid(maps.x1, maps.x2, indexing="ij")
+    columns = (x1, x2, *(getattr(maps, name) for name in _MAPS_COLUMNS[2:]))
+    table = np.column_stack([column.ravel() for column in columns])
+    fmt = ["%.17g"] * (len(_MAPS_COLUMNS) - 1) + ["%d"]  # the mask column is an integer
+    np.savetxt(table_path, table, fmt=fmt, delimiter=",", header=",".join(_MAPS_COLUMNS), comments="")
     written = [table_path]
     for index, sample in enumerate(losvd_samples, start=1):
         path = os.path.join(out_dir, f"losvd_{index}.txt")
-        with open(path, "w") as fh:
-            fh.write(
-                f"# x1 {sample.x[0]:.17g} x2 {sample.x[1]:.17g} masked {int(sample.masked)}\n"
-            )
-            fh.write("v p\n")
-            for vv, pp in zip(sample.v, sample.p):
-                fh.write(f"{vv:.17g} {pp:.17g}\n")
+        header = f"# x1 {sample.x[0]:.17g} x2 {sample.x[1]:.17g} masked {int(sample.masked)}\nv p"
+        np.savetxt(path, np.column_stack((sample.v, sample.p)), fmt="%.17g", header=header, comments="")
         written.append(path)
     return written
-
-
-def _numeric_rows(fh, kind: str, width: int, first_line: int, sep: str | None = None) -> np.ndarray:
-    """The remaining nonblank lines of ``fh`` as a ``(rows, width)`` float array.
-
-    A row with another field count, or an empty body, fails with an
-    error naming the ``kind`` of table and the 1-based line number
-    (``first_line`` is the number of the next line of ``fh``).
-    """
-    rows = []
-    for number, line in enumerate(fh, start=first_line):
-        if not line.strip():
-            continue
-        cells = line.strip().split(sep)
-        if len(cells) != width:
-            raise ValueError(f"{kind} line {number}: expected {width} fields, found {len(cells)}")
-        rows.append([float(cell) for cell in cells])
-    if not rows:
-        raise ValueError(f"{kind} is empty")
-    return np.array(rows)
 
 
 def read_maps(path) -> MomentMaps:
@@ -664,14 +638,10 @@ def read_maps(path) -> MomentMaps:
     n1, n2 = len(x1), len(x2)
     if data.shape[0] != n1 * n2:
         raise ValueError("moment-map table is not a complete grid")
-    order = np.lexsort((data[:, 1], data[:, 0]))
-    data = data[order]
-    grids = [data[:, col].reshape(n1, n2) for col in range(2, 9)]
-    mask = data[:, 9].reshape(n1, n2).astype(bool)
-    return MomentMaps(
-        x1=x1, x2=x2, mu_t=grids[0], mu_z=grids[1], mu_v=grids[2],
-        sigma_v=grids[3], h3=grids[4], h4=grids[5], h5=grids[6], mask=mask,
-    )
+    data = data[np.lexsort((data[:, 1], data[:, 0]))]
+    grids = {name: data[:, col].reshape(n1, n2) for col, name in enumerate(_MAPS_COLUMNS[2:], start=2)}
+    grids["mask"] = grids["mask"].astype(bool)
+    return MomentMaps(x1=x1, x2=x2, **grids)
 
 
 def read_losvd(path) -> LOSVDSample:

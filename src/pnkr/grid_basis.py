@@ -19,10 +19,15 @@ The spatial L2 Gram ``G`` is the Kronecker product of the spatial mass
 factors, and only those two factors are kept.  The beta-weighted
 reconstruction-space factors ``Psi`` and ``Phi`` are never assembled:
 :func:`gram_eigenbasis` diagonalizes them axis by axis.
+
+The module also holds the file layer of every pipeline format: one
+writer and one opener for the binary template, datacube and coefficient
+files, and one reader for the bodies of the text tables.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -339,16 +344,67 @@ def gram_eigenbasis(
     return V, E.reshape(-1)
 
 
-# -- binary file helpers -----------------------------------------------------
+# -- file helpers ------------------------------------------------------------
+
+_FILE_VERSION = 1
 
 
-def _read_exact(fh, dtype: str, count: int, kind: str) -> np.ndarray:
-    """Read exactly ``count`` items of ``dtype`` from a binary ``kind`` file.
+def _write_binary(path, magic: bytes, header, *fields) -> None:
+    """Write a binary file: the 4-byte ``magic``, the version and ``header`` as ``<u4`` words, then ``fields``.
 
-    Shared by the datacube, coefficient and template readers so that a
-    file cut anywhere, header included, fails with one error naming it.
+    Each field is written in C order as ``<f8``, or as ``<u8`` when it is
+    an unsigned integer array.  Every conversion runs before the file is
+    opened, so a value that does not fit leaves no file behind.
     """
-    arr = np.fromfile(fh, dtype=dtype, count=count)
-    if arr.size != count:
-        raise ValueError(f"{kind} file truncated")
-    return arr
+    words = np.array([_FILE_VERSION, *header], dtype="<u4")
+    arrays = [np.ascontiguousarray(f, dtype="<u8" if np.asarray(f).dtype.kind == "u" else "<f8") for f in fields]
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        for array in (words, *arrays):
+            array.tofile(fh)
+
+
+@contextmanager
+def _open_binary(path, magic: bytes, words: int, kind: str):
+    """Open a binary ``kind`` file written by :func:`_write_binary`; yields ``(header, read)``.
+
+    Checks the magic and the version and reads the ``words`` header words
+    after the version, as ints.  ``read(count, dtype="<f8")`` returns the
+    next ``count`` items.  A wrong magic or version, or a file cut
+    anywhere, header included, fails with a ``ValueError`` naming ``kind``.
+    """
+    with open(path, "rb") as fh:
+
+        def read(count: int, dtype: str = "<f8") -> np.ndarray:
+            arr = np.fromfile(fh, dtype=dtype, count=count)
+            if arr.size != count:
+                raise ValueError(f"{kind} file truncated")
+            return arr
+
+        found = fh.read(len(magic))
+        if found != magic:
+            raise ValueError(f"not a {kind} file: bad magic {found!r}")
+        version, *header = (int(x) for x in read(words + 1, "<u4"))
+        if version != _FILE_VERSION:
+            raise ValueError(f"unsupported {kind} file version {version}")
+        yield header, read
+
+
+def _numeric_rows(fh, kind: str, width: int, first_line: int, sep: str | None = None) -> np.ndarray:
+    """The remaining nonblank lines of ``fh`` as a ``(rows, width)`` float array.
+
+    A row with another field count, or an empty body, fails with an
+    error naming the ``kind`` of table and the 1-based line number
+    (``first_line`` is the number of the next line of ``fh``).
+    """
+    rows = []
+    for number, line in enumerate(fh, start=first_line):
+        if not line.strip():
+            continue
+        cells = line.strip().split(sep)
+        if len(cells) != width:
+            raise ValueError(f"{kind} line {number}: expected {width} fields, found {len(cells)}")
+        rows.append([float(cell) for cell in cells])
+    if not rows:
+        raise ValueError(f"{kind} is empty")
+    return np.array(rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import ForwardSystem, sample_norm
-from .grid_basis import DiscreteBasis, _read_exact, axis_weights
+from .grid_basis import DiscreteBasis, _open_binary, _validated_nodes, _write_binary, axis_weights
 
 __all__ = [
     "ComponentSpec",
@@ -32,9 +32,6 @@ __all__ = [
     "write_datacube",
     "read_datacube",
 ]
-
-_PNKD_MAGIC = b"PNKD"
-_PNKD_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,41 +289,30 @@ def write_datacube(cube: DataCube, path) -> None:
         raise ValueError(f"sample block has shape {cube.samples.shape}, expected ({n1 * n2}, {R})")
     if cube.delta_r.shape != (R,):
         raise ValueError(f"delta_r has shape {cube.delta_r.shape}, expected ({R},)")
-    if not 0 <= cube.seed < 2**64:
-        raise ValueError(f"seed={cube.seed} must lie in [0, 2**64) to fit the datacube seed field")
+    if not (0 <= cube.seed < 2**64 and cube.seed == int(cube.seed)):
+        raise ValueError(f"seed={cube.seed} must be a whole number in [0, 2**64) to fit the datacube seed field")
     # payload order: channel, then second spatial index, then first
     payload = cube.samples.T.reshape(R, n1, n2).transpose(0, 2, 1)
-    with open(path, "wb") as fh:
-        fh.write(_PNKD_MAGIC)
-        np.array([_PNKD_VERSION, cube.x1_nodes.size, cube.x2_nodes.size, R], dtype="<u4").tofile(fh)
-        cube.x1_nodes.astype("<f8").tofile(fh)
-        cube.x2_nodes.astype("<f8").tofile(fh)
-        cube.lambda_obs.astype("<f8").tofile(fh)
-        np.ascontiguousarray(payload, dtype="<f8").tofile(fh)
-        cube.delta_r.astype("<f8").tofile(fh)
-        np.array([cube.seed], dtype="<u8").tofile(fh)
+    seed = np.array([cube.seed], dtype=np.uint64)
+    header = (cube.x1_nodes.size, cube.x2_nodes.size, R)
+    _write_binary(path, b"PNKD", header, cube.x1_nodes, cube.x2_nodes, cube.lambda_obs, payload, cube.delta_r, seed)
 
 
 def read_datacube(path) -> DataCube:
     """Read a PNKD file back into a :class:`DataCube`.
 
-    Raises ``ValueError`` for a wrong magic or version, and for a file
-    that ends before the last field (the seed) is complete.
+    Raises ``ValueError`` for a wrong magic or version, for x1 or x2
+    nodes that are not at least two, finite and strictly increasing
+    (naming the axis), and for a file cut before the end of its seed.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _PNKD_MAGIC:
-            raise ValueError(f"not a datacube file: bad magic {magic!r}")
-        version, Nx1, Nx2, R = (int(x) for x in _read_exact(fh, "<u4", 4, "datacube"))
-        if version != _PNKD_VERSION:
-            raise ValueError(f"unsupported datacube version {version}")
-        x1_nodes = _read_exact(fh, "<f8", Nx1, "datacube")
-        x2_nodes = _read_exact(fh, "<f8", Nx2, "datacube")
-        lambda_obs = _read_exact(fh, "<f8", R, "datacube")
+    with _open_binary(path, b"PNKD", 3, "datacube") as ((Nx1, Nx2, R), read):
+        x1_nodes = _validated_nodes(read(Nx1), "datacube x1")
+        x2_nodes = _validated_nodes(read(Nx2), "datacube x2")
+        lambda_obs = read(R)
         n1, n2 = Nx1 - 1, Nx2 - 1
-        payload = _read_exact(fh, "<f8", R * n1 * n2, "datacube")
-        delta_r = _read_exact(fh, "<f8", R, "datacube")
-        seed = int(_read_exact(fh, "<u8", 1, "datacube")[0])
+        payload = read(R * n1 * n2)
+        delta_r = read(R)
+        seed = int(read(1, "<u8")[0])
     samples = payload.reshape(R, n2, n1).transpose(0, 2, 1).reshape(R, n1 * n2).T
     return DataCube(
         x1_nodes=x1_nodes,

@@ -75,7 +75,7 @@ from .forward import (
     rho_estimate,
     sample_norm,
 )
-from .grid_basis import _read_exact
+from .grid_basis import _numeric_rows, _open_binary, _write_binary
 
 __all__ = [
     "VARIANTS",
@@ -102,9 +102,6 @@ __all__ = [
 
 VARIANTS = ("pnkr", "reduced_pnkr", "landweber_kaczmarz", "landweber")
 ORDERINGS = ("cyclic", "random_permutation")
-
-_PNKU_MAGIC = b"PNKU"
-_PNKU_VERSION = 1
 
 # Entries of one row block of the iterate in the Kaczmarz step:
 # 768 KiB of float64, which stays in a 1-4 MiB L2 next to the other
@@ -655,22 +652,13 @@ def write_coefficients(u: np.ndarray, N: int, L: int, s: int, path) -> None:
     u = np.asarray(u, dtype=float)
     if u.shape != (N * L,):
         raise ValueError(f"coefficient vector has shape {u.shape}, expected ({N * L},)")
-    with open(path, "wb") as fh:
-        fh.write(_PNKU_MAGIC)
-        np.array([_PNKU_VERSION, N, L, s], dtype="<u4").tofile(fh)
-        u.astype("<f8").tofile(fh)
+    _write_binary(path, b"PNKU", (N, L, s), u)
 
 
 def read_coefficients(path) -> CoefficientSet:
     """Read a PNKU file back into a :class:`CoefficientSet`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _PNKU_MAGIC:
-            raise ValueError(f"not a coefficient file: bad magic {magic!r}")
-        version, N, L, s = (int(x) for x in _read_exact(fh, "<u4", 4, "coefficient"))
-        if version != _PNKU_VERSION:
-            raise ValueError(f"unsupported coefficient file version {version}")
-        u = _read_exact(fh, "<f8", N * L, "coefficient")
+    with _open_binary(path, b"PNKU", 3, "coefficient") as ((N, L, s), read):
+        u = read(N * L)
     return CoefficientSet(u=u, N=N, L=L, s=s)
 
 
@@ -680,35 +668,25 @@ def write_history(history, path) -> None:
     The main table carries only deterministic columns so that identical
     runs produce identical files; per-loop seconds go to ``<path>.timing``.
     """
-    with open(path, "w") as fh:
-        fh.write("loop updates data_residual res error\n")
-        for row in history:
-            fh.write(f"{row.loop} {row.updates} {row.data_residual:.17g} {row.res:.17g} {row.error:.17g}\n")
-    with open(f"{path}.timing", "w") as fh:
-        fh.write("loop seconds\n")
-        for row in history:
-            fh.write(f"{row.loop} {row.seconds:.6f}\n")
+    table = np.reshape([[row.loop, row.updates, row.data_residual, row.res, row.error] for row in history], (-1, 5))
+    np.savetxt(path, table, fmt="%d %d %.17g %.17g %.17g", header="loop updates data_residual res error", comments="")
+    timing = np.reshape([[row.loop, row.seconds] for row in history], (-1, 2))
+    np.savetxt(f"{path}.timing", timing, fmt="%d %.6f", header="loop seconds", comments="")
 
 
 def read_history(path) -> list[HistoryRow]:
-    """Read a convergence table; seconds come back as NaN."""
-    rows = []
+    """Read a convergence table; seconds come back as NaN.
+
+    Raises ``ValueError`` for a foreign header, a table without rows, a
+    row without five fields, or a loop or update count that is not whole.
+    """
     with open(path) as fh:
-        header = fh.readline().split()
-        if header[:3] != ["loop", "updates", "data_residual"]:
+        if fh.readline().split()[:3] != ["loop", "updates", "data_residual"]:
             raise ValueError("not a history table")
-        for number, line in enumerate(fh, start=2):
-            parts = line.split()
-            if len(parts) < 5:
-                raise ValueError(f"history table line {number}: expected 5 fields, found {len(parts)}")
-            rows.append(
-                HistoryRow(
-                    loop=int(parts[0]),
-                    updates=int(parts[1]),
-                    data_residual=float(parts[2]),
-                    res=float(parts[3]),
-                    error=float(parts[4]),
-                    seconds=float("nan"),
-                )
-            )
-    return rows
+        rows = _numeric_rows(fh, "history table", 5, 2)
+    if np.any(rows[:, :2] % 1 != 0):
+        raise ValueError("history table loop and update counts must be whole numbers")
+    return [
+        HistoryRow(int(loop), int(updates), data_residual, res, error, seconds=float("nan"))
+        for loop, updates, data_residual, res, error in rows.tolist()
+    ]

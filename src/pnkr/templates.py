@@ -26,8 +26,9 @@ from .grid_basis import (
     AxisGrid,
     DiscreteBasis,
     _axis_panels,
-    _read_exact,
+    _open_binary,
     _validated_nodes,
+    _write_binary,
     eval_axis_basis,
 )
 
@@ -54,9 +55,6 @@ LINE_DEPTHS = np.array([0.32, 0.18, 0.22, 0.38, 0.30, 0.16, 0.20, 0.24])
 # reference metallicity bounds for the depth scaling; wider than any grid
 Z_REF_LO = -3.2
 Z_REF_HI = 0.8
-
-_PNKT_MAGIC = b"PNKT"
-_PNKT_VERSION = 1
 
 
 def synth_continuum(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -292,50 +290,27 @@ def kernel_theta_integrals(template: TemplateGrid, basis: DiscreteBasis) -> np.n
 
 def write_template_grid(template: TemplateGrid, path) -> None:
     """Write a template library in the PNKT binary format (little-endian)."""
-    with open(path, "wb") as fh:
-        fh.write(_PNKT_MAGIC)
-        header = np.array(
-            [
-                _PNKT_VERSION,
-                template.R_ext,
-                len(template.z_nodes),
-                len(template.t_nodes),
-                template.R,
-                template.obs_start,
-            ],
-            dtype="<u4",
-        )
-        fh.write(header.tobytes())
-        fh.write(np.float64(template.dln).tobytes())
-        fh.write(np.asarray(template.lambda_obs_range, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(template.lambda_nodes.nodes, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(template.z_nodes, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(template.t_nodes, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(template.S, dtype="<f8").tobytes())
+    header = (template.R_ext, len(template.z_nodes), len(template.t_nodes), template.R, template.obs_start)
+    fields = (template.lambda_nodes.nodes, template.z_nodes, template.t_nodes, template.S)
+    _write_binary(path, b"PNKT", header, template.dln, template.lambda_obs_range, *fields)
 
 
 def read_template_grid(path) -> TemplateGrid:
     """Read a PNKT template file written by :func:`write_template_grid`.
 
-    Raises ``ValueError`` when the file is truncated and, naming the
-    field, when its lambda, z or t nodes are not finite and strictly
-    increasing, ``dln`` is not positive and finite, or the observed
-    channels overrun the extended lattice.
+    Raises ``ValueError`` naming the template file for a wrong magic or
+    version or a truncated file and, naming the field, when its lambda,
+    z or t nodes are not finite and strictly increasing, ``dln`` is not
+    positive and finite, or the observed channels overrun the extended
+    lattice.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _PNKT_MAGIC:
-            raise ValueError(f"not a PNKT file: bad magic {magic!r}")
-        header = _read_exact(fh, "<u4", 6, "template")
-        version, r_ext, nz, nt, r_obs, obs_start = (int(x) for x in header)
-        if version != _PNKT_VERSION:
-            raise ValueError(f"unsupported PNKT version {version}")
-        dln = float(_read_exact(fh, "<f8", 1, "template")[0])
-        obs_range = _read_exact(fh, "<f8", 2, "template")
-        lam_ext = _read_exact(fh, "<f8", r_ext, "template")
-        z_nodes = _read_exact(fh, "<f8", nz, "template")
-        t_nodes = _read_exact(fh, "<f8", nt, "template")
-        S = _read_exact(fh, "<f8", r_ext * nz * nt, "template").reshape(r_ext, nz, nt)
+    with _open_binary(path, b"PNKT", 5, "template") as ((r_ext, nz, nt, r_obs, obs_start), read):
+        dln = float(read(1)[0])
+        obs_range = read(2)
+        lam_ext = read(r_ext)
+        z_nodes = read(nz)
+        t_nodes = read(nt)
+        S = read(r_ext * nz * nt).reshape(r_ext, nz, nt)
     if not (np.isfinite(dln) and dln > 0.0):
         raise ValueError(f"template file dln={dln:g} must be positive and finite")
     if obs_start + r_obs > r_ext:

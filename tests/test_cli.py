@@ -120,7 +120,8 @@ def test_pipeline_outputs(pipeline_dir):
     assert manifest["command"] == "solve"
     assert manifest["seeds"]["noise_seed"] == 3
     assert "numpy" in manifest["versions"]
-    assert len(manifest["inputs"]) == 3 and len(manifest["outputs"]) == 2
+    assert len(manifest["inputs"]) == 3 and len(manifest["outputs"]) == 3
+    assert any(path.endswith("history.csv.timing") for path in manifest["outputs"])
     for command, stage in (
         ("gen-templates", "tpl.pnkt.manifest.json"),
         ("gen-mock", "cube.pnkd.manifest.json"),

@@ -1,6 +1,7 @@
 """Diagnostics tests: marginals, velocity distributions, fits, maps, export."""
 
 import dataclasses
+import pathlib
 import re
 
 import numpy as np
@@ -679,6 +680,33 @@ def test_export_read_round_trip(desk_maps, desk_truth, desk_basis, desk_template
     assert sample.masked == samples[0].masked
     np.testing.assert_array_equal(sample.v, samples[0].v)
     np.testing.assert_array_equal(sample.p, samples[0].p)
+
+
+def test_export_layout(tmp_path):
+    # comma-separated in row-major (x1, x2) site order with 17 significant
+    # digits, NaN off the mask and an integer mask column; a sample is its
+    # position line, the column line and space-separated (v, p) rows
+    v = np.array([[1.0, 2.0], [3.0, np.nan]])
+    maps = MomentMaps(
+        x1=np.array([-0.5, 0.5]), x2=np.array([0.0, 0.1]), mu_t=v, mu_z=2 * v, mu_v=3 * v,
+        sigma_v=4 * v, h3=5 * v, h4=6 * v, h5=7 * v, mask=np.isfinite(v),
+    )
+    sample = LOSVDSample(x=(0.25, -0.1), v=np.array([-100.0, 0.0, 100.0]), p=np.array([0.0, 0.5, 1.0 / 3.0]))
+    table, losvd = export_maps(maps, [sample], tmp_path)
+    assert pathlib.Path(table).read_bytes() == (
+        b"x1,x2,mu_t,mu_z,mu_v,sigma_v,h3,h4,h5,mask\n"
+        b"-0.5,0,1,2,3,4,5,6,7,1\n"
+        b"-0.5,0.10000000000000001,2,4,6,8,10,12,14,1\n"
+        b"0.5,0,3,6,9,12,15,18,21,1\n"
+        b"0.5,0.10000000000000001,nan,nan,nan,nan,nan,nan,nan,0\n"
+    )
+    assert pathlib.Path(losvd).read_bytes() == (
+        b"# x1 0.25 x2 -0.10000000000000001 masked 0\n"
+        b"v p\n"
+        b"-100 0\n"
+        b"0 0.5\n"
+        b"100 0.33333333333333331\n"
+    )
 
 
 def test_read_maps_rejects_foreign_table(tmp_path):

@@ -15,7 +15,7 @@ from pnkr.grid_basis import (
     make_basis,
     uniform_axis,
 )
-from pnkr.grid_basis import _GAUSS_RULE, _axis_factors, _axis_panels, _breakpoints
+from pnkr.grid_basis import _GAUSS_RULE, _axis_factors, _axis_panels, _breakpoints, _open_binary, _write_binary
 from pnkr.presets import PRESET_NAMES, preset_axes, preset_basis
 
 from _oracles import coefficients_to_function, dense_Phi, dense_Psi
@@ -407,3 +407,26 @@ def test_integral_weights_match_quadrature():
     vol_theta = np.prod([g.hi - g.lo for g in basis.theta_grids])
     assert w_omega.sum() == pytest.approx(vol_omega, rel=1e-12)
     assert w_theta.sum() == pytest.approx(vol_theta, rel=1e-12)
+
+
+# -- file helpers --------------------------------------------------------------
+
+
+def test_binary_file_errors_name_the_kind(tmp_path):
+    # the shared opener behind the template, datacube and coefficient readers
+    path = tmp_path / "file.bin"
+    _write_binary(path, b"ABCD", (3,), np.arange(3.0), np.array([2**64 - 1], dtype=np.uint64))
+    with _open_binary(path, b"ABCD", 1, "sample") as ((count,), read):
+        np.testing.assert_array_equal(read(count), np.arange(3.0))
+        assert int(read(1, "<u8")[0]) == 2**64 - 1
+        with pytest.raises(ValueError, match="sample file truncated"):
+            read(1)
+    with pytest.raises(ValueError, match="not a sample file: bad magic b'ABCD'"):
+        with _open_binary(path, b"WXYZ", 1, "sample"):
+            pass
+    raw = bytearray(path.read_bytes())
+    raw[4] = 2  # the low byte of the <u4 version word
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="unsupported sample file version 2"):
+        with _open_binary(path, b"ABCD", 1, "sample"):
+            pass

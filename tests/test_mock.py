@@ -1,5 +1,7 @@
 """Ground-truth mixture, noise generation, and projection oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,40 @@ def test_datacube_round_trip(tmp_path):
     assert back.seed == 123
     write_datacube(back, tmp_path / "again.pnkd")
     assert (tmp_path / "again.pnkd").read_bytes() == path.read_bytes()
+
+
+def test_datacube_layout(tmp_path):
+    # the documented layout, built by hand on 3 x 2 sites and 2 channels:
+    # magic, the <u4 words version 1 and the x1, x2 and channel counts, <f8
+    # nodes, channels, samples (channel slowest, then x2, x1 fastest) and
+    # delta_r, then the <u8 seed
+    x1, x2, lam = np.array([0.0, 1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 1.0]), np.array([500.0, 510.0])
+    samples = np.arange(12.0).reshape(6, 2) / 7.0  # site (i, j) is row 2 i + j
+    cube = DataCube(x1_nodes=x1, x2_nodes=x2, lambda_obs=lam, samples=samples,
+                    delta_r=np.array([0.25, 0.5]), seed=2**63 + 5)
+    path = tmp_path / "cube.pnkd"
+    write_datacube(cube, path)
+    payload = [samples[2 * i + j, r] for r in range(2) for j in range(2) for i in range(3)]
+    floats = np.concatenate([x1, x2, lam, payload, cube.delta_r]).astype("<f8")
+    expected = b"PNKD" + np.array([1, 4, 3, 2], dtype="<u4").tobytes() + floats.tobytes()
+    assert path.read_bytes() == expected + np.array([2**63 + 5], dtype="<u8").tobytes()
+
+
+def test_datacube_rejects_a_non_integral_seed(tmp_path):
+    cube, _ = written_cube(tmp_path)
+    path = tmp_path / "fractional.pnkd"
+    with pytest.raises(ValueError, match="seed=4.7"):
+        write_datacube(dataclasses.replace(cube, seed=4.7), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("nodes", [0, 1])
+def test_datacube_rejects_too_few_spatial_nodes(tmp_path, nodes):
+    # a header of fewer than two nodes per spatial axis, padded so that no read runs short
+    path = tmp_path / "cube.pnkd"
+    path.write_bytes(b"PNKD" + np.array([1, nodes, nodes, 2], dtype="<u4").tobytes() + np.zeros(64).tobytes())
+    with pytest.raises(ValueError, match="x1 needs at least two nodes"):
+        read_datacube(path)
 
 
 # bytes cut from the end of the file, whose tail is the sample payload,

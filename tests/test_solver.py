@@ -22,6 +22,7 @@ from pnkr.grid_basis import make_basis, uniform_axis
 from pnkr.mock import add_noise, default_components, evaluate_ground_truth
 import pnkr.solver
 from pnkr.solver import (
+    HistoryRow,
     SolveData,
     SolverConfig,
     SolverState,
@@ -1304,6 +1305,23 @@ def test_history_roundtrip(tiny0, tiny0_problem, tmp_path):
         read_history(bogus)
 
 
+def test_history_layout(tmp_path):
+    # space-separated with 17 significant digits, NaN res and error without a
+    # reference; the seconds go to the sidecar with six decimals
+    rows = [
+        HistoryRow(loop=1, updates=12, data_residual=0.1, res=np.nan, error=np.nan, seconds=0.25),
+        HistoryRow(loop=2, updates=0, data_residual=2.0 / 3.0, res=1e-20, error=3.0, seconds=1.5),
+    ]
+    path = tmp_path / "history.csv"
+    write_history(rows, path)
+    assert path.read_bytes() == (
+        b"loop updates data_residual res error\n"
+        b"1 12 0.10000000000000001 nan nan\n"
+        b"2 0 0.66666666666666663 9.9999999999999995e-21 3\n"
+    )
+    assert (tmp_path / "history.csv.timing").read_bytes() == b"loop seconds\n1 0.250000\n2 1.500000\n"
+
+
 @pytest.mark.parametrize("fields", [1, 2, 4])
 def test_read_history_names_a_cut_row(tiny0, tiny0_problem, tmp_path, fields):
     u_star, data = tiny0_problem
@@ -1314,6 +1332,22 @@ def test_read_history_names_a_cut_row(tiny0, tiny0_problem, tmp_path, fields):
     # cut inside the third line, the second row
     path.write_text("\n".join(lines[:2] + [" ".join(lines[2].split()[:fields])]) + "\n")
     with pytest.raises(ValueError, match=f"history table line 3: expected 5 fields, found {fields}"):
+        read_history(path)
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("", "history table is empty"),
+        ("1 2 0.5 nan nan 7\n", "history table line 2: expected 5 fields, found 6"),
+        ("1.5 2 0.5 nan nan\n", "whole"),
+    ],
+    ids=["header_only", "extra_field", "fractional_loop"],
+)
+def test_read_history_rejects_a_malformed_body(tmp_path, body, match):
+    path = tmp_path / "history.txt"
+    path.write_text("loop updates data_residual res error\n" + body)
+    with pytest.raises(ValueError, match=match):
         read_history(path)
 
 
@@ -1336,6 +1370,15 @@ def test_coefficient_file_roundtrip(tiny0, tmp_path):
     short.write_bytes(raw[:-16])
     with pytest.raises(ValueError):
         read_coefficients(short)
+
+
+def test_coefficient_file_layout(tmp_path):
+    # the documented layout, built by hand: magic, the <u4 words version 1, N,
+    # L and s, then the <f8 coefficients
+    u = np.linspace(-1.0, 2.0, 6) / 7.0
+    path = tmp_path / "coeffs.pnku"
+    write_coefficients(u, 2, 3, 1, path)
+    assert path.read_bytes() == b"PNKU" + np.array([1, 2, 3, 1], dtype="<u4").tobytes() + u.astype("<f8").tobytes()
 
 
 # bytes kept of a PNKU file: 4-byte magic, then version, N, L, s as 4-byte

@@ -270,6 +270,19 @@ def test_pnkt_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_pnkt_layout(tmp_path):
+    # the documented layout, built by hand: magic, the <u4 words version 1,
+    # R_ext, nz, nt, R and obs_start, then <f8 dln, the observed range, the
+    # lambda, z and t nodes and S in (lambda, z, t) order
+    tg, _, _ = tiny_template()
+    path = tmp_path / "templates.pnkt"
+    write_template_grid(tg, path)
+    header = np.array([1, tg.R_ext, tg.z_nodes.size, tg.t_nodes.size, tg.R, tg.obs_start], dtype="<u4")
+    fields = (tg.dln, tg.lambda_obs_range, tg.lambda_nodes.nodes, tg.z_nodes, tg.t_nodes, tg.S)
+    body = b"".join(np.asarray(field, dtype="<f8").tobytes() for field in fields)
+    assert path.read_bytes() == b"PNKT" + header.tobytes() + body
+
+
 def test_pnkt_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.pnkt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
