@@ -36,6 +36,7 @@ from .mock import DataCube, add_noise, default_components, evaluate_ground_truth
 from .presets import PRESET_NAMES, preset_axes, preset_basis, preset_template, preset_window
 from .solver import (
     ORDERINGS,
+    STEP_KERNEL_BUILD,
     VARIANTS,
     SolverConfig,
     read_coefficients,
@@ -64,7 +65,7 @@ def _require_file(path: str, what: str) -> str:
 def _file_digest(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
 
@@ -76,7 +77,7 @@ def _blas(module) -> str:
 
 
 def _versions() -> dict:
-    """Package versions plus the BLAS builds, thread setting and machine the run used."""
+    """Package versions plus the BLAS builds, step kernel build, thread setting and machine the run used."""
     return {
         "pnkr": __version__,
         "python": platform.python_version(),
@@ -84,6 +85,7 @@ def _versions() -> dict:
         "scipy": scipy.__version__,
         "numpy_blas": _blas(np),
         "scipy_blas": _blas(scipy),
+        "step_kernel": STEP_KERNEL_BUILD,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),

@@ -349,13 +349,17 @@ def gram_eigenbasis(
 _FILE_VERSION = 1
 
 
-def _write_binary(path, magic: bytes, header, *fields) -> None:
-    """Write a binary file: the 4-byte ``magic``, the version and ``header`` as ``<u4`` words, then ``fields``.
+def _write_binary(path, magic: bytes, kind: str, header, *fields) -> None:
+    """Write a binary ``kind`` file: the 4-byte ``magic``, the version and ``header`` as ``<u4`` words, then ``fields``.
 
     Each field is written in C order as ``<f8``, or as ``<u8`` when it is
     an unsigned integer array.  Every conversion runs before the file is
-    opened, so a value that does not fit leaves no file behind.
+    opened, so a value that does not fit leaves no file behind; a header
+    word outside ``[0, 2**32)`` fails with a ``ValueError`` naming ``kind``.
     """
+    for word in header:
+        if not 0 <= word < 2**32:
+            raise ValueError(f"{kind} file header word {word} is outside the <u4 range [0, 2**32)")
     words = np.array([_FILE_VERSION, *header], dtype="<u4")
     arrays = [np.ascontiguousarray(f, dtype="<u8" if np.asarray(f).dtype.kind == "u" else "<f8") for f in fields]
     with open(path, "wb") as fh:

@@ -295,7 +295,7 @@ def write_datacube(cube: DataCube, path) -> None:
     payload = cube.samples.T.reshape(R, n1, n2).transpose(0, 2, 1)
     seed = np.array([cube.seed], dtype=np.uint64)
     header = (cube.x1_nodes.size, cube.x2_nodes.size, R)
-    _write_binary(path, b"PNKD", header, cube.x1_nodes, cube.x2_nodes, cube.lambda_obs, payload, cube.delta_r, seed)
+    _write_binary(path, b"PNKD", "datacube", header, cube.x1_nodes, cube.x2_nodes, cube.lambda_obs, payload, cube.delta_r, seed)
 
 
 def read_datacube(path) -> DataCube:

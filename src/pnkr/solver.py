@@ -43,26 +43,27 @@ A residual is affine in the iterate, so at the momentum point it is
 ``D + c (D - D')``, with ``D`` and ``D'`` the residuals at ``u_k`` and
 ``u_{k-1}`` and ``c`` the momentum factor (0 in the first sweep).  The
 sweep hands each step the residual at its step point; no step computes
-one.  A Kaczmarz step is memory-bound on large grids, so it makes one
-pass over row blocks of the iterate small enough to stay in L2
-(``_STEP_BLOCK_ENTRIES``), building each block of the new iterate in the
-``u_km1`` buffer and projecting it while it is in cache.  No step checks
-for inf or NaN: the next gate's product reads every entry.  A momentum
-step never forms its momentum point: per block, one ``dgemm`` turns
-``u_{k-1}`` into ``-c u_{k-1}`` plus the rank-one correction and
-``daxpy`` adds ``(1 + c) u_k``, two BLAS calls in place of three
-elementwise passes and the ``dgemm``.
+one.  Every Kaczmarz step is one compiled pass over the iterate
+(:func:`_rank_one_step`), which reads ``u_k``, and for a momentum step
+``u_{k-1}``, once per entry and writes the projected new iterate once,
+so a momentum step never forms its momentum point.  The pass is C,
+built at first import with the system's C compiler into the user cache
+(:func:`_load_step_kernel`).  No step checks for inf or NaN: the next
+gate's product reads every entry.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
 import numbers
+import os
+import platform
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dgemm
 
 from .forward import (
     SMOOTHING_TAPS,
@@ -103,24 +104,107 @@ __all__ = [
 VARIANTS = ("pnkr", "reduced_pnkr", "landweber_kaczmarz", "landweber")
 ORDERINGS = ("cyclic", "random_permutation")
 
-# Entries of one row block of the iterate in the Kaczmarz step:
-# 768 KiB of float64, which stays in a 1-4 MiB L2 next to the other
-# operands.  A paper-scale iterate (625 x 2808) runs in blocks of 35 rows;
-# a desk-scale one (144 x 448) is one block.  OpenBLAS runs a GEMM of
-# m*n*k <= 4 * 65536 on one thread, and the rank-one (k = 1) dgemm of a
-# block stays under that: a threaded k = 1 update over the whole paper
-# iterate made a sweep three times slower.
-_STEP_BLOCK_ENTRIES = 98_304
-# Entries of one daxpy in a momentum step.  OpenBLAS runs an axpy of at
-# most 10,000 entries on one thread; a threaded whole-block daxpy from
-# scipy's OpenBLAS next to numpy's threaded products stalled at 10-11 ms.
-_AXPY_ENTRIES = 10_000
 # Byte alignment of the two iterate buffers run() steps in.  The heap
 # places a fresh array at any 16-byte offset, which changed from one
 # process to the next, and a desk-scale step on buffers off a cache line
 # took about 11% (momentum) and 8% (c = 0) longer; page-aligned buffers
 # give every process the same layout.
 _BUFFER_ALIGN = 4096
+
+
+# The Kaczmarz step, one pass over an n_rows x n_cols iterate.  Each
+# entry rounds like OpenBLAS's k=1 dgemm followed, for c > 0, by a daxpy
+# of (1 + c) u, the sequence the tests keep as the reference:
+# x = (p a) alpha, then u + x, or fma(1 + c, u, fma(-c, o, x)) with o
+# the previous iterate.  The projection keeps t when t > 0 or t is NaN
+# and stores +0 otherwise, as np.maximum(t, 0.0) does.  u and out may be
+# one array when c = 0, so neither is restrict.  -ffp-contract=off keeps
+# the compiler from fusing u + x into an fma.  The pass is
+# single-threaded: two OpenMP threads next to numpy's threaded BLAS made
+# a paper sweep five times slower.
+_STEP_SOURCE = r"""
+#include <math.h>
+#include <stddef.h>
+
+const char *pnkr_step_compiler(void) { return __VERSION__; }
+
+void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols,
+               double c, double alpha, const double *a, const double *p)
+{
+    for (size_t n = 0; n < n_rows; n++) {
+        const double an = a[n];
+        const double *un = u + n * n_cols;
+        double *on = out + n * n_cols;
+        if (c == 0.0) {
+            for (size_t l = 0; l < n_cols; l++) {
+                double t = un[l] + (p[l] * an) * alpha;
+                on[l] = (t > 0.0 || t != t) ? t : 0.0;
+            }
+        } else {
+            for (size_t l = 0; l < n_cols; l++) {
+                double t = fma(1.0 + c, un[l], fma(-c, on[l], (p[l] * an) * alpha));
+                on[l] = (t > 0.0 || t != t) ? t : 0.0;
+            }
+        }
+    }
+}
+"""
+_STEP_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _host_cpu() -> str:
+    """The machine type plus the CPU model and feature lines of ``/proc/cpuinfo``, where there is one."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            lines = {line for line in fh if line.startswith(("vendor_id", "model name", "flags"))}
+    except OSError:
+        lines = set()
+    return platform.machine() + "".join(sorted(lines))
+
+
+def _load_step_kernel() -> ctypes.CDLL:
+    """The compiled Kaczmarz step, built on first use into ``$XDG_CACHE_HOME/pnkr`` (default ``~/.cache/pnkr``).
+
+    The library is named by a hash of its source, its flags and the host
+    CPU (``-march=native`` builds for this CPU), so a cache hit starts no
+    process.  A miss compiles with ``cc`` into a temporary file and
+    renames it into place, so concurrent first imports each publish a
+    whole library.  With no cached build and no C compiler on ``PATH``,
+    raises ``ImportError`` naming the missing compiler.
+    """
+    key = hashlib.sha256("\0".join([_STEP_SOURCE, *_STEP_FLAGS, _host_cpu()]).encode()).hexdigest()[:20]
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "pnkr")
+    path = os.path.join(cache, f"step-{key}.so")
+    if not os.path.exists(path):
+        import shutil
+        import subprocess
+        import tempfile
+
+        compiler = shutil.which("cc")
+        if compiler is None:
+            raise ImportError(f"pnkr compiles its Kaczmarz step at first import and needs a C compiler, but no C compiler (cc) is on PATH; the build would be cached in {cache}")
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            build = subprocess.run([compiler, *_STEP_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"], input=_STEP_SOURCE, capture_output=True, text=True)
+            if build.returncode:
+                raise ImportError(f"the C compiler (cc) failed to build pnkr's Kaczmarz step:\n{build.stderr}")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(path)
+    lib.pnkr_step.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_double, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
+    lib.pnkr_step.restype = None
+    lib.pnkr_step_compiler.argtypes = []
+    lib.pnkr_step_compiler.restype = ctypes.c_char_p
+    return lib
+
+
+_STEP_KERNEL = _load_step_kernel()
+# what computed the step, for run manifests: the compiler's __VERSION__ and the build flags
+STEP_KERNEL_BUILD = f"cc {_STEP_KERNEL.pnkr_step_compiler().decode()} {' '.join(_STEP_FLAGS)}"
 
 
 @dataclass(eq=False)
@@ -202,10 +286,10 @@ class SolverState:
     Every variant's step writes into ``u_k`` and ``u_km1`` in place:
     each step builds its new iterate in the ``u_km1`` buffer and the
     commit swaps the two arrays.  A momentum step first reads ``u_km1``
-    for the residual ``D'``; every Kaczmarz step then overwrites each row
-    block of ``u_km1`` with its new iterate: a copy of ``u_k`` corrected,
-    or for a momentum step ``u_km1`` itself scaled, corrected and added
-    to a multiple of ``u_k``, then projected.  Copy the arrays before
+    for the residual ``D'``; every Kaczmarz step then overwrites each
+    entry of ``u_km1`` with its new iterate: ``u_k`` corrected, or for a
+    momentum step the momentum point of ``u_k`` and ``u_km1`` corrected,
+    then projected.  Copy the arrays before
     handing them in if they must survive the sweep.  The finite check
     follows the commit, at the next gate; after its ``RuntimeError``
     both are undefined.
@@ -309,15 +393,6 @@ def _sweep_order(config: SolverConfig, R: int, k_R: int) -> np.ndarray:
     return rng.permutation(R) + 1
 
 
-def _row_blocks(N: int, L: int) -> list[slice]:
-    """Row blocks of an ``N x L`` iterate of at most ``_STEP_BLOCK_ENTRIES`` entries each.
-
-    A row longer than the budget is a block of its own.
-    """
-    rows = max(1, _STEP_BLOCK_ENTRIES // L)
-    return [slice(n0, min(n0 + rows, N)) for n0 in range(0, N, rows)]
-
-
 def _step_views(system: ForwardSystem, u: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A step's checked ``out`` (fresh when omitted) and the ``N x L`` views of ``u`` and ``out`` (one object if ``out is u``)."""
     N, L = system.N, system.L
@@ -326,39 +401,25 @@ def _step_views(system: ForwardSystem, u: np.ndarray, out: np.ndarray | None) ->
     elif out.shape != (N * L,) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape ({N * L},)")
     O = out.reshape(N, L)
-    return out, O if out is u else np.asarray(u, dtype=float).reshape(N, L), O
+    return out, O if out is u else np.ascontiguousarray(u, dtype=float).reshape(N, L), O
 
 
 def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, a: np.ndarray, p: np.ndarray) -> None:
-    """Every Kaczmarz step: ``O = max(Z + alpha a p^T, 0)`` with ``p`` an ``(L, 1)`` column.
+    """Every Kaczmarz step: ``O = max(Z + alpha a p^T, 0)`` in one compiled pass, ``p`` of ``L`` entries.
 
     ``Z`` is ``U``, or given ``k_R`` the momentum point
-    ``(1 + c) U - c O`` of ``U`` and the previous iterate in ``O``.  Each
-    row block is finished while it is in cache: with ``c = 0`` it is
-    copied from ``U`` (unless ``O is U``) and corrected by one k=1
-    ``dgemm``; with ``c > 0`` one ``dgemm`` scales the previous iterate
-    by ``-c`` and adds the correction, and ``daxpy`` calls of at most
-    ``_AXPY_ENTRIES`` entries add ``(1 + c) U``, so ``Z`` is never formed.
-    Then the block is projected.  No pass checks the result: the next
-    gate reads every entry (see :func:`_gated_sweep`).
+    ``(1 + c) U - c O`` of ``U`` and the previous iterate in ``O``, which
+    is never formed: each entry of ``O`` is read and written once.  ``U``
+    and ``O`` are C-contiguous float64 ``N x L`` arrays, one object only
+    without ``k_R``.  No pass checks the result: the next gate reads
+    every entry (see :func:`_gated_sweep`).
     """
     c = 0.0 if k_R is None else _momentum_factor(k_R)
-    L = O.shape[1]
-    if c:
-        # flat views for daxpy, which addresses each chunk by its offset
-        u_flat, o_flat = np.ascontiguousarray(U).reshape(-1), O.reshape(-1)
-    for blk in _row_blocks(*O.shape):
-        B = O[blk]
-        if not c and U is not O:
-            np.copyto(B, U[blk])
-        # B[n, l] = alpha a[n] p[l] + beta B[n, l], beta = 1 on the copy of U or -c on the
-        # previous iterate, in place through the Fortran-ordered view B.T
-        dgemm(alpha, p, a[None, blk], beta=-c if c else 1.0, c=B.T, overwrite_c=1)
-        if c:
-            end = blk.stop * L
-            for off in range(blk.start * L, end, _AXPY_ENTRIES):
-                daxpy(u_flat, o_flat, n=min(_AXPY_ENTRIES, end - off), a=1.0 + c, offx=off, offy=off)
-        threshold(B, out=B)
+    N, L = O.shape
+    a, p = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(p, dtype=float)
+    if U.shape != O.shape or a.shape != (N,) or p.size != L or not all(x.dtype == np.float64 and x.flags.c_contiguous for x in (U, O)):
+        raise ValueError(f"a step over an {N} x {L} iterate needs C-contiguous float64 iterates and factors of {N} and {L} entries")
+    _STEP_KERNEL.pnkr_step(U.ctypes.data, O.ctypes.data, N, L, c, alpha, a.ctypes.data, p.ctypes.data)
 
 
 def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None) -> np.ndarray:
@@ -652,7 +713,7 @@ def write_coefficients(u: np.ndarray, N: int, L: int, s: int, path) -> None:
     u = np.asarray(u, dtype=float)
     if u.shape != (N * L,):
         raise ValueError(f"coefficient vector has shape {u.shape}, expected ({N * L},)")
-    _write_binary(path, b"PNKU", (N, L, s), u)
+    _write_binary(path, b"PNKU", "coefficient", (N, L, s), u)
 
 
 def read_coefficients(path) -> CoefficientSet:

@@ -292,7 +292,7 @@ def write_template_grid(template: TemplateGrid, path) -> None:
     """Write a template library in the PNKT binary format (little-endian)."""
     header = (template.R_ext, len(template.z_nodes), len(template.t_nodes), template.R, template.obs_start)
     fields = (template.lambda_nodes.nodes, template.z_nodes, template.t_nodes, template.S)
-    _write_binary(path, b"PNKT", header, template.dln, template.lambda_obs_range, *fields)
+    _write_binary(path, b"PNKT", "template", header, template.dln, template.lambda_obs_range, *fields)
 
 
 def read_template_grid(path) -> TemplateGrid:

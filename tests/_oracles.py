@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+from scipy.linalg.blas import daxpy, dgemm
 from scipy.optimize import least_squares
 
 from pnkr.diagnostics import (
@@ -400,6 +401,44 @@ def least_squares_gauss_hermite_fit(losvd, order=4):
         mu = -mu
         h = h * np.array([(-1.0) ** k for k in range(3, order + 1)])
     return GaussHermiteFit(gamma=gamma, mu=mu, sigma=sigma, h=h, order=order, converged=True)
+
+# -- the Kaczmarz step as row-blocked BLAS calls ---------------------------------
+
+# Entries of one row block of the iterate: 768 KiB of float64, in L2.
+_STEP_BLOCK_ENTRIES = 98_304
+# Entries of one daxpy, at most what OpenBLAS runs on one thread.
+_AXPY_ENTRIES = 10_000
+
+
+def _row_blocks(N, L):
+    """Row blocks of an ``N x L`` iterate of at most ``_STEP_BLOCK_ENTRIES`` entries each."""
+    rows = max(1, _STEP_BLOCK_ENTRIES // L)
+    return [slice(n0, min(n0 + rows, N)) for n0 in range(0, N, rows)]
+
+
+def blas_rank_one_step(U, O, c, alpha, a, p):
+    """``O = max(Z + alpha a p^T, 0)`` by dgemm and daxpy, ``Z`` being ``U`` or ``(1 + c) U - c O``.
+
+    The reference for the compiled step: with ``c = 0`` each row block is
+    copied from ``U`` (unless ``O is U``) and corrected by one k=1
+    ``dgemm``; with ``c > 0`` one ``dgemm`` scales the previous iterate in
+    ``O`` by ``-c`` and adds the correction, and ``daxpy`` adds
+    ``(1 + c) U``.  ``p`` is an ``(L, 1)`` column.
+    """
+    L = O.shape[1]
+    if c:
+        u_flat, o_flat = np.ascontiguousarray(U).reshape(-1), O.reshape(-1)
+    for blk in _row_blocks(*O.shape):
+        B = O[blk]
+        if not c and U is not O:
+            np.copyto(B, U[blk])
+        dgemm(alpha, p, a[None, blk], beta=-c if c else 1.0, c=B.T, overwrite_c=1)
+        if c:
+            end = blk.stop * L
+            for off in range(blk.start * L, end, _AXPY_ENTRIES):
+                daxpy(u_flat, o_flat, n=min(_AXPY_ENTRIES, end - off), a=1.0 + c, offx=off, offy=off)
+        np.maximum(B, 0.0, out=B)
+
 
 # -- manifests -----------------------------------------------------------------
 

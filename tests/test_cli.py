@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from pnkr.presets import (
     preset_template,
     preset_window,
 )
-from pnkr.solver import VARIANTS, read_coefficients, read_history
+from pnkr.solver import STEP_KERNEL_BUILD, VARIANTS, read_coefficients, read_history
 
 from _oracles import manifest_run_key, read_manifest
 
@@ -184,6 +185,12 @@ def test_solve_manifest_records_the_blas(pipeline_dir):
     for key, module in (("numpy_blas", np), ("scipy_blas", scipy)):
         blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert versions[key] == f"{blas['name']} {blas['version']}"
+    # the step kernel: the compiler's __VERSION__, then the build flags
+    flags = " -O3 -march=native -ffp-contract=off -shared -fPIC"
+    assert versions["step_kernel"] == STEP_KERNEL_BUILD
+    assert versions["step_kernel"].startswith("cc ") and versions["step_kernel"].endswith(flags)
+    compiler = subprocess.run(["cc", "-dumpversion"], capture_output=True, text=True, check=True).stdout.strip()
+    assert compiler in versions["step_kernel"][3 : -len(flags)]
     assert versions["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS", "default")
     assert versions["cpu_count"] == os.cpu_count()
     assert versions["machine"] == platform.machine()

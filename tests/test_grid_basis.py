@@ -17,6 +17,7 @@ from pnkr.grid_basis import (
 )
 from pnkr.grid_basis import _GAUSS_RULE, _axis_factors, _axis_panels, _breakpoints, _open_binary, _write_binary
 from pnkr.presets import PRESET_NAMES, preset_axes, preset_basis
+from pnkr.solver import write_coefficients
 
 from _oracles import coefficients_to_function, dense_Phi, dense_Psi
 
@@ -415,7 +416,7 @@ def test_integral_weights_match_quadrature():
 def test_binary_file_errors_name_the_kind(tmp_path):
     # the shared opener behind the template, datacube and coefficient readers
     path = tmp_path / "file.bin"
-    _write_binary(path, b"ABCD", (3,), np.arange(3.0), np.array([2**64 - 1], dtype=np.uint64))
+    _write_binary(path, b"ABCD", "sample", (3,), np.arange(3.0), np.array([2**64 - 1], dtype=np.uint64))
     with _open_binary(path, b"ABCD", 1, "sample") as ((count,), read):
         np.testing.assert_array_equal(read(count), np.arange(3.0))
         assert int(read(1, "<u8")[0]) == 2**64 - 1
@@ -430,3 +431,14 @@ def test_binary_file_errors_name_the_kind(tmp_path):
     with pytest.raises(ValueError, match="unsupported sample file version 2"):
         with _open_binary(path, b"ABCD", 1, "sample"):
             pass
+
+
+@pytest.mark.parametrize("word", [2**32, -1])
+def test_binary_header_word_out_of_range_leaves_no_file(tmp_path, word):
+    path = tmp_path / "coefficients.pnku"
+    with pytest.raises(ValueError, match=f"coefficient file header word {word} is outside the <u4 range"):
+        write_coefficients(np.zeros(0), 0, word, 0, path)
+    assert not path.exists()
+    with pytest.raises(ValueError, match=f"sample file header word {word} "):
+        _write_binary(path, b"ABCD", "sample", (1, word), np.arange(3.0))
+    assert not path.exists()

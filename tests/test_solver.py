@@ -2,7 +2,12 @@
 
 import collections
 import functools
+import os
+import shutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +49,7 @@ from pnkr.solver import (
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 from pnkr.forward import rho_estimate
 
-from _oracles import dense_G, dense_Hr, dense_M, dense_Phi, dense_Psi, equation_residual_norm, row_space_image
+from _oracles import blas_rank_one_step, dense_G, dense_Hr, dense_M, dense_Phi, dense_Psi, equation_residual_norm, row_space_image
 
 OMEGA_GRIDS = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
 THETA_GRIDS = (
@@ -249,7 +254,7 @@ def test_resolve_omega(tiny0):
 
 
 @pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
-def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
+def test_equation_update_matches_dense_kkt(fixture_name, request):
     system = request.getfixturevalue(fixture_name)
     rng = np.random.default_rng(3)
     z = rng.uniform(0.0, 1.0, system.N * system.L)
@@ -263,13 +268,6 @@ def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
         in_place = z.copy()
         assert pnkr_equation_update(system, in_place, d, r, omega, out=in_place) is in_place
         assert np.array_equal(in_place, got)
-        with monkeypatch.context() as m:
-            # the step in row blocks of 2, the last one partial
-            m.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", 2 * system.L)
-            assert np.array_equal(pnkr_equation_update(system, z, d, r, omega), got)
-            in_place = z.copy()
-            pnkr_equation_update(system, in_place, d, r, omega, out=in_place)
-            assert np.array_equal(in_place, got)
         H = dense_Hr(system, r)
         w_r = G_dense @ y_r
         resid = w_r - H @ z
@@ -283,20 +281,11 @@ def test_equation_update_matches_dense_kkt(fixture_name, request, monkeypatch):
                 update(system, z, y_r, bad, omega)
 
 
-def test_row_blocks_cover_every_row_once_within_budget():
-    budget = pnkr.solver._STEP_BLOCK_ENTRIES
-    assert pnkr.solver._row_blocks(144, 448) == [slice(0, 144)]
-    blocks = pnkr.solver._row_blocks(625, 2808)
-    assert len(blocks) > 1
-    assert all(0 < (b.stop - b.start) * 2808 <= budget for b in blocks)
-    assert [n for b in blocks for n in range(b.start, b.stop)] == list(range(625))
-    # a row longer than the budget is a block of its own
-    assert pnkr.solver._row_blocks(3, budget + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-
-
 @pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
 @pytest.mark.parametrize("rows", [2, 3])
-def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request, monkeypatch):
+def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request):
+    # the compiled step is entrywise: row blocks of the iterate stepped one at a time,
+    # the last one partial, match one pass over the whole iterate
     system = request.getfixturevalue(fixture_name)
     M = system.N * system.L
     rng = np.random.default_rng(31)
@@ -304,10 +293,10 @@ def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request, mon
     u_km1 = rng.uniform(0.0, 1.0, M)
     y_r = rng.uniform(0.0, 1e-3, system.N)
     omega = 0.9 / rho_estimate(system)
+    blocks = [slice(n0, min(n0 + rows, system.N)) for n0 in range(0, system.N, rows)]
     for r in (1, system.R):
-        # reference: one-block steps, each given the residual at its step point; at
+        # reference: whole-iterate steps, each given the residual at its step point; at
         # k_R = 1 the momentum factor is 0, and the step is the plain one at u_k
-        monkeypatch.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", M)
         z = {None: u_k}
         for k_R in (1, 2, 5):
             z[k_R] = nesterov_extrapolate(u_k, u_km1, k_R)
@@ -316,13 +305,16 @@ def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request, mon
         plain[1] = pnkr_equation_update(system, z[1], d[1], r, omega, out=z[1])
         for k_R in (2, 5):
             plain[k_R] = pnkr_equation_update(system, u_k, d[k_R], r, omega, out=u_km1.copy(), k_R=k_R)
-        monkeypatch.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", rows * system.L)
-        assert len(pnkr.solver._row_blocks(system.N, system.L)) > 1
+        U, p = u_k.reshape(system.N, system.L), system.Phi_inv_Q[:, r - 1]
         for k_R in (1, 2, 5):
             buf = u_km1.copy()
             got = pnkr_equation_update(system, u_k, d[k_R], r, omega, out=buf, k_R=k_R)
             assert got is buf
             assert np.array_equal(got, plain[k_R])
+            a, O = system.Psi_inv_G @ d[k_R], u_km1.copy().reshape(system.N, system.L)
+            for blk in blocks:
+                pnkr.solver._rank_one_step(U[blk], O[blk], k_R, omega, a[blk], p)
+            assert np.array_equal(O.reshape(-1), plain[k_R])
         fresh = pnkr_equation_update(system, u_k, d[None], r, omega)
         assert np.array_equal(fresh, plain[None])
         in_place = u_k.copy()
@@ -338,8 +330,8 @@ def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request, mon
 
 @pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
 def test_momentum_step_is_the_projected_step_at_the_momentum_point(fixture_name, request):
-    # the step never forms z = u_k + c (u_k - u_km1): one dgemm scales u_km1 by -c and
-    # adds w = omega a p^T, then a daxpy adds (1 + c) u_k.  To first order each side is
+    # the step never forms z = u_k + c (u_k - u_km1): it computes
+    # fma(1 + c, u_k, fma(-c, u_km1, w)) with w = omega a p^T.  To first order each side is
     # within 4 eps ((1 + 2c)|u_k| + c|u_km1| + |w|) of the exact value, entrywise, and
     # the projection is 1-Lipschitz, so the two differ by at most twice that
     system = request.getfixturevalue(fixture_name)
@@ -363,34 +355,93 @@ def test_momentum_step_is_the_projected_step_at_the_momentum_point(fixture_name,
             assert 0 < np.sum(unprojected < 0.0) < M
 
 
-@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
-def test_momentum_step_in_small_axpy_chunks_matches_one_chunk_bitwise(fixture_name, request, monkeypatch):
-    system = request.getfixturevalue(fixture_name)
-    M = system.N * system.L
-    assert pnkr.solver._row_blocks(system.N, system.L) == [slice(0, system.N)]
-    rng = np.random.default_rng(35)
-    u_k, u_km1 = rng.uniform(0.0, 1.0, M), rng.uniform(0.0, 1.0, M)
-    d = rng.uniform(-1e-3, 1e-3, system.N)
-    omega = 0.9 / rho_estimate(system)
-    real_daxpy, sizes = pnkr.solver.daxpy, []
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
 
-    def counting(*args, n, **kwargs):
-        sizes.append(n)
-        return real_daxpy(*args, n=n, **kwargs)
 
-    monkeypatch.setattr(pnkr.solver, "daxpy", counting)
-    for k_R in (2, 5):
-        monkeypatch.setattr(pnkr.solver, "_AXPY_ENTRIES", M)
-        want = pnkr_equation_update(system, u_k, d, 1, omega, out=u_km1.copy(), k_R=k_R)
-        assert sizes == [M]
-        # chunks far below one block, and chunks that straddle row ends
-        for chunk in (7, system.L + 1):
-            sizes.clear()
-            monkeypatch.setattr(pnkr.solver, "_AXPY_ENTRIES", chunk)
-            got = pnkr_equation_update(system, u_k, d, 1, omega, out=u_km1.copy(), k_R=k_R)
-            assert sum(sizes) == M and max(sizes) == chunk and len(sizes) == -(-M // chunk)
-            assert np.array_equal(got, want)
-        sizes.clear()
+@pytest.mark.parametrize("case", ["tiny0", "tiny1", "paper_shape"])
+def test_step_kernel_matches_blas_sequence_bitwise(case, request):
+    # the compiled pass against the row-blocked dgemm/daxpy sequence it replaced, for
+    # c = 0 and c > 0, out of place and (c = 0) in place
+    rng = np.random.default_rng(37)
+    if case == "paper_shape":
+        N, L = 625, 2808
+        a, p, alpha = rng.normal(size=N), rng.normal(size=(L, 1)), 0.37
+    else:
+        system = request.getfixturevalue(case)
+        N, L = system.N, system.L
+        p, alpha = system.Phi_inv_Q[:, 0, None], 0.9 / rho_estimate(system)
+        a = system.Psi_inv_G @ rng.normal(size=N)
+        a *= 2.0 / (alpha * np.abs(a).max() * np.abs(p).max())  # corrections up to 2, so some entries clip
+    U, prev = rng.uniform(0.0, 1.0, (N, L)), rng.uniform(0.0, 1.0, (N, L))
+    for k_R in (None, 2, 5):
+        c = 0.0 if k_R is None else (k_R - 1.0) / (k_R + 2.0)
+        want, got = prev.copy(), prev.copy()
+        blas_rank_one_step(U, want, c, alpha, a, p)
+        pnkr.solver._rank_one_step(U, got, k_R, alpha, a, p)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert 0 < np.sum(want == 0.0) < want.size
+    want, got = U.copy(), U.copy()
+    blas_rank_one_step(want, want, 0.0, alpha, a, p)
+    pnkr.solver._rank_one_step(got, got, None, alpha, a, p)
+    assert np.array_equal(_bits(got), _bits(want))
+    # the pass takes raw pointers: strided, short or non-float64 operands never reach it
+    L2 = (L + 1) // 2
+    for bad in [(U[:, ::2], got[:, ::2], a, p[:L2]), (U, got, a[:-1], p), (U, got, a, p[:-1]), (U.astype(np.float32), got, a, p)]:
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            pnkr.solver._rank_one_step(bad[0], bad[1], None, alpha, bad[2], bad[3])
+
+
+@pytest.mark.parametrize("where", ["u_k", "u_km1"])
+def test_step_kernel_projects_nan_inf_and_zero_like_np_maximum(where):
+    rng = np.random.default_rng(38)
+    N, L = 7, 33
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    U, prev = rng.uniform(0.0, 1.0, (N, L)), rng.uniform(0.0, 1.0, (N, L))
+    bad = U if where == "u_k" else prev
+    cells = rng.choice(N * L, size=4 * specials.size, replace=False)
+    bad.reshape(-1)[cells] = np.tile(specials, 4)
+    a, p = rng.normal(size=N), rng.normal(size=(L, 1))
+    p[::5] = 0.0  # x = -0.0 where a[n] < 0
+    for k_R in (None, 2, 5):
+        c = 0.0 if k_R is None else (k_R - 1.0) / (k_R + 2.0)
+        want, got = prev.copy(), prev.copy()
+        blas_rank_one_step(U, want, c, 0.5, a, p)
+        pnkr.solver._rank_one_step(U, got, k_R, 0.5, a, p)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        if k_R is None and where == "u_k":
+            assert np.isnan(got).any() and np.isinf(got).any()
+
+
+def _import_solver(cache, path_dir, no_processes=False):
+    """Import ``pnkr.solver`` in a fresh process with ``XDG_CACHE_HOME=cache`` and ``PATH=path_dir``.
+
+    With ``no_processes`` the child cannot start one: its ``subprocess.Popen`` is gone.
+    """
+    src = str(Path(pnkr.solver.__file__).parents[1])
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=str(path_dir))
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import subprocess\nsubprocess.Popen = None\n" if no_processes else ""
+    code += "import pnkr.solver\nprint(pnkr.solver.STEP_KERNEL_BUILD)"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_step_kernel_builds_once_and_loads_from_the_cache(tmp_path):
+    cache, no_cc = tmp_path / "cache", tmp_path / "no-cc"
+    no_cc.mkdir()
+    built = _import_solver(cache, Path(os.path.dirname(shutil.which("cc"))))
+    assert built.returncode == 0, built.stderr
+    libraries = list((cache / "pnkr").iterdir())
+    assert len(libraries) == 1 and libraries[0].suffix == ".so"
+    assert built.stdout.strip() == pnkr.solver.STEP_KERNEL_BUILD
+    loaded = _import_solver(cache, no_cc, no_processes=True)
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout == built.stdout
+    assert list((cache / "pnkr").iterdir()) == libraries
+    missing = _import_solver(tmp_path / "empty", no_cc)
+    assert missing.returncode != 0
+    assert "ImportError" in missing.stderr and "no C compiler (cc) is on PATH" in missing.stderr
 
 
 def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
@@ -644,34 +695,6 @@ def test_gated_sweep_rejects_non_finite_step(tiny0, tiny0_problem, bad):
     cfg = SolverConfig(variant="pnkr", s=0)
     with pytest.raises(RuntimeError, match="omega"):
         pnkr.solver._gated_sweep(state, cfg, eager, tiny0, 0.5, [slice(0, 1)], step)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("momentum", [True, False])
-def test_sweep_rejects_non_finite_last_row_block(tiny0, tiny0_problem, monkeypatch, bad, momentum):
-    _, data = tiny0_problem
-    eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
-    M = tiny0.N * tiny0.L
-    monkeypatch.setattr(pnkr.solver, "_STEP_BLOCK_ENTRIES", 2 * tiny0.L)
-    n_blocks = len(pnkr.solver._row_blocks(tiny0.N, tiny0.L))
-    real_dgemm, calls = pnkr.solver.dgemm, []
-
-    def poisoned(*args, c, **kwargs):
-        # the correction of the last row block leaves one bad entry, the iterate's last
-        out = real_dgemm(*args, c=c, **kwargs)
-        calls.append(c.shape)
-        if len(calls) == n_blocks:
-            c[-1, -1] = bad
-        return out
-
-    monkeypatch.setattr(pnkr.solver, "dgemm", poisoned)
-    rng = np.random.default_rng(32)
-    state = SolverState(u_k=rng.uniform(0.0, 1.0, M), u_km1=rng.uniform(0.0, 1.0, M), k_R=2)
-    cfg = SolverConfig(variant="pnkr", s=0)
-    with pytest.raises(RuntimeError, match="omega"):
-        pnkr_sweep(state, cfg, eager, tiny0, omega=1.0 / rho_estimate(tiny0), momentum=momentum)
-    assert len(calls) == n_blocks > 1
-    assert calls[-1] == (tiny0.L, 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
