@@ -16,10 +16,12 @@ then the projected preconditioned step
 
 which the Kronecker structure collapses to a rank-one correction of the
 coefficient matrix.  The loop counter ``k_R`` driving the momentum
-factor advances once per sweep; skipped equations advance nothing.  The
-run terminates on the first sweep that makes no update, at which point
-every equation satisfies the discrepancy bound simultaneously, or when
-the loop budget runs out (reported as truncation, not an error).
+factor advances once per sweep; skipped equations advance nothing.
+:func:`sweeps` steps a state and yields each sweep's history row, and
+:func:`run` collects them from the initial guess.  A run ends on the
+first sweep that makes no update, at which point every equation
+satisfies the discrepancy bound simultaneously, or when the loop budget
+runs out (reported as truncation, not an error).
 
 Every variant runs through one gated block driver: a block is a slice
 of equations, gated together on its residual at ``u_k`` and, when any
@@ -94,6 +96,7 @@ __all__ = [
     "pnkr_sweep",
     "reduced_pnkr_sweep",
     "landweber_step",
+    "sweeps",
     "run",
     "write_coefficients",
     "read_coefficients",
@@ -169,8 +172,9 @@ def _load_step_kernel() -> ctypes.CDLL:
     CPU (``-march=native`` builds for this CPU), so a cache hit starts no
     process.  A miss compiles with ``cc`` into a temporary file and
     renames it into place, so concurrent first imports each publish a
-    whole library.  With no cached build and no C compiler on ``PATH``,
-    raises ``ImportError`` naming the missing compiler.
+    whole library.  With no cached build, raises ``ImportError`` naming
+    the cache directory when it cannot be written, or else the missing
+    compiler when there is no C compiler on ``PATH``.
     """
     key = hashlib.sha256("\0".join([_STEP_SOURCE, *_STEP_FLAGS, _host_cpu()]).encode()).hexdigest()[:20]
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "pnkr")
@@ -180,13 +184,16 @@ def _load_step_kernel() -> ctypes.CDLL:
         import subprocess
         import tempfile
 
-        compiler = shutil.which("cc")
-        if compiler is None:
-            raise ImportError(f"pnkr compiles its Kaczmarz step at first import and needs a C compiler, but no C compiler (cc) is on PATH; the build would be cached in {cache}")
-        os.makedirs(cache, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        try:
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        except OSError as exc:
+            raise ImportError(f"pnkr builds its Kaczmarz step into the cache directory {cache}, which cannot be written ({exc}); set XDG_CACHE_HOME to a writable directory") from exc
         os.close(fd)
         try:
+            compiler = shutil.which("cc")
+            if compiler is None:
+                raise ImportError(f"pnkr compiles its Kaczmarz step at first import and needs a C compiler, but no C compiler (cc) is on PATH; the build would be cached in {cache}")
             build = subprocess.run([compiler, *_STEP_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"], input=_STEP_SOURCE, capture_output=True, text=True)
             if build.returncode:
                 raise ImportError(f"the C compiler (cc) failed to build pnkr's Kaczmarz step:\n{build.stderr}")
@@ -563,7 +570,7 @@ def landweber_step(state: SolverState, config: SolverConfig, data: SolveData, sy
     runs in place like the pnkr sweep: the correction is written into
     the ``u_km1`` buffer, which is then projected and swapped in as
     ``u_k``.  ``residual`` may hand in
-    ``(D, norms)`` of all equations at ``u_k``, as :func:`run` does from
+    ``(D, norms)`` of all equations at ``u_k``, as :func:`sweeps` does from
     the previous loop's history row.
     """
 
@@ -577,37 +584,28 @@ def landweber_step(state: SolverState, config: SolverConfig, data: SolveData, sy
     return _gated_sweep(state, config, data, system, omega, [slice(0, system.R)], step, residual)
 
 
-def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | None = None) -> RunResult:
-    """Sweep until every equation meets the discrepancy bound.
+def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float, u_star: np.ndarray | None = None):
+    """Step ``state`` in place one sweep of ``config.variant`` at a time, yielding each sweep's :class:`HistoryRow`.
 
-    Parameters
-    ----------
-    config : SolverConfig
-    data : SolveData or datacube-like
-        Observed samples plus ``delta_r``.
-    system : ForwardSystem
-    u_star : ndarray, optional
-        Reference coefficients; when given, each history row carries the
-        stacked moment-space residual ``res`` and the relative error.
-
-    Returns
-    -------
-    RunResult
-        ``converged`` means a sweep passed with zero updates, so every
-        equation satisfied its bound simultaneously; ``truncated`` means
-        the loop budget ran out first.
+    A row's ``loop`` is ``state.k_R - 1`` after its sweep.  The generator
+    ends after a sweep that makes no update, or once ``state.k_R`` passes
+    ``config.max_loops``, so a state that already swept keeps the same
+    budget.  Between rows ``state.u_k`` is the current iterate; copy it
+    to keep it.  Given reference coefficients ``u_star``, each row
+    carries the stacked moment-space residual ``res`` and the relative
+    error.  ``data`` is :class:`SolveData` or datacube-like.
 
     Raises
     ------
     ValueError
-        If the data do not fit the system, the config's ``s`` or ``beta``
-        differs from the system basis's, a channel ``r`` has a non-finite
-        sample or a non-finite or negative ``delta_r``, or the initial
-        guess has a non-finite or negative entry.
+        When the first row is asked for, if the data do not fit the
+        system, the config's ``s`` or ``beta`` differs from the system
+        basis's, a channel ``r`` has a non-finite sample or a non-finite
+        or negative ``delta_r``, or ``u_star`` does not fit the system.
     RuntimeError
         If an iterate leaves the finite range or its norm grows by a
-        factor 1e6 over the first nonzero iterate, both symptoms of an
-        oversized stepsize.
+        factor 1e6 over the first nonzero iterate this generator saw,
+        both symptoms of an oversized stepsize.
     """
     data = as_solve_data(data)
     if data.y.shape != (system.N, system.R):
@@ -625,6 +623,52 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
         if not finite_y[r - 1]:
             raise ValueError(f"channel r={r} has a non-finite sample")
         raise ValueError(f"channel r={r} has delta_r={data.delta_r[r - 1]:g}; it must be finite and nonnegative")
+    if u_star is not None:
+        u_star = np.asarray(u_star, dtype=float)
+        if u_star.shape != (system.N * system.L,):
+            raise ValueError(f"reference coefficients have shape {u_star.shape}, expected ({system.N * system.L},)")
+        star_norm = float(np.linalg.norm(u_star))
+    ref_norm = float(np.linalg.norm(state.u_k)) or None
+    residual = None
+    while state.k_R <= config.max_loops:
+        # entered per sweep: an errstate held across the yield would stay in force in the caller
+        with np.errstate(over="ignore", invalid="ignore"):
+            t0 = time.perf_counter()
+            if config.variant in ("pnkr", "landweber_kaczmarz"):
+                updates = pnkr_sweep(state, config, data, system, omega, momentum=config.variant == "pnkr")
+            elif config.variant == "reduced_pnkr":
+                updates = reduced_pnkr_sweep(state, config, data, system, omega)
+            else:
+                updates = landweber_step(state, config, data, system, omega, residual=residual)
+            seconds = time.perf_counter() - t0
+            res = error = np.nan
+            if u_star is not None:
+                diff = u_star - state.u_k
+                res = float(np.linalg.norm(apply_H_all(system, diff)))
+                error = float(np.linalg.norm(diff)) / star_norm if star_norm > 0 else np.nan
+            # the residual at u_k of every equation; Landweber's next gate reuses it
+            residual = _block_residual(system, state.u_k, data)
+            data_residual = float(np.sqrt(np.sum(residual[1] ** 2)))
+            row = HistoryRow(loop=state.k_R - 1, updates=updates, data_residual=data_residual, res=res, error=error, seconds=seconds)
+            u_norm = float(np.linalg.norm(state.u_k))
+            if ref_norm is None:
+                ref_norm = u_norm or None
+            elif u_norm > 1e6 * ref_norm:
+                raise RuntimeError(f"iterate norm grew by more than 1e6; the stepsize omega={omega:g} is too large")
+        yield row
+        if updates == 0:
+            return
+
+
+def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | None = None) -> RunResult:
+    """Sweep from the initial guess until every equation meets the discrepancy bound: all of :func:`sweeps`.
+
+    ``converged`` means a sweep passed with zero updates, so every
+    equation satisfied its bound simultaneously; ``truncated`` means the
+    loop budget ran out first.  Raises what :func:`sweeps` raises, and
+    ``ValueError`` if the initial guess has a non-finite or negative
+    entry.
+    """
     M = system.N * system.L
     if config.initial_guess is not None:
         u0 = np.asarray(config.initial_guess, dtype=float)
@@ -638,51 +682,7 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
         u0 = 0.0  # the zero iterate
     omega = resolve_omega(config, system)
     state = SolverState(u_k=_aligned_copy(u0, (M,)), u_km1=_aligned_copy(u0, (M,)))
-    if u_star is not None:
-        u_star = np.asarray(u_star, dtype=float)
-        if u_star.shape != (M,):
-            raise ValueError(f"reference coefficients have shape {u_star.shape}, expected ({M},)")
-        star_norm = float(np.linalg.norm(u_star))
-    ref_norm = float(np.linalg.norm(state.u_k)) or None
-    history, residual = [], None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for loop in range(1, config.max_loops + 1):
-            t0 = time.perf_counter()
-            if config.variant == "pnkr":
-                updates = pnkr_sweep(state, config, data, system, omega, momentum=True)
-            elif config.variant == "landweber_kaczmarz":
-                updates = pnkr_sweep(state, config, data, system, omega, momentum=False)
-            elif config.variant == "reduced_pnkr":
-                updates = reduced_pnkr_sweep(state, config, data, system, omega)
-            else:
-                updates = landweber_step(state, config, data, system, omega, residual=residual)
-            seconds = time.perf_counter() - t0
-            if u_star is not None:
-                diff = u_star - state.u_k
-                res = float(np.linalg.norm(apply_H_all(system, diff)))
-                error = float(np.linalg.norm(diff)) / star_norm if star_norm > 0 else np.nan
-            else:
-                res = np.nan
-                error = np.nan
-            # the residual at u_k of every equation; Landweber's next gate reuses it
-            residual = _block_residual(system, state.u_k, data)
-            history.append(
-                HistoryRow(
-                    loop=loop,
-                    updates=updates,
-                    data_residual=float(np.sqrt(np.sum(residual[1] ** 2))),
-                    res=res,
-                    error=error,
-                    seconds=seconds,
-                )
-            )
-            u_norm = float(np.linalg.norm(state.u_k))
-            if ref_norm is None:
-                ref_norm = u_norm or None
-            elif u_norm > 1e6 * ref_norm:
-                raise RuntimeError(f"iterate norm grew by more than 1e6; the stepsize omega={omega:g} is too large")
-            if updates == 0:
-                break
+    history = list(sweeps(state, config, data, system, omega, u_star))
     converged = history[-1].updates == 0
     return RunResult(
         u=state.u_k,

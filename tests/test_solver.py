@@ -42,6 +42,7 @@ from pnkr.solver import (
     reduced_pnkr_sweep,
     resolve_omega,
     run,
+    sweeps,
     threshold,
     write_coefficients,
     write_history,
@@ -442,6 +443,17 @@ def test_step_kernel_builds_once_and_loads_from_the_cache(tmp_path):
     missing = _import_solver(tmp_path / "empty", no_cc)
     assert missing.returncode != 0
     assert "ImportError" in missing.stderr and "no C compiler (cc) is on PATH" in missing.stderr
+
+
+def test_step_kernel_names_a_cache_directory_it_cannot_write(tmp_path):
+    # the cache directory is made before the compiler is looked for, so no compiler is needed
+    not_a_dir, no_cc = tmp_path / "cache-file", tmp_path / "no-cc"
+    not_a_dir.write_text("")
+    no_cc.mkdir()
+    failed = _import_solver(not_a_dir, no_cc)
+    assert failed.returncode != 0
+    last = failed.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError") and str(not_a_dir / "pnkr") in last and "XDG_CACHE_HOME" in last
 
 
 def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
@@ -873,7 +885,8 @@ def test_run_ordering_matches_documented_permutation(tiny0, tiny0_problem):
 @pytest.mark.parametrize("variant", pnkr.solver.VARIANTS)
 def test_run_is_a_loop_of_sweeps_on_a_fresh_state(tiny0, tiny0_problem, variant, ordering):
     # a sweep reads only the two iterates, k_R and the configuration, so the public
-    # sweeps on SolverState(u0, u0) give run()'s iterate and update counts bitwise
+    # sweeps on SolverState(u0, u0) give run()'s iterate and update counts bitwise,
+    # and the sweeps() generator gives run()'s history rows bitwise but for the wall time
     u_star, data = tiny0_problem
     guess = np.random.default_rng(40).uniform(0.0, 0.5, tiny0.N * tiny0.L)
     cfg = SolverConfig(variant=variant, s=0, max_loops=6, ordering=ordering, seed=5, initial_guess=guess)
@@ -893,6 +906,44 @@ def test_run_is_a_loop_of_sweeps_on_a_fresh_state(tiny0, tiny0_problem, variant,
     assert res.total_updates == sum(updates)
     assert res.converged == (updates[-1] == 0) != res.truncated
     assert np.array_equal(state.u_k, res.u)
+    fresh = SolverState(guess.copy(), guess.copy())
+    fields = ("loop", "updates", "data_residual", "res", "error")
+
+    def table(rows):
+        return np.array([[getattr(row, f) for f in fields] for row in rows], dtype=float).tobytes()
+
+    assert table(sweeps(fresh, cfg, data, tiny0, omega, u_star)) == table(res.history)
+    assert fresh.k_R == state.k_R and np.array_equal(fresh.u_k, res.u)
+
+
+def test_sweeps_stops_and_continues_like_run(tiny0, tiny0_problem):
+    # a caller reads the iterate at the first total-residual stop and sweeps on to
+    # run()'s end; numpy's error state is the caller's whenever the generator is paused
+    _, data = tiny0_problem
+    cfg = SolverConfig(variant="pnkr", s=0, max_loops=80, seed=0)
+    res = run(cfg, data, tiny0)
+    omega, M = resolve_omega(cfg, tiny0), tiny0.N * tiny0.L
+    limit = 1.2 * np.linalg.norm(data.delta_r)
+    with np.errstate(over="warn", invalid="raise"):
+        caller = np.geterr()
+        state, early = SolverState(np.zeros(M), np.zeros(M)), None
+        for row in sweeps(state, cfg, data, tiny0, omega):
+            assert np.geterr() == caller
+            if early is None and row.data_residual <= limit:
+                early, stop = state.u_k.copy(), row.loop
+        assert 1 < stop < res.loops == row.loop == cfg.max_loops
+        assert np.array_equal(state.u_k, res.u)
+        for row in sweeps(SolverState(np.zeros(M), np.zeros(M)), cfg, data, tiny0, omega):
+            break
+        assert np.geterr() == caller
+    truncated = run(SolverConfig(variant="pnkr", s=0, max_loops=stop, seed=0), data, tiny0)
+    assert np.array_equal(early, truncated.u) and not np.array_equal(early, res.u)
+    bad = SolveData(y=data.y[:, :-1], delta_r=data.delta_r)
+    with pytest.raises(ValueError, match="data cube has shape") as from_run:
+        run(cfg, bad, tiny0)
+    with pytest.raises(ValueError) as from_sweeps:
+        list(sweeps(SolverState(np.zeros(M), np.zeros(M)), cfg, bad, tiny0, omega))
+    assert str(from_sweeps.value) == str(from_run.value)
 
 
 def _dense_landweber_step(system, data, u, omega):
