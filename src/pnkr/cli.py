@@ -498,7 +498,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (CLIError, OSError, ValueError, RuntimeError) as exc:
+    except (CLIError, OSError, ValueError, RuntimeError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,14 +44,14 @@ state must copy them first.  After the finite check raises
 A residual is affine in the iterate, so at the momentum point it is
 ``D + c (D - D')``, with ``D`` and ``D'`` the residuals at ``u_k`` and
 ``u_{k-1}`` and ``c`` the momentum factor (0 in the first sweep).  The
-sweep hands each step the residual at its step point; no step computes
-one.  Every Kaczmarz step is one compiled pass over the iterate
-(:func:`_rank_one_step`), which reads ``u_k``, and for a momentum step
-``u_{k-1}``, once per entry and writes the projected new iterate once,
-so a momentum step never forms its momentum point.  The pass is C,
-built at first import with the system's C compiler into the user cache
-(:func:`_load_step_kernel`).  No step checks for inf or NaN: the next
-gate's product reads every entry.
+sweep hands each step the residual at its step point.  Every Kaczmarz
+step is one compiled pass over the iterate (:func:`_rank_one_step`),
+which reads ``u_k``, and for a momentum step ``u_{k-1}``, once per entry,
+writes the projected new iterate once, so a momentum step never forms
+its momentum point, and sums the next gate's product ``U_new q_r`` from
+the values it writes.  The pass is C, built at import with the system's
+C compiler into the user cache (:func:`_load_step_kernel`).  No step
+checks for inf or NaN: the next gate's product reads every entry.
 """
 
 from __future__ import annotations
@@ -120,35 +120,55 @@ _BUFFER_ALIGN = 4096
 # of (1 + c) u, the sequence the tests keep as the reference:
 # x = (p a) alpha, then u + x, or fma(1 + c, u, fma(-c, o, x)) with o
 # the previous iterate.  The projection keeps t when t > 0 or t is NaN
-# and stores +0 otherwise, as np.maximum(t, 0.0) does.  u and out may be
+# and stores +0 otherwise, as np.maximum(t, 0.0) does.  Given a column q
+# the pass also writes g[n] = sum_l out[n, l] q[l] from the values it
+# stores, in a fixed order: eight running sums, lane j taking
+# l = j mod 8 in increasing l, the tail (n_cols mod 8 entries) added to
+# lane 0 in increasing l, each product rounded before its add, then
+# ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)).  u and out may be
 # one array when c = 0, so neither is restrict.  -ffp-contract=off keeps
-# the compiler from fusing u + x into an fma.  The pass is
-# single-threaded: two OpenMP threads next to numpy's threaded BLAS made
-# a paper sweep five times slower.
+# the compiler from fusing an add with a product into an fma.  The pass
+# is single-threaded: two OpenMP threads next to numpy's threaded BLAS
+# made a paper sweep five times slower.
 _STEP_SOURCE = r"""
 #include <math.h>
 #include <stddef.h>
 
 const char *pnkr_step_compiler(void) { return __VERSION__; }
 
-void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols,
-               double c, double alpha, const double *a, const double *p)
+static inline double pnkr_entry(int momentum, double c, double u, double o, double x)
+{
+    double t = momentum ? fma(1.0 + c, u, fma(-c, o, x)) : u + x;
+    return (t > 0.0 || t != t) ? t : 0.0;
+}
+
+static inline double pnkr_row(int momentum, const double *un, double *on, size_t n_cols, double c,
+                              double alpha, double an, const double *p, const double *q)
+{
+    double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    size_t l = 0;
+    if (q)
+        for (; l + 8 <= n_cols; l += 8)
+            for (size_t j = 0; j < 8; j++) {
+                on[l + j] = pnkr_entry(momentum, c, un[l + j], on[l + j], (p[l + j] * an) * alpha);
+                s[j] += on[l + j] * q[l + j];
+            }
+    for (; l < n_cols; l++) {
+        on[l] = pnkr_entry(momentum, c, un[l], on[l], (p[l] * an) * alpha);
+        if (q) s[0] += on[l] * q[l];
+    }
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols, double c,
+               double alpha, const double *a, const double *p, const double *q, double *g)
 {
     for (size_t n = 0; n < n_rows; n++) {
-        const double an = a[n];
         const double *un = u + n * n_cols;
         double *on = out + n * n_cols;
-        if (c == 0.0) {
-            for (size_t l = 0; l < n_cols; l++) {
-                double t = un[l] + (p[l] * an) * alpha;
-                on[l] = (t > 0.0 || t != t) ? t : 0.0;
-            }
-        } else {
-            for (size_t l = 0; l < n_cols; l++) {
-                double t = fma(1.0 + c, un[l], fma(-c, on[l], (p[l] * an) * alpha));
-                on[l] = (t > 0.0 || t != t) ? t : 0.0;
-            }
-        }
+        double s = c == 0.0 ? pnkr_row(0, un, on, n_cols, c, alpha, a[n], p, q)
+                            : pnkr_row(1, un, on, n_cols, c, alpha, a[n], p, q);
+        if (q) g[n] = s;
     }
 }
 """
@@ -202,16 +222,21 @@ def _load_step_kernel() -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     lib = ctypes.CDLL(path)
-    lib.pnkr_step.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_double, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p]
+    lib.pnkr_step.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_double, ctypes.c_double, *[ctypes.c_void_p] * 4]
     lib.pnkr_step.restype = None
     lib.pnkr_step_compiler.argtypes = []
     lib.pnkr_step_compiler.restype = ctypes.c_char_p
     return lib
 
 
-_STEP_KERNEL = _load_step_kernel()
-# what computed the step, for run manifests: the compiler's __VERSION__ and the build flags
-STEP_KERNEL_BUILD = f"cc {_STEP_KERNEL.pnkr_step_compiler().decode()} {' '.join(_STEP_FLAGS)}"
+# Built or loaded at import, so no timed step compiles; a failed build's ImportError
+# waits for the first step, so commands that never step need no compiler.
+try:
+    _STEP_KERNEL = _load_step_kernel()
+    # what computed the step, for run manifests: the compiler's __VERSION__ and the build flags
+    STEP_KERNEL_BUILD = f"cc {_STEP_KERNEL.pnkr_step_compiler().decode()} {' '.join(_STEP_FLAGS)}"
+except ImportError as exc:
+    _STEP_KERNEL, STEP_KERNEL_BUILD = exc, None
 
 
 @dataclass(eq=False)
@@ -411,25 +436,31 @@ def _step_views(system: ForwardSystem, u: np.ndarray, out: np.ndarray | None) ->
     return out, O if out is u else np.ascontiguousarray(u, dtype=float).reshape(N, L), O
 
 
-def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, a: np.ndarray, p: np.ndarray) -> None:
+def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, a: np.ndarray, p: np.ndarray, gate=None) -> None:
     """Every Kaczmarz step: ``O = max(Z + alpha a p^T, 0)`` in one compiled pass, ``p`` of ``L`` entries.
 
     ``Z`` is ``U``, or given ``k_R`` the momentum point
     ``(1 + c) U - c O`` of ``U`` and the previous iterate in ``O``, which
     is never formed: each entry of ``O`` is read and written once.  ``U``
     and ``O`` are C-contiguous float64 ``N x L`` arrays, one object only
-    without ``k_R``.  No pass checks the result: the next gate reads
+    without ``k_R``.  ``gate``, a pair ``(q, g)`` of an ``L``-entry column
+    and a C-contiguous float64 array of ``N`` entries, has the pass also
+    write the next gate's product ``g = O q`` in the fixed order of
+    ``_STEP_SOURCE``.  No pass checks the result: the next gate reads
     every entry (see :func:`_gated_sweep`).
     """
+    if isinstance(_STEP_KERNEL, ImportError):
+        raise _STEP_KERNEL
     c = 0.0 if k_R is None else _momentum_factor(k_R)
     N, L = O.shape
+    q, g = (None, None) if gate is None else (np.ascontiguousarray(gate[0], dtype=float), gate[1])
     a, p = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(p, dtype=float)
-    if U.shape != O.shape or a.shape != (N,) or p.size != L or not all(x.dtype == np.float64 and x.flags.c_contiguous for x in (U, O)):
-        raise ValueError(f"a step over an {N} x {L} iterate needs C-contiguous float64 iterates and factors of {N} and {L} entries")
-    _STEP_KERNEL.pnkr_step(U.ctypes.data, O.ctypes.data, N, L, c, alpha, a.ctypes.data, p.ctypes.data)
+    if U.shape != O.shape or a.shape != (N,) or p.size != L or (gate and (q.size != L or g.shape != (N,))) or not all(x.dtype == np.float64 and x.flags.c_contiguous for x in (U, O, g) if x is not None):
+        raise ValueError(f"a step over an {N} x {L} iterate needs C-contiguous float64 iterates and products, and factors of {N} and {L} entries")
+    _STEP_KERNEL.pnkr_step(U.ctypes.data, O.ctypes.data, N, L, c, alpha, a.ctypes.data, p.ctypes.data, *(x if x is None else x.ctypes.data for x in (q, g)))
 
 
-def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None) -> np.ndarray:
+def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None, gate=None) -> np.ndarray:
     """One projected preconditioned step of equation ``r``; returns the new iterate.
 
     The step is taken at ``z = u``, or, given the loop counter ``k_R``,
@@ -446,7 +477,8 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r:
 
     ``out`` is a C-contiguous float64 array of ``N * L`` entries.
     Without ``k_R`` it may be ``u`` itself, or omitted for a fresh
-    array; with ``k_R`` it must not overlap ``u``.
+    array; with ``k_R`` it must not overlap ``u``.  ``gate=(q, g)`` has
+    the pass also write ``g = U_new q`` (see :func:`_rank_one_step`).
     """
     if k_R is not None:
         if out is None:
@@ -456,12 +488,12 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r:
     r = _check_r(system, r)
     out, U, O = _step_views(system, u, out)
     a = system.Psi_inv_G @ d
-    _rank_one_step(U, O, k_R, omega, a, system.Phi_inv_Q[:, r - 1, None])
+    _rank_one_step(U, O, k_R, omega, a, system.Phi_inv_Q[:, r - 1, None], gate)
     return out
 
 
-def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, taps=SMOOTHING_TAPS, out: np.ndarray | None = None) -> np.ndarray:
-    """One reduced step at ``u`` with residual ``d = y_r - U q_r``; returns the new iterate like :func:`pnkr_equation_update`.
+def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, taps=SMOOTHING_TAPS, out: np.ndarray | None = None, gate=None) -> np.ndarray:
+    """One reduced step at ``u`` with residual ``d = y_r - U q_r``; returns the new iterate and fills ``gate`` like :func:`pnkr_equation_update`.
 
     Applies ``omega c_N^-1 Z_s(H_r^T (w_r - H_r u))`` and projects; the
     separable stencil ``Z_s``, ``taps`` along every axis, stands in for
@@ -474,7 +506,7 @@ def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray,
     x_shape, theta_shape = system.basis.shape5[:2], system.basis.shape5[2:]
     a = apply_Zs(apply_G(system, apply_G(system, d)).reshape(x_shape), taps, 2).reshape(-1)
     p = apply_Zs(system.Q[:, r - 1].reshape(theta_shape), taps, 3).reshape(-1, 1)
-    _rank_one_step(U, O, None, omega / system.c_N, a, p)
+    _rank_one_step(U, O, None, omega / system.c_N, a, p, gate)
     return out
 
 
@@ -489,27 +521,31 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
 
     A block is a slice of equations.  Its residual ``D`` at ``u_k``
     gates it: when every equation in the block meets ``tau delta_r`` the
-    block is skipped, otherwise ``step(blk, D)`` takes its residual from
-    ``D`` and returns the new iterate, which is committed; ``k_R``
-    advances once at the end.  A non-finite norm raises: any inf or NaN
-    in ``u_k`` reaches ``D`` (``inf * 0`` is NaN), so the gates are the
-    finite check, and one maximum checks an update after the last gate.
-    ``residual``, when given, is ``(D, norms)`` of the first block at
-    ``u_k``.  Steps build their iterate in ``u_km1`` (see :class:`SolverState`),
-    first replaced by an aligned copy if it shares memory with ``u_k``.
+    block is skipped, otherwise ``step(blk, D, gate)`` takes its residual
+    from ``D`` and returns the new iterate, which is committed, and
+    whether it filled ``gate``; ``k_R`` advances once at the end.  When
+    the next block is one equation ``r``, ``gate`` is ``(q_r, g)`` and a
+    step that fills ``g`` with ``U_new q_r`` (see :func:`_rank_one_step`)
+    spares that gate its product; other gates form ``U_k q_r`` with numpy.
+    A non-finite norm raises: any inf or NaN in ``u_k`` reaches ``D``
+    (``inf * 0`` is NaN), so the gates are the finite check, and one
+    maximum checks an update after the last gate.  ``residual``, when
+    given, is ``(D, norms)`` of the first block at ``u_k``.  Steps build
+    their iterate in ``u_km1`` (see :class:`SolverState`), first replaced
+    by an aligned copy if it shares memory with ``u_k``.
     """
     if np.may_share_memory(state.u_k, state.u_km1):
         state.u_km1 = _aligned_copy(state.u_k, state.u_k.shape)
     limit = config.tau * data.delta_r
     limits, (A1, A2), shape = limit.tolist(), system.G_axes, (system.N, system.L)
     error = f"iterate became non-finite; the stepsize omega={omega:g} is too large for this system"
-    updates = 0
+    updates, g, filled = 0, np.empty(system.N), False
     # an oversized stepsize overflows to inf/nan; the finite check raises, not the FPU
     with np.errstate(over="ignore", invalid="ignore"):
-        for blk in blocks:
+        for i, blk in enumerate(blocks):
             if residual is None and blk.stop - blk.start == 1:
                 # one equation: sample_norm's one-column branch, without its wrappers
-                D = data.y[:, blk] - state.u_k.reshape(shape) @ system.Q[:, blk]
+                D = data.y[:, blk] - (g[:, None] if filled else state.u_k.reshape(shape) @ system.Q[:, blk])
                 X = D.reshape(len(A1), len(A2))
                 norm = float(np.sqrt(np.vdot(X, A1 @ X @ A2)))
                 satisfied = norm <= limits[blk.start]
@@ -519,8 +555,11 @@ def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, syst
                 satisfied, norm = (norms <= limit[blk]).all(), norms.max()
             if not math.isfinite(norm):
                 raise RuntimeError(error)
+            filled = False
             if not satisfied:
-                state.u_k, state.u_km1 = step(blk, D), state.u_k
+                nxt = blocks[i + 1] if i + 1 < len(blocks) else slice(0, 0)
+                gate = (system.Q[:, nxt.start], g) if nxt.stop - nxt.start == 1 else None
+                (state.u_k, filled), state.u_km1 = step(blk, D, gate), state.u_k
                 updates += 1
         if updates and not satisfied and not np.isfinite(state.u_k.max()):  # no gate read the last update
             raise RuntimeError(error)
@@ -538,13 +577,13 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system
     place (see :class:`SolverState`).
     """
 
-    def step(blk: slice, D: np.ndarray) -> np.ndarray:
+    def step(blk: slice, D: np.ndarray, gate) -> tuple[np.ndarray, bool]:
         d, k_R = D[:, 0], None
         if momentum and state.k_R > 1:
             k_R = state.k_R
             d_prev = data.y[:, blk.start] - state.u_km1.reshape(system.N, system.L) @ system.Q[:, blk.start]
             d = nesterov_extrapolate(d, d_prev, k_R, out=d_prev)
-        return pnkr_equation_update(system, state.u_k, d, blk.stop, omega, out=state.u_km1, k_R=k_R)
+        return pnkr_equation_update(system, state.u_k, d, blk.stop, omega, out=state.u_km1, k_R=k_R, gate=gate), gate is not None
 
     blocks = [slice(r - 1, r) for r in _sweep_order(config, system.R, state.k_R)]  # equation r in block r - 1
     return _gated_sweep(state, config, data, system, omega, blocks, step)
@@ -555,8 +594,8 @@ def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData
     if system.basis.s != 0:
         raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
 
-    def step(blk: slice, D: np.ndarray) -> np.ndarray:
-        return reduced_equation_update(system, state.u_k, D[:, 0], blk.stop, omega, out=state.u_km1)
+    def step(blk: slice, D: np.ndarray, gate) -> tuple[np.ndarray, bool]:
+        return reduced_equation_update(system, state.u_k, D[:, 0], blk.stop, omega, out=state.u_km1, gate=gate), gate is not None
 
     blocks = [slice(r - 1, r) for r in _sweep_order(config, system.R, state.k_R)]  # equation r in block r - 1
     return _gated_sweep(state, config, data, system, omega, blocks, step)
@@ -574,12 +613,12 @@ def landweber_step(state: SolverState, config: SolverConfig, data: SolveData, sy
     the previous loop's history row.
     """
 
-    def step(blk: slice, D: np.ndarray) -> np.ndarray:
+    def step(blk: slice, D: np.ndarray, gate) -> tuple[np.ndarray, bool]:
         A = omega * (system.Psi_inv_G @ D)
         out = state.u_km1
         np.matmul(A, system.Phi_inv_Q.T, out=out.reshape(system.N, system.L))
         out += state.u_k
-        return threshold(out, out=out)
+        return threshold(out, out=out), False
 
     return _gated_sweep(state, config, data, system, omega, [slice(0, system.R)], step, residual)
 

@@ -440,6 +440,27 @@ def blas_rank_one_step(U, O, c, alpha, a, p):
         np.maximum(B, 0.0, out=B)
 
 
+def fixed_order_rows_dot(O, q):
+    """``O q`` for an ``N x L`` array, each row summed in the compiled step pass's order.
+
+    Eight running sums, lane ``j`` taking the products ``O[n, l] q[l]``
+    with ``l = j mod 8`` in increasing ``l``; the last ``L mod 8``
+    products join lane 0 in increasing ``l``; then
+    ``((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))``.  Each
+    product is rounded before its add, so this reproduces the pass bitwise.
+    """
+    P = np.asarray(O) * np.asarray(q).reshape(-1)
+    N, L = P.shape
+    main = L - L % 8
+    s = np.zeros((N, 8))
+    for l0 in range(0, main, 8):
+        s += P[:, l0 : l0 + 8]
+    for l in range(main, L):
+        s[:, 0] += P[:, l]
+    s = s.T
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+
+
 # -- manifests -----------------------------------------------------------------
 
 

@@ -5,11 +5,14 @@ import json
 import os
 import platform
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import pnkr.cli
 from pnkr.cli import build_parser, main
 from pnkr.diagnostics import read_losvd, read_maps
 from pnkr.presets import (
@@ -194,6 +197,33 @@ def test_solve_manifest_records_the_blas(pipeline_dir):
     assert versions["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS", "default")
     assert versions["cpu_count"] == os.cpu_count()
     assert versions["machine"] == platform.machine()
+
+
+def test_commands_that_never_step_run_without_the_step_kernel(pipeline_dir, tmp_path):
+    # a regular file as the cache directory and no compiler on PATH: the kernel cannot be
+    # built, yet --help and gen-templates run; solve fails at its first step, in one line
+    not_a_dir, no_cc = tmp_path / "cache-file", tmp_path / "no-cc"
+    not_a_dir.write_text("")
+    no_cc.mkdir()
+    src = str(Path(pnkr.cli.__file__).parents[1])
+    env = dict(os.environ, XDG_CACHE_HOME=str(not_a_dir), PATH=str(no_cc))
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+
+    def pnkr_cli(*args):
+        return subprocess.run([sys.executable, "-m", "pnkr", *args], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+    shown = pnkr_cli("--help")
+    assert shown.returncode == 0 and "solve" in shown.stdout, shown.stderr
+    built = pnkr_cli("gen-templates", "--preset", "tiny", "--out", "tpl.pnkt")
+    assert built.returncode == 0, built.stderr
+    assert read_manifest(tmp_path / "tpl.pnkt.manifest.json")["versions"]["step_kernel"] is None
+    solved = pnkr_cli(
+        "solve", "--preset", "tiny", "--templates", "tpl.pnkt", "--cube", str(pipeline_dir / "cube.pnkd"),
+        "--s", "0", "--max-loops", "2", "--out", "run",
+    )
+    assert solved.returncode == 1
+    assert solved.stderr.startswith("error: ") and solved.stderr.count("\n") == 1
+    assert str(not_a_dir / "pnkr") in solved.stderr and "XDG_CACHE_HOME" in solved.stderr
 
 
 def test_maps_builds_no_forward_system(pipeline_dir, monkeypatch):

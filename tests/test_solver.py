@@ -50,7 +50,7 @@ from pnkr.solver import (
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 from pnkr.forward import rho_estimate
 
-from _oracles import blas_rank_one_step, dense_G, dense_Hr, dense_M, dense_Phi, dense_Psi, equation_residual_norm, row_space_image
+from _oracles import blas_rank_one_step, dense_G, dense_Hr, dense_M, dense_Phi, dense_Psi, equation_residual_norm, fixed_order_rows_dot, row_space_image
 
 OMEGA_GRIDS = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
 THETA_GRIDS = (
@@ -94,6 +94,11 @@ def tiny0_problem(tiny0):
 def _residual(system, y_r, u, r):
     """Sample-space residual ``y_r - U q_r`` of equation ``r`` at ``u``, the ``d`` a step is handed."""
     return y_r - u.reshape(system.N, system.L) @ system.Q[:, r - 1]
+
+
+def _pass_residual(system, y_r, u, r):
+    """The residual a gate right after an update forms: ``y_r - U q_r`` with the step pass's fixed-order product."""
+    return y_r - fixed_order_rows_dot(u.reshape(system.N, system.L), system.Q[:, r - 1])
 
 
 def _documented_order(seed, k_R, R):
@@ -415,8 +420,62 @@ def test_step_kernel_projects_nan_inf_and_zero_like_np_maximum(where):
             assert np.isnan(got).any() and np.isinf(got).any()
 
 
-def _import_solver(cache, path_dir, no_processes=False):
-    """Import ``pnkr.solver`` in a fresh process with ``XDG_CACHE_HOME=cache`` and ``PATH=path_dir``.
+@pytest.mark.parametrize("case", ["tiny1", "desk", "paper_shape"])
+def test_step_kernel_gate_product_is_the_fixed_order_sum_bitwise(case, request):
+    # the pass's product O q against the numpy sum in its documented order, for c = 0 and
+    # c > 0, out of place and (c = 0) in place; tiny1's L = 45 leaves a tail of 5.  The
+    # iterate it writes is bitwise the pass without a product
+    rng = np.random.default_rng(40)
+    if case == "paper_shape":
+        N, L = 625, 2808
+        a, p, q, alpha = rng.normal(size=N), rng.normal(size=(L, 1)), rng.uniform(0.0, 1.0, L), 0.37
+    else:
+        system = _desk_system(1) if case == "desk" else request.getfixturevalue(case)
+        N, L = system.N, system.L
+        p, q, alpha = system.Phi_inv_Q[:, 0, None], system.Q[:, 1], 0.9 / rho_estimate(system)
+        a = system.Psi_inv_G @ rng.normal(size=N)
+        a *= 2.0 / (alpha * np.abs(a).max() * np.abs(p).max())  # corrections up to 2, so some entries clip
+    U, prev = rng.uniform(0.0, 1.0, (N, L)), rng.uniform(0.0, 1.0, (N, L))
+    for k_R, in_place in ((None, False), (2, False), (5, False), (None, True)):
+        want = (U if in_place else prev).copy()
+        got, g = want.copy(), np.full(N, np.nan)
+        pnkr.solver._rank_one_step(want if in_place else U, want, k_R, alpha, a, p)
+        pnkr.solver._rank_one_step(got if in_place else U, got, k_R, alpha, a, p, gate=(q, g))
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(g), _bits(fixed_order_rows_dot(got, q)))
+        assert 0 < np.sum(got == 0.0) < got.size
+        assert np.abs(g - got @ q).max() <= 1e-14 * np.abs(got @ q).max()
+    # the product is written through a raw pointer too
+    g = np.empty(N)
+    for bad in [(q[:-1], g), (q, g[:-1]), (q, g.astype(np.float32)), (q, np.empty(2 * N)[::2])]:
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            pnkr.solver._rank_one_step(U, got, None, alpha, a, p, gate=bad)
+
+
+@pytest.mark.parametrize("where", ["u_k", "u_km1"])
+def test_step_kernel_gate_product_is_non_finite_where_the_step_writes_nan_or_inf(where):
+    # the gate is the finite check: a row the pass leaves with NaN or inf has a non-finite
+    # product, also where q is 0 there (inf * 0 is NaN); -inf projects to +0
+    rng = np.random.default_rng(41)
+    N, L = 9, 45
+    U, prev = rng.uniform(0.0, 1.0, (N, L)), rng.uniform(0.0, 1.0, (N, L))
+    bad = U if where == "u_k" else prev
+    for n, l, value in ((1, 3, np.nan), (3, 44, np.inf), (5, 10, -np.inf), (7, 20, np.inf), (7, 41, -np.inf)):
+        bad[n, l] = value
+    a, p, q = rng.normal(size=N), rng.normal(size=(L, 1)), rng.uniform(0.0, 1.0, L)
+    q[20] = 0.0
+    for k_R in (None, 2, 5):
+        got, g = prev.copy(), np.empty(N)
+        pnkr.solver._rank_one_step(U, got, k_R, 0.5, a, p, gate=(q, g))
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(g, fixed_order_rows_dot(got, q), equal_nan=True)
+        assert np.array_equal(np.isfinite(g), np.isfinite(got).all(axis=1))
+        if k_R is None and where == "u_k":
+            assert np.isnan(g[[1, 7]]).all() and g[3] == np.inf and np.isfinite(g[5])
+
+
+def _import_and_step(cache, path_dir, no_processes=False):
+    """Import ``pnkr.solver`` in a fresh process with ``XDG_CACHE_HOME=cache`` and ``PATH=path_dir``, print its build, then take one step.
 
     With ``no_processes`` the child cannot start one: its ``subprocess.Popen`` is gone.
     """
@@ -424,24 +483,26 @@ def _import_solver(cache, path_dir, no_processes=False):
     env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=str(path_dir))
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     code = "import subprocess\nsubprocess.Popen = None\n" if no_processes else ""
-    code += "import pnkr.solver\nprint(pnkr.solver.STEP_KERNEL_BUILD)"
+    code += "import numpy as np\nimport pnkr.solver\nprint(pnkr.solver.STEP_KERNEL_BUILD, flush=True)\n"
+    code += "pnkr.solver._rank_one_step(np.ones((1, 1)), np.ones((1, 1)), None, 1.0, np.ones(1), np.ones(1))"
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_step_kernel_builds_once_and_loads_from_the_cache(tmp_path):
     cache, no_cc = tmp_path / "cache", tmp_path / "no-cc"
     no_cc.mkdir()
-    built = _import_solver(cache, Path(os.path.dirname(shutil.which("cc"))))
+    built = _import_and_step(cache, Path(os.path.dirname(shutil.which("cc"))))
     assert built.returncode == 0, built.stderr
     libraries = list((cache / "pnkr").iterdir())
     assert len(libraries) == 1 and libraries[0].suffix == ".so"
     assert built.stdout.strip() == pnkr.solver.STEP_KERNEL_BUILD
-    loaded = _import_solver(cache, no_cc, no_processes=True)
+    loaded = _import_and_step(cache, no_cc, no_processes=True)
     assert loaded.returncode == 0, loaded.stderr
     assert loaded.stdout == built.stdout
     assert list((cache / "pnkr").iterdir()) == libraries
-    missing = _import_solver(tmp_path / "empty", no_cc)
-    assert missing.returncode != 0
+    # a failed build does not fail the import: its ImportError waits for the first step
+    missing = _import_and_step(tmp_path / "empty", no_cc)
+    assert missing.returncode != 0 and missing.stdout == "None\n"
     assert "ImportError" in missing.stderr and "no C compiler (cc) is on PATH" in missing.stderr
 
 
@@ -450,8 +511,8 @@ def test_step_kernel_names_a_cache_directory_it_cannot_write(tmp_path):
     not_a_dir, no_cc = tmp_path / "cache-file", tmp_path / "no-cc"
     not_a_dir.write_text("")
     no_cc.mkdir()
-    failed = _import_solver(not_a_dir, no_cc)
-    assert failed.returncode != 0
+    failed = _import_and_step(not_a_dir, no_cc)
+    assert failed.returncode != 0 and failed.stdout == "None\n"
     last = failed.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError") and str(not_a_dir / "pnkr") in last and "XDG_CACHE_HOME" in last
 
@@ -664,8 +725,9 @@ def test_run_steps_in_page_aligned_buffers_and_leaves_the_guess(tiny0, tiny0_pro
 @pytest.mark.parametrize("k_R", [1, 2, 3])
 @pytest.mark.parametrize("variant", ["pnkr", "landweber_kaczmarz", "reduced_pnkr"])
 def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_problem, variant, k_R):
-    # every equation is active; the oracle forms each residual itself: D at u_k
-    # and, for a momentum step past k_R = 1, D' at the previous iterate
+    # every equation is active; the oracle forms each residual itself: D at u_k (after
+    # the first update from the pass's product) and, for a momentum step past k_R = 1,
+    # D' at the previous iterate
     _, data = tiny0_problem
     eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
     cfg = SolverConfig(variant=variant, s=0)
@@ -678,8 +740,8 @@ def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_probl
     else:
         assert pnkr_sweep(state, cfg, eager, tiny0, omega=omega, momentum=variant == "pnkr") == tiny0.R
 
-    for r in _documented_order(cfg.seed, k_R, tiny0.R):
-        D = _residual(tiny0, data.y[:, r - 1], u_k, r)
+    for i, r in enumerate(_documented_order(cfg.seed, k_R, tiny0.R)):
+        D = (_pass_residual if i else _residual)(tiny0, data.y[:, r - 1], u_k, r)
         if variant == "pnkr" and k_R > 1:
             d = nesterov_extrapolate(D, _residual(tiny0, data.y[:, r - 1], u_km1, r), k_R)
             u_new = pnkr_equation_update(tiny0, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R)
@@ -699,10 +761,10 @@ def test_gated_sweep_rejects_non_finite_step(tiny0, tiny0_problem, bad):
     M = tiny0.N * tiny0.L
     state = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M))
 
-    def step(blk, D):
+    def step(blk, D, gate):
         u_new = np.ones(M)
         u_new[M // 2] = bad
-        return u_new
+        return u_new, False
 
     cfg = SolverConfig(variant="pnkr", s=0)
     with pytest.raises(RuntimeError, match="omega"):
@@ -740,7 +802,8 @@ def test_sweep_rejects_non_finite_last_update(tiny0, tiny0_problem, monkeypatch,
 
 def test_gate_sees_inf_where_the_channel_has_no_weight(tiny0, tiny0_problem, monkeypatch):
     # an inf in column l of the iterate enters the gate of channel r as inf * q_r[l] = inf * 0,
-    # which is NaN; the next gate raises before a second step
+    # which is NaN; the next gate raises before a second step.  The inf is in the step's
+    # input, so the pass writes it and forms r2's gate product from it
     _, data = tiny0_problem
     eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
     r1, r2, l0 = 1, 2, 7
@@ -749,11 +812,10 @@ def test_gate_sees_inf_where_the_channel_has_no_weight(tiny0, tiny0_problem, mon
     system = build_forward_system(tiny0.basis, Q)
     real, calls = pnkr.solver.pnkr_equation_update, []
 
-    def poisoned(*args, **kwargs):
-        got = real(*args, **kwargs)
-        calls.append(1)
-        got.reshape(system.N, system.L)[3, l0] = np.inf
-        return got
+    def poisoned(system, u, *args, **kwargs):
+        calls.append(kwargs["gate"])
+        u.reshape(system.N, system.L)[3, l0] = np.inf
+        return real(system, u, *args, **kwargs)
 
     monkeypatch.setattr(pnkr.solver, "pnkr_equation_update", poisoned)
     M = system.N * system.L
@@ -761,7 +823,7 @@ def test_gate_sees_inf_where_the_channel_has_no_weight(tiny0, tiny0_problem, mon
     cfg = SolverConfig(variant="pnkr", s=0, ordering="cyclic")  # r1 steps, then r2 gates
     with pytest.raises(RuntimeError, match="omega"):
         pnkr_sweep(state, cfg, eager, system, omega=1.0 / rho_estimate(system))
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0] is not None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -802,9 +864,9 @@ def test_one_equation_gate_norm_is_sample_norm_bitwise(fixture_name, request):
     cfg = SolverConfig(variant="pnkr", s=system.basis.s, beta=0.0, tau=2.0)
     blocks = [slice(r, r + 1) for r in range(system.R)]
 
-    def step(blk, D):
-        # a step that leaves the iterate as it is
-        return state.u_k
+    def step(blk, D, gate):
+        # a step that leaves the iterate as it is and forms no product, so every gate forms its own
+        return state.u_k, False
 
     for limit, updates in ((norms, 0), (np.nextafter(norms, 0.0), system.R)):
         state = SolverState(u_k=u.copy(), u_km1=u.copy())
@@ -826,10 +888,16 @@ def test_sweep_gates_match_a_block_residual_reference(fixture_name, request):
     omega, k_R = 1.0 / rho_estimate(system), 3
     state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=k_R)
     updates = pnkr_sweep(state, cfg, data, system, omega)
-    want = np.zeros(R, dtype=bool)
+    want, stepped = np.zeros(R, dtype=bool), False
     for r in _documented_order(cfg.seed, k_R, R):
-        D, norm = pnkr.solver._block_residual(system, u_k, data, slice(r - 1, r))
+        # a gate right after an update reads the step pass's product
+        if stepped:
+            D = _pass_residual(system, y[:, r - 1], u_k, r)[:, None]
+            norm = sample_norm(system, D)
+        else:
+            D, norm = pnkr.solver._block_residual(system, u_k, data, slice(r - 1, r))
         want[r - 1] = norm[0] <= cfg.tau * data.delta_r[r - 1]
+        stepped = not want[r - 1]
         if not want[r - 1]:
             d = nesterov_extrapolate(D[:, 0], y[:, r - 1] - u_km1.reshape(N, L) @ system.Q[:, r - 1], k_R)
             u_k, u_km1 = pnkr_equation_update(system, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R), u_k
@@ -865,7 +933,8 @@ def test_plain_kaczmarz_is_momentum_with_unit_counter(tiny0, tiny0_problem):
 
 
 def test_run_ordering_matches_documented_permutation(tiny0, tiny0_problem):
-    # every equation steps, so the run is the chain of plain steps in the documented orders
+    # every equation steps, so the run is the chain of plain steps in the documented orders;
+    # each sweep's first gate forms its product with numpy, the others take the pass's
     _, data = tiny0_problem
     eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
     omega = 1.0 / rho_estimate(tiny0)
@@ -876,8 +945,8 @@ def test_run_ordering_matches_documented_permutation(tiny0, tiny0_problem):
     assert res.total_updates == 3 * tiny0.R
     u = np.zeros(tiny0.N * tiny0.L)
     for loop in (1, 2, 3):
-        for r in _documented_order(11, loop, tiny0.R):
-            u = pnkr_equation_update(tiny0, u, _residual(tiny0, eager.y[:, r - 1], u, r), r, omega)
+        for i, r in enumerate(_documented_order(11, loop, tiny0.R)):
+            u = pnkr_equation_update(tiny0, u, (_pass_residual if i else _residual)(tiny0, eager.y[:, r - 1], u, r), r, omega)
     assert np.array_equal(res.u, u)
 
 
