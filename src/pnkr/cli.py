@@ -37,6 +37,7 @@ from .presets import PRESET_NAMES, preset_axes, preset_basis, preset_template, p
 from .solver import (
     ORDERINGS,
     STEP_KERNEL_BUILD,
+    SWEEP_THREADS,
     VARIANTS,
     SolverConfig,
     read_coefficients,
@@ -77,7 +78,7 @@ def _blas(module) -> str:
 
 
 def _versions() -> dict:
-    """Package versions plus the BLAS builds, step kernel build, thread setting and machine the run used."""
+    """Package versions plus the BLAS builds, step kernel build, thread counts and machine the run used."""
     return {
         "pnkr": __version__,
         "python": platform.python_version(),
@@ -87,6 +88,7 @@ def _versions() -> dict:
         "scipy_blas": _blas(scipy),
         "step_kernel": STEP_KERNEL_BUILD,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
+        "sweep_threads": SWEEP_THREADS,
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
     }

@@ -23,35 +23,21 @@ first sweep that makes no update, at which point every equation
 satisfies the discrepancy bound simultaneously, or when the loop budget
 runs out (reported as truncation, not an error).
 
-Every variant runs through one gated block driver: a block is a slice
-of equations, gated together on its residual at ``u_k`` and, when any
-of its equations is out of tolerance, replaced by one projected step
-(block Kaczmarz).  The Kaczmarz variants use blocks of one equation in
-sweep order: with momentum (pnkr), without it (Landweber-Kaczmarz), or
-with the reduced step that trades the Kronecker solve for an explicit
-separable smoothing of the unpreconditioned step on the
-piecewise-constant basis.  The full-stack Landweber iteration is one
-block of all equations whose step sums every correction before
+The Kaczmarz variants, with momentum (pnkr), without it
+(Landweber-Kaczmarz), or with the reduced step that trades the Kronecker
+solve for an explicit separable smoothing on the piecewise-constant
+basis, run each sweep as one call into a C kernel (``_STEP_SOURCE``),
+built at import with the system's C compiler into the user cache
+(:func:`_load_step_kernel`).  The full-stack Landweber iteration gates
+every equation at once and sums all corrections with numpy before
 projecting.
 
 Every variant steps in place: ``SolverState.u_k`` and ``u_km1`` are two
 buffers that each step reuses.  The new iterate is built in the ``u_km1``
-buffer and the commit swaps the two, so no array of the iterate's size
-is allocated per step.  A caller that keeps the arrays it put into a
-state must copy them first.  After the finite check raises
-``RuntimeError`` the contents of both buffers are undefined.
-
-A residual is affine in the iterate, so at the momentum point it is
-``D + c (D - D')``, with ``D`` and ``D'`` the residuals at ``u_k`` and
-``u_{k-1}`` and ``c`` the momentum factor (0 in the first sweep).  The
-sweep hands each step the residual at its step point.  Every Kaczmarz
-step is one compiled pass over the iterate (:func:`_rank_one_step`),
-which reads ``u_k``, and for a momentum step ``u_{k-1}``, once per entry,
-writes the projected new iterate once, so a momentum step never forms
-its momentum point, and sums the next gate's product ``U_new q_r`` from
-the values it writes.  The pass is C, built at import with the system's
-C compiler into the user cache (:func:`_load_step_kernel`).  No step
-checks for inf or NaN: the next gate's product reads every entry.
+buffer and the two swap, so no array of the iterate's size is allocated
+per step.  A caller that keeps the arrays it put into a state must copy
+them first.  After the finite check raises ``RuntimeError`` the contents
+of both buffers are undefined.
 """
 
 from __future__ import annotations
@@ -113,28 +99,119 @@ ORDERINGS = ("cyclic", "random_permutation")
 # took about 11% (momentum) and 8% (c = 0) longer; page-aligned buffers
 # give every process the same layout.
 _BUFFER_ALIGN = 4096
+_NON_FINITE = "iterate became non-finite; the stepsize omega={:g} is too large for this system"
 
 
-# The Kaczmarz step, one pass over an n_rows x n_cols iterate.  Each
-# entry rounds like OpenBLAS's k=1 dgemm followed, for c > 0, by a daxpy
-# of (1 + c) u, the sequence the tests keep as the reference:
-# x = (p a) alpha, then u + x, or fma(1 + c, u, fma(-c, o, x)) with o
-# the previous iterate.  The projection keeps t when t > 0 or t is NaN
-# and stores +0 otherwise, as np.maximum(t, 0.0) does.  Given a column q
-# the pass also writes g[n] = sum_l out[n, l] q[l] from the values it
-# stores, in a fixed order: eight running sums, lane j taking
-# l = j mod 8 in increasing l, the tail (n_cols mod 8 entries) added to
-# lane 0 in increasing l, each product rounded before its add, then
-# ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)).  u and out may be
-# one array when c = 0, so neither is restrict.  -ffp-contract=off keeps
-# the compiler from fusing an add with a product into an fma.  The pass
-# is single-threaded: two OpenMP threads next to numpy's threaded BLAS
-# made a paper sweep five times slower.
 _STEP_SOURCE = r"""
+/* The Kaczmarz sweep.  Every product sums in one fixed order: eight running sums,
+   lane j taking the products with k = j mod 8 in increasing k, the tail (K mod 8
+   products) added to lane 0 in increasing k, each product rounded before its add,
+   then ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)).  That holds for a gate's
+   U q_r, a momentum step's U_{k-1} q_r, the spatial product S d, both small
+   products of the gate norm sqrt(vdot(X, A1 X A2)) and the end-of-sweep U Q.
+   The step pass rounds each entry like OpenBLAS's k=1 dgemm followed, for c > 0,
+   by a daxpy of (1 + c) u, the sequence the tests keep as the reference:
+   x = (p a) alpha, then u + x, or fma(1 + c, u, fma(-c, o, x)) with o the
+   previous iterate.  The projection keeps t when t > 0 or t is NaN and stores +0
+   otherwise, as np.maximum(t, 0.0) does.  Given a column q the pass also writes
+   the next gate's product g = out q from the values it stores.  u and out may be
+   one array when c = 0, so neither is restrict.  -ffp-contract=off keeps the
+   compiler from fusing an add with a product into an fma.  Given par, each
+   product and the pass split their rows over OpenMP threads; every row keeps its
+   order, so no bit depends on the thread count. */
 #include <math.h>
+#include <omp.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 const char *pnkr_step_compiler(void) { return __VERSION__; }
+
+int pnkr_threads(void) { return omp_get_max_threads(); }
+
+static inline double pnkr_lanes(const double *s)
+{
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+static double pnkr_dot(const double *x, const double *y, size_t n)
+{
+    double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    size_t l = 0;
+    for (; l + 8 <= n; l += 8)
+        for (size_t j = 0; j < 8; j++)
+            s[j] += x[l + j] * y[l + j];
+    for (; l < n; l++)
+        s[0] += x[l] * y[l];
+    return pnkr_lanes(s);
+}
+
+typedef double pnkr_v8 __attribute__((vector_size(64)));
+
+static inline pnkr_v8 pnkr_load(const double *p)
+{
+    pnkr_v8 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline pnkr_v8 pnkr_lanes8(const pnkr_v8 *s)
+{
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+/* out[j] = sum_k x[k] B[k * ldb + j] for j0 <= j < j1, eight columns at a time with
+   lane m of every column in the vector s[m] */
+static void pnkr_vecmat(const double *x, const double *B, size_t K, size_t ldb, size_t j0, size_t j1, double *out)
+{
+    size_t main = K - K % 8, j = j0;
+    for (; j + 8 <= j1; j += 8) {
+        pnkr_v8 s[8];
+        for (size_t m = 0; m < 8; m++)
+            s[m] = (pnkr_v8){0.0};
+        size_t k = 0;
+        for (; k < main; k += 8)
+            for (size_t m = 0; m < 8; m++)
+                s[m] += x[k + m] * pnkr_load(B + (k + m) * ldb + j);
+        for (; k < K; k++)
+            s[0] += x[k] * pnkr_load(B + k * ldb + j);
+        pnkr_v8 t = pnkr_lanes8(s);
+        memcpy(out + j, &t, sizeof t);
+    }
+    for (; j < j1; j++) {
+        double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+        for (size_t k = 0; k < K; k++)
+            s[k < main ? k % 8 : 0] += x[k] * B[k * ldb + j];
+        out[j] = pnkr_lanes(s);
+    }
+}
+
+/* g = u q for an n_rows x n_cols u */
+static void pnkr_rows(const double *u, const double *q, double *g, size_t n_rows, size_t n_cols)
+{
+#pragma omp for schedule(static)
+    for (size_t n = 0; n < n_rows; n++)
+        g[n] = pnkr_dot(u + n * n_cols, q, n_cols);
+}
+
+/* a = S d for an F-ordered N x N S, each thread forming its own range of rows */
+static void pnkr_spatial_rows(const double *S, const double *d, double *a, size_t N)
+{
+    size_t t = omp_get_thread_num(), nt = omp_get_num_threads();
+    pnkr_vecmat(d, S, N, N, N * t / nt, N * (t + 1) / nt, a);
+#pragma omp barrier
+}
+
+/* sqrt(vdot(X, A1 X A2)) for the n1 x n2 sample grid X; T and W hold n1 n2 */
+static double pnkr_norm(const double *X, const double *A1, size_t n1, const double *A2, size_t n2, double *T, double *W)
+{
+    for (size_t i = 0; i < n1; i++)
+        pnkr_vecmat(A1 + i * n1, X, n1, n2, 0, n2, T + i * n2);
+    for (size_t i = 0; i < n1; i++)
+        pnkr_vecmat(T + i * n2, A2, n2, n2, 0, n2, W + i * n2);
+    return sqrt(pnkr_dot(X, W, n1 * n2));
+}
 
 static inline double pnkr_entry(int momentum, double c, double u, double o, double x)
 {
@@ -157,12 +234,13 @@ static inline double pnkr_row(int momentum, const double *un, double *on, size_t
         on[l] = pnkr_entry(momentum, c, un[l], on[l], (p[l] * an) * alpha);
         if (q) s[0] += on[l] * q[l];
     }
-    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+    return pnkr_lanes(s);
 }
 
-void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols, double c,
-               double alpha, const double *a, const double *p, const double *q, double *g)
+static void pnkr_pass(const double *u, double *out, size_t n_rows, size_t n_cols, double c,
+                      double alpha, const double *a, const double *p, const double *q, double *g)
 {
+#pragma omp for schedule(static)
     for (size_t n = 0; n < n_rows; n++) {
         const double *un = u + n * n_cols;
         double *on = out + n * n_cols;
@@ -171,8 +249,177 @@ void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols, doubl
         if (q) g[n] = s;
     }
 }
+
+void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols, double c,
+               double alpha, const double *a, const double *p, const double *q, double *g, int par)
+{
+#pragma omp parallel if (par)
+    pnkr_pass(u, out, n_rows, n_cols, c, alpha, a, p, q, g);
+}
+
+void pnkr_spatial(const double *S, const double *d, double *a, size_t N, int par)
+{
+#pragma omp parallel if (par)
+    pnkr_spatial_rows(S, d, a, N);
+}
+
+static void pnkr_gather(const double *Q, size_t R, size_t r, double *q, size_t L)
+{
+#pragma omp for schedule(static)
+    for (size_t l = 0; l < L; l++)
+        q[l] = Q[l * R + r];
+}
+
+/* One sweep in one parallel region: each equation of the order is gated and, when
+   active, stepped, after which u and o swap.  Returns the update count, -1 when a
+   gate norm, or the last update's product with a zero column, is not finite, or
+   -2 when the work arrays cannot be allocated. */
+long pnkr_sweep(double *u, double *o, size_t N, size_t L, size_t R, const double *y, const double *Q,
+                const double *A1, size_t n1, const double *A2, size_t n2, const int64_t *order,
+                const double *limits, const double *P, const double *S, double c, double alpha, int par)
+{
+    if (!R)
+        return 0;
+    double *w = malloc(sizeof(double) * (3 * L + 6 * N));
+    if (!w)
+        return -2;
+    double *qc = w, *qn = qc + L, *zero = qn + L, *g = zero + L, *D = g + N, *d = D + N, *a = d + N, *T = a + N, *W = T + N;
+    long updates = 0;
+    int filled = 0, status = 0;
+    memset(zero, 0, L * sizeof(double));
+#pragma omp parallel if (par)
+    {
+        pnkr_gather(Q, R, (size_t)order[0], qc, L);
+        for (size_t i = 0; i < R; i++) {
+            size_t r = (size_t)order[i];
+            if (!filled)
+                pnkr_rows(u, qc, g, N, L);
+#pragma omp single
+            {
+                for (size_t n = 0; n < N; n++)
+                    D[n] = y[n * R + r] - g[n];
+                double norm = pnkr_norm(D, A1, n1, A2, n2, T, W);
+                status = isfinite(norm) ? !(norm <= limits[r]) : -1;
+            }
+            int active = status;
+            if (active < 0)
+                break;
+            if (i + 1 < R)
+                pnkr_gather(Q, R, (size_t)order[i + 1], qn, L);
+            if (active) {
+                if (c != 0.0) {
+                    pnkr_rows(o, qc, d, N, L);
+#pragma omp single
+                    for (size_t n = 0; n < N; n++)
+                        d[n] = (D[n] - (y[n * R + r] - d[n])) * c + D[n];
+                }
+                pnkr_spatial_rows(S, c != 0.0 ? d : D, a, N);
+                pnkr_pass(u, o, N, L, c, alpha, a, P + r * L, i + 1 < R ? qn : zero, g);
+            }
+#pragma omp single
+            {
+                if (active) {
+                    double *t = u;
+                    u = o, o = t, updates++;
+                }
+                double *t = qc;
+                qc = qn, qn = t, filled = active;
+            }
+        }
+#pragma omp single
+        if (status >= 0 && filled)
+            for (size_t n = 0; n < N; n++)
+                if (!isfinite(g[n]))
+                    status = -1;
+    }
+    free(w);
+    return status < 0 ? -1 : updates;
+}
+
+/* G = U Q (N x R) for one thread's blocks of eight columns; each block of Q is first
+   copied, zero-padded, into the panel (L x 8, on 64-byte boundaries: loads across
+   cache lines made this product about 25% slower), and two rows of U at a time run
+   against it with the eight lanes of each entry in eight vectors */
+static void pnkr_table(const double *u, const double *Q, double *G, size_t N, size_t L, size_t R, double *panel)
+{
+#pragma omp for schedule(static)
+    for (size_t r0 = 0; r0 < R; r0 += 8) {
+        size_t nr = R - r0 < 8 ? R - r0 : 8;
+        for (size_t l = 0; l < L; l++)
+            for (size_t k = 0; k < 8; k++)
+                panel[l * 8 + k] = k < nr ? Q[l * R + r0 + k] : 0.0;
+        for (size_t n0 = 0; n0 < N; n0 += 2) {
+            size_t nn = N - n0 < 2 ? 1 : 2;
+            const double *u0 = u + n0 * L, *u1 = u + (n0 + nn - 1) * L;
+            pnkr_v8 s0[8], s1[8];
+            for (size_t j = 0; j < 8; j++)
+                s0[j] = s1[j] = (pnkr_v8){0.0};
+            size_t l = 0;
+            for (; l + 8 <= L; l += 8)
+                for (size_t j = 0; j < 8; j++) {
+                    pnkr_v8 q = pnkr_load(panel + (l + j) * 8);
+                    s0[j] += u0[l + j] * q;
+                    s1[j] += u1[l + j] * q;
+                }
+            for (; l < L; l++) {
+                pnkr_v8 q = pnkr_load(panel + l * 8);
+                s0[0] += u0[l] * q;
+                s1[0] += u1[l] * q;
+            }
+            pnkr_v8 g[2] = {pnkr_lanes8(s0), pnkr_lanes8(s1)};
+            for (size_t i = 0; i < nn; i++)
+                for (size_t k = 0; k < nr; k++)
+                    G[(n0 + i) * R + r0 + k] = g[i][k];
+        }
+    }
+}
+
+/* norms[r] = sqrt(vdot(X, A1 X A2)) of X = y[:, r] - U q_r for every r */
+int pnkr_residual_norms(const double *u, size_t N, size_t L, size_t R, const double *y, const double *Q,
+                        const double *A1, size_t n1, const double *A2, size_t n2, double *norms, int par)
+{
+    double *G = malloc(sizeof(double) * N * R);
+    int failed = !G;
+#pragma omp parallel if (par)
+    {
+        double *panel = failed ? NULL : aligned_alloc(64, sizeof(double) * 8 * L);
+        double *w = failed ? NULL : malloc(sizeof(double) * 3 * N);
+        if (!panel || !w) {
+#pragma omp atomic write
+            failed = 1;
+        }
+#pragma omp barrier
+        if (!failed) {
+            pnkr_table(u, Q, G, N, L, R, panel);
+            double *X = w, *T = X + N, *W = T + N;
+#pragma omp for schedule(static)
+            for (size_t r = 0; r < R; r++) {
+                for (size_t n = 0; n < N; n++)
+                    X[n] = y[n * R + r] - G[n * R + r];
+                norms[r] = pnkr_norm(X, A1, n1, A2, n2, T, W);
+            }
+        }
+        free(panel);
+        free(w);
+    }
+    free(G);
+    return failed ? -2 : 0;
+}
 """
-_STEP_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+_STEP_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-shared", "-fPIC")
+# Iterates of at least this many entries (N L) split every product and pass of a
+# sweep over OpenMP threads, and take the end-of-sweep U Q from the kernel
+# too: desk's 64,512 entries run on one thread, paper's 1,755,000 on all.
+_PARALLEL_ENTRIES = 1 << 18
+# Each kernel entry's argument kinds (p pointer, n size_t, d double, i int) and result.
+_KERNEL_ENTRIES = {
+    "pnkr_step": ("ppnnddppppi", None),
+    "pnkr_spatial": ("pppni", None),
+    "pnkr_sweep": ("ppnnnpppnpnppppddi", ctypes.c_long),
+    "pnkr_residual_norms": ("pnnnpppnpnpi", ctypes.c_int),
+    "pnkr_threads": ("", ctypes.c_int),
+    "pnkr_step_compiler": ("", ctypes.c_char_p),
+}
 
 
 def _host_cpu() -> str:
@@ -186,15 +433,16 @@ def _host_cpu() -> str:
 
 
 def _load_step_kernel() -> ctypes.CDLL:
-    """The compiled Kaczmarz step, built on first use into ``$XDG_CACHE_HOME/pnkr`` (default ``~/.cache/pnkr``).
+    """The compiled Kaczmarz sweep, built on first use into ``$XDG_CACHE_HOME/pnkr`` (default ``~/.cache/pnkr``).
 
     The library is named by a hash of its source, its flags and the host
     CPU (``-march=native`` builds for this CPU), so a cache hit starts no
     process.  A miss compiles with ``cc`` into a temporary file and
     renames it into place, so concurrent first imports each publish a
     whole library.  With no cached build, raises ``ImportError`` naming
-    the cache directory when it cannot be written, or else the missing
-    compiler when there is no C compiler on ``PATH``.
+    the cache directory when it cannot be written, the missing compiler
+    when there is no C compiler on ``PATH``, or else OpenMP, which the
+    build needs, with the compiler's messages.
     """
     key = hashlib.sha256("\0".join([_STEP_SOURCE, *_STEP_FLAGS, _host_cpu()]).encode()).hexdigest()[:20]
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "pnkr")
@@ -216,16 +464,15 @@ def _load_step_kernel() -> ctypes.CDLL:
                 raise ImportError(f"pnkr compiles its Kaczmarz step at first import and needs a C compiler, but no C compiler (cc) is on PATH; the build would be cached in {cache}")
             build = subprocess.run([compiler, *_STEP_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"], input=_STEP_SOURCE, capture_output=True, text=True)
             if build.returncode:
-                raise ImportError(f"the C compiler (cc) failed to build pnkr's Kaczmarz step:\n{build.stderr}")
+                raise ImportError(f"the C compiler (cc) failed to build pnkr's Kaczmarz step, which needs a C compiler with OpenMP (-fopenmp):\n{build.stderr}")
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     lib = ctypes.CDLL(path)
-    lib.pnkr_step.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t, ctypes.c_double, ctypes.c_double, *[ctypes.c_void_p] * 4]
-    lib.pnkr_step.restype = None
-    lib.pnkr_step_compiler.argtypes = []
-    lib.pnkr_step_compiler.restype = ctypes.c_char_p
+    kinds = {"p": ctypes.c_void_p, "n": ctypes.c_size_t, "d": ctypes.c_double, "i": ctypes.c_int}
+    for name, (args, result) in _KERNEL_ENTRIES.items():
+        getattr(lib, name).argtypes, getattr(lib, name).restype = [kinds[k] for k in args], result
     return lib
 
 
@@ -233,10 +480,19 @@ def _load_step_kernel() -> ctypes.CDLL:
 # waits for the first step, so commands that never step need no compiler.
 try:
     _STEP_KERNEL = _load_step_kernel()
-    # what computed the step, for run manifests: the compiler's __VERSION__ and the build flags
+    # what computed the step, for run manifests: the compiler's __VERSION__ and the build flags,
+    # and the OpenMP threads a sweep above _PARALLEL_ENTRIES runs on
     STEP_KERNEL_BUILD = f"cc {_STEP_KERNEL.pnkr_step_compiler().decode()} {' '.join(_STEP_FLAGS)}"
+    SWEEP_THREADS = _STEP_KERNEL.pnkr_threads()
 except ImportError as exc:
-    _STEP_KERNEL, STEP_KERNEL_BUILD = exc, None
+    _STEP_KERNEL, STEP_KERNEL_BUILD, SWEEP_THREADS = exc, None, None
+
+
+def _call(name: str, *args):
+    """Kernel entry ``name`` called with each array passed as its data pointer; raises the build's ``ImportError`` when there is no kernel."""
+    if isinstance(_STEP_KERNEL, ImportError):
+        raise _STEP_KERNEL
+    return getattr(_STEP_KERNEL, name)(*(x.ctypes.data if isinstance(x, np.ndarray) else x for x in args))
 
 
 @dataclass(eq=False)
@@ -436,31 +692,39 @@ def _step_views(system: ForwardSystem, u: np.ndarray, out: np.ndarray | None) ->
     return out, O if out is u else np.ascontiguousarray(u, dtype=float).reshape(N, L), O
 
 
-def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, a: np.ndarray, p: np.ndarray, gate=None) -> None:
-    """Every Kaczmarz step: ``O = max(Z + alpha a p^T, 0)`` in one compiled pass, ``p`` of ``L`` entries.
+def _parallel(system: ForwardSystem) -> int:
+    """Whether the kernel splits this system's products and passes over OpenMP threads (see ``_PARALLEL_ENTRIES``)."""
+    return int(system.N * system.L >= _PARALLEL_ENTRIES)
+
+
+def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, a: np.ndarray, p: np.ndarray) -> None:
+    """The kernel's step pass: ``O = max(Z + alpha a p^T, 0)``, ``p`` of ``L`` entries.
 
     ``Z`` is ``U``, or given ``k_R`` the momentum point
     ``(1 + c) U - c O`` of ``U`` and the previous iterate in ``O``, which
     is never formed: each entry of ``O`` is read and written once.  ``U``
     and ``O`` are C-contiguous float64 ``N x L`` arrays, one object only
-    without ``k_R``.  ``gate``, a pair ``(q, g)`` of an ``L``-entry column
-    and a C-contiguous float64 array of ``N`` entries, has the pass also
-    write the next gate's product ``g = O q`` in the fixed order of
-    ``_STEP_SOURCE``.  No pass checks the result: the next gate reads
-    every entry (see :func:`_gated_sweep`).
+    without ``k_R``.  No pass checks the result.
     """
-    if isinstance(_STEP_KERNEL, ImportError):
-        raise _STEP_KERNEL
     c = 0.0 if k_R is None else _momentum_factor(k_R)
     N, L = O.shape
-    q, g = (None, None) if gate is None else (np.ascontiguousarray(gate[0], dtype=float), gate[1])
     a, p = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(p, dtype=float)
-    if U.shape != O.shape or a.shape != (N,) or p.size != L or (gate and (q.size != L or g.shape != (N,))) or not all(x.dtype == np.float64 and x.flags.c_contiguous for x in (U, O, g) if x is not None):
-        raise ValueError(f"a step over an {N} x {L} iterate needs C-contiguous float64 iterates and products, and factors of {N} and {L} entries")
-    _STEP_KERNEL.pnkr_step(U.ctypes.data, O.ctypes.data, N, L, c, alpha, a.ctypes.data, p.ctypes.data, *(x if x is None else x.ctypes.data for x in (q, g)))
+    if U.shape != O.shape or a.shape != (N,) or p.size != L or not all(x.dtype == np.float64 and x.flags.c_contiguous for x in (U, O)):
+        raise ValueError(f"a step over an {N} x {L} iterate needs C-contiguous float64 iterates and factors of {N} and {L} entries")
+    _call("pnkr_step", U, O, N, L, c, alpha, a, p, None, None, int(N * L >= _PARALLEL_ENTRIES))
 
 
-def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None, gate=None) -> np.ndarray:
+def _spatial_product(system: ForwardSystem, S: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``S d`` for a step's ``N x N`` spatial factor, each row summed in the kernel's fixed order, as the sweep forms it."""
+    N, S, d = system.N, np.asfortranarray(S, dtype=float), np.ascontiguousarray(d, dtype=float)
+    if S.shape != (N, N) or d.shape != (N,):
+        raise ValueError(f"a spatial product needs an {N} x {N} factor and a residual of {N} entries")
+    a = np.empty(N)
+    _call("pnkr_spatial", S, d, a, N, _parallel(system))
+    return a
+
+
+def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None) -> np.ndarray:
     """One projected preconditioned step of equation ``r``; returns the new iterate.
 
     The step is taken at ``z = u``, or, given the loop counter ``k_R``,
@@ -468,17 +732,15 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r:
     ``out`` must then hold; ``d`` is the sample-space residual
     ``y_r - Z q_r`` at ``z``.  The correction
     ``M^-1 H_r^T N^-1 (w_r - H_r z)`` is the rank-one matrix
-    ``(Psi^-1 G d) (Phi^-1 q_r)^T``: one product with the stored
-    ``Psi^-1 G``, then one pass of :func:`_rank_one_step`; the sweep's
-    next gate, not the step, checks the iterate for inf and NaN.  A
+    ``(Psi^-1 G d) (Phi^-1 q_r)^T``, formed and applied by the kernel as a
+    sweep does, so given the same ``d`` it is bitwise a sweep's step.  A
     momentum step combines ``u``, the previous iterate and the correction
     in one pass, so it differs from the step at
     ``nesterov_extrapolate(u, out, k_R)`` by rounding.
 
     ``out`` is a C-contiguous float64 array of ``N * L`` entries.
     Without ``k_R`` it may be ``u`` itself, or omitted for a fresh
-    array; with ``k_R`` it must not overlap ``u``.  ``gate=(q, g)`` has
-    the pass also write ``g = U_new q`` (see :func:`_rank_one_step`).
+    array; with ``k_R`` it must not overlap ``u``.
     """
     if k_R is not None:
         if out is None:
@@ -487,82 +749,71 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r:
             raise ValueError("out must not overlap u, the iterate it extrapolates from")
     r = _check_r(system, r)
     out, U, O = _step_views(system, u, out)
-    a = system.Psi_inv_G @ d
-    _rank_one_step(U, O, k_R, omega, a, system.Phi_inv_Q[:, r - 1, None], gate)
+    _rank_one_step(U, O, k_R, omega, _spatial_product(system, system.Psi_inv_G, d), system.Phi_inv_Q[:, r - 1])
     return out
 
 
-def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, taps=SMOOTHING_TAPS, out: np.ndarray | None = None, gate=None) -> np.ndarray:
-    """One reduced step at ``u`` with residual ``d = y_r - U q_r``; returns the new iterate and fills ``gate`` like :func:`pnkr_equation_update`.
+def _smoothed_factors(system: ForwardSystem, taps) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced step's factors ``Z_x G G`` (``N x N``) and ``Z_Theta Q`` (``L x R``), Fortran-ordered."""
+    N, L, R = system.N, system.L, system.R
+    x_shape, theta_shape = system.basis.shape5[:2], system.basis.shape5[2:]
+    S = apply_Zs(apply_G(system, apply_G(system, np.eye(N))).reshape(*x_shape, N), taps, 2)
+    P = apply_Zs(system.Q.reshape(*theta_shape, R), taps, 3)
+    return np.asfortranarray(S.reshape(N, N)), np.asfortranarray(P.reshape(L, R))
+
+
+def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, taps=SMOOTHING_TAPS, out: np.ndarray | None = None) -> np.ndarray:
+    """One reduced step at ``u`` with residual ``d = y_r - U q_r``; returns the new iterate.
 
     Applies ``omega c_N^-1 Z_s(H_r^T (w_r - H_r u))`` and projects; the
     separable stencil ``Z_s``, ``taps`` along every axis, stands in for
     the Kronecker solve on the piecewise-constant basis.  It keeps the
-    correction rank-one, ``(Z_x G G d) (Z_Theta q_r)^T``, which
-    :func:`_rank_one_step` applies into ``out`` (which may be ``u``).
+    correction rank-one, ``(Z_x G G d) (Z_Theta q_r)^T``, which the kernel
+    forms and applies into ``out`` (which may be ``u``) as a sweep does.
     """
     r = _check_r(system, r)
     out, U, O = _step_views(system, u, out)
-    x_shape, theta_shape = system.basis.shape5[:2], system.basis.shape5[2:]
-    a = apply_Zs(apply_G(system, apply_G(system, d)).reshape(x_shape), taps, 2).reshape(-1)
-    p = apply_Zs(system.Q[:, r - 1].reshape(theta_shape), taps, 3).reshape(-1, 1)
-    _rank_one_step(U, O, None, omega / system.c_N, a, p, gate)
+    S, P = _smoothed_factors(system, taps)
+    _rank_one_step(U, O, None, omega / system.c_N, _spatial_product(system, S, d), P[:, r - 1])
     return out
 
 
-def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData, blk: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Sample-space residuals ``y[:, blk] - U Q[:, blk]`` at ``u`` and their norms."""
-    D = data.y[:, blk] - u.reshape(system.N, system.L) @ system.Q[:, blk]
+def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData) -> tuple[np.ndarray, np.ndarray]:
+    """Every equation's sample-space residual ``y - U Q`` at ``u`` and its norm, by numpy."""
+    D = data.y - u.reshape(system.N, system.L) @ system.Q
     return D, sample_norm(system, D)
 
 
-def _gated_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, blocks, step, residual=None) -> int:
-    """Visit each block of equations once; returns the update count.
+def _gate_operands(system: ForwardSystem, data: SolveData) -> tuple:
+    """The samples, the kernel table and the axis factors of ``G``, each with its size, as the kernel reads them."""
+    A1, A2 = (np.ascontiguousarray(A, dtype=float) for A in system.G_axes)
+    return np.ascontiguousarray(data.y, dtype=float), np.ascontiguousarray(system.Q), A1, len(A1), A2, len(A2)
 
-    A block is a slice of equations.  Its residual ``D`` at ``u_k``
-    gates it: when every equation in the block meets ``tau delta_r`` the
-    block is skipped, otherwise ``step(blk, D, gate)`` takes its residual
-    from ``D`` and returns the new iterate, which is committed, and
-    whether it filled ``gate``; ``k_R`` advances once at the end.  When
-    the next block is one equation ``r``, ``gate`` is ``(q_r, g)`` and a
-    step that fills ``g`` with ``U_new q_r`` (see :func:`_rank_one_step`)
-    spares that gate its product; other gates form ``U_k q_r`` with numpy.
-    A non-finite norm raises: any inf or NaN in ``u_k`` reaches ``D``
-    (``inf * 0`` is NaN), so the gates are the finite check, and one
-    maximum checks an update after the last gate.  ``residual``, when
-    given, is ``(D, norms)`` of the first block at ``u_k``.  Steps build
-    their iterate in ``u_km1`` (see :class:`SolverState`), first replaced
-    by an aligned copy if it shares memory with ``u_k``.
+
+def _compiled_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, c: float, S: np.ndarray, P: np.ndarray, alpha: float) -> int:
+    """One Kaczmarz sweep in one kernel call (``pnkr_sweep``); returns the update count.
+
+    An active equation ``r`` steps with ``d = D + c (D - D')``, ``a = S d``
+    and column ``r`` of ``P`` at stepsize ``alpha``.  ``u_km1`` is first
+    replaced by an aligned copy if it shares memory with ``u_k``.  A
+    non-finite gate norm, or a non-finite last update, raises.
     """
+    N, L, R = system.N, system.L, system.R
     if np.may_share_memory(state.u_k, state.u_km1):
         state.u_km1 = _aligned_copy(state.u_k, state.u_k.shape)
-    limit = config.tau * data.delta_r
-    limits, (A1, A2), shape = limit.tolist(), system.G_axes, (system.N, system.L)
-    error = f"iterate became non-finite; the stepsize omega={omega:g} is too large for this system"
-    updates, g, filled = 0, np.empty(system.N), False
-    # an oversized stepsize overflows to inf/nan; the finite check raises, not the FPU
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, blk in enumerate(blocks):
-            if residual is None and blk.stop - blk.start == 1:
-                # one equation: sample_norm's one-column branch, without its wrappers
-                D = data.y[:, blk] - (g[:, None] if filled else state.u_k.reshape(shape) @ system.Q[:, blk])
-                X = D.reshape(len(A1), len(A2))
-                norm = float(np.sqrt(np.vdot(X, A1 @ X @ A2)))
-                satisfied = norm <= limits[blk.start]
-            else:
-                D, norms = residual or _block_residual(system, state.u_k, data, blk)
-                residual = None
-                satisfied, norm = (norms <= limit[blk]).all(), norms.max()
-            if not math.isfinite(norm):
-                raise RuntimeError(error)
-            filled = False
-            if not satisfied:
-                nxt = blocks[i + 1] if i + 1 < len(blocks) else slice(0, 0)
-                gate = (system.Q[:, nxt.start], g) if nxt.stop - nxt.start == 1 else None
-                (state.u_k, filled), state.u_km1 = step(blk, D, gate), state.u_k
-                updates += 1
-        if updates and not satisfied and not np.isfinite(state.u_k.max()):  # no gate read the last update
-            raise RuntimeError(error)
+    u_k, u_km1 = state.u_k, state.u_km1
+    if data.y.shape != (N, R) or data.delta_r.shape != (R,) or any(u.shape != (N * L,) or u.dtype != np.float64 or not u.flags.c_contiguous for u in (u_k, u_km1)):
+        raise ValueError(f"a sweep over {R} equations needs samples of shape ({N}, {R}), {R} noise levels and C-contiguous float64 iterates of shape ({N * L},)")
+    order = np.ascontiguousarray(_sweep_order(config, R, state.k_R) - 1, dtype=np.int64)
+    limits = np.ascontiguousarray(config.tau * data.delta_r, dtype=float)
+    S, P = np.asfortranarray(S), np.asfortranarray(P)
+    updates = _call("pnkr_sweep", u_k, u_km1, N, L, R, *_gate_operands(system, data), order, limits, P, S, c, alpha, _parallel(system))
+    if updates < -1:
+        raise MemoryError("the Kaczmarz sweep could not allocate its work arrays")
+    if updates < 0:
+        raise RuntimeError(_NON_FINITE.format(omega))
+    if updates % 2:
+        state.u_k, state.u_km1 = u_km1, u_k
     state.k_R += 1
     return updates
 
@@ -573,32 +824,24 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system
     The gate tests the residual ``D`` at ``u_k``; the step is taken at
     the momentum point with residual ``D + c (D - D')``, which at
     ``k_R == 1`` is the plain step with ``D``.  With ``momentum=False``
-    every step is the plain one, the Kaczmarz baseline.  Steps run in
-    place (see :class:`SolverState`).
+    every step is the plain one, the Kaczmarz baseline.  The whole sweep
+    is one kernel call, and its steps run in place (see
+    :class:`SolverState`).
     """
-
-    def step(blk: slice, D: np.ndarray, gate) -> tuple[np.ndarray, bool]:
-        d, k_R = D[:, 0], None
-        if momentum and state.k_R > 1:
-            k_R = state.k_R
-            d_prev = data.y[:, blk.start] - state.u_km1.reshape(system.N, system.L) @ system.Q[:, blk.start]
-            d = nesterov_extrapolate(d, d_prev, k_R, out=d_prev)
-        return pnkr_equation_update(system, state.u_k, d, blk.stop, omega, out=state.u_km1, k_R=k_R, gate=gate), gate is not None
-
-    blocks = [slice(r - 1, r) for r in _sweep_order(config, system.R, state.k_R)]  # equation r in block r - 1
-    return _gated_sweep(state, config, data, system, omega, blocks, step)
+    c = _momentum_factor(state.k_R) if momentum else 0.0
+    return _compiled_sweep(state, config, data, system, omega, c, system.Psi_inv_G, system.Phi_inv_Q, omega)
 
 
 def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float) -> int:
-    """One gated sweep of the reduced variant (piecewise-constant basis) in the order of loop ``k_R``; steps run in place."""
+    """One gated sweep of the reduced variant (piecewise-constant basis) in the order of loop ``k_R``; steps run in place.
+
+    The kernel takes the smoothing, with the stencil :data:`SMOOTHING_TAPS`,
+    as the factors of :func:`reduced_equation_update` and the stepsize ``omega / c_N``.
+    """
     if system.basis.s != 0:
         raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
-
-    def step(blk: slice, D: np.ndarray, gate) -> tuple[np.ndarray, bool]:
-        return reduced_equation_update(system, state.u_k, D[:, 0], blk.stop, omega, out=state.u_km1, gate=gate), gate is not None
-
-    blocks = [slice(r - 1, r) for r in _sweep_order(config, system.R, state.k_R)]  # equation r in block r - 1
-    return _gated_sweep(state, config, data, system, omega, blocks, step)
+    S, P = _smoothed_factors(system, SMOOTHING_TAPS)
+    return _compiled_sweep(state, config, data, system, omega, 0.0, S, P, omega / system.c_N)
 
 
 def landweber_step(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, residual=None) -> int:
@@ -608,19 +851,40 @@ def landweber_step(state: SolverState, config: SolverConfig, data: SolveData, sy
     them is out of tolerance; then it sums over all of them.  The step
     runs in place like the pnkr sweep: the correction is written into
     the ``u_km1`` buffer, which is then projected and swapped in as
-    ``u_k``.  ``residual`` may hand in
-    ``(D, norms)`` of all equations at ``u_k``, as :func:`sweeps` does from
-    the previous loop's history row.
+    ``u_k``.  ``residual`` may hand in ``(D, norms)`` of all equations at
+    ``u_k``, as :func:`sweeps` does from the previous loop's history row.
+    A non-finite norm, or a non-finite entry in the new iterate, raises.
     """
+    if np.may_share_memory(state.u_k, state.u_km1):
+        state.u_km1 = _aligned_copy(state.u_k, state.u_k.shape)
+    # an oversized stepsize overflows to inf/nan; the finite check raises, not the FPU
+    with np.errstate(over="ignore", invalid="ignore"):
+        D, norms = residual or _block_residual(system, state.u_k, data)
+        if not math.isfinite(norms.max()):
+            raise RuntimeError(_NON_FINITE.format(omega))
+        updates = int(not (norms <= config.tau * data.delta_r).all())
+        if updates:
+            out = state.u_km1
+            np.matmul(omega * (system.Psi_inv_G @ D), system.Phi_inv_Q.T, out=out.reshape(system.N, system.L))
+            out += state.u_k
+            state.u_k, state.u_km1 = threshold(out, out=out), state.u_k
+            if not np.isfinite(state.u_k.max()):
+                raise RuntimeError(_NON_FINITE.format(omega))
+    state.k_R += 1
+    return updates
 
-    def step(blk: slice, D: np.ndarray, gate) -> tuple[np.ndarray, bool]:
-        A = omega * (system.Psi_inv_G @ D)
-        out = state.u_km1
-        np.matmul(A, system.Phi_inv_Q.T, out=out.reshape(system.N, system.L))
-        out += state.u_k
-        return threshold(out, out=out), False
 
-    return _gated_sweep(state, config, data, system, omega, [slice(0, system.R)], step, residual)
+def _iterate_norm(u: np.ndarray) -> float:
+    """``||u||`` by ``np.einsum``, which, unlike ``np.linalg.norm``, makes no threaded BLAS call."""
+    return float(np.sqrt(np.einsum("i,i->", u, u)))
+
+
+def _compiled_norms(system: ForwardSystem, u: np.ndarray, data: SolveData) -> np.ndarray:
+    """Every equation's residual norm at ``u``, from the kernel on its threads in its fixed order."""
+    U, norms = np.ascontiguousarray(u, dtype=float).reshape(system.N, system.L), np.empty(system.R)
+    if _call("pnkr_residual_norms", U, system.N, system.L, system.R, *_gate_operands(system, data), norms, _parallel(system)):
+        raise MemoryError("the residual norms could not allocate their work arrays")
+    return norms
 
 
 def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem, omega: float, u_star: np.ndarray | None = None):
@@ -633,6 +897,10 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
     to keep it.  Given reference coefficients ``u_star``, each row
     carries the stacked moment-space residual ``res`` and the relative
     error.  ``data`` is :class:`SolveData` or datacube-like.
+
+    A row's ``data_residual`` comes from the kernel for the Kaczmarz
+    variants at or above ``_PARALLEL_ENTRIES``, and from numpy otherwise,
+    so that no threaded numpy BLAS call runs between two threaded sweeps.
 
     Raises
     ------
@@ -667,7 +935,8 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
         if u_star.shape != (system.N * system.L,):
             raise ValueError(f"reference coefficients have shape {u_star.shape}, expected ({system.N * system.L},)")
         star_norm = float(np.linalg.norm(u_star))
-    ref_norm = float(np.linalg.norm(state.u_k)) or None
+    compiled = config.variant != "landweber" and _parallel(system)
+    ref_norm = _iterate_norm(state.u_k) or None
     residual = None
     while state.k_R <= config.max_loops:
         # entered per sweep: an errstate held across the yield would stay in force in the caller
@@ -686,10 +955,10 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
                 res = float(np.linalg.norm(apply_H_all(system, diff)))
                 error = float(np.linalg.norm(diff)) / star_norm if star_norm > 0 else np.nan
             # the residual at u_k of every equation; Landweber's next gate reuses it
-            residual = _block_residual(system, state.u_k, data)
-            data_residual = float(np.sqrt(np.sum(residual[1] ** 2)))
-            row = HistoryRow(loop=state.k_R - 1, updates=updates, data_residual=data_residual, res=res, error=error, seconds=seconds)
-            u_norm = float(np.linalg.norm(state.u_k))
+            residual = None if compiled else _block_residual(system, state.u_k, data)
+            norms = _compiled_norms(system, state.u_k, data) if compiled else residual[1]
+            u_norm = _iterate_norm(state.u_k)
+            row = HistoryRow(loop=state.k_R - 1, updates=updates, data_residual=float(np.sqrt(np.sum(norms**2))), res=res, error=error, seconds=seconds)
             if ref_norm is None:
                 ref_norm = u_norm or None
             elif u_norm > 1e6 * ref_norm:

@@ -440,25 +440,74 @@ def blas_rank_one_step(U, O, c, alpha, a, p):
         np.maximum(B, 0.0, out=B)
 
 
-def fixed_order_rows_dot(O, q):
-    """``O q`` for an ``N x L`` array, each row summed in the compiled step pass's order.
+def fixed_order_sum(P):
+    """Sum over the last axis of ``P`` in the compiled kernel's order.
 
-    Eight running sums, lane ``j`` taking the products ``O[n, l] q[l]``
-    with ``l = j mod 8`` in increasing ``l``; the last ``L mod 8``
-    products join lane 0 in increasing ``l``; then
-    ``((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))``.  Each
-    product is rounded before its add, so this reproduces the pass bitwise.
+    Eight running sums, lane ``j`` taking the entries ``P[..., l]`` with
+    ``l = j mod 8`` in increasing ``l``; the last ``L mod 8`` entries join
+    lane 0 in increasing ``l``; then
+    ``((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))``.
     """
-    P = np.asarray(O) * np.asarray(q).reshape(-1)
-    N, L = P.shape
+    P = np.asarray(P)
+    L = P.shape[-1]
     main = L - L % 8
-    s = np.zeros((N, 8))
+    s = np.zeros(P.shape[:-1] + (8,))
     for l0 in range(0, main, 8):
-        s += P[:, l0 : l0 + 8]
+        s += P[..., l0 : l0 + 8]
     for l in range(main, L):
-        s[:, 0] += P[:, l]
-    s = s.T
+        s[..., 0] += P[..., l]
+    s = np.moveaxis(s, -1, 0)
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+
+
+def fixed_order_rows_dot(O, q):
+    """``O q`` for an ``N x L`` array, each row summed in the kernel's order; each product is rounded before its add."""
+    return fixed_order_sum(np.asarray(O) * np.asarray(q).reshape(-1))
+
+
+def fixed_order_matmul(A, B):
+    """``A B`` with every entry ``sum_k A[i, k] B[k, j]`` summed over ``k`` in the kernel's order."""
+    return fixed_order_sum(np.asarray(A)[:, None, :] * np.asarray(B).T[None, :, :])
+
+
+def fixed_order_gate_norm(system, D):
+    """The kernel's gate norm ``sqrt(vdot(X, A_x1 X A_x2))`` of a sample vector, ``X`` its ``n1 x n2`` grid, every sum in the kernel's order."""
+    A1, A2 = system.G_axes
+    X = np.asarray(D, dtype=float).reshape(len(A1), len(A2))
+    W = fixed_order_matmul(fixed_order_matmul(A1, X), A2)
+    return float(np.sqrt(fixed_order_sum((X * W).reshape(-1))))
+
+
+def compiled_sweep_reference(system, y, limits, order, u_k, u_km1, c, S, P, alpha):
+    """numpy reference of one compiled sweep; returns ``(u_k, u_km1, updates)``.
+
+    ``order`` lists 0-based equations.  Equation ``r``'s gate forms
+    ``D = y_r - U_k q_r`` by :func:`fixed_order_rows_dot` and its norm by
+    :func:`fixed_order_gate_norm`, and skips ``r`` when the norm is at
+    most ``limits[r]``.  Otherwise the step takes ``d = D`` (``c = 0``)
+    or ``(D - D') c + D`` with ``D' = y_r - U_{k-1} q_r``, forms
+    ``a = S d`` row by row in the kernel's order, and makes the step
+    :func:`blas_rank_one_step` with column ``r`` of ``P``; the iterates
+    then swap.  A non-finite norm, or a non-finite entry after a last
+    update, raises ``RuntimeError``.
+    """
+    N, L = system.N, system.L
+    U, prev, updates, stepped = np.array(u_k, dtype=float).reshape(N, L), np.array(u_km1, dtype=float).reshape(N, L), 0, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in order:
+            q = system.Q[:, r]
+            D = y[:, r] - fixed_order_rows_dot(U, q)
+            norm = fixed_order_gate_norm(system, D)
+            if not np.isfinite(norm):
+                raise RuntimeError("non-finite gate norm")
+            stepped = not norm <= limits[r]
+            if stepped:
+                d = (D - (y[:, r] - fixed_order_rows_dot(prev, q))) * c + D if c else D
+                blas_rank_one_step(U, prev, c, alpha, fixed_order_rows_dot(S, d), np.asarray(P)[:, r, None])
+                U, prev, updates = prev, U, updates + 1
+        if stepped and not np.isfinite(U).all():
+            raise RuntimeError("non-finite last update")
+    return U.reshape(-1), prev.reshape(-1), updates
 
 
 # -- manifests -----------------------------------------------------------------

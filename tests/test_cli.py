@@ -24,7 +24,7 @@ from pnkr.presets import (
     preset_template,
     preset_window,
 )
-from pnkr.solver import STEP_KERNEL_BUILD, VARIANTS, read_coefficients, read_history
+from pnkr.solver import STEP_KERNEL_BUILD, SWEEP_THREADS, VARIANTS, read_coefficients, read_history
 
 from _oracles import manifest_run_key, read_manifest
 
@@ -189,12 +189,14 @@ def test_solve_manifest_records_the_blas(pipeline_dir):
         blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert versions[key] == f"{blas['name']} {blas['version']}"
     # the step kernel: the compiler's __VERSION__, then the build flags
-    flags = " -O3 -march=native -ffp-contract=off -shared -fPIC"
+    flags = " -O3 -march=native -ffp-contract=off -fopenmp -shared -fPIC"
     assert versions["step_kernel"] == STEP_KERNEL_BUILD
     assert versions["step_kernel"].startswith("cc ") and versions["step_kernel"].endswith(flags)
     compiler = subprocess.run(["cc", "-dumpversion"], capture_output=True, text=True, check=True).stdout.strip()
     assert compiler in versions["step_kernel"][3 : -len(flags)]
     assert versions["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS", "default")
+    # the OpenMP threads of a sweep above the kernel's size threshold
+    assert versions["sweep_threads"] == SWEEP_THREADS >= 1
     assert versions["cpu_count"] == os.cpu_count()
     assert versions["machine"] == platform.machine()
 
@@ -216,7 +218,8 @@ def test_commands_that_never_step_run_without_the_step_kernel(pipeline_dir, tmp_
     assert shown.returncode == 0 and "solve" in shown.stdout, shown.stderr
     built = pnkr_cli("gen-templates", "--preset", "tiny", "--out", "tpl.pnkt")
     assert built.returncode == 0, built.stderr
-    assert read_manifest(tmp_path / "tpl.pnkt.manifest.json")["versions"]["step_kernel"] is None
+    versions = read_manifest(tmp_path / "tpl.pnkt.manifest.json")["versions"]
+    assert versions["step_kernel"] is None and versions["sweep_threads"] is None
     solved = pnkr_cli(
         "solve", "--preset", "tiny", "--templates", "tpl.pnkt", "--cube", str(pipeline_dir / "cube.pnkd"),
         "--s", "0", "--max-loops", "2", "--out", "run",

@@ -50,7 +50,19 @@ from pnkr.solver import (
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 from pnkr.forward import rho_estimate
 
-from _oracles import blas_rank_one_step, dense_G, dense_Hr, dense_M, dense_Phi, dense_Psi, equation_residual_norm, fixed_order_rows_dot, row_space_image
+from _oracles import (
+    blas_rank_one_step,
+    compiled_sweep_reference,
+    dense_G,
+    dense_Hr,
+    dense_M,
+    dense_Phi,
+    dense_Psi,
+    equation_residual_norm,
+    fixed_order_gate_norm,
+    fixed_order_rows_dot,
+    row_space_image,
+)
 
 OMEGA_GRIDS = (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 4))
 THETA_GRIDS = (
@@ -97,7 +109,7 @@ def _residual(system, y_r, u, r):
 
 
 def _pass_residual(system, y_r, u, r):
-    """The residual a gate right after an update forms: ``y_r - U q_r`` with the step pass's fixed-order product."""
+    """The residual a compiled sweep forms: ``y_r - U q_r`` with the kernel's fixed-order product."""
     return y_r - fixed_order_rows_dot(u.reshape(system.N, system.L), system.Q[:, r - 1])
 
 
@@ -317,7 +329,7 @@ def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request):
             got = pnkr_equation_update(system, u_k, d[k_R], r, omega, out=buf, k_R=k_R)
             assert got is buf
             assert np.array_equal(got, plain[k_R])
-            a, O = system.Psi_inv_G @ d[k_R], u_km1.copy().reshape(system.N, system.L)
+            a, O = fixed_order_rows_dot(system.Psi_inv_G, d[k_R]), u_km1.copy().reshape(system.N, system.L)
             for blk in blocks:
                 pnkr.solver._rank_one_step(U[blk], O[blk], k_R, omega, a[blk], p)
             assert np.array_equal(O.reshape(-1), plain[k_R])
@@ -420,6 +432,13 @@ def test_step_kernel_projects_nan_inf_and_zero_like_np_maximum(where):
             assert np.isnan(got).any() and np.isinf(got).any()
 
 
+def _fused_step(U, O, k_R, alpha, a, p, q, g):
+    """The kernel's step pass with the next gate's product ``g = O q``, as a sweep runs it after an update."""
+    c = 0.0 if k_R is None else (k_R - 1.0) / (k_R + 2.0)
+    a, p, q = (np.ascontiguousarray(x, dtype=float) for x in (a, p, q))
+    pnkr.solver._call("pnkr_step", U, O, O.shape[0], O.shape[1], c, alpha, a, p, q, g, 0)
+
+
 @pytest.mark.parametrize("case", ["tiny1", "desk", "paper_shape"])
 def test_step_kernel_gate_product_is_the_fixed_order_sum_bitwise(case, request):
     # the pass's product O q against the numpy sum in its documented order, for c = 0 and
@@ -440,16 +459,11 @@ def test_step_kernel_gate_product_is_the_fixed_order_sum_bitwise(case, request):
         want = (U if in_place else prev).copy()
         got, g = want.copy(), np.full(N, np.nan)
         pnkr.solver._rank_one_step(want if in_place else U, want, k_R, alpha, a, p)
-        pnkr.solver._rank_one_step(got if in_place else U, got, k_R, alpha, a, p, gate=(q, g))
+        _fused_step(got if in_place else U, got, k_R, alpha, a, p, q, g)
         assert np.array_equal(_bits(got), _bits(want))
         assert np.array_equal(_bits(g), _bits(fixed_order_rows_dot(got, q)))
         assert 0 < np.sum(got == 0.0) < got.size
         assert np.abs(g - got @ q).max() <= 1e-14 * np.abs(got @ q).max()
-    # the product is written through a raw pointer too
-    g = np.empty(N)
-    for bad in [(q[:-1], g), (q, g[:-1]), (q, g.astype(np.float32)), (q, np.empty(2 * N)[::2])]:
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            pnkr.solver._rank_one_step(U, got, None, alpha, a, p, gate=bad)
 
 
 @pytest.mark.parametrize("where", ["u_k", "u_km1"])
@@ -466,7 +480,7 @@ def test_step_kernel_gate_product_is_non_finite_where_the_step_writes_nan_or_inf
     q[20] = 0.0
     for k_R in (None, 2, 5):
         got, g = prev.copy(), np.empty(N)
-        pnkr.solver._rank_one_step(U, got, k_R, 0.5, a, p, gate=(q, g))
+        _fused_step(U, got, k_R, 0.5, a, p, q, g)
         with np.errstate(invalid="ignore"):
             assert np.array_equal(g, fixed_order_rows_dot(got, q), equal_nan=True)
         assert np.array_equal(np.isfinite(g), np.isfinite(got).all(axis=1))
@@ -515,6 +529,54 @@ def test_step_kernel_names_a_cache_directory_it_cannot_write(tmp_path):
     assert failed.returncode != 0 and failed.stdout == "None\n"
     last = failed.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError") and str(not_a_dir / "pnkr") in last and "XDG_CACHE_HOME" in last
+
+
+def test_step_kernel_build_names_openmp_when_the_compiler_lacks_it(tmp_path):
+    # a cc that rejects -fopenmp, as a compiler without OpenMP does: the import succeeds and
+    # the first step raises an ImportError that says the build needs OpenMP
+    fake = tmp_path / "bin"
+    fake.mkdir()
+    (fake / "cc").write_text("#!/bin/sh\necho \"cc: error: unrecognized command-line option '-fopenmp'\" >&2\nexit 1\n")
+    (fake / "cc").chmod(0o755)
+    failed = _import_and_step(tmp_path / "cache", fake)
+    assert failed.returncode != 0 and failed.stdout == "None\n"
+    assert "ImportError" in failed.stderr and "OpenMP (-fopenmp)" in failed.stderr
+    assert "unrecognized command-line option '-fopenmp'" in failed.stderr
+
+
+# Runs pnkr sweeps on a random problem of N L = 144 x 2048 entries, above the kernel's
+# threshold for OpenMP threads, and prints the thread count, then digests of the iterate
+# and of the deterministic history columns.
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from pnkr.forward import build_forward_system, synthesize_datacube
+from pnkr.grid_basis import make_basis, uniform_axis
+from pnkr.mock import add_noise
+from pnkr.solver import SWEEP_THREADS, _PARALLEL_ENTRIES, SolveData, SolverConfig, run
+
+basis = make_basis(1, (uniform_axis(-1.0, 1.0, 13), uniform_axis(-1.0, 1.0, 13)), (uniform_axis(-1000.0, 1000.0, 17), uniform_axis(-2.0, 0.0, 9), uniform_axis(1.0, 13.0, 17)), beta=0.3)
+assert (basis.N, basis.L) == (144, 2048) and basis.N * basis.L >= _PARALLEL_ENTRIES
+rng = np.random.default_rng(0)
+system = build_forward_system(basis, rng.uniform(0.0, 1.0, (basis.L, 24)))
+noisy = add_noise(system, synthesize_datacube(system, rng.uniform(0.0, 1.0, basis.N * basis.L)), 0.01, seed=0)
+res = run(SolverConfig(variant="pnkr", s=1, beta=0.3, max_loops=4), SolveData(y=noisy.y_noisy, delta_r=noisy.delta_r), system)
+table = np.array([[row.loop, row.updates, row.data_residual] for row in res.history])
+print(SWEEP_THREADS, res.total_updates, hashlib.sha256(res.u.tobytes()).hexdigest(), hashlib.sha256(table.tobytes()).hexdigest())
+"""
+
+
+def test_sweep_bits_do_not_depend_on_the_thread_count():
+    # every row of every product and pass keeps its sum order on any number of OpenMP threads
+    src = str(Path(pnkr.solver.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, timeout=120)
+        assert probe.returncode == 0, probe.stderr
+        outputs.append(probe.stdout.split())
+    assert [out[0] for out in outputs] == ["1", "2"]
+    assert int(outputs[0][1]) > 0 and outputs[0][1:] == outputs[1][1:]
 
 
 def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
@@ -641,7 +703,7 @@ def test_update_taken_at_momentum_point(tiny0, tiny0_problem):
     assert np.array_equal(state.u_km1, u_k)
     # the step is handed the residual at the momentum point, D + c (D - D')
     y_r = data.y[:, r0 - 1]
-    d = nesterov_extrapolate(_residual(tiny0, y_r, u_k, r0), _residual(tiny0, y_r, u_km1, r0), 3)
+    d = nesterov_extrapolate(_pass_residual(tiny0, y_r, u_k, r0), _pass_residual(tiny0, y_r, u_km1, r0), 3)
     expected = pnkr_equation_update(tiny0, u_k, d, r0, omega, out=u_km1.copy(), k_R=3)
     assert np.array_equal(state.u_k, expected)
     # which is the step at z with the residual formed there, up to rounding
@@ -668,9 +730,9 @@ def test_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, momentum
     assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
     assert np.array_equal(state.u_km1, u_k)
     y_r = data.y[:, r0 - 1]
-    D = _residual(tiny0, y_r, u_k, r0)
+    D = _pass_residual(tiny0, y_r, u_k, r0)
     if momentum:
-        d = nesterov_extrapolate(D, _residual(tiny0, y_r, u_km1, r0), 3)
+        d = nesterov_extrapolate(D, _pass_residual(tiny0, y_r, u_km1, r0), 3)
         expected = pnkr_equation_update(tiny0, u_k, d, r0, omega, out=u_km1.copy(), k_R=3)
     else:
         expected = pnkr_equation_update(tiny0, u_k, D, r0, omega)
@@ -694,7 +756,7 @@ def test_reduced_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, 
     if not shared:
         assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
     assert np.array_equal(state.u_km1, u)
-    d = _residual(tiny0, data.y[:, r0 - 1], u, r0)
+    d = _pass_residual(tiny0, data.y[:, r0 - 1], u, r0)
     assert np.array_equal(state.u_k, reduced_equation_update(tiny0, u, d, r0, omega))
 
 
@@ -725,9 +787,9 @@ def test_run_steps_in_page_aligned_buffers_and_leaves_the_guess(tiny0, tiny0_pro
 @pytest.mark.parametrize("k_R", [1, 2, 3])
 @pytest.mark.parametrize("variant", ["pnkr", "landweber_kaczmarz", "reduced_pnkr"])
 def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_problem, variant, k_R):
-    # every equation is active; the oracle forms each residual itself: D at u_k (after
-    # the first update from the pass's product) and, for a momentum step past k_R = 1,
-    # D' at the previous iterate
+    # every equation is active; the test forms each residual itself, in the kernel's order:
+    # D at u_k and, for a momentum step past k_R = 1, D' at the previous iterate, and
+    # hands it to the public single step
     _, data = tiny0_problem
     eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
     cfg = SolverConfig(variant=variant, s=0)
@@ -740,10 +802,10 @@ def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_probl
     else:
         assert pnkr_sweep(state, cfg, eager, tiny0, omega=omega, momentum=variant == "pnkr") == tiny0.R
 
-    for i, r in enumerate(_documented_order(cfg.seed, k_R, tiny0.R)):
-        D = (_pass_residual if i else _residual)(tiny0, data.y[:, r - 1], u_k, r)
+    for r in _documented_order(cfg.seed, k_R, tiny0.R):
+        D = _pass_residual(tiny0, data.y[:, r - 1], u_k, r)
         if variant == "pnkr" and k_R > 1:
-            d = nesterov_extrapolate(D, _residual(tiny0, data.y[:, r - 1], u_km1, r), k_R)
+            d = nesterov_extrapolate(D, _pass_residual(tiny0, data.y[:, r - 1], u_km1, r), k_R)
             u_new = pnkr_equation_update(tiny0, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R)
         elif variant != "reduced_pnkr":
             u_new = pnkr_equation_update(tiny0, u_k, D, r, omega)
@@ -756,19 +818,26 @@ def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_probl
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_gated_sweep_rejects_non_finite_step(tiny0, tiny0_problem, bad):
+    # a non-finite entry in the iterate reaches the first gate, which raises before any step
+    # writes the u_km1 buffer; a stepsize of nan or inf makes the first step's iterate
+    # non-finite, and the next gate, whose product the step pass formed, raises.  Either
+    # error names omega, and k_R does not advance
     _, data = tiny0_problem
     eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
     M = tiny0.N * tiny0.L
-    state = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M))
-
-    def step(blk, D, gate):
-        u_new = np.ones(M)
-        u_new[M // 2] = bad
-        return u_new, False
-
     cfg = SolverConfig(variant="pnkr", s=0)
-    with pytest.raises(RuntimeError, match="omega"):
-        pnkr.solver._gated_sweep(state, cfg, eager, tiny0, 0.5, [slice(0, 1)], step)
+    omega = 1.0 / rho_estimate(tiny0)
+    poisoned = np.full(M, 0.5)
+    poisoned[M // 2] = bad
+    for sweep in (pnkr_sweep, reduced_pnkr_sweep):
+        state = SolverState(u_k=poisoned.copy(), u_km1=np.full(M, 0.25), k_R=2)
+        with pytest.raises(RuntimeError, match=f"omega={omega:g} is too large"):
+            sweep(state, cfg, eager, tiny0, omega)
+        assert np.array_equal(state.u_km1, np.full(M, 0.25)) and state.k_R == 2
+        state = SolverState(u_k=np.full(M, 0.5), u_km1=np.full(M, 0.25), k_R=2)
+        with pytest.raises(RuntimeError, match=f"omega={bad:g} is too large"):
+            sweep(state, cfg, eager, tiny0, bad)
+        assert state.k_R == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -776,54 +845,62 @@ def test_gated_sweep_rejects_non_finite_step(tiny0, tiny0_problem, bad):
 def test_sweep_rejects_non_finite_last_update(tiny0, tiny0_problem, monkeypatch, bad, variant):
     # no gate follows a sweep's last update, so the sweep checks it itself
     _, data = tiny0_problem
-    eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
     M = tiny0.N * tiny0.L
-    name = "pnkr_equation_update" if variant == "pnkr" else "threshold"
-    real, calls = getattr(pnkr.solver, name), []
-
-    def poisoned(*args, **kwargs):
-        got = real(*args, **kwargs)
-        calls.append(1)
-        if len(calls) == (tiny0.R if variant == "pnkr" else 1):
-            got[-1] = bad
-        return got
-
-    monkeypatch.setattr(pnkr.solver, name, poisoned)
     rng = np.random.default_rng(36)
     state = SolverState(u_k=rng.uniform(0.0, 1.0, M), u_km1=rng.uniform(0.0, 1.0, M), k_R=2)
     cfg = SolverConfig(variant=variant, s=0)
-    with pytest.raises(RuntimeError, match="omega"):
-        if variant == "pnkr":
-            pnkr_sweep(state, cfg, eager, tiny0, omega=1.0 / rho_estimate(tiny0))
-        else:
+    if variant == "landweber":
+        real, calls = pnkr.solver.threshold, []
+
+        def poisoned(*args, **kwargs):
+            got = real(*args, **kwargs)
+            calls.append(1)
+            got[-1] = bad
+            return got
+
+        monkeypatch.setattr(pnkr.solver, "threshold", poisoned)
+        eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
+        with pytest.raises(RuntimeError, match="omega"):
             landweber_step(state, cfg, eager, tiny0, omega=1.0 / rho_estimate(tiny0, stacked=True))
-    assert len(calls) == (tiny0.R if variant == "pnkr" else 1)
+        assert len(calls) == 1
+        return
+    # only the last equation of the order is out of tolerance, and a stepsize of nan or inf
+    # makes its update non-finite (near zero the residual is positive, so inf steps up); the
+    # pass sums that update against a zero column, NaN exactly in a non-finite row, and the
+    # sweep raises.  With a finite stepsize it steps once
+    r_last = _documented_order(cfg.seed, 2, tiny0.R)[-1]
+    delta = np.full(tiny0.R, 1e12)
+    delta[r_last - 1] = 0.0
+    last_only = SolveData(y=data.y, delta_r=delta)
+    u_k, u_km1 = 1e-9 * state.u_k, 1e-9 * state.u_km1
+    state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=2)
+    with pytest.raises(RuntimeError, match=f"omega={bad:g}"):
+        pnkr_sweep(state, cfg, last_only, tiny0, omega=bad)
+    with pytest.raises(RuntimeError, match="last update"):
+        compiled_sweep_reference(tiny0, data.y, 1.2 * delta, _documented_order(cfg.seed, 2, tiny0.R) - 1, u_k, u_km1, 0.25, tiny0.Psi_inv_G, tiny0.Phi_inv_Q, bad)
+    assert pnkr_sweep(SolverState(u_k=u_k, u_km1=u_km1, k_R=2), cfg, last_only, tiny0, omega=1.0 / rho_estimate(tiny0)) == 1
 
 
-def test_gate_sees_inf_where_the_channel_has_no_weight(tiny0, tiny0_problem, monkeypatch):
-    # an inf in column l of the iterate enters the gate of channel r as inf * q_r[l] = inf * 0,
-    # which is NaN; the next gate raises before a second step.  The inf is in the step's
-    # input, so the pass writes it and forms r2's gate product from it
+def test_gate_sees_inf_where_the_channel_has_no_weight(tiny0, tiny0_problem):
+    # an inf in column l0 of the iterate, which no channel weighs, enters every gate as
+    # inf * 0, which is NaN: the first gate raises and no step writes the u_km1 buffer.  A
+    # product that skipped zero weights, or summed under -ffast-math, would miss it
     _, data = tiny0_problem
-    eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
-    r1, r2, l0 = 1, 2, 7
+    l0 = 7
     Q = tiny0.Q.copy()
-    Q[l0, r2 - 1] = 0.0
+    Q[l0, :] = 0.0
     system = build_forward_system(tiny0.basis, Q)
-    real, calls = pnkr.solver.pnkr_equation_update, []
-
-    def poisoned(system, u, *args, **kwargs):
-        calls.append(kwargs["gate"])
-        u.reshape(system.N, system.L)[3, l0] = np.inf
-        return real(system, u, *args, **kwargs)
-
-    monkeypatch.setattr(pnkr.solver, "pnkr_equation_update", poisoned)
     M = system.N * system.L
-    state = SolverState(u_k=np.full(M, 0.5), u_km1=np.full(M, 0.5))
-    cfg = SolverConfig(variant="pnkr", s=0, ordering="cyclic")  # r1 steps, then r2 gates
-    with pytest.raises(RuntimeError, match="omega"):
-        pnkr_sweep(state, cfg, eager, system, omega=1.0 / rho_estimate(system))
-    assert len(calls) == 1 and calls[0] is not None
+    u = np.full(M, 0.5)
+    u.reshape(system.N, system.L)[3, l0] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(fixed_order_rows_dot(u.reshape(system.N, system.L), Q[:, 0])[3])
+    eager = SolveData(y=data.y, delta_r=np.zeros(system.R))
+    for momentum in (True, False):
+        state = SolverState(u_k=u.copy(), u_km1=np.full(M, 0.25), k_R=2)
+        with pytest.raises(RuntimeError, match="omega"):
+            pnkr_sweep(state, SolverConfig(variant="pnkr", s=0), eager, system, omega=1.0 / rho_estimate(system), momentum=momentum)
+        assert np.array_equal(state.u_km1, np.full(M, 0.25))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -851,58 +928,79 @@ def _desk_system(s):
 
 
 @pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1", "desk"])
-def test_one_equation_gate_norm_is_sample_norm_bitwise(fixture_name, request):
-    # with tau = 2 the limit 2 (n / 2) is the reference norm n exactly, so the gate passes
-    # every channel at n and fails every channel one ulp below it only if its norm is n
+def test_one_equation_gate_norm_is_the_oracle_norm_bitwise(fixture_name, request):
+    # with tau = 2 the limit 2 (n / 2) is the oracle's norm n exactly, so the gate passes
+    # every channel at n and fails every channel one ulp below it only if its norm is n.
+    # omega = 0 makes every step leave the iterate as it is, so every gate sees the same
+    # iterate, whether it forms its product or takes it from the step pass before it
     system = _desk_system(1) if fixture_name == "desk" else request.getfixturevalue(fixture_name)
     rng = np.random.default_rng(38)
     u = rng.uniform(0.0, 1.0, system.N * system.L)
     y = rng.uniform(-1.0, 1.0, (system.N, system.R))
-    # each residual as the gate forms it, one product per channel
-    U = u.reshape(system.N, system.L)
-    norms = np.array([sample_norm(system, y[:, [r]] - U @ system.Q[:, [r]])[0] for r in range(system.R)])
+    norms = np.array([fixed_order_gate_norm(system, _pass_residual(system, y[:, r - 1], u, r)) for r in range(1, system.R + 1)])
+    # the oracle's norm is the sample norm of the numpy residual, up to rounding
+    np.testing.assert_allclose(norms, sample_norm(system, y - synthesize_datacube(system, u)), rtol=1e-12)
     cfg = SolverConfig(variant="pnkr", s=system.basis.s, beta=0.0, tau=2.0)
-    blocks = [slice(r, r + 1) for r in range(system.R)]
-
-    def step(blk, D, gate):
-        # a step that leaves the iterate as it is and forms no product, so every gate forms its own
-        return state.u_k, False
-
     for limit, updates in ((norms, 0), (np.nextafter(norms, 0.0), system.R)):
         state = SolverState(u_k=u.copy(), u_km1=u.copy())
         data = SolveData(y=y, delta_r=limit / 2.0)
-        assert pnkr.solver._gated_sweep(state, cfg, data, system, 1.0, blocks, step) == updates
+        assert pnkr_sweep(state, cfg, data, system, 0.0, momentum=False) == updates
+        assert np.array_equal(state.u_k, u)
+
+
+def _oracle_sweep_check(system, variant, seed, k_R):
+    """One sweep of ``variant`` at ``k_R`` with some channels skipped and some active, held bitwise to the numpy oracle."""
+    N, L, R = system.N, system.L, system.R
+    rng = np.random.default_rng(seed)
+    u_k, u_km1 = rng.uniform(0.0, 1.0, N * L), rng.uniform(0.0, 1.0, N * L)
+    y = synthesize_datacube(system, rng.uniform(0.0, 1.0, N * L))
+    norms = np.array([fixed_order_gate_norm(system, _pass_residual(system, y[:, r - 1], u_k, r)) for r in range(1, R + 1)])
+    # bounds about the residuals at u_k: some channels pass, some step
+    data = SolveData(y=y, delta_r=norms * rng.uniform(0.5, 1.5, R) / 1.2)
+    cfg = SolverConfig(variant=variant, s=system.basis.s, tau=1.2, seed=seed)
+    omega = resolve_omega(cfg, system)
+    state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=k_R)
+    if variant == "reduced_pnkr":
+        updates = reduced_pnkr_sweep(state, cfg, data, system, omega)
+        (S, P), c, alpha = pnkr.solver._smoothed_factors(system, SMOOTHING_TAPS), 0.0, omega / system.c_N
+    else:
+        updates = pnkr_sweep(state, cfg, data, system, omega, momentum=variant == "pnkr")
+        S, P, alpha = system.Psi_inv_G, system.Phi_inv_Q, omega
+        c = (k_R - 1.0) / (k_R + 2.0) if variant == "pnkr" else 0.0
+    order = _documented_order(seed, k_R, R) - 1
+    want_u, want_prev, want_updates = compiled_sweep_reference(system, y, 1.2 * data.delta_r, order, u_k, u_km1, c, S, P, alpha)
+    assert 0 < updates == want_updates < R
+    assert np.array_equal(_bits(state.u_k), _bits(want_u)) and np.array_equal(_bits(state.u_km1), _bits(want_prev))
 
 
 @pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
 def test_sweep_gates_match_a_block_residual_reference(fixture_name, request):
+    # every gate's product, norm and decision, every D', S d and step against the numpy
+    # oracle of the compiled sweep, bitwise, for each variant the basis runs
     system = request.getfixturevalue(fixture_name)
-    N, L, R = system.N, system.L, system.R
-    rng = np.random.default_rng(39)
-    u_k, u_km1 = rng.uniform(0.0, 1.0, N * L), rng.uniform(0.0, 1.0, N * L)
-    y = synthesize_datacube(system, rng.uniform(0.0, 1.0, N * L))
-    _, norms = pnkr.solver._block_residual(system, u_k, SolveData(y=y, delta_r=np.zeros(R)))
-    # bounds about the residuals at u_k: some channels pass, some step
-    data = SolveData(y=y, delta_r=norms * rng.uniform(0.5, 1.5, R) / 1.2)
-    cfg = SolverConfig(variant="pnkr", s=system.basis.s, beta=0.3 * system.basis.s, tau=1.2)
-    omega, k_R = 1.0 / rho_estimate(system), 3
-    state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=k_R)
-    updates = pnkr_sweep(state, cfg, data, system, omega)
-    want, stepped = np.zeros(R, dtype=bool), False
-    for r in _documented_order(cfg.seed, k_R, R):
-        # a gate right after an update reads the step pass's product
-        if stepped:
-            D = _pass_residual(system, y[:, r - 1], u_k, r)[:, None]
-            norm = sample_norm(system, D)
-        else:
-            D, norm = pnkr.solver._block_residual(system, u_k, data, slice(r - 1, r))
-        want[r - 1] = norm[0] <= cfg.tau * data.delta_r[r - 1]
-        stepped = not want[r - 1]
-        if not want[r - 1]:
-            d = nesterov_extrapolate(D[:, 0], y[:, r - 1] - u_km1.reshape(N, L) @ system.Q[:, r - 1], k_R)
-            u_k, u_km1 = pnkr_equation_update(system, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R), u_k
-    assert 0 < updates == R - want.sum() < R
-    assert np.array_equal(state.u_k, u_k)
+    variants = ["pnkr", "landweber_kaczmarz"] + (["reduced_pnkr"] if system.basis.s == 0 else [])
+    for variant in variants:
+        for k_R in (1, 3):
+            _oracle_sweep_check(system, variant, 39, k_R)
+
+
+@pytest.mark.parametrize("variant", ["pnkr", "landweber_kaczmarz", "reduced_pnkr"])
+def test_desk_sweep_matches_the_numpy_oracle_bitwise(variant):
+    _oracle_sweep_check(_desk_system(0 if variant == "reduced_pnkr" else 1), variant, 42, 4)
+
+
+@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1", "desk"])
+def test_compiled_end_of_sweep_products_match_the_oracle_bitwise(fixture_name, request):
+    # what sweeps() takes from the kernel above the thread threshold: every channel's residual
+    # norm (U Q in blocks of eight columns, here also a partial block of five)
+    full = _desk_system(1) if fixture_name == "desk" else request.getfixturevalue(fixture_name)
+    rng = np.random.default_rng(43)
+    u = rng.uniform(0.0, 1.0, full.N * full.L)
+    for system in (full, build_forward_system(full.basis, np.ascontiguousarray(full.Q[:, :5]))):
+        y = rng.uniform(-1.0, 1.0, (system.N, system.R))
+        norms = pnkr.solver._compiled_norms(system, u, SolveData(y=y, delta_r=np.zeros(system.R)))
+        want = [fixed_order_gate_norm(system, _pass_residual(system, y[:, r - 1], u, r)) for r in range(1, system.R + 1)]
+        assert np.array_equal(_bits(norms), _bits(np.array(want)))
 
 
 def test_counter_advances_once_per_sweep(tiny0, tiny0_problem):
@@ -933,8 +1031,8 @@ def test_plain_kaczmarz_is_momentum_with_unit_counter(tiny0, tiny0_problem):
 
 
 def test_run_ordering_matches_documented_permutation(tiny0, tiny0_problem):
-    # every equation steps, so the run is the chain of plain steps in the documented orders;
-    # each sweep's first gate forms its product with numpy, the others take the pass's
+    # every equation steps, so the run is the chain of plain steps in the documented orders,
+    # each handed the residual in the kernel's order
     _, data = tiny0_problem
     eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
     omega = 1.0 / rho_estimate(tiny0)
@@ -945,8 +1043,8 @@ def test_run_ordering_matches_documented_permutation(tiny0, tiny0_problem):
     assert res.total_updates == 3 * tiny0.R
     u = np.zeros(tiny0.N * tiny0.L)
     for loop in (1, 2, 3):
-        for i, r in enumerate(_documented_order(11, loop, tiny0.R)):
-            u = pnkr_equation_update(tiny0, u, (_pass_residual if i else _residual)(tiny0, eager.y[:, r - 1], u, r), r, omega)
+        for r in _documented_order(11, loop, tiny0.R):
+            u = pnkr_equation_update(tiny0, u, _pass_residual(tiny0, eager.y[:, r - 1], u, r), r, omega)
     assert np.array_equal(res.u, u)
 
 
@@ -1189,10 +1287,10 @@ def test_divergence_raises_naming_stepsize(tiny0, tiny0_problem):
 
 
 def test_reduced_identity_trajectory_matches_plain_kaczmarz(monkeypatch, tiny0, tiny0_problem):
-    # with the identity taps np.ones(1) every reduced step is the plain one up to the constant c_M
+    # with the identity taps np.ones(1) every reduced step is the plain one up to the constant c_M;
+    # the reduced sweep reads the stencil at call time
     _, data = tiny0_problem
-    identity_step = functools.partial(pnkr.solver.reduced_equation_update, taps=np.ones(1))
-    monkeypatch.setattr(pnkr.solver, "reduced_equation_update", identity_step)
+    monkeypatch.setattr(pnkr.solver, "SMOOTHING_TAPS", np.ones(1))
     omega = 1.0 / rho_estimate(tiny0)
     c_M = tiny0.c_N * dense_Phi(tiny0.basis)[0, 0]
     plain = run(
@@ -1391,17 +1489,11 @@ def test_run_looks_up_sweeps_and_steps_at_call_time(
         )
     cfg = SolverConfig(variant=variant, s=0, max_loops=3, seed=3)
     res = run(cfg, data, tiny0)
-    assert res.total_updates > 0
-    # a momentum update past the first sweep extrapolates its residual once; its
-    # step never forms the momentum point, and the first sweep's factor is 0
-    momentum_calls = calls.pop("nesterov_extrapolate", 0)
-    later_updates = res.total_updates - res.history[0].updates
-    assert later_updates > 0
-    assert momentum_calls == (later_updates if variant == "pnkr" else 0)
-    expected = {sweep: res.loops}
-    if step is not None:
-        expected[step] = res.total_updates
-    assert calls == expected
+    assert res.total_updates > res.history[0].updates > 0
+    # a Kaczmarz sweep is one kernel call: it calls no single step and never
+    # extrapolates in numpy, so only the sweep itself is looked up
+    assert calls[step] == calls["nesterov_extrapolate"] == 0
+    assert calls == {sweep: res.loops}
 
 
 # -- determinism and files ----------------------------------------------------
