@@ -62,8 +62,10 @@ class ForwardSystem:
     The reconstruction-space Gram is ``M = Psi (x) Phi``; neither factor
     is stored.  ``Psi^-1 G`` and ``Phi^-1 Q`` are computed on first use
     from the per-axis eigenbases of :func:`~pnkr.grid_basis.gram_eigenbasis`
-    and then kept, so a caller that only synthesizes data (``G`` and
-    ``Q``) diagonalizes nothing.
+    and then kept, as are the reduced step's two factors, so a caller
+    that only synthesizes data (``G`` and ``Q``) diagonalizes nothing.
+    Each step factor is stored as the compiled sweep reads it: the
+    ``N x N`` spatial factors row-major, the ``L x R`` ones column-major.
 
     Attributes
     ----------
@@ -76,15 +78,19 @@ class ForwardSystem:
     c_N : float
         Mean diagonal of ``G`` (the common cell volume for ``s = 0`` on
         uniform spatial grids).
-    Psi_inv_G : ndarray, (N, N)
+    Psi_inv_G : ndarray, (N, N), C order
         ``Psi^-1 G``, the spatial factor of every equation's update
         direction; exactly the identity for ``s = 0`` or zero spatial
         ``beta``.
-    Phi_inv_Q : ndarray, (L, R)
+    Phi_inv_Q : ndarray, (L, R), Fortran order
         ``Phi^-1 Q``; column ``r`` is the iterate-independent factor of
         equation ``r``'s update direction.
     q_Phi_q : ndarray, (R,)
         Quadratic forms ``q_r^T Phi^-1 q_r``.
+    Zx_GG, ZTheta_Q : ndarray, (N, N), C order, and (L, R), Fortran order
+        The reduced step's factors ``Z_x G G`` and ``Z_Theta Q``: ``G^2``
+        and ``Q`` smoothed by :data:`SMOOTHING_TAPS` along the spatial and
+        the ``(v, z, t)`` axes; ``ValueError`` for ``s != 0``.
     """
 
     basis: DiscreteBasis
@@ -109,16 +115,28 @@ class ForwardSystem:
         # Psi^-1 = V (I + E)^-1 V^T and V V^T G = I, so Psi^-1 G = I - V E (I + E)^-1 V^T G,
         # which is exactly I when E is zero throughout (s = 0, or zero spatial beta)
         V, E = gram_eigenbasis(self.basis.omega_grids, self.basis.beta[:2], self.basis.s)
-        return np.eye(self.N, order="F") - _eigen_apply(V, E / (1.0 + E), np.kron(*self.G_axes))
+        return np.eye(self.N) - _eigen_apply(V, E / (1.0 + E), np.kron(*self.G_axes))
 
     @cached_property
     def Phi_inv_Q(self) -> np.ndarray:
         V, E = gram_eigenbasis(self.basis.theta_grids, self.basis.beta[2:], self.basis.s)
-        return _eigen_apply(V, 1.0 / (1.0 + E), self.Q)
+        return np.asfortranarray(_eigen_apply(V, 1.0 / (1.0 + E), self.Q))
 
     @cached_property
     def q_Phi_q(self) -> np.ndarray:
         return np.einsum("lr,lr->r", self.Q, self.Phi_inv_Q)
+
+    @cached_property
+    def Zx_GG(self) -> np.ndarray:
+        _check_piecewise_constant(self)
+        GG = apply_G(self, apply_G(self, np.eye(self.N)))
+        return apply_Zs(GG.reshape(*self.basis.shape5[:2], self.N), SMOOTHING_TAPS, 2).reshape(self.N, self.N)
+
+    @cached_property
+    def ZTheta_Q(self) -> np.ndarray:
+        _check_piecewise_constant(self)
+        ZQ = apply_Zs(self.Q.reshape(*self.basis.shape5[2:], self.R), SMOOTHING_TAPS, 3)
+        return np.asfortranarray(ZQ.reshape(self.L, self.R))
 
 
 def build_forward_system(basis: DiscreteBasis, Q: np.ndarray) -> ForwardSystem:
@@ -152,8 +170,7 @@ def _eigen_apply(V: list[np.ndarray], scale: np.ndarray, X: np.ndarray) -> np.nd
     The rows of ``X`` run over the lattice axis-major; each factor acts
     on its axis by one matrix product batched over the axes before it,
     so at most two ``X``-sized intermediates are alive at once.  The
-    result is Fortran-ordered: the solver reads single columns of it,
-    and its matrix-vector products run faster in that layout.
+    result is C-ordered.
     """
     transposed = [v.T for v in V]
     for mats in (transposed, V):
@@ -164,7 +181,7 @@ def _eigen_apply(V: list[np.ndarray], scale: np.ndarray, X: np.ndarray) -> np.nd
         X = X.reshape(pre, -1)
         if mats is transposed:
             X *= scale[:, None]
-    return np.asfortranarray(X)
+    return X
 
 
 def _as_coefficients(system: ForwardSystem, u: np.ndarray) -> np.ndarray:
@@ -172,6 +189,11 @@ def _as_coefficients(system: ForwardSystem, u: np.ndarray) -> np.ndarray:
     if u.shape != (system.N * system.L,):
         raise ValueError(f"coefficient vector has shape {u.shape}, expected ({system.N * system.L},)")
     return u
+
+
+def _check_piecewise_constant(system: ForwardSystem) -> None:
+    if system.basis.s != 0:
+        raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
 
 
 def _check_r(system: ForwardSystem, r: int) -> int:
@@ -293,7 +315,7 @@ def apply_Zs(arr: np.ndarray, taps, n_axes: int) -> np.ndarray:
     return arr
 
 
-def reduced_rho(system: ForwardSystem, taps=SMOOTHING_TAPS) -> float:
+def reduced_rho(system: ForwardSystem) -> float:
     """Largest eigenvalue of the reduced per-equation operator, in closed form.
 
     The reduced step of equation ``r`` applies
@@ -305,8 +327,7 @@ def reduced_rho(system: ForwardSystem, taps=SMOOTHING_TAPS) -> float:
     radius ``(max_n G_nn)^2`` when the spatial cells are equal and at
     most that otherwise, and ``max_n G_nn`` is the product of the axis factors'
     largest diagonals.  The result is ``(max_n G_nn)^2 / c_N * max_r q_r^T Z_Theta q_r``.
+    Raises ``ValueError`` for ``s != 0``.
     """
-    basis = system.basis
-    ZQ = apply_Zs(system.Q.reshape(*basis.shape5[2:], system.R), taps, 3)
     g = float(np.diag(system.G_axes[0]).max() * np.diag(system.G_axes[1]).max())
-    return g * g / system.c_N * float(np.max(np.einsum("lr,lr->r", system.Q, ZQ.reshape(system.L, system.R))))
+    return g * g / system.c_N * float(np.max(np.einsum("lr,lr->r", system.Q, system.ZTheta_Q)))

@@ -28,9 +28,10 @@ The Kaczmarz variants, with momentum (pnkr), without it
 solve for an explicit separable smoothing on the piecewise-constant
 basis, run each sweep as one call into a C kernel (``_STEP_SOURCE``),
 built at import with the system's C compiler into the user cache
-(:func:`_load_step_kernel`).  The full-stack Landweber iteration gates
-every equation at once and sums all corrections with numpy before
-projecting.
+(:func:`_load_step_kernel`).  Each step's two factors are built once per
+:class:`~pnkr.forward.ForwardSystem` and kept on it.  The full-stack
+Landweber iteration gates every equation at once and sums all
+corrections with numpy before projecting.
 
 Every variant steps in place: ``SolverState.u_k`` and ``u_km1`` are two
 buffers that each step reuses.  The new iterate is built in the ``u_km1``
@@ -54,12 +55,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import (
-    SMOOTHING_TAPS,
     ForwardSystem,
     _check_r,
-    apply_G,
     apply_H_all,
-    apply_Zs,
+    apply_Zs,  # not called here; kept importable for tracers that patch it by name
     reduced_rho,
     rho_estimate,
     sample_norm,
@@ -161,28 +160,28 @@ static inline pnkr_v8 pnkr_lanes8(const pnkr_v8 *s)
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
-/* out[j] = sum_k x[k] B[k * ldb + j] for j0 <= j < j1, eight columns at a time with
-   lane m of every column in the vector s[m] */
-static void pnkr_vecmat(const double *x, const double *B, size_t K, size_t ldb, size_t j0, size_t j1, double *out)
+/* out[j] = sum_k x[k] B[k * n + j] for the n columns of a K x n B, eight columns at a
+   time with lane m of every column in the vector s[m] */
+static void pnkr_vecmat(const double *x, const double *B, size_t K, size_t n, double *out)
 {
-    size_t main = K - K % 8, j = j0;
-    for (; j + 8 <= j1; j += 8) {
+    size_t main = K - K % 8, j = 0;
+    for (; j + 8 <= n; j += 8) {
         pnkr_v8 s[8];
         for (size_t m = 0; m < 8; m++)
             s[m] = (pnkr_v8){0.0};
         size_t k = 0;
         for (; k < main; k += 8)
             for (size_t m = 0; m < 8; m++)
-                s[m] += x[k + m] * pnkr_load(B + (k + m) * ldb + j);
+                s[m] += x[k + m] * pnkr_load(B + (k + m) * n + j);
         for (; k < K; k++)
-            s[0] += x[k] * pnkr_load(B + k * ldb + j);
+            s[0] += x[k] * pnkr_load(B + k * n + j);
         pnkr_v8 t = pnkr_lanes8(s);
         memcpy(out + j, &t, sizeof t);
     }
-    for (; j < j1; j++) {
+    for (; j < n; j++) {
         double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
         for (size_t k = 0; k < K; k++)
-            s[k < main ? k % 8 : 0] += x[k] * B[k * ldb + j];
+            s[k < main ? k % 8 : 0] += x[k] * B[k * n + j];
         out[j] = pnkr_lanes(s);
     }
 }
@@ -219,21 +218,13 @@ static void pnkr_rows(const double *u, const double *q, double *g, size_t n_rows
     }
 }
 
-/* a = S d for an F-ordered N x N S, each thread forming its own range of rows */
-static void pnkr_spatial_rows(const double *S, const double *d, double *a, size_t N)
-{
-    size_t t = omp_get_thread_num(), nt = omp_get_num_threads();
-    pnkr_vecmat(d, S, N, N, N * t / nt, N * (t + 1) / nt, a);
-#pragma omp barrier
-}
-
 /* sqrt(vdot(X, A1 X A2)) for the n1 x n2 sample grid X; T and W hold n1 n2 */
 static double pnkr_norm(const double *X, const double *A1, size_t n1, const double *A2, size_t n2, double *T, double *W)
 {
     for (size_t i = 0; i < n1; i++)
-        pnkr_vecmat(A1 + i * n1, X, n1, n2, 0, n2, T + i * n2);
+        pnkr_vecmat(A1 + i * n1, X, n1, n2, T + i * n2);
     for (size_t i = 0; i < n1; i++)
-        pnkr_vecmat(T + i * n2, A2, n2, n2, 0, n2, W + i * n2);
+        pnkr_vecmat(T + i * n2, A2, n2, n2, W + i * n2);
     return sqrt(pnkr_dot(X, W, n1 * n2));
 }
 
@@ -281,10 +272,11 @@ void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols, doubl
     pnkr_pass(u, out, n_rows, n_cols, c, alpha, a, p, q, g);
 }
 
+/* a = S d for a C-ordered N x N S */
 void pnkr_spatial(const double *S, const double *d, double *a, size_t N, int par)
 {
 #pragma omp parallel if (par)
-    pnkr_spatial_rows(S, d, a, N);
+    pnkr_rows(S, d, a, N, N);
 }
 
 static void pnkr_gather(const double *Q, size_t R, size_t r, double *q, size_t L)
@@ -295,9 +287,10 @@ static void pnkr_gather(const double *Q, size_t R, size_t r, double *q, size_t L
 }
 
 /* One sweep in one parallel region: each equation of the order is gated and, when
-   active, stepped, after which u and o swap.  Returns the update count, -1 when a
-   gate norm, or the last update's product with a zero column, is not finite, or
-   -2 when the work arrays cannot be allocated. */
+   active, stepped with a = S d (S the C-ordered N x N spatial factor) and column r
+   of the column-major L x R factor P, after which u and o swap.  Returns the update
+   count, -1 when a gate norm, or the last update's product with a zero column, is
+   not finite, or -2 when the work arrays cannot be allocated. */
 long pnkr_sweep(double *u, double *o, size_t N, size_t L, size_t R, const double *y, const double *Q,
                 const double *A1, size_t n1, const double *A2, size_t n2, const int64_t *order,
                 const double *limits, const double *P, const double *S, double c, double alpha, int par)
@@ -339,7 +332,7 @@ long pnkr_sweep(double *u, double *o, size_t N, size_t L, size_t R, const double
                     for (size_t n = 0; n < N; n++)
                         d[n] = (D[n] - (y[n * R + r] - d[n])) * c + D[n];
                 }
-                pnkr_spatial_rows(S, c != 0.0 ? d : D, a, N);
+                pnkr_rows(S, c != 0.0 ? d : D, a, N, N);
                 pnkr_pass(u, o, N, L, c, alpha, a, P + r * L, i + 1 < R ? qn : zero, g);
             }
 #pragma omp single
@@ -546,7 +539,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.s not in (0, 1):
+        if isinstance(self.s, (bool, np.bool_)) or self.s not in (0, 1):
             raise ValueError("s must be 0 or 1")
         if not 0.0 <= self.beta < np.inf:
             raise ValueError(f"beta must be finite and nonnegative, got beta={self.beta}")
@@ -554,11 +547,11 @@ class SolverConfig:
             raise ValueError(f"omega must be finite and positive, got omega={self.omega}")
         if not 1.0 < self.tau < np.inf:
             raise ValueError(f"tau must be finite and exceed 1, got tau={self.tau}")
-        if not (isinstance(self.max_loops, numbers.Integral) and self.max_loops >= 1):
+        if isinstance(self.max_loops, bool) or not (isinstance(self.max_loops, numbers.Integral) and self.max_loops >= 1):
             raise ValueError(f"max_loops must be an integer of at least 1, got max_loops={self.max_loops}")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"unknown ordering {self.ordering!r}; expected one of {ORDERINGS}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got seed={self.seed}")
         if self.variant == "reduced_pnkr" and self.s != 0:
             raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
@@ -740,14 +733,16 @@ def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, 
     _call("pnkr_step", U, O, N, L, c, alpha, a, p, None, None, int(N * L >= _PARALLEL_ENTRIES))
 
 
-def _spatial_product(system: ForwardSystem, S: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``S d`` for a step's ``N x N`` spatial factor, each row summed in the kernel's fixed order, as the sweep forms it."""
-    N, S, d = system.N, np.asfortranarray(S, dtype=float), np.ascontiguousarray(d, dtype=float)
-    if S.shape != (N, N) or d.shape != (N,):
-        raise ValueError(f"a spatial product needs an {N} x {N} factor and a residual of {N} entries")
+def _single_step(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, out: np.ndarray | None, k_R: int | None, alpha: float, S: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Equation ``r``'s :func:`_rank_one_step` into ``out`` with ``a = S d``, summed in the kernel's order as a sweep does, and column ``r`` of ``P``."""
+    r, N, d = _check_r(system, r), system.N, np.ascontiguousarray(d, dtype=float)
+    if d.shape != (N,):
+        raise ValueError(f"a step needs a residual of {N} entries, got shape {d.shape}")
+    out, U, O = _step_views(system, u, out)
     a = np.empty(N)
     _call("pnkr_spatial", S, d, a, N, _parallel(system))
-    return a
+    _rank_one_step(U, O, k_R, alpha, a, P[:, r - 1])
+    return out
 
 
 def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None) -> np.ndarray:
@@ -773,35 +768,22 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r:
             raise ValueError("a momentum step needs the previous iterate in out")
         if np.may_share_memory(out, u):
             raise ValueError("out must not overlap u, the iterate it extrapolates from")
-    r = _check_r(system, r)
-    out, U, O = _step_views(system, u, out)
-    _rank_one_step(U, O, k_R, omega, _spatial_product(system, system.Psi_inv_G, d), system.Phi_inv_Q[:, r - 1])
-    return out
+    return _single_step(system, u, d, r, out, k_R, omega, system.Psi_inv_G, system.Phi_inv_Q)
 
 
-def _smoothed_factors(system: ForwardSystem, taps) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced step's factors ``Z_x G G`` (``N x N``) and ``Z_Theta Q`` (``L x R``), Fortran-ordered."""
-    N, L, R = system.N, system.L, system.R
-    x_shape, theta_shape = system.basis.shape5[:2], system.basis.shape5[2:]
-    S = apply_Zs(apply_G(system, apply_G(system, np.eye(N))).reshape(*x_shape, N), taps, 2)
-    P = apply_Zs(system.Q.reshape(*theta_shape, R), taps, 3)
-    return np.asfortranarray(S.reshape(N, N)), np.asfortranarray(P.reshape(L, R))
-
-
-def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, taps=SMOOTHING_TAPS, out: np.ndarray | None = None) -> np.ndarray:
+def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None) -> np.ndarray:
     """One reduced step at ``u`` with residual ``d = y_r - U q_r``; returns the new iterate.
 
     Applies ``omega c_N^-1 Z_s(H_r^T (w_r - H_r u))`` and projects; the
-    separable stencil ``Z_s``, ``taps`` along every axis, stands in for
-    the Kronecker solve on the piecewise-constant basis.  It keeps the
-    correction rank-one, ``(Z_x G G d) (Z_Theta q_r)^T``, which the kernel
-    forms and applies into ``out`` (which may be ``u``) as a sweep does.
+    separable stencil ``Z_s``, :data:`~pnkr.forward.SMOOTHING_TAPS` along
+    every axis, stands in for the Kronecker solve on the piecewise-constant
+    basis.  It keeps the correction rank-one, ``(Z_x G G d) (Z_Theta q_r)^T``
+    with the system's factors ``Zx_GG`` and ``ZTheta_Q``, which the kernel
+    applies into ``out`` (which may be ``u``) as a sweep does.  Raises
+    ``ValueError`` for ``s != 0``.
     """
-    r = _check_r(system, r)
-    out, U, O = _step_views(system, u, out)
-    S, P = _smoothed_factors(system, taps)
-    _rank_one_step(U, O, None, omega / system.c_N, _spatial_product(system, S, d), P[:, r - 1])
-    return out
+    r = _check_r(system, r)  # before the factors, which raise for s != 0
+    return _single_step(system, u, d, r, out, None, omega / system.c_N, system.Zx_GG, system.ZTheta_Q)
 
 
 def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData) -> tuple[np.ndarray, np.ndarray]:
@@ -832,7 +814,6 @@ def _compiled_sweep(state: SolverState, config: SolverConfig, data: SolveData, s
         raise ValueError(f"a sweep over {R} equations needs samples of shape ({N}, {R}), {R} noise levels and C-contiguous float64 iterates of shape ({N * L},)")
     order = np.ascontiguousarray(_sweep_order(config, R, state.k_R) - 1, dtype=np.int64)
     limits = np.ascontiguousarray(config.tau * data.delta_r, dtype=float)
-    S, P = np.asfortranarray(S), np.asfortranarray(P)
     updates = _call("pnkr_sweep", u_k, u_km1, N, L, R, *_gate_operands(system, data), order, limits, P, S, c, alpha, _parallel(system))
     if updates < -1:
         raise MemoryError("the Kaczmarz sweep could not allocate its work arrays")
@@ -861,13 +842,9 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system
 def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float) -> int:
     """One gated sweep of the reduced variant (piecewise-constant basis) in the order of loop ``k_R``; steps run in place.
 
-    The kernel takes the smoothing, with the stencil :data:`SMOOTHING_TAPS`,
-    as the factors of :func:`reduced_equation_update` and the stepsize ``omega / c_N``.
+    Steps as :func:`reduced_equation_update` does; raises ``ValueError`` for ``s != 0``.
     """
-    if system.basis.s != 0:
-        raise ValueError("the reduced variant runs on the piecewise-constant basis only (s=0)")
-    S, P = _smoothed_factors(system, SMOOTHING_TAPS)
-    return _compiled_sweep(state, config, data, system, omega, 0.0, S, P, omega / system.c_N)
+    return _compiled_sweep(state, config, data, system, omega, 0.0, system.Zx_GG, system.ZTheta_Q, omega / system.c_N)
 
 
 def landweber_step(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, residual=None) -> int:

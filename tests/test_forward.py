@@ -308,7 +308,20 @@ def test_phi_inv_Q_matches_dense_solve(s, beta):
     system = build_forward_system(basis, kernel_theta_integrals(preset_template("tiny"), basis))
     want = np.linalg.solve(dense_Phi(basis), system.Q)
     np.testing.assert_allclose(system.Phi_inv_Q, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    assert system.Phi_inv_Q.flags.f_contiguous and system.Psi_inv_G.flags.f_contiguous
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_step_factors_are_stored_in_the_layout_the_kernel_reads(s):
+    # the compiled sweep reads the N x N spatial factors row by row and the L x R factors
+    # column by column, with no conversion
+    basis = preset_basis("tiny", s, beta=0.01)
+    system = build_forward_system(basis, kernel_theta_integrals(preset_template("tiny"), basis))
+    spatial, kernel = [system.Psi_inv_G], [system.Phi_inv_Q]
+    if s == 0:
+        spatial.append(system.Zx_GG)
+        kernel.append(system.ZTheta_Q)
+    assert all(S.shape == (system.N, system.N) and S.flags.c_contiguous for S in spatial)
+    assert all(P.shape == (system.L, system.R) and P.flags.f_contiguous for P in kernel)
 
 
 # -- smoothing stencil -------------------------------------------------------
@@ -354,8 +367,10 @@ def test_apply_Zs_preserves_sum_with_triangle():
 
 
 @pytest.mark.parametrize("taps", [SMOOTHING_TAPS, np.ones(1)], ids=["triangle", "identity"])
-def test_reduced_rho_matches_dense_spectral_radius(taps):
-    # t is geometric; the second basis has axes of 1 and 2 cells, narrower than the triangle
+def test_reduced_rho_matches_dense_spectral_radius(monkeypatch, taps):
+    # t is geometric; the second basis has axes of 1 and 2 cells, narrower than the triangle;
+    # each system is built after the stencil is set, since it keeps its smoothed factors
+    monkeypatch.setattr(pnkr.forward, "SMOOTHING_TAPS", taps)
     wide = (
         (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 5)),
         (uniform_axis(-1000.0, 1000.0, 5), uniform_axis(-2.0, 0.0, 4), geometric_axis(1.0, 13.0, 4)),
@@ -380,7 +395,7 @@ def test_reduced_rho_matches_dense_spectral_radius(taps):
                 raw = np.outer(Gd @ (Gd @ (U @ system.Q[:, r - 1])), system.Q[:, r - 1]).reshape(-1)
                 T[:, i] = apply_Zs(raw.reshape(basis.shape5), taps, 5).reshape(-1) / system.c_N
             radii.append(np.abs(np.linalg.eigvals(T)).max())
-        np.testing.assert_allclose(reduced_rho(system, taps), max(radii), rtol=1e-12)
+        np.testing.assert_allclose(reduced_rho(system), max(radii), rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

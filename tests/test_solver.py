@@ -1,8 +1,10 @@
 """Solver unit tests: gating, momentum, baselines, termination, files."""
 
 import collections
+import ctypes
 import functools
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,6 +27,7 @@ from pnkr.forward import (
 )
 from pnkr.grid_basis import make_basis, uniform_axis
 from pnkr.mock import add_noise, default_components, evaluate_ground_truth
+import pnkr.forward
 import pnkr.solver
 from pnkr.solver import (
     HistoryRow,
@@ -214,6 +217,15 @@ def test_config_validation(kwargs):
         if value is not None and not float(value).is_integer():
             # run() could not count its loops or key its sweep order: the message names the value
             assert f"{name}={value}" in str(err.value) and "integer" in str(err.value)
+
+
+@pytest.mark.parametrize("name, message", [("max_loops", "integer"), ("seed", "integer"), ("s", "0 or 1")])
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_config_rejects_a_bool_for_an_integer_option(name, value, message):
+    # True passes a numbers.Integral check and equals 1: max_loops=True would run one
+    # sweep, seed=True would seed with 1 and s=True would select the hat basis
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**{name: value})
 
 
 def test_config_reduced_needs_s0():
@@ -544,6 +556,19 @@ def test_step_kernel_build_names_openmp_when_the_compiler_lacks_it(tmp_path):
     assert "unrecognized command-line option '-fopenmp'" in failed.stderr
 
 
+def test_kernel_entry_codes_match_the_exported_prototypes():
+    # ctypes passes each argument as _KERNEL_ENTRIES' hand-kept code says; a wrong code
+    # passes an argument of the wrong width with no error
+    kinds = {"size_t": "n", "double": "d", "int": "i"}
+    results = {"void": None, "long": ctypes.c_long, "int": ctypes.c_int, "const char *": ctypes.c_char_p}
+    exported = {}
+    for result, name, params in re.findall(r"^(?!static)(\w[\w *]*?)\s*\b(pnkr_\w+)\(([^)]*)\)\s*\{", pnkr.solver._STEP_SOURCE, re.M):
+        args = [] if params.strip() == "void" else params.split(",")
+        codes = "".join("p" if "*" in arg else kinds[arg.split()[0]] for arg in args)
+        exported[name] = (codes, results[" ".join(result.replace("*", " *").split())])
+    assert exported == pnkr.solver._KERNEL_ENTRIES
+
+
 # Runs pnkr sweeps on a random problem of N L = 144 x 2048 entries, above the kernel's
 # threshold for OpenMP threads, and prints the thread count, then digests of the iterate
 # and of the deterministic history columns.
@@ -579,8 +604,11 @@ def test_sweep_bits_do_not_depend_on_the_thread_count():
     assert int(outputs[0][1]) > 0 and outputs[0][1:] == outputs[1][1:]
 
 
-def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
+def test_reduced_identity_matches_plain_update(monkeypatch, tiny0, tiny0_problem):
+    # a system built under the identity taps np.ones(1) keeps unsmoothed reduced factors
     _, data = tiny0_problem
+    monkeypatch.setattr(pnkr.forward, "SMOOTHING_TAPS", np.ones(1))
+    identity = build_forward_system(tiny0.basis, tiny0.Q)
     rng = np.random.default_rng(9)
     z = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
     omega = 1.0 / rho_estimate(tiny0)
@@ -588,7 +616,7 @@ def test_reduced_identity_matches_plain_update(tiny0, tiny0_problem):
     for r in range(1, tiny0.R + 1):
         d = _residual(tiny0, data.y[:, r - 1], z, r)
         plain = pnkr_equation_update(tiny0, z, d, r, omega)
-        reduced = reduced_equation_update(tiny0, z, d, r, omega / c_M, np.ones(1))
+        reduced = reduced_equation_update(identity, z, d, r, omega / c_M)
         scale = np.abs(plain).max()
         np.testing.assert_allclose(reduced, plain, rtol=0, atol=1e-10 * scale)
 
@@ -640,13 +668,35 @@ def test_reduced_run_on_tiny_makes_progress():
 
 
 def test_reduced_sweep_rejects_hat_basis(tiny1, tiny0_problem):
+    # the reduced factors exist on the piecewise-constant basis only, and every reader of
+    # them names it: the sweep, the single step and the stepsize bound
     _, data = tiny0_problem
     cfg = SolverConfig(variant="pnkr", s=1)
-    state = SolverState(
-        u_k=np.zeros(tiny1.N * tiny1.L), u_km1=np.zeros(tiny1.N * tiny1.L)
-    )
-    with pytest.raises(ValueError):
+    u = np.zeros(tiny1.N * tiny1.L)
+    state = SolverState(u_k=u.copy(), u_km1=u.copy())
+    with pytest.raises(ValueError, match=r"s=0"):
         reduced_pnkr_sweep(state, cfg, data, tiny1, omega=1e-6)
+    with pytest.raises(ValueError, match=r"s=0"):
+        reduced_equation_update(tiny1, u, data.y[:, 0], 1, 1e-6)
+    with pytest.raises(ValueError, match=r"s=0"):
+        reduced_rho(tiny1)
+
+
+@pytest.mark.parametrize("max_loops", [1, 5])
+def test_reduced_factors_are_built_once_per_system(monkeypatch, tiny0, max_loops):
+    # resolve_omega and a whole reduced run smooth each factor once, whatever the sweep budget;
+    # every module's name for the stencil counts
+    calls = []
+    smooth = pnkr.forward.apply_Zs
+    for module in (pnkr.forward, pnkr.solver):
+        monkeypatch.setattr(module, "apply_Zs", lambda *args: calls.append(1) or smooth(*args))
+    system = build_forward_system(tiny0.basis, tiny0.Q)
+    y = synthesize_datacube(system, evaluate_ground_truth(default_components(), system.basis))
+    noisy = add_noise(system, y, 0.01, seed=7)
+    cfg = SolverConfig(variant="reduced_pnkr", s=0, max_loops=max_loops)
+    resolve_omega(cfg, system)
+    res = run(cfg, SolveData(y=noisy.y_noisy, delta_r=noisy.delta_r), system)
+    assert res.loops == max_loops and len(calls) == 2
 
 
 # -- sweep mechanics ----------------------------------------------------------
@@ -962,7 +1012,7 @@ def _oracle_sweep_check(system, variant, seed, k_R):
     state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=k_R)
     if variant == "reduced_pnkr":
         updates = reduced_pnkr_sweep(state, cfg, data, system, omega)
-        (S, P), c, alpha = pnkr.solver._smoothed_factors(system, SMOOTHING_TAPS), 0.0, omega / system.c_N
+        S, P, c, alpha = system.Zx_GG, system.ZTheta_Q, 0.0, omega / system.c_N
     else:
         updates = pnkr_sweep(state, cfg, data, system, omega, momentum=variant == "pnkr")
         S, P, alpha = system.Psi_inv_G, system.Phi_inv_Q, omega
@@ -1288,9 +1338,10 @@ def test_divergence_raises_naming_stepsize(tiny0, tiny0_problem):
 
 def test_reduced_identity_trajectory_matches_plain_kaczmarz(monkeypatch, tiny0, tiny0_problem):
     # with the identity taps np.ones(1) every reduced step is the plain one up to the constant c_M;
-    # the reduced sweep reads the stencil at call time
+    # a system built under those taps keeps unsmoothed reduced factors
     _, data = tiny0_problem
-    monkeypatch.setattr(pnkr.solver, "SMOOTHING_TAPS", np.ones(1))
+    monkeypatch.setattr(pnkr.forward, "SMOOTHING_TAPS", np.ones(1))
+    identity = build_forward_system(tiny0.basis, tiny0.Q)
     omega = 1.0 / rho_estimate(tiny0)
     c_M = tiny0.c_N * dense_Phi(tiny0.basis)[0, 0]
     plain = run(
@@ -1309,7 +1360,7 @@ def test_reduced_identity_trajectory_matches_plain_kaczmarz(monkeypatch, tiny0, 
             seed=5,
         ),
         data,
-        tiny0,
+        identity,
     )
     assert [row.updates for row in reduced.history] == [
         row.updates for row in plain.history
