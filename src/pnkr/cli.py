@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, solver
 from .diagnostics import (
     default_losvd_positions,
     export_maps,
@@ -37,7 +37,6 @@ from .presets import PRESET_NAMES, preset_axes, preset_basis, preset_template, p
 from .solver import (
     ORDERINGS,
     STEP_KERNEL_BUILD,
-    SWEEP_THREADS,
     VARIANTS,
     SolverConfig,
     read_coefficients,
@@ -88,7 +87,7 @@ def _versions() -> dict:
         "scipy_blas": _blas(scipy),
         "step_kernel": STEP_KERNEL_BUILD,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
-        "sweep_threads": SWEEP_THREADS,
+        "sweep_threads": solver.SWEEP_THREADS,  # read per call: 1 in a forked child
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
     }

@@ -158,12 +158,6 @@ def build_forward_system(basis: DiscreteBasis, Q: np.ndarray) -> ForwardSystem:
     return ForwardSystem(basis=basis, G_axes=(A1, A2), Q=Q, c_N=float(np.mean(np.kron(np.diag(A1), np.diag(A2)))))
 
 
-# Entries of one column chunk in sample_norm: 256 KiB of float64, so its
-# temporaries stay in cache (on paper scale two whole (N, R) temporaries
-# took 3.8 ms; the chunks take 1.4-1.6 ms, 2-vCPU Xeon, 2 BLAS threads).
-_NORM_CHUNK_ENTRIES = 32_768
-
-
 def _eigen_apply(V: list[np.ndarray], scale: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``V diag(scale) V^T X`` for ``V = V_1 (x) ... (x) V_k``, never forming ``V``.
 
@@ -197,20 +191,20 @@ def _check_piecewise_constant(system: ForwardSystem) -> None:
 
 
 def _check_r(system: ForwardSystem, r: int) -> int:
-    if not (float(r).is_integer() and 1 <= r <= system.R):
+    if isinstance(r, (bool, np.bool_)) or not (float(r).is_integer() and 1 <= r <= system.R):
         raise ValueError(f"wavelength index r={r} is not an integer in 1..{system.R}")
     return int(r)
 
 
 def apply_G(system: ForwardSystem, d: np.ndarray) -> np.ndarray:
-    """``G d`` for a sample vector ``d`` of shape ``(N,)``, or for each column of an ``(N, C)`` array.
+    """``G d`` along the leading axis of ``d``, of ``N`` entries: for a sample vector, or for each column of an ``(N, ...)`` array.
 
-    A column reshaped to the ``n1 x n2`` site grid, ``X``, maps to ``A_x1 X A_x2`` (``A_x2`` is symmetric).
+    A column reshaped to the ``n1 x n2`` site grid, ``X``, maps to
+    ``A_x1 X A_x2`` (``A_x2`` is symmetric); every column goes through
+    the same two batched products.
     """
     A1, A2 = system.G_axes
     d = np.asarray(d, dtype=float)
-    if d.ndim == 1:
-        return (A1 @ d.reshape(len(A1), len(A2)) @ A2).reshape(-1)
     X = d.reshape(len(A1), len(A2), -1)
     return np.matmul(A2, (A1 @ X.reshape(len(A1), -1)).reshape(X.shape)).reshape(d.shape)
 
@@ -252,26 +246,16 @@ def synthesize_datacube(system: ForwardSystem, u: np.ndarray) -> np.ndarray:
 
 
 def sample_norm(system: ForwardSystem, d: np.ndarray) -> float | np.ndarray:
-    """L2(Omega) norm of data-space sample vectors: ``sqrt(d^T G d)``.
+    """L2(Omega) norm of data-space sample vectors along the leading axis: ``sqrt(d^T G d)``.
 
-    A 2D input is treated as one sample vector per column and returns
-    one norm per column, ``vdot(d, apply_G(system, d))`` each.  Columns
-    go in chunks of at most ``_NORM_CHUNK_ENTRIES`` entries, which keeps
-    the temporaries in cache.
+    ``d`` has ``N`` rows; an ``(N, ...)`` array holds one sample vector
+    per column and gives one norm per column, of shape ``d.shape[1:]``
+    (a scalar for a single vector).
     """
     d = np.asarray(d, dtype=float)
     if d.shape[:1] != (system.N,):
         raise ValueError(f"sample vector has shape {d.shape}, expected leading dimension {system.N}")
-    D = d.reshape(system.N, -1)
-    if D.shape[1] == 1:
-        # one column, a gate's residual
-        return np.sqrt(np.vdot(D, apply_G(system, D[:, 0]))).reshape(d.shape[1:])[()]
-    q = np.empty(D.shape[1])
-    step = max(1, _NORM_CHUNK_ENTRIES // system.N)
-    for c0 in range(0, D.shape[1], step):
-        Dc = np.ascontiguousarray(D[:, c0 : c0 + step])
-        q[c0 : c0 + step] = np.einsum("nr,nr->r", Dc, apply_G(system, Dc))
-    return np.sqrt(q).reshape(d.shape[1:])[()]
+    return np.sqrt(np.einsum("n...,n...->...", d, apply_G(system, d)))[()]
 
 
 def rho_estimate(system: ForwardSystem, stacked: bool = False) -> float:

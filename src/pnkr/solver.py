@@ -26,12 +26,16 @@ runs out (reported as truncation, not an error).
 The Kaczmarz variants, with momentum (pnkr), without it
 (Landweber-Kaczmarz), or with the reduced step that trades the Kronecker
 solve for an explicit separable smoothing on the piecewise-constant
-basis, run each sweep as one call into a C kernel (``_STEP_SOURCE``),
-built at import with the system's C compiler into the user cache
-(:func:`_load_step_kernel`).  Each step's two factors are built once per
+basis, run in a C kernel (``_STEP_SOURCE``), built at import with the
+system's C compiler into the user cache (:func:`_load_step_kernel`).
+Each public operation is one kernel call: a sweep ``pnkr_sweep``, a
+single equation step ``pnkr_step``, and the end-of-sweep residual norms
+``pnkr_residual_norms``.  Each step's two factors are built once per
 :class:`~pnkr.forward.ForwardSystem` and kept on it.  The full-stack
 Landweber iteration gates every equation at once and sums all
-corrections with numpy before projecting.
+corrections with numpy before projecting.  In a forked child every
+kernel call runs on one thread, since libgomp's thread pool does not
+survive ``fork()``.
 
 Every variant steps in place: ``SolverState.u_k`` and ``u_km1`` are two
 buffers that each step reuses.  The new iterate is built in the ``u_km1``
@@ -265,18 +269,17 @@ static void pnkr_pass(const double *u, double *out, size_t n_rows, size_t n_cols
     }
 }
 
-void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols, double c,
-               double alpha, const double *a, const double *p, const double *q, double *g, int par)
+/* One equation's step in one parallel region, as a sweep takes it: a = S d (S the
+   C-ordered n_rows x n_rows spatial factor, a a work array of n_rows entries), then
+   the pass with column p; given q it also writes g = out q */
+void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols, double c, double alpha,
+               const double *S, const double *d, double *a, const double *p, const double *q, double *g, int par)
 {
 #pragma omp parallel if (par)
-    pnkr_pass(u, out, n_rows, n_cols, c, alpha, a, p, q, g);
-}
-
-/* a = S d for a C-ordered N x N S */
-void pnkr_spatial(const double *S, const double *d, double *a, size_t N, int par)
-{
-#pragma omp parallel if (par)
-    pnkr_rows(S, d, a, N, N);
+    {
+        pnkr_rows(S, d, a, n_rows, n_rows);
+        pnkr_pass(u, out, n_rows, n_cols, c, alpha, a, p, q, g);
+    }
 }
 
 static void pnkr_gather(const double *Q, size_t R, size_t r, double *q, size_t L)
@@ -393,24 +396,23 @@ static void pnkr_table(const double *u, const double *Q, double *G, size_t N, si
     }
 }
 
-/* norms[r] = sqrt(vdot(X, A1 X A2)) of X = y[:, r] - U q_r for every r */
+/* norms[r] = sqrt(vdot(X, A1 X A2)) of X = y[:, r] - U q_r for every r; the table
+   U Q, one panel and one set of work rows per thread are allocated before the
+   parallel region.  Returns -2 when they cannot be. */
 int pnkr_residual_norms(const double *u, size_t N, size_t L, size_t R, const double *y, const double *Q,
                         const double *A1, size_t n1, const double *A2, size_t n2, double *norms, int par)
 {
+    size_t threads = par ? (size_t)omp_get_max_threads() : 1;
     double *G = malloc(sizeof(double) * N * R);
-    int failed = !G;
+    double *panels = aligned_alloc(64, sizeof(double) * 8 * L * threads);
+    double *work = malloc(sizeof(double) * 3 * N * threads);
+    int status = G && panels && work ? 0 : -2;
+    if (!status) {
 #pragma omp parallel if (par)
-    {
-        double *panel = failed ? NULL : aligned_alloc(64, sizeof(double) * 8 * L);
-        double *w = failed ? NULL : malloc(sizeof(double) * 3 * N);
-        if (!panel || !w) {
-#pragma omp atomic write
-            failed = 1;
-        }
-#pragma omp barrier
-        if (!failed) {
-            pnkr_table(u, Q, G, N, L, R, panel);
-            double *X = w, *T = X + N, *W = T + N;
+        {
+            size_t t = (size_t)omp_get_thread_num();
+            double *X = work + 3 * N * t, *T = X + N, *W = T + N;
+            pnkr_table(u, Q, G, N, L, R, panels + 8 * L * t);
 #pragma omp for schedule(static)
             for (size_t r = 0; r < R; r++) {
                 for (size_t n = 0; n < N; n++)
@@ -418,11 +420,11 @@ int pnkr_residual_norms(const double *u, size_t N, size_t L, size_t R, const dou
                 norms[r] = pnkr_norm(X, A1, n1, A2, n2, T, W);
             }
         }
-        free(panel);
-        free(w);
     }
     free(G);
-    return failed ? -2 : 0;
+    free(panels);
+    free(work);
+    return status;
 }
 """
 _STEP_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-shared", "-fPIC")
@@ -432,8 +434,7 @@ _STEP_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-shared
 _PARALLEL_ENTRIES = 1 << 18
 # Each kernel entry's argument kinds (p pointer, n size_t, d double, i int) and result.
 _KERNEL_ENTRIES = {
-    "pnkr_step": ("ppnnddppppi", None),
-    "pnkr_spatial": ("pppni", None),
+    "pnkr_step": ("ppnnddppppppi", None),
     "pnkr_sweep": ("ppnnnpppnpnppppddi", ctypes.c_long),
     "pnkr_residual_norms": ("pnnnpppnpnpi", ctypes.c_int),
     "pnkr_threads": ("", ctypes.c_int),
@@ -505,6 +506,16 @@ try:
     SWEEP_THREADS = _STEP_KERNEL.pnkr_threads()
 except ImportError as exc:
     _STEP_KERNEL, STEP_KERNEL_BUILD, SWEEP_THREADS = exc, None, None
+
+
+def _after_fork_in_child() -> None:
+    """Run every kernel call of a forked child on one thread: libgomp does not rebuild its thread pool after ``fork()``, and a threaded region in the child can hang."""
+    global SWEEP_THREADS
+    if SWEEP_THREADS is not None:
+        SWEEP_THREADS = 1
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _call(name: str, *args):
@@ -663,19 +674,9 @@ def _momentum_factor(k_R: int) -> float:
     return (k_R - 1.0) / (k_R + 2.0)
 
 
-def nesterov_extrapolate(u_k: np.ndarray, u_km1: np.ndarray, k_R: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Momentum point ``u_k + ((k_R - 1) / (k_R + 2)) (u_k - u_km1)``.
-
-    Written into ``out`` when given; ``out`` may be ``u_km1`` but must
-    not overlap ``u_k``.
-    """
-    factor = _momentum_factor(k_R)
-    if out is not None and np.may_share_memory(out, u_k):
-        raise ValueError("out must not overlap u_k")
-    out = np.subtract(u_k, u_km1, out=out)
-    out *= factor
-    out += u_k
-    return out
+def nesterov_extrapolate(u_k: np.ndarray, u_km1: np.ndarray, k_R: int) -> np.ndarray:
+    """Momentum point ``u_k + ((k_R - 1) / (k_R + 2)) (u_k - u_km1)``."""
+    return u_k + _momentum_factor(k_R) * (u_k - u_km1)
 
 
 def resolve_omega(config: SolverConfig, system: ForwardSystem) -> float:
@@ -700,48 +701,30 @@ def _sweep_order(config: SolverConfig, R: int, k_R: int) -> np.ndarray:
     return rng.permutation(R) + 1
 
 
-def _step_views(system: ForwardSystem, u: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A step's checked ``out`` (fresh when omitted) and the ``N x L`` views of ``u`` and ``out`` (one object if ``out is u``)."""
-    N, L = system.N, system.L
+def _parallel(system: ForwardSystem) -> int:
+    """Whether the kernel splits this system's products and passes over OpenMP threads: at or above ``_PARALLEL_ENTRIES``, and never in a forked child (see ``_after_fork_in_child``)."""
+    return int(SWEEP_THREADS != 1 and system.N * system.L >= _PARALLEL_ENTRIES)
+
+
+def _single_step(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, out: np.ndarray | None, k_R: int | None, alpha: float, S: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Equation ``r``'s step into ``out`` (fresh when omitted) in one kernel call, ``pnkr_step``, as a sweep takes it.
+
+    The kernel forms ``a = S d`` in its fixed order and runs the pass
+    ``out = max(Z + alpha a p^T, 0)`` with ``p`` column ``r`` of ``P``;
+    ``Z`` is ``u``, or given ``k_R`` the momentum point
+    ``(1 + c) u - c out`` of ``u`` and the previous iterate in ``out``,
+    which is never formed.
+    """
+    r, N, L, d = _check_r(system, r), system.N, system.L, np.ascontiguousarray(d, dtype=float)
+    if d.shape != (N,):
+        raise ValueError(f"a step needs a residual of {N} entries, got shape {d.shape}")
     if out is None:
         out = np.empty(N * L)
     elif out.shape != (N * L,) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape ({N * L},)")
-    O = out.reshape(N, L)
-    return out, O if out is u else np.ascontiguousarray(u, dtype=float).reshape(N, L), O
-
-
-def _parallel(system: ForwardSystem) -> int:
-    """Whether the kernel splits this system's products and passes over OpenMP threads (see ``_PARALLEL_ENTRIES``)."""
-    return int(system.N * system.L >= _PARALLEL_ENTRIES)
-
-
-def _rank_one_step(U: np.ndarray, O: np.ndarray, k_R: int | None, alpha: float, a: np.ndarray, p: np.ndarray) -> None:
-    """The kernel's step pass: ``O = max(Z + alpha a p^T, 0)``, ``p`` of ``L`` entries.
-
-    ``Z`` is ``U``, or given ``k_R`` the momentum point
-    ``(1 + c) U - c O`` of ``U`` and the previous iterate in ``O``, which
-    is never formed: each entry of ``O`` is read and written once.  ``U``
-    and ``O`` are C-contiguous float64 ``N x L`` arrays, one object only
-    without ``k_R``.  No pass checks the result.
-    """
+    u = out if u is out else np.ascontiguousarray(u, dtype=float).reshape(N * L)
     c = 0.0 if k_R is None else _momentum_factor(k_R)
-    N, L = O.shape
-    a, p = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(p, dtype=float)
-    if U.shape != O.shape or a.shape != (N,) or p.size != L or not all(x.dtype == np.float64 and x.flags.c_contiguous for x in (U, O)):
-        raise ValueError(f"a step over an {N} x {L} iterate needs C-contiguous float64 iterates and factors of {N} and {L} entries")
-    _call("pnkr_step", U, O, N, L, c, alpha, a, p, None, None, int(N * L >= _PARALLEL_ENTRIES))
-
-
-def _single_step(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, out: np.ndarray | None, k_R: int | None, alpha: float, S: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Equation ``r``'s :func:`_rank_one_step` into ``out`` with ``a = S d``, summed in the kernel's order as a sweep does, and column ``r`` of ``P``."""
-    r, N, d = _check_r(system, r), system.N, np.ascontiguousarray(d, dtype=float)
-    if d.shape != (N,):
-        raise ValueError(f"a step needs a residual of {N} entries, got shape {d.shape}")
-    out, U, O = _step_views(system, u, out)
-    a = np.empty(N)
-    _call("pnkr_spatial", S, d, a, N, _parallel(system))
-    _rank_one_step(U, O, k_R, alpha, a, P[:, r - 1])
+    _call("pnkr_step", u, out, N, L, c, alpha, S, d, np.empty(N), P[:, r - 1], None, None, _parallel(system))
     return out
 
 
@@ -792,10 +775,10 @@ def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData) -> tu
     return D, sample_norm(system, D)
 
 
-def _gate_operands(system: ForwardSystem, data: SolveData) -> tuple:
-    """The samples, the kernel table and the axis factors of ``G``, each with its size, as the kernel reads them."""
-    A1, A2 = (np.ascontiguousarray(A, dtype=float) for A in system.G_axes)
-    return np.ascontiguousarray(data.y, dtype=float), np.ascontiguousarray(system.Q), A1, len(A1), A2, len(A2)
+def _gate_operands(system: ForwardSystem, y: np.ndarray, axes: tuple[np.ndarray, np.ndarray]) -> tuple:
+    """The samples ``y``, the kernel table and the axis factors ``axes`` of a norm, each with its size, as the kernel reads them."""
+    A1, A2 = (np.ascontiguousarray(A, dtype=float) for A in axes)
+    return np.ascontiguousarray(y, dtype=float), np.ascontiguousarray(system.Q), A1, len(A1), A2, len(A2)
 
 
 def _compiled_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, c: float, S: np.ndarray, P: np.ndarray, alpha: float) -> int:
@@ -814,7 +797,7 @@ def _compiled_sweep(state: SolverState, config: SolverConfig, data: SolveData, s
         raise ValueError(f"a sweep over {R} equations needs samples of shape ({N}, {R}), {R} noise levels and C-contiguous float64 iterates of shape ({N * L},)")
     order = np.ascontiguousarray(_sweep_order(config, R, state.k_R) - 1, dtype=np.int64)
     limits = np.ascontiguousarray(config.tau * data.delta_r, dtype=float)
-    updates = _call("pnkr_sweep", u_k, u_km1, N, L, R, *_gate_operands(system, data), order, limits, P, S, c, alpha, _parallel(system))
+    updates = _call("pnkr_sweep", u_k, u_km1, N, L, R, *_gate_operands(system, data.y, system.G_axes), order, limits, P, S, c, alpha, _parallel(system))
     if updates < -1:
         raise MemoryError("the Kaczmarz sweep could not allocate its work arrays")
     if updates < 0:
@@ -882,10 +865,13 @@ def _iterate_norm(u: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", u, u)))
 
 
-def _compiled_norms(system: ForwardSystem, u: np.ndarray, data: SolveData) -> np.ndarray:
-    """Every equation's residual norm at ``u``, from the kernel on its threads in its fixed order."""
+def _compiled_norms(system: ForwardSystem, u: np.ndarray, y: np.ndarray, axes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Every channel's ``sqrt(vdot(X, A1 X A2))``, ``X = y_r - U q_r`` on the site grid and ``(A1, A2) = axes``, from the kernel on its threads in its fixed order.
+
+    With ``system.G_axes`` these are the residual norms at ``u``.
+    """
     U, norms = np.ascontiguousarray(u, dtype=float).reshape(system.N, system.L), np.empty(system.R)
-    if _call("pnkr_residual_norms", U, system.N, system.L, system.R, *_gate_operands(system, data), norms, _parallel(system)):
+    if _call("pnkr_residual_norms", U, system.N, system.L, system.R, *_gate_operands(system, y, axes), norms, _parallel(system)):
         raise MemoryError("the residual norms could not allocate their work arrays")
     return norms
 
@@ -901,9 +887,10 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
     carries the stacked moment-space residual ``res`` and the relative
     error.  ``data`` is :class:`SolveData` or datacube-like.
 
-    A row's ``data_residual`` comes from the kernel for the Kaczmarz
-    variants at or above ``_PARALLEL_ENTRIES``, and from numpy otherwise,
-    so that no threaded numpy BLAS call runs between two threaded sweeps.
+    A row's ``data_residual`` and ``res`` come from the kernel for the
+    Kaczmarz variants at or above ``_PARALLEL_ENTRIES``, and the norms of
+    ``error`` from ``np.einsum``, so that no threaded numpy BLAS call runs
+    between two threaded sweeps; below it, and for Landweber, from numpy.
 
     Raises
     ------
@@ -933,12 +920,17 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
         if not finite_y[r - 1]:
             raise ValueError(f"channel r={r} has a non-finite sample")
         raise ValueError(f"channel r={r} has delta_r={data.delta_r[r - 1]:g}; it must be finite and nonnegative")
+    compiled = config.variant != "landweber" and system.N * system.L >= _PARALLEL_ENTRIES
     if u_star is not None:
         u_star = np.asarray(u_star, dtype=float)
         if u_star.shape != (system.N * system.L,):
             raise ValueError(f"reference coefficients have shape {u_star.shape}, expected ({system.N * system.L},)")
-        star_norm = float(np.linalg.norm(u_star))
-    compiled = config.variant != "landweber" and _parallel(system)
+        norm = _iterate_norm if compiled else np.linalg.norm
+        star_norm = float(norm(u_star))
+        if compiled:
+            # sqrt(x^T G^2 x) = ||G x||: given no samples and the squared axis factors, the
+            # kernel's norms at u* - u sum over channels to ||apply_H_all(u* - u)||
+            no_samples, G2_axes = np.zeros((system.N, system.R)), tuple(A @ A for A in system.G_axes)
     ref_norm = _iterate_norm(state.u_k) or None
     residual = None
     while state.k_R <= config.max_loops:
@@ -955,11 +947,14 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
             res = error = np.nan
             if u_star is not None:
                 diff = u_star - state.u_k
-                res = float(np.linalg.norm(apply_H_all(system, diff)))
-                error = float(np.linalg.norm(diff)) / star_norm if star_norm > 0 else np.nan
+                if compiled:
+                    res = float(np.sqrt(np.sum(_compiled_norms(system, diff, no_samples, G2_axes) ** 2)))
+                else:
+                    res = float(np.linalg.norm(apply_H_all(system, diff)))
+                error = float(norm(diff)) / star_norm if star_norm > 0 else np.nan
             # the residual at u_k of every equation; Landweber's next gate reuses it
             residual = None if compiled else _block_residual(system, state.u_k, data)
-            norms = _compiled_norms(system, state.u_k, data) if compiled else residual[1]
+            norms = _compiled_norms(system, state.u_k, data.y, system.G_axes) if compiled else residual[1]
             u_norm = _iterate_norm(state.u_k)
             row = HistoryRow(loop=state.k_R - 1, updates=updates, data_residual=float(np.sqrt(np.sum(norms**2))), res=res, error=error, seconds=seconds)
             if ref_norm is None:

@@ -199,16 +199,13 @@ def test_sample_and_moment_norms_agree(s):
         np.testing.assert_allclose(sample_norm(system, d), np.sqrt(system.c_N) * np.linalg.norm(d), rtol=1e-12)
 
 
-@pytest.mark.parametrize("chunk", [None, 40], ids=["one_chunk", "chunks_of_2"])
 @pytest.mark.parametrize("s", [0, 1])
-def test_sample_norm_is_the_quadratic_form_of_the_assembled_gram(s, chunk, monkeypatch):
+def test_sample_norm_is_the_quadratic_form_of_the_assembled_gram(s):
     # unequal, non-uniform spatial axes (3 x 5 sites), so a swapped or transposed
     # axis factor shows; the norm comes from the axis factors, the oracle from G
     omega = (explicit_axis([-1.0, -0.6, 0.1, 1.0]), uniform_axis(-2.0, 1.0, 5))
     basis = make_basis(s, omega, small_basis(s).theta_grids, beta=0.3 if s == 1 else 0.0)
     system = build_forward_system(basis, np.random.default_rng(1).standard_normal((basis.L, 3)))
-    if chunk is not None:
-        monkeypatch.setattr(pnkr.forward, "_NORM_CHUNK_ENTRIES", chunk)
     G = np.kron(*(_axis_factors(g, s)[0] for g in basis.omega_grids))
     assert np.array_equal(dense_G(system), G)
     rng = np.random.default_rng(10)
@@ -216,11 +213,12 @@ def test_sample_norm_is_the_quadratic_form_of_the_assembled_gram(s, chunk, monke
     got = sample_norm(system, d)
     assert np.ndim(got) == 0
     np.testing.assert_allclose(got, np.sqrt(d @ G @ d), rtol=1e-14)
-    for cols in (1, 7):
-        D = rng.standard_normal((system.N, cols))
+    for shape in ((1,), (7,), (2, 3)):
+        D = rng.standard_normal((system.N, *shape))
         got = sample_norm(system, D)
-        assert got.shape == (cols,)
-        np.testing.assert_allclose(got, np.sqrt(np.einsum("nr,nr->r", D, G @ D)), rtol=1e-14)
+        assert got.shape == shape
+        want = np.sqrt(np.einsum("nr,nr->r", D.reshape(system.N, -1), G @ D.reshape(system.N, -1)))
+        np.testing.assert_allclose(got, want.reshape(shape), rtol=1e-14)
 
 
 @pytest.mark.parametrize("s", [0, 1])

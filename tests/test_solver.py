@@ -19,6 +19,8 @@ from hypothesis.extra import numpy as hnp
 
 from pnkr.forward import (
     SMOOTHING_TAPS,
+    apply_Hr,
+    apply_Hr_T,
     apply_Zs,
     build_forward_system,
     reduced_rho,
@@ -167,21 +169,6 @@ def test_nesterov_factor_values():
         nesterov_extrapolate(u_k, u_km1, 0)
 
 
-@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
-def test_nesterov_out_may_alias_previous_iterate(fixture_name, request):
-    system = request.getfixturevalue(fixture_name)
-    rng = np.random.default_rng(5)
-    u_k = rng.uniform(0.0, 1.0, system.N * system.L)
-    u_km1 = rng.uniform(0.0, 1.0, system.N * system.L)
-    for k_R in (1, 2, 5):
-        pure = nesterov_extrapolate(u_k, u_km1, k_R)
-        buf = u_km1.copy()
-        assert nesterov_extrapolate(u_k, buf, k_R, out=buf) is buf
-        assert np.array_equal(buf, pure)
-    with pytest.raises(ValueError, match="overlap"):
-        nesterov_extrapolate(u_k, u_km1, 2, out=u_k)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -311,6 +298,21 @@ def test_equation_update_matches_dense_kkt(fixture_name, request):
                 update(system, z, y_r, bad, omega)
 
 
+@pytest.mark.parametrize("r", [True, False, np.True_])
+def test_channel_index_rejects_a_bool(tiny0, r):
+    # True passes the integer check and equals 1: a step or apply_Hr would take channel 1
+    u, d = np.zeros(tiny0.N * tiny0.L), np.zeros(tiny0.N)
+    calls = (
+        lambda: pnkr_equation_update(tiny0, u, d, r, 1.0),
+        lambda: reduced_equation_update(tiny0, u, d, r, 1.0),
+        lambda: apply_Hr(tiny0, u, r),
+        lambda: apply_Hr_T(tiny0, d, r),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"r={r} is not an integer"):
+            call()
+
+
 @pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
 @pytest.mark.parametrize("rows", [2, 3])
 def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request):
@@ -343,7 +345,7 @@ def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request):
             assert np.array_equal(got, plain[k_R])
             a, O = fixed_order_rows_dot(system.Psi_inv_G, d[k_R]), u_km1.copy().reshape(system.N, system.L)
             for blk in blocks:
-                pnkr.solver._rank_one_step(U[blk], O[blk], k_R, omega, a[blk], p)
+                _kernel_step(U[blk], O[blk], k_R, omega, a[blk], p)
             assert np.array_equal(O.reshape(-1), plain[k_R])
         fresh = pnkr_equation_update(system, u_k, d[None], r, omega)
         assert np.array_equal(fresh, plain[None])
@@ -389,6 +391,20 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
+def _kernel_step(U, O, k_R, alpha, a, p, q=None, g=None):
+    """The kernel's single step ``pnkr_step`` on ``N x L`` iterates, on one thread, with ``S = I`` and ``d = a``.
+
+    ``I a`` is ``a`` bitwise where ``a`` is nonzero, and a zero's sign does
+    not reach the iterate, whose projection stores +0 for either.  Given
+    a column ``q`` the pass also writes the next gate's product ``g = O q``.
+    """
+    c = 0.0 if k_R is None else (k_R - 1.0) / (k_R + 2.0)
+    N, L = O.shape
+    a, p = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(p, dtype=float)
+    q = None if q is None else np.ascontiguousarray(q, dtype=float)
+    pnkr.solver._call("pnkr_step", U, O, N, L, c, alpha, np.eye(N), a, np.empty(N), p, q, g, 0)
+
+
 @pytest.mark.parametrize("case", ["tiny0", "tiny1", "paper_shape"])
 def test_step_kernel_matches_blas_sequence_bitwise(case, request):
     # the compiled pass against the row-blocked dgemm/daxpy sequence it replaced, for
@@ -408,18 +424,22 @@ def test_step_kernel_matches_blas_sequence_bitwise(case, request):
         c = 0.0 if k_R is None else (k_R - 1.0) / (k_R + 2.0)
         want, got = prev.copy(), prev.copy()
         blas_rank_one_step(U, want, c, alpha, a, p)
-        pnkr.solver._rank_one_step(U, got, k_R, alpha, a, p)
+        _kernel_step(U, got, k_R, alpha, a, p)
         assert np.array_equal(_bits(got), _bits(want))
         assert 0 < np.sum(want == 0.0) < want.size
     want, got = U.copy(), U.copy()
     blas_rank_one_step(want, want, 0.0, alpha, a, p)
-    pnkr.solver._rank_one_step(got, got, None, alpha, a, p)
+    _kernel_step(got, got, None, alpha, a, p)
     assert np.array_equal(_bits(got), _bits(want))
-    # the pass takes raw pointers: strided, short or non-float64 operands never reach it
-    L2 = (L + 1) // 2
-    for bad in [(U[:, ::2], got[:, ::2], a, p[:L2]), (U, got, a[:-1], p), (U, got, a, p[:-1]), (U.astype(np.float32), got, a, p)]:
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            pnkr.solver._rank_one_step(bad[0], bad[1], None, alpha, bad[2], bad[3])
+    if case != "paper_shape":
+        # the kernel takes raw pointers: a strided, short, 2D or non-float64 out, or a short
+        # residual, never reaches it
+        u, d = U.reshape(-1), rng.normal(size=N)
+        for bad in (np.empty(2 * N * L)[::2], np.empty(N * L - 1), np.empty((N, L)), np.empty(N * L, dtype=np.float32)):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                pnkr_equation_update(system, u, d, 1, alpha, out=bad)
+        with pytest.raises(ValueError, match=f"residual of {N} entries"):
+            pnkr_equation_update(system, u, d[:-1], 1, alpha)
 
 
 @pytest.mark.parametrize("where", ["u_k", "u_km1"])
@@ -437,18 +457,11 @@ def test_step_kernel_projects_nan_inf_and_zero_like_np_maximum(where):
         c = 0.0 if k_R is None else (k_R - 1.0) / (k_R + 2.0)
         want, got = prev.copy(), prev.copy()
         blas_rank_one_step(U, want, c, 0.5, a, p)
-        pnkr.solver._rank_one_step(U, got, k_R, 0.5, a, p)
+        _kernel_step(U, got, k_R, 0.5, a, p)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         if k_R is None and where == "u_k":
             assert np.isnan(got).any() and np.isinf(got).any()
-
-
-def _fused_step(U, O, k_R, alpha, a, p, q, g):
-    """The kernel's step pass with the next gate's product ``g = O q``, as a sweep runs it after an update."""
-    c = 0.0 if k_R is None else (k_R - 1.0) / (k_R + 2.0)
-    a, p, q = (np.ascontiguousarray(x, dtype=float) for x in (a, p, q))
-    pnkr.solver._call("pnkr_step", U, O, O.shape[0], O.shape[1], c, alpha, a, p, q, g, 0)
 
 
 @pytest.mark.parametrize("case", ["tiny1", "desk", "paper_shape"])
@@ -470,8 +483,8 @@ def test_step_kernel_gate_product_is_the_fixed_order_sum_bitwise(case, request):
     for k_R, in_place in ((None, False), (2, False), (5, False), (None, True)):
         want = (U if in_place else prev).copy()
         got, g = want.copy(), np.full(N, np.nan)
-        pnkr.solver._rank_one_step(want if in_place else U, want, k_R, alpha, a, p)
-        _fused_step(got if in_place else U, got, k_R, alpha, a, p, q, g)
+        _kernel_step(want if in_place else U, want, k_R, alpha, a, p)
+        _kernel_step(got if in_place else U, got, k_R, alpha, a, p, q, g)
         assert np.array_equal(_bits(got), _bits(want))
         assert np.array_equal(_bits(g), _bits(fixed_order_rows_dot(got, q)))
         assert 0 < np.sum(got == 0.0) < got.size
@@ -492,7 +505,7 @@ def test_step_kernel_gate_product_is_non_finite_where_the_step_writes_nan_or_inf
     q[20] = 0.0
     for k_R in (None, 2, 5):
         got, g = prev.copy(), np.empty(N)
-        _fused_step(U, got, k_R, 0.5, a, p, q, g)
+        _kernel_step(U, got, k_R, 0.5, a, p, q, g)
         with np.errstate(invalid="ignore"):
             assert np.array_equal(g, fixed_order_rows_dot(got, q), equal_nan=True)
         assert np.array_equal(np.isfinite(g), np.isfinite(got).all(axis=1))
@@ -510,7 +523,7 @@ def _import_and_step(cache, path_dir, no_processes=False):
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     code = "import subprocess\nsubprocess.Popen = None\n" if no_processes else ""
     code += "import numpy as np\nimport pnkr.solver\nprint(pnkr.solver.STEP_KERNEL_BUILD, flush=True)\n"
-    code += "pnkr.solver._rank_one_step(np.ones((1, 1)), np.ones((1, 1)), None, 1.0, np.ones(1), np.ones(1))"
+    code += "pnkr.solver._call('pnkr_step', *[np.ones(1)] * 2, 1, 1, 0.0, 1.0, *[np.ones(1)] * 6, 0)"
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -569,39 +582,105 @@ def test_kernel_entry_codes_match_the_exported_prototypes():
     assert exported == pnkr.solver._KERNEL_ENTRIES
 
 
-# Runs pnkr sweeps on a random problem of N L = 144 x 2048 entries, above the kernel's
-# threshold for OpenMP threads, and prints the thread count, then digests of the iterate
-# and of the deterministic history columns.
-_THREAD_PROBE = """
+# A random pnkr problem of N L = 144 x 2048 entries, above the kernel's threshold for
+# OpenMP threads, with its truth u_true.
+_PROBE_PROBLEM = """
 import hashlib
 import numpy as np
 from pnkr.forward import build_forward_system, synthesize_datacube
 from pnkr.grid_basis import make_basis, uniform_axis
 from pnkr.mock import add_noise
-from pnkr.solver import SWEEP_THREADS, _PARALLEL_ENTRIES, SolveData, SolverConfig, run
+from pnkr.solver import SWEEP_THREADS, _PARALLEL_ENTRIES, SolveData, SolverConfig
 
 basis = make_basis(1, (uniform_axis(-1.0, 1.0, 13), uniform_axis(-1.0, 1.0, 13)), (uniform_axis(-1000.0, 1000.0, 17), uniform_axis(-2.0, 0.0, 9), uniform_axis(1.0, 13.0, 17)), beta=0.3)
 assert (basis.N, basis.L) == (144, 2048) and basis.N * basis.L >= _PARALLEL_ENTRIES
 rng = np.random.default_rng(0)
 system = build_forward_system(basis, rng.uniform(0.0, 1.0, (basis.L, 24)))
-noisy = add_noise(system, synthesize_datacube(system, rng.uniform(0.0, 1.0, basis.N * basis.L)), 0.01, seed=0)
-res = run(SolverConfig(variant="pnkr", s=1, beta=0.3, max_loops=4), SolveData(y=noisy.y_noisy, delta_r=noisy.delta_r), system)
-table = np.array([[row.loop, row.updates, row.data_residual] for row in res.history])
-print(SWEEP_THREADS, res.total_updates, hashlib.sha256(res.u.tobytes()).hexdigest(), hashlib.sha256(table.tobytes()).hexdigest())
+u_true = rng.uniform(0.0, 1.0, basis.N * basis.L)
+noisy = add_noise(system, synthesize_datacube(system, u_true), 0.01, seed=0)
+data = SolveData(y=noisy.y_noisy, delta_r=noisy.delta_r)
+config = SolverConfig(variant="pnkr", s=1, beta=0.3, max_loops=4)
+"""
+
+# Runs the problem's sweeps against u_true, then one momentum step, and prints the thread
+# count, then digests of the iterate, of the deterministic history columns and of the step.
+_THREAD_PROBE = _PROBE_PROBLEM + """
+from pnkr.solver import pnkr_equation_update, run
+
+res = run(config, data, system, u_star=u_true)
+table = np.array([[row.loop, row.updates, row.data_residual, row.res, row.error] for row in res.history])
+d, prev = rng.normal(0.0, 1e-3, basis.N), rng.uniform(0.0, 1.0, basis.N * basis.L)
+step = pnkr_equation_update(system, res.u, d, 5, res.omega, out=prev, k_R=3)
+print(SWEEP_THREADS, res.total_updates, *(hashlib.sha256(x.tobytes()).hexdigest() for x in (res.u, table, step)))
+"""
+
+# Takes the problem's first sweep, forks once, and takes the second sweep in the child and
+# then in the parent.  Prints, for the child and then the parent, the manifest's
+# sweep_threads and a digest of the iterate and history row, then the child's exit code.
+_FORK_PROBE = _PROBE_PROBLEM + """
+import os
+import signal
+import time
+import pnkr.cli
+from pnkr.solver import SolverState, resolve_omega, sweeps
+
+state = SolverState(np.zeros(basis.N * basis.L), np.zeros(basis.N * basis.L))
+rows = sweeps(state, config, data, system, resolve_omega(config, system), u_star=u_true)
+next(rows)
+
+
+def second_sweep():
+    row = next(rows)
+    history = np.array([row.updates, row.data_residual, row.res, row.error])
+    return f"{pnkr.cli._versions()['sweep_threads']} {hashlib.sha256(state.u_k.tobytes() + history.tobytes()).hexdigest()} "
+
+
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    code = 1
+    try:
+        os.write(write, second_sweep().encode())
+        code = 0
+    finally:
+        os._exit(code)
+deadline = time.monotonic() + 60.0
+while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+    if time.monotonic() > deadline:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise SystemExit("the forked child did not finish its sweep within 60 s")
+    time.sleep(0.01)
+os.close(write)
+print(os.read(read, 4096).decode() + second_sweep() + str(os.waitstatus_to_exitcode(done[1])))
 """
 
 
-def test_sweep_bits_do_not_depend_on_the_thread_count():
-    # every row of every product and pass keeps its sum order on any number of OpenMP threads
+def _probe(code, threads):
+    """The words a probe prints, run in a fresh interpreter on ``threads`` OpenMP threads."""
     src = str(Path(pnkr.solver.__file__).parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        probe = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, timeout=120)
-        assert probe.returncode == 0, probe.stderr
-        outputs.append(probe.stdout.split())
+    env = dict(os.environ, OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    return probe.stdout.split()
+
+
+def test_sweep_bits_do_not_depend_on_the_thread_count():
+    # every row of every product and pass keeps its sum order on any number of OpenMP threads:
+    # the sweeps, the history's residuals and errors, and a single step
+    outputs = [_probe(_THREAD_PROBE, threads) for threads in ("1", "2")]
     assert [out[0] for out in outputs] == ["1", "2"]
     assert int(outputs[0][1]) > 0 and outputs[0][1:] == outputs[1][1:]
+
+
+def test_a_forked_child_sweeps_on_one_thread_after_a_threaded_sweep():
+    # libgomp does not rebuild its thread pool in a forked child, where a threaded sweep hung;
+    # the child sweeps unthreaded, reports it, and keeps the parent's bits
+    words = _probe(_FORK_PROBE, "2")
+    assert len(words) == 5, words  # a failed child writes nothing
+    child_threads, child, parent_threads, parent, exit_code = words
+    assert (child_threads, parent_threads, exit_code) == ("1", "2", "0")
+    assert child == parent
 
 
 def test_reduced_identity_matches_plain_update(monkeypatch, tiny0, tiny0_problem):
@@ -1048,9 +1127,24 @@ def test_compiled_end_of_sweep_products_match_the_oracle_bitwise(fixture_name, r
     u = rng.uniform(0.0, 1.0, full.N * full.L)
     for system in (full, build_forward_system(full.basis, np.ascontiguousarray(full.Q[:, :5]))):
         y = rng.uniform(-1.0, 1.0, (system.N, system.R))
-        norms = pnkr.solver._compiled_norms(system, u, SolveData(y=y, delta_r=np.zeros(system.R)))
+        norms = pnkr.solver._compiled_norms(system, u, y, system.G_axes)
         want = [fixed_order_gate_norm(system, _pass_residual(system, y[:, r - 1], u, r)) for r in range(1, system.R + 1)]
         assert np.array_equal(_bits(norms), _bits(np.array(want)))
+
+
+@pytest.mark.parametrize("variant", ["pnkr", "reduced_pnkr"])
+def test_history_above_the_thread_threshold_matches_numpys(monkeypatch, tiny0, tiny0_problem, variant):
+    # above _PARALLEL_ENTRIES a history row's data_residual and res come from the kernel's
+    # residual norms and error's norms from np.einsum: the same values to rounding
+    u_star, data = tiny0_problem
+    cfg = SolverConfig(variant=variant, s=0, max_loops=5, seed=3)
+    numpy_run = run(cfg, data, tiny0, u_star=u_star)
+    monkeypatch.setattr(pnkr.solver, "_PARALLEL_ENTRIES", 0)
+    kernel_run = run(cfg, data, tiny0, u_star=u_star)
+    assert np.array_equal(kernel_run.u, numpy_run.u)
+    for got, want in zip(kernel_run.history, numpy_run.history, strict=True):
+        assert (got.loop, got.updates) == (want.loop, want.updates)
+        np.testing.assert_allclose([got.data_residual, got.res, got.error], [want.data_residual, want.res, want.error], rtol=1e-12)
 
 
 def test_counter_advances_once_per_sweep(tiny0, tiny0_problem):
