@@ -199,10 +199,13 @@ def test_sample_and_moment_norms_agree(s):
         np.testing.assert_allclose(sample_norm(system, d), np.sqrt(system.c_N) * np.linalg.norm(d), rtol=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [None, 2], ids=["one_chunk", "chunks_of_2"])
 @pytest.mark.parametrize("s", [0, 1])
-def test_sample_norm_is_the_quadratic_form_of_the_assembled_gram(s):
+def test_sample_norm_is_the_quadratic_form_of_the_assembled_gram(s, chunk):
     # unequal, non-uniform spatial axes (3 x 5 sites), so a swapped or transposed
-    # axis factor shows; the norm comes from the axis factors, the oracle from G
+    # axis factor shows; the norm comes from the axis factors, the oracle from G.
+    # With a chunk, the trailing axis is passed a few columns at a time: each
+    # column's norm must not depend on which columns share its call
     omega = (explicit_axis([-1.0, -0.6, 0.1, 1.0]), uniform_axis(-2.0, 1.0, 5))
     basis = make_basis(s, omega, small_basis(s).theta_grids, beta=0.3 if s == 1 else 0.0)
     system = build_forward_system(basis, np.random.default_rng(1).standard_normal((basis.L, 3)))
@@ -215,7 +218,11 @@ def test_sample_norm_is_the_quadratic_form_of_the_assembled_gram(s):
     np.testing.assert_allclose(got, np.sqrt(d @ G @ d), rtol=1e-14)
     for shape in ((1,), (7,), (2, 3)):
         D = rng.standard_normal((system.N, *shape))
-        got = sample_norm(system, D)
+        if chunk is None:
+            got = sample_norm(system, D)
+        else:
+            parts = [sample_norm(system, D[..., i : i + chunk]) for i in range(0, shape[-1], chunk)]
+            got = np.concatenate(parts, axis=-1)
         assert got.shape == shape
         want = np.sqrt(np.einsum("nr,nr->r", D.reshape(system.N, -1), G @ D.reshape(system.N, -1)))
         np.testing.assert_allclose(got, want.reshape(shape), rtol=1e-14)
