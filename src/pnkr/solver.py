@@ -109,9 +109,12 @@ _STEP_SOURCE = r"""
 /* The Kaczmarz sweep.  Every product sums in one fixed order: eight running sums,
    lane j taking the products with k = j mod 8 in increasing k, the tail (K mod 8
    products) added to lane 0 in increasing k, each product rounded before its add,
-   then ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)).  That holds for a gate's
-   U q_r, a momentum step's U_{k-1} q_r, the spatial product S d, both small
-   products of the gate norm sqrt(vdot(X, A1 X A2)) and the end-of-sweep U Q.
+   then ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)).  One routine forms the
+   products of each operand shape: pnkr_dot two vectors (the gate norm's vdot),
+   pnkr_rows a matrix and one contiguous column (a gate's U q_r, a momentum step's
+   U_{k-1} q_r and the spatial product S d), and pnkr_block a matrix and eight
+   columns through a panel (the gate norm sqrt(vdot(X, A1 X A2))'s T = A1 X and
+   T A2, and the end-of-sweep U Q).
    The step pass rounds each entry like OpenBLAS's k=1 dgemm followed, for c > 0,
    by a daxpy of (1 + c) u, the sequence the tests keep as the reference:
    x = (p a) alpha, then u + x, or fma(1 + c, u, fma(-c, o, x)) with o the
@@ -164,29 +167,39 @@ static inline pnkr_v8 pnkr_lanes8(const pnkr_v8 *s)
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
-/* out[j] = sum_k x[k] B[k * n + j] for the n columns of a K x n B, eight columns at a
-   time with lane m of every column in the vector s[m] */
-static void pnkr_vecmat(const double *x, const double *B, size_t K, size_t n, double *out)
+/* G[:, r0:r0+8] = U Q[:, r0:r0+8] for an N x L U and an L x R Q, the columns past R left
+   out, on one thread: the end-of-sweep U Q and both products of the gate norm.  The
+   columns are first copied, zero-padded, into the panel (L x 8, on 64-byte boundaries:
+   loads across cache lines made this product about 25% slower), and two rows of U at a
+   time run against it with the eight lanes of each entry in eight vectors */
+static void pnkr_block(const double *u, const double *Q, double *G, size_t N, size_t L, size_t R, size_t r0, double *panel)
 {
-    size_t main = K - K % 8, j = 0;
-    for (; j + 8 <= n; j += 8) {
-        pnkr_v8 s[8];
-        for (size_t m = 0; m < 8; m++)
-            s[m] = (pnkr_v8){0.0};
-        size_t k = 0;
-        for (; k < main; k += 8)
-            for (size_t m = 0; m < 8; m++)
-                s[m] += x[k + m] * pnkr_load(B + (k + m) * n + j);
-        for (; k < K; k++)
-            s[0] += x[k] * pnkr_load(B + k * n + j);
-        pnkr_v8 t = pnkr_lanes8(s);
-        memcpy(out + j, &t, sizeof t);
-    }
-    for (; j < n; j++) {
-        double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-        for (size_t k = 0; k < K; k++)
-            s[k < main ? k % 8 : 0] += x[k] * B[k * n + j];
-        out[j] = pnkr_lanes(s);
+    size_t nr = R - r0 < 8 ? R - r0 : 8;
+    for (size_t l = 0; l < L; l++)
+        for (size_t k = 0; k < 8; k++)
+            panel[l * 8 + k] = k < nr ? Q[l * R + r0 + k] : 0.0;
+    for (size_t n0 = 0; n0 < N; n0 += 2) {
+        size_t nn = N - n0 < 2 ? 1 : 2;
+        const double *u0 = u + n0 * L, *u1 = u + (n0 + nn - 1) * L;
+        pnkr_v8 s0[8], s1[8];
+        for (size_t j = 0; j < 8; j++)
+            s0[j] = s1[j] = (pnkr_v8){0.0};
+        size_t l = 0;
+        for (; l + 8 <= L; l += 8)
+            for (size_t j = 0; j < 8; j++) {
+                pnkr_v8 q = pnkr_load(panel + (l + j) * 8);
+                s0[j] += u0[l + j] * q;
+                s1[j] += u1[l + j] * q;
+            }
+        for (; l < L; l++) {
+            pnkr_v8 q = pnkr_load(panel + l * 8);
+            s0[0] += u0[l] * q;
+            s1[0] += u1[l] * q;
+        }
+        pnkr_v8 g[2] = {pnkr_lanes8(s0), pnkr_lanes8(s1)};
+        for (size_t i = 0; i < nn; i++)
+            for (size_t k = 0; k < nr; k++)
+                G[(n0 + i) * R + r0 + k] = g[i][k];
     }
 }
 
@@ -222,13 +235,14 @@ static void pnkr_rows(const double *u, const double *q, double *g, size_t n_rows
     }
 }
 
-/* sqrt(vdot(X, A1 X A2)) for the n1 x n2 sample grid X; T and W hold n1 n2 */
-static double pnkr_norm(const double *X, const double *A1, size_t n1, const double *A2, size_t n2, double *T, double *W)
+/* sqrt(vdot(X, A1 X A2)) for the n1 x n2 sample grid X: T = A1 X, then W = T A2, eight
+   columns at a time; T and W hold n1 n2 entries, the panel 8 max(n1, n2) */
+static double pnkr_norm(const double *X, const double *A1, size_t n1, const double *A2, size_t n2, double *T, double *W, double *panel)
 {
-    for (size_t i = 0; i < n1; i++)
-        pnkr_vecmat(A1 + i * n1, X, n1, n2, T + i * n2);
-    for (size_t i = 0; i < n1; i++)
-        pnkr_vecmat(T + i * n2, A2, n2, n2, W + i * n2);
+    for (size_t j0 = 0; j0 < n2; j0 += 8)
+        pnkr_block(A1, X, T, n1, n1, n2, j0, panel);
+    for (size_t j0 = 0; j0 < n2; j0 += 8)
+        pnkr_block(T, A2, W, n1, n2, n2, j0, panel);
     return sqrt(pnkr_dot(X, W, n1 * n2));
 }
 
@@ -301,11 +315,11 @@ long pnkr_sweep(double *u, double *o, size_t N, size_t L, size_t R, const double
     if (!R)
         return 0;
     /* each work array starts on a 64-byte boundary, as the iterate's rows do */
-    size_t Lp = (L + 7) / 8 * 8, Np = (N + 7) / 8 * 8;
-    double *w = aligned_alloc(64, sizeof(double) * (3 * Lp + 6 * Np));
+    size_t Lp = (L + 7) / 8 * 8, Np = (N + 7) / 8 * 8, K = n1 > n2 ? n1 : n2;
+    double *w = aligned_alloc(64, sizeof(double) * (3 * Lp + 6 * Np + 8 * K));
     if (!w)
         return -2;
-    double *qc = w, *qn = qc + Lp, *zero = qn + Lp, *g = zero + Lp, *D = g + Np, *d = D + Np, *a = d + Np, *T = a + Np, *W = T + Np;
+    double *qc = w, *qn = qc + Lp, *zero = qn + Lp, *g = zero + Lp, *D = g + Np, *d = D + Np, *a = d + Np, *T = a + Np, *W = T + Np, *panel = W + Np;
     long updates = 0;
     int filled = 0, status = 0;
     memset(zero, 0, L * sizeof(double));
@@ -320,7 +334,7 @@ long pnkr_sweep(double *u, double *o, size_t N, size_t L, size_t R, const double
             {
                 for (size_t n = 0; n < N; n++)
                     D[n] = y[n * R + r] - g[n];
-                double norm = pnkr_norm(D, A1, n1, A2, n2, T, W);
+                double norm = pnkr_norm(D, A1, n1, A2, n2, T, W, panel);
                 status = isfinite(norm) ? !(norm <= limits[r]) : -1;
             }
             int active = status;
@@ -358,42 +372,12 @@ long pnkr_sweep(double *u, double *o, size_t N, size_t L, size_t R, const double
     return status < 0 ? -1 : updates;
 }
 
-/* G = U Q (N x R) for one thread's blocks of eight columns; each block of Q is first
-   copied, zero-padded, into the panel (L x 8, on 64-byte boundaries: loads across
-   cache lines made this product about 25% slower), and two rows of U at a time run
-   against it with the eight lanes of each entry in eight vectors */
+/* G = U Q (N x R), this thread's share of the blocks of eight columns */
 static void pnkr_table(const double *u, const double *Q, double *G, size_t N, size_t L, size_t R, double *panel)
 {
 #pragma omp for schedule(static)
-    for (size_t r0 = 0; r0 < R; r0 += 8) {
-        size_t nr = R - r0 < 8 ? R - r0 : 8;
-        for (size_t l = 0; l < L; l++)
-            for (size_t k = 0; k < 8; k++)
-                panel[l * 8 + k] = k < nr ? Q[l * R + r0 + k] : 0.0;
-        for (size_t n0 = 0; n0 < N; n0 += 2) {
-            size_t nn = N - n0 < 2 ? 1 : 2;
-            const double *u0 = u + n0 * L, *u1 = u + (n0 + nn - 1) * L;
-            pnkr_v8 s0[8], s1[8];
-            for (size_t j = 0; j < 8; j++)
-                s0[j] = s1[j] = (pnkr_v8){0.0};
-            size_t l = 0;
-            for (; l + 8 <= L; l += 8)
-                for (size_t j = 0; j < 8; j++) {
-                    pnkr_v8 q = pnkr_load(panel + (l + j) * 8);
-                    s0[j] += u0[l + j] * q;
-                    s1[j] += u1[l + j] * q;
-                }
-            for (; l < L; l++) {
-                pnkr_v8 q = pnkr_load(panel + l * 8);
-                s0[0] += u0[l] * q;
-                s1[0] += u1[l] * q;
-            }
-            pnkr_v8 g[2] = {pnkr_lanes8(s0), pnkr_lanes8(s1)};
-            for (size_t i = 0; i < nn; i++)
-                for (size_t k = 0; k < nr; k++)
-                    G[(n0 + i) * R + r0 + k] = g[i][k];
-        }
-    }
+    for (size_t r0 = 0; r0 < R; r0 += 8)
+        pnkr_block(u, Q, G, N, L, R, r0, panel);
 }
 
 /* norms[r] = sqrt(vdot(X, A1 X A2)) of X = y[:, r] - U q_r for every r; the table
@@ -402,22 +386,22 @@ static void pnkr_table(const double *u, const double *Q, double *G, size_t N, si
 int pnkr_residual_norms(const double *u, size_t N, size_t L, size_t R, const double *y, const double *Q,
                         const double *A1, size_t n1, const double *A2, size_t n2, double *norms, int par)
 {
-    size_t threads = par ? (size_t)omp_get_max_threads() : 1;
+    size_t threads = par ? (size_t)omp_get_max_threads() : 1, K = L > n1 ? L : n1, P = 8 * (K > n2 ? K : n2);
     double *G = malloc(sizeof(double) * N * R);
-    double *panels = aligned_alloc(64, sizeof(double) * 8 * L * threads);
+    double *panels = aligned_alloc(64, sizeof(double) * P * threads);
     double *work = malloc(sizeof(double) * 3 * N * threads);
     int status = G && panels && work ? 0 : -2;
     if (!status) {
 #pragma omp parallel if (par)
         {
             size_t t = (size_t)omp_get_thread_num();
-            double *X = work + 3 * N * t, *T = X + N, *W = T + N;
-            pnkr_table(u, Q, G, N, L, R, panels + 8 * L * t);
+            double *X = work + 3 * N * t, *T = X + N, *W = T + N, *panel = panels + P * t;
+            pnkr_table(u, Q, G, N, L, R, panel);
 #pragma omp for schedule(static)
             for (size_t r = 0; r < R; r++) {
                 for (size_t n = 0; n < N; n++)
                     X[n] = y[n * R + r] - G[n * R + r];
-                norms[r] = pnkr_norm(X, A1, n1, A2, n2, T, W);
+                norms[r] = pnkr_norm(X, A1, n1, A2, n2, T, W, panel);
             }
         }
     }
@@ -865,6 +849,14 @@ def _iterate_norm(u: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", u, u)))
 
 
+def _check_entries(name: str, u: np.ndarray, ok: np.ndarray, rule: str = "finite") -> None:
+    """Raise ``ValueError`` naming the first entry of ``u`` where ``ok`` is false and the ``rule`` it breaks."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{name} entry {i} is {u.flat[i]:g}; it must be {rule}")
+
+
 def _compiled_norms(system: ForwardSystem, u: np.ndarray, y: np.ndarray, axes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Every channel's ``sqrt(vdot(X, A1 X A2))``, ``X = y_r - U q_r`` on the site grid and ``(A1, A2) = axes``, from the kernel on its threads in its fixed order.
 
@@ -898,7 +890,9 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
         When the first row is asked for, if the data do not fit the
         system, the config's ``s`` or ``beta`` differs from the system
         basis's, a channel ``r`` has a non-finite sample or a non-finite
-        or negative ``delta_r``, or ``u_star`` does not fit the system.
+        or negative ``delta_r``, ``u_star`` does not fit the system or
+        has a non-finite entry, or ``state.u_k`` has a non-finite entry,
+        or, for pnkr past its first sweep, ``state.u_km1`` has one.
     RuntimeError
         If an iterate leaves the finite range or its norm grows by a
         factor 1e6 over the first nonzero iterate this generator saw,
@@ -925,13 +919,19 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
         u_star = np.asarray(u_star, dtype=float)
         if u_star.shape != (system.N * system.L,):
             raise ValueError(f"reference coefficients have shape {u_star.shape}, expected ({system.N * system.L},)")
+        _check_entries("reference coefficient", u_star, np.isfinite(u_star))
         norm = _iterate_norm if compiled else np.linalg.norm
         star_norm = float(norm(u_star))
         if compiled:
             # sqrt(x^T G^2 x) = ||G x||: given no samples and the squared axis factors, the
             # kernel's norms at u* - u sum over channels to ||apply_H_all(u* - u)||
             no_samples, G2_axes = np.zeros((system.N, system.R)), tuple(A @ A for A in system.G_axes)
-    ref_norm = _iterate_norm(state.u_k) or None
+    # a finite norm has finite entries; only a momentum step past the first sweep reads u_km1
+    ref_norm = _iterate_norm(state.u_k)
+    if not math.isfinite(ref_norm):
+        _check_entries("state.u_k", state.u_k, np.isfinite(state.u_k))
+    if config.variant == "pnkr" and state.k_R > 1:
+        _check_entries("state.u_km1", state.u_km1, np.isfinite(state.u_km1))
     residual = None
     while state.k_R <= config.max_loops:
         # entered per sweep: an errstate held across the yield would stay in force in the caller
@@ -957,8 +957,8 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
             norms = _compiled_norms(system, state.u_k, data.y, system.G_axes) if compiled else residual[1]
             u_norm = _iterate_norm(state.u_k)
             row = HistoryRow(loop=state.k_R - 1, updates=updates, data_residual=float(np.sqrt(np.sum(norms**2))), res=res, error=error, seconds=seconds)
-            if ref_norm is None:
-                ref_norm = u_norm or None
+            if not ref_norm:
+                ref_norm = u_norm
             elif u_norm > 1e6 * ref_norm:
                 raise RuntimeError(f"iterate norm grew by more than 1e6; the stepsize omega={omega:g} is too large")
         yield row
@@ -980,10 +980,7 @@ def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | 
         u0 = np.asarray(config.initial_guess, dtype=float)
         if u0.shape != (M,):
             raise ValueError(f"initial guess has shape {u0.shape}, expected ({M},)")
-        bad = np.flatnonzero(~(np.isfinite(u0) & (u0 >= 0.0)))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"initial guess entry {i} is {u0[i]:g}; it must be finite and nonnegative")
+        _check_entries("initial guess", u0, np.isfinite(u0) & (u0 >= 0.0), "finite and nonnegative")
     else:
         u0 = 0.0  # the zero iterate
     omega = resolve_omega(config, system)

@@ -24,7 +24,7 @@ from pnkr.presets import (
     preset_template,
     preset_window,
 )
-from pnkr.solver import STEP_KERNEL_BUILD, SWEEP_THREADS, VARIANTS, read_coefficients, read_history
+from pnkr.solver import STEP_KERNEL_BUILD, SWEEP_THREADS, VARIANTS, read_coefficients, read_history, write_coefficients
 
 from _oracles import manifest_run_key, read_manifest
 
@@ -298,6 +298,22 @@ def test_missing_cube_names_path(pipeline_dir, monkeypatch, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "absent.pnkd" in err and err.count("\n") == 1
+
+
+def test_non_finite_truth_is_rejected_by_entry(pipeline_dir, monkeypatch, capsys):
+    monkeypatch.chdir(pipeline_dir)
+    truth = read_coefficients("truth.pnku")
+    u = truth.u.copy()
+    u[6] = np.nan
+    write_coefficients(u, truth.N, truth.L, truth.s, "nan_truth.pnku")
+    rc = main([
+        "solve", "--preset", "tiny", "--templates", "tpl.pnkt", "--cube", "cube.pnkd",
+        "--truth", "nan_truth.pnku", "--s", "0", "--max-loops", "2", "--out", "nan_truth_run",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "reference coefficient entry 6 is nan" in err
 
 
 def test_unknown_flag_nonzero(pipeline_dir, monkeypatch, capsys):

@@ -101,6 +101,14 @@ def tiny1(tiny_template):
 
 
 @pytest.fixture(scope="module")
+def uneven0(tiny_template):
+    # spatial axes of 3 and 11 cells, so both products of the gate norm end in a
+    # zero-padded block of three columns, and L = 8 below the longer axis's 11
+    basis = make_basis(0, (uniform_axis(-1.0, 1.0, 4), uniform_axis(-1.0, 1.0, 12)), [uniform_axis(g.nodes[0], g.nodes[-1], 3) for g in THETA_GRIDS])
+    return build_forward_system(basis, kernel_theta_integrals(tiny_template, basis))
+
+
+@pytest.fixture(scope="module")
 def tiny0_problem(tiny0):
     u_star = evaluate_ground_truth(default_components(), tiny0.basis)
     y = synthesize_datacube(tiny0, u_star)
@@ -580,6 +588,13 @@ def test_kernel_entry_codes_match_the_exported_prototypes():
         codes = "".join("p" if "*" in arg else kinds[arg.split()[0]] for arg in args)
         exported[name] = (codes, results[" ".join(result.replace("*", " *").split())])
     assert exported == pnkr.solver._KERNEL_ENTRIES
+
+
+def test_step_kernel_builds_without_warnings(tmp_path):
+    # an unused static routine, or a sign or width slip, fails the build
+    flags = [*pnkr.solver._STEP_FLAGS, "-Wall", "-Wextra", "-Werror"]
+    build = subprocess.run(["cc", *flags, "-x", "c", "-", "-o", str(tmp_path / "step.so"), "-lm"], input=pnkr.solver._STEP_SOURCE, capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
 
 
 # A random pnkr problem of N L = 144 x 2048 entries, above the kernel's threshold for
@@ -1102,7 +1117,7 @@ def _oracle_sweep_check(system, variant, seed, k_R):
     assert np.array_equal(_bits(state.u_k), _bits(want_u)) and np.array_equal(_bits(state.u_km1), _bits(want_prev))
 
 
-@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
+@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1", "uneven0"])
 def test_sweep_gates_match_a_block_residual_reference(fixture_name, request):
     # every gate's product, norm and decision, every D', S d and step against the numpy
     # oracle of the compiled sweep, bitwise, for each variant the basis runs
@@ -1118,7 +1133,7 @@ def test_desk_sweep_matches_the_numpy_oracle_bitwise(variant):
     _oracle_sweep_check(_desk_system(0 if variant == "reduced_pnkr" else 1), variant, 42, 4)
 
 
-@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1", "desk"])
+@pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1", "uneven0", "desk"])
 def test_compiled_end_of_sweep_products_match_the_oracle_bitwise(fixture_name, request):
     # what sweeps() takes from the kernel above the thread threshold: every channel's residual
     # norm (U Q in blocks of eight columns, here also a partial block of five)
@@ -1539,6 +1554,13 @@ def test_run_validation_errors(tiny0, tiny1, tiny0_problem):
         )
     with pytest.raises(ValueError):
         run(cfg, data, tiny0, u_star=u_star[:-1])
+    # a negative entry stays allowed (an SVD reference has them); a non-finite one would
+    # turn every row's res and error into NaN
+    for value in (np.nan, np.inf):
+        bad = u_star.copy()
+        bad[[3, 5]] = -1.0, value
+        with pytest.raises(ValueError, match=f"reference coefficient entry 5 is {value:g}; it must be finite"):
+            run(cfg, data, tiny0, u_star=bad)
 
 
 @pytest.mark.parametrize(
@@ -1583,12 +1605,26 @@ def test_run_rejects_bad_data_naming_the_channel(
         ("nan", 1.2, "initial guess entry 4 is nan"),
         # every gate holds at the guess, so a run would return it unprojected
         ("negative", 1e9, "initial guess entry 0 is -1"),
+        # a state handed to sweeps(), whose first sweep would blame the stepsize;
+        # u_km1 only where a step reads it, pnkr's momentum step past k_R = 1
+        ("pnkr u_k", 1.2, "state.u_k entry 4 is nan"),
+        ("landweber u_k", 1.2, "state.u_k entry 4 is nan"),
+        ("pnkr u_km1", 1.2, "state.u_km1 entry 4 is nan"),
     ],
 )
 def test_run_rejects_bad_initial_guess_naming_the_entry(
     tiny0, tiny0_problem, bad, tau, message
 ):
     _, data = tiny0_problem
+    if " " in bad:
+        variant, name = bad.split()
+        M = tiny0.N * tiny0.L
+        state = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M), k_R=2)
+        getattr(state, name)[[4, 9]] = np.nan
+        cfg = SolverConfig(variant=variant, s=0, tau=tau, max_loops=3)
+        with pytest.raises(ValueError, match=message):
+            next(sweeps(state, cfg, data, tiny0, resolve_omega(cfg, tiny0)))
+        return
     if bad == "nan":
         u0 = np.zeros(tiny0.N * tiny0.L)
         u0[[4, 9]] = np.nan
