@@ -36,6 +36,7 @@ from scipy.ndimage import label as _connected_label
 
 from .grid_basis import (
     DiscreteBasis,
+    _numbers,
     _numeric_rows,
     axis_first_moments,
     axis_weights,
@@ -646,14 +647,14 @@ def read_maps(path) -> MomentMaps:
 
 def read_losvd(path) -> LOSVDSample:
     """Read a two-column LOSVD table written by :func:`export_maps`."""
+    kind = "velocity-distribution table"
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 7 or header[0] != "#" or header[1] != "x1" or header[3] != "x2":
-            raise ValueError("not an exported velocity-distribution table")
-        x = (float(header[2]), float(header[4]))
-        masked = bool(int(header[6]))
+            raise ValueError(f"not an exported {kind}")
+        x, [masked] = tuple(_numbers(kind, 1, header[2:5:2])), _numbers(kind, 1, header[6:], int)
         columns = fh.readline().split()
         if columns != ["v", "p"]:
-            raise ValueError("not an exported velocity-distribution table")
-        body = _numeric_rows(fh, "velocity-distribution table", 2, 3)
-    return LOSVDSample(x=x, v=body[:, 0], p=body[:, 1], masked=masked)
+            raise ValueError(f"not an exported {kind}")
+        body = _numeric_rows(fh, kind, 2, 3)
+    return LOSVDSample(x=x, v=body[:, 0], p=body[:, 1], masked=bool(masked))

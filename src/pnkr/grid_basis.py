@@ -394,12 +394,21 @@ def _open_binary(path, magic: bytes, words: int, kind: str):
         yield header, read
 
 
+def _numbers(kind: str, number: int, cells, convert=float) -> list:
+    """``cells`` converted, or a ``ValueError`` naming the ``kind`` of table, the line ``number`` and the cell."""
+    try:
+        return [convert(cell) for cell in cells]
+    except ValueError as exc:
+        raise ValueError(f"{kind} line {number}: {exc}") from None
+
+
 def _numeric_rows(fh, kind: str, width: int, first_line: int, sep: str | None = None) -> np.ndarray:
     """The remaining nonblank lines of ``fh`` as a ``(rows, width)`` float array.
 
-    A row with another field count, or an empty body, fails with an
-    error naming the ``kind`` of table and the 1-based line number
-    (``first_line`` is the number of the next line of ``fh``).
+    A row with another field count or a cell that is not a number, or an
+    empty body, fails with an error naming the ``kind`` of table and the
+    1-based line number (``first_line`` is the number of the next line of
+    ``fh``).
     """
     rows = []
     for number, line in enumerate(fh, start=first_line):
@@ -408,7 +417,7 @@ def _numeric_rows(fh, kind: str, width: int, first_line: int, sep: str | None = 
         cells = line.strip().split(sep)
         if len(cells) != width:
             raise ValueError(f"{kind} line {number}: expected {width} fields, found {len(cells)}")
-        rows.append([float(cell) for cell in cells])
+        rows.append(_numbers(kind, number, cells))
     if not rows:
         raise ValueError(f"{kind} is empty")
     return np.array(rows)

@@ -18,10 +18,11 @@ which the Kronecker structure collapses to a rank-one correction of the
 coefficient matrix.  The loop counter ``k_R`` driving the momentum
 factor advances once per sweep; skipped equations advance nothing.
 :func:`sweeps` steps a state and yields each sweep's history row, and
-:func:`run` collects them from the initial guess.  A run ends on the
-first sweep that makes no update, at which point every equation
-satisfies the discrepancy bound simultaneously, or when the loop budget
-runs out (reported as truncation, not an error).
+:func:`run` collects them from the zero iterate; a warm or resumed start
+is :func:`sweeps` on a :class:`SolverState`.  A run ends on the first
+sweep that makes no update, at which point every equation satisfies the
+discrepancy bound simultaneously, or when the loop budget runs out (not
+an error: ``converged`` is false).
 
 The Kaczmarz variants, with momentum (pnkr), without it
 (Landweber-Kaczmarz), or with the reduced step that trades the Kronecker
@@ -29,8 +30,8 @@ solve for an explicit separable smoothing on the piecewise-constant
 basis, run in a C kernel (``_STEP_SOURCE``), built at import with the
 system's C compiler into the user cache (:func:`_load_step_kernel`).
 Each public operation is one kernel call: a sweep ``pnkr_sweep``, a
-single equation step ``pnkr_step``, and the end-of-sweep residual norms
-``pnkr_residual_norms``.  Each step's two factors are built once per
+single plain equation step ``pnkr_step``, and the end-of-sweep residual
+norms ``pnkr_residual_norms``.  Each step's two factors are built once per
 :class:`~pnkr.forward.ForwardSystem` and kept on it.  The full-stack
 Landweber iteration gates every equation at once and sums all
 corrections with numpy before projecting.  In a forked child every
@@ -283,16 +284,16 @@ static void pnkr_pass(const double *u, double *out, size_t n_rows, size_t n_cols
     }
 }
 
-/* One equation's step in one parallel region, as a sweep takes it: a = S d (S the
-   C-ordered n_rows x n_rows spatial factor, a a work array of n_rows entries), then
-   the pass with column p; given q it also writes g = out q */
-void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols, double c, double alpha,
-               const double *S, const double *d, double *a, const double *p, const double *q, double *g, int par)
+/* One equation's plain step in one parallel region, as a sweep takes it at c = 0:
+   a = S d (S the C-ordered n_rows x n_rows spatial factor, a a work array of n_rows
+   entries), then the pass with column p */
+void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols, double alpha,
+               const double *S, const double *d, double *a, const double *p, int par)
 {
 #pragma omp parallel if (par)
     {
         pnkr_rows(S, d, a, n_rows, n_rows);
-        pnkr_pass(u, out, n_rows, n_cols, c, alpha, a, p, q, g);
+        pnkr_pass(u, out, n_rows, n_cols, 0.0, alpha, a, p, NULL, NULL);
     }
 }
 
@@ -418,7 +419,7 @@ _STEP_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-shared
 _PARALLEL_ENTRIES = 1 << 18
 # Each kernel entry's argument kinds (p pointer, n size_t, d double, i int) and result.
 _KERNEL_ENTRIES = {
-    "pnkr_step": ("ppnnddppppppi", None),
+    "pnkr_step": ("ppnndppppi", None),
     "pnkr_sweep": ("ppnnnpppnpnppppddi", ctypes.c_long),
     "pnkr_residual_norms": ("pnnnpppnpnpi", ctypes.c_int),
     "pnkr_threads": ("", ctypes.c_int),
@@ -529,7 +530,6 @@ class SolverConfig:
     max_loops: int = 100
     ordering: str = "random_permutation"
     seed: int = 0
-    initial_guess: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -583,7 +583,8 @@ class SolverState:
     """What one sweep reads besides the configuration: two iterates and the loop counter.
 
     ``k_R`` drives the momentum factor and, with ``config.seed``, keys
-    the sweep order; each sweep advances it by one.
+    the sweep order; each sweep advances it by one.  A state is the only
+    way a solve starts or carries its momentum (see :func:`sweeps`).
 
     Every variant's step writes into ``u_k`` and ``u_km1`` in place:
     each step builds its new iterate in the ``u_km1`` buffer and the
@@ -624,13 +625,13 @@ class RunResult:
     """Final iterate plus the full convergence record.
 
     ``loops``, ``total_updates`` and ``converged`` restate the history:
-    its length, its summed updates, and whether its last row made none.
+    its length, its summed updates, and whether its last row made none
+    (if not, the loop budget ran out).
     """
 
     u: np.ndarray
     history: list
     converged: bool
-    truncated: bool
     loops: int
     total_updates: int
     omega: float
@@ -690,14 +691,11 @@ def _parallel(system: ForwardSystem) -> int:
     return int(SWEEP_THREADS != 1 and system.N * system.L >= _PARALLEL_ENTRIES)
 
 
-def _single_step(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, out: np.ndarray | None, k_R: int | None, alpha: float, S: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Equation ``r``'s step into ``out`` (fresh when omitted) in one kernel call, ``pnkr_step``, as a sweep takes it.
+def _single_step(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, out: np.ndarray | None, alpha: float, S: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Equation ``r``'s plain step into ``out`` (fresh when omitted) in one kernel call, ``pnkr_step``, as a sweep takes it at ``c = 0``.
 
     The kernel forms ``a = S d`` in its fixed order and runs the pass
-    ``out = max(Z + alpha a p^T, 0)`` with ``p`` column ``r`` of ``P``;
-    ``Z`` is ``u``, or given ``k_R`` the momentum point
-    ``(1 + c) u - c out`` of ``u`` and the previous iterate in ``out``,
-    which is never formed.
+    ``out = max(u + alpha a p^T, 0)`` with ``p`` column ``r`` of ``P``.
     """
     r, N, L, d = _check_r(system, r), system.N, system.L, np.ascontiguousarray(d, dtype=float)
     if d.shape != (N,):
@@ -707,35 +705,26 @@ def _single_step(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, ou
     elif out.shape != (N * L,) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape ({N * L},)")
     u = out if u is out else np.ascontiguousarray(u, dtype=float).reshape(N * L)
-    c = 0.0 if k_R is None else _momentum_factor(k_R)
-    _call("pnkr_step", u, out, N, L, c, alpha, S, d, np.empty(N), P[:, r - 1], None, None, _parallel(system))
+    _call("pnkr_step", u, out, N, L, alpha, S, d, np.empty(N), P[:, r - 1], _parallel(system))
     return out
 
 
-def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None, k_R: int | None = None) -> np.ndarray:
-    """One projected preconditioned step of equation ``r``; returns the new iterate.
+def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None) -> np.ndarray:
+    """One projected preconditioned step of equation ``r`` at ``u``; returns the new iterate.
 
-    The step is taken at ``z = u``, or, given the loop counter ``k_R``,
-    at the momentum point of ``u`` and the previous iterate, which
-    ``out`` must then hold; ``d`` is the sample-space residual
-    ``y_r - Z q_r`` at ``z``.  The correction
-    ``M^-1 H_r^T N^-1 (w_r - H_r z)`` is the rank-one matrix
+    ``d`` is the sample-space residual ``y_r - U q_r`` at ``u``.  The
+    correction ``M^-1 H_r^T N^-1 (w_r - H_r u)`` is the rank-one matrix
     ``(Psi^-1 G d) (Phi^-1 q_r)^T``, formed and applied by the kernel as a
-    sweep does, so given the same ``d`` it is bitwise a sweep's step.  A
-    momentum step combines ``u``, the previous iterate and the correction
-    in one pass, so it differs from the step at
-    ``nesterov_extrapolate(u, out, k_R)`` by rounding.
+    sweep does, so given the same ``d`` it is bitwise a sweep's plain
+    step (``c = 0``).  At any point ``z`` it is the paper's step at ``z``:
+    pnkr's momentum step is this step at ``z = nesterov_extrapolate(u_k,
+    u_km1, k_R)``, which :func:`pnkr_sweep` takes in one pass without
+    forming ``z``, so the two differ by rounding.
 
-    ``out`` is a C-contiguous float64 array of ``N * L`` entries.
-    Without ``k_R`` it may be ``u`` itself, or omitted for a fresh
-    array; with ``k_R`` it must not overlap ``u``.
+    ``out`` is a C-contiguous float64 array of ``N * L`` entries; it may
+    be ``u`` itself, or omitted for a fresh array.
     """
-    if k_R is not None:
-        if out is None:
-            raise ValueError("a momentum step needs the previous iterate in out")
-        if np.may_share_memory(out, u):
-            raise ValueError("out must not overlap u, the iterate it extrapolates from")
-    return _single_step(system, u, d, r, out, k_R, omega, system.Psi_inv_G, system.Phi_inv_Q)
+    return _single_step(system, u, d, r, out, omega, system.Psi_inv_G, system.Phi_inv_Q)
 
 
 def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -750,7 +739,7 @@ def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray,
     ``ValueError`` for ``s != 0``.
     """
     r = _check_r(system, r)  # before the factors, which raise for s != 0
-    return _single_step(system, u, d, r, out, None, omega / system.c_N, system.Zx_GG, system.ZTheta_Q)
+    return _single_step(system, u, d, r, out, omega / system.c_N, system.Zx_GG, system.ZTheta_Q)
 
 
 def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData) -> tuple[np.ndarray, np.ndarray]:
@@ -765,20 +754,25 @@ def _gate_operands(system: ForwardSystem, y: np.ndarray, axes: tuple[np.ndarray,
     return np.ascontiguousarray(y, dtype=float), np.ascontiguousarray(system.Q), A1, len(A1), A2, len(A2)
 
 
+def _check_sweep_operands(system: ForwardSystem, data: SolveData, state: SolverState) -> None:
+    """Give ``state`` an aligned copy of ``u_k`` as ``u_km1`` if the two share memory; raise ``ValueError`` unless ``data`` fits ``system`` and both iterates are C-contiguous float64 arrays of ``N L`` entries."""
+    if np.may_share_memory(state.u_k, state.u_km1):
+        state.u_km1 = _aligned_copy(state.u_k, state.u_k.shape)
+    N, L, R = system.N, system.L, system.R
+    if data.y.shape != (N, R) or data.delta_r.shape != (R,) or any(u.shape != (N * L,) or u.dtype != np.float64 or not u.flags.c_contiguous for u in (state.u_k, state.u_km1)):
+        raise ValueError(f"a sweep over {R} equations needs samples of shape ({N}, {R}), {R} noise levels and C-contiguous float64 iterates of shape ({N * L},)")
+
+
 def _compiled_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, c: float, S: np.ndarray, P: np.ndarray, alpha: float) -> int:
     """One Kaczmarz sweep in one kernel call (``pnkr_sweep``); returns the update count.
 
     An active equation ``r`` steps with ``d = D + c (D - D')``, ``a = S d``
-    and column ``r`` of ``P`` at stepsize ``alpha``.  ``u_km1`` is first
-    replaced by an aligned copy if it shares memory with ``u_k``.  A
-    non-finite gate norm, or a non-finite last update, raises.
+    and column ``r`` of ``P`` at stepsize ``alpha``.  A non-finite gate
+    norm, or a non-finite last update, raises.
     """
     N, L, R = system.N, system.L, system.R
-    if np.may_share_memory(state.u_k, state.u_km1):
-        state.u_km1 = _aligned_copy(state.u_k, state.u_k.shape)
+    _check_sweep_operands(system, data, state)
     u_k, u_km1 = state.u_k, state.u_km1
-    if data.y.shape != (N, R) or data.delta_r.shape != (R,) or any(u.shape != (N * L,) or u.dtype != np.float64 or not u.flags.c_contiguous for u in (u_k, u_km1)):
-        raise ValueError(f"a sweep over {R} equations needs samples of shape ({N}, {R}), {R} noise levels and C-contiguous float64 iterates of shape ({N * L},)")
     order = np.ascontiguousarray(_sweep_order(config, R, state.k_R) - 1, dtype=np.int64)
     limits = np.ascontiguousarray(config.tau * data.delta_r, dtype=float)
     updates = _call("pnkr_sweep", u_k, u_km1, N, L, R, *_gate_operands(system, data.y, system.G_axes), order, limits, P, S, c, alpha, _parallel(system))
@@ -825,8 +819,7 @@ def landweber_step(state: SolverState, config: SolverConfig, data: SolveData, sy
     ``u_k``, as :func:`sweeps` does from the previous loop's history row.
     A non-finite norm, or a non-finite entry in the new iterate, raises.
     """
-    if np.may_share_memory(state.u_k, state.u_km1):
-        state.u_km1 = _aligned_copy(state.u_k, state.u_k.shape)
+    _check_sweep_operands(system, data, state)
     # an oversized stepsize overflows to inf/nan; the finite check raises, not the FPU
     with np.errstate(over="ignore", invalid="ignore"):
         D, norms = residual or _block_residual(system, state.u_k, data)
@@ -874,15 +867,17 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
     A row's ``loop`` is ``state.k_R - 1`` after its sweep.  The generator
     ends after a sweep that makes no update, or once ``state.k_R`` passes
     ``config.max_loops``, so a state that already swept keeps the same
-    budget.  Between rows ``state.u_k`` is the current iterate; copy it
-    to keep it.  Given reference coefficients ``u_star``, each row
-    carries the stacked moment-space residual ``res`` and the relative
-    error.  ``data`` is :class:`SolveData` or datacube-like.
+    budget, and a warm or resumed start is a call on its own state.
+    Between rows ``state.u_k`` is the current iterate; copy it to keep
+    it.  Given reference coefficients ``u_star``, each row carries the
+    stacked moment-space residual ``res`` and the relative error.
+    ``data`` is :class:`SolveData` or datacube-like.
 
     A row's ``data_residual`` and ``res`` come from the kernel for the
-    Kaczmarz variants at or above ``_PARALLEL_ENTRIES``, and the norms of
-    ``error`` from ``np.einsum``, so that no threaded numpy BLAS call runs
-    between two threaded sweeps; below it, and for Landweber, from numpy.
+    Kaczmarz variants at or above ``_PARALLEL_ENTRIES``, and from numpy
+    below it and for Landweber; the norms of ``error`` come from
+    ``np.einsum`` at every size, so that no threaded numpy BLAS call runs
+    between two threaded sweeps.
 
     Raises
     ------
@@ -891,8 +886,10 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
         system, the config's ``s`` or ``beta`` differs from the system
         basis's, a channel ``r`` has a non-finite sample or a non-finite
         or negative ``delta_r``, ``u_star`` does not fit the system or
-        has a non-finite entry, or ``state.u_k`` has a non-finite entry,
-        or, for pnkr past its first sweep, ``state.u_km1`` has one.
+        has a non-finite entry, an iterate of ``state`` is not a
+        C-contiguous float64 array of ``N L`` entries, ``state.u_k`` has
+        an entry that is not finite and nonnegative, or, for pnkr past
+        its first sweep, ``state.u_km1`` has a non-finite entry.
     RuntimeError
         If an iterate leaves the finite range or its norm grows by a
         factor 1e6 over the first nonzero iterate this generator saw,
@@ -920,16 +917,17 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
         if u_star.shape != (system.N * system.L,):
             raise ValueError(f"reference coefficients have shape {u_star.shape}, expected ({system.N * system.L},)")
         _check_entries("reference coefficient", u_star, np.isfinite(u_star))
-        norm = _iterate_norm if compiled else np.linalg.norm
-        star_norm = float(norm(u_star))
+        star_norm = _iterate_norm(u_star)
         if compiled:
             # sqrt(x^T G^2 x) = ||G x||: given no samples and the squared axis factors, the
             # kernel's norms at u* - u sum over channels to ||apply_H_all(u* - u)||
             no_samples, G2_axes = np.zeros((system.N, system.R)), tuple(A @ A for A in system.G_axes)
-    # a finite norm has finite entries; only a momentum step past the first sweep reads u_km1
+    _check_sweep_operands(system, data, state)
+    # a finite norm and a nonnegative minimum pass every entry; only a momentum step past
+    # the first sweep reads u_km1
     ref_norm = _iterate_norm(state.u_k)
-    if not math.isfinite(ref_norm):
-        _check_entries("state.u_k", state.u_k, np.isfinite(state.u_k))
+    if not (math.isfinite(ref_norm) and state.u_k.min() >= 0.0):
+        _check_entries("state.u_k", state.u_k, np.isfinite(state.u_k) & (state.u_k >= 0.0), "finite and nonnegative")
     if config.variant == "pnkr" and state.k_R > 1:
         _check_entries("state.u_km1", state.u_km1, np.isfinite(state.u_km1))
     residual = None
@@ -951,7 +949,7 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
                     res = float(np.sqrt(np.sum(_compiled_norms(system, diff, no_samples, G2_axes) ** 2)))
                 else:
                     res = float(np.linalg.norm(apply_H_all(system, diff)))
-                error = float(norm(diff)) / star_norm if star_norm > 0 else np.nan
+                error = _iterate_norm(diff) / star_norm if star_norm > 0 else np.nan
             # the residual at u_k of every equation; Landweber's next gate reuses it
             residual = None if compiled else _block_residual(system, state.u_k, data)
             norms = _compiled_norms(system, state.u_k, data.y, system.G_axes) if compiled else residual[1]
@@ -967,31 +965,22 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
 
 
 def run(config: SolverConfig, data, system: ForwardSystem, u_star: np.ndarray | None = None) -> RunResult:
-    """Sweep from the initial guess until every equation meets the discrepancy bound: all of :func:`sweeps`.
+    """Sweep from the zero iterate until every equation meets the discrepancy bound: all of :func:`sweeps`.
 
     ``converged`` means a sweep passed with zero updates, so every
-    equation satisfied its bound simultaneously; ``truncated`` means the
-    loop budget ran out first.  Raises what :func:`sweeps` raises, and
-    ``ValueError`` if the initial guess has a non-finite or negative
-    entry.
+    equation satisfied its bound simultaneously; otherwise the loop
+    budget ran out first.  The sweeps step in two page-aligned buffers.
+    A warm or resumed start is :func:`sweeps` on a :class:`SolverState`.
+    Raises what :func:`sweeps` raises.
     """
     M = system.N * system.L
-    if config.initial_guess is not None:
-        u0 = np.asarray(config.initial_guess, dtype=float)
-        if u0.shape != (M,):
-            raise ValueError(f"initial guess has shape {u0.shape}, expected ({M},)")
-        _check_entries("initial guess", u0, np.isfinite(u0) & (u0 >= 0.0), "finite and nonnegative")
-    else:
-        u0 = 0.0  # the zero iterate
     omega = resolve_omega(config, system)
-    state = SolverState(u_k=_aligned_copy(u0, (M,)), u_km1=_aligned_copy(u0, (M,)))
+    state = SolverState(u_k=_aligned_copy(0.0, (M,)), u_km1=_aligned_copy(0.0, (M,)))
     history = list(sweeps(state, config, data, system, omega, u_star))
-    converged = history[-1].updates == 0
     return RunResult(
         u=state.u_k,
         history=history,
-        converged=converged,
-        truncated=not converged,
+        converged=history[-1].updates == 0,
         loops=len(history),
         total_updates=sum(row.updates for row in history),
         omega=omega,

@@ -35,7 +35,7 @@ from pnkr.diagnostics import (
 from pnkr.forward import build_forward_system, synthesize_datacube
 from pnkr.grid_basis import axis_weights, geometric_axis, make_basis, uniform_axis
 from pnkr.mock import ComponentSpec, add_noise, default_components, evaluate_ground_truth
-from pnkr.solver import SolveData, SolverConfig, run
+from pnkr.solver import SolveData, SolverConfig, read_history, run
 from pnkr.templates import build_template_grid, kernel_theta_integrals
 
 from _oracles import (
@@ -771,3 +771,23 @@ def test_read_losvd_rejects_foreign_file(tmp_path):
     path.write_text("v p\n0 1\n")
     with pytest.raises(ValueError, match="table"):
         read_losvd(path)
+
+
+@pytest.mark.parametrize(
+    "reader, text, match",
+    [
+        (read_history, "loop updates data_residual res error\n1 2 0.5 nan nan\n2 x 0.25 nan nan\n", "history table line 3: could not convert string to float: 'x'"),
+        (read_maps, "x1,x2,mu_t,mu_z,mu_v,sigma_v,h3,h4,h5,mask\n0,0,1,1,1,1,1,1,one,1\n", "moment-map table line 2: could not convert string to float: 'one'"),
+        (read_losvd, "# x1 0.25 x2 -0.1 masked 0\nv p\n-100 0\n0 half\n", "velocity-distribution table line 4: could not convert string to float: 'half'"),
+        (read_losvd, "# x1 0.25 x2 left masked 0\nv p\n0 1\n", "velocity-distribution table line 1: could not convert string to float: 'left'"),
+        (read_losvd, "# x1 0.25 x2 -0.1 masked 0.5\nv p\n0 1\n", "velocity-distribution table line 1: invalid literal for int() with base 10: '0.5'"),
+    ],
+    ids=["history_count", "maps_cell", "losvd_cell", "losvd_position", "losvd_mask"],
+)
+def test_table_readers_name_a_cell_that_is_not_a_number(tmp_path, reader, text, match):
+    # each reader names the table and the line of a cell that does not parse, as it does
+    # for a row with the wrong field count
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        reader(path)

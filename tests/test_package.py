@@ -35,6 +35,23 @@ def test_top_level_exports_cover_the_readme_example():
     assert used | {"read_template_grid"} <= set(pnkr.__all__)
 
 
+def test_readme_library_code_runs_on_tiny():
+    # the two blocks of the README's Library section, in order, on tiny with a short loop
+    # budget: run() and the documented sweeps() start on a SolverState
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+    assert len(blocks) == 2
+    code = "\n".join(blocks)
+    assert code.count('"desk_scale"') == 2 and code.count("max_loops=2000") == 1
+    code = code.replace('"desk_scale"', '"tiny"').replace("max_loops=2000", "max_loops=20")
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    result, state, row = namespace["result"], namespace["state"], namespace["row"]
+    assert 0 < result.loops <= 20 and result.total_updates > 0
+    assert row.loop == state.k_R - 1 >= 1
+
+
 def test_package_never_imports_test_code():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

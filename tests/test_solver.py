@@ -3,6 +3,7 @@
 import collections
 import ctypes
 import functools
+import itertools
 import os
 import re
 import shutil
@@ -325,7 +326,8 @@ def test_channel_index_rejects_a_bool(tiny0, r):
 @pytest.mark.parametrize("rows", [2, 3])
 def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request):
     # the compiled step is entrywise: row blocks of the iterate stepped one at a time,
-    # the last one partial, match one pass over the whole iterate
+    # the last one partial, match one pass over the whole iterate, which is the same
+    # fresh, in place and into another buffer
     system = request.getfixturevalue(fixture_name)
     M = system.N * system.L
     rng = np.random.default_rng(31)
@@ -335,88 +337,116 @@ def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request):
     omega = 0.9 / rho_estimate(system)
     blocks = [slice(n0, min(n0 + rows, system.N)) for n0 in range(0, system.N, rows)]
     for r in (1, system.R):
-        # reference: whole-iterate steps, each given the residual at its step point; at
-        # k_R = 1 the momentum factor is 0, and the step is the plain one at u_k
-        z = {None: u_k}
-        for k_R in (1, 2, 5):
-            z[k_R] = nesterov_extrapolate(u_k, u_km1, k_R)
-        d = {k: _residual(system, y_r, v, r) for k, v in z.items()}
-        plain = {None: pnkr_equation_update(system, u_k, d[None], r, omega)}
-        plain[1] = pnkr_equation_update(system, z[1], d[1], r, omega, out=z[1])
-        for k_R in (2, 5):
-            plain[k_R] = pnkr_equation_update(system, u_k, d[k_R], r, omega, out=u_km1.copy(), k_R=k_R)
+        d = _residual(system, y_r, u_k, r)
+        plain = pnkr_equation_update(system, u_k, d, r, omega)
         U, p = u_k.reshape(system.N, system.L), system.Phi_inv_Q[:, r - 1]
-        for k_R in (1, 2, 5):
-            buf = u_km1.copy()
-            got = pnkr_equation_update(system, u_k, d[k_R], r, omega, out=buf, k_R=k_R)
-            assert got is buf
-            assert np.array_equal(got, plain[k_R])
-            a, O = fixed_order_rows_dot(system.Psi_inv_G, d[k_R]), u_km1.copy().reshape(system.N, system.L)
-            for blk in blocks:
-                _kernel_step(U[blk], O[blk], k_R, omega, a[blk], p)
-            assert np.array_equal(O.reshape(-1), plain[k_R])
-        fresh = pnkr_equation_update(system, u_k, d[None], r, omega)
-        assert np.array_equal(fresh, plain[None])
+        a, O = fixed_order_rows_dot(system.Psi_inv_G, d), u_km1.copy().reshape(system.N, system.L)
+        for blk in blocks:
+            _kernel_step(U[blk], O[blk], omega, a[blk], p)
+        assert np.array_equal(O.reshape(-1), plain)
         in_place = u_k.copy()
         for u, buf in ((in_place, in_place), (u_k, u_km1.copy())):
-            got = pnkr_equation_update(system, u, d[None], r, omega, out=buf)
+            got = pnkr_equation_update(system, u, d, r, omega, out=buf)
             assert got is buf
-            assert np.array_equal(got, plain[None])
-    with pytest.raises(ValueError, match="previous iterate"):
-        pnkr_equation_update(system, u_k, y_r, 1, omega, k_R=2)
-    with pytest.raises(ValueError, match="overlap"):
-        pnkr_equation_update(system, u_k, y_r, 1, omega, out=u_k, k_R=2)
+            assert np.array_equal(got, plain)
 
 
 @pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
 def test_momentum_step_is_the_projected_step_at_the_momentum_point(fixture_name, request):
-    # the step never forms z = u_k + c (u_k - u_km1): it computes
+    # the sweep's momentum step never forms z = u_k + c (u_k - u_km1): it computes
     # fma(1 + c, u_k, fma(-c, u_km1, w)) with w = omega a p^T.  To first order each side is
     # within 4 eps ((1 + 2c)|u_k| + c|u_km1| + |w|) of the exact value, entrywise, and
-    # the projection is 1-Lipschitz, so the two differ by at most twice that
+    # the projection is 1-Lipschitz, so the two differ by at most twice that.  On one
+    # channel with delta_r = 0 the gate steps; d is the residual at z, formed from the
+    # oracle's gate residuals as the sweep forms it
     system = request.getfixturevalue(fixture_name)
-    M = system.N * system.L
+    one = build_forward_system(system.basis, np.ascontiguousarray(system.Q[:, :1]))
+    M = one.N * one.L
     rng = np.random.default_rng(34)
     u_k, u_km1 = rng.uniform(0.0, 1.0, M), rng.uniform(0.0, 1.0, M)
-    y_r = rng.uniform(0.0, 1e-3, system.N)
+    y_r = rng.uniform(0.0, 1e-3, one.N)
+    data = SolveData(y=y_r[:, None], delta_r=np.zeros(1))
     omega = 0.9 / rho_estimate(system)
     eps = np.finfo(float).eps
-    for r in (1, system.R // 2, system.R):
-        for k_R in (2, 3, 7):
-            c = (k_R - 1.0) / (k_R + 2.0)
-            z = nesterov_extrapolate(u_k, u_km1, k_R)
-            d = _residual(system, y_r, z, r)
-            w = omega * np.outer(system.Psi_inv_G @ d, system.Phi_inv_Q[:, r - 1]).reshape(-1)
-            unprojected = z + w
-            want = threshold(unprojected)
-            got = pnkr_equation_update(system, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R)
-            bound = 8.0 * eps * ((1.0 + 2.0 * c) * np.abs(u_k) + c * np.abs(u_km1) + np.abs(w))
-            assert np.all(np.abs(got - want) <= bound)
-            assert 0 < np.sum(unprojected < 0.0) < M
+    for k_R in (2, 3, 7):
+        state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=k_R)
+        assert pnkr_sweep(state, SolverConfig(), data, one, omega) == 1
+        c = (k_R - 1.0) / (k_R + 2.0)
+        z = nesterov_extrapolate(u_k, u_km1, k_R)
+        d = nesterov_extrapolate(_pass_residual(one, y_r, u_k, 1), _pass_residual(one, y_r, u_km1, 1), k_R)
+        w = omega * np.outer(one.Psi_inv_G @ d, one.Phi_inv_Q[:, 0]).reshape(-1)
+        unprojected = z + w
+        bound = 8.0 * eps * ((1.0 + 2.0 * c) * np.abs(u_k) + c * np.abs(u_km1) + np.abs(w))
+        assert np.all(np.abs(state.u_k - threshold(unprojected)) <= bound)
+        assert 0 < np.sum(unprojected < 0.0) < M
 
 
 def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
-def _kernel_step(U, O, k_R, alpha, a, p, q=None, g=None):
+def _kernel_step(U, O, alpha, a, p):
     """The kernel's single step ``pnkr_step`` on ``N x L`` iterates, on one thread, with ``S = I`` and ``d = a``.
 
     ``I a`` is ``a`` bitwise where ``a`` is nonzero, and a zero's sign does
-    not reach the iterate, whose projection stores +0 for either.  Given
-    a column ``q`` the pass also writes the next gate's product ``g = O q``.
+    not reach the iterate, whose projection stores +0 for either.
     """
-    c = 0.0 if k_R is None else (k_R - 1.0) / (k_R + 2.0)
     N, L = O.shape
     a, p = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(p, dtype=float)
-    q = None if q is None else np.ascontiguousarray(q, dtype=float)
-    pnkr.solver._call("pnkr_step", U, O, N, L, c, alpha, np.eye(N), a, np.empty(N), p, q, g, 0)
+    pnkr.solver._call("pnkr_step", U, O, N, L, alpha, np.eye(N), a, np.empty(N), p, 0)
+
+
+def _pass_problem(a, p, q=None):
+    """A stand-in system and data on which a sweep's first step is the pass with step vector ``a`` and column ``p``.
+
+    ``S = I`` and both gate factors are identities.  ``Q``'s first column
+    is zero, so that step's residuals at both iterates, and so its ``d``,
+    are its samples ``a``.  Given ``q``, a second equation follows with
+    column ``q`` of ``Q``, zero samples and the step column ``p`` with its
+    non-finite entries set to 0: its gate residual is ``-g`` for the
+    product ``g = O q`` that the first pass forms.  Every bound is 0.
+    """
+    N, L = len(a), len(p)
+    Q = np.zeros((L, 1)) if q is None else np.column_stack([np.zeros(L), q])
+    P = p[:, None] if q is None else np.column_stack([p, np.where(np.isfinite(p), p, 0.0)])
+    system = types.SimpleNamespace(N=N, L=L, R=Q.shape[1], Q=Q, G_axes=(np.eye(N), np.eye(1)), Psi_inv_G=np.eye(N), Phi_inv_Q=np.asfortranarray(P))
+    y = np.column_stack([a, np.zeros((N, system.R - 1))])
+    return system, SolveData(y=y, delta_r=np.zeros(system.R))
+
+
+def _pass_sweep(U, prev, k_R, alpha, a, p, q=None):
+    """``pnkr_sweep`` on :func:`_pass_problem` from ``(U, prev, k_R)``, held bitwise to ``compiled_sweep_reference``.
+
+    Returns the new iterate, or ``None`` when both raised ``RuntimeError``.
+    """
+    system, data = _pass_problem(a, p, q)
+    state = SolverState(U.reshape(-1).copy(), prev.reshape(-1).copy(), k_R)
+    c = (k_R - 1.0) / (k_R + 2.0)
+    runs = (
+        lambda: pnkr_sweep(state, SolverConfig(ordering="cyclic"), data, system, alpha),
+        lambda: compiled_sweep_reference(system, data.y, np.zeros(system.R), np.arange(system.R), U, prev, c, system.Psi_inv_G, system.Phi_inv_Q, alpha),
+    )
+    outcomes = []
+    for sweep in runs:
+        try:
+            outcomes.append(sweep())
+        except RuntimeError:
+            outcomes.append(None)
+    updates, reference = outcomes
+    if updates is None or reference is None:
+        assert updates is reference is None
+        return None
+    want_u, want_prev, want_updates = reference
+    assert updates == want_updates == system.R
+    assert np.array_equal(_bits(state.u_k), _bits(want_u)) and np.array_equal(_bits(state.u_km1), _bits(want_prev))
+    return state.u_k
 
 
 @pytest.mark.parametrize("case", ["tiny0", "tiny1", "paper_shape"])
 def test_step_kernel_matches_blas_sequence_bitwise(case, request):
-    # the compiled pass against the row-blocked dgemm/daxpy sequence it replaced, for
-    # c = 0 and c > 0, out of place and (c = 0) in place
+    # the compiled pass against the row-blocked dgemm/daxpy sequence it replaced: the
+    # single step (c = 0) out of place and in place, and the sweep's momentum pass (c > 0),
+    # whose oracle takes its step by that sequence
     rng = np.random.default_rng(37)
     if case == "paper_shape":
         N, L = 625, 2808
@@ -428,17 +458,18 @@ def test_step_kernel_matches_blas_sequence_bitwise(case, request):
         a = system.Psi_inv_G @ rng.normal(size=N)
         a *= 2.0 / (alpha * np.abs(a).max() * np.abs(p).max())  # corrections up to 2, so some entries clip
     U, prev = rng.uniform(0.0, 1.0, (N, L)), rng.uniform(0.0, 1.0, (N, L))
-    for k_R in (None, 2, 5):
-        c = 0.0 if k_R is None else (k_R - 1.0) / (k_R + 2.0)
-        want, got = prev.copy(), prev.copy()
-        blas_rank_one_step(U, want, c, alpha, a, p)
-        _kernel_step(U, got, k_R, alpha, a, p)
-        assert np.array_equal(_bits(got), _bits(want))
-        assert 0 < np.sum(want == 0.0) < want.size
+    want, got = prev.copy(), prev.copy()
+    blas_rank_one_step(U, want, 0.0, alpha, a, p)
+    _kernel_step(U, got, alpha, a, p)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert 0 < np.sum(want == 0.0) < want.size
     want, got = U.copy(), U.copy()
     blas_rank_one_step(want, want, 0.0, alpha, a, p)
-    _kernel_step(got, got, None, alpha, a, p)
+    _kernel_step(got, got, alpha, a, p)
     assert np.array_equal(_bits(got), _bits(want))
+    for k_R in (2, 5):
+        stepped = _pass_sweep(U, prev, k_R, alpha, a, p[:, 0])
+        assert 0 < np.sum(stepped == 0.0) < stepped.size
     if case != "paper_shape":
         # the kernel takes raw pointers: a strided, short, 2D or non-float64 out, or a short
         # residual, never reaches it
@@ -452,6 +483,8 @@ def test_step_kernel_matches_blas_sequence_bitwise(case, request):
 
 @pytest.mark.parametrize("where", ["u_k", "u_km1"])
 def test_step_kernel_projects_nan_inf_and_zero_like_np_maximum(where):
+    # the single step's pass; a momentum pass, which only a sweep takes, reads a
+    # non-finite entry only on its way to the sweep's error (next test)
     rng = np.random.default_rng(38)
     N, L = 7, 33
     specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
@@ -461,64 +494,60 @@ def test_step_kernel_projects_nan_inf_and_zero_like_np_maximum(where):
     bad.reshape(-1)[cells] = np.tile(specials, 4)
     a, p = rng.normal(size=N), rng.normal(size=(L, 1))
     p[::5] = 0.0  # x = -0.0 where a[n] < 0
-    for k_R in (None, 2, 5):
-        c = 0.0 if k_R is None else (k_R - 1.0) / (k_R + 2.0)
-        want, got = prev.copy(), prev.copy()
-        blas_rank_one_step(U, want, c, 0.5, a, p)
-        _kernel_step(U, got, k_R, 0.5, a, p)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-        if k_R is None and where == "u_k":
-            assert np.isnan(got).any() and np.isinf(got).any()
+    want, got = prev.copy(), prev.copy()
+    blas_rank_one_step(U, want, 0.0, 0.5, a, p)
+    _kernel_step(U, got, 0.5, a, p)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    if where == "u_k":
+        assert np.isnan(got).any() and np.isinf(got).any()
 
 
 @pytest.mark.parametrize("case", ["tiny1", "desk", "paper_shape"])
 def test_step_kernel_gate_product_is_the_fixed_order_sum_bitwise(case, request):
-    # the pass's product O q against the numpy sum in its documented order, for c = 0 and
-    # c > 0, out of place and (c = 0) in place; tiny1's L = 45 leaves a tail of 5.  The
-    # iterate it writes is bitwise the pass without a product
+    # the pass's product g = O q, which the next gate reads, against the numpy sum in its
+    # documented order: in a two-equation sweep the second gate's residual is -g and its
+    # step is taken with d = -g (c = 0) or -g + c (-g + U q) (c > 0), so any bit of g shows
+    # in the iterate; tiny1's L = 45 leaves a tail of 5
     rng = np.random.default_rng(40)
     if case == "paper_shape":
         N, L = 625, 2808
-        a, p, q, alpha = rng.normal(size=N), rng.normal(size=(L, 1)), rng.uniform(0.0, 1.0, L), 0.37
+        a, p, q, alpha = rng.normal(size=N), rng.normal(size=L), rng.uniform(0.0, 1.0, L), 0.37
     else:
         system = _desk_system(1) if case == "desk" else request.getfixturevalue(case)
         N, L = system.N, system.L
-        p, q, alpha = system.Phi_inv_Q[:, 0, None], system.Q[:, 1], 0.9 / rho_estimate(system)
+        p, q, alpha = system.Phi_inv_Q[:, 0], system.Q[:, 1], 0.9 / rho_estimate(system)
         a = system.Psi_inv_G @ rng.normal(size=N)
         a *= 2.0 / (alpha * np.abs(a).max() * np.abs(p).max())  # corrections up to 2, so some entries clip
     U, prev = rng.uniform(0.0, 1.0, (N, L)), rng.uniform(0.0, 1.0, (N, L))
-    for k_R, in_place in ((None, False), (2, False), (5, False), (None, True)):
-        want = (U if in_place else prev).copy()
-        got, g = want.copy(), np.full(N, np.nan)
-        _kernel_step(want if in_place else U, want, k_R, alpha, a, p)
-        _kernel_step(got if in_place else U, got, k_R, alpha, a, p, q, g)
-        assert np.array_equal(_bits(got), _bits(want))
-        assert np.array_equal(_bits(g), _bits(fixed_order_rows_dot(got, q)))
-        assert 0 < np.sum(got == 0.0) < got.size
-        assert np.abs(g - got @ q).max() <= 1e-14 * np.abs(got @ q).max()
+    for k_R in (1, 2, 5):
+        stepped = _pass_sweep(U, prev, k_R, alpha, a, p, q)
+        assert 0 < np.sum(stepped == 0.0) < stepped.size
 
 
 @pytest.mark.parametrize("where", ["u_k", "u_km1"])
 def test_step_kernel_gate_product_is_non_finite_where_the_step_writes_nan_or_inf(where):
-    # the gate is the finite check: a row the pass leaves with NaN or inf has a non-finite
-    # product, also where q is 0 there (inf * 0 is NaN); -inf projects to +0
+    # the next gate is the sweep's finite check: a row the pass leaves with NaN or inf has a
+    # non-finite product, also where q is 0 there (inf * 0 is NaN), and the sweep raises as
+    # its oracle does.  A non-finite u_k never reaches a pass: the first gate's product
+    # with a zero column is NaN.  The plain pass overwrites a non-finite u_km1, and the
+    # momentum pass reads it through D', so every row of its d = S (D + c (D - D')) is NaN
     rng = np.random.default_rng(41)
     N, L = 9, 45
     U, prev = rng.uniform(0.0, 1.0, (N, L)), rng.uniform(0.0, 1.0, (N, L))
+    a, p, q = rng.normal(size=N), rng.normal(size=L), rng.uniform(0.0, 1.0, L)
+    q[20] = 0.0
+    # an inf in the step's column: +inf in the rows where a > 0, -inf projected to +0 in the others
+    p_inf = p.copy()
+    p_inf[20] = np.inf
+    assert _pass_sweep(U, prev, 2, 0.5, a, p_inf, q) is None
+    assert _pass_sweep(U, prev, 2, 0.5, -np.abs(a), p_inf, q) is not None
     bad = U if where == "u_k" else prev
     for n, l, value in ((1, 3, np.nan), (3, 44, np.inf), (5, 10, -np.inf), (7, 20, np.inf), (7, 41, -np.inf)):
         bad[n, l] = value
-    a, p, q = rng.normal(size=N), rng.normal(size=(L, 1)), rng.uniform(0.0, 1.0, L)
-    q[20] = 0.0
-    for k_R in (None, 2, 5):
-        got, g = prev.copy(), np.empty(N)
-        _kernel_step(U, got, k_R, 0.5, a, p, q, g)
-        with np.errstate(invalid="ignore"):
-            assert np.array_equal(g, fixed_order_rows_dot(got, q), equal_nan=True)
-        assert np.array_equal(np.isfinite(g), np.isfinite(got).all(axis=1))
-        if k_R is None and where == "u_k":
-            assert np.isnan(g[[1, 7]]).all() and g[3] == np.inf and np.isfinite(g[5])
+    for k_R in (1, 2, 5):
+        stepped = _pass_sweep(U, prev, k_R, 0.5, a, p, q)
+        assert (stepped is None) == (where == "u_k" or k_R > 1)
 
 
 def _import_and_step(cache, path_dir, no_processes=False):
@@ -531,7 +560,7 @@ def _import_and_step(cache, path_dir, no_processes=False):
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     code = "import subprocess\nsubprocess.Popen = None\n" if no_processes else ""
     code += "import numpy as np\nimport pnkr.solver\nprint(pnkr.solver.STEP_KERNEL_BUILD, flush=True)\n"
-    code += "pnkr.solver._call('pnkr_step', *[np.ones(1)] * 2, 1, 1, 0.0, 1.0, *[np.ones(1)] * 6, 0)"
+    code += "pnkr.solver._call('pnkr_step', *[np.ones(1)] * 2, 1, 1, 1.0, *[np.ones(1)] * 4, 0)"
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -617,15 +646,14 @@ data = SolveData(y=noisy.y_noisy, delta_r=noisy.delta_r)
 config = SolverConfig(variant="pnkr", s=1, beta=0.3, max_loops=4)
 """
 
-# Runs the problem's sweeps against u_true, then one momentum step, and prints the thread
+# Runs the problem's sweeps against u_true, then one single step, and prints the thread
 # count, then digests of the iterate, of the deterministic history columns and of the step.
 _THREAD_PROBE = _PROBE_PROBLEM + """
 from pnkr.solver import pnkr_equation_update, run
 
 res = run(config, data, system, u_star=u_true)
 table = np.array([[row.loop, row.updates, row.data_residual, row.res, row.error] for row in res.history])
-d, prev = rng.normal(0.0, 1e-3, basis.N), rng.uniform(0.0, 1.0, basis.N * basis.L)
-step = pnkr_equation_update(system, res.u, d, 5, res.omega, out=prev, k_R=3)
+step = pnkr_equation_update(system, res.u, rng.normal(0.0, 1e-3, basis.N), 5, res.omega)
 print(SWEEP_THREADS, res.total_updates, *(hashlib.sha256(x.tobytes()).hexdigest() for x in (res.u, table, step)))
 """
 
@@ -807,7 +835,7 @@ def test_gate_skips_satisfied_equations(tiny0, tiny0_problem):
     assert state.k_R == 2
     assert not state.u_k.any()
     res = run(cfg, wide, tiny0)
-    assert res.converged and not res.truncated
+    assert res.converged
     assert res.loops == 1
     assert res.total_updates == 0
     assert np.array_equal(res.u, np.zeros(tiny0.N * tiny0.L))
@@ -845,14 +873,13 @@ def test_update_taken_at_momentum_point(tiny0, tiny0_problem):
     state = SolverState(u_k=u_k.copy(), u_km1=u_km1.copy(), k_R=3)
     assert pnkr_sweep(state, cfg, gated, tiny0, omega=omega) == 1
     assert np.array_equal(state.u_km1, u_k)
-    # the step is handed the residual at the momentum point, D + c (D - D')
-    y_r = data.y[:, r0 - 1]
-    d = nesterov_extrapolate(_pass_residual(tiny0, y_r, u_k, r0), _pass_residual(tiny0, y_r, u_km1, r0), 3)
-    expected = pnkr_equation_update(tiny0, u_k, d, r0, omega, out=u_km1.copy(), k_R=3)
+    # the step is handed the residual at the momentum point, D + c (D - D'), as the oracle's
+    order = _documented_order(cfg.seed, 3, tiny0.R) - 1
+    expected, _, _ = compiled_sweep_reference(tiny0, data.y, cfg.tau * delta, order, u_k, u_km1, 0.4, tiny0.Psi_inv_G, tiny0.Phi_inv_Q, omega)
     assert np.array_equal(state.u_k, expected)
     # which is the step at z with the residual formed there, up to rounding
     z = nesterov_extrapolate(u_k, u_km1, 3)
-    at_z = pnkr_equation_update(tiny0, z, _residual(tiny0, y_r, z, r0), r0, omega)
+    at_z = pnkr_equation_update(tiny0, z, _residual(tiny0, data.y[:, r0 - 1], z, r0), r0, omega)
     assert np.abs(state.u_k - at_z).max() <= 1e-13 * np.abs(at_z).max()
 
 
@@ -873,13 +900,11 @@ def test_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, momentum
     assert pnkr_sweep(state, cfg, gated, tiny0, omega=omega, momentum=momentum) == 1
     assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
     assert np.array_equal(state.u_km1, u_k)
-    y_r = data.y[:, r0 - 1]
-    D = _pass_residual(tiny0, y_r, u_k, r0)
     if momentum:
-        d = nesterov_extrapolate(D, _pass_residual(tiny0, y_r, u_km1, r0), 3)
-        expected = pnkr_equation_update(tiny0, u_k, d, r0, omega, out=u_km1.copy(), k_R=3)
+        order = _documented_order(cfg.seed, 3, tiny0.R) - 1
+        expected, _, _ = compiled_sweep_reference(tiny0, data.y, cfg.tau * delta, order, u_k, u_km1, 0.4, tiny0.Psi_inv_G, tiny0.Phi_inv_Q, omega)
     else:
-        expected = pnkr_equation_update(tiny0, u_k, D, r0, omega)
+        expected = pnkr_equation_update(tiny0, u_k, _pass_residual(tiny0, data.y[:, r0 - 1], u_k, r0), r0, omega)
     assert np.array_equal(state.u_k, expected)
 
 
@@ -919,13 +944,11 @@ def test_sweep_on_shared_state_buffers_matches_distinct_ones(tiny0, tiny0_proble
 
 
 @pytest.mark.parametrize("variant", ["pnkr", "landweber"])
-def test_run_steps_in_page_aligned_buffers_and_leaves_the_guess(tiny0, tiny0_problem, variant):
+def test_run_steps_in_page_aligned_buffers(tiny0, tiny0_problem, variant):
     _, data = tiny0_problem
-    guess = np.full(tiny0.N * tiny0.L, 0.5)
-    res = run(SolverConfig(variant=variant, s=0, max_loops=3, initial_guess=guess), data, tiny0)
+    res = run(SolverConfig(variant=variant, s=0, max_loops=3), data, tiny0)
     assert res.total_updates > 0
     assert res.u.ctypes.data % pnkr.solver._BUFFER_ALIGN == 0
-    assert np.all(guess == 0.5)
 
 
 @pytest.mark.parametrize("k_R", [1, 2, 3])
@@ -933,7 +956,7 @@ def test_run_steps_in_page_aligned_buffers_and_leaves_the_guess(tiny0, tiny0_pro
 def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_problem, variant, k_R):
     # every equation is active; the test forms each residual itself, in the kernel's order:
     # D at u_k and, for a momentum step past k_R = 1, D' at the previous iterate, and
-    # hands it to the public single step
+    # hands it to the public single step, or for a momentum step to the oracle's step
     _, data = tiny0_problem
     eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
     cfg = SolverConfig(variant=variant, s=0)
@@ -950,7 +973,10 @@ def test_sweep_hands_each_step_the_residual_at_its_step_point(tiny0, tiny0_probl
         D = _pass_residual(tiny0, data.y[:, r - 1], u_k, r)
         if variant == "pnkr" and k_R > 1:
             d = nesterov_extrapolate(D, _pass_residual(tiny0, data.y[:, r - 1], u_km1, r), k_R)
-            u_new = pnkr_equation_update(tiny0, u_k, d, r, omega, out=u_km1.copy(), k_R=k_R)
+            u_new = u_km1.reshape(tiny0.N, tiny0.L).copy()
+            a = fixed_order_rows_dot(tiny0.Psi_inv_G, d)
+            blas_rank_one_step(u_k.reshape(tiny0.N, tiny0.L), u_new, (k_R - 1.0) / (k_R + 2.0), omega, a, tiny0.Phi_inv_Q[:, r - 1, None])
+            u_new = u_new.reshape(-1)
         elif variant != "reduced_pnkr":
             u_new = pnkr_equation_update(tiny0, u_k, D, r, omega)
         else:
@@ -1150,7 +1176,8 @@ def test_compiled_end_of_sweep_products_match_the_oracle_bitwise(fixture_name, r
 @pytest.mark.parametrize("variant", ["pnkr", "reduced_pnkr"])
 def test_history_above_the_thread_threshold_matches_numpys(monkeypatch, tiny0, tiny0_problem, variant):
     # above _PARALLEL_ENTRIES a history row's data_residual and res come from the kernel's
-    # residual norms and error's norms from np.einsum: the same values to rounding
+    # residual norms: the same values to rounding.  error's norms come from np.einsum on
+    # both sides of the threshold: the same bits
     u_star, data = tiny0_problem
     cfg = SolverConfig(variant=variant, s=0, max_loops=5, seed=3)
     numpy_run = run(cfg, data, tiny0, u_star=u_star)
@@ -1159,7 +1186,8 @@ def test_history_above_the_thread_threshold_matches_numpys(monkeypatch, tiny0, t
     assert np.array_equal(kernel_run.u, numpy_run.u)
     for got, want in zip(kernel_run.history, numpy_run.history, strict=True):
         assert (got.loop, got.updates) == (want.loop, want.updates)
-        np.testing.assert_allclose([got.data_residual, got.res, got.error], [want.data_residual, want.res, want.error], rtol=1e-12)
+        np.testing.assert_allclose([got.data_residual, got.res], [want.data_residual, want.res], rtol=1e-12)
+        assert got.error == want.error
 
 
 def test_counter_advances_once_per_sweep(tiny0, tiny0_problem):
@@ -1211,11 +1239,11 @@ def test_run_ordering_matches_documented_permutation(tiny0, tiny0_problem):
 @pytest.mark.parametrize("variant", pnkr.solver.VARIANTS)
 def test_run_is_a_loop_of_sweeps_on_a_fresh_state(tiny0, tiny0_problem, variant, ordering):
     # a sweep reads only the two iterates, k_R and the configuration, so the public
-    # sweeps on SolverState(u0, u0) give run()'s iterate and update counts bitwise,
-    # and the sweeps() generator gives run()'s history rows bitwise but for the wall time
+    # sweeps on the zero state SolverState(u0, u0) give run()'s iterate and update counts
+    # bitwise, and the sweeps() generator gives run()'s history rows bitwise but for the
+    # wall time
     u_star, data = tiny0_problem
-    guess = np.random.default_rng(40).uniform(0.0, 0.5, tiny0.N * tiny0.L)
-    cfg = SolverConfig(variant=variant, s=0, max_loops=6, ordering=ordering, seed=5, initial_guess=guess)
+    cfg = SolverConfig(variant=variant, s=0, max_loops=6, ordering=ordering, seed=5)
     res = run(cfg, data, tiny0, u_star=u_star)
     sweep = {
         "pnkr": pnkr_sweep,
@@ -1224,15 +1252,15 @@ def test_run_is_a_loop_of_sweeps_on_a_fresh_state(tiny0, tiny0_problem, variant,
         "landweber": landweber_step,
     }[variant]
     omega = resolve_omega(cfg, tiny0)
-    u0 = guess.copy()
+    u0 = np.zeros(tiny0.N * tiny0.L)
     state = SolverState(u0, u0)
     updates = [sweep(state, cfg, data, tiny0, omega) for _ in range(res.loops)]
     assert updates == [row.updates for row in res.history] and sum(updates) > 0
     assert res.loops == len(res.history) == state.k_R - 1
     assert res.total_updates == sum(updates)
-    assert res.converged == (updates[-1] == 0) != res.truncated
+    assert res.converged == (updates[-1] == 0)
     assert np.array_equal(state.u_k, res.u)
-    fresh = SolverState(guess.copy(), guess.copy())
+    fresh = SolverState(np.zeros(tiny0.N * tiny0.L), np.zeros(tiny0.N * tiny0.L))
     fields = ("loop", "updates", "data_residual", "res", "error")
 
     def table(rows):
@@ -1393,7 +1421,7 @@ def test_discrepancy_termination_and_nonnegativity(tiny0, tiny0_problem):
     u_star, data = tiny0_problem
     cfg = SolverConfig(variant="pnkr", s=0, max_loops=500, seed=3)
     res = run(cfg, data, tiny0, u_star=u_star)
-    assert res.converged and not res.truncated
+    assert res.converged
     assert 10 < res.loops <= 500
     assert np.all(res.u >= 0.0)
     assert res.history[-1].updates == 0
@@ -1428,7 +1456,7 @@ def test_truncation_reported(tiny0, tiny0_problem):
     hopeless = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
     cfg = SolverConfig(variant="pnkr", s=0, max_loops=3, seed=3)
     res = run(cfg, hopeless, tiny0)
-    assert res.truncated and not res.converged
+    assert not res.converged
     assert res.loops == 3
     assert len(res.history) == 3
     assert all(row.updates > 0 for row in res.history)
@@ -1521,18 +1549,18 @@ def test_single_channel_contraction_is_exact(tiny0):
 
 
 def test_run_initial_guess_at_truth(tiny0, tiny0_problem):
+    # a warm start is sweeps() on a state: at the truth every gate holds, so the first
+    # sweep makes no update and ends the solve, for every variant and loop counter
     u_star, _ = tiny0_problem
     y = _consistent_columns(tiny0, u_star)
     data = SolveData(y=y, delta_r=np.full(tiny0.R, 1e-12))
-    cfg = SolverConfig(
-        variant="pnkr", s=0, max_loops=10, seed=0, initial_guess=u_star
-    )
-    res = run(cfg, data, tiny0, u_star=u_star)
-    assert res.converged
-    assert res.loops == 1
-    assert res.total_updates == 0
-    assert np.array_equal(res.u, u_star)
-    assert res.history[0].error == 0.0
+    for variant, k_R in itertools.product(pnkr.solver.VARIANTS, (1, 4)):
+        cfg = SolverConfig(variant=variant, s=0, max_loops=10, seed=0)
+        state = SolverState(u_k=u_star.copy(), u_km1=u_star.copy(), k_R=k_R)
+        rows = list(sweeps(state, cfg, data, tiny0, resolve_omega(cfg, tiny0), u_star=u_star))
+        assert [(row.loop, row.updates) for row in rows] == [(k_R, 0)]
+        assert np.array_equal(state.u_k, u_star) and state.k_R == k_R + 1
+        assert rows[0].error == 0.0
 
 
 def test_run_validation_errors(tiny0, tiny1, tiny0_problem):
@@ -1544,14 +1572,6 @@ def test_run_validation_errors(tiny0, tiny1, tiny0_problem):
         run(cfg, SolveData(y=data.y, delta_r=data.delta_r[:-1]), tiny0)
     with pytest.raises(ValueError):
         run(SolverConfig(variant="pnkr", s=1, max_loops=1), data, tiny0)
-    with pytest.raises(ValueError):
-        run(
-            SolverConfig(
-                variant="pnkr", s=0, max_loops=1, initial_guess=np.zeros(3)
-            ),
-            data,
-            tiny0,
-        )
     with pytest.raises(ValueError):
         run(cfg, data, tiny0, u_star=u_star[:-1])
     # a negative entry stays allowed (an SVD reference has them); a non-finite one would
@@ -1602,37 +1622,54 @@ def test_run_rejects_bad_data_naming_the_channel(
 @pytest.mark.parametrize(
     "bad, tau, message",
     [
-        ("nan", 1.2, "initial guess entry 4 is nan"),
-        # every gate holds at the guess, so a run would return it unprojected
-        ("negative", 1e9, "initial guess entry 0 is -1"),
+        # a warm start from an initial guess: both iterates the guess, k_R = 1
+        pytest.param("nan", 1.2, "state.u_k entry 4 is nan", id="nan-1.2-initial guess entry 4 is nan"),
         # a state handed to sweeps(), whose first sweep would blame the stepsize;
         # u_km1 only where a step reads it, pnkr's momentum step past k_R = 1
         ("pnkr u_k", 1.2, "state.u_k entry 4 is nan"),
         ("landweber u_k", 1.2, "state.u_k entry 4 is nan"),
         ("pnkr u_km1", 1.2, "state.u_km1 entry 4 is nan"),
+        ("landweber_kaczmarz u_k", 1.2, "state.u_k entry 4 is nan"),
+        ("reduced_pnkr u_k", 1.2, "state.u_k entry 4 is nan"),
+        # every gate holds at the start, so a solve would return it unprojected
+        *[(f"{variant} negative", 1e9, "state.u_k entry 0 is -1; it must be finite and nonnegative") for variant in pnkr.solver.VARIANTS],
     ],
 )
 def test_run_rejects_bad_initial_guess_naming_the_entry(
     tiny0, tiny0_problem, bad, tau, message
 ):
     _, data = tiny0_problem
-    if " " in bad:
-        variant, name = bad.split()
-        M = tiny0.N * tiny0.L
-        state = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M), k_R=2)
-        getattr(state, name)[[4, 9]] = np.nan
-        cfg = SolverConfig(variant=variant, s=0, tau=tau, max_loops=3)
-        with pytest.raises(ValueError, match=message):
-            next(sweeps(state, cfg, data, tiny0, resolve_omega(cfg, tiny0)))
-        return
+    M = tiny0.N * tiny0.L
     if bad == "nan":
-        u0 = np.zeros(tiny0.N * tiny0.L)
-        u0[[4, 9]] = np.nan
+        guess = np.zeros(M)
+        guess[[4, 9]] = np.nan
+        cfg = SolverConfig(variant="pnkr", s=0, tau=tau, max_loops=1)
+        with pytest.raises(ValueError, match=message):
+            next(sweeps(SolverState(u_k=guess, u_km1=guess.copy()), cfg, data, tiny0, resolve_omega(cfg, tiny0)))
+        return
+    variant, name = bad.split()
+    state = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M), k_R=2)
+    if name == "negative":
+        state.u_k[:] = -1.0
     else:
-        u0 = np.full(tiny0.N * tiny0.L, -1.0)
-    cfg = SolverConfig(variant="pnkr", s=0, tau=tau, max_loops=1, initial_guess=u0)
+        getattr(state, name)[[4, 9]] = np.nan
+    cfg = SolverConfig(variant=variant, s=0, tau=tau, max_loops=3)
     with pytest.raises(ValueError, match=message):
-        run(cfg, data, tiny0)
+        next(sweeps(state, cfg, data, tiny0, resolve_omega(cfg, tiny0)))
+
+
+@pytest.mark.parametrize("variant", pnkr.solver.VARIANTS)
+def test_sweeps_checks_the_state_iterates_for_every_variant(tiny0, tiny0_problem, variant):
+    # one entry too many, a 2D, a float32 or a strided iterate: the same message for every
+    # variant, before a sweep runs, for either iterate
+    _, data = tiny0_problem
+    M = tiny0.N * tiny0.L
+    cfg = SolverConfig(variant=variant, s=0, max_loops=3)
+    message = re.escape(f"a sweep over {tiny0.R} equations needs samples of shape ({tiny0.N}, {tiny0.R}), {tiny0.R} noise levels and C-contiguous float64 iterates of shape ({M},)")
+    for bad in (np.zeros(M + 1), np.zeros((tiny0.N, tiny0.L)), np.zeros(M, dtype=np.float32), np.zeros(2 * M)[::2]):
+        for state in (SolverState(bad, np.zeros(M)), SolverState(np.zeros(M), bad)):
+            with pytest.raises(ValueError, match=message):
+                next(sweeps(state, cfg, data, tiny0, resolve_omega(cfg, tiny0)))
 
 
 @pytest.mark.parametrize(
