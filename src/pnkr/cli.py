@@ -35,7 +35,6 @@ from .forward import build_forward_system, synthesize_datacube
 from .mock import DataCube, add_noise, default_components, evaluate_ground_truth, read_datacube, write_datacube
 from .presets import PRESET_NAMES, preset_axes, preset_basis, preset_template, preset_window
 from .solver import (
-    ORDERINGS,
     STEP_KERNEL_BUILD,
     VARIANTS,
     SolverConfig,
@@ -287,7 +286,7 @@ def cmd_maps(args) -> int:
             f"coefficient file ({coeffs.N} x {coeffs.L}) does not match "
             f"preset {args.preset!r} ({basis.N} x {basis.L})"
         )
-    maps = moment_maps(coeffs.u, basis, template, order=args.order, floor=args.floor)
+    maps = moment_maps(coeffs.u, basis, template, floor=args.floor)
     positions = [_parse_position(text) for text in args.losvd] or default_losvd_positions(basis)
     samples = light_weighted_losvd(coeffs.u, basis, template, positions)
     written = export_maps(maps, samples, args.out)
@@ -370,11 +369,8 @@ def _add_solver_flags(parser) -> None:
                         help="discrepancy-principle safety factor")
     parser.add_argument("--max-loops", type=int, default=100,
                         help="sweep budget before truncation")
-    parser.add_argument("--ordering", default="random_permutation",
-                        choices=ORDERINGS,
-                        help="equation visit order within a sweep")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the sweep ordering (and noise in batch mode)")
+                        help="seed of each sweep's random equation order (and of the noise in robustness)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,14 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("maps", help="kinematic maps and sampled velocity distributions")
+    p = sub.add_parser("maps", help="kinematic maps (h3..h5 of an order-5 Gauss-Hermite fit "
+                                    "per site) and sampled velocity distributions")
     common(p)
     p.add_argument("--templates", default="templates.pnkt", help="template file")
     p.add_argument("--coefficients", default=os.path.join("run", COEFFICIENTS_NAME),
                    help="input coefficient file")
     p.add_argument("--out", default="maps", help="output directory")
-    p.add_argument("--order", type=int, default=5, choices=[5, 6],
-                   help="expansion order of the line fits")
     p.add_argument("--floor", type=float, default=1e-6,
                    help="density mask threshold relative to the peak")
     p.add_argument("--losvd", action="append", default=[], metavar="X1,X2",
@@ -453,7 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    """Pre-parse ``--config`` and install its values as subcommand defaults."""
+    """Pre-parse ``--config`` and install its values as subcommand defaults.
+
+    A repeatable option collects the values of all its lines, and values
+    given on the command line replace that list; any other key may
+    appear on one line only.
+    """
     probe = parser.parse_args(argv)
     if not probe.config:
         return probe
@@ -463,7 +463,7 @@ def _apply_config_file(parser, argv):
     )
     subparser = sub_actions.choices[probe.command]
     actions = {a.dest: a for a in subparser._actions}
-    defaults = {}
+    defaults, lists, lines_of = {}, {}, {}
     with open(path) as fh:
         lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -486,9 +486,18 @@ def _apply_config_file(parser, argv):
             raise CLIError(
                 f"{path}:{lineno}: {key.strip()!r} must be one of {list(action.choices)}"
             )
-        defaults[dest] = [converted] if isinstance(action.default, list) else converted
+        if isinstance(action.default, list):
+            lists.setdefault(dest, []).append(converted)
+            continue
+        if dest in lines_of:
+            raise CLIError(f"{path}: {key.strip()!r} is set twice, on lines {lines_of[dest]} and {lineno}")
+        lines_of[dest], defaults[dest] = lineno, converted
     subparser.set_defaults(**defaults)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    for dest, values in lists.items():
+        if not getattr(args, dest):
+            setattr(args, dest, values)
+    return args
 
 
 def main(argv=None) -> int:

@@ -221,33 +221,26 @@ def light_weighted_losvd(
     u: np.ndarray,
     basis: DiscreteBasis,
     template: TemplateGrid,
-    x,
-) -> LOSVDSample | list[LOSVDSample]:
-    """Luminosity-weighted velocity distribution at a spatial position.
+    positions,
+) -> list[LOSVDSample]:
+    """Luminosity-weighted velocity distributions at the spatial positions ``[(x1, x2), ...]``.
 
     The coefficient field is weighted by each population's integrated
     light over the observed window, marginalized over (z, t),
-    conditioned on ``x``, and normalized on the velocity site grid.  A
-    position with no light returns a masked, all-zero sample.  Positions
-    ``[(x1, x2), ...]`` give a list of samples from one light kernel, and
-    an empty list gives ``[]``.
+    conditioned on each position, and normalized on the velocity site
+    grid.  One light kernel serves every position, and a position's
+    weights are nonzero at no more than four sites, which alone are
+    contracted.  A position with no light gives a masked, all-zero
+    sample.
     """
     W, A_L = _coefficient_array(u, basis), _light_kernel(basis, template)
-    if np.ndim(x) == 2 or len(x) == 0:
-        return [_losvd_at(W, basis, A_L, p) for p in x]
-    return _losvd_at(W, basis, A_L, x)
-
-
-def _losvd_at(W: np.ndarray, basis: DiscreteBasis, A_L: np.ndarray, x) -> LOSVDSample:
-    """:func:`light_weighted_losvd` of the coefficient array ``W`` with light kernel ``A_L``.
-
-    The position weights are nonzero at no more than four sites, and
-    only those sites are contracted.
-    """
-    wpos = _position_weights(basis, x)
-    sites = np.nonzero(wpos)
-    values = np.einsum("s,sabc,bc->a", wpos[sites], W[sites], A_L, optimize=True)
-    return _normalized_sample(x, basis.theta_grids[0].centers, values)
+    samples = []
+    for x in positions:
+        wpos = _position_weights(basis, x)
+        sites = np.nonzero(wpos)
+        values = np.einsum("s,sabc,bc->a", wpos[sites], W[sites], A_L, optimize=True)
+        samples.append(_normalized_sample(x, basis.theta_grids[0].centers, values))
+    return samples
 
 
 # -- Gauss-Hermite fits -------------------------------------------------------
@@ -495,20 +488,17 @@ def moment_maps(
     u: np.ndarray,
     basis: DiscreteBasis,
     template: TemplateGrid,
-    order: int = 5,
     floor: float = 1e-6,
 ) -> MomentMaps:
     """Mean-population and Gauss-Hermite kinematic maps of a coefficient field.
 
     Every site above the density floor whose light-weighted LOSVD carries
     light is fitted in one batched call of the fit behind
-    :func:`gauss_hermite_fit`; each site's values equal that function's
-    fit of the site's normalized LOSVD bitwise, whatever the other sites
-    hold.  Sites without light or whose fit did not converge leave the
-    mask.
+    :func:`gauss_hermite_fit` at order 5, the h3..h5 of the maps; each
+    site's values equal that function's order-5 fit of the site's
+    normalized LOSVD bitwise, whatever the other sites hold.  Sites
+    without light or whose fit did not converge leave the mask.
     """
-    if order not in (5, 6):
-        raise ValueError("map fitting needs expansion order 5 or 6 for the h5 column")
     if not 0.0 <= floor < 1.0:
         raise ValueError(f"the density floor must be finite and in [0, 1), got floor={floor}")
     W = _coefficient_array(u, basis)
@@ -516,7 +506,7 @@ def moment_maps(
     mu_z, mu_t = mean_maps(marg, floor)
     P, light = _site_losvds(W, basis, template)
     sites = density_mask(marg, floor) & light
-    _, mu, sigma, h, converged = _gauss_hermite_rows(basis.theta_grids[0].centers, P[sites], order)
+    _, mu, sigma, h, converged = _gauss_hermite_rows(basis.theta_grids[0].centers, P[sites], 5)
     mask = np.zeros_like(sites)
     mask[sites] = converged
 

@@ -373,9 +373,9 @@ def test_criterion_09_h5_archaeology_signal(
     res_weak, weak_seconds = weak_run_s1
     res_smooth, _ = dp_run_s1
     u_true = evaluate_ground_truth(default_components(), basis_weak)
-    maps_true = moment_maps(u_true, basis_weak, desk_template, order=5)
-    maps_weak = moment_maps(res_weak.u, basis_weak, desk_template, order=5)
-    maps_smooth = moment_maps(res_smooth.u, basis_smooth, desk_template, order=5)
+    maps_true = moment_maps(u_true, basis_weak, desk_template)
+    maps_weak = moment_maps(res_weak.u, basis_weak, desk_template)
+    maps_smooth = moment_maps(res_smooth.u, basis_smooth, desk_template)
     _, n_regions = h5_feature_regions(maps_weak)
     frac_weak = h5_sign_match(maps_weak, maps_true)
     frac_smooth = h5_sign_match(maps_smooth, maps_true)

@@ -417,6 +417,44 @@ def test_config_file_unknown_key(pipeline_dir, monkeypatch, capsys, line):
     assert not (pipeline_dir / "x").exists()
 
 
+def _maps_with_config(out, lines, *flags):
+    """The positions a tiny ``maps`` run into ``out``, given the config file ``lines`` and ``flags``, records in its manifest and exports."""
+    Path("maps.cfg").write_text("".join(line + "\n" for line in lines))
+    assert main([
+        "maps", "--preset", "tiny", "--templates", "tpl.pnkt",
+        "--coefficients", "run/coefficients.pnku", "--config", "maps.cfg", "--out", out, *flags,
+    ]) == 0
+    exported = sorted(Path(out).glob("losvd_*.txt"))
+    return read_manifest(Path(out) / "manifest.json")["config"]["losvd"], [read_losvd(path).x for path in exported]
+
+
+def test_config_file_repeatable_option_keeps_every_line(pipeline_dir, monkeypatch):
+    monkeypatch.chdir(pipeline_dir)
+    recorded, exported = _maps_with_config("cfgmaps", ["losvd = 0.1,0.2", "losvd = 0.3,0.4"])
+    assert recorded == ["0.1,0.2", "0.3,0.4"]
+    assert exported == [(0.1, 0.2), (0.3, 0.4)]
+
+
+def test_config_file_repeatable_option_is_replaced_by_the_flag(pipeline_dir, monkeypatch):
+    monkeypatch.chdir(pipeline_dir)
+    recorded, exported = _maps_with_config("flagmaps", ["losvd = 0.1,0.2", "losvd = 0.3,0.4"], "--losvd", "0.5,0.6")
+    assert recorded == ["0.5,0.6"]
+    assert exported == [(0.5, 0.6)]
+
+
+def test_config_file_key_given_twice_names_both_lines(pipeline_dir, monkeypatch, capsys):
+    # the last line used to win in silence; spelled max-loops and max_loops it is one key
+    monkeypatch.chdir(pipeline_dir)
+    (pipeline_dir / "twice.cfg").write_text("max-loops = 7\nseed = 5\n\nmax_loops = 9\n")
+    rc = main([
+        "solve", "--preset", "tiny", "--templates", "tpl.pnkt",
+        "--cube", "cube.pnkd", "--s", "0", "--config", "twice.cfg", "--out", "twice",
+    ])
+    assert rc == 1
+    assert "'max_loops' is set twice, on lines 1 and 4" in capsys.readouterr().err
+    assert not (pipeline_dir / "twice").exists()
+
+
 def test_identical_invocations_reproduce_bitwise(pipeline_dir, tmp_path, monkeypatch):
     args = [
         "solve", "--preset", "tiny", "--templates", "tpl.pnkt",

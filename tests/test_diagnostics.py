@@ -93,7 +93,7 @@ def desk_truth(desk_basis):
 
 @pytest.fixture(scope="module")
 def desk_maps(desk_truth, desk_basis, desk_template):
-    return moment_maps(desk_truth, desk_basis, desk_template, order=5)
+    return moment_maps(desk_truth, desk_basis, desk_template)
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +237,7 @@ def test_losvd_normalization_and_positivity(tiny_basis, tiny_template):
     positions = [(c1[0], c2[1]), (c1[2], c2[2]), (0.1, -0.2)]
     for x in positions:
         for sample in (
-            light_weighted_losvd(u, tiny_basis, tiny_template, x),
+            *light_weighted_losvd(u, tiny_basis, tiny_template, [x]),
             mass_weighted_losvd(u, tiny_basis, x),
         ):
             assert not sample.masked
@@ -250,7 +250,7 @@ def test_losvd_at_many_positions_is_each_position_bitwise(desk_truth, desk_basis
     samples = light_weighted_losvd(desk_truth, desk_basis, desk_template, positions)
     assert len(samples) == len(positions)
     for x, sample in zip(positions, samples):
-        one = light_weighted_losvd(desk_truth, desk_basis, desk_template, x)
+        [one] = light_weighted_losvd(desk_truth, desk_basis, desk_template, [x])
         assert sample.x == one.x == x and sample.masked == one.masked
         assert np.array_equal(sample.v, one.v) and np.array_equal(sample.p, one.p)
     assert light_weighted_losvd(desk_truth, desk_basis, desk_template, []) == []
@@ -259,19 +259,19 @@ def test_losvd_at_many_positions_is_each_position_bitwise(desk_truth, desk_basis
 def test_losvd_outside_domain_raises(tiny_basis, tiny_template):
     u = _random_coefficients(tiny_basis)
     with pytest.raises(ValueError, match="outside"):
-        light_weighted_losvd(u, tiny_basis, tiny_template, (5.0, 0.0))
+        light_weighted_losvd(u, tiny_basis, tiny_template, [(5.0, 0.0)])
 
 
 @pytest.mark.parametrize("position", [(0.1, 0.2, 0.3), (0.1,)], ids=["three", "one"])
 def test_losvd_position_of_wrong_length_raises(tiny_basis, tiny_template, position):
     u = _random_coefficients(tiny_basis)
     with pytest.raises(ValueError, match=re.escape(f"position {position!r}")):
-        light_weighted_losvd(u, tiny_basis, tiny_template, position)
+        light_weighted_losvd(u, tiny_basis, tiny_template, [position])
 
 
 def test_losvd_zero_field_is_masked(tiny_basis, tiny_template):
     u = np.zeros(tiny_basis.N * tiny_basis.L)
-    sample = light_weighted_losvd(u, tiny_basis, tiny_template, (0.1, 0.1))
+    [sample] = light_weighted_losvd(u, tiny_basis, tiny_template, [(0.1, 0.1)])
     assert sample.masked
     assert not sample.p.any()
 
@@ -280,7 +280,7 @@ def test_constant_template_light_equals_mass(tiny_basis, tiny_template):
     flat = dataclasses.replace(tiny_template, S=np.full_like(tiny_template.S, 2.0))
     u = _random_coefficients(tiny_basis, seed=41)
     x = (0.3, -0.4)
-    lw = light_weighted_losvd(u, tiny_basis, flat, x)
+    [lw] = light_weighted_losvd(u, tiny_basis, flat, [x])
     mw = mass_weighted_losvd(u, tiny_basis, x)
     np.testing.assert_allclose(lw.p, mw.p, atol=1e-12)
 
@@ -519,11 +519,6 @@ def test_failed_rows_leave_the_rest_of_the_batch_unchanged():
 # -- maps ---------------------------------------------------------------------
 
 
-def test_moment_maps_order_validation(desk_truth, desk_basis, desk_template):
-    with pytest.raises(ValueError, match="order"):
-        moment_maps(desk_truth, desk_basis, desk_template, order=4)
-
-
 def test_moment_maps_truth_structure(desk_maps, desk_basis):
     maps = desk_maps
     assert maps.mask.all()
@@ -557,7 +552,7 @@ def test_moment_maps_truth_has_two_h5_regions(desk_maps):
 def test_moment_maps_blanks_empty_stripe(desk_truth, desk_basis, desk_template):
     u = desk_truth.reshape(desk_basis.shape5).copy()
     u[:4] = 0.0
-    maps = moment_maps(u.reshape(-1), desk_basis, desk_template, order=5)
+    maps = moment_maps(u.reshape(-1), desk_basis, desk_template)
     assert not maps.mask[:4].any()
     assert maps.mask[4:].all()
     for grid in (maps.mu_t, maps.mu_z, maps.mu_v, maps.sigma_v, maps.h3, maps.h4, maps.h5):
@@ -566,9 +561,7 @@ def test_moment_maps_blanks_empty_stripe(desk_truth, desk_basis, desk_template):
 
 
 def test_moment_maps_zero_field(desk_basis, desk_template):
-    maps = moment_maps(
-        np.zeros(desk_basis.N * desk_basis.L), desk_basis, desk_template, order=5
-    )
+    maps = moment_maps(np.zeros(desk_basis.N * desk_basis.L), desk_basis, desk_template)
     assert not maps.mask.any()
     assert np.all(np.isnan(maps.mu_v))
 
@@ -659,10 +652,7 @@ def test_recovery_error_needs_light(desk_basis, desk_template):
 
 
 def test_export_read_round_trip(desk_maps, desk_truth, desk_basis, desk_template, tmp_path):
-    samples = [
-        light_weighted_losvd(desk_truth, desk_basis, desk_template, x)
-        for x in [(-0.5, -0.5), (0.25, 0.3)]
-    ]
+    samples = light_weighted_losvd(desk_truth, desk_basis, desk_template, [(-0.5, -0.5), (0.25, 0.3)])
     first = export_maps(desk_maps, samples, tmp_path / "a")
     second = export_maps(desk_maps, samples, tmp_path / "b")
     assert len(first) == 3
@@ -758,7 +748,7 @@ def test_read_maps_names_a_cut_table(desk_maps, tmp_path, rows, fields, match):
     ids=["header_only", "short_row"],
 )
 def test_read_losvd_names_a_cut_table(desk_maps, desk_truth, desk_basis, desk_template, tmp_path, rows, fields, match):
-    sample = light_weighted_losvd(desk_truth, desk_basis, desk_template, (0.25, 0.3))
+    [sample] = light_weighted_losvd(desk_truth, desk_basis, desk_template, [(0.25, 0.3)])
     table = export_maps(desk_maps, [sample], tmp_path)[1]
     path = tmp_path / "cut.txt"
     path.write_text(cut_table(open(table).read().splitlines(), 2, rows, fields, " "))

@@ -7,6 +7,7 @@ import inspect
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,24 @@ def test_readme_library_code_runs_on_tiny():
     result, state, row = namespace["result"], namespace["state"], namespace["row"]
     assert 0 < result.loops <= 20 and result.total_updates > 0
     assert row.loop == state.k_R - 1 >= 1
+
+
+def test_readme_command_line_runs_on_tiny(tmp_path, monkeypatch):
+    # the sh block of the README's Command line section on tiny with a short loop budget,
+    # each pnkr line through the command line's main in one fresh directory
+    from pnkr.cli import main
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    [block] = re.findall(r"```sh\n(.*?)```", section, re.S)
+    block = block.replace("\\\n", " ")
+    assert block.count("desk_scale") == 4 and block.count("--max-loops 2000") == 1
+    block = block.replace("desk_scale", "tiny").replace("--max-loops 2000", "--max-loops 20")
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert [command[0] for command in commands] == ["pnkr"] * 4
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(command[1:]) == 0, command
 
 
 def test_package_never_imports_test_code():

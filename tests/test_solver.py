@@ -189,7 +189,6 @@ def test_nesterov_factor_values():
         dict(tau=1.0),
         dict(tau=0.5),
         dict(max_loops=0),
-        dict(ordering="shuffled"),
         dict(seed=-1),
         dict(variant="reduced_pnkr", s=1),
         dict(beta=np.nan),
@@ -396,21 +395,24 @@ def _kernel_step(U, O, alpha, a, p):
     pnkr.solver._call("pnkr_step", U, O, N, L, alpha, np.eye(N), a, np.empty(N), p, 0)
 
 
-def _pass_problem(a, p, q=None):
-    """A stand-in system and data on which a sweep's first step is the pass with step vector ``a`` and column ``p``.
+def _pass_problem(a, p, q, order):
+    """A stand-in system and data on which the first step of a sweep in ``order`` is the pass with step vector ``a`` and column ``p``.
 
-    ``S = I`` and both gate factors are identities.  ``Q``'s first column
-    is zero, so that step's residuals at both iterates, and so its ``d``,
-    are its samples ``a``.  Given ``q``, a second equation follows with
-    column ``q`` of ``Q``, zero samples and the step column ``p`` with its
-    non-finite entries set to 0: its gate residual is ``-g`` for the
-    product ``g = O q`` that the first pass forms.  Every bound is 0.
+    ``S = I`` and both gate factors are identities.  ``Q``'s column of
+    equation ``order[0]`` is zero, so that step's residuals at both
+    iterates, and so its ``d``, are its samples ``a``.  Given ``q``,
+    equation ``order[1]`` follows with column ``q`` of ``Q``, zero samples
+    and the step column ``p`` with its non-finite entries set to 0: its
+    gate residual is ``-g`` for the product ``g = O q`` that the first
+    pass forms.  Every bound is 0.
     """
     N, L = len(a), len(p)
     Q = np.zeros((L, 1)) if q is None else np.column_stack([np.zeros(L), q])
     P = p[:, None] if q is None else np.column_stack([p, np.where(np.isfinite(p), p, 0.0)])
+    y = np.column_stack([a, np.zeros((N, Q.shape[1] - 1))])
+    # column j of each table above belongs to the j-th equation the sweep visits
+    Q, P, y = (table[:, np.argsort(order)] for table in (Q, P, y))
     system = types.SimpleNamespace(N=N, L=L, R=Q.shape[1], Q=Q, G_axes=(np.eye(N), np.eye(1)), Psi_inv_G=np.eye(N), Phi_inv_Q=np.asfortranarray(P))
-    y = np.column_stack([a, np.zeros((N, system.R - 1))])
     return system, SolveData(y=y, delta_r=np.zeros(system.R))
 
 
@@ -419,12 +421,13 @@ def _pass_sweep(U, prev, k_R, alpha, a, p, q=None):
 
     Returns the new iterate, or ``None`` when both raised ``RuntimeError``.
     """
-    system, data = _pass_problem(a, p, q)
+    order = _documented_order(0, k_R, 1 if q is None else 2) - 1
+    system, data = _pass_problem(a, p, q, order)
     state = SolverState(U.reshape(-1).copy(), prev.reshape(-1).copy(), k_R)
     c = (k_R - 1.0) / (k_R + 2.0)
     runs = (
-        lambda: pnkr_sweep(state, SolverConfig(ordering="cyclic"), data, system, alpha),
-        lambda: compiled_sweep_reference(system, data.y, np.zeros(system.R), np.arange(system.R), U, prev, c, system.Psi_inv_G, system.Phi_inv_Q, alpha),
+        lambda: pnkr_sweep(state, SolverConfig(), data, system, alpha),
+        lambda: compiled_sweep_reference(system, data.y, np.zeros(system.R), order, U, prev, c, system.Psi_inv_G, system.Phi_inv_Q, alpha),
     )
     outcomes = []
     for sweep in runs:
@@ -612,7 +615,8 @@ def test_kernel_entry_codes_match_the_exported_prototypes():
     kinds = {"size_t": "n", "double": "d", "int": "i"}
     results = {"void": None, "long": ctypes.c_long, "int": ctypes.c_int, "const char *": ctypes.c_char_p}
     exported = {}
-    for result, name, params in re.findall(r"^(?!static)(\w[\w *]*?)\s*\b(pnkr_\w+)\(([^)]*)\)\s*\{", pnkr.solver._STEP_SOURCE, re.M):
+    source = Path(pnkr.solver._KERNEL_PATH).read_text()
+    for result, name, params in re.findall(r"^(?!static)(\w[\w *]*?)\s*\b(pnkr_\w+)\(([^)]*)\)\s*\{", source, re.M):
         args = [] if params.strip() == "void" else params.split(",")
         codes = "".join("p" if "*" in arg else kinds[arg.split()[0]] for arg in args)
         exported[name] = (codes, results[" ".join(result.replace("*", " *").split())])
@@ -622,7 +626,7 @@ def test_kernel_entry_codes_match_the_exported_prototypes():
 def test_step_kernel_builds_without_warnings(tmp_path):
     # an unused static routine, or a sign or width slip, fails the build
     flags = [*pnkr.solver._STEP_FLAGS, "-Wall", "-Wextra", "-Werror"]
-    build = subprocess.run(["cc", *flags, "-x", "c", "-", "-o", str(tmp_path / "step.so"), "-lm"], input=pnkr.solver._STEP_SOURCE, capture_output=True, text=True)
+    build = subprocess.run(["cc", *flags, pnkr.solver._KERNEL_PATH, "-o", str(tmp_path / "step.so"), "-lm"], capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
 
 
@@ -1204,15 +1208,15 @@ def test_counter_advances_once_per_sweep(tiny0, tiny0_problem):
 
 def test_plain_kaczmarz_is_momentum_with_unit_counter(tiny0, tiny0_problem):
     _, data = tiny0_problem
-    # cyclic order: pinning k_R would otherwise pin the random order too
-    cfg = SolverConfig(variant="pnkr", s=0, ordering="cyclic")
+    # k_R keys the order too, so both states sweep at k_R = 1 and read one order
+    cfg = SolverConfig(variant="pnkr", s=0)
     omega = 1.0 / rho_estimate(tiny0)
     M = tiny0.N * tiny0.L
     plain = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M))
     pinned = SolverState(u_k=np.zeros(M), u_km1=np.zeros(M))
     for _ in range(3):
+        plain.k_R = pinned.k_R = 1
         pnkr_sweep(plain, cfg, data, tiny0, omega=omega, momentum=False)
-        pinned.k_R = 1
         pnkr_sweep(pinned, cfg, data, tiny0, omega=omega, momentum=True)
         assert np.array_equal(plain.u_k, pinned.u_k)
 
@@ -1235,15 +1239,14 @@ def test_run_ordering_matches_documented_permutation(tiny0, tiny0_problem):
     assert np.array_equal(res.u, u)
 
 
-@pytest.mark.parametrize("ordering", ["cyclic", "random_permutation"])
 @pytest.mark.parametrize("variant", pnkr.solver.VARIANTS)
-def test_run_is_a_loop_of_sweeps_on_a_fresh_state(tiny0, tiny0_problem, variant, ordering):
+def test_run_is_a_loop_of_sweeps_on_a_fresh_state(tiny0, tiny0_problem, variant):
     # a sweep reads only the two iterates, k_R and the configuration, so the public
     # sweeps on the zero state SolverState(u0, u0) give run()'s iterate and update counts
     # bitwise, and the sweeps() generator gives run()'s history rows bitwise but for the
     # wall time
     u_star, data = tiny0_problem
-    cfg = SolverConfig(variant=variant, s=0, max_loops=6, ordering=ordering, seed=5)
+    cfg = SolverConfig(variant=variant, s=0, max_loops=6, seed=5)
     res = run(cfg, data, tiny0, u_star=u_star)
     sweep = {
         "pnkr": pnkr_sweep,
@@ -1435,20 +1438,6 @@ def test_discrepancy_termination_and_nonnegativity(tiny0, tiny0_problem):
     stacked_bound = cfg.tau * float(np.sqrt(np.sum(data.delta_r**2)))
     assert res.history[-1].data_residual <= stacked_bound + 1e-9
     assert res.history[-1].error < res.history[0].error
-
-
-def test_cyclic_ordering_converges(tiny0, tiny0_problem):
-    _, data = tiny0_problem
-    cfg = SolverConfig(
-        variant="pnkr", s=0, ordering="cyclic", max_loops=800, seed=3
-    )
-    res = run(cfg, data, tiny0)
-    assert res.converged
-    for r in range(1, tiny0.R + 1):
-        assert (
-            equation_residual_norm(tiny0, res.u, data, r)
-            <= cfg.tau * data.delta_r[r - 1] + 1e-9
-        )
 
 
 def test_truncation_reported(tiny0, tiny0_problem):
