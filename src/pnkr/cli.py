@@ -345,16 +345,6 @@ def cmd_robustness(args) -> int:
 # -- argument plumbing --------------------------------------------------------
 
 
-def _omega(text: str):
-    if text == "auto":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"omega must be a number or 'auto', got {text!r}")
-    return value
-
-
 def _add_solver_flags(parser) -> None:
     parser.add_argument("--variant", default="pnkr",
                         choices=VARIANTS,
@@ -362,9 +352,7 @@ def _add_solver_flags(parser) -> None:
     parser.add_argument("--s", type=int, default=1, choices=[0, 1],
                         help="basis smoothness order")
     parser.add_argument("--beta", type=float, default=0.0,
-                        help="gradient-penalty weight (s=1 only)")
-    parser.add_argument("--omega", type=_omega, default=None,
-                        help="stepsize; 'auto' (default) is 1/rho for the exact operator norm rho")
+                        help="gradient-penalty weight of every axis (s=1 only)")
     parser.add_argument("--tau", type=float, default=1.2,
                         help="discrepancy-principle safety factor")
     parser.add_argument("--max-loops", type=int, default=100,
@@ -403,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output truth coefficient file (default: truth.pnku next to the cube)")
     p.set_defaults(func=cmd_gen_mock)
 
-    p = sub.add_parser("solve", help="reconstruct coefficients from a datacube")
+    p = sub.add_parser("solve", help="reconstruct coefficients from a datacube, stepping with "
+                                     "1/rho for the exact operator norm rho")
     common(p)
     p.add_argument("--templates", default="templates.pnkt", help="template file")
     p.add_argument("--cube", default="cube.pnkd", help="input datacube file")

@@ -80,8 +80,7 @@ class ForwardSystem:
         uniform spatial grids).
     Psi_inv_G : ndarray, (N, N), C order
         ``Psi^-1 G``, the spatial factor of every equation's update
-        direction; exactly the identity for ``s = 0`` or zero spatial
-        ``beta``.
+        direction; exactly the identity for ``s = 0`` or zero ``beta``.
     Phi_inv_Q : ndarray, (L, R), Fortran order
         ``Phi^-1 Q``; column ``r`` is the iterate-independent factor of
         equation ``r``'s update direction.
@@ -113,13 +112,13 @@ class ForwardSystem:
     @cached_property
     def Psi_inv_G(self) -> np.ndarray:
         # Psi^-1 = V (I + E)^-1 V^T and V V^T G = I, so Psi^-1 G = I - V E (I + E)^-1 V^T G,
-        # which is exactly I when E is zero throughout (s = 0, or zero spatial beta)
-        V, E = gram_eigenbasis(self.basis.omega_grids, self.basis.beta[:2], self.basis.s)
+        # which is exactly I when E is zero throughout (s = 0, or zero beta)
+        V, E = gram_eigenbasis(self.basis.omega_grids, self.basis.beta, self.basis.s)
         return np.eye(self.N) - _eigen_apply(V, E / (1.0 + E), np.kron(*self.G_axes))
 
     @cached_property
     def Phi_inv_Q(self) -> np.ndarray:
-        V, E = gram_eigenbasis(self.basis.theta_grids, self.basis.beta[2:], self.basis.s)
+        V, E = gram_eigenbasis(self.basis.theta_grids, self.basis.beta, self.basis.s)
         return np.asfortranarray(_eigen_apply(V, 1.0 / (1.0 + E), self.Q))
 
     @cached_property

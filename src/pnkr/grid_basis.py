@@ -9,7 +9,7 @@ between the domain edge and the outermost midpoint, so the family sums to
 one everywhere and interpolates nodal values at the midpoints.
 
 A :class:`DiscreteBasis` carries the grids of both domains together with
-the smoothness order ``s`` and the gradient-penalty weights ``beta``.
+the smoothness order ``s`` and the gradient-penalty weight ``beta``.
 Every per-axis integral (mass factor, weights, first moments, and the
 template overlaps and kernel table built on top of them) runs through
 one panel rule: a Gauss-Legendre rule applied on each piece between the
@@ -135,15 +135,15 @@ class DiscreteBasis:
         Spatial axes ``(x1, x2)``.
     theta_grids : tuple of AxisGrid
         Population-kinematic axes ``(v, z, t)``.
-    beta : ndarray, shape (5,)
-        Gradient-penalty weights per axis, in the order
-        ``(x1, x2, v, z, t)``.  Only meaningful for ``s = 1``.
+    beta : float
+        Gradient-penalty weight, the same on all five axes.  Only
+        meaningful for ``s = 1``.
     """
 
     s: int
     omega_grids: tuple[AxisGrid, AxisGrid]
     theta_grids: tuple[AxisGrid, AxisGrid, AxisGrid]
-    beta: np.ndarray
+    beta: float
 
     # the grids never change after construction; caching spares the hot loops the products
     @cached_property
@@ -170,23 +170,18 @@ def make_basis(
     s: int,
     omega_grids: Sequence[AxisGrid],
     theta_grids: Sequence[AxisGrid],
-    beta: float | Sequence[float] = 0.0,
+    beta: float = 0.0,
 ) -> DiscreteBasis:
-    """Validate and assemble a :class:`DiscreteBasis`."""
+    """Validate and assemble a :class:`DiscreteBasis` whose one gradient-penalty weight ``beta`` holds on every axis."""
     if s not in (0, 1):
         raise ValueError("s must be 0 or 1")
     og = tuple(omega_grids)
     tg = tuple(theta_grids)
     if len(og) != 2 or len(tg) != 3:
         raise ValueError("expected two spatial and three kinematic axes")
-    b = np.asarray(beta, dtype=float)
-    if b.ndim == 0:
-        b = np.full(5, float(b))
-    if b.shape != (5,):
-        raise ValueError("beta must be a scalar or a length-5 sequence")
-    if not np.all((b >= 0.0) & (b < np.inf)):
-        raise ValueError(f"beta weights must be finite and nonnegative, got beta={beta}")
-    return DiscreteBasis(s=int(s), omega_grids=og, theta_grids=tg, beta=b)
+    if np.ndim(beta) or not 0.0 <= beta < np.inf:
+        raise ValueError(f"beta must be one finite, nonnegative weight for every axis, got beta={beta}")
+    return DiscreteBasis(s=int(s), omega_grids=og, theta_grids=tg, beta=float(beta))
 
 
 # -- per-axis machinery ------------------------------------------------------
@@ -317,18 +312,18 @@ def build_gram_matrices(basis: DiscreteBasis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gram_eigenbasis(
-    grids: Sequence[AxisGrid], beta: Sequence[float], s: int
+    grids: Sequence[AxisGrid], beta: float, s: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Fast diagonalization of one factor of the reconstruction-space Gram.
 
     The factor over ``grids`` (``Psi`` over the spatial axes, ``Phi`` over
     ``(v, z, t)``) is ``A_1 (x) ... (x) A_k`` plus, for each axis ``j``,
-    ``beta_j`` times the same product with ``A_j`` replaced by ``B_j``.
+    ``beta`` times the same product with ``A_j`` replaced by ``B_j``.
     Per axis, ``eigh(B_j, A_j)`` gives ``V_j`` with ``V_j^T A_j V_j = I``
     and ``V_j^T B_j V_j = diag(lambda_j)``, so with
     ``V = V_1 (x) ... (x) V_k`` the factor is ``V^-T (I + E) V^-1`` and
     its inverse ``V (I + E)^-1 V^T``, where
-    ``E = beta_1 lambda_1 (+) ... (+) beta_k lambda_k`` is flat in the
+    ``E = beta lambda_1 (+) ... (+) beta lambda_k`` is flat in the
     same axis-major order (Lynch, Rice & Thomas 1964).  ``E >= 0`` since
     every ``B_j`` is positive semidefinite, and ``E`` is zero on constants,
     whose gradient vanishes; for ``s = 0`` every ``B_j`` is zero and so is ``E``.
@@ -336,11 +331,11 @@ def gram_eigenbasis(
     Returns ``([V_1, ..., V_k], E)``.
     """
     V, E = [], np.zeros(())
-    for g, b in zip(grids, beta):
+    for g in grids:
         A, B = _axis_factors(g, s)
         lam, vecs = scipy.linalg.eigh(B, A)
         V.append(vecs)
-        E = np.add.outer(E, b * lam)
+        E = np.add.outer(E, beta * lam)
     return V, E.reshape(-1)
 
 

@@ -210,18 +210,15 @@ def _call(name: str, *args):
 class SolverConfig:
     """Everything a run needs beyond the assembled system and data.
 
-    ``omega is None`` selects the automatic stepsize ``1 / rho`` with
-    ``rho`` the largest eigenvalue of the step's operator, computed
-    exactly (per equation for sweep methods, full stack for the summed
-    iteration, the smoothed unpreconditioned operator for the reduced
-    variant, whose stencil is :data:`~pnkr.forward.SMOOTHING_TAPS` on
-    every axis).
+    ``s`` and ``beta`` must be those of the system's basis.  The stepsize
+    is not a setting: :func:`run` takes :func:`resolve_omega`'s exact
+    ``1 / rho``, and a caller wanting another passes it to :func:`sweeps`
+    or to a sweep or step function.
     """
 
     variant: str = "pnkr"
     s: int = 1
     beta: float = 0.0
-    omega: float | None = None
     tau: float = 1.2
     max_loops: int = 100
     seed: int = 0
@@ -233,8 +230,6 @@ class SolverConfig:
             raise ValueError("s must be 0 or 1")
         if not 0.0 <= self.beta < np.inf:
             raise ValueError(f"beta must be finite and nonnegative, got beta={self.beta}")
-        if self.omega is not None and not 0.0 < self.omega < np.inf:
-            raise ValueError(f"omega must be finite and positive, got omega={self.omega}")
         if not 1.0 < self.tau < np.inf:
             raise ValueError(f"tau must be finite and exceed 1, got tau={self.tau}")
         if isinstance(self.max_loops, bool) or not (isinstance(self.max_loops, numbers.Integral) and self.max_loops >= 1):
@@ -275,7 +270,7 @@ def as_solve_data(data) -> SolveData:
 class SolverState:
     """What one sweep reads besides the configuration: two iterates and the loop counter.
 
-    ``k_R`` drives the momentum factor and, with ``config.seed``, keys
+    ``k_R``, an integer of at least 1, drives the momentum factor and, with ``config.seed``, keys
     the sweep order; each sweep advances it by one.  A state is the only
     way a solve starts or carries its momentum (see :func:`sweeps`).
 
@@ -358,17 +353,23 @@ def nesterov_extrapolate(u_k: np.ndarray, u_km1: np.ndarray, k_R: int) -> np.nda
 
 
 def resolve_omega(config: SolverConfig, system: ForwardSystem) -> float:
-    """The stepsize a run will actually use.
+    """The stepsize :func:`run` takes: ``1 / rho``, which keeps every variant inside its stability window on any grid scale.
 
-    An explicit ``config.omega`` wins; otherwise the reciprocal of the
-    largest eigenvalue of the variant's step operator, which keeps every
-    variant inside its stability window on any grid scale.
+    ``rho`` is the largest eigenvalue of the variant's step operator,
+    computed exactly: per equation for the Kaczmarz sweeps, of the full
+    stack for Landweber, and of the smoothed unpreconditioned operator
+    for the reduced variant, whose stencil is
+    :data:`~pnkr.forward.SMOOTHING_TAPS` on every axis.  Raises
+    ``ValueError`` naming the kernel table unless ``rho`` is finite and
+    positive; for a finite table it is 0 exactly when ``Q`` is.
     """
-    if config.omega is not None:
-        return float(config.omega)
     if config.variant == "reduced_pnkr":
-        return 1.0 / reduced_rho(system)
-    return 1.0 / rho_estimate(system, stacked=config.variant == "landweber")
+        rho = reduced_rho(system)
+    else:
+        rho = rho_estimate(system, stacked=config.variant == "landweber")
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"the kernel table Q gives rho={rho:g}, so there is no stepsize 1/rho; rho must be finite and positive, and it is 0 when every entry of Q is 0")
+    return 1.0 / rho
 
 
 def _sweep_order(config: SolverConfig, R: int, k_R: int) -> np.ndarray:
@@ -446,7 +447,9 @@ def _gate_operands(system: ForwardSystem, y: np.ndarray, axes: tuple[np.ndarray,
 
 
 def _check_sweep_operands(system: ForwardSystem, data: SolveData, state: SolverState) -> None:
-    """Give ``state`` an aligned copy of ``u_k`` as ``u_km1`` if the two share memory; raise ``ValueError`` unless ``data`` fits ``system`` and both iterates are C-contiguous float64 arrays of ``N L`` entries."""
+    """Give ``state`` an aligned copy of ``u_k`` as ``u_km1`` if the two share memory; raise ``ValueError`` unless ``state.k_R`` is an integer of at least 1, ``data`` fits ``system`` and both iterates are C-contiguous float64 arrays of ``N L`` entries."""
+    if isinstance(state.k_R, bool) or not (isinstance(state.k_R, numbers.Integral) and state.k_R >= 1):
+        raise ValueError(f"the loop counter must be an integer of at least 1, got state.k_R={state.k_R!r}")
     if np.may_share_memory(state.u_k, state.u_km1):
         state.u_km1 = _aligned_copy(state.u_k, state.u_k.shape)
     N, L, R = system.N, system.L, system.R
@@ -454,15 +457,17 @@ def _check_sweep_operands(system: ForwardSystem, data: SolveData, state: SolverS
         raise ValueError(f"a sweep over {R} equations needs samples of shape ({N}, {R}), {R} noise levels and C-contiguous float64 iterates of shape ({N * L},)")
 
 
-def _compiled_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, c: float, S: np.ndarray, P: np.ndarray, alpha: float) -> int:
+def _compiled_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, momentum: bool, S: np.ndarray, P: np.ndarray, alpha: float) -> int:
     """One Kaczmarz sweep in one kernel call (``pnkr_sweep``); returns the update count.
 
     An active equation ``r`` steps with ``d = D + c (D - D')``, ``a = S d``
-    and column ``r`` of ``P`` at stepsize ``alpha``.  A non-finite gate
-    norm, or a non-finite last update, raises.
+    and column ``r`` of ``P`` at stepsize ``alpha``, where ``c`` is the
+    momentum factor of ``state.k_R`` with ``momentum`` and 0 without.  A
+    non-finite gate norm, or a non-finite last update, raises.
     """
     N, L, R = system.N, system.L, system.R
     _check_sweep_operands(system, data, state)
+    c = _momentum_factor(state.k_R) if momentum else 0.0
     u_k, u_km1 = state.u_k, state.u_km1
     order = np.ascontiguousarray(_sweep_order(config, R, state.k_R) - 1, dtype=np.int64)
     limits = np.ascontiguousarray(config.tau * data.delta_r, dtype=float)
@@ -477,18 +482,20 @@ def _compiled_sweep(state: SolverState, config: SolverConfig, data: SolveData, s
     return updates
 
 
-def pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, momentum: bool = True) -> int:
-    """One gated sweep over all equations in the order of loop ``k_R``; returns the update count.
+def pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float) -> int:
+    """One gated sweep of ``config.variant`` over all equations in the order of loop ``k_R``; returns the update count.
 
-    The gate tests the residual ``D`` at ``u_k``; the step is taken at
-    the momentum point with residual ``D + c (D - D')``, which at
-    ``k_R == 1`` is the plain step with ``D``.  With ``momentum=False``
-    every step is the plain one, the Kaczmarz baseline.  The whole sweep
-    is one kernel call, and its steps run in place (see
+    The gate tests the residual ``D`` at ``u_k``.  For ``pnkr`` the step
+    is taken at the momentum point with residual ``D + c (D - D')``,
+    ``c`` the momentum factor of ``k_R``, which at ``k_R == 1`` is the
+    plain step with ``D``; for ``landweber_kaczmarz`` every step is the
+    plain one (``c = 0``).  Any other variant raises ``ValueError``.  The
+    whole sweep is one kernel call, and its steps run in place (see
     :class:`SolverState`).
     """
-    c = _momentum_factor(state.k_R) if momentum else 0.0
-    return _compiled_sweep(state, config, data, system, omega, c, system.Psi_inv_G, system.Phi_inv_Q, omega)
+    if config.variant not in ("pnkr", "landweber_kaczmarz"):
+        raise ValueError(f"pnkr_sweep runs the pnkr and landweber_kaczmarz variants, not a {config.variant!r} config")
+    return _compiled_sweep(state, config, data, system, omega, config.variant == "pnkr", system.Psi_inv_G, system.Phi_inv_Q, omega)
 
 
 def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float) -> int:
@@ -496,7 +503,7 @@ def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData
 
     Steps as :func:`reduced_equation_update` does; raises ``ValueError`` for ``s != 0``.
     """
-    return _compiled_sweep(state, config, data, system, omega, 0.0, system.Zx_GG, system.ZTheta_Q, omega / system.c_N)
+    return _compiled_sweep(state, config, data, system, omega, False, system.Zx_GG, system.ZTheta_Q, omega / system.c_N)
 
 
 def landweber_step(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, residual=None) -> int:
@@ -560,8 +567,10 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
     ``config.max_loops``, so a state that already swept keeps the same
     budget, and a warm or resumed start is a call on its own state.
     Between rows ``state.u_k`` is the current iterate; copy it to keep
-    it.  Given reference coefficients ``u_star``, each row carries the
-    stacked moment-space residual ``res`` and the relative error.
+    it.  Every step takes the stepsize ``omega``, for :func:`run` that of
+    :func:`resolve_omega`.  Given reference coefficients ``u_star``, each
+    row carries the stacked moment-space residual ``res`` and the
+    relative error.
     ``data`` is :class:`SolveData` or datacube-like.
 
     A row's ``data_residual`` and ``res`` come from the kernel for the
@@ -577,7 +586,8 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
         system, the config's ``s`` or ``beta`` differs from the system
         basis's, a channel ``r`` has a non-finite sample or a non-finite
         or negative ``delta_r``, ``u_star`` does not fit the system or
-        has a non-finite entry, an iterate of ``state`` is not a
+        has a non-finite entry, ``state.k_R`` is not an integer of at
+        least 1, an iterate of ``state`` is not a
         C-contiguous float64 array of ``N L`` entries, ``state.u_k`` has
         an entry that is not finite and nonnegative, or, for pnkr past
         its first sweep, ``state.u_km1`` has a non-finite entry.
@@ -593,8 +603,8 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
         raise ValueError(f"delta_r has shape {data.delta_r.shape}, expected ({system.R},)")
     if config.s != system.basis.s:
         raise ValueError(f"config requests s={config.s} but the system basis has s={system.basis.s}")
-    if np.any(system.basis.beta != config.beta):
-        raise ValueError(f"config requests beta={config.beta:g} but the system basis has beta={system.basis.beta.tolist()}")
+    if config.beta != system.basis.beta:
+        raise ValueError(f"config requests beta={config.beta:g} but the system basis has beta={system.basis.beta:g}")
     finite_y = np.isfinite(data.y).all(axis=0)
     bad = np.flatnonzero(~(finite_y & np.isfinite(data.delta_r) & (data.delta_r >= 0.0)))
     if bad.size:
@@ -627,7 +637,7 @@ def sweeps(state: SolverState, config: SolverConfig, data, system: ForwardSystem
         with np.errstate(over="ignore", invalid="ignore"):
             t0 = time.perf_counter()
             if config.variant in ("pnkr", "landweber_kaczmarz"):
-                updates = pnkr_sweep(state, config, data, system, omega, momentum=config.variant == "pnkr")
+                updates = pnkr_sweep(state, config, data, system, omega)
             elif config.variant == "reduced_pnkr":
                 updates = reduced_pnkr_sweep(state, config, data, system, omega)
             else:

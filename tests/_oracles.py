@@ -180,10 +180,10 @@ def dense_Hr(system, r):
 
 
 def dense_Psi(basis):
-    """Spatial factor ``Psi = A1 (x) A2 + beta1 B1 (x) A2 + beta2 A1 (x) B2``, term by term."""
+    """Spatial factor ``Psi = A1 (x) A2 + beta B1 (x) A2 + beta A1 (x) B2``, term by term."""
     (A1, B1), (A2, B2) = (_axis_factors(g, basis.s) for g in basis.omega_grids)
     b = basis.beta
-    return np.kron(A1, A2) + b[0] * np.kron(B1, A2) + b[1] * np.kron(A1, B2)
+    return np.kron(A1, A2) + b * np.kron(B1, A2) + b * np.kron(A1, B2)
 
 
 def dense_Phi(basis):
@@ -194,7 +194,7 @@ def dense_Phi(basis):
     def kron3(x, y, z):
         return np.kron(np.kron(x, y), z)
 
-    return kron3(Av, Az, At) + b[2] * kron3(Bv, Az, At) + b[3] * kron3(Av, Bz, At) + b[4] * kron3(Av, Az, Bt)
+    return kron3(Av, Az, At) + b * kron3(Bv, Az, At) + b * kron3(Av, Bz, At) + b * kron3(Av, Az, Bt)
 
 
 def dense_M(system):

@@ -1,6 +1,7 @@
 """End-to-end command-line tests on the tiny problem size."""
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -24,7 +25,8 @@ from pnkr.presets import (
     preset_template,
     preset_window,
 )
-from pnkr.solver import STEP_KERNEL_BUILD, SWEEP_THREADS, VARIANTS, read_coefficients, read_history, write_coefficients
+from pnkr.solver import STEP_KERNEL_BUILD, SWEEP_THREADS, VARIANTS, SolverConfig, read_coefficients, read_history, write_coefficients
+from pnkr.templates import read_template_grid, write_template_grid
 
 from _oracles import manifest_run_key, read_manifest
 
@@ -84,6 +86,15 @@ def _options(command):
     """Every option the subcommand's parser defines, bar help and the config file."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {a.dest for a in sub.choices[command]._actions} - {"help", "config"}
+
+
+def test_solver_flags_are_the_solver_config_fields():
+    # _solver_config keeps the parsed options that name a field: a field without a flag
+    # would keep its default, and a flag without a field would be dropped, both in silence
+    fields = {field.name for field in dataclasses.fields(SolverConfig)}
+    assert fields == {"variant", "s", "beta", "tau", "max_loops", "seed"}
+    for command, own in (("solve", {"preset", "templates", "cube", "truth", "out"}), ("robustness", {"preset", "templates", "n", "noise", "out"})):
+        assert _options(command) - own == fields, command
 
 
 def _assert_config_records_every_option(manifest_path, command):
@@ -320,6 +331,24 @@ def test_unknown_flag_nonzero(pipeline_dir, monkeypatch, capsys):
     monkeypatch.chdir(pipeline_dir)
     assert main(["solve", "--bogus"]) == 2
     assert "--bogus" in capsys.readouterr().err
+    # the stepsize is always 1/rho; only a library caller of the sweep functions sets another
+    assert main(["solve", "--omega", "1"]) == 2
+    assert "--omega" in capsys.readouterr().err
+
+
+def test_all_zero_template_is_rejected_naming_the_kernel_table(pipeline_dir, monkeypatch, capsys):
+    # every kernel integral is 0, so rho is 0 and 1/rho used to end in a ZeroDivisionError traceback
+    monkeypatch.chdir(pipeline_dir)
+    template = read_template_grid("tpl.pnkt")
+    write_template_grid(dataclasses.replace(template, S=np.zeros_like(template.S)), "zero.pnkt")
+    rc = main([
+        "solve", "--preset", "tiny", "--templates", "zero.pnkt", "--cube", "cube.pnkd",
+        "--s", "0", "--out", "zero_run",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: the kernel table Q") and "rho=0" in err
+    assert not (pipeline_dir / "zero_run").exists()
 
 
 def test_dimension_mismatch_rejected(pipeline_dir, monkeypatch, capsys):
@@ -354,14 +383,13 @@ _BAD_OPTIONS = [
     )],
     ("floor", _MAPS, "1"),
     ("floor", _MAPS, "-0.1"),
-    *[(option, ["solve", "--cube", "cube.pnkd", "--s", "0"], value)
-      for value in ("nan", "inf", "-inf") for option in ("tau", "omega")],
+    *[("tau", ["solve", "--cube", "cube.pnkd", "--s", "0"], value) for value in ("nan", "inf", "-inf")],
 ]
 
 
 def _bad_option_id(option, args, value):
-    # beta, tau and omega all belong to solve, so the tau and omega cases carry the option's name
-    return f"{option if option in ('tau', 'omega') else args[0]}-{value}"
+    # beta and tau both belong to solve, so the tau cases carry the option's name
+    return f"{option if option == 'tau' else args[0]}-{value}"
 
 
 @pytest.mark.parametrize(
@@ -403,9 +431,9 @@ def test_config_file_defaults_and_flag_override(pipeline_dir, monkeypatch):
     assert manifest["seeds"]["ordering_seed"] == 9
 
 
-@pytest.mark.parametrize("line", ["loops = 7", "help = true"], ids=["loops", "help"])
+@pytest.mark.parametrize("line", ["loops = 7", "help = true", "omega = 1"], ids=["loops", "help", "omega"])
 def test_config_file_unknown_key(pipeline_dir, monkeypatch, capsys, line):
-    # help is a flag without a value, which a config file cannot set
+    # help is a flag without a value, which a config file cannot set; the stepsize is no option
     monkeypatch.chdir(pipeline_dir)
     (pipeline_dir / "bad.cfg").write_text(line + "\n")
     rc = main([

@@ -255,7 +255,7 @@ def test_spatial_factor_has_unit_largest_eigenvalue(s, beta):
     lam = scipy.linalg.eigh(dense_G(system), dense_Psi(basis), eigvals_only=True)
     assert abs(lam[-1] - 1.0) <= 1e-12
     # per axis: the eigenvalues of Psi^-1 G are 1 / (1 + E)
-    E = gram_eigenbasis(basis.omega_grids, basis.beta[:2], s)[1]
+    E = gram_eigenbasis(basis.omega_grids, basis.beta, s)[1]
     assert abs(np.max(1.0 / (1.0 + E)) - 1.0) <= 1e-12
     assert abs(np.linalg.eigvals(system.Psi_inv_G).real.max() - 1.0) <= 1e-12
 

@@ -214,8 +214,8 @@ def test_s0_gram_is_scaled_identity_on_square():
 def factor_of(basis, domain):
     """``(grids, beta, dense Gram factor)`` of the spatial or the (v, z, t) domain."""
     if domain == "omega":
-        return basis.omega_grids, basis.beta[:2], dense_Psi(basis)
-    return basis.theta_grids, basis.beta[2:], dense_Phi(basis)
+        return basis.omega_grids, basis.beta, dense_Psi(basis)
+    return basis.theta_grids, basis.beta, dense_Phi(basis)
 
 
 def kron_all(mats):
@@ -275,15 +275,15 @@ def hat_factors_closed_form(grid):
 
 
 def test_gram_matches_closed_form_on_geometric_axis():
-    # non-uniform midpoint spacing, both boundary strips, and distinct
-    # beta-weighted gradient terms per axis
+    # non-uniform midpoint spacing, both boundary strips, and one
+    # beta-weighted gradient term per axis
     g = geometric_axis(0.015, 14.25, 6)
     A, B = _axis_factors(g, 1)
     A_ref, B_ref = hat_factors_closed_form(g)
     np.testing.assert_allclose(A, A_ref, rtol=1e-14, atol=0)
     np.testing.assert_allclose(B, B_ref, rtol=1e-14, atol=0)
 
-    beta = (0.0, 0.0, 0.4, 0.7, 1.3)
+    beta = 0.7
     basis = make_basis(
         1,
         small_basis(1).omega_grids,
@@ -297,15 +297,23 @@ def test_gram_matches_closed_form_on_geometric_axis():
 
     expected = (
         kron3(Av, Az, At)
-        + beta[2] * kron3(Bv, Az, At)
-        + beta[3] * kron3(Av, Bz, At)
-        + beta[4] * kron3(Av, Az, Bt)
+        + beta * kron3(Bv, Az, At)
+        + beta * kron3(Av, Bz, At)
+        + beta * kron3(Av, Az, Bt)
     )
     np.testing.assert_allclose(dense_Phi(basis), expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
     Q = np.random.default_rng(5).standard_normal((basis.L, 7))
     want = np.linalg.solve(expected, Q)
     got = build_forward_system(basis, Q).Phi_inv_Q
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_make_basis_takes_one_finite_nonnegative_beta():
+    # a per-axis beta used to build a basis that sweeps() refused for every config.beta
+    for beta in ([0.3] * 5, (0.0, 0.0, 0.4, 0.7, 1.3), np.full(5, 0.3), [0.3], -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"beta must be one finite, nonnegative weight"):
+            small_basis(1, beta)
+    assert type(small_basis(1, np.float64(0.3)).beta) is float and small_basis(1, 1).beta == 1.0
 
 
 def test_beta_zero_matches_l2():
