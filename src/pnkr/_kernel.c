@@ -7,7 +7,8 @@
    pnkr_rows a matrix and one contiguous column (a gate's U q_r, a momentum step's
    U_{k-1} q_r and the spatial product S d), and pnkr_block a matrix and eight
    columns through a panel (the gate norm sqrt(vdot(X, A1 X A2))'s T = A1 X and
-   T A2, and the end-of-sweep U Q).
+   T A2, and the end-of-sweep U Q).  Every array is row-major but the L x R tables Q
+   and P, which are column-major, so that column r of each is read in place.
    The step pass rounds each entry like OpenBLAS's k=1 dgemm followed, for c > 0,
    by a daxpy of (1 + c) u, the sequence the tests keep as the reference:
    x = (p a) alpha, then u + x, or fma(1 + c, u, fma(-c, o, x)) with o the
@@ -60,17 +61,18 @@ static inline pnkr_v8 pnkr_lanes8(const pnkr_v8 *s)
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
-/* G[:, r0:r0+8] = U Q[:, r0:r0+8] for an N x L U and an L x R Q, the columns past R left
-   out, on one thread: the end-of-sweep U Q and both products of the gate norm.  The
-   columns are first copied, zero-padded, into the panel (L x 8, on 64-byte boundaries:
-   loads across cache lines made this product about 25% slower), and two rows of U at a
-   time run against it with the eight lanes of each entry in eight vectors */
-static void pnkr_block(const double *u, const double *Q, double *G, size_t N, size_t L, size_t R, size_t r0, double *panel)
+/* G[:, r0:r0+8] = U Q[:, r0:r0+8] for an N x L U and an L x R Q with entry (l, r) at
+   Q[l * rs + r * cs], the columns past R left out, on one thread: the end-of-sweep U Q
+   and both products of the gate norm.  The columns are first copied, zero-padded, into
+   the panel (L x 8, on 64-byte boundaries: loads across cache lines made this product
+   about 25% slower), and two rows of U at a time run against it with the eight lanes of
+   each entry in eight vectors */
+static void pnkr_block(const double *u, const double *Q, size_t rs, size_t cs, double *G, size_t N, size_t L, size_t R, size_t r0, double *panel)
 {
     size_t nr = R - r0 < 8 ? R - r0 : 8;
     for (size_t l = 0; l < L; l++)
         for (size_t k = 0; k < 8; k++)
-            panel[l * 8 + k] = k < nr ? Q[l * R + r0 + k] : 0.0;
+            panel[l * 8 + k] = k < nr ? Q[l * rs + (r0 + k) * cs] : 0.0;
     for (size_t n0 = 0; n0 < N; n0 += 2) {
         size_t nn = N - n0 < 2 ? 1 : 2;
         const double *u0 = u + n0 * L, *u1 = u + (n0 + nn - 1) * L;
@@ -133,9 +135,9 @@ static void pnkr_rows(const double *u, const double *q, double *g, size_t n_rows
 static double pnkr_norm(const double *X, const double *A1, size_t n1, const double *A2, size_t n2, double *T, double *W, double *panel)
 {
     for (size_t j0 = 0; j0 < n2; j0 += 8)
-        pnkr_block(A1, X, T, n1, n1, n2, j0, panel);
+        pnkr_block(A1, X, n2, 1, T, n1, n1, n2, j0, panel);
     for (size_t j0 = 0; j0 < n2; j0 += 8)
-        pnkr_block(T, A2, W, n1, n2, n2, j0, panel);
+        pnkr_block(T, A2, n2, 1, W, n1, n2, n2, j0, panel);
     return sqrt(pnkr_dot(X, W, n1 * n2));
 }
 
@@ -189,18 +191,11 @@ void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols, doubl
     }
 }
 
-static void pnkr_gather(const double *Q, size_t R, size_t r, double *q, size_t L)
-{
-#pragma omp for schedule(static)
-    for (size_t l = 0; l < L; l++)
-        q[l] = Q[l * R + r];
-}
-
-/* One sweep in one parallel region: each equation of the order is gated and, when
-   active, stepped with a = S d (S the C-ordered N x N spatial factor) and column r
-   of the column-major L x R factor P, after which u and o swap.  Returns the update
-   count, -1 when a gate norm, or the last update's product with a zero column, is
-   not finite, or -2 when the work arrays cannot be allocated. */
+/* One sweep in one parallel region: each equation r of the order is gated with column r
+   of Q and, when active, stepped with a = S d (S the N x N spatial factor) and column r
+   of P, after which u and o swap.  Returns the update count, -1 when a gate norm, or the
+   last update's product with a zero column, is not finite, or -2 when the work arrays
+   cannot be allocated. */
 long pnkr_sweep(double *u, double *o, size_t N, size_t L, size_t R, const double *y, const double *Q,
                 const double *A1, size_t n1, const double *A2, size_t n2, const int64_t *order,
                 const double *limits, const double *P, const double *S, double c, double alpha, int par)
@@ -209,20 +204,20 @@ long pnkr_sweep(double *u, double *o, size_t N, size_t L, size_t R, const double
         return 0;
     /* each work array starts on a 64-byte boundary, as the iterate's rows do */
     size_t Lp = (L + 7) / 8 * 8, Np = (N + 7) / 8 * 8, K = n1 > n2 ? n1 : n2;
-    double *w = aligned_alloc(64, sizeof(double) * (3 * Lp + 6 * Np + 8 * K));
+    double *w = aligned_alloc(64, sizeof(double) * (Lp + 6 * Np + 8 * K));
     if (!w)
         return -2;
-    double *qc = w, *qn = qc + Lp, *zero = qn + Lp, *g = zero + Lp, *D = g + Np, *d = D + Np, *a = d + Np, *T = a + Np, *W = T + Np, *panel = W + Np;
+    double *zero = w, *g = zero + Lp, *D = g + Np, *d = D + Np, *a = d + Np, *T = a + Np, *W = T + Np, *panel = W + Np;
     long updates = 0;
     int filled = 0, status = 0;
     memset(zero, 0, L * sizeof(double));
 #pragma omp parallel if (par)
     {
-        pnkr_gather(Q, R, (size_t)order[0], qc, L);
         for (size_t i = 0; i < R; i++) {
             size_t r = (size_t)order[i];
+            const double *q = Q + r * L;
             if (!filled)
-                pnkr_rows(u, qc, g, N, L);
+                pnkr_rows(u, q, g, N, L);
 #pragma omp single
             {
                 for (size_t n = 0; n < N; n++)
@@ -233,17 +228,15 @@ long pnkr_sweep(double *u, double *o, size_t N, size_t L, size_t R, const double
             int active = status;
             if (active < 0)
                 break;
-            if (i + 1 < R)
-                pnkr_gather(Q, R, (size_t)order[i + 1], qn, L);
             if (active) {
                 if (c != 0.0) {
-                    pnkr_rows(o, qc, d, N, L);
+                    pnkr_rows(o, q, d, N, L);
 #pragma omp single
                     for (size_t n = 0; n < N; n++)
                         d[n] = (D[n] - (y[n * R + r] - d[n])) * c + D[n];
                 }
                 pnkr_rows(S, c != 0.0 ? d : D, a, N, N);
-                pnkr_pass(u, o, N, L, c, alpha, a, P + r * L, i + 1 < R ? qn : zero, g);
+                pnkr_pass(u, o, N, L, c, alpha, a, P + r * L, i + 1 < R ? Q + (size_t)order[i + 1] * L : zero, g);
             }
 #pragma omp single
             {
@@ -251,8 +244,7 @@ long pnkr_sweep(double *u, double *o, size_t N, size_t L, size_t R, const double
                     double *t = u;
                     u = o, o = t, updates++;
                 }
-                double *t = qc;
-                qc = qn, qn = t, filled = active;
+                filled = active;
             }
         }
 #pragma omp single
@@ -265,12 +257,12 @@ long pnkr_sweep(double *u, double *o, size_t N, size_t L, size_t R, const double
     return status < 0 ? -1 : updates;
 }
 
-/* G = U Q (N x R), this thread's share of the blocks of eight columns */
+/* G = U Q (N x R) for the column-major Q, this thread's share of the blocks of eight columns */
 static void pnkr_table(const double *u, const double *Q, double *G, size_t N, size_t L, size_t R, double *panel)
 {
 #pragma omp for schedule(static)
     for (size_t r0 = 0; r0 < R; r0 += 8)
-        pnkr_block(u, Q, G, N, L, R, r0, panel);
+        pnkr_block(u, Q, 1, L, G, N, L, R, r0, panel);
 }
 
 /* norms[r] = sqrt(vdot(X, A1 X A2)) of X = y[:, r] - U q_r for every r; the table

@@ -64,15 +64,16 @@ class ForwardSystem:
     from the per-axis eigenbases of :func:`~pnkr.grid_basis.gram_eigenbasis`
     and then kept, as are the reduced step's two factors, so a caller
     that only synthesizes data (``G`` and ``Q``) diagonalizes nothing.
-    Each step factor is stored as the compiled sweep reads it: the
-    ``N x N`` spatial factors row-major, the ``L x R`` ones column-major.
+    Every table is stored as the compiled sweep reads it: the ``N x N``
+    spatial factors row-major, and the ``L x R`` ones, ``Q`` included,
+    column-major, so each channel's column is contiguous.
 
     Attributes
     ----------
     basis : DiscreteBasis
     G_axes : tuple of ndarray
         Axis mass factors ``(A_x1, A_x2)`` of the spatial L2 Gram ``G = A_x1 (x) A_x2``, also the data-space Gram.
-    Q : ndarray, (L, R)
+    Q : ndarray, (L, R), Fortran order
         Kernel integrals of every population-kinematic basis function
         against every observed wavelength channel.
     c_N : float
@@ -123,7 +124,8 @@ class ForwardSystem:
 
     @cached_property
     def q_Phi_q(self) -> np.ndarray:
-        return np.einsum("lr,lr->r", self.Q, self.Phi_inv_Q)
+        # summed over l in increasing order from a C-ordered product, whatever the layouts
+        return np.multiply(self.Q, self.Phi_inv_Q, order="C").sum(axis=0)
 
     @cached_property
     def Zx_GG(self) -> np.ndarray:
@@ -146,9 +148,9 @@ def build_forward_system(basis: DiscreteBasis, Q: np.ndarray) -> ForwardSystem:
     basis : DiscreteBasis
     Q : ndarray
         Kernel integrals, shape ``(L, R)``, as returned by
-        :func:`~pnkr.templates.kernel_theta_integrals`.
+        :func:`~pnkr.templates.kernel_theta_integrals`; kept in Fortran order.
     """
-    Q = np.asarray(Q, dtype=float)
+    Q = np.asfortranarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != basis.L:
         raise ValueError(f"kernel table has shape {Q.shape}, expected ({basis.L}, R)")
     if not np.all(np.isfinite(Q)):
@@ -313,4 +315,4 @@ def reduced_rho(system: ForwardSystem) -> float:
     Raises ``ValueError`` for ``s != 0``.
     """
     g = float(np.diag(system.G_axes[0]).max() * np.diag(system.G_axes[1]).max())
-    return g * g / system.c_N * float(np.max(np.einsum("lr,lr->r", system.Q, system.ZTheta_Q)))
+    return g * g / system.c_N * float(np.max(np.multiply(system.Q, system.ZTheta_Q, order="C").sum(axis=0)))

@@ -179,7 +179,7 @@ def make_basis(
     tg = tuple(theta_grids)
     if len(og) != 2 or len(tg) != 3:
         raise ValueError("expected two spatial and three kinematic axes")
-    if np.ndim(beta) or not 0.0 <= beta < np.inf:
+    if np.ndim(beta) or isinstance(beta, (bool, np.bool_)) or not 0.0 <= beta < np.inf:
         raise ValueError(f"beta must be one finite, nonnegative weight for every axis, got beta={beta}")
     return DiscreteBasis(s=int(s), omega_grids=og, theta_grids=tg, beta=float(beta))
 

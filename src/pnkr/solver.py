@@ -228,7 +228,7 @@ class SolverConfig:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if isinstance(self.s, (bool, np.bool_)) or self.s not in (0, 1):
             raise ValueError("s must be 0 or 1")
-        if not 0.0 <= self.beta < np.inf:
+        if isinstance(self.beta, (bool, np.bool_)) or not 0.0 <= self.beta < np.inf:
             raise ValueError(f"beta must be finite and nonnegative, got beta={self.beta}")
         if not 1.0 < self.tau < np.inf:
             raise ValueError(f"tau must be finite and exceed 1, got tau={self.tau}")
@@ -441,9 +441,9 @@ def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData) -> tu
 
 
 def _gate_operands(system: ForwardSystem, y: np.ndarray, axes: tuple[np.ndarray, np.ndarray]) -> tuple:
-    """The samples ``y``, the kernel table and the axis factors ``axes`` of a norm, each with its size, as the kernel reads them."""
+    """The samples ``y``, the kernel table and the axis factors ``axes`` of a norm, each with its size, as the kernel reads them: ``Q`` in Fortran order (a built system's own array), the rest in C order."""
     A1, A2 = (np.ascontiguousarray(A, dtype=float) for A in axes)
-    return np.ascontiguousarray(y, dtype=float), np.ascontiguousarray(system.Q), A1, len(A1), A2, len(A2)
+    return np.ascontiguousarray(y, dtype=float), np.asfortranarray(system.Q), A1, len(A1), A2, len(A2)
 
 
 def _check_sweep_operands(system: ForwardSystem, data: SolveData, state: SolverState) -> None:
@@ -501,8 +501,10 @@ def pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system
 def reduced_pnkr_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float) -> int:
     """One gated sweep of the reduced variant (piecewise-constant basis) in the order of loop ``k_R``; steps run in place.
 
-    Steps as :func:`reduced_equation_update` does; raises ``ValueError`` for ``s != 0``.
+    Steps as :func:`reduced_equation_update` does; raises ``ValueError`` for ``s != 0`` or another variant's config.
     """
+    if config.variant != "reduced_pnkr":
+        raise ValueError(f"reduced_pnkr_sweep runs the reduced_pnkr variant, not a {config.variant!r} config")
     return _compiled_sweep(state, config, data, system, omega, False, system.Zx_GG, system.ZTheta_Q, omega / system.c_N)
 
 
@@ -515,8 +517,11 @@ def landweber_step(state: SolverState, config: SolverConfig, data: SolveData, sy
     the ``u_km1`` buffer, which is then projected and swapped in as
     ``u_k``.  ``residual`` may hand in ``(D, norms)`` of all equations at
     ``u_k``, as :func:`sweeps` does from the previous loop's history row.
-    A non-finite norm, or a non-finite entry in the new iterate, raises.
+    A non-finite norm, or a non-finite entry in the new iterate, raises,
+    as does another variant's config (``ValueError``).
     """
+    if config.variant != "landweber":
+        raise ValueError(f"landweber_step runs the landweber variant, not a {config.variant!r} config")
     _check_sweep_operands(system, data, state)
     # an oversized stepsize overflows to inf/nan; the finite check raises, not the FPU
     with np.errstate(over="ignore", invalid="ignore"):

@@ -245,7 +245,7 @@ def _overlap_weights(grid: AxisGrid, s: int, nodes: np.ndarray) -> np.ndarray:
 def kernel_theta_integrals(template: TemplateGrid, basis: DiscreteBasis) -> np.ndarray:
     """Integrate the kernel against every population-kinematic basis function.
 
-    Returns the table ``Q`` of shape ``(L, R)`` with
+    Returns the table ``Q`` of shape ``(L, R)``, in Fortran order, with
 
         Q[l, r] = int phi_l(v, z, t) k(v, z, t, lambda_r) dv dz dt.
 
@@ -259,30 +259,30 @@ def kernel_theta_integrals(template: TemplateGrid, basis: DiscreteBasis) -> np.n
     s = basis.s
     a_z = _overlap_weights(gz, s, template.z_nodes)
     a_t = _overlap_weights(gt, s, template.t_nodes)
-    Sbar = np.einsum("jbc,ib,kc->ikj", template.S, a_z, a_t, optimize=True)
-    nz_c, nt_c, R_ext = Sbar.shape
-    R = template.R
-    nv = gv.n_cells
-    acc = np.zeros((nv, nz_c, nt_c, R))
+    Sbar = np.ascontiguousarray(np.moveaxis(np.einsum("jbc,ib,kc->ikj", template.S, a_z, a_t, optimize=True), -1, 0))
+    (R_ext, nz_c, nt_c), R = Sbar.shape, template.R
     # the rest-frame lookup of every channel crosses a lattice node where
     # ln(1 + v/c) is a whole multiple of dln
     dln = template.dln
     k = np.arange(np.ceil(np.log1p(gv.lo / C_LIGHT) / dln), np.floor(np.log1p(gv.hi / C_LIGHT) / dln) + 1)
+    panels = []
     for xq, wq in zip(*_axis_panels(gv, s, C_LIGHT * np.expm1(k * dln))):
         phi = eval_axis_basis(gv, s, xq)
         cfrac = template.obs_start - np.log1p(xq / C_LIGHT) / dln
         f = int(np.floor(cfrac[len(cfrac) // 2]))
         if f < 0 or f + R > R_ext - 1:
             raise RuntimeError("extended lattice does not cover the velocity axis")
-        wf = np.clip(cfrac - f, 0.0, 1.0)
-        coef = wq / (1.0 + xq / C_LIGHT)
-        A0 = phi.T @ (coef * (1.0 - wf))
-        A1 = phi.T @ (coef * wf)
-        S0 = Sbar[:, :, f : f + R]
-        S1 = Sbar[:, :, f + 1 : f + 1 + R]
-        for i in np.nonzero((A0 != 0.0) | (A1 != 0.0))[0]:
-            acc[i] += A0[i] * S0 + A1[i] * S1
-    return acc.reshape(basis.L, R)
+        wf, coef = np.clip(cfrac - f, 0.0, 1.0), wq / (1.0 + xq / C_LIGHT)
+        panels.append((f, phi.T @ (coef * (1.0 - wf)), phi.T @ (coef * wf)))
+    # each velocity cell sums its panels in order in a contiguous buffer, then fills its rows
+    Q = np.empty((R, gv.n_cells, nz_c, nt_c))
+    for i in range(gv.n_cells):
+        cell = np.zeros((R, nz_c, nt_c))
+        for f, A0, A1 in panels:
+            if A0[i] != 0.0 or A1[i] != 0.0:
+                cell += A0[i] * Sbar[f : f + R] + A1[i] * Sbar[f + 1 : f + 1 + R]
+        Q[:, i] = cell
+    return Q.reshape(R, basis.L).T
 
 
 # -- binary template files ---------------------------------------------------

@@ -310,7 +310,8 @@ def test_gram_matches_closed_form_on_geometric_axis():
 
 def test_make_basis_takes_one_finite_nonnegative_beta():
     # a per-axis beta used to build a basis that sweeps() refused for every config.beta
-    for beta in ([0.3] * 5, (0.0, 0.0, 0.4, 0.7, 1.3), np.full(5, 0.3), [0.3], -0.1, np.nan, np.inf):
+    # and a bool beta used to pass as 0 or 1, where s=True was refused
+    for beta in ([0.3] * 5, (0.0, 0.0, 0.4, 0.7, 1.3), np.full(5, 0.3), [0.3], -0.1, np.nan, np.inf, True, False, np.True_):
         with pytest.raises(ValueError, match=r"beta must be one finite, nonnegative weight"):
             small_basis(1, beta)
     assert type(small_basis(1, np.float64(0.3)).beta) is float and small_basis(1, 1).beta == 1.0

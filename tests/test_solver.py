@@ -2,6 +2,7 @@
 
 import collections
 import ctypes
+import dataclasses
 import itertools
 import os
 import re
@@ -198,6 +199,7 @@ def test_nesterov_factor_values():
         dict(seed=True),
         *[dict(max_loops=value) for value in (2.5, np.nan, np.inf)],
         *[dict(seed=value) for value in (0.5, np.nan, np.inf)],
+        *[dict(beta=value) for value in (True, False, np.True_)],
     ],
 )
 def test_config_validation(kwargs):
@@ -808,9 +810,10 @@ def test_reduced_run_on_tiny_makes_progress():
 
 def test_reduced_sweep_rejects_hat_basis(tiny1, tiny0_problem):
     # the reduced factors exist on the piecewise-constant basis only, and every reader of
-    # them names it: the sweep, the single step and the stepsize bound
+    # them names it: the sweep (under the reduced config it takes), the single step and the
+    # stepsize bound
     _, data = tiny0_problem
-    cfg = SolverConfig(variant="pnkr", s=1)
+    cfg = SolverConfig(variant="reduced_pnkr", s=0)
     u = np.zeros(tiny1.N * tiny1.L)
     state = SolverState(u_k=u.copy(), u_km1=u.copy())
     with pytest.raises(ValueError, match=r"s=0"):
@@ -1012,11 +1015,11 @@ def test_gated_sweep_rejects_non_finite_step(tiny0, tiny0_problem, bad):
     _, data = tiny0_problem
     eager = SolveData(y=data.y, delta_r=np.zeros(tiny0.R))
     M = tiny0.N * tiny0.L
-    cfg = SolverConfig(variant="pnkr", s=0)
     omega = 1.0 / rho_estimate(tiny0)
     poisoned = np.full(M, 0.5)
     poisoned[M // 2] = bad
-    for sweep in (pnkr_sweep, reduced_pnkr_sweep):
+    for sweep, variant in ((pnkr_sweep, "pnkr"), (reduced_pnkr_sweep, "reduced_pnkr")):
+        cfg = SolverConfig(variant=variant, s=0)
         state = SolverState(u_k=poisoned.copy(), u_km1=np.full(M, 0.25), k_R=2)
         with pytest.raises(RuntimeError, match=f"omega={omega:g} is too large"):
             sweep(state, cfg, eager, tiny0, omega)
@@ -1235,15 +1238,50 @@ def test_sweeps_reject_a_bad_loop_counter(tiny0, tiny0_problem, variant, k_R):
         assert state.k_R is k_R and not state.u_k.any()
 
 
-@pytest.mark.parametrize("variant", ["reduced_pnkr", "landweber"])
+@pytest.mark.parametrize("variant", ["reduced_pnkr", "landweber", "pnkr", "landweber_kaczmarz"])
 def test_pnkr_sweep_refuses_a_variant_it_does_not_step(tiny0, tiny0_problem, variant):
-    # pnkr_sweep takes its momentum from config.variant; such a config used to take momentum steps
+    # every sweep function refuses the configs of the variants it does not step, before it
+    # touches the state: pnkr_sweep, which takes its momentum from config.variant, used to take
+    # momentum steps under them, and reduced_pnkr_sweep and landweber_step stepped under any config
     _, data = tiny0_problem
     M = tiny0.N * tiny0.L
-    state = SolverState(np.zeros(M), np.zeros(M))
-    with pytest.raises(ValueError, match=f"not a {variant!r} config"):
-        pnkr_sweep(state, SolverConfig(variant=variant, s=0), data, tiny0, 1.0 / rho_estimate(tiny0))
-    assert state.k_R == 1 and not state.u_k.any()
+    own = {pnkr_sweep: ("pnkr", "landweber_kaczmarz"), reduced_pnkr_sweep: ("reduced_pnkr",), landweber_step: ("landweber",)}
+    for sweep in [f for f, variants in own.items() if variant not in variants]:
+        state = SolverState(np.zeros(M), np.zeros(M))
+        with pytest.raises(ValueError, match=rf"^{sweep.__name__} runs the .* not a {variant!r} config$"):
+            sweep(state, SolverConfig(variant=variant, s=0), data, tiny0, 1.0 / rho_estimate(tiny0))
+        assert state.k_R == 1 and not state.u_k.any() and not state.u_km1.any()
+
+
+def _sequential_column_dots(Q, P):
+    """``q_r^T p_r`` of every column pair, summed over ``l`` in increasing order, one rounded product at a time."""
+    out = np.zeros(Q.shape[1])
+    for l in range(Q.shape[0]):
+        out += Q[l] * P[l]
+    return out
+
+
+def test_kernel_table_is_stored_column_major_and_keeps_omegas_bits(tiny0, tiny0_problem):
+    # the sweep reads each channel's column of Q in place, so a system stores Q in Fortran
+    # order whatever the caller hands in; the column sums behind omega keep the order they
+    # had on a C-ordered Q (an einsum over two Fortran-ordered tables changed their bits), and
+    # a stand-in system whose Q is C-ordered solves to the same bits
+    _, data = tiny0_problem
+    table = np.ascontiguousarray(tiny0.Q)
+    built = [build_forward_system(tiny0.basis, order(table)) for order in (np.ascontiguousarray, np.asfortranarray)]
+    stand_in = dataclasses.replace(built[0], Q=table)
+    for system in built:
+        assert system.Q.flags.f_contiguous and np.array_equal(system.Q, table)
+        assert pnkr.solver._gate_operands(system, data.y, system.G_axes)[1] is system.Q
+    assert stand_in.Q.flags.c_contiguous and not stand_in.Q.flags.f_contiguous
+    for system in (*built, stand_in):
+        assert np.array_equal(system.q_Phi_q, _sequential_column_dots(table, system.Phi_inv_Q))
+        assert reduced_rho(system) == reduced_rho(tiny0)
+        for variant in pnkr.solver.VARIANTS:
+            cfg = SolverConfig(variant=variant, s=0, max_loops=3)
+            assert resolve_omega(cfg, system).hex() == resolve_omega(cfg, tiny0).hex()
+            got, want = run(cfg, data, system), run(cfg, data, tiny0)
+            assert np.array_equal(got.u, want.u) and [row.data_residual for row in got.history] == [row.data_residual for row in want.history]
 
 
 def test_plain_kaczmarz_is_momentum_with_unit_counter(tiny0, tiny0_problem):
