@@ -13,9 +13,10 @@
    by a daxpy of (1 + c) u, the sequence the tests keep as the reference:
    x = (p a) alpha, then u + x, or fma(1 + c, u, fma(-c, o, x)) with o the
    previous iterate.  The projection keeps t when t > 0 or t is NaN and stores +0
-   otherwise, as np.maximum(t, 0.0) does.  Given a column q the pass also writes
-   the next gate's product g = out q from the values it stores.  u and out may be
-   one array when c = 0, so neither is restrict.  -ffp-contract=off keeps the
+   otherwise, as np.maximum(t, 0.0) does.  The pass also writes the next gate's
+   product g = out q from the values it stores, q being the zero column after the
+   last equation.  A sweep's two iterates may be one array when c = 0 (a single
+   step in place), so neither is restrict.  -ffp-contract=off keeps the
    compiler from fusing an add with a product into an fma.  Given par, each
    product and the pass split their rows over OpenMP threads; every row keeps its
    order, so no bit depends on the thread count. */
@@ -152,15 +153,14 @@ static inline double pnkr_row(int momentum, const double *un, double *on, size_t
 {
     double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
     size_t l = 0;
-    if (q)
-        for (; l + 8 <= n_cols; l += 8)
-            for (size_t j = 0; j < 8; j++) {
-                on[l + j] = pnkr_entry(momentum, c, un[l + j], on[l + j], (p[l + j] * an) * alpha);
-                s[j] += on[l + j] * q[l + j];
-            }
+    for (; l + 8 <= n_cols; l += 8)
+        for (size_t j = 0; j < 8; j++) {
+            on[l + j] = pnkr_entry(momentum, c, un[l + j], on[l + j], (p[l + j] * an) * alpha);
+            s[j] += on[l + j] * q[l + j];
+        }
     for (; l < n_cols; l++) {
         on[l] = pnkr_entry(momentum, c, un[l], on[l], (p[l] * an) * alpha);
-        if (q) s[0] += on[l] * q[l];
+        s[0] += on[l] * q[l];
     }
     return pnkr_lanes(s);
 }
@@ -172,22 +172,8 @@ static void pnkr_pass(const double *u, double *out, size_t n_rows, size_t n_cols
     for (size_t n = 0; n < n_rows; n++) {
         const double *un = u + n * n_cols;
         double *on = out + n * n_cols;
-        double s = c == 0.0 ? pnkr_row(0, un, on, n_cols, c, alpha, a[n], p, q)
-                            : pnkr_row(1, un, on, n_cols, c, alpha, a[n], p, q);
-        if (q) g[n] = s;
-    }
-}
-
-/* One equation's plain step in one parallel region, as a sweep takes it at c = 0:
-   a = S d (S the C-ordered n_rows x n_rows spatial factor, a a work array of n_rows
-   entries), then the pass with column p */
-void pnkr_step(const double *u, double *out, size_t n_rows, size_t n_cols, double alpha,
-               const double *S, const double *d, double *a, const double *p, int par)
-{
-#pragma omp parallel if (par)
-    {
-        pnkr_rows(S, d, a, n_rows, n_rows);
-        pnkr_pass(u, out, n_rows, n_cols, 0.0, alpha, a, p, NULL, NULL);
+        g[n] = c == 0.0 ? pnkr_row(0, un, on, n_cols, c, alpha, a[n], p, q)
+                        : pnkr_row(1, un, on, n_cols, c, alpha, a[n], p, q);
     }
 }
 

@@ -70,6 +70,9 @@ __all__ = [
 MAPS_TABLE_NAME = "moment_maps.csv"
 # columns of the maps table; after the site coordinates each is the MomentMaps field of that name
 _MAPS_COLUMNS = ("x1", "x2", "mu_t", "mu_z", "mu_v", "sigma_v", "h3", "h4", "h5", "mask")
+# an h5 feature (criterion 9): a cell with |h5| above the threshold, off the disk plane |x2| <= halfwidth
+_H5_THRESHOLD = 0.02
+_H5_PLANE_HALFWIDTH = 0.2
 
 
 # -- marginal distributions ---------------------------------------------------
@@ -532,32 +535,25 @@ def default_losvd_positions(basis: DiscreteBasis) -> list[tuple[float, float]]:
     return [(x, y) for x in xs for y in ys]
 
 
-def h5_feature_regions(
-    maps: MomentMaps, threshold: float = 0.02, plane_halfwidth: float = 0.2
-) -> tuple[np.ndarray, int]:
-    """Connected off-plane regions where |h5| exceeds the threshold.
+def h5_feature_regions(maps: MomentMaps) -> tuple[np.ndarray, int]:
+    """Connected off-plane regions where |h5| exceeds ``_H5_THRESHOLD``.
 
     Returns the labeled region array and the region count; cells on the
-    disk plane (|x2| <= plane_halfwidth) and masked cells never count.
+    disk plane (|x2| <= ``_H5_PLANE_HALFWIDTH``) and masked cells never count.
     """
-    off_plane = np.abs(maps.x2)[None, :] > plane_halfwidth
-    strong = maps.mask & off_plane & (np.abs(np.nan_to_num(maps.h5)) > threshold)
+    off_plane = np.abs(maps.x2)[None, :] > _H5_PLANE_HALFWIDTH
+    strong = maps.mask & off_plane & (np.abs(np.nan_to_num(maps.h5)) > _H5_THRESHOLD)
     labels, count = _connected_label(strong)
     return labels, int(count)
 
 
-def h5_sign_match(
-    rec: MomentMaps,
-    truth: MomentMaps,
-    threshold: float = 0.02,
-    plane_halfwidth: float = 0.2,
-) -> float:
-    """Fraction of the reconstruction's strong off-plane h5 cells whose sign matches the truth.
+def h5_sign_match(rec: MomentMaps, truth: MomentMaps) -> float:
+    """Fraction of the reconstruction's strong off-plane h5 cells (:func:`h5_feature_regions`) whose sign matches the truth.
 
     Cells without a valid truth value are excluded; NaN is returned when
     the reconstruction shows no strong off-plane cells at all.
     """
-    labels, _ = h5_feature_regions(rec, threshold, plane_halfwidth)
+    labels, _ = h5_feature_regions(rec)
     cells = (labels > 0) & truth.mask & np.isfinite(truth.h5)
     if not cells.any():
         return float("nan")

@@ -29,8 +29,9 @@ solve for an explicit separable smoothing on the piecewise-constant
 basis, run in a C kernel (``_kernel.c``), built at import with the
 system's C compiler into the user cache (:func:`_load_step_kernel`).
 Each public operation is one kernel call: a sweep ``pnkr_sweep``, a
-single plain equation step ``pnkr_step``, and the end-of-sweep residual
-norms ``pnkr_residual_norms``.  Each step's two factors are built once per
+single plain equation step as a ``pnkr_sweep`` over that one equation,
+and the end-of-sweep residual norms ``pnkr_residual_norms``.  Each
+step's two factors are built once per
 :class:`~pnkr.forward.ForwardSystem` and kept on it.  The full-stack
 Landweber iteration gates every equation at once and sums all
 corrections with numpy before projecting.  In a forked child every
@@ -38,9 +39,10 @@ kernel call runs on one thread, since libgomp's thread pool does not
 survive ``fork()``.
 
 Every variant steps in place: ``SolverState.u_k`` and ``u_km1`` are two
-buffers that each step reuses.  The new iterate is built in the ``u_km1``
-buffer and the two swap, so no array of the iterate's size is allocated
-per step.  A caller that keeps the arrays it put into a state must copy
+page-aligned buffers (a sweep first copies an array off a page boundary)
+that each step reuses.  The new iterate is built in the ``u_km1`` buffer
+and the two swap, so no array of the iterate's size is allocated per
+step.  A caller that keeps the arrays it put into a state must copy
 them first.  After the finite check raises ``RuntimeError`` the contents
 of both buffers are undefined.
 """
@@ -95,11 +97,11 @@ __all__ = [
 
 VARIANTS = ("pnkr", "reduced_pnkr", "landweber_kaczmarz", "landweber")
 
-# Byte alignment of the two iterate buffers run() steps in.  The heap
-# places a fresh array at any 16-byte offset, which changed from one
-# process to the next, and a desk-scale step on buffers off a cache line
-# took about 11% (momentum) and 8% (c = 0) longer; page-aligned buffers
-# give every process the same layout.
+# Byte alignment of the two iterate buffers every sweep steps in.  The
+# heap places a fresh array at any 16-byte offset (np.zeros(64512) lands
+# 16 bytes past a page); on a 2-vCPU AVX-512 Xeon, 8 alternating desk DP
+# solves of 923 sweeps took a median 1.78 s of sweep time with both
+# buffers there against 1.33 s page-aligned (paper sweeps: no difference).
 _BUFFER_ALIGN = 4096
 _NON_FINITE = "iterate became non-finite; the stepsize omega={:g} is too large for this system"
 
@@ -112,7 +114,6 @@ _STEP_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fopenmp", "-shared
 _PARALLEL_ENTRIES = 1 << 18
 # Each kernel entry's argument kinds (p pointer, n size_t, d double, i int) and result.
 _KERNEL_ENTRIES = {
-    "pnkr_step": ("ppnndppppi", None),
     "pnkr_sweep": ("ppnnnpppnpnppppddi", ctypes.c_long),
     "pnkr_residual_norms": ("pnnnpppnpnpi", ctypes.c_int),
     "pnkr_threads": ("", ctypes.c_int),
@@ -276,8 +277,9 @@ class SolverState:
 
     Every variant's step writes into ``u_k`` and ``u_km1`` in place:
     each step builds its new iterate in the ``u_km1`` buffer and the
-    commit swaps the two arrays.  A momentum step first reads ``u_km1``
-    for the residual ``D'``; every Kaczmarz step then overwrites each
+    commit swaps the two arrays, after a sweep has swapped in an aligned
+    copy of each array off a page boundary.  A momentum step first reads
+    ``u_km1`` for the residual ``D'``; every Kaczmarz step then overwrites each
     entry of ``u_km1`` with its new iterate: ``u_k`` corrected, or for a
     momentum step the momentum point of ``u_k`` and ``u_km1`` corrected,
     then projected.  Copy the arrays before
@@ -383,11 +385,13 @@ def _parallel(system: ForwardSystem) -> int:
     return int(SWEEP_THREADS != 1 and system.N * system.L >= _PARALLEL_ENTRIES)
 
 
-def _single_step(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, out: np.ndarray | None, alpha: float, S: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Equation ``r``'s plain step into ``out`` (fresh when omitted) in one kernel call, ``pnkr_step``, as a sweep takes it at ``c = 0``.
+def _single_step(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, out: np.ndarray | None, omega: float, alpha: float, S: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Equation ``r``'s plain step into ``out`` (fresh when omitted): a ``pnkr_sweep`` over that one equation at ``c = 0``.
 
-    The kernel forms ``a = S d`` in its fixed order and runs the pass
-    ``out = max(u + alpha a p^T, 0)`` with ``p`` column ``r`` of ``P``.
+    Its samples are ``d`` and its gate column zero, so the gate's residual
+    is ``d``; zero gate factors make the norm 0 and the bound ``-inf`` lies
+    below it, so the kernel forms ``a = S d`` and runs the pass ``out =
+    max(u + alpha a p^T, 0)`` with ``p`` column ``r`` of ``P``.
     """
     r, N, L, d = _check_r(system, r), system.N, system.L, np.ascontiguousarray(d, dtype=float)
     if d.shape != (N,):
@@ -397,7 +401,11 @@ def _single_step(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, ou
     elif out.shape != (N * L,) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape ({N * L},)")
     u = out if u is out else np.ascontiguousarray(u, dtype=float).reshape(N * L)
-    _call("pnkr_step", u, out, N, L, alpha, S, d, np.empty(N), P[:, r - 1], _parallel(system))
+    for name, x in (("u", u), ("d", d)):
+        _check_entries(name, x, np.isfinite(x))
+    n1, n2 = (len(A) for A in system.G_axes)
+    gate = d, np.zeros(L), np.zeros((n1, n1)), n1, np.zeros((n2, n2)), n2, np.zeros(1, dtype=np.int64), np.full(1, -np.inf)
+    _kernel_sweep(omega, u, out, N, L, 1, *gate, P[:, r - 1], S, 0.0, alpha, _parallel(system))
     return out
 
 
@@ -406,17 +414,19 @@ def pnkr_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r:
 
     ``d`` is the sample-space residual ``y_r - U q_r`` at ``u``.  The
     correction ``M^-1 H_r^T N^-1 (w_r - H_r u)`` is the rank-one matrix
-    ``(Psi^-1 G d) (Phi^-1 q_r)^T``, formed and applied by the kernel as a
-    sweep does, so given the same ``d`` it is bitwise a sweep's plain
-    step (``c = 0``).  At any point ``z`` it is the paper's step at ``z``:
-    pnkr's momentum step is this step at ``z = nesterov_extrapolate(u_k,
-    u_km1, k_R)``, which :func:`pnkr_sweep` takes in one pass without
-    forming ``z``, so the two differ by rounding.
+    ``(Psi^-1 G d) (Phi^-1 q_r)^T``, formed and applied by the kernel in a
+    sweep over equation ``r`` alone, so given the same ``d`` it is bitwise
+    a sweep's plain step (``c = 0``).  At any point ``z`` it is the paper's
+    step at ``z``: pnkr's momentum step is this step at ``z =
+    nesterov_extrapolate(u_k, u_km1, k_R)``, which :func:`pnkr_sweep`
+    takes in one pass without forming ``z``, so the two differ by rounding.
 
     ``out`` is a C-contiguous float64 array of ``N * L`` entries; it may
-    be ``u`` itself, or omitted for a fresh array.
+    be ``u`` itself, or omitted for a fresh array.  Raises ``ValueError``
+    naming a non-finite entry of ``u`` or ``d``, and the sweep's
+    ``RuntimeError`` naming ``omega`` if the new iterate is not finite.
     """
-    return _single_step(system, u, d, r, out, omega, system.Psi_inv_G, system.Phi_inv_Q)
+    return _single_step(system, u, d, r, out, omega, omega, system.Psi_inv_G, system.Phi_inv_Q)
 
 
 def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray, r: int, omega: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -427,11 +437,11 @@ def reduced_equation_update(system: ForwardSystem, u: np.ndarray, d: np.ndarray,
     every axis, stands in for the Kronecker solve on the piecewise-constant
     basis.  It keeps the correction rank-one, ``(Z_x G G d) (Z_Theta q_r)^T``
     with the system's factors ``Zx_GG`` and ``ZTheta_Q``, which the kernel
-    applies into ``out`` (which may be ``u``) as a sweep does.  Raises
-    ``ValueError`` for ``s != 0``.
+    applies into ``out`` (which may be ``u``) as :func:`pnkr_equation_update`
+    does, raising what it raises and ``ValueError`` for ``s != 0``.
     """
     r = _check_r(system, r)  # before the factors, which raise for s != 0
-    return _single_step(system, u, d, r, out, omega / system.c_N, system.Zx_GG, system.ZTheta_Q)
+    return _single_step(system, u, d, r, out, omega, omega / system.c_N, system.Zx_GG, system.ZTheta_Q)
 
 
 def _block_residual(system: ForwardSystem, u: np.ndarray, data: SolveData) -> tuple[np.ndarray, np.ndarray]:
@@ -447,7 +457,7 @@ def _gate_operands(system: ForwardSystem, y: np.ndarray, axes: tuple[np.ndarray,
 
 
 def _check_sweep_operands(system: ForwardSystem, data: SolveData, state: SolverState) -> None:
-    """Give ``state`` an aligned copy of ``u_k`` as ``u_km1`` if the two share memory; raise ``ValueError`` unless ``state.k_R`` is an integer of at least 1, ``data`` fits ``system`` and both iterates are C-contiguous float64 arrays of ``N L`` entries."""
+    """Give ``state`` an aligned copy of ``u_k`` as ``u_km1`` if the two share memory; raise ``ValueError`` unless ``state.k_R`` is an integer of at least 1, ``data`` fits ``system`` and both iterates are C-contiguous float64 arrays of ``N L`` entries; then give ``state`` an aligned copy of each iterate off a ``_BUFFER_ALIGN`` boundary."""
     if isinstance(state.k_R, bool) or not (isinstance(state.k_R, numbers.Integral) and state.k_R >= 1):
         raise ValueError(f"the loop counter must be an integer of at least 1, got state.k_R={state.k_R!r}")
     if np.may_share_memory(state.u_k, state.u_km1):
@@ -455,6 +465,17 @@ def _check_sweep_operands(system: ForwardSystem, data: SolveData, state: SolverS
     N, L, R = system.N, system.L, system.R
     if data.y.shape != (N, R) or data.delta_r.shape != (R,) or any(u.shape != (N * L,) or u.dtype != np.float64 or not u.flags.c_contiguous for u in (state.u_k, state.u_km1)):
         raise ValueError(f"a sweep over {R} equations needs samples of shape ({N}, {R}), {R} noise levels and C-contiguous float64 iterates of shape ({N * L},)")
+    state.u_k, state.u_km1 = (_aligned_copy(u, u.shape) if u.ctypes.data % _BUFFER_ALIGN else u for u in (state.u_k, state.u_km1))
+
+
+def _kernel_sweep(omega: float, *args) -> int:
+    """``pnkr_sweep`` on ``args``; returns the update count, or raises ``MemoryError`` or, for a non-finite iterate, ``RuntimeError`` naming ``omega``."""
+    updates = _call("pnkr_sweep", *args)
+    if updates < -1:
+        raise MemoryError("the Kaczmarz sweep could not allocate its work arrays")
+    if updates < 0:
+        raise RuntimeError(_NON_FINITE.format(omega))
+    return updates
 
 
 def _compiled_sweep(state: SolverState, config: SolverConfig, data: SolveData, system: ForwardSystem, omega: float, momentum: bool, S: np.ndarray, P: np.ndarray, alpha: float) -> int:
@@ -471,11 +492,7 @@ def _compiled_sweep(state: SolverState, config: SolverConfig, data: SolveData, s
     u_k, u_km1 = state.u_k, state.u_km1
     order = np.ascontiguousarray(_sweep_order(config, R, state.k_R) - 1, dtype=np.int64)
     limits = np.ascontiguousarray(config.tau * data.delta_r, dtype=float)
-    updates = _call("pnkr_sweep", u_k, u_km1, N, L, R, *_gate_operands(system, data.y, system.G_axes), order, limits, P, S, c, alpha, _parallel(system))
-    if updates < -1:
-        raise MemoryError("the Kaczmarz sweep could not allocate its work arrays")
-    if updates < 0:
-        raise RuntimeError(_NON_FINITE.format(omega))
+    updates = _kernel_sweep(omega, u_k, u_km1, N, L, R, *_gate_operands(system, data.y, system.G_axes), order, limits, P, S, c, alpha, _parallel(system))
     if updates % 2:
         state.u_k, state.u_km1 = u_km1, u_k
     state.k_R += 1

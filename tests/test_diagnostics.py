@@ -543,7 +543,7 @@ def test_moment_maps_sites_equal_one_site_fits_bitwise(desk_maps, desk_truth, de
 
 
 def test_moment_maps_truth_has_two_h5_regions(desk_maps):
-    labels, count = h5_feature_regions(desk_maps, threshold=0.02, plane_halfwidth=0.2)
+    labels, count = h5_feature_regions(desk_maps)
     assert count == 2
     assert labels.max() == 2
     assert (labels > 0).sum() > 0
@@ -586,33 +586,34 @@ def test_h5_sign_match_counts_strong_cells():
     h5_true[0, 0] = 0.1
     h5_true[1, 0] = -0.1
     h5_true[3, 3] = -0.1
-    match = h5_sign_match(build(h5_rec), build(h5_true), threshold=0.02, plane_halfwidth=0.2)
+    match = h5_sign_match(build(h5_rec), build(h5_true))
     assert match == pytest.approx(2.0 / 3.0)
     assert np.isnan(h5_sign_match(build(np.zeros(shape)), build(h5_true)))
 
 
 def test_h5_regions_exclude_plane_and_masked_cells():
-    centers = uniform_axis(-1.0, 1.0, 5).centers
-    shape = (4, 4)
+    # x2 runs over five cells, the middle one centred on the plane (|x2| = 0 <= 0.2)
+    x1, x2 = uniform_axis(-1.0, 1.0, 5).centers, uniform_axis(-1.0, 1.0, 6).centers
+    shape = (4, 5)
     zeros = np.zeros(shape)
     mask = np.ones(shape, dtype=bool)
     mask[3, 0] = False
     h5 = np.zeros(shape)
     h5[0, 0] = 0.1
     h5[1, 0] = 0.1
-    h5[3, 3] = -0.1
-    h5[2, 1] = 0.5
+    h5[3, 4] = -0.1
+    h5[2, 2] = 0.5
     h5[3, 0] = 0.9
     maps = MomentMaps(
-        x1=centers, x2=centers, mu_t=zeros, mu_z=zeros, mu_v=zeros,
+        x1=x1, x2=x2, mu_t=zeros, mu_z=zeros, mu_v=zeros,
         sigma_v=np.ones(shape), h3=zeros, h4=zeros, h5=h5, mask=mask,
     )
-    labels, count = h5_feature_regions(maps, threshold=0.02, plane_halfwidth=0.3)
+    labels, count = h5_feature_regions(maps)
     assert count == 2
-    assert labels[2, 1] == 0
+    assert labels[2, 2] == 0
     assert labels[3, 0] == 0
     assert labels[0, 0] == labels[1, 0] > 0
-    assert labels[3, 3] > 0
+    assert labels[3, 4] > 0
     assert labels[3, 3] != labels[0, 0]
 
 

@@ -336,6 +336,24 @@ def test_channel_index_rejects_a_bool(tiny0, r):
             call()
 
 
+@pytest.mark.parametrize("update", [pnkr_equation_update, reduced_equation_update])
+def test_single_step_refuses_a_non_finite_input_or_result(tiny0, update):
+    # a NaN or inf in u or d is named before the kernel runs; a finite step whose result
+    # overflows raises the sweeps' error naming the stepsize, fresh and in place
+    rng = np.random.default_rng(42)
+    u, d = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L), rng.normal(0.0, 1e-3, tiny0.N)
+    omega = 0.9 / rho_estimate(tiny0)
+    for name, i in (("u", 17), ("d", 3)):
+        for value in (np.nan, np.inf, -np.inf):
+            bad_u, bad_d = u.copy(), d.copy()
+            (bad_u if name == "u" else bad_d)[i] = value
+            with pytest.raises(ValueError, match=f"^{name} entry {i} is {value:g}; it must be finite$"):
+                update(tiny0, bad_u, bad_d, 1, omega)
+    for out in (None, u.copy()):
+        with pytest.raises(RuntimeError, match=re.escape(f"omega={1e300:g} is too large")):
+            update(tiny0, u if out is None else out, d * 1e200, 1, 1e300, out=out)
+
+
 @pytest.mark.parametrize("fixture_name", ["tiny0", "tiny1"])
 @pytest.mark.parametrize("rows", [2, 3])
 def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request):
@@ -356,7 +374,7 @@ def test_blocked_step_matches_one_block_bitwise(fixture_name, rows, request):
         U, p = u_k.reshape(system.N, system.L), system.Phi_inv_Q[:, r - 1]
         a, O = fixed_order_rows_dot(system.Psi_inv_G, d), u_km1.copy().reshape(system.N, system.L)
         for blk in blocks:
-            _kernel_step(U[blk], O[blk], omega, a[blk], p)
+            assert _kernel_step(U[blk], O[blk], omega, a[blk], p) == 1
         assert np.array_equal(O.reshape(-1), plain)
         in_place = u_k.copy()
         for u, buf in ((in_place, in_place), (u_k, u_km1.copy())):
@@ -400,14 +418,18 @@ def _bits(x):
 
 
 def _kernel_step(U, O, alpha, a, p):
-    """The kernel's single step ``pnkr_step`` on ``N x L`` iterates, on one thread, with ``S = I`` and ``d = a``.
+    """The single step on ``N x L`` iterates as the kernel takes it, a one-equation ``pnkr_sweep`` on one thread with ``S = I`` and ``d = a``; returns the sweep's count.
 
-    ``I a`` is ``a`` bitwise where ``a`` is nonzero, and a zero's sign does
-    not reach the iterate, whose projection stores +0 for either.
+    The gate column is zero, so the gate's residual is ``a``; its factors
+    are identities (``A1 = I_N``, ``A2 = [[1]]``) and its bound ``-inf``,
+    so the equation steps, into ``O``.  ``I a`` is ``a`` bitwise where
+    ``a`` is nonzero, and a zero's sign does not reach the iterate, whose
+    projection stores +0 for either.
     """
     N, L = O.shape
     a, p = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(p, dtype=float)
-    pnkr.solver._call("pnkr_step", U, O, N, L, alpha, np.eye(N), a, np.empty(N), p, 0)
+    gate = a, np.zeros(L), np.eye(N), N, np.ones((1, 1)), 1, np.zeros(1, dtype=np.int64), np.full(1, -np.inf)
+    return pnkr.solver._call("pnkr_sweep", U, O, N, L, 1, *gate, p, np.eye(N), 0.0, alpha, 0)
 
 
 def _pass_problem(a, p, q, order):
@@ -478,12 +500,12 @@ def test_step_kernel_matches_blas_sequence_bitwise(case, request):
     U, prev = rng.uniform(0.0, 1.0, (N, L)), rng.uniform(0.0, 1.0, (N, L))
     want, got = prev.copy(), prev.copy()
     blas_rank_one_step(U, want, 0.0, alpha, a, p)
-    _kernel_step(U, got, alpha, a, p)
+    assert _kernel_step(U, got, alpha, a, p) == 1
     assert np.array_equal(_bits(got), _bits(want))
     assert 0 < np.sum(want == 0.0) < want.size
     want, got = U.copy(), U.copy()
     blas_rank_one_step(want, want, 0.0, alpha, a, p)
-    _kernel_step(got, got, alpha, a, p)
+    assert _kernel_step(got, got, alpha, a, p) == 1
     assert np.array_equal(_bits(got), _bits(want))
     for k_R in (2, 5):
         stepped = _pass_sweep(U, prev, k_R, alpha, a, p[:, 0])
@@ -501,11 +523,14 @@ def test_step_kernel_matches_blas_sequence_bitwise(case, request):
 
 @pytest.mark.parametrize("where", ["u_k", "u_km1"])
 def test_step_kernel_projects_nan_inf_and_zero_like_np_maximum(where):
-    # the single step's pass; a momentum pass, which only a sweep takes, reads a
-    # non-finite entry only on its way to the sweep's error (next test)
+    # the single step's pass on -0 and +0 in u_k, and on NaN, inf and zeros in u_km1, which
+    # the plain pass overwrites.  A NaN or inf in u_k never reaches the pass: the gate's
+    # product with the zero column is NaN there, so the step refuses and leaves out as it
+    # was.  A momentum pass, which only a sweep takes, reads a non-finite entry only on its
+    # way to the sweep's error (next test)
     rng = np.random.default_rng(38)
     N, L = 7, 33
-    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0]) if where == "u_km1" else np.array([-0.0, 0.0])
     U, prev = rng.uniform(0.0, 1.0, (N, L)), rng.uniform(0.0, 1.0, (N, L))
     bad = U if where == "u_k" else prev
     cells = rng.choice(N * L, size=4 * specials.size, replace=False)
@@ -514,11 +539,15 @@ def test_step_kernel_projects_nan_inf_and_zero_like_np_maximum(where):
     p[::5] = 0.0  # x = -0.0 where a[n] < 0
     want, got = prev.copy(), prev.copy()
     blas_rank_one_step(U, want, 0.0, 0.5, a, p)
-    _kernel_step(U, got, 0.5, a, p)
+    assert _kernel_step(U, got, 0.5, a, p) == 1
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     if where == "u_k":
-        assert np.isnan(got).any() and np.isinf(got).any()
+        for value in (np.nan, np.inf, -np.inf):
+            refused, got = U.copy(), prev.copy()
+            refused[3, 7] = value
+            assert _kernel_step(refused, got, 0.5, a, p) == -1
+            assert np.array_equal(got, prev)
 
 
 @pytest.mark.parametrize("case", ["tiny1", "desk", "paper_shape"])
@@ -568,8 +597,8 @@ def test_step_kernel_gate_product_is_non_finite_where_the_step_writes_nan_or_inf
         assert (stepped is None) == (where == "u_k" or k_R > 1)
 
 
-def _import_and_step(cache, path_dir, no_processes=False):
-    """Import ``pnkr.solver`` in a fresh process with ``XDG_CACHE_HOME=cache`` and ``PATH=path_dir``, print its build, then take one step.
+def _import_and_call(cache, path_dir, no_processes=False):
+    """Import ``pnkr.solver`` in a fresh process with ``XDG_CACHE_HOME=cache`` and ``PATH=path_dir``, print its build, then call the kernel.
 
     With ``no_processes`` the child cannot start one: its ``subprocess.Popen`` is gone.
     """
@@ -577,25 +606,25 @@ def _import_and_step(cache, path_dir, no_processes=False):
     env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=str(path_dir))
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     code = "import subprocess\nsubprocess.Popen = None\n" if no_processes else ""
-    code += "import numpy as np\nimport pnkr.solver\nprint(pnkr.solver.STEP_KERNEL_BUILD, flush=True)\n"
-    code += "pnkr.solver._call('pnkr_step', *[np.ones(1)] * 2, 1, 1, 1.0, *[np.ones(1)] * 4, 0)"
+    code += "import pnkr.solver\nprint(pnkr.solver.STEP_KERNEL_BUILD, flush=True)\n"
+    code += "pnkr.solver._call('pnkr_threads')"
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_step_kernel_builds_once_and_loads_from_the_cache(tmp_path):
     cache, no_cc = tmp_path / "cache", tmp_path / "no-cc"
     no_cc.mkdir()
-    built = _import_and_step(cache, Path(os.path.dirname(shutil.which("cc"))))
+    built = _import_and_call(cache, Path(os.path.dirname(shutil.which("cc"))))
     assert built.returncode == 0, built.stderr
     libraries = list((cache / "pnkr").iterdir())
     assert len(libraries) == 1 and libraries[0].suffix == ".so"
     assert built.stdout.strip() == pnkr.solver.STEP_KERNEL_BUILD
-    loaded = _import_and_step(cache, no_cc, no_processes=True)
+    loaded = _import_and_call(cache, no_cc, no_processes=True)
     assert loaded.returncode == 0, loaded.stderr
     assert loaded.stdout == built.stdout
     assert list((cache / "pnkr").iterdir()) == libraries
     # a failed build does not fail the import: its ImportError waits for the first step
-    missing = _import_and_step(tmp_path / "empty", no_cc)
+    missing = _import_and_call(tmp_path / "empty", no_cc)
     assert missing.returncode != 0 and missing.stdout == "None\n"
     assert "ImportError" in missing.stderr and "no C compiler (cc) is on PATH" in missing.stderr
 
@@ -605,7 +634,7 @@ def test_step_kernel_names_a_cache_directory_it_cannot_write(tmp_path):
     not_a_dir, no_cc = tmp_path / "cache-file", tmp_path / "no-cc"
     not_a_dir.write_text("")
     no_cc.mkdir()
-    failed = _import_and_step(not_a_dir, no_cc)
+    failed = _import_and_call(not_a_dir, no_cc)
     assert failed.returncode != 0 and failed.stdout == "None\n"
     last = failed.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError") and str(not_a_dir / "pnkr") in last and "XDG_CACHE_HOME" in last
@@ -618,7 +647,7 @@ def test_step_kernel_build_names_openmp_when_the_compiler_lacks_it(tmp_path):
     fake.mkdir()
     (fake / "cc").write_text("#!/bin/sh\necho \"cc: error: unrecognized command-line option '-fopenmp'\" >&2\nexit 1\n")
     (fake / "cc").chmod(0o755)
-    failed = _import_and_step(tmp_path / "cache", fake)
+    failed = _import_and_call(tmp_path / "cache", fake)
     assert failed.returncode != 0 and failed.stdout == "None\n"
     assert "ImportError" in failed.stderr and "OpenMP (-fopenmp)" in failed.stderr
     assert "unrecognized command-line option '-fopenmp'" in failed.stderr
@@ -915,7 +944,8 @@ def test_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, momentum
     gated = SolveData(y=data.y, delta_r=delta)
     cfg = SolverConfig(variant="pnkr" if momentum else "landweber_kaczmarz", s=0, tau=1.2)
     omega = 1.0 / rho_estimate(tiny0)
-    a, b = u_k.copy(), u_km1.copy()
+    # page-aligned buffers, which a sweep steps in without copying them first
+    a, b = (pnkr.solver._aligned_copy(u, u.shape) for u in (u_k, u_km1))
     state = SolverState(u_k=a, u_km1=b, k_R=3)
     assert pnkr_sweep(state, cfg, gated, tiny0, omega=omega) == 1
     assert {id(state.u_k), id(state.u_km1)} == {id(a), id(b)}
@@ -939,7 +969,7 @@ def test_reduced_sweep_updates_the_state_buffers_in_place(tiny0, tiny0_problem, 
     gated = SolveData(y=data.y, delta_r=delta)
     cfg = SolverConfig(variant="reduced_pnkr", s=0)
     omega = 1.0 / reduced_rho(tiny0)
-    a, b = u.copy(), rng.uniform(0.0, 1.0, u.size)
+    a, b = (pnkr.solver._aligned_copy(x, u.shape) for x in (u, rng.uniform(0.0, 1.0, u.size)))
     state = SolverState(u_k=a, u_km1=a if shared else b)
     assert reduced_pnkr_sweep(state, cfg, gated, tiny0, omega=omega) == 1
     if not shared:
@@ -969,6 +999,19 @@ def test_run_steps_in_page_aligned_buffers(tiny0, tiny0_problem, variant):
     res = run(SolverConfig(variant=variant, s=0, max_loops=3), data, tiny0)
     assert res.total_updates > 0
     assert res.u.ctypes.data % pnkr.solver._BUFFER_ALIGN == 0
+
+
+@pytest.mark.parametrize("variant", pnkr.solver.VARIANTS)
+def test_sweeps_step_a_state_built_from_np_zeros_in_page_aligned_buffers(tiny0, tiny0_problem, variant):
+    # np.zeros(M + 1)[1:] starts 8 bytes past the allocator's 16-byte boundary, so off every
+    # page; the first sweep steps in aligned copies, with the bits of run()'s own buffers
+    _, data = tiny0_problem
+    cfg = SolverConfig(variant=variant, s=0, max_loops=1)
+    M = tiny0.N * tiny0.L
+    state = SolverState(np.zeros(M + 1)[1:], np.zeros(M + 1)[1:])
+    assert next(sweeps(state, cfg, data, tiny0, resolve_omega(cfg, tiny0))).loop == 1
+    assert state.u_k.ctypes.data % pnkr.solver._BUFFER_ALIGN == state.u_km1.ctypes.data % pnkr.solver._BUFFER_ALIGN == 0
+    assert np.array_equal(_bits(state.u_k), _bits(run(cfg, data, tiny0).u))
 
 
 @pytest.mark.parametrize("k_R", [1, 2, 3])
@@ -1421,7 +1464,7 @@ def test_landweber_step_updates_the_state_buffers_in_place(tiny0, tiny0_problem,
     u = rng.uniform(0.0, 1.0, tiny0.N * tiny0.L)
     omega = 1.0 / rho_estimate(tiny0, stacked=True)
     cfg = SolverConfig(variant="landweber", s=0)
-    a, b = u.copy(), rng.uniform(0.0, 1.0, u.size)
+    a, b = (pnkr.solver._aligned_copy(x, u.shape) for x in (u, rng.uniform(0.0, 1.0, u.size)))
     state = SolverState(u_k=a, u_km1=a if shared else b)
     assert landweber_step(state, cfg, data, tiny0, omega=omega) == 1
     if not shared:
@@ -1538,6 +1581,28 @@ def test_divergence_raises_naming_stepsize(tiny0, tiny0_problem):
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="omega=1e\\+06"):
             list(sweeps(SolverState(np.zeros(M), np.zeros(M)), cfg, data, tiny0, 1e6))
+
+
+def test_growth_check_raises_naming_stepsize_before_an_entry_overflows(tiny0, tiny0_problem):
+    # on tiny0's first equation alone every step corrects along one rank-one direction, and
+    # at omega = 3 / rho, above the 2 / rho stability bound, the momentum sweeps grow the
+    # iterate geometrically: its norm passes 1e6 times the first sweep's while every entry
+    # is still finite, so the growth check raises, not the finite check
+    import warnings
+
+    _, data = tiny0_problem
+    one = build_forward_system(tiny0.basis, np.ascontiguousarray(tiny0.Q[:, :1]))
+    first = SolveData(y=data.y[:, :1], delta_r=data.delta_r[:1])
+    omega = 3.0 / rho_estimate(one)
+    M = one.N * one.L
+    state, rows = SolverState(np.zeros(M), np.zeros(M)), []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=re.escape(f"iterate norm grew by more than 1e6; the stepsize omega={omega:g} is too large")):
+            for row in sweeps(state, SolverConfig(s=0, max_loops=400), first, one, omega):
+                rows.append(row)
+    assert 10 < len(rows) < 200
+    assert np.isfinite(state.u_k).all() and np.isfinite(state.u_km1).all()
 
 
 def test_reduced_identity_trajectory_matches_plain_kaczmarz(monkeypatch, tiny0, tiny0_problem):
